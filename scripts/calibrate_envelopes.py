@@ -57,8 +57,9 @@ def calibrate(jobs):
     for dim, grid in GRIDS.items():
         spec = CorpusSpec("random_band_limited", 200, LP_SEED, {"decay": 1.0})
         by_p = {}
-        for p in LP_EXPONENTS:
-            report = estimate_envelope(spec, "lp", p, grid, jobs=jobs)
+        exponents = [(p, None) for p in LP_EXPONENTS]
+        reports = estimate_envelope(spec, "lp", exponents, grid, jobs=jobs)
+        for p, report in zip(LP_EXPONENTS, reports):
             by_p[format(p, "g")] = bounds(report)
             print(f"lp d{dim} p={p:g}: [{report.ratio_min:.6f}, {report.ratio_max:.6f}]")
         envelopes["lp"][f"d{dim}"] = by_p
@@ -70,8 +71,9 @@ def calibrate(jobs):
         {"rank": 1, "decay": 1.0, "weights": "uniform"},
     )
     by_p = {}
-    for p in DENSITY_EXPONENTS:
-        report = estimate_envelope(density_spec, "lp_density", p, GRIDS[1], jobs=jobs)
+    exponents = [(p, None) for p in DENSITY_EXPONENTS]
+    reports = estimate_envelope(density_spec, "lp_density", exponents, GRIDS[1], jobs=jobs)
+    for p, report in zip(DENSITY_EXPONENTS, reports):
         by_p[format(p, "g")] = bounds(report)
         print(f"lp_density d1 p={p:g}: [{report.ratio_min:.6f}, {report.ratio_max:.6f}]")
     envelopes["lp_density"]["d1"] = by_p
@@ -80,7 +82,7 @@ def calibrate(jobs):
         spec = CorpusSpec(
             "random_band_limited", 200, GNS_SEED, {"decay": 1.5, "zero_mean": True}
         )
-        report = estimate_envelope(spec, "gns", None, grid, jobs=jobs)
+        (report,) = estimate_envelope(spec, "gns", [(None, None)], grid, jobs=jobs)
         key = format(2.0 + 4.0 / dim, "g")
         envelopes["gns"][f"d{dim}"] = {key: bounds(report)}
         print(f"gns d{dim} p={key}: [{report.ratio_min:.6f}, {report.ratio_max:.6f}]")

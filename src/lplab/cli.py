@@ -290,15 +290,12 @@ def _cmd_lp(settings: dict, envelopes: dict):
         int(settings["seed"]),
         {"decay": float(settings["decay"])},
     )
-    reports = []
-    for p in settings["p"]:
-        envelope = envelope_for(envelopes, "lp", grid.dimension, p)
-        reports.append(
-            estimate_envelope(
-                spec, "lp", float(p), grid, family, profile_kind,
-                envelope=envelope, jobs=settings["jobs"],
-            )
-        )
+    exponents = [
+        (float(p), envelope_for(envelopes, "lp", grid.dimension, p)) for p in settings["p"]
+    ]
+    reports = estimate_envelope(
+        spec, "lp", exponents, grid, family, profile_kind, jobs=settings["jobs"]
+    )
     parseval_deviation = None
     squared_report = next((r for r in reports if r.p == 2.0), None)
     if squared_report is not None:
@@ -343,17 +340,18 @@ def _cmd_lp_density(settings: dict, envelopes: dict):
                 "weights": settings["weights"],
             },
         )
+        exponents = []
         for p in settings["p"]:
             envelope = envelope_for(envelopes, "lp_density", grid.dimension, p)
             if int(rank) > 1:
                 envelope = _widened(envelope, DENSITY_RANK_SLACK)
-            reports.append(
-                estimate_envelope(
-                    spec, "lp_density", float(p), grid, family, profile_kind,
-                    envelope=envelope, jobs=settings["jobs"],
-                    name=f"lp_density_rank{int(rank)}",
-                )
+            exponents.append((float(p), envelope))
+        reports.extend(
+            estimate_envelope(
+                spec, "lp_density", exponents, grid, family, profile_kind,
+                jobs=settings["jobs"], name=f"lp_density_rank{int(rank)}",
             )
+        )
     passed = all(r.passed for r in reports)
     results = {"reports": [r.to_dict() for r in reports]}
     samples = [s for r in reports for s in r.samples]
@@ -414,9 +412,9 @@ def _cmd_gns(settings: dict, envelopes: dict):
         {"decay": float(settings["decay"]), "zero_mean": True},
     )
     envelope = envelope_for(envelopes, "gns", grid.dimension, 2.0 + 4.0 / grid.dimension)
-    report = estimate_envelope(
-        spec, "gns", None, grid, settings["family"], settings["profile"],
-        envelope=envelope, jobs=settings["jobs"],
+    (report,) = estimate_envelope(
+        spec, "gns", [(None, envelope)], grid, settings["family"], settings["profile"],
+        jobs=settings["jobs"],
     )
     results = {"reports": [report.to_dict()]}
     return results, report.passed, list(report.samples)

@@ -210,6 +210,28 @@ def random_orthonormal_frame(
     return FiniteRankOperator(grid, lambdas / top, frame, contract=contract)
 
 
+def _spike_window(dimension: int, j_range) -> tuple[int, int]:
+    lo, hi = int(j_range[0]), int(j_range[1])
+    if hi < lo:
+        raise ValueError(f"empty index range [{lo}, {hi}]")
+    if dimension not in (1, 2, 3):
+        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+    return lo, hi
+
+
+def _spike_sequence(dimension: int, lo: int, hi: int, seed: int, index: int) -> dict[int, float]:
+    """Member ``index`` of spike_sequences, drawn from its own Philox key."""
+    length = hi - lo + 1
+    rng = philox_generator(seed, index)
+    betas = rng.uniform(0.0, 1.0, size=length)
+    keep_probability = rng.uniform(0.1, 0.9)
+    mask = rng.uniform(0.0, 1.0, size=length) < keep_probability
+    return {
+        j: float(betas[j - lo] * mask[j - lo] * 2.0 ** (j * dimension))
+        for j in range(lo, hi + 1)
+    }
+
+
 def spike_sequences(
     dimension: int,
     j_range: tuple[int, int] = (-10, 10),
@@ -221,24 +243,8 @@ def spike_sequences(
     Each member multiplies the cap 2^(j d) by a uniform coefficient and a
     random sparse mask, so admissibility holds by construction.
     """
-    lo, hi = int(j_range[0]), int(j_range[1])
-    if hi < lo:
-        raise ValueError(f"empty index range [{lo}, {hi}]")
-    if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
-    length = hi - lo + 1
-    members = []
-    for i in range(int(count)):
-        rng = philox_generator(seed, i)
-        betas = rng.uniform(0.0, 1.0, size=length)
-        keep_probability = rng.uniform(0.1, 0.9)
-        mask = rng.uniform(0.0, 1.0, size=length) < keep_probability
-        alpha = {
-            j: float(betas[j - lo] * mask[j - lo] * 2.0 ** (j * dimension))
-            for j in range(lo, hi + 1)
-        }
-        members.append(alpha)
-    return members
+    lo, hi = _spike_window(dimension, j_range)
+    return [_spike_sequence(dimension, lo, hi, seed, i) for i in range(int(count))]
 
 
 def single_spike(dimension: int, j: int) -> dict[int, float]:
@@ -301,12 +307,9 @@ class CorpusSpec:
                 power_bound=p.get("power_bound"),
             )
         # spike_sequence: the grid fixes nothing but the dimension.
-        return spike_sequences(
-            dimension=int(p.get("dimension", grid.dimension)),
-            j_range=tuple(p.get("j_range", (-10, 10))),
-            count=index + 1,
-            seed=self.seed,
-        )[index]
+        dimension = int(p.get("dimension", grid.dimension))
+        lo, hi = _spike_window(dimension, p.get("j_range", (-10, 10)))
+        return _spike_sequence(dimension, lo, hi, self.seed, index)
 
     def to_dict(self) -> dict:
         return {

@@ -2,8 +2,11 @@
 
 An operator is stored as gamma = sum_k lambda_k |u_k><u_k| with nonnegative
 weights and grid functions u_k; nothing is ever materialized as a dense
-N^d x N^d matrix.  Densities, block-conjugated densities and kinetic traces
-all reduce to sums over the eigenpairs.
+N^d x N^d matrix.  Block-conjugated densities come from the batched block
+kernel of torus_grid, one forward and one inverse transform per chunk of
+eigenfunctions for all blocks.  Kinetic traces are Parseval sums of the
+spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, with no inverse
+transform.
 
 Contracts describe the operator bound a checker relies on:
 
@@ -29,9 +32,11 @@ from .torus_grid import (
     GridFunction,
     TorusGrid,
     abs_squared,
-    apply_symbol,
-    kinetic_form,
+    forward_transform_stack,
     lp_norm,
+    spectral_density,
+    weighted_block_energy,
+    weighted_density,
 )
 
 GRAM_TOLERANCE = 1e-10
@@ -103,18 +108,11 @@ class FiniteRankOperator:
         return total
 
 
-def _weighted_abs2_sum(op: FiniteRankOperator, fields) -> np.ndarray:
-    """sum_k lambda_k |fields_k|^2 accumulated in ascending k order."""
-    acc = np.zeros(op.grid.shape)
-    for k, values in enumerate(fields):
-        acc = acc + float(op.eigenvalues[k]) * abs_squared(values)
-    return acc
-
-
 def density(op: FiniteRankOperator) -> GridFunction:
-    """The diagonal density sum_k lambda_k |u_k(x)|^2, clamped at zero."""
-    acc = _weighted_abs2_sum(op, (op.eigenfunctions[k] for k in range(op.rank)))
-    return GridFunction(op.grid, np.maximum(acc, 0.0))
+    """The diagonal density sum_k lambda_k |u_k(x)|^2."""
+    return GridFunction(
+        op.grid, weighted_density(op.grid, op.eigenfunctions, op.eigenvalues)
+    )
 
 
 def conjugated_density(
@@ -123,23 +121,25 @@ def conjugated_density(
     """Density of P_j gamma P_j, i.e. sum_k lambda_k |P_j u_k|^2."""
     if blocks.grid != op.grid:
         raise GridMismatchError("operator and block set live on different grids")
-    table = blocks.symbol(j)
-    projected = (
-        apply_symbol(op.eigenfunction(k), table).values for k in range(op.rank)
+    values = weighted_block_energy(
+        op.grid, op.eigenfunctions, op.eigenvalues, [blocks.symbol(j)]
     )
-    acc = _weighted_abs2_sum(op, projected)
-    return GridFunction(op.grid, np.maximum(acc, 0.0))
+    return GridFunction(op.grid, values)
 
 
 def kinetic_trace(op: FiniteRankOperator, power: float) -> float:
-    """tr (-Laplacian)^power gamma = sum_k lambda_k <u_k, (-Laplacian)^power u_k>."""
+    """tr (-Laplacian)^power gamma = L^{-d} sum_xi |xi|^(2 power) w(xi).
+
+    w is the spectral density sum_k lambda_k |coeffs_k|^2.  As in
+    torus_grid.kinetic_form, the zero mode counts only at power 0.
+    """
     power = float(power)
     if power < 0:
         raise ValueError(f"kinetic_trace requires power >= 0, got {power}")
-    total = 0.0
-    for k in range(op.rank):
-        total += float(op.eigenvalues[k]) * kinetic_form(op.eigenfunction(k), power)
-    return total
+    # 0**power is 0 for power > 0 and 1 for power == 0.
+    weights = op.grid.frequency_norms_squared**power
+    w = spectral_density(op.grid, op.eigenfunctions, op.eigenvalues)
+    return float(np.sum(weights * w) / op.grid.volume)
 
 
 def diagonal_block_bound(blocks: DyadicBlockSet, j: int) -> float:
@@ -154,7 +154,8 @@ def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
 
     Eigenfunctions are the normalized lattice waves L^{-d/2} e^{i xi x} with
     unit weights, ordered by (|xi|^2, flattened lattice index) so the
-    construction is deterministic.
+    construction is deterministic.  Each wave is the outer product of the
+    one-axis waves e^{i xi_m x_m}, read from one table of N x N phases.
     """
     mu = float(chemical_potential)
     if mu <= 0:
@@ -166,14 +167,13 @@ def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
     order = np.lexsort((selected, nsq_flat[selected]))
     modes = selected[order]
 
-    amplitude = grid.volume**-0.5
-    functions = np.empty((modes.size,) + grid.shape, dtype=complex)
-    for k, flat_index in enumerate(modes):
-        multi = np.unravel_index(int(flat_index), grid.shape)
-        phase = np.zeros(grid.shape)
-        for axis, m_idx in enumerate(multi):
-            phase = phase + grid.axis_frequencies[m_idx] * grid.coordinate_grids[axis]
-        functions[k] = amplitude * np.exp(1j * phase)
+    # axis_waves[m, n] = exp(i xi_m x_n) for one axis.
+    axis_waves = np.exp(1j * np.outer(grid.axis_frequencies, grid.axis_coordinates))
+    functions = np.full(modes.size, grid.volume**-0.5, dtype=complex)
+    for m_idx in np.unravel_index(modes, grid.shape):
+        # Append one axis: [r, N, .., N] times [r, 1, .., 1, N].
+        factor = axis_waves[m_idx].reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
+        functions = functions[..., None] * factor
     weights = np.ones(modes.size)
     return FiniteRankOperator(grid, weights, functions, contract=UNIT_BALL)
 
@@ -229,8 +229,7 @@ def validate_contract(
     # power_bounded: top eigenvalue of M_kl = sqrt(l_k l_l) <v_k, v_l> with
     # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
-    spectra = np.fft.fftn(op.eigenfunctions, axes=tuple(range(1, op.grid.dimension + 1)))
-    spectra = spectra.reshape(op.rank, -1) * op.grid.cell_volume
+    spectra = forward_transform_stack(op.grid, op.eigenfunctions).reshape(op.rank, -1)
     nsq = op.grid.frequency_norms_squared.reshape(-1)
     zero_col = int(np.flatnonzero(nsq == 0.0)[0])
 

@@ -13,6 +13,7 @@ import importlib.resources
 import json
 import math
 import statistics
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,12 +31,12 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     DegenerateInputError,
+    GridMismatchError,
     UnsupportedFamilyError,
 )
 from .fock_operator import (
     FiniteRankOperator,
     UNIT_BALL,
-    conjugated_density,
     density,
     fermi_sea,
     kinetic_trace,
@@ -51,6 +52,8 @@ from .torus_grid import (
     inner_product,
     kinetic_form,
     lp_norm,
+    spectral_density,
+    weighted_block_energy,
 )
 
 EXACT_ENUMERATION_CAP = 20
@@ -232,18 +235,58 @@ class CheckSample:
         )
 
 
+_EXPONENT_FLOORS = {"lp": (1.0, "1"), "lp_density": (0.5, "1/2")}
+
+
+def _checked_exponents(checker: str, exponents) -> list[float]:
+    """The exponents as floats; each must exceed the checker's floor."""
+    floor, label = _EXPONENT_FLOORS[checker]
+    exponents = [float(p) for p in exponents]
+    for p in exponents:
+        if not p > floor:
+            raise ValueError(f"the {checker} check requires p > {label}, got {p}")
+    return exponents
+
+
+def _norm_ratios(
+    lhs_field: GridFunction,
+    rhs_field: GridFunction,
+    exponents: list[float],
+    rank: int,
+    sample_id: int,
+) -> list[CheckSample]:
+    """One sample per exponent of ||lhs_field||_p / ||rhs_field||_p."""
+    samples = []
+    for p in exponents:
+        rhs = lp_norm(rhs_field, p)
+        if rhs == 0.0:
+            raise DegenerateInputError("zero input; the ratio is undefined")
+        lhs = lp_norm(lhs_field, p)
+        samples.append(CheckSample(sample_id, rank, lhs, rhs, lhs / rhs))
+    return samples
+
+
+def _lp_function_samples(u, exponents, blocks, sample_id) -> list[CheckSample]:
+    exponents = _checked_exponents("lp", exponents)
+    return _norm_ratios(square_function(u, blocks), u, exponents, 1, sample_id)
+
+
+def _lp_density_samples(op, exponents, blocks, sample_id) -> list[CheckSample]:
+    exponents = _checked_exponents("lp_density", exponents)
+    lhs_field = summed_block_density(op, blocks)
+    return _norm_ratios(lhs_field, density(op), exponents, op.rank, sample_id)
+
+
+def _gns_samples(u, exponents, blocks, sample_id) -> list[CheckSample]:
+    """The gns exponent is fixed by the dimension: one sample, under every label."""
+    return [gns_check(u, sample_id)] * len(exponents)
+
+
 def lp_function_check(
     u: GridFunction, p: float, blocks: DyadicBlockSet, sample_id: int = 0
 ) -> CheckSample:
     """Square-function comparison: lhs = || (sum_j |P_j u|^2)^(1/2) ||_p, rhs = ||u||_p."""
-    p = float(p)
-    if not p > 1:
-        raise ValueError(f"lp_function_check requires p > 1, got {p}")
-    rhs = lp_norm(u, p)
-    if rhs == 0.0:
-        raise DegenerateInputError("zero input; the ratio is undefined")
-    lhs = lp_norm(square_function(u, blocks), p)
-    return CheckSample(sample_id, 1, lhs, rhs, lhs / rhs)
+    return _lp_function_samples(u, [p], blocks, sample_id)[0]
 
 
 def parseval_square_ratio(u: GridFunction, blocks: DyadicBlockSet) -> float:
@@ -261,25 +304,18 @@ def parseval_square_ratio(u: GridFunction, blocks: DyadicBlockSet) -> float:
 
 
 def summed_block_density(op: FiniteRankOperator, blocks: DyadicBlockSet) -> GridFunction:
-    """sum_j density(P_j gamma P_j), accumulated in ascending block order."""
-    acc = np.zeros(op.grid.shape)
-    for j in blocks.block_indices:
-        acc = acc + conjugated_density(op, blocks, j).values
-    return GridFunction(op.grid, acc)
+    """sum_j density(P_j gamma P_j) from the batched block kernel."""
+    if blocks.grid != op.grid:
+        raise GridMismatchError("operator and block set live on different grids")
+    values = weighted_block_energy(op.grid, op.eigenfunctions, op.eigenvalues, blocks.symbols)
+    return GridFunction(op.grid, values)
 
 
 def lp_density_check(
     op: FiniteRankOperator, p: float, blocks: DyadicBlockSet, sample_id: int = 0
 ) -> CheckSample:
     """Density comparison: lhs = ||sum_j rho_{P_j gamma P_j}||_p, rhs = ||rho_gamma||_p."""
-    p = float(p)
-    if not p > 0.5:
-        raise ValueError(f"lp_density_check requires p > 1/2, got {p}")
-    rhs = lp_norm(density(op), p)
-    if rhs == 0.0:
-        raise DegenerateInputError("zero density; the ratio is undefined")
-    lhs = lp_norm(summed_block_density(op, blocks), p)
-    return CheckSample(sample_id, op.rank, lhs, rhs, lhs / rhs)
+    return _lp_density_samples(op, [p], blocks, sample_id)[0]
 
 
 def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlockSet) -> float:
@@ -463,6 +499,12 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
 
     The 1/4 is the spectral floor |xi|^2 >= 2^(2j)/4 on an interior block's
     support.  Both inequalities are asserted with relative slack 1e-10.
+    Every rung is a Parseval sum of the spectral density
+    w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, computed once:
+
+        t0 = L^{-d} sum_xi |xi|^2 w
+        t1 = L^{-d} sum_j sum_xi |xi|^2 Psi_j^2 w
+        t2 = sum_{interior j} (1/4) 4^j L^{-d} sum_xi Psi_j^2 w
     """
     if blocks.family != SMOOTH:
         raise UnsupportedFamilyError("the chain needs the smooth block family")
@@ -471,16 +513,14 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
         raise ContractViolationError(
             f"operator fails the unit-ball contract with margin {report.margin:.3e}"
         )
-    t0 = kinetic_trace(op, 1)
-    t1 = 0.0
-    for j in blocks.block_indices:
-        for k in range(op.rank):
-            t1 += float(op.eigenvalues[k]) * kinetic_form(
-                project(op.eigenfunction(k), blocks, j), 1
-            )
+    grid = op.grid
+    w = spectral_density(grid, op.eigenfunctions, op.eigenvalues)
+    kinetic_w = grid.frequency_norms_squared * w
+    t0 = float(np.sum(kinetic_w) / grid.volume)
+    t1 = float(np.sum(block_squared_sum(blocks) * kinetic_w) / grid.volume)
     t2 = 0.0
     for j in blocks.interior_indices:
-        mass = float(op.grid.integrate(conjugated_density(op, blocks, j).values))
+        mass = float(np.sum(blocks.symbol(j) ** 2 * w) / grid.volume)
         t2 += 0.25 * 2.0 ** (2 * j) * mass
     slack0 = CHAIN_RTOL * max(abs(t0), abs(t1), 1e-300)
     slack1 = CHAIN_RTOL * max(abs(t1), abs(t2), 1e-300)
@@ -732,7 +772,11 @@ def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) ->
     return (float(pair[0]), float(pair[1]))
 
 
-_CHECKER_NAMES = ("lp", "lp_density", "gns")
+_SAMPLERS = {
+    "lp": _lp_function_samples,
+    "lp_density": _lp_density_samples,
+    "gns": _gns_samples,
+}
 
 
 def _grid_from_dict(params: dict) -> TorusGrid:
@@ -743,89 +787,90 @@ def _grid_from_dict(params: dict) -> TorusGrid:
     )
 
 
-def _run_one_sample(spec, grid, blocks, checker: str, p: float | None, index: int) -> CheckSample:
+def _member_samples(spec, grid, blocks, checker: str, exponents, index: int) -> list[CheckSample]:
+    """One member's samples at every exponent; a degenerate member is degenerate at all."""
     member = spec.member(grid, index)
     try:
-        if checker == "lp":
-            return lp_function_check(member, p, blocks, sample_id=index)
-        if checker == "lp_density":
-            return lp_density_check(member, p, blocks, sample_id=index)
-        if checker == "gns":
-            return gns_check(member, sample_id=index)
+        return _SAMPLERS[checker](member, exponents, blocks, index)
     except DegenerateInputError:
         rank = member.rank if isinstance(member, FiniteRankOperator) else 1
-        return CheckSample(index, rank, 0.0, 0.0, math.inf, degenerate=True)
-    raise ConfigurationError(
-        f"unknown checker {checker!r}, expected one of {_CHECKER_NAMES}"
-    )
+        return [CheckSample(index, rank, 0.0, 0.0, math.inf, degenerate=True)] * len(exponents)
 
 
-def _envelope_worker(task) -> list[CheckSample]:
-    spec_data, grid_params, family, profile_kind, checker, p, start, stop = task
+def _envelope_worker(task) -> list[list[CheckSample]]:
+    spec_data, grid_params, family, profile_kind, checker, exponents, start, stop = task
     spec = CorpusSpec.from_dict(spec_data)
     grid = _grid_from_dict(grid_params)
     blocks = None
     if checker in ("lp", "lp_density"):
         profile = build_profile(profile_kind) if family == SMOOTH else None
         blocks = build_blocks(grid, family, profile)
-    return [_run_one_sample(spec, grid, blocks, checker, p, i) for i in range(start, stop)]
+    return [
+        _member_samples(spec, grid, blocks, checker, exponents, i) for i in range(start, stop)
+    ]
 
 
 def estimate_envelope(
     spec: CorpusSpec,
     checker: str,
-    p: float | None,
+    exponents: Sequence[tuple[float | None, tuple | None]],
     grid: TorusGrid,
     family: str = SMOOTH,
     profile_kind: str = "exp",
-    envelope: tuple | None = None,
     jobs: int = 1,
     name: str | None = None,
-) -> RatioReport:
-    """Run one checker over a corpus and aggregate the observed ratios.
+) -> list[RatioReport]:
+    """Run one checker over a corpus at several exponents and aggregate the ratios.
+
+    ``exponents`` is a sequence of (p, envelope) pairs; the result holds one
+    report per pair, in order.  Each member is built once and its fields
+    serve every exponent.  For "gns" the exponent is fixed by the dimension,
+    and p = None stands for it.
 
     Samples are pure functions of (spec, grid, index), so the result is
     byte-identical for every worker count; parallel runs just split the index
-    range into contiguous chunks.
+    range into contiguous chunks, in one pool per call.
     """
-    if checker not in _CHECKER_NAMES:
+    if checker not in _SAMPLERS:
         raise ConfigurationError(
-            f"unknown checker {checker!r}, expected one of {_CHECKER_NAMES}"
+            f"unknown checker {checker!r}, expected one of {tuple(_SAMPLERS)}"
         )
     if spec.count < 1:
         raise ConfigurationError("empty corpus")
-    if checker == "gns" and p is None:
-        p = 2.0 + 4.0 / grid.dimension
+    exponents = list(exponents)
+    ps = [p for p, _ in exponents]
+    if checker == "gns":
+        ps = [2.0 + 4.0 / grid.dimension if p is None else p for p in ps]
+    else:
+        ps = _checked_exponents(checker, ps)
     jobs = max(1, int(jobs))
     grid_params = {
         "dimension": grid.dimension,
         "box_length": grid.box_length,
         "points_per_axis": grid.points_per_axis,
     }
+    task = (spec.to_dict(), grid_params, family, profile_kind, checker, ps)
     if jobs == 1:
-        samples = _envelope_worker(
-            (spec.to_dict(), grid_params, family, profile_kind, checker, p, 0, spec.count)
-        )
+        members = _envelope_worker(task + (0, spec.count))
     else:
         bounds = np.linspace(0, spec.count, jobs + 1).astype(int)
-        tasks = [
-            (spec.to_dict(), grid_params, family, profile_kind, checker, p, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
+        tasks = [task + (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_envelope_worker, tasks))
-        samples = [sample for chunk in chunks for sample in chunk]
-    return RatioReport(
-        name=name or checker,
-        p=p,
-        family=family,
-        profile_kind=profile_kind if family == SMOOTH else "indicator",
-        grid=grid_params,
-        seed=spec.seed,
-        samples=samples,
-        envelope=envelope,
-    )
+        members = [samples for chunk in chunks for samples in chunk]
+    return [
+        RatioReport(
+            name=name or checker,
+            p=p,
+            family=family,
+            profile_kind=profile_kind if family == SMOOTH else "indicator",
+            grid=grid_params,
+            seed=spec.seed,
+            samples=[samples[position] for samples in members],
+            envelope=envelope,
+        )
+        for position, (p, (_, envelope)) in enumerate(zip(ps, exponents))
+    ]
 
 
 def khinchine_reports(

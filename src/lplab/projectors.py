@@ -15,14 +15,7 @@ import numpy as np
 
 from .dyadic_partition import SMOOTH, DyadicBlockSet
 from .errors import GridMismatchError
-from .torus_grid import (
-    GridFunction,
-    SpectrumFunction,
-    abs_squared,
-    apply_symbol,
-    forward_transform,
-    inverse_transform,
-)
+from .torus_grid import GridFunction, apply_symbol, weighted_block_energy
 
 
 @dataclass(frozen=True)
@@ -65,15 +58,12 @@ def project_companion(f: GridFunction, blocks: DyadicBlockSet, j: int) -> GridFu
 
 
 def block_energy_sum(f: GridFunction, blocks: DyadicBlockSet) -> np.ndarray:
-    """sum_j |P_j f|^2 accumulated in ascending block order."""
-    spectrum = forward_transform(f)
-    acc = np.zeros(f.grid.shape)
-    for j in blocks.block_indices:
-        piece = inverse_transform(
-            SpectrumFunction(f.grid, blocks.symbol(j) * spectrum.coefficients)
-        )
-        acc = acc + abs_squared(piece.values)
-    return acc
+    """sum_j |P_j f|^2, the block kernel at rank one with weight 1.
+
+    Operator densities go through the same kernel, so the density of the
+    rank-one operator |f><f| reproduces this array bit for bit.
+    """
+    return weighted_block_energy(f.grid, f.values[None], [1.0], blocks.symbols)
 
 
 def square_function(f: GridFunction, blocks: DyadicBlockSet) -> GridFunction:

@@ -28,12 +28,18 @@ DEFAULT_SIZE_CAP = 2**24
 
 ZERO_MODE_RTOL = 1e-10
 
+# Complex fields a batched kernel holds per chunk of a rank axis.  A larger
+# budget batches more transforms per call but raises the peak resident set.
+FIELD_CHUNK_BYTES = 1 << 20
+
 
 def abs_squared(values: np.ndarray) -> np.ndarray:
     """|z|^2 computed as re^2 + im^2, avoiding the sqrt round trip of abs()**2."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
-        return v.real**2 + v.imag**2
+        out = v.real**2
+        out += v.imag**2
+        return out
     return v * v
 
 
@@ -203,6 +209,79 @@ def inverse_transform(spectrum: SpectrumFunction) -> GridFunction:
     """Inverse of forward_transform; exact round trip up to float rounding."""
     values = np.fft.ifftn(spectrum.coefficients) / spectrum.grid.cell_volume
     return GridFunction(spectrum.grid, values)
+
+
+def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
+    return tuple(range(-grid.dimension, 0))
+
+
+def forward_transform_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """forward_transform of every field in a stack [r, ...] at once."""
+    spectra = np.fft.fftn(values, axes=_grid_axes(grid))
+    spectra *= grid.cell_volume
+    return spectra
+
+
+def _rank_chunks(grid: TorusGrid, rank: int, fields_per_member: int):
+    """Slices of a rank axis whose complex fields fit FIELD_CHUNK_BYTES."""
+    member_bytes = fields_per_member * grid.size * np.dtype(complex).itemsize
+    step = max(1, FIELD_CHUNK_BYTES // member_bytes)
+    return [slice(start, start + step) for start in range(0, rank, step)]
+
+
+def _weighted_energy(grid, values, weights, fields_per_member, fields) -> np.ndarray:
+    """sum_k weights_k |fields(values_k)|^2, summed over any per-member field axis.
+
+    ``fields`` maps a chunk [c, ...] of the stack to [c, ...] or to
+    [c, fields_per_member, ...].  Terms accumulate in ascending k.
+    """
+    values = np.asarray(values)
+    weights = np.asarray(weights, dtype=float)
+    acc = np.zeros(grid.shape)
+    for rows in _rank_chunks(grid, weights.size, fields_per_member):
+        energy = abs_squared(fields(values[rows]))
+        if energy.ndim > grid.dimension + 1:
+            energy = energy.sum(axis=1)
+        for weight, member_energy in zip(weights[rows], energy):
+            acc += weight * member_energy
+    return acc
+
+
+def weighted_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
+    """sum_k weights_k |values_k(x)|^2 over a stack of grid fields [r, ...]."""
+    return _weighted_energy(grid, values, weights, 1, lambda chunk: chunk)
+
+
+def spectral_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
+    """w(xi) = sum_k weights_k |coeffs_k(xi)|^2, on the frequency lattice in FFT layout.
+
+    By Parseval, L^{-d} sum_xi m(xi) w(xi) is sum_k weights_k <u_k, m(D) u_k>
+    for any real multiplier m, with no inverse transform.
+    """
+    return _weighted_energy(
+        grid, values, weights, 1, lambda chunk: forward_transform_stack(grid, chunk)
+    )
+
+
+def weighted_block_energy(
+    grid: TorusGrid, values: np.ndarray, weights, symbols
+) -> np.ndarray:
+    """sum_j sum_k weights_k |symbols_j(D) values_k|^2 on the physical grid.
+
+    ``values`` is a stack [r, ...] of grid fields and ``symbols`` a stack
+    [J, ...] of multiplier tables in FFT layout.  Each chunk of the rank axis
+    takes one batched forward and one batched inverse transform for all J
+    blocks.  The integral normalizations of the two transforms cancel, so
+    neither is applied.
+    """
+    symbols = np.asarray(symbols)
+    axes = _grid_axes(grid)
+
+    def block_fields(chunk):
+        spectra = np.fft.fftn(chunk, axes=axes)
+        return np.fft.ifftn(spectra[:, None] * symbols, axes=axes)
+
+    return _weighted_energy(grid, values, weights, len(symbols), block_fields)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

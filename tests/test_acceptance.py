@@ -75,10 +75,11 @@ def test_gate_2_square_function_envelope(grid1, grid2, blocks1):
     spec = CorpusSpec("random_band_limited", 200, 2024, {"decay": 1.0})
     base_reports = {}
     for grid, dim in ((grid1, 1), (grid2, 2)):
-        for p in LP_EXPONENTS:
-            envelope = envelope_for(envelopes, "lp", dim, p)
+        exponents = [(p, envelope_for(envelopes, "lp", dim, p)) for p in LP_EXPONENTS]
+        reports = estimate_envelope(spec, "lp", exponents, grid)
+        for (p, envelope), report in zip(exponents, reports):
             assert envelope is not None
-            report = estimate_envelope(spec, "lp", p, grid, envelope=envelope)
+            assert report.p == p
             assert report.degenerate_count == 0
             assert report.passed
             if dim == 1:
@@ -93,9 +94,9 @@ def test_gate_2_square_function_envelope(grid1, grid2, blocks1):
         sample = lp_function_check(u, 2.0, blocks1)
         assert abs(sample.ratio - parseval_square_ratio(u, blocks1)) <= 1e-12
     fresh_spec = CorpusSpec("random_band_limited", 200, 777, {"decay": 1.0})
-    for p in LP_EXPONENTS:
+    fresh_reports = estimate_envelope(fresh_spec, "lp", [(p, None) for p in LP_EXPONENTS], grid1)
+    for p, fresh in zip(LP_EXPONENTS, fresh_reports):
         base = base_reports[p]
-        fresh = estimate_envelope(fresh_spec, "lp", p, grid1)
         assert abs(fresh.ratio_min - base.ratio_min) <= 0.2 * base.ratio_min
         assert abs(fresh.ratio_max - base.ratio_max) <= 0.2 * base.ratio_max
         lo, hi = envelope_for(envelopes, "lp", 1, p)

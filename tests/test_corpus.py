@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import lplab.corpus
 from lplab import (
     ConfigurationError,
     CorpusSpec,
     DegenerateInputError,
     FiniteRankOperator,
     GridFunction,
+    TorusGrid,
     UNIT_BALL,
     forward_transform,
     lp_norm,
@@ -187,6 +189,23 @@ class TestSpikeSequences:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="dimension"):
             spike_sequences(4)
+
+    def test_member_draws_only_its_own_sequence(self, monkeypatch):
+        spec = CorpusSpec("spike_sequence", count=1000, seed=34, params={"dimension": 2})
+        grid = TorusGrid(2, TAU, 8)
+        direct = spike_sequences(2, count=1000, seed=34)
+        for index in (0, 1, 57, 999):
+            assert spec.member(grid, index) == direct[index]
+        calls = []
+        original = lplab.corpus.philox_generator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(lplab.corpus, "philox_generator", counted)
+        spec.member(grid, 999)
+        assert calls == [(34, 999)]
 
     def test_single_spike_saturates_cap(self):
         assert single_spike(2, 3) == {3: 64.0}

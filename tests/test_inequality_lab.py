@@ -533,38 +533,36 @@ class TestEnvelopeEstimation:
         return CorpusSpec("random_band_limited", count=count, seed=81, params={"decay": 0.8})
 
     def test_deterministic(self, small1):
-        first = estimate_envelope(self.spec(), "lp", 2.0, small1)
-        second = estimate_envelope(self.spec(), "lp", 2.0, small1)
+        (first,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
+        (second,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
         assert first.to_dict() == second.to_dict()
 
     def test_jobs_do_not_change_results(self, small1):
-        serial = estimate_envelope(self.spec(), "lp", 2.0, small1, jobs=1)
-        parallel = estimate_envelope(self.spec(), "lp", 2.0, small1, jobs=3)
-        assert serial.to_dict() == parallel.to_dict()
+        exponents = [(1.5, None), (2.0, None), (3.0, None)]
+        serial = estimate_envelope(self.spec(), "lp", exponents, small1, jobs=1)
+        parallel = estimate_envelope(self.spec(), "lp", exponents, small1, jobs=3)
+        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
     def test_gns_defaults_exponent(self, small1):
-        report = estimate_envelope(self.spec(), "gns", None, small1)
+        (report,) = estimate_envelope(self.spec(), "gns", [(None, None)], small1)
         assert report.p == 6.0
 
     def test_unknown_checker(self, small1):
         with pytest.raises(ConfigurationError, match="unknown checker"):
-            estimate_envelope(self.spec(), "sobolev", 2.0, small1)
+            estimate_envelope(self.spec(), "sobolev", [(2.0, None)], small1)
 
     def test_envelope_applied(self, small1):
-        report = estimate_envelope(
-            self.spec(), "lp", 2.0, small1, envelope=(1e-6, 1e6)
+        report, impossible = estimate_envelope(
+            self.spec(), "lp", [(2.0, (1e-6, 1e6)), (2.0, (0.999, 1.0))], small1
         )
         assert report.passed
-        impossible = estimate_envelope(
-            self.spec(), "lp", 2.0, small1, envelope=(0.999, 1.0)
-        )
         assert not impossible.passed
 
     def test_density_checker_over_frames(self, small1):
         spec = CorpusSpec(
             "random_orthonormal_frame", count=4, seed=82, params={"rank": 2, "decay": 0.8}
         )
-        report = estimate_envelope(spec, "lp_density", 1.0, small1)
+        (report,) = estimate_envelope(spec, "lp_density", [(1.0, None)], small1)
         assert report.sample_count == 4
         assert all(s.rank == 2 for s in report.samples)
 
