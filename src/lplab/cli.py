@@ -1,13 +1,21 @@
 """Command-line entry point.
 
+Every subcommand is one row of ``SECTIONS``: its built-in defaults (grid,
+corpus, exponents, ranks), the desk sections ``lplab all`` runs of it and
+the envelopes its ratios are judged against.  The parser's flags, the
+sections of ``lplab all`` and ``scripts/calibrate_envelopes.py`` all read
+that table, so every cell a default or desk run judges is a calibrated cell.
+
 Every subcommand writes a deterministic JSON payload (sorted keys, 17-digit
 floats, no timestamps) and exits 0 when all configured invariants and
 envelopes pass, 1 when a mathematical check fails (the report is still
-written), and 2 on usage or configuration errors.
+written), and 2 on usage or configuration errors, among them a --config key
+the command does not take and a malformed --envelopes file.
 
 Flag resolution order: explicit flag > --config file entry > built-in
-default.  LPLAB_JOBS provides the default worker count.  Worker count and
-output paths never enter the payload, so reruns are byte-identical.
+default.  Every run is serial, in this process; --jobs is accepted and
+ignored.  Output paths never enter the payload, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +46,7 @@ from .errors import (
 )
 from .fock_operator import fermi_sea
 from .inequality_lab import (
+    RatioReport,
     SignEnsemble,
     envelope_for,
     estimate_envelope,
@@ -65,54 +74,118 @@ PARSEVAL_TOLERANCE = 1e-12
 ORACLE_TOLERANCE = 1e-10
 CONVERGENCE_TOLERANCE = 0.02
 DENSITY_RANK_SLACK = 4.0
+CALIBRATION_SAMPLES = 200
 
-_GRID_KEYS = {"dim": 1, "n": 256, "box": TAU, "family": SMOOTH, "profile": "exp"}
 
-DEFAULTS: dict[str, dict] = {
-    "partition": dict(_GRID_KEYS),
-    "lp": dict(
-        _GRID_KEYS, p=[1.5, 2.0, 3.0, 4.0], samples=200, decay=1.0, seed=2024
+@dataclass(frozen=True)
+class Section:
+    """One subcommand: its defaults and the sections `lplab all` runs of it.
+
+    ``desk`` maps each report label of `lplab all` to its overrides of
+    ``defaults``.  ``envelopes`` names the envelope tables its ratios are
+    judged against.  A corpus section draws a seeded corpus of kind
+    ``corpus`` (its parameters: the ``decay`` and ``weights`` settings, the
+    rank, and ``corpus_params``) and runs the checker ``envelopes[0]`` on it.
+    """
+
+    help: str
+    defaults: dict
+    desk: dict
+    envelopes: tuple[str, ...] = ()
+    corpus: str | None = None
+    corpus_params: dict = field(default_factory=dict)
+
+
+_GRID = {"dim": 1, "n": 256, "box": TAU, "family": SMOOTH, "profile": "exp"}
+_D1 = {"dim": 1, "n": 256}
+_D2 = {"dim": 2, "n": 64}
+
+SECTIONS: dict[str, Section] = {
+    "partition": Section(
+        "block tables and partition-of-unity residuals",
+        dict(_GRID),
+        {"partition_d1": _D1, "partition_d2": _D2},
     ),
-    "lp-density": dict(
-        _GRID_KEYS,
-        p=[1.0, 1.5, 2.0],
-        rank=[1, 2, 4, 8],
-        samples=50,
-        decay=1.0,
-        weights="uniform",
-        seed=2025,
+    "lp": Section(
+        "square-function ratio envelope over a random corpus",
+        dict(_GRID, p=[1.5, 2.0, 3.0, 4.0], samples=200, decay=1.0, seed=2024),
+        {"lp_d1": dict(_D1, samples=100), "lp_d2": dict(_D2, samples=50)},
+        envelopes=("lp",),
+        corpus="random_band_limited",
     ),
-    "khinchine": dict(
-        terms=12,
-        tensor_terms=8,
-        p=[1.0, 1.5, 2.0, 3.0],
-        count=500,
-        mode="exact",
-        mc_samples=4096,
-        seed=2027,
-        tensor_seed=2028,
+    "lp-density": Section(
+        "summed block-density ratio envelope over operator corpora",
+        dict(_GRID, p=[1.0, 1.5, 2.0], rank=[1, 2, 4, 8], samples=50, decay=1.0,
+             weights="uniform", seed=2025),
+        {"lp_density_d1": dict(_D1, samples=25, p=[0.6, 0.75, 1.0, 1.5, 2.0, 3.0])},
+        envelopes=("lp_density",),
+        corpus="random_orthonormal_frame",
     ),
-    "gns": dict(_GRID_KEYS, samples=200, decay=1.5, seed=2026),
-    "lieb-thirring": dict(_GRID_KEYS, mu=None, chain_samples=2, seed=2031),
-    "glt": dict(
-        _GRID_KEYS,
-        dim=2,
-        n=64,
-        a=1.0,
-        b=1.0,
-        rank=[4],
-        samples=25,
-        decay=1.0,
-        seed=2029,
+    "khinchine": Section(
+        "classical and tensor sign-sum comparisons",
+        dict(terms=12, tensor_terms=8, p=[1.0, 1.5, 2.0, 3.0], count=500, mode="exact",
+             mc_samples=4096, seed=2027, tensor_seed=2028),
+        {"khinchine": dict(count=200)},
+        envelopes=("khinchine", "khinchine_tensor"),
     ),
-    "seqlemma": dict(dim=1, trials=10000, seed=2030, j_min=-10, j_max=10),
-    "all": dict(),
+    "gns": Section(
+        "interpolation-inequality ratio envelope on mean-zero fields",
+        dict(_GRID, samples=200, decay=1.5, seed=2026),
+        {"gns_d1": dict(_D1, samples=100), "gns_d2": dict(_D2, samples=50)},
+        envelopes=("gns",),
+        corpus="random_band_limited",
+        corpus_params={"zero_mean": True},
+    ),
+    "lieb-thirring": Section(
+        "kinetic/density comparison on a ladder of plane-wave seas",
+        dict(_GRID, mu=None, chain_samples=2, seed=2031),
+        {"lieb_thirring_d1": _D1, "lieb_thirring_d2": _D2},
+    ),
+    "glt": Section(
+        "generalized kinetic comparison at powers (a, b)",
+        dict(_GRID, dim=2, n=64, a=1.0, b=1.0, rank=[4], samples=25, decay=1.0, seed=2029),
+        {
+            "glt_d2_a1_b1": dict(a=1.0, b=1.0, samples=10),
+            "glt_d2_a1_b2": dict(a=1.0, b=2.0, samples=10),
+            "glt_d1_neg_quarter": dict(_D1, a=-0.25, b=1.0, samples=10),
+        },
+    ),
+    "seqlemma": Section(
+        "dyadic sequence bound over random admissible sequences",
+        dict(dim=1, trials=10000, seed=2030, j_min=-10, j_max=10),
+        {f"seqlemma_d{d}": dict(dim=d, trials=2000) for d in (1, 2, 3)},
+    ),
 }
+
+ENVELOPE_NAMES = tuple(name for section in SECTIONS.values() for name in section.envelopes)
 
 _PASSTHROUGH_KEYS = ("jobs", "out", "csv", "envelopes")
 
+_CHOICES = {
+    "family": (SMOOTH, SHARP),
+    "profile": ("exp", "quintic"),
+    "weights": ("uniform", "ones"),
+    "mode": ("exact", "monte_carlo"),
+}
+_FLAG_HELP = {
+    "dim": "spatial dimension (1, 2 or 3)",
+    "n": "points per axis (power of two)",
+    "box": "box side length",
+    "mu": "chemical potentials (default: a rank-doubling ladder)",
+    "chain_samples": "random frames to run the block chain on",
+}
+
+
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
+    sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
+    sp.add_argument("--csv", default=None, help="write per-sample CSV here")
+    sp.add_argument("--envelopes", default=None, help="envelope JSON overriding the packaged one")
+    sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored: every run is serial")
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per section, with one flag per default; list defaults repeat."""
     parser = argparse.ArgumentParser(
         prog="lplab",
         description="Dyadic frequency-block laboratory: partitions, square "
@@ -120,121 +193,45 @@ def build_parser() -> argparse.ArgumentParser:
         "discretized periodic box.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, grid=True):
-        sp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
-        sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        sp.add_argument("--csv", default=None, help="write per-sample CSV here")
-        sp.add_argument("--envelopes", default=None, help="envelope JSON overriding the packaged one")
-        sp.add_argument("--jobs", type=int, default=None, help="worker count (default: LPLAB_JOBS or 1)")
-        if grid:
-            sp.add_argument("--dim", type=int, default=None, help="spatial dimension (1, 2 or 3)")
-            sp.add_argument("--n", type=int, default=None, help="points per axis (power of two)")
-            sp.add_argument("--box", type=float, default=None, help="box side length")
-            sp.add_argument("--family", choices=(SMOOTH, SHARP), default=None)
-            sp.add_argument("--profile", choices=("exp", "quintic"), default=None)
-
-    sp = sub.add_parser("partition", help="block tables and partition-of-unity residuals")
-    common(sp)
-
-    sp = sub.add_parser("lp", help="square-function ratio envelope over a random corpus")
-    common(sp)
-    sp.add_argument("--p", type=float, action="append", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--decay", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("lp-density", help="summed block-density ratio envelope over operator corpora")
-    common(sp)
-    sp.add_argument("--p", type=float, action="append", default=None)
-    sp.add_argument("--rank", type=int, action="append", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--decay", type=float, default=None)
-    sp.add_argument("--weights", choices=("uniform", "ones"), default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("khinchine", help="classical and tensor sign-sum comparisons")
-    common(sp, grid=False)
-    sp.add_argument("--p", type=float, action="append", default=None)
-    sp.add_argument("--terms", type=int, default=None)
-    sp.add_argument("--tensor-terms", type=int, default=None)
-    sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--mode", choices=("exact", "monte_carlo"), default=None)
-    sp.add_argument("--mc-samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tensor-seed", type=int, default=None)
-
-    sp = sub.add_parser("gns", help="interpolation-inequality ratio envelope on mean-zero fields")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--decay", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("lieb-thirring", help="kinetic/density comparison on a ladder of plane-wave seas")
-    common(sp)
-    sp.add_argument("--mu", type=float, action="append", default=None, help="chemical potentials (default: a rank-doubling ladder)")
-    sp.add_argument("--chain-samples", type=int, default=None, help="random frames to run the block chain on")
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("glt", help="generalized kinetic comparison at powers (a, b)")
-    common(sp)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--rank", type=int, action="append", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--decay", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("seqlemma", help="dyadic sequence bound over random admissible sequences")
-    common(sp, grid=False)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--j-min", type=int, default=None)
-    sp.add_argument("--j-max", type=int, default=None)
-
-    sp = sub.add_parser("all", help="the full desk-scale suite")
-    common(sp, grid=False)
-
+    for command, section in SECTIONS.items():
+        sp = sub.add_parser(command, help=section.help)
+        _add_common(sp)
+        for key, default in section.defaults.items():
+            # A None default (the mu ladder) is a list of floats worked out at run time.
+            many = default is None or isinstance(default, list)
+            kind = float if default is None else type(default[0] if many else default)
+            sp.add_argument(
+                "--" + key.replace("_", "-"),
+                type=kind,
+                action="append" if many else "store",
+                choices=_CHOICES.get(key),
+                default=None,
+                help=_FLAG_HELP.get(key),
+            )
+    _add_common(sub.add_parser("all", help="the full desk-scale suite"))
     return parser
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ConfigurationError("config file must hold a JSON object")
+    defaults = SECTIONS[args.command].defaults if args.command in SECTIONS else {}
+    unknown = sorted(set(config) - set(defaults) - set(_PASSTHROUGH_KEYS))
+    if unknown:
+        raise ConfigurationError(f"{args.command} takes no config keys {unknown}")
     settings = {}
-    for key, default in DEFAULTS[args.command].items():
+    for key in (*defaults, *_PASSTHROUGH_KEYS):
         value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, default)
-        settings[key] = value
-    for key in _PASSTHROUGH_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key)
-        settings[key] = value
-    if settings.get("jobs") is None:
-        settings["jobs"] = int(os.environ.get("LPLAB_JOBS", "1"))
-    settings["jobs"] = max(1, int(settings["jobs"]))
+        settings[key] = config.get(key, defaults.get(key)) if value is None else value
     return settings
 
 
 def _grid_of(settings: dict) -> TorusGrid:
     return TorusGrid(int(settings["dim"]), float(settings["box"]), int(settings["n"]))
-
-
-def _config_echo(command: str, settings: dict) -> dict:
-    echo = {
-        key: value
-        for key, value in settings.items()
-        if key not in _PASSTHROUGH_KEYS
-    }
-    echo["rng"] = "philox4x64"
-    return echo
 
 
 def _default_mu_ladder(grid: TorusGrid) -> list[float]:
@@ -247,7 +244,133 @@ def _default_mu_ladder(grid: TorusGrid) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# Envelope-judged runs, shared by the handlers and calibration
+
+
+def _exponents(settings: dict) -> list[float]:
+    """The exponents a run judges; gns has one, fixed by the dimension."""
+    if "p" in settings:
+        return [float(p) for p in settings["p"]]
+    return [2.0 + 4.0 / int(settings["dim"])]
+
+
+def _corpus_spec(command: str, settings: dict, rank: int | None = None) -> CorpusSpec:
+    section = SECTIONS[command]
+    params = dict(section.corpus_params, decay=float(settings["decay"]))
+    if "weights" in settings:
+        params["weights"] = settings["weights"]
+    if rank is not None:
+        params["rank"] = rank
+    return CorpusSpec(section.corpus, int(settings["samples"]), int(settings["seed"]), params)
+
+
+def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioReport]:
+    """A corpus section's envelope estimates: one per exponent, for each rank.
+
+    A section with ranks names its reports by rank and judges ranks above one
+    against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.
+    """
+    checker = SECTIONS[command].envelopes[0]
+    grid = _grid_of(settings)
+    ps = _exponents(settings)
+    reports = []
+    for rank in settings.get("rank", [None]):
+        rank = None if rank is None else int(rank)
+        exponents = []
+        for p in ps:
+            envelope = envelope_for(envelopes, checker, grid.dimension, p)
+            if envelope is not None and rank is not None and rank > 1:
+                envelope = (envelope[0] / DENSITY_RANK_SLACK, envelope[1] * DENSITY_RANK_SLACK)
+            exponents.append((p, envelope))
+        reports.extend(
+            estimate_envelope(
+                _corpus_spec(command, settings, rank), checker, exponents, grid,
+                settings["family"], settings["profile"],
+                name=None if rank is None else f"{checker}_rank{rank}",
+            )
+        )
+    return reports
+
+
+def sign_sum_reports(settings: dict, envelopes: dict) -> tuple[list, list]:
+    """A khinchine run's classical reports and its tensor reports."""
+    if settings["mode"] == "exact":
+        ensemble = tensor_ensemble = SignEnsemble.exact()
+    else:
+        ensemble = SignEnsemble.monte_carlo(settings["mc_samples"], settings["seed"])
+        tensor_ensemble = SignEnsemble.monte_carlo(
+            settings["mc_samples"], settings["tensor_seed"]
+        )
+    ps = _exponents(settings)
+    count = int(settings["count"])
+    classical = khinchine_reports(
+        int(settings["terms"]), ps, count, int(settings["seed"]), ensemble, envelopes
+    )
+    tensor = tensor_khinchine_reports(
+        int(settings["tensor_terms"]), ps, count, int(settings["tensor_seed"]),
+        tensor_ensemble, envelopes,
+    )
+    return classical, tensor
+
+
+def section_cells(command: str, settings: dict) -> list[tuple[str, str, str]]:
+    """The (envelope, "d<k>", exponent) cells a run judges, in report order."""
+    dim = f"d{settings.get('dim', 0)}"
+    ps = [format(p, "g") for p in _exponents(settings)]
+    return [(name, dim, p) for name in SECTIONS[command].envelopes for p in ps]
+
+
+def section_runs(command: str) -> list[dict]:
+    """A command's settings at its defaults, then in each of its desk sections."""
+    section = SECTIONS[command]
+    return [section.defaults] + [dict(section.defaults, **o) for o in section.desk.values()]
+
+
+_CALIBRATION_FREE = ("p", "rank", "samples", "count")
+
+
+def calibration_runs() -> list[tuple[str, dict]]:
+    """One run per enveloped command and dimension that covers every cell judged there.
+
+    The runs of a command at one dimension may differ only in exponents,
+    ranks and sample counts.  The calibration run takes the union of their
+    exponents, rank one, and the largest of their sample counts and
+    ``CALIBRATION_SAMPLES``, so each run draws a prefix of its corpus.
+    """
+    plan = []
+    for command, section in SECTIONS.items():
+        if not section.envelopes:
+            continue
+        by_dim: dict[int, list[dict]] = {}
+        for settings in section_runs(command):
+            by_dim.setdefault(settings.get("dim", 0), []).append(settings)
+        for dim, runs in by_dim.items():
+            shared = [{k: v for k, v in s.items() if k not in _CALIBRATION_FREE} for s in runs]
+            if any(s != shared[0] for s in shared):
+                raise ConfigurationError(
+                    f"the {command} runs at d{dim} differ in more than exponents, "
+                    "ranks and sample counts"
+                )
+            merged = dict(runs[0])
+            if "p" in merged:
+                merged["p"] = sorted({float(p) for s in runs for p in s["p"]})
+            if "rank" in merged:
+                merged["rank"] = [1]
+            for key in ("samples", "count"):
+                if key in merged:
+                    merged[key] = max(CALIBRATION_SAMPLES, *(s[key] for s in runs))
+            plan.append((command, merged))
+    return plan
+
+
+# ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, passed, csv samples)
+
+
+def _report_results(reports: list[RatioReport], passed: bool = True, **extra):
+    results = {"reports": [r.to_dict() for r in reports], **extra}
+    passed = passed and all(r.passed for r in reports)
+    return results, passed, [s for r in reports for s in r.samples]
 
 
 def _cmd_partition(settings: dict, envelopes: dict):
@@ -282,142 +405,48 @@ def _cmd_partition(settings: dict, envelopes: dict):
 
 
 def _cmd_lp(settings: dict, envelopes: dict):
-    grid = _grid_of(settings)
-    family, profile_kind = settings["family"], settings["profile"]
-    spec = CorpusSpec(
-        "random_band_limited",
-        int(settings["samples"]),
-        int(settings["seed"]),
-        {"decay": float(settings["decay"])},
-    )
-    exponents = [
-        (float(p), envelope_for(envelopes, "lp", grid.dimension, p)) for p in settings["p"]
-    ]
-    reports = estimate_envelope(
-        spec, "lp", exponents, grid, family, profile_kind, jobs=settings["jobs"]
-    )
+    reports = corpus_reports("lp", settings, envelopes)
     parseval_deviation = None
     squared_report = next((r for r in reports if r.p == 2.0), None)
     if squared_report is not None:
+        grid = _grid_of(settings)
+        family = settings["family"]
         blocks = build_blocks(
-            grid, family, build_profile(profile_kind) if family == SMOOTH else None
+            grid, family, build_profile(settings["profile"]) if family == SMOOTH else None
         )
+        spec = _corpus_spec("lp", settings)
         parseval_deviation = 0.0
         for sample in squared_report.samples:
             member = spec.member(grid, sample.sample_id)
             closed_form = parseval_square_ratio(member, blocks)
             parseval_deviation = max(parseval_deviation, abs(sample.ratio - closed_form))
-    passed = all(r.passed for r in reports) and (
-        parseval_deviation is None or parseval_deviation <= PARSEVAL_TOLERANCE
-    )
-    results = {
-        "reports": [r.to_dict() for r in reports],
-        "parseval_deviation": parseval_deviation,
-    }
-    samples = [s for r in reports for s in r.samples]
-    return results, passed, samples
-
-
-def _widened(envelope: tuple | None, slack: float) -> tuple | None:
-    if envelope is None:
-        return None
-    lo, hi = envelope
-    return (lo / slack, hi * slack)
+    parseval_ok = parseval_deviation is None or parseval_deviation <= PARSEVAL_TOLERANCE
+    return _report_results(reports, parseval_ok, parseval_deviation=parseval_deviation)
 
 
 def _cmd_lp_density(settings: dict, envelopes: dict):
-    grid = _grid_of(settings)
-    family, profile_kind = settings["family"], settings["profile"]
-    reports = []
-    for rank in settings["rank"]:
-        spec = CorpusSpec(
-            "random_orthonormal_frame",
-            int(settings["samples"]),
-            int(settings["seed"]),
-            {
-                "rank": int(rank),
-                "decay": float(settings["decay"]),
-                "weights": settings["weights"],
-            },
-        )
-        exponents = []
-        for p in settings["p"]:
-            envelope = envelope_for(envelopes, "lp_density", grid.dimension, p)
-            if int(rank) > 1:
-                envelope = _widened(envelope, DENSITY_RANK_SLACK)
-            exponents.append((float(p), envelope))
-        reports.extend(
-            estimate_envelope(
-                spec, "lp_density", exponents, grid, family, profile_kind,
-                jobs=settings["jobs"], name=f"lp_density_rank{int(rank)}",
-            )
-        )
-    passed = all(r.passed for r in reports)
-    results = {"reports": [r.to_dict() for r in reports]}
-    samples = [s for r in reports for s in r.samples]
-    return results, passed, samples
+    return _report_results(corpus_reports("lp-density", settings, envelopes))
 
 
 def _cmd_khinchine(settings: dict, envelopes: dict):
-    if settings["mode"] == "exact":
-        ensemble = SignEnsemble.exact()
-        tensor_ensemble = SignEnsemble.exact()
-    else:
-        ensemble = SignEnsemble.monte_carlo(settings["mc_samples"], settings["seed"])
-        tensor_ensemble = SignEnsemble.monte_carlo(
-            settings["mc_samples"], settings["tensor_seed"]
-        )
-    classical = khinchine_reports(
-        int(settings["terms"]),
-        [float(p) for p in settings["p"]],
-        int(settings["count"]),
-        int(settings["seed"]),
-        ensemble,
-        envelopes,
-    )
-    tensor = tensor_khinchine_reports(
-        int(settings["tensor_terms"]),
-        [float(p) for p in settings["p"]],
-        int(settings["count"]),
-        int(settings["tensor_seed"]),
-        tensor_ensemble,
-        envelopes,
-    )
+    classical, tensor = sign_sum_reports(settings, envelopes)
+    reports = classical + tensor
     pair = khinchine_ratio(np.array([1.0, 1.0]), 1.0, SignEnsemble.exact())
     pair_residual = abs(pair.lower_ratio - 1.0 / math.sqrt(2.0))
     spike = khinchine_tensor_ratio(np.array([[1.0]]), 1.0, SignEnsemble.exact())
     spike_residual = abs(spike.ratio - 1.0)
-    passed = (
-        all(r.passed for r in classical)
-        and all(r.passed for r in tensor)
-        and pair_residual <= 1e-12
-        and spike_residual == 0.0
-    )
+    passed = all(r.passed for r in reports) and pair_residual <= 1e-12 and spike_residual == 0.0
     results = {
         "classical": [r.to_dict() for r in classical],
         "tensor": [r.to_dict() for r in tensor],
         "pair_lower_ratio_residual": pair_residual,
         "diagonal_spike_residual": spike_residual,
     }
-    samples = [s for r in classical + tensor for s in r.samples]
-    return results, passed, samples
+    return results, passed, [s for r in reports for s in r.samples]
 
 
 def _cmd_gns(settings: dict, envelopes: dict):
-    grid = _grid_of(settings)
-    spec = CorpusSpec(
-        "random_band_limited",
-        int(settings["samples"]),
-        int(settings["seed"]),
-        {"decay": float(settings["decay"]), "zero_mean": True},
-    )
-    envelope = envelope_for(envelopes, "gns", grid.dimension, 2.0 + 4.0 / grid.dimension)
-    (report,) = estimate_envelope(
-        spec, "gns", [(None, envelope)], grid, settings["family"], settings["profile"],
-        jobs=settings["jobs"],
-    )
-    results = {"reports": [report.to_dict()]}
-    return results, report.passed, list(report.samples)
+    return _report_results(corpus_reports("gns", settings, envelopes))
 
 
 def _cmd_lieb_thirring(settings: dict, envelopes: dict):
@@ -515,63 +544,24 @@ def _cmd_seqlemma(settings: dict, envelopes: dict):
     return summary, bool(summary["passed"]), None
 
 
+def _handler(command: str):
+    # Looked up when called: perfbench's span tracer times sections by rebinding these names.
+    return globals()["_cmd_" + command.replace("-", "_")]
+
+
 def _cmd_all(settings: dict, envelopes: dict):
     sections = {}
     passed = True
-    desk = [
-        ("partition_d1", _cmd_partition, dict(DEFAULTS["partition"], dim=1, n=256)),
-        ("partition_d2", _cmd_partition, dict(DEFAULTS["partition"], dim=2, n=64)),
-        ("lp_d1", _cmd_lp, dict(DEFAULTS["lp"], dim=1, n=256, samples=100)),
-        ("lp_d2", _cmd_lp, dict(DEFAULTS["lp"], dim=2, n=64, samples=50)),
-        (
-            "lp_density_d1",
-            _cmd_lp_density,
-            dict(
-                DEFAULTS["lp-density"],
-                dim=1,
-                n=256,
-                samples=25,
-                p=[0.6, 0.75, 1.0, 1.5, 2.0, 3.0],
-            ),
-        ),
-        ("khinchine", _cmd_khinchine, dict(DEFAULTS["khinchine"], count=200)),
-        ("gns_d1", _cmd_gns, dict(DEFAULTS["gns"], dim=1, n=256, samples=100)),
-        ("gns_d2", _cmd_gns, dict(DEFAULTS["gns"], dim=2, n=64, samples=50)),
-        ("lieb_thirring_d1", _cmd_lieb_thirring, dict(DEFAULTS["lieb-thirring"], dim=1, n=256)),
-        ("lieb_thirring_d2", _cmd_lieb_thirring, dict(DEFAULTS["lieb-thirring"], dim=2, n=64)),
-        ("glt_d2_a1_b1", _cmd_glt, dict(DEFAULTS["glt"], a=1.0, b=1.0, samples=10)),
-        ("glt_d2_a1_b2", _cmd_glt, dict(DEFAULTS["glt"], a=1.0, b=2.0, samples=10)),
-        (
-            "glt_d1_neg_quarter",
-            _cmd_glt,
-            dict(DEFAULTS["glt"], dim=1, n=256, a=-0.25, b=1.0, samples=10),
-        ),
-        ("seqlemma_d1", _cmd_seqlemma, dict(DEFAULTS["seqlemma"], dim=1, trials=2000)),
-        ("seqlemma_d2", _cmd_seqlemma, dict(DEFAULTS["seqlemma"], dim=2, trials=2000)),
-        ("seqlemma_d3", _cmd_seqlemma, dict(DEFAULTS["seqlemma"], dim=3, trials=2000)),
-    ]
-    for label, handler, section_settings in desk:
-        section_settings = dict(section_settings)
-        for key in _PASSTHROUGH_KEYS:
-            section_settings[key] = None
-        section_settings["jobs"] = settings["jobs"]
-        results, section_passed, _ = handler(section_settings, envelopes)
-        sections[label] = {"results": results, "pass": section_passed}
-        passed = passed and section_passed
+    for command, section in SECTIONS.items():
+        handler = _handler(command)
+        for label, section_settings in zip(section.desk, section_runs(command)[1:]):
+            results, section_passed, _ = handler(section_settings, envelopes)
+            sections[label] = {"results": results, "pass": section_passed}
+            passed = passed and section_passed
     return sections, passed, None
 
 
-_HANDLERS = {
-    "partition": _cmd_partition,
-    "lp": _cmd_lp,
-    "lp-density": _cmd_lp_density,
-    "khinchine": _cmd_khinchine,
-    "gns": _cmd_gns,
-    "lieb-thirring": _cmd_lieb_thirring,
-    "glt": _cmd_glt,
-    "seqlemma": _cmd_seqlemma,
-    "all": _cmd_all,
-}
+_HANDLERS = {**{command: _handler(command) for command in SECTIONS}, "all": _cmd_all}
 
 
 def run(argv=None) -> int:
@@ -583,7 +573,7 @@ def run(argv=None) -> int:
 
     try:
         settings = _resolve_settings(args)
-        envelopes = load_envelopes(settings.get("envelopes"))
+        envelopes = load_envelopes(settings.get("envelopes"), ENVELOPE_NAMES)
     except (OSError, json.JSONDecodeError, ConfigurationError, ValueError) as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
@@ -600,7 +590,8 @@ def run(argv=None) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": _config_echo(args.command, settings),
+        "config": {k: v for k, v in settings.items() if k not in _PASSTHROUGH_KEYS}
+        | {"rng": "philox4x64"},
         "results": results,
         "pass": passed,
     }

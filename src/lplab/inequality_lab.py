@@ -12,9 +12,12 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import re
 import statistics
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+# Nothing here starts a process; the name stays bound because perfbench's
+# span tracer (perfbench/spans.py) patches it.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -747,14 +750,63 @@ class RatioReport:
         )
 
 
-def load_envelopes(path=None) -> dict:
-    """Frozen ratio envelopes; the packaged defaults unless a path is given."""
+def load_envelopes(path=None, names=None) -> dict:
+    """Frozen ratio envelopes; the packaged defaults unless a path is given.
+
+    Raises ConfigurationError unless the file maps envelope names (one of
+    ``names``, when given) to "d<k>" keys, each to exponent keys as
+    ``envelope_for`` looks them up, each to a pair of finite floats lo <= hi.
+    """
     if path is None:
         resource = importlib.resources.files("lplab").joinpath("data/envelopes.json")
         with resource.open("r", encoding="utf-8") as handle:
-            return json.load(handle)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+            envelopes = json.load(handle)
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            envelopes = json.load(handle)
+    _check_envelopes(envelopes, names)
+    return envelopes
+
+
+def _exponent_key(p: float | None) -> str:
+    return "all" if p is None else format(float(p), "g")
+
+
+def _is_exponent_key(key: str) -> bool:
+    if key == "all":
+        return True
+    try:
+        p = float(key)
+    except ValueError:
+        return False
+    return math.isfinite(p) and key == _exponent_key(p)
+
+
+def _check_envelopes(envelopes, names) -> None:
+    def bad(where, what):
+        raise ConfigurationError(f"envelope file: {where}: {what}")
+
+    if not isinstance(envelopes, dict):
+        bad("top level", "expected a JSON object")
+    for name, by_dim in envelopes.items():
+        if names is not None and name not in names:
+            bad(name, f"unknown envelope, expected one of {tuple(names)}")
+        if not isinstance(by_dim, dict):
+            bad(name, "expected an object of dimensions")
+        for dim, by_p in by_dim.items():
+            if not re.fullmatch(r"d[0-9]+", dim) or not isinstance(by_p, dict):
+                bad(f"{name}.{dim}", 'expected a "d<k>" key holding an object of exponents')
+            for p, pair in by_p.items():
+                where = f"{name}.{dim}.{p}"
+                if not _is_exponent_key(p):
+                    bad(where, "exponent keys are written as format(p, 'g')")
+                if not (
+                    isinstance(pair, list)
+                    and len(pair) == 2
+                    and all(type(v) in (int, float) and math.isfinite(v) for v in pair)
+                    and pair[0] <= pair[1]
+                ):
+                    bad(where, f"expected [lo, hi], two finite numbers with lo <= hi, got {pair!r}")
 
 
 def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) -> tuple | None:
@@ -765,8 +817,7 @@ def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) ->
     by_p = by_dim.get(f"d{dimension}")
     if by_p is None:
         return None
-    key = "all" if p is None else format(float(p), "g")
-    pair = by_p.get(key)
+    pair = by_p.get(_exponent_key(p))
     if pair is None:
         return None
     return (float(pair[0]), float(pair[1]))
@@ -779,14 +830,6 @@ _SAMPLERS = {
 }
 
 
-def _grid_from_dict(params: dict) -> TorusGrid:
-    return TorusGrid(
-        int(params["dimension"]),
-        float(params["box_length"]),
-        int(params["points_per_axis"]),
-    )
-
-
 def _member_samples(spec, grid, blocks, checker: str, exponents, index: int) -> list[CheckSample]:
     """One member's samples at every exponent; a degenerate member is degenerate at all."""
     member = spec.member(grid, index)
@@ -797,19 +840,6 @@ def _member_samples(spec, grid, blocks, checker: str, exponents, index: int) -> 
         return [CheckSample(index, rank, 0.0, 0.0, math.inf, degenerate=True)] * len(exponents)
 
 
-def _envelope_worker(task) -> list[list[CheckSample]]:
-    spec_data, grid_params, family, profile_kind, checker, exponents, start, stop = task
-    spec = CorpusSpec.from_dict(spec_data)
-    grid = _grid_from_dict(grid_params)
-    blocks = None
-    if checker in ("lp", "lp_density"):
-        profile = build_profile(profile_kind) if family == SMOOTH else None
-        blocks = build_blocks(grid, family, profile)
-    return [
-        _member_samples(spec, grid, blocks, checker, exponents, i) for i in range(start, stop)
-    ]
-
-
 def estimate_envelope(
     spec: CorpusSpec,
     checker: str,
@@ -817,7 +847,6 @@ def estimate_envelope(
     grid: TorusGrid,
     family: str = SMOOTH,
     profile_kind: str = "exp",
-    jobs: int = 1,
     name: str | None = None,
 ) -> list[RatioReport]:
     """Run one checker over a corpus at several exponents and aggregate the ratios.
@@ -826,10 +855,6 @@ def estimate_envelope(
     report per pair, in order.  Each member is built once and its fields
     serve every exponent.  For "gns" the exponent is fixed by the dimension,
     and p = None stands for it.
-
-    Samples are pure functions of (spec, grid, index), so the result is
-    byte-identical for every worker count; parallel runs just split the index
-    range into contiguous chunks, in one pool per call.
     """
     if checker not in _SAMPLERS:
         raise ConfigurationError(
@@ -843,21 +868,18 @@ def estimate_envelope(
         ps = [2.0 + 4.0 / grid.dimension if p is None else p for p in ps]
     else:
         ps = _checked_exponents(checker, ps)
-    jobs = max(1, int(jobs))
+    blocks = None
+    if checker in ("lp", "lp_density"):
+        profile = build_profile(profile_kind) if family == SMOOTH else None
+        blocks = build_blocks(grid, family, profile)
+    members = [
+        _member_samples(spec, grid, blocks, checker, ps, i) for i in range(spec.count)
+    ]
     grid_params = {
         "dimension": grid.dimension,
         "box_length": grid.box_length,
         "points_per_axis": grid.points_per_axis,
     }
-    task = (spec.to_dict(), grid_params, family, profile_kind, checker, ps)
-    if jobs == 1:
-        members = _envelope_worker(task + (0, spec.count))
-    else:
-        bounds = np.linspace(0, spec.count, jobs + 1).astype(int)
-        tasks = [task + (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_envelope_worker, tasks))
-        members = [samples for chunk in chunks for samples in chunk]
     return [
         RatioReport(
             name=name or checker,

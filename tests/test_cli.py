@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from lplab.cli import run
+import lplab.cli
+from lplab.cli import (
+    SECTIONS,
+    calibration_runs,
+    load_envelopes,
+    run,
+    section_cells,
+    section_runs,
+)
 from lplab.reporting import read_json
 
 
@@ -54,6 +62,37 @@ class TestExitCodes:
         payload = read_json(out)
         assert payload["pass"] is False
 
+    @pytest.mark.parametrize(
+        "envelopes",
+        [
+            {"lpp": {"d1": {"2": [0.5, 2.0]}}},
+            {"lp": {"d1": {"2": [1.0]}}},
+            {"lp": {"d1": {"2": [2.0, 0.5]}}},
+            {"lp": {"d1": {"2": [0.5, float("inf")]}}},
+            {"lp": {"d1": {"2": ["0.5", 2.0]}}},
+            {"lp": {"d1": {"2.0": [0.5, 2.0]}}},
+            {"lp": {"1": {"2": [0.5, 2.0]}}},
+            {"lp": [0.5, 2.0]},
+            [0.5, 2.0],
+        ],
+        ids=[
+            "unknown_name", "short_pair", "lo_above_hi", "infinite", "string_bound",
+            "unreachable_exponent_key", "bare_dimension_key", "no_dimensions", "not_an_object",
+        ],
+    )
+    def test_malformed_envelope_file_is_usage_error(self, tmp_path, capsys, envelopes):
+        path = tmp_path / "envelopes.json"
+        path.write_text(json.dumps(envelopes))
+        code = run_cli("lp", "--n", "64", "--p", "2", "--samples", "4", "--envelopes", str(path))
+        assert code == 2
+        assert "envelope file" in capsys.readouterr().err
+
+    def test_undeclared_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 64, "sampels": 5}))
+        assert run_cli("lp", "--config", str(config)) == 2
+        assert "sampels" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def lp_args(self, out, jobs=None):
@@ -79,6 +118,7 @@ class TestDeterminism:
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_jobs_env_fallback(self, tmp_path, capsys, monkeypatch):
+        """LPLAB_JOBS is no longer read; the report cannot depend on it."""
         flagged = tmp_path / "flagged.json"
         env = tmp_path / "env.json"
         assert run_cli(*self.lp_args(flagged, jobs=2)) == 0
@@ -143,6 +183,14 @@ class TestConfigResolution:
         assert payload["config"]["samples"] == 5
         assert len(payload["results"]["reports"][0]["samples"]) == 5
 
+    def test_config_takes_passthrough_keys(self, tmp_path, capsys):
+        out = tmp_path / "partition.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 64, "jobs": 2, "out": str(out), "csv": None}))
+        assert run_cli("partition", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert read_json(out)["config"]["n"] == 64
+
     def test_config_echo_masks_passthrough_keys(self, tmp_path, capsys):
         out = tmp_path / "partition.json"
         assert run_cli("partition", "--n", "64", "--out", str(out)) == 0
@@ -183,3 +231,53 @@ class TestSectionCommands:
         assert code == 0
         payload = read_json(out)
         assert payload["results"]["reports"][0]["p"] == 6.0
+
+
+class TestSectionTable:
+    def test_calibration_cells_are_the_frozen_cells(self):
+        planned = {
+            cell for command, settings in calibration_runs()
+            for cell in section_cells(command, settings)
+        }
+        frozen = {
+            (name, dim, p)
+            for name, by_dim in load_envelopes().items()
+            for dim, by_p in by_dim.items()
+            for p in by_p
+        }
+        assert planned == frozen
+
+    def test_every_judged_cell_has_an_envelope(self):
+        envelopes = load_envelopes()
+        judged = [
+            cell for command in SECTIONS
+            for settings in section_runs(command)
+            for cell in section_cells(command, settings)
+        ]
+        assert ("lp_density", "d1", "0.6") in judged
+        missing = [
+            (name, dim, p) for name, dim, p in judged if p not in envelopes[name].get(dim, {})
+        ]
+        assert missing == []
+
+    def test_all_runs_each_desk_section_through_its_handler(self, monkeypatch):
+        calls = []
+
+        def stub(command):
+            def handler(settings, envelopes):
+                calls.append((command, settings))
+                return {}, True, None
+
+            return handler
+
+        for command in SECTIONS:
+            monkeypatch.setattr(lplab.cli, "_cmd_" + command.replace("-", "_"), stub(command))
+        sections, passed, _ = lplab.cli._HANDLERS["all"]({}, {})
+        assert passed
+        assert list(sections) == [label for s in SECTIONS.values() for label in s.desk]
+        assert len(sections) == 16
+        assert calls == [
+            (command, settings)
+            for command in SECTIONS
+            for settings in section_runs(command)[1:]
+        ]

@@ -537,12 +537,6 @@ class TestEnvelopeEstimation:
         (second,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
         assert first.to_dict() == second.to_dict()
 
-    def test_jobs_do_not_change_results(self, small1):
-        exponents = [(1.5, None), (2.0, None), (3.0, None)]
-        serial = estimate_envelope(self.spec(), "lp", exponents, small1, jobs=1)
-        parallel = estimate_envelope(self.spec(), "lp", exponents, small1, jobs=3)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
-
     def test_gns_defaults_exponent(self, small1):
         (report,) = estimate_envelope(self.spec(), "gns", [(None, None)], small1)
         assert report.p == 6.0
