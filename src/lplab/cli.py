@@ -59,6 +59,7 @@ from .inequality_lab import (
     load_envelopes,
     lt_chain_check,
     parseval_square_ratio,
+    require_counts,
     sequence_lemma_trials,
     tensor_khinchine_reports,
 )
@@ -294,6 +295,11 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
 
 def sign_sum_reports(settings: dict, envelopes: dict) -> tuple[list, list]:
     """A khinchine run's classical reports and its tensor reports."""
+    require_counts(
+        term_count=settings["terms"],
+        tensor_term_count=settings["tensor_terms"],
+        sample_count=settings["count"],
+    )
     if settings["mode"] == "exact":
         ensemble = tensor_ensemble = SignEnsemble.exact()
     else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -219,17 +219,71 @@ def _spike_window(dimension: int, j_range) -> tuple[int, int]:
     return lo, hi
 
 
-def _spike_sequence(dimension: int, lo: int, hi: int, seed: int, index: int) -> dict[int, float]:
-    """Member ``index`` of spike_sequences, drawn from its own Philox key."""
+def _rekeyed_generators(master_seed: int, indices):
+    """Yield, for each index, a generator in the state ``philox_generator(master_seed, i)`` starts in.
+
+    One bit generator is re-keyed per index, so every yield is the same
+    object: draw from it before advancing.  Building a fresh Philox per index
+    would also pull OS entropy for a seed sequence that the key then discards.
+    """
+    bit_generator = np.random.Philox(0)
+    generator = np.random.Generator(bit_generator)
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    # The setter copies every field, so one state dict serves every index.
+    state = dict(
+        bit_generator.state,
+        state={"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        buffer_pos=4,
+        has_uint32=0,
+        uinteger=0,
+    )
+    for index in indices:
+        key[1] = index
+        bit_generator.state = state
+        yield generator
+
+
+class SpikeTable(Sequence):
+    """Spike sequences as one (count, J) array; each member is a view of one row.
+
+    Row i is member i, column k is the index ``lo + k``; indexing the table
+    returns the member as a {j: alpha_j} dict.
+    """
+
+    def __init__(self, lo: int, values: np.ndarray) -> None:
+        self.lo = lo
+        self.values = values
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.arange(self.lo, self.lo + self.values.shape[1])
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def __getitem__(self, index: int) -> dict[int, float]:
+        return dict(zip(self.indices.tolist(), self.values[index].tolist()))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SpikeTable)
+            and self.lo == other.lo
+            and np.array_equal(self.values, other.values)
+        )
+
+
+def _spike_table(dimension: int, lo: int, hi: int, generators, count: int) -> SpikeTable:
+    """One row per generator, from its 2J+1 uniforms: J coefficients, the keep
+    probability, then J mask draws (the stream of uniform(0, 1, J),
+    uniform(0.1, 0.9), uniform(0, 1, J))."""
     length = hi - lo + 1
-    rng = philox_generator(seed, index)
-    betas = rng.uniform(0.0, 1.0, size=length)
-    keep_probability = rng.uniform(0.1, 0.9)
-    mask = rng.uniform(0.0, 1.0, size=length) < keep_probability
-    return {
-        j: float(betas[j - lo] * mask[j - lo] * 2.0 ** (j * dimension))
-        for j in range(lo, hi + 1)
-    }
+    uniforms = np.empty((count, 2 * length + 1))
+    for row, rng in zip(uniforms, generators):
+        rng.random(out=row)
+    keep_probability = 0.1 + (0.9 - 0.1) * uniforms[:, length]
+    mask = uniforms[:, length + 1 :] < keep_probability[:, None]
+    caps = np.ldexp(1.0, np.arange(lo, hi + 1) * dimension)
+    return SpikeTable(lo, uniforms[:, :length] * mask * caps)
 
 
 def spike_sequences(
@@ -237,14 +291,17 @@ def spike_sequences(
     j_range: tuple[int, int] = (-10, 10),
     count: int = 1,
     seed: int = 0,
-) -> list[dict[int, float]]:
+) -> SpikeTable:
     """Random admissible sequences 0 <= alpha_j <= 2^(j d) on the index window.
 
     Each member multiplies the cap 2^(j d) by a uniform coefficient and a
-    random sparse mask, so admissibility holds by construction.
+    random sparse mask, so admissibility holds by construction.  All members
+    are drawn into one (count, J) table; member i still comes from its own
+    Philox key (seed, i), so it does not depend on the count.
     """
     lo, hi = _spike_window(dimension, j_range)
-    return [_spike_sequence(dimension, lo, hi, seed, i) for i in range(int(count))]
+    count = int(count)
+    return _spike_table(dimension, lo, hi, _rekeyed_generators(seed, range(count)), count)
 
 
 def single_spike(dimension: int, j: int) -> dict[int, float]:
@@ -309,7 +366,7 @@ class CorpusSpec:
         # spike_sequence: the grid fixes nothing but the dimension.
         dimension = int(p.get("dimension", grid.dimension))
         lo, hi = _spike_window(dimension, p.get("j_range", (-10, 10)))
-        return _spike_sequence(dimension, lo, hi, self.seed, index)
+        return _spike_table(dimension, lo, hi, [philox_generator(self.seed, index)], 1)[0]
 
     def to_dict(self) -> dict:
         return {

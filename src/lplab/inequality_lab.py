@@ -19,6 +19,7 @@ from collections.abc import Sequence
 # span tracer (perfbench/spans.py) patches it.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +62,18 @@ from .torus_grid import (
 
 EXACT_ENUMERATION_CAP = 20
 _ENUMERATION_CHUNK = 1 << 16
+SIGN_TABLE_BYTES = 1 << 24
 DEGENERACY_RTOL = 1e-12
 CHAIN_RTOL = 1e-10
 DUALITY_TOLERANCE = 1e-10
+
+
+def require_counts(**counts: int) -> None:
+    """Raise ConfigurationError unless every named count is at least one:
+    a run that checks nothing must not report a pass."""
+    for name, value in counts.items():
+        if int(value) < 1:
+            raise ConfigurationError(f"{name.replace('_', ' ')} must be >= 1, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +135,34 @@ def _sign_blocks(count: int, ensemble: SignEnsemble):
             remaining -= block
 
 
-def _linear_sum_magnitudes(coefficients: np.ndarray, ensemble: SignEnsemble) -> np.ndarray:
-    """|sum_j a_j r_j| for every sign vector of the ensemble, in order."""
-    parts = [np.abs(rows @ coefficients) for rows in _sign_blocks(coefficients.size, ensemble)]
-    return np.concatenate(parts)
+def _sign_table(count: int, ensemble: SignEnsemble):
+    """A function returning the ensemble's sign matrices, cast to complex, in order.
+
+    Up to SIGN_TABLE_BYTES the matrices are built once and kept, so a run of
+    sums over many coefficient vectors shares them (12 exact terms: 0.8 MB);
+    a larger ensemble is rebuilt block by block on every pass.
+    """
+
+    def build():
+        return (rows.astype(complex) for rows in _sign_blocks(count, ensemble))
+
+    rows = (1 << count) if ensemble.mode == "exact" else ensemble.samples
+    if rows * count * 16 > SIGN_TABLE_BYTES:
+        return build
+    kept = list(build())
+    return lambda: kept
 
 
-def _tensor_sum_magnitudes(matrix: np.ndarray, ensemble: SignEnsemble) -> np.ndarray:
+def _linear_sum_magnitudes(coefficients: np.ndarray, signs) -> np.ndarray:
+    """|sum_j a_j r_j| for every sign vector of the table, in order."""
+    return np.concatenate([np.abs(rows @ coefficients) for rows in signs()])
+
+
+def _tensor_sum_magnitudes(matrix: np.ndarray, signs) -> np.ndarray:
     """|sum_jk a_jk r_j r_k| over one shared sign sequence of length max(J, K)."""
     rows_j, cols_k = matrix.shape
-    n = max(rows_j, cols_k)
     parts = []
-    for rows in _sign_blocks(n, ensemble):
+    for rows in signs():
         left = rows[:, :rows_j]
         right = rows[:, :cols_k]
         parts.append(np.abs(((left @ matrix) * right).sum(axis=1)))
@@ -160,7 +186,7 @@ def khinchine_ratio(coefficients, p: float, ensemble: SignEnsemble) -> Khinchine
     l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
     if l2_power == 0.0:
         raise DegenerateInputError("all coefficients vanish; the ratio is undefined")
-    magnitudes = _linear_sum_magnitudes(a, ensemble)
+    magnitudes = _linear_sum_magnitudes(a, _sign_table(a.size, ensemble))
     expectation = float(np.mean(magnitudes**p))
     return KhinchineResult(
         expectation=expectation,
@@ -193,7 +219,7 @@ def khinchine_tensor_ratio(matrix, p: float, ensemble: SignEnsemble) -> TensorKh
     l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
     if l2_power == 0.0:
         raise DegenerateInputError("all coefficients vanish; the ratio is undefined")
-    magnitudes = _tensor_sum_magnitudes(a, ensemble)
+    magnitudes = _tensor_sum_magnitudes(a, _sign_table(max(a.shape), ensemble))
     expectation = float(np.mean(magnitudes**p))
     degenerate = expectation < DEGENERACY_RTOL * l2_power
     ratio = math.inf if degenerate else l2_power / expectation
@@ -603,43 +629,90 @@ class SequenceLemmaResult:
         }
 
 
-def sequence_lemma_bound(alpha: dict, dimension: int) -> SequenceLemmaResult:
-    """Bound (sum_j alpha_j)^(1+2/d) by an explicit constant times sum_j 2^(2j) alpha_j.
+class _LemmaRows(NamedTuple):
+    """The sequence bound for each row of a table; ``bounded`` marks rhs != 0,
+    the rows whose split index and constant are defined."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    split_index: np.ndarray
+    constant: np.ndarray
+    ratio: np.ndarray
+    passed: np.ndarray
+    bounded: np.ndarray
+
+
+def _scalar_map(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` on each value as a Python float.
+
+    numpy's SIMD pow and log2 differ from the C library's in the last place
+    on some inputs; the C library keeps every row equal to the
+    one-sequence definition, and so every reported maximum.
+    """
+    return np.array([fn(v) for v in values.tolist()], dtype=float)
+
+
+def _sequence_lemma_rows(indices: np.ndarray, table: np.ndarray, dimension: int) -> _LemmaRows:
+    """Bound (sum_j alpha_j)^(1+2/d) by an explicit constant times sum_j 2^(2j) alpha_j,
+    for every row alpha of ``table`` (columns at the increasing ``indices``).
 
     Requires 0 <= alpha_j <= 2^(j d).  The head of the sum is dominated by the
     geometric tail A 2^(d J) with A = 1/(1 - 2^-d), the rest by 2^(-2J) times
     the right side; the split index J minimizing that two-term bound gives the
-    constant.
+    constant.  Both sums run over the columns left to right.
     """
     d = int(dimension)
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
-    items = sorted((int(j), float(v)) for j, v in alpha.items())
-    for j, value in items:
-        cap = 2.0 ** (j * d)
-        if value < 0 or value > cap * (1.0 + 1e-12):
-            raise ValueError(
-                f"alpha_{j} = {value} violates the admissibility cap {cap}"
-            )
-    total = sum(v for _, v in items)
-    rhs = sum(2.0 ** (2 * j) * v for j, v in items)
+    caps = np.ldexp(1.0, indices * d)
+    violations = np.argwhere((table < 0) | (table > caps * (1.0 + 1e-12)))
+    if violations.size:
+        row, k = violations[0]
+        raise ValueError(
+            f"alpha_{int(indices[k])} = {float(table[row, k])} violates the "
+            f"admissibility cap {float(caps[k])}"
+        )
+    weights = np.ldexp(1.0, 2 * indices)
+    total = np.zeros(table.shape[0])
+    rhs = np.zeros(table.shape[0])
+    for k in range(indices.size):
+        total += table[:, k]
+        rhs += weights[k] * table[:, k]
     exponent = 1.0 + 2.0 / d
-    lhs = total**exponent
-    if rhs == 0.0:
-        return SequenceLemmaResult(lhs, rhs, None, None, 0.0, passed=(lhs == 0.0))
+    lhs = _scalar_map(lambda t: t**exponent, total)
 
+    bounded = rhs != 0.0
+    live = rhs[bounded]
     head_constant = 1.0 / (1.0 - 2.0 ** (-d))
 
-    def two_term_bound(j_split: int) -> float:
-        return head_constant * 2.0 ** (d * j_split) + 2.0 ** (-2 * j_split) * rhs
+    def two_term_bound(j_split: np.ndarray) -> np.ndarray:
+        return head_constant * np.ldexp(1.0, d * j_split) + np.ldexp(1.0, -2 * j_split) * live
 
-    critical = math.log2(2.0 * rhs / (head_constant * d)) / (d + 2.0)
-    candidates = (math.floor(critical), math.ceil(critical))
-    split = min(candidates, key=two_term_bound)
-    constant = two_term_bound(split) ** exponent / rhs
-    ratio = lhs / rhs
-    passed = lhs <= constant * rhs * (1.0 + 1e-12)
-    return SequenceLemmaResult(lhs, rhs, int(split), constant, ratio, passed)
+    critical = _scalar_map(math.log2, 2.0 * live / (head_constant * d)) / (d + 2.0)
+    low = np.floor(critical).astype(np.int64)
+    high = np.ceil(critical).astype(np.int64)
+    split = np.where(two_term_bound(high) < two_term_bound(low), high, low)
+    split_index = np.zeros(rhs.shape, dtype=np.int64)
+    split_index[bounded] = split
+    constant = np.zeros(rhs.shape)
+    constant[bounded] = _scalar_map(lambda t: t**exponent, two_term_bound(split)) / live
+    ratio = np.zeros(rhs.shape)
+    ratio[bounded] = lhs[bounded] / live
+    passed = np.where(bounded, lhs <= constant * rhs * (1.0 + 1e-12), lhs == 0.0)
+    return _LemmaRows(lhs, rhs, split_index, constant, ratio, passed, bounded)
+
+
+def sequence_lemma_bound(alpha: dict, dimension: int) -> SequenceLemmaResult:
+    """The sequence bound for one sequence {j: alpha_j}: a one-row table."""
+    items = sorted((int(j), float(v)) for j, v in alpha.items())
+    indices = np.array([j for j, _ in items], dtype=np.int64)
+    rows = _sequence_lemma_rows(indices, np.array([[v for _, v in items]]), dimension)
+    lhs, rhs, passed = float(rows.lhs[0]), float(rows.rhs[0]), bool(rows.passed[0])
+    if not rows.bounded[0]:
+        return SequenceLemmaResult(lhs, rhs, None, None, 0.0, passed)
+    return SequenceLemmaResult(
+        lhs, rhs, int(rows.split_index[0]), float(rows.constant[0]), float(rows.ratio[0]), passed
+    )
 
 
 def sequence_lemma_trials(
@@ -649,26 +722,23 @@ def sequence_lemma_trials(
     j_range: tuple[int, int] = (-10, 10),
 ) -> dict:
     """Run the sequence bound over random admissible sequences plus the
-    single-spike sharpness witness; aggregates worst cases."""
-    members = spike_sequences(dimension, j_range, trials, seed)
-    failures = 0
-    max_ratio = 0.0
-    max_constant = 0.0
-    for alpha in members:
-        result = sequence_lemma_bound(alpha, dimension)
-        if not result.passed:
-            failures += 1
-        max_ratio = max(max_ratio, result.ratio)
-        if result.constant is not None:
-            max_constant = max(max_constant, result.constant)
+    single-spike sharpness witness; aggregates worst cases.
+
+    The sequences are drawn as one (trials, J) table and bounded in one pass
+    over its rows.
+    """
+    require_counts(trial_count=trials)
+    table = spike_sequences(dimension, j_range, trials, seed)
+    rows = _sequence_lemma_rows(table.indices, table.values, dimension)
+    failures = int(np.count_nonzero(~rows.passed))
     spike = sequence_lemma_bound(single_spike(dimension, j=3), dimension)
     return {
         "dimension": dimension,
         "trials": trials,
         "seed": seed,
         "failures": failures,
-        "max_ratio": max_ratio,
-        "max_constant": max_constant,
+        "max_ratio": float(rows.ratio.max(initial=0.0)),
+        "max_constant": float(rows.constant.max(initial=0.0)),
         "spike_ratio": spike.ratio,
         "passed": failures == 0 and abs(spike.ratio - 1.0) <= 1e-12,
     }
@@ -909,14 +979,16 @@ def khinchine_reports(
     reciprocal is the upper direction, so a two-sided envelope on this single
     ratio bounds both constants.
     """
+    require_counts(term_count=n_terms, sample_count=count)
     if ensemble is None:
         ensemble = SignEnsemble.exact()
+    signs = _sign_table(n_terms, ensemble)
     per_p: dict[float, list[CheckSample]] = {float(p): [] for p in p_list}
     for index in range(count):
         rng = philox_generator(seed, index)
         draws = rng.standard_normal(size=(2, n_terms))
         coefficients = draws[0] + 1j * draws[1]
-        magnitudes = _linear_sum_magnitudes(coefficients, ensemble)
+        magnitudes = _linear_sum_magnitudes(coefficients, signs)
         l2 = float(np.sum(abs_squared(coefficients)))
         for p in per_p:
             expectation = float(np.mean(magnitudes**p))
@@ -951,14 +1023,16 @@ def tensor_khinchine_reports(
     envelopes: dict | None = None,
 ) -> list[RatioReport]:
     """Tensor sign-sum comparison over random complex square matrices."""
+    require_counts(term_count=n_terms, sample_count=count)
     if ensemble is None:
         ensemble = SignEnsemble.exact()
+    signs = _sign_table(n_terms, ensemble)
     per_p: dict[float, list[CheckSample]] = {float(p): [] for p in p_list}
     for index in range(count):
         rng = philox_generator(seed, index)
         draws = rng.standard_normal(size=(2, n_terms, n_terms))
         matrix = draws[0] + 1j * draws[1]
-        magnitudes = _tensor_sum_magnitudes(matrix, ensemble)
+        magnitudes = _tensor_sum_magnitudes(matrix, signs)
         l2 = float(np.sum(abs_squared(matrix)))
         for p in per_p:
             expectation = float(np.mean(magnitudes**p))

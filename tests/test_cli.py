@@ -6,6 +6,7 @@ import json
 import pytest
 
 import lplab.cli
+import lplab.inequality_lab
 from lplab.cli import (
     SECTIONS,
     calibration_runs,
@@ -92,6 +93,29 @@ class TestExitCodes:
         config.write_text(json.dumps({"n": 64, "sampels": 5}))
         assert run_cli("lp", "--config", str(config)) == 2
         assert "sampels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_seqlemma_without_trials_is_usage_error(self, capsys, trials):
+        assert run_cli("seqlemma", "--trials", trials) == 2
+        assert "trial count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--terms", "term count must be >= 1"),
+            ("--tensor-terms", "tensor term count must be >= 1"),
+            ("--count", "sample count must be >= 1"),
+        ],
+    )
+    def test_khinchine_without_terms_or_samples_is_usage_error(
+        self, capsys, monkeypatch, flag, message
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew coefficients before checking the counts")
+
+        monkeypatch.setattr(lplab.inequality_lab, "philox_generator", no_draws)
+        assert run_cli("khinchine", flag, "0") == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminism:
