@@ -20,6 +20,7 @@ from .fock_operator import (
     NO_CONTRACT,
     UNIT_BALL,
     fermi_sea,
+    gram_residual,
     power_bounded,
     validate_contract,
 )
@@ -112,29 +113,26 @@ def wave_packet(
     return GridFunction(grid, values * np.exp(1j * phase))
 
 
-def _frame_inner(grid: TorusGrid, a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(grid.cell_volume * np.sum(np.conj(a) * b))
-
-
 def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt, two passes, in the quadrature inner product."""
-    frame = vectors.astype(complex).copy()
-    rank = frame.shape[0]
+    """Modified Gram-Schmidt, two passes, in the quadrature inner product.
+
+    Right-looking: each pass normalizes pivot i, then takes its inner products
+    with every later row in one reduction over the (rank, N^d) view and
+    subtracts them in one in-place update.  Every row still meets its
+    projections in ascending pivot order and is then normalized, the same
+    operations in the same order as the left-looking per-pair loop.
+    """
+    rows = np.array(vectors, dtype=complex, order="C").reshape(len(vectors), -1)
     for _pass in range(2):
-        for k in range(rank):
-            for i in range(k):
-                frame[k] = frame[k] - _frame_inner(grid, frame[i], frame[k]) * frame[i]
-            norm = np.sqrt(_frame_inner(grid, frame[k], frame[k]).real)
+        for i, pivot in enumerate(rows):
+            norm = np.sqrt((grid.cell_volume * np.sum(np.conj(pivot) * pivot)).real)
             if norm <= 0:
                 raise DegenerateInputError("frame vector collapsed to zero")
-            frame[k] = frame[k] / norm
-    return frame
-
-
-def _gram_residual(grid: TorusGrid, frame: np.ndarray) -> float:
-    flat = frame.reshape(frame.shape[0], -1)
-    gram = grid.cell_volume * (flat @ flat.conj().T)
-    return float(np.max(np.abs(gram - np.eye(frame.shape[0]))))
+            pivot /= norm
+            rest = rows[i + 1 :]
+            overlaps = grid.cell_volume * np.sum(np.conj(pivot) * rest, axis=1)
+            rest -= overlaps[:, None] * pivot
+    return rows.reshape(np.shape(vectors))
 
 
 def random_orthonormal_frame(
@@ -163,6 +161,10 @@ def random_orthonormal_frame(
     if weights not in ("uniform", "ones"):
         raise ValueError(f"unknown weight law {weights!r}")
     force_zero_mean = zero_mean or (power_bound is not None and power_bound != 0.0)
+    if force_zero_mean and rank > grid.size - 1:
+        raise ValueError(
+            f"rank {rank} exceeds the {grid.size - 1} mean-zero lattice modes"
+        )
 
     frame = None
     for attempt in range(GRAM_RETRY_LIMIT):
@@ -180,7 +182,7 @@ def random_orthonormal_frame(
             ]
         )
         candidate = _orthonormalize(grid, raw)
-        if _gram_residual(grid, candidate) <= 1e-10:
+        if gram_residual(grid, candidate) <= 1e-10:
             frame = candidate
             break
     if frame is None:

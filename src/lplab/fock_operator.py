@@ -29,6 +29,7 @@ from .dyadic_partition import DyadicBlockSet
 from .errors import ContractViolationError, GridMismatchError, ZeroModeSingularityError
 from .torus_grid import (
     DEFAULT_SIZE_CAP,
+    FIELD_CHUNK_BYTES,
     GridFunction,
     TorusGrid,
     abs_squared,
@@ -194,9 +195,26 @@ class ValidationReport:
         }
 
 
-def _gram_matrix(op: FiniteRankOperator) -> np.ndarray:
-    flat = op.eigenfunctions.reshape(op.rank, -1)
-    return op.grid.cell_volume * (flat @ flat.conj().T)
+def _gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
+    """<u_k, u_l> over a stack [r, ...], in the quadrature inner product.
+
+    The product c @ c^H is summed over column chunks c of the (r, N^d) view,
+    each no wider than FIELD_CHUNK_BYTES of complex fields, so no conjugate
+    copy of the whole stack is made.
+    """
+    flat = functions.reshape(len(functions), -1)
+    width = max(1, FIELD_CHUNK_BYTES // (flat.shape[0] * np.dtype(complex).itemsize))
+    gram = np.zeros((flat.shape[0], flat.shape[0]), dtype=complex)
+    for start in range(0, flat.shape[1], width):
+        columns = flat[:, start : start + width]
+        gram += columns @ columns.conj().T
+    return grid.cell_volume * gram
+
+
+def gram_residual(grid: TorusGrid, functions: np.ndarray) -> float:
+    """max |<u_k, u_l> - delta_kl| over a stack [r, ...] of grid fields."""
+    gram = _gram_matrix(grid, functions)
+    return float(np.max(np.abs(gram - np.eye(len(functions)))))
 
 
 def validate_contract(
@@ -214,8 +232,7 @@ def validate_contract(
         return ValidationReport(contract, True, 0.0)
 
     checks: dict[str, float] = {}
-    gram = _gram_matrix(op)
-    gram_excess = float(np.max(np.abs(gram - np.eye(op.rank))))
+    gram_excess = gram_residual(op.grid, op.eigenfunctions)
     checks["gram_residual"] = gram_excess
     failed = gram_excess > GRAM_TOLERANCE
 
