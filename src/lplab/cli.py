@@ -44,7 +44,6 @@ from .errors import (
     UnsupportedFamilyError,
     ZeroModeSingularityError,
 )
-from .fock_operator import fermi_sea
 from .inequality_lab import (
     RatioReport,
     SignEnsemble,
@@ -265,11 +264,14 @@ def _corpus_spec(command: str, settings: dict, rank: int | None = None) -> Corpu
     return CorpusSpec(section.corpus, int(settings["samples"]), int(settings["seed"]), params)
 
 
-def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioReport]:
+def corpus_reports(
+    command: str, settings: dict, envelopes: dict, visit=None
+) -> list[RatioReport]:
     """A corpus section's envelope estimates: one per exponent, for each rank.
 
     A section with ranks names its reports by rank and judges ranks above one
     against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.
+    ``visit`` goes to ``estimate_envelope``.
     """
     checker = SECTIONS[command].envelopes[0]
     grid = _grid_of(settings)
@@ -288,6 +290,7 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
                 _corpus_spec(command, settings, rank), checker, exponents, grid,
                 settings["family"], settings["profile"],
                 name=None if rank is None else f"{checker}_rank{rank}",
+                visit=visit,
             )
         )
     return reports
@@ -411,20 +414,20 @@ def _cmd_partition(settings: dict, envelopes: dict):
 
 
 def _cmd_lp(settings: dict, envelopes: dict):
-    reports = corpus_reports("lp", settings, envelopes)
+    # The p = 2 ratios are checked against their Parseval closed form, taken
+    # on the members the envelope pass builds.
+    closed_forms = {}
+
+    def parseval(index, member, blocks):
+        closed_forms[index] = parseval_square_ratio(member, blocks)
+
+    squared = 2.0 in _exponents(settings)
+    reports = corpus_reports("lp", settings, envelopes, parseval if squared else None)
     parseval_deviation = None
-    squared_report = next((r for r in reports if r.p == 2.0), None)
-    if squared_report is not None:
-        grid = _grid_of(settings)
-        family = settings["family"]
-        blocks = build_blocks(
-            grid, family, build_profile(settings["profile"]) if family == SMOOTH else None
-        )
-        spec = _corpus_spec("lp", settings)
+    if squared:
         parseval_deviation = 0.0
-        for sample in squared_report.samples:
-            member = spec.member(grid, sample.sample_id)
-            closed_form = parseval_square_ratio(member, blocks)
+        for sample in next(r for r in reports if r.p == 2.0).samples:
+            closed_form = closed_forms[sample.sample_id]
             parseval_deviation = max(parseval_deviation, abs(sample.ratio - closed_form))
     parseval_ok = parseval_deviation is None or parseval_deviation <= PARSEVAL_TOLERANCE
     return _report_results(reports, parseval_ok, parseval_deviation=parseval_deviation)
@@ -461,16 +464,22 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
     if family != SMOOTH:
         raise UnsupportedFamilyError("the kinetic chain needs the smooth block family")
     ladder = settings["mu"] or _default_mu_ladder(grid)
-    rows = fermi_sweep(grid, ladder)
-
     profile = build_profile(profile_kind)
     blocks = build_companions(build_blocks(grid, family, profile))
-    chains = []
-    for mu in (ladder[0], ladder[len(ladder) // 2]):
-        sea = fermi_sea(grid, mu)
-        chains.append(
-            {"source": f"sea_rank_{sea.rank}", **lt_chain_check(sea, blocks).to_dict()}
-        )
+
+    # The chain runs on the first and the middle rung's sea while the sweep
+    # holds it, reusing the checks the sweep made on it.
+    chain_rungs = (0, len(ladder) // 2)
+    sea_chains = {}
+
+    def chain(rung, sea):
+        if rung in chain_rungs:
+            sea_chains[rung] = {
+                "source": f"sea_rank_{sea.rank}", **lt_chain_check(sea, blocks).to_dict()
+            }
+
+    rows = fermi_sweep(grid, ladder, chain)
+    chains = [sea_chains[rung] for rung in chain_rungs]
     for index in range(int(settings["chain_samples"])):
         frame = random_orthonormal_frame(
             grid, rank=4, decay=1.0, seed=int(settings["seed"]), index=index

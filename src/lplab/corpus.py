@@ -20,16 +20,10 @@ from .fock_operator import (
     NO_CONTRACT,
     UNIT_BALL,
     fermi_sea,
-    gram_residual,
     power_bounded,
     validate_contract,
 )
-from .torus_grid import (
-    GridFunction,
-    SpectrumFunction,
-    TorusGrid,
-    inverse_transform,
-)
+from .torus_grid import GridFunction, TorusGrid, inverse_transform_stack
 
 GRAM_RETRY_LIMIT = 5
 LAMBDA_STREAM_INDEX = 2**48
@@ -51,11 +45,15 @@ def philox_generator(
     ``stream`` offsets the counter block, giving a fresh substream for the
     same key (used for orthonormalization retries).
     """
+    key = np.array([master_seed, member_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=_stream_counter(stream), key=key))
+
+
+def _stream_counter(stream: int) -> np.ndarray:
+    """The Philox counter at which substream ``stream`` starts."""
     if not 0 <= stream < 256:
         raise ValueError(f"stream must be in [0, 256), got {stream}")
-    key = np.array([master_seed, member_index], dtype=np.uint64)
-    counter = np.array([stream << 56, 0, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.array([stream << 56, 0, 0, 0], dtype=np.uint64)
 
 
 def random_band_limited(
@@ -65,14 +63,26 @@ def random_band_limited(
     index: int = 0,
     zero_mean: bool = False,
     stream: int = 0,
-) -> GridFunction:
-    """Random field with coefficients (g1 + i g2)(xi) * (1 + |xi|)^(-decay)."""
-    rng = philox_generator(seed, index, stream)
-    draws = rng.standard_normal(size=(2,) + grid.shape)
-    coeffs = (draws[0] + 1j * draws[1]) * (1.0 + grid.frequency_norms) ** (-float(decay))
+    count: int | None = None,
+):
+    """Random field with coefficients (g1 + i g2)(xi) * (1 + |xi|)^(-decay).
+
+    Member i draws its normals from ``philox_generator(seed, i, stream)``.
+    Without ``count`` the result is member ``index`` as a GridFunction; with
+    it, the values of members index, ..., index + count - 1 as one
+    [count, ...] stack.  Either way the members are drawn in one pass: one
+    weight table, one re-keyed generator and one batched inverse transform.
+    """
+    members = 1 if count is None else int(count)
+    draws = np.empty((members, 2) + grid.shape)
+    indices = range(index, index + members)
+    for row, rng in zip(draws, _rekeyed_generators(seed, indices, stream)):
+        rng.standard_normal(out=row)
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]) * (1.0 + grid.frequency_norms) ** (-float(decay))
     if zero_mean:
-        coeffs[grid.zero_mode_index] = 0.0
-    return inverse_transform(SpectrumFunction(grid, coeffs))
+        coeffs[(slice(None),) + grid.zero_mode_index] = 0.0
+    values = inverse_transform_stack(grid, coeffs)
+    return values if count is not None else GridFunction(grid, values[0])
 
 
 def wave_packet(
@@ -166,50 +176,43 @@ def random_orthonormal_frame(
             f"rank {rank} exceeds the {grid.size - 1} mean-zero lattice modes"
         )
 
-    frame = None
-    for attempt in range(GRAM_RETRY_LIMIT):
-        raw = np.stack(
-            [
-                random_band_limited(
-                    grid,
-                    decay,
-                    seed,
-                    index=index * rank + k,
-                    zero_mean=force_zero_mean,
-                    stream=attempt,
-                ).values
-                for k in range(rank)
-            ]
-        )
-        candidate = _orthonormalize(grid, raw)
-        if gram_residual(grid, candidate) <= 1e-10:
-            frame = candidate
-            break
-    if frame is None:
-        raise DegenerateInputError(
-            f"orthonormalization failed {GRAM_RETRY_LIMIT} times for seed "
-            f"{seed}, member {index}"
-        )
-
     rng = philox_generator(seed, LAMBDA_STREAM_INDEX + index)
     if weights == "uniform":
         lambdas = rng.uniform(0.0, 1.0, size=rank)
     else:
         lambdas = np.ones(rank)
+    contract = UNIT_BALL if power_bound is None else power_bounded(power_bound)
 
+    # Each attempt draws its rank members in one call, on substream ``attempt``.
+    for attempt in range(GRAM_RETRY_LIMIT):
+        raw = random_band_limited(
+            grid,
+            decay,
+            seed,
+            index=index * rank,
+            zero_mean=force_zero_mean,
+            stream=attempt,
+            count=rank,
+        )
+        op = FiniteRankOperator(grid, lambdas, _orthonormalize(grid, raw), contract=contract)
+        if op.gram_residual <= 1e-10:
+            break
+    else:
+        raise DegenerateInputError(
+            f"orthonormalization failed {GRAM_RETRY_LIMIT} times for seed "
+            f"{seed}, member {index}"
+        )
     if power_bound is None:
-        op = FiniteRankOperator(grid, lambdas, frame, contract=UNIT_BALL)
         return op
 
-    contract = power_bounded(power_bound)
-    probe = FiniteRankOperator(grid, lambdas, frame, contract=contract)
-    report = validate_contract(probe, contract)
-    top = report.checks["power_excess"] + 1.0
+    # The rescaled operator shares the Gram residual and the forward stack
+    # this check computes, so its own checks transform nothing again.
+    top = validate_contract(op).checks["power_excess"] + 1.0
     if not np.isfinite(top) or top <= 0:
         raise DegenerateInputError(
             "frame cannot be scaled into the power-bounded contract"
         )
-    return FiniteRankOperator(grid, lambdas / top, frame, contract=contract)
+    return op.reweighted(lambdas / top)
 
 
 def _spike_window(dimension: int, j_range) -> tuple[int, int]:
@@ -221,20 +224,22 @@ def _spike_window(dimension: int, j_range) -> tuple[int, int]:
     return lo, hi
 
 
-def _rekeyed_generators(master_seed: int, indices):
-    """Yield, for each index, a generator in the state ``philox_generator(master_seed, i)`` starts in.
+def _rekeyed_generators(master_seed: int, indices, stream: int = 0):
+    """Yield, for each index, a generator in the state
+    ``philox_generator(master_seed, i, stream)`` starts in.
 
     One bit generator is re-keyed per index, so every yield is the same
     object: draw from it before advancing.  Building a fresh Philox per index
     would also pull OS entropy for a seed sequence that the key then discards.
     """
+    counter = _stream_counter(stream)
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
     key = np.array([master_seed, 0], dtype=np.uint64)
     # The setter copies every field, so one state dict serves every index.
     state = dict(
         bit_generator.state,
-        state={"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        state={"counter": counter, "key": key},
         buffer_pos=4,
         has_uint32=0,
         uinteger=0,

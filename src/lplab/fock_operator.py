@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,19 @@ def power_bounded(power: float) -> OperatorContract:
     return OperatorContract("power_bounded", float(power))
 
 
-@dataclass
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True)
 class FiniteRankOperator:
-    """gamma = sum_k eigenvalues[k] |eigenfunctions[k]><eigenfunctions[k]|."""
+    """gamma = sum_k eigenvalues[k] |eigenfunctions[k]><eigenfunctions[k]|.
+
+    The operator is immutable: both arrays are read-only views, so the
+    quantities it computes at most once (the Gram residual, the spectral
+    density w and the density rho) cannot go stale.
+    """
 
     grid: TorusGrid
     eigenvalues: np.ndarray
@@ -82,22 +93,75 @@ class FiniteRankOperator:
     contract: OperatorContract = NO_CONTRACT
 
     def __post_init__(self) -> None:
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.eigenfunctions = np.asarray(self.eigenfunctions)
-        if self.eigenvalues.ndim != 1 or self.eigenvalues.size == 0:
+        eigenvalues = np.asarray(self.eigenvalues, dtype=float)
+        eigenfunctions = np.asarray(self.eigenfunctions)
+        if eigenvalues.ndim != 1 or eigenvalues.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1d array")
-        if np.any(self.eigenvalues < 0):
+        if np.any(eigenvalues < 0):
             raise ValueError("eigenvalues must be nonnegative")
-        expected = (self.eigenvalues.size,) + self.grid.shape
-        if self.eigenfunctions.shape != expected:
+        expected = (eigenvalues.size,) + self.grid.shape
+        if eigenfunctions.shape != expected:
             raise GridMismatchError(
-                f"eigenfunctions of shape {self.eigenfunctions.shape} do not "
+                f"eigenfunctions of shape {eigenfunctions.shape} do not "
                 f"match rank and grid, expected {expected}"
             )
+        object.__setattr__(self, "eigenvalues", _read_only(eigenvalues.view()))
+        object.__setattr__(self, "eigenfunctions", _read_only(eigenfunctions.view()))
 
     @property
     def rank(self) -> int:
         return int(self.eigenvalues.size)
+
+    @cached_property
+    def gram_residual(self) -> float:
+        """max |<u_k, u_l> - delta_kl|; it depends on the eigenfunctions alone."""
+        return gram_residual(self.grid, self.eigenfunctions)
+
+    @cached_property
+    def _kept_stack(self) -> np.ndarray:
+        return _read_only(forward_transform_stack(self.grid, self.eigenfunctions))
+
+    def forward_stack(self) -> np.ndarray:
+        """The forward transforms [r, ...] of the eigenfunctions.
+
+        A power-bounded operator keeps them, since its contract check and its
+        spectral density both read them.  Any other operator transforms anew
+        on each call, so no stack as large as a Fermi sea's outlives the
+        check that needed it.
+        """
+        if self.contract.kind == "power_bounded":
+            return self._kept_stack
+        return forward_transform_stack(self.grid, self.eigenfunctions)
+
+    @cached_property
+    def spectral_density(self) -> np.ndarray:
+        """w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, in FFT layout.
+
+        Taken from the kept stack of a power-bounded operator; otherwise
+        transformed in chunks, with the same values.
+        """
+        if self.contract.kind == "power_bounded":
+            w = weighted_density(self.grid, self._kept_stack, self.eigenvalues)
+        else:
+            w = spectral_density(self.grid, self.eigenfunctions, self.eigenvalues)
+        return _read_only(w)
+
+    @cached_property
+    def density_values(self) -> np.ndarray:
+        """rho(x) = sum_k lambda_k |u_k(x)|^2."""
+        return _read_only(weighted_density(self.grid, self.eigenfunctions, self.eigenvalues))
+
+    def reweighted(self, eigenvalues) -> "FiniteRankOperator":
+        """The operator on the same eigenfunctions with other eigenvalues.
+
+        It shares what depends on the eigenfunctions alone: the Gram residual
+        and a kept forward stack.
+        """
+        op = FiniteRankOperator(self.grid, eigenvalues, self.eigenfunctions, self.contract)
+        for name in ("gram_residual", "_kept_stack"):
+            if name in self.__dict__:
+                op.__dict__[name] = self.__dict__[name]
+        return op
 
     def eigenfunction(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.eigenfunctions[k])
@@ -111,9 +175,7 @@ class FiniteRankOperator:
 
 def density(op: FiniteRankOperator) -> GridFunction:
     """The diagonal density sum_k lambda_k |u_k(x)|^2."""
-    return GridFunction(
-        op.grid, weighted_density(op.grid, op.eigenfunctions, op.eigenvalues)
-    )
+    return GridFunction(op.grid, op.density_values)
 
 
 def conjugated_density(
@@ -139,8 +201,7 @@ def kinetic_trace(op: FiniteRankOperator, power: float) -> float:
         raise ValueError(f"kinetic_trace requires power >= 0, got {power}")
     # 0**power is 0 for power > 0 and 1 for power == 0.
     weights = op.grid.frequency_norms_squared**power
-    w = spectral_density(op.grid, op.eigenfunctions, op.eigenvalues)
-    return float(np.sum(weights * w) / op.grid.volume)
+    return float(np.sum(weights * op.spectral_density) / op.grid.volume)
 
 
 def diagonal_block_bound(blocks: DyadicBlockSet, j: int) -> float:
@@ -232,7 +293,7 @@ def validate_contract(
         return ValidationReport(contract, True, 0.0)
 
     checks: dict[str, float] = {}
-    gram_excess = gram_residual(op.grid, op.eigenfunctions)
+    gram_excess = op.gram_residual
     checks["gram_residual"] = gram_excess
     failed = gram_excess > GRAM_TOLERANCE
 
@@ -246,7 +307,7 @@ def validate_contract(
     # power_bounded: top eigenvalue of M_kl = sqrt(l_k l_l) <v_k, v_l> with
     # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
-    spectra = forward_transform_stack(op.grid, op.eigenfunctions).reshape(op.rank, -1)
+    spectra = op.forward_stack().reshape(op.rank, -1)
     nsq = op.grid.frequency_norms_squared.reshape(-1)
     zero_col = int(np.flatnonzero(nsq == 0.0)[0])
 

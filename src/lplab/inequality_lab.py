@@ -56,7 +56,6 @@ from .torus_grid import (
     inner_product,
     kinetic_form,
     lp_norm,
-    spectral_density,
     weighted_block_energy,
 )
 
@@ -543,7 +542,7 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
             f"operator fails the unit-ball contract with margin {report.margin:.3e}"
         )
     grid = op.grid
-    w = spectral_density(grid, op.eigenfunctions, op.eigenvalues)
+    w = op.spectral_density
     kinetic_w = grid.frequency_norms_squared * w
     t0 = float(np.sum(kinetic_w) / grid.volume)
     t1 = float(np.sum(block_squared_sum(blocks) * kinetic_w) / grid.volume)
@@ -580,16 +579,21 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     }
 
 
-def fermi_sweep(grid: TorusGrid, chemical_potentials) -> list[dict]:
+def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
     """Fermi-sea comparison across a ladder of chemical potentials.
 
     Each entry carries the pipeline result, the lattice-sum oracle and their
-    relative gap.
+    relative gap.  ``visit``, when given, is called as visit(rung, sea) after
+    each rung's check, while the sweep still holds that rung's sea.
     """
     rows = []
-    for mu in chemical_potentials:
+    for rung, mu in enumerate(chemical_potentials):
         sea = fermi_sea(grid, mu)
         result = lieb_thirring_check(sea)
+        if visit is not None:
+            visit(rung, sea)
+        # Drop the sea before the next rung builds its larger one.
+        del sea
         oracle = fermi_lattice_oracle(grid, mu)
         gap = abs(result.ratio - oracle["ratio"]) / oracle["ratio"]
         rows.append(
@@ -900,14 +904,19 @@ _SAMPLERS = {
 }
 
 
-def _member_samples(spec, grid, blocks, checker: str, exponents, index: int) -> list[CheckSample]:
+def _member_samples(
+    spec, grid, blocks, checker: str, exponents, index: int, visit
+) -> list[CheckSample]:
     """One member's samples at every exponent; a degenerate member is degenerate at all."""
     member = spec.member(grid, index)
     try:
-        return _SAMPLERS[checker](member, exponents, blocks, index)
+        samples = _SAMPLERS[checker](member, exponents, blocks, index)
     except DegenerateInputError:
         rank = member.rank if isinstance(member, FiniteRankOperator) else 1
-        return [CheckSample(index, rank, 0.0, 0.0, math.inf, degenerate=True)] * len(exponents)
+        samples = [CheckSample(index, rank, 0.0, 0.0, math.inf, degenerate=True)] * len(exponents)
+    if visit is not None:
+        visit(index, member, blocks)
+    return samples
 
 
 def estimate_envelope(
@@ -918,13 +927,16 @@ def estimate_envelope(
     family: str = SMOOTH,
     profile_kind: str = "exp",
     name: str | None = None,
+    visit=None,
 ) -> list[RatioReport]:
     """Run one checker over a corpus at several exponents and aggregate the ratios.
 
     ``exponents`` is a sequence of (p, envelope) pairs; the result holds one
     report per pair, in order.  Each member is built once and its fields
     serve every exponent.  For "gns" the exponent is fixed by the dimension,
-    and p = None stands for it.
+    and p = None stands for it.  ``visit``, when given, is called as
+    visit(index, member, blocks) after each member's samples, so a caller can
+    check more on the same members without building them again.
     """
     if checker not in _SAMPLERS:
         raise ConfigurationError(
@@ -943,7 +955,7 @@ def estimate_envelope(
         profile = build_profile(profile_kind) if family == SMOOTH else None
         blocks = build_blocks(grid, family, profile)
     members = [
-        _member_samples(spec, grid, blocks, checker, ps, i) for i in range(spec.count)
+        _member_samples(spec, grid, blocks, checker, ps, i, visit) for i in range(spec.count)
     ]
     grid_params = {
         "dimension": grid.dimension,

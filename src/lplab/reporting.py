@@ -19,43 +19,106 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _CanonicalEncoder(json.JSONEncoder):
-    """JSON encoder with fixed float formatting.
+_escape = json.encoder.encode_basestring_ascii
 
-    Forces the pure-python serialization path so the float renderer is ours;
-    non-finite values must be mapped to None by callers beforehand.
+
+def _float_text(value: float) -> str:
+    """format_float of an exact float, which must be finite."""
+    if not math.isfinite(value):
+        raise ValueError("non-finite float in report payload; map to None before encoding")
+    return format(value, ".17g")
+
+
+# The JSON text of each exact scalar type; subclasses such as numpy's float64
+# take the isinstance checks of _subclass_text, in json's order.
+_SCALAR_TEXT = {
+    str: _escape,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _subclass_text(value) -> str:
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(float(value))
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as JSON text: keys must be str, int, float, bool or None."""
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, float):
+        return _escape(_float_text(float(key)))
+    if key is True or key is False or key is None:
+        return '"' + _SCALAR_TEXT[type(key)](key) + '"'
+    if isinstance(key, int):
+        return _escape(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value, newline: str, parts: list) -> None:
+    """Append the JSON text of ``value`` to ``parts``.
+
+    ``newline`` is the line break plus the indent of the line ``value``
+    starts on.  Scalar members of a container are written in its loop, so
+    only containers recurse.
     """
-
-    def iterencode(self, o, _one_shot=False):
-        def floatstr(value, allow_nan=self.allow_nan):
-            if math.isnan(value) or math.isinf(value):
-                raise ValueError(
-                    "non-finite float in report payload; map to None before encoding"
-                )
-            return format_float(value)
-
-        markers = {} if self.check_circular else None
-        iterator = json.encoder._make_iterencode(
-            markers,
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            self.indent,
-            floatstr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot=False,
-        )
-        return iterator(o, 0)
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        parts.append(text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is not None:
+                parts.append(separator + text(item))
+            else:
+                parts.append(separator)
+                _write(item, inner, parts)
+            separator = comma
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key, item in sorted(value.items()):
+            head = separator + (_escape(key) if type(key) is str else _key_text(key)) + ": "
+            text = _SCALAR_TEXT.get(type(item))
+            if text is not None:
+                parts.append(head + text(item))
+            else:
+                parts.append(head)
+                _write(item, inner, parts)
+            separator = comma
+        parts.append(newline + "}")
+    else:
+        parts.append(_subclass_text(value))
 
 
 def canonical_json(payload) -> str:
-    """Sorted-key JSON text with 17-digit floats and a trailing newline."""
-    return (
-        json.dumps(payload, cls=_CanonicalEncoder, sort_keys=True, indent=2)
-        + "\n"
-    )
+    """Sorted-key JSON text with 17-digit floats and a trailing newline.
+
+    The text is json.dumps(payload, sort_keys=True, indent=2) with every
+    float rendered by format_float, written in one recursive pass.  A
+    non-finite float raises ValueError: callers map it to None first.
+    """
+    parts: list[str] = []
+    _write(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_json(payload, path) -> None:

@@ -222,6 +222,13 @@ def forward_transform_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     return spectra
 
 
+def inverse_transform_stack(grid: TorusGrid, coefficients: np.ndarray) -> np.ndarray:
+    """inverse_transform of every spectrum in a stack [r, ...] at once."""
+    values = np.fft.ifftn(coefficients, axes=_grid_axes(grid))
+    values /= grid.cell_volume
+    return values
+
+
 def _rank_chunks(grid: TorusGrid, rank: int, fields_per_member: int):
     """Slices of a rank axis whose complex fields fit FIELD_CHUNK_BYTES."""
     member_bytes = fields_per_member * grid.size * np.dtype(complex).itemsize

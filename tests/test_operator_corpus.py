@@ -208,13 +208,14 @@ class TestTracerBindings:
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_frame_draws_each_member_through_the_module_binding(self, rank, monkeypatch):
+        # One call per attempt draws all its members; the stream is the attempt.
         calls = []
         original = lplab.corpus.random_band_limited
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("stream", 0))
+            calls.append((kwargs.get("stream", 0), kwargs.get("count")))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(lplab.corpus, "random_band_limited", counted)
         random_orthonormal_frame(TorusGrid(1, TAU, 64), rank=rank, decay=1.0, seed=3)
-        assert calls == [0] * rank
+        assert calls == [(0, rank)]
