@@ -59,10 +59,8 @@ from .fock_operator import (
     diagonal_block_bound,
     fermi_sea,
     kinetic_trace,
-    load_operator,
     power_bounded,
     require_contract,
-    save_operator,
     validate_contract,
 )
 from .corpus import (
@@ -105,6 +103,6 @@ from .inequality_lab import (
     summed_block_density,
     tensor_khinchine_reports,
 )
-from .reporting import canonical_json, emit_report, format_float, read_json, write_json
+from .reporting import canonical_json, format_float, read_json, write_json
 
 __version__ = "0.1.0"

@@ -9,8 +9,11 @@ that table, so every cell a default or desk run judges is a calibrated cell.
 Every subcommand writes a deterministic JSON payload (sorted keys, 17-digit
 floats, no timestamps) and exits 0 when all configured invariants and
 envelopes pass, 1 when a mathematical check fails (the report is still
-written), and 2 on usage or configuration errors, among them a --config key
-the command does not take and a malformed --envelopes file.
+written), 2 on usage or configuration errors, among them a --config key
+the command does not take and a malformed --envelopes file, and 3 when
+nothing failed but some cell had no envelope to be judged against.  Such a
+cell reports "passed": null, the run's "pass" is null, and --out prints
+UNJUDGED.
 
 Flag resolution order: explicit flag > --config file entry > built-in
 default.  Every run is serial, in this process; --jobs is accepted and
@@ -57,7 +60,6 @@ from .inequality_lab import (
     lieb_thirring_check,
     load_envelopes,
     lt_chain_check,
-    parseval_square_ratio,
     require_counts,
     sequence_lemma_trials,
     tensor_khinchine_reports,
@@ -264,14 +266,11 @@ def _corpus_spec(command: str, settings: dict, rank: int | None = None) -> Corpu
     return CorpusSpec(section.corpus, int(settings["samples"]), int(settings["seed"]), params)
 
 
-def corpus_reports(
-    command: str, settings: dict, envelopes: dict, visit=None
-) -> list[RatioReport]:
+def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioReport]:
     """A corpus section's envelope estimates: one per exponent, for each rank.
 
     A section with ranks names its reports by rank and judges ranks above one
     against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.
-    ``visit`` goes to ``estimate_envelope``.
     """
     checker = SECTIONS[command].envelopes[0]
     grid = _grid_of(settings)
@@ -290,7 +289,6 @@ def corpus_reports(
                 _corpus_spec(command, settings, rank), checker, exponents, grid,
                 settings["family"], settings["profile"],
                 name=None if rank is None else f"{checker}_rank{rank}",
-                visit=visit,
             )
         )
     return reports
@@ -376,9 +374,16 @@ def calibration_runs() -> list[tuple[str, dict]]:
 # Subcommand handlers: each returns (results dict, passed, csv samples)
 
 
+def _verdict(*verdicts: bool | None) -> bool | None:
+    """False if any verdict failed, else None if any cell went unjudged, else True."""
+    if False in verdicts:
+        return False
+    return None if None in verdicts else True
+
+
 def _report_results(reports: list[RatioReport], passed: bool = True, **extra):
     results = {"reports": [r.to_dict() for r in reports], **extra}
-    passed = passed and all(r.passed for r in reports)
+    passed = _verdict(passed, *(r.passed for r in reports))
     return results, passed, [s for r in reports for s in r.samples]
 
 
@@ -414,21 +419,16 @@ def _cmd_partition(settings: dict, envelopes: dict):
 
 
 def _cmd_lp(settings: dict, envelopes: dict):
-    # The p = 2 ratios are checked against their Parseval closed form, taken
-    # on the members the envelope pass builds.
-    closed_forms = {}
-
-    def parseval(index, member, blocks):
-        closed_forms[index] = parseval_square_ratio(member, blocks)
-
-    squared = 2.0 in _exponents(settings)
-    reports = corpus_reports("lp", settings, envelopes, parseval if squared else None)
+    # The p = 2 ratios are checked against the Parseval closed form that the
+    # envelope pass computes on the same members and transforms.
+    reports = corpus_reports("lp", settings, envelopes)
     parseval_deviation = None
-    if squared:
+    if 2.0 in _exponents(settings):
         parseval_deviation = 0.0
         for sample in next(r for r in reports if r.p == 2.0).samples:
-            closed_form = closed_forms[sample.sample_id]
-            parseval_deviation = max(parseval_deviation, abs(sample.ratio - closed_form))
+            if sample.closed_form is not None:
+                deviation = abs(sample.ratio - sample.closed_form)
+                parseval_deviation = max(parseval_deviation, deviation)
     parseval_ok = parseval_deviation is None or parseval_deviation <= PARSEVAL_TOLERANCE
     return _report_results(reports, parseval_ok, parseval_deviation=parseval_deviation)
 
@@ -444,7 +444,9 @@ def _cmd_khinchine(settings: dict, envelopes: dict):
     pair_residual = abs(pair.lower_ratio - 1.0 / math.sqrt(2.0))
     spike = khinchine_tensor_ratio(np.array([[1.0]]), 1.0, SignEnsemble.exact())
     spike_residual = abs(spike.ratio - 1.0)
-    passed = all(r.passed for r in reports) and pair_residual <= 1e-12 and spike_residual == 0.0
+    passed = _verdict(
+        pair_residual <= 1e-12, spike_residual == 0.0, *(r.passed for r in reports)
+    )
     results = {
         "classical": [r.to_dict() for r in classical],
         "tensor": [r.to_dict() for r in tensor],
@@ -572,11 +574,14 @@ def _cmd_all(settings: dict, envelopes: dict):
         for label, section_settings in zip(section.desk, section_runs(command)[1:]):
             results, section_passed, _ = handler(section_settings, envelopes)
             sections[label] = {"results": results, "pass": section_passed}
-            passed = passed and section_passed
+            passed = _verdict(passed, section_passed)
     return sections, passed, None
 
 
 _HANDLERS = {**{command: _handler(command) for command in SECTIONS}, "all": _cmd_all}
+
+_VERDICT_WORDS = {True: "PASS", False: "FAIL", None: "UNJUDGED"}
+_EXIT_CODES = {True: 0, False: 1, None: 3}
 
 
 def run(argv=None) -> int:
@@ -615,7 +620,7 @@ def run(argv=None) -> int:
         if settings.get("out"):
             with open(settings["out"], "w") as handle:
                 handle.write(text)
-            print(f"{'PASS' if passed else 'FAIL'} {args.command} -> {settings['out']}")
+            print(f"{_VERDICT_WORDS[passed]} {args.command} -> {settings['out']}")
         else:
             sys.stdout.write(text)
         if settings.get("csv") and samples is not None and args.command != "partition":
@@ -623,7 +628,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
-    return 0 if passed else 1
+    return _EXIT_CODES[passed]
 
 
 def main() -> None:

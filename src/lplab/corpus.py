@@ -8,7 +8,6 @@ independent of generation order or worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -126,23 +125,32 @@ def wave_packet(
 def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt, two passes, in the quadrature inner product.
 
-    Right-looking: each pass normalizes pivot i, then takes its inner products
-    with every later row in one reduction over the (rank, N^d) view and
-    subtracts them in one in-place update.  Every row still meets its
-    projections in ascending pivot order and is then normalized, the same
-    operations in the same order as the left-looking per-pair loop.
+    ``vectors`` is one frame [rank, ...] or a stack of frames
+    [frames, rank, ...]; each frame is orthonormalized on its own.
+    Right-looking: each pass normalizes pivot i of every frame, then takes
+    its inner products with every later row in one reduction over the
+    (frames, rank, N^d) view and subtracts them in one in-place update.
+    Every row still meets its projections in ascending pivot order and is
+    then normalized, the same operations in the same order as the
+    left-looking per-pair loop on one frame.
     """
-    rows = np.array(vectors, dtype=complex, order="C").reshape(len(vectors), -1)
+    shape = np.shape(vectors)
+    rank = shape[-grid.dimension - 1]
+    frames = np.array(vectors, dtype=complex, order="C").reshape(-1, rank, grid.size)
+    cell_volume = grid.cell_volume
     for _pass in range(2):
-        for i, pivot in enumerate(rows):
-            norm = np.sqrt((grid.cell_volume * np.sum(np.conj(pivot) * pivot)).real)
-            if norm <= 0:
+        for i in range(rank):
+            pivot = frames[:, i]
+            norm = np.sqrt((cell_volume * (pivot.conj() * pivot).sum(axis=1)).real)
+            if (norm <= 0).any():
                 raise DegenerateInputError("frame vector collapsed to zero")
-            pivot /= norm
-            rest = rows[i + 1 :]
-            overlaps = grid.cell_volume * np.sum(np.conj(pivot) * rest, axis=1)
-            rest -= overlaps[:, None] * pivot
-    return rows.reshape(np.shape(vectors))
+            # Dividing by the norms cast to complex runs the same complex
+            # division as by a real scalar, without a buffered cast.
+            pivot /= norm[:, None].astype(complex)
+            rest = frames[:, i + 1 :]
+            overlaps = cell_volume * (pivot.conj()[:, None] * rest).sum(axis=2)
+            rest -= overlaps[:, :, None] * pivot[:, None]
+    return frames.reshape(shape)
 
 
 def random_orthonormal_frame(
@@ -161,9 +169,35 @@ def random_orthonormal_frame(
     With ``power_bound`` set to an exponent a, the eigenvalues are rescaled so
     the operator satisfies the power-bounded contract at that exponent (mean
     zero is forced for a != 0, where the bounding operator is singular or
-    degenerate on constants).
+    degenerate on constants).  Attempt t draws the frame's rank members in
+    one call, on substream t; a frame whose Gram check fails is redrawn.
     """
-    rank = int(rank)
+    return random_orthonormal_frames(
+        grid, rank, decay, seed, index, 1, weights, zero_mean, power_bound
+    )[0]
+
+
+def random_orthonormal_frames(
+    grid: TorusGrid,
+    rank: int,
+    decay: float,
+    seed: int,
+    index: int = 0,
+    count: int = 1,
+    weights: str = "uniform",
+    zero_mean: bool = False,
+    power_bound: float | None = None,
+) -> list[FiniteRankOperator]:
+    """Frames index, ..., index + count - 1, each the random_orthonormal_frame
+    of its index.
+
+    The first attempts of all frames are one pass: one random_band_limited
+    call draws the count * rank members (frame f owns members f * rank, ...,
+    f * rank + rank - 1), one Gram-Schmidt runs over the [count, rank, ...]
+    stack, and then each frame takes its own Gram check.  A frame that fails
+    it is redrawn alone, on the next substream.
+    """
+    rank, count = int(rank), int(count)
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     if rank > grid.size:
@@ -176,43 +210,55 @@ def random_orthonormal_frame(
             f"rank {rank} exceeds the {grid.size - 1} mean-zero lattice modes"
         )
 
-    rng = philox_generator(seed, LAMBDA_STREAM_INDEX + index)
+    indices = range(index, index + count)
     if weights == "uniform":
-        lambdas = rng.uniform(0.0, 1.0, size=rank)
+        keys = (LAMBDA_STREAM_INDEX + i for i in indices)
+        lambdas = [rng.uniform(0.0, 1.0, size=rank) for rng in _rekeyed_generators(seed, keys)]
     else:
-        lambdas = np.ones(rank)
+        lambdas = [np.ones(rank)] * count
     contract = UNIT_BALL if power_bound is None else power_bounded(power_bound)
 
-    # Each attempt draws its rank members in one call, on substream ``attempt``.
-    for attempt in range(GRAM_RETRY_LIMIT):
+    def attempt(member: int, stream: int, frames: int) -> np.ndarray:
         raw = random_band_limited(
             grid,
             decay,
             seed,
-            index=index * rank,
+            index=member * rank,
             zero_mean=force_zero_mean,
-            stream=attempt,
-            count=rank,
+            stream=stream,
+            count=frames * rank,
         )
-        op = FiniteRankOperator(grid, lambdas, _orthonormalize(grid, raw), contract=contract)
-        if op.gram_residual <= 1e-10:
-            break
-    else:
-        raise DegenerateInputError(
-            f"orthonormalization failed {GRAM_RETRY_LIMIT} times for seed "
-            f"{seed}, member {index}"
-        )
-    if power_bound is None:
-        return op
+        return _orthonormalize(grid, raw.reshape((frames, rank) + grid.shape))
 
-    # The rescaled operator shares the Gram residual and the forward stack
-    # this check computes, so its own checks transform nothing again.
+    result = []
+    for member, functions, eigenvalues in zip(indices, attempt(index, 0, count), lambdas):
+        op = FiniteRankOperator(grid, eigenvalues, functions, contract=contract)
+        stream = 1
+        while op.gram_residual > 1e-10:
+            if stream == GRAM_RETRY_LIMIT:
+                raise DegenerateInputError(
+                    f"orthonormalization failed {GRAM_RETRY_LIMIT} times for seed "
+                    f"{seed}, member {member}"
+                )
+            functions = attempt(member, stream, 1)[0]
+            op = FiniteRankOperator(grid, eigenvalues, functions, contract=contract)
+            stream += 1
+        result.append(op if power_bound is None else _power_scaled(op))
+    return result
+
+
+def _power_scaled(op: FiniteRankOperator) -> FiniteRankOperator:
+    """The frame with its eigenvalues rescaled into its power-bounded contract.
+
+    The rescaled operator shares the Gram residual and the forward stack
+    this check computes, so its own checks transform nothing again.
+    """
     top = validate_contract(op).checks["power_excess"] + 1.0
     if not np.isfinite(top) or top <= 0:
         raise DegenerateInputError(
             "frame cannot be scaled into the power-bounded contract"
         )
-    return op.reweighted(lambdas / top)
+    return op.reweighted(op.eigenvalues / top)
 
 
 def _spike_window(dimension: int, j_range) -> tuple[int, int]:
@@ -375,6 +421,45 @@ class CorpusSpec:
         lo, hi = _spike_window(dimension, p.get("j_range", (-10, 10)))
         return _spike_table(dimension, lo, hi, [philox_generator(self.seed, index)], 1)[0]
 
+    def members(self, grid: TorusGrid, start: int, count: int):
+        """Members start, ..., start + count - 1, as ``member`` builds them.
+
+        A band-limited corpus returns their values as one [count, ...] stack
+        from one draw, a frame corpus a list of operators built in one pass
+        (random_orthonormal_frames), and a wave-packet corpus a stack of
+        values built one member at a time.  Sea and sequence corpora have
+        no chunks: their members come from ``member`` alone.
+        """
+        if not (0 <= start and count >= 1 and start + count <= self.count):
+            raise IndexError(
+                f"members {start} .. {start + count - 1} outside [0, {self.count})"
+            )
+        if self.kind in ("fermi_sea", "spike_sequence"):
+            raise ConfigurationError(f"a {self.kind} corpus is not drawn in chunks")
+        p = self.params
+        if self.kind == "random_band_limited":
+            return random_band_limited(
+                grid,
+                decay=p.get("decay", 1.0),
+                seed=self.seed,
+                index=start,
+                zero_mean=bool(p.get("zero_mean", False)),
+                count=count,
+            )
+        if self.kind == "random_orthonormal_frame":
+            return random_orthonormal_frames(
+                grid,
+                rank=int(p.get("rank", 1)),
+                decay=p.get("decay", 1.0),
+                seed=self.seed,
+                index=start,
+                count=count,
+                weights=p.get("weights", "uniform"),
+                zero_mean=bool(p.get("zero_mean", False)),
+                power_bound=p.get("power_bound"),
+            )
+        return np.stack([self.member(grid, i).values for i in range(start, start + count)])
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -394,32 +479,3 @@ class CorpusSpec:
             )
         except KeyError as missing:
             raise ConfigurationError(f"corpus spec missing field {missing}") from None
-
-    @classmethod
-    def from_file(cls, path) -> "CorpusSpec":
-        """Read a spec from JSON or from simple key=value lines."""
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return cls.from_dict(json.loads(text))
-        data: dict = {"params": {}}
-        for line_number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"line {line_number} of {path} is not key=value: {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                parsed = json.loads(value)
-            except json.JSONDecodeError:
-                parsed = value
-            if key in ("kind", "count", "seed"):
-                data[key] = parsed
-            else:
-                data["params"][key] = parsed
-        return cls.from_dict(data)

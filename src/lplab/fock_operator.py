@@ -20,7 +20,6 @@ Contracts describe the operator bound a checker relies on:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +28,6 @@ import numpy as np
 from .dyadic_partition import DyadicBlockSet
 from .errors import ContractViolationError, GridMismatchError, ZeroModeSingularityError
 from .torus_grid import (
-    DEFAULT_SIZE_CAP,
     FIELD_CHUNK_BYTES,
     GridFunction,
     TorusGrid,
@@ -59,10 +57,6 @@ class OperatorContract:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "power": float(self.power)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OperatorContract":
-        return cls(data["kind"], float(data.get("power", 0.0)))
 
 
 NO_CONTRACT = OperatorContract("none")
@@ -351,56 +345,3 @@ def require_contract(op: FiniteRankOperator, contract: OperatorContract) -> Vali
             f"operator fails the {contract.kind} contract with margin {report.margin:.3e}"
         )
     return report
-
-
-FILE_SCHEMA_VERSION = 1
-
-
-def save_operator(op: FiniteRankOperator, path) -> None:
-    """Write a JSON header line followed by the raw eigenfunction array.
-
-    The binary payload is row-major complex128, little endian, which is byte
-    for byte the interleaved real/imaginary float64 layout.
-    """
-    header = {
-        "schema_version": FILE_SCHEMA_VERSION,
-        "kind": "finite_rank_operator",
-        "dimension": op.grid.dimension,
-        "box_length": float(op.grid.box_length),
-        "points_per_axis": op.grid.points_per_axis,
-        "rank": op.rank,
-        "eigenvalues": [float(v) for v in op.eigenvalues],
-        "contract": op.contract.to_dict(),
-    }
-    payload = np.ascontiguousarray(op.eigenfunctions.astype(np.dtype("<c16"), copy=False))
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        handle.write(b"\n")
-        handle.write(payload.tobytes(order="C"))
-
-
-def load_operator(path, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRankOperator:
-    with open(path, "rb") as handle:
-        header_line = handle.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("schema_version") != FILE_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported operator file schema {header.get('schema_version')!r}"
-            )
-        raw = handle.read()
-    grid = TorusGrid(
-        header["dimension"],
-        header["box_length"],
-        header["points_per_axis"],
-        size_cap=size_cap,
-    )
-    rank = int(header["rank"])
-    expected = rank * grid.size * np.dtype("<c16").itemsize
-    if len(raw) != expected:
-        raise ValueError(
-            f"operator payload has {len(raw)} bytes, expected {expected}"
-        )
-    functions = np.frombuffer(raw, dtype="<c16").reshape((rank,) + grid.shape).copy()
-    weights = np.asarray(header["eigenvalues"], dtype=float)
-    contract = OperatorContract.from_dict(header["contract"])
-    return FiniteRankOperator(grid, weights, functions, contract=contract)

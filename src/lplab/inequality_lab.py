@@ -18,7 +18,7 @@ from collections.abc import Sequence
 # Nothing here starts a process; the name stays bound because perfbench's
 # span tracer (perfbench/spans.py) patches it.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,15 +47,19 @@ from .fock_operator import (
     power_bounded,
     validate_contract,
 )
-from .projectors import project, project_companion, square_function
+from .projectors import project, project_companion
 from .torus_grid import (
     GridFunction,
     TorusGrid,
     abs_squared,
-    forward_transform,
+    block_energy_stack,
+    density_stack,
+    fft_stack,
+    field_chunks,
     inner_product,
-    kinetic_form,
+    kinetic_forms,
     lp_norm,
+    lp_norms,
     weighted_block_energy,
 )
 
@@ -231,7 +235,12 @@ def khinchine_tensor_ratio(matrix, p: float, ensemble: SignEnsemble) -> TensorKh
 
 @dataclass(frozen=True)
 class CheckSample:
-    """One corpus member's two sides and their ratio."""
+    """One corpus member's two sides and their ratio.
+
+    ``closed_form`` is the ratio's closed form where the checker computes
+    one (the Parseval form of the p = 2 square-function ratio); it is not
+    part of the report.
+    """
 
     sample_id: int
     rank: int
@@ -239,6 +248,7 @@ class CheckSample:
     rhs: float
     ratio: float
     degenerate: bool = False
+    closed_form: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -276,45 +286,123 @@ def _checked_exponents(checker: str, exponents) -> list[float]:
     return exponents
 
 
-def _norm_ratios(
-    lhs_field: GridFunction,
-    rhs_field: GridFunction,
-    exponents: list[float],
-    rank: int,
-    sample_id: int,
-) -> list[CheckSample]:
-    """One sample per exponent of ||lhs_field||_p / ||rhs_field||_p."""
-    samples = []
-    for p in exponents:
-        rhs = lp_norm(rhs_field, p)
-        if rhs == 0.0:
-            raise DegenerateInputError("zero input; the ratio is undefined")
-        lhs = lp_norm(lhs_field, p)
-        samples.append(CheckSample(sample_id, rank, lhs, rhs, lhs / rhs))
-    return samples
+# A sampler checks a chunk of members at every exponent in one pass.  It is
+# called as sampler(grid, chunk, exponents, blocks, first), where member m of
+# the chunk has sample id first + m, and returns two lists with one entry per
+# member: its samples, one per exponent, and None or the reason the member is
+# degenerate (then its samples are all marked degenerate).
 
 
-def _lp_function_samples(u, exponents, blocks, sample_id) -> list[CheckSample]:
-    exponents = _checked_exponents("lp", exponents)
-    return _norm_ratios(square_function(u, blocks), u, exponents, 1, sample_id)
+def _degenerate(sample_id: int, rank: int, exponents) -> list[CheckSample]:
+    return [CheckSample(sample_id, rank, 0.0, 0.0, math.inf, degenerate=True)] * len(exponents)
 
 
-def _lp_density_samples(op, exponents, blocks, sample_id) -> list[CheckSample]:
-    exponents = _checked_exponents("lp_density", exponents)
-    lhs_field = summed_block_density(op, blocks)
-    return _norm_ratios(lhs_field, density(op), exponents, op.rank, sample_id)
+def _norm_ratios(grid, lhs_fields, rhs_fields, exponents, rank, first):
+    """||lhs_m||_p / ||rhs_m||_p for each member m of two field stacks [c, ...].
+
+    Each side takes one |.|^p reduction per exponent over the whole stack.
+    A member whose rhs vanishes at any exponent is degenerate at all.
+    """
+    lhs_magnitudes, rhs_magnitudes = np.abs(lhs_fields), np.abs(rhs_fields)
+    lhs = [lp_norms(grid, lhs_magnitudes, p) for p in exponents]
+    rhs = [lp_norms(grid, rhs_magnitudes, p) for p in exponents]
+    members, reasons = [], []
+    for m in range(len(rhs_magnitudes)):
+        sides = [(norms[m], bounds[m]) for norms, bounds in zip(lhs, rhs)]
+        if any(bound == 0.0 for _, bound in sides):
+            members.append(_degenerate(first + m, rank, exponents))
+            reasons.append("zero input; the ratio is undefined")
+        else:
+            members.append(
+                [CheckSample(first + m, rank, norm, bound, norm / bound) for norm, bound in sides]
+            )
+            reasons.append(None)
+    return members, reasons
 
 
-def _gns_samples(u, exponents, blocks, sample_id) -> list[CheckSample]:
-    """The gns exponent is fixed by the dimension: one sample, under every label."""
-    return [gns_check(u, sample_id)] * len(exponents)
+def _parseval_ratios(blocks: DyadicBlockSet, spectra: np.ndarray) -> list[float | None]:
+    """The p = 2 closed form of each member, from its unnormalized spectrum.
+
+    By Parseval the ratio squared is the energy-weighted mean of
+    sum_j Psi_j(xi)^2 over the member's spectrum; None for a zero member.
+    """
+    grid = blocks.grid
+    energy = abs_squared(spectra * grid.cell_volume).reshape(len(spectra), -1)
+    weighted = np.sum(block_squared_sum(blocks).reshape(-1) * energy, axis=1)
+    totals = np.sum(energy, axis=1)
+    return [
+        math.sqrt(w / total) if total != 0.0 else None
+        for w, total in zip(weighted.tolist(), totals.tolist())
+    ]
+
+
+def _lp_function_samples(grid, values, exponents, blocks, first):
+    """Square-function samples of a stack of fields [c, ...].
+
+    One forward transform serves the block kernel and, at p = 2, the
+    Parseval closed form each p = 2 sample carries.
+    """
+    spectra = fft_stack(grid, values)[:, None]
+    energy = block_energy_stack(grid, spectra, np.ones((len(values), 1)), blocks.symbols)
+    members, reasons = _norm_ratios(grid, np.sqrt(energy), values, exponents, 1, first)
+    squared = [position for position, p in enumerate(exponents) if p == 2.0]
+    if squared:
+        closed_forms = _parseval_ratios(blocks, spectra[:, 0])
+        for samples, reason, closed_form in zip(members, reasons, closed_forms):
+            for position in squared if reason is None else ():
+                samples[position] = replace(samples[position], closed_form=closed_form)
+    return members, reasons
+
+
+def _lp_density_samples(grid, ops, exponents, blocks, first):
+    """Density samples of a list of operators of one rank."""
+    functions = np.stack([op.eigenfunctions for op in ops])
+    weights = np.stack([op.eigenvalues for op in ops])
+    lhs_fields = block_energy_stack(grid, fft_stack(grid, functions), weights, blocks.symbols)
+    rhs_fields = density_stack(grid, functions, weights)
+    return _norm_ratios(grid, lhs_fields, rhs_fields, exponents, ops[0].rank, first)
+
+
+def _gns_samples(grid, values, exponents, blocks, first):
+    """gns samples of a stack of fields [c, ...]: its exponent is fixed by the
+    dimension, so each member has one sample, under every label."""
+    d = grid.dimension
+    magnitudes = np.abs(values)
+    norms2 = lp_norms(grid, magnitudes, 2.0)
+    gradient_energies = kinetic_forms(grid, values, 1.0)
+    norms = lp_norms(grid, magnitudes, 2.0 + 4.0 / d)
+    members, reasons = [], []
+    for m, (norm2, gradient_energy, lhs) in enumerate(zip(norms2, gradient_energies, norms)):
+        reason = None
+        if norm2 == 0.0:
+            reason = "zero input; the ratio is undefined"
+        elif gradient_energy == 0.0:
+            reason = "constant input has no gradient energy; the comparison degenerates"
+        if reason is None:
+            rhs = norm2 ** (2.0 / (d + 2.0)) * gradient_energy ** (d / (2.0 * (d + 2.0)))
+            members.append([CheckSample(first + m, 1, lhs, rhs, lhs / rhs)] * len(exponents))
+        else:
+            members.append(_degenerate(first + m, 1, exponents))
+        reasons.append(reason)
+    return members, reasons
+
+
+def _one_member(sampled) -> CheckSample:
+    """The first sample of a one-member pass; raises if the member is degenerate."""
+    (samples,), (reason,) = sampled
+    if reason is not None:
+        raise DegenerateInputError(reason)
+    return samples[0]
 
 
 def lp_function_check(
     u: GridFunction, p: float, blocks: DyadicBlockSet, sample_id: int = 0
 ) -> CheckSample:
     """Square-function comparison: lhs = || (sum_j |P_j u|^2)^(1/2) ||_p, rhs = ||u||_p."""
-    return _lp_function_samples(u, [p], blocks, sample_id)[0]
+    exponents = _checked_exponents("lp", [p])
+    return _one_member(
+        _lp_function_samples(u.grid, u.values[None], exponents, blocks, sample_id)
+    )
 
 
 def parseval_square_ratio(u: GridFunction, blocks: DyadicBlockSet) -> float:
@@ -323,12 +411,10 @@ def parseval_square_ratio(u: GridFunction, blocks: DyadicBlockSet) -> float:
     By Parseval the ratio squared is the energy-weighted mean of
     sum_j Psi_j(xi)^2 over the spectrum of u.
     """
-    energy = abs_squared(forward_transform(u).coefficients)
-    weighted = float(np.sum(block_squared_sum(blocks) * energy))
-    total = float(np.sum(energy))
-    if total == 0.0:
+    (closed_form,) = _parseval_ratios(blocks, np.fft.fftn(u.values)[None])
+    if closed_form is None:
         raise DegenerateInputError("zero input; the ratio is undefined")
-    return math.sqrt(weighted / total)
+    return closed_form
 
 
 def summed_block_density(op: FiniteRankOperator, blocks: DyadicBlockSet) -> GridFunction:
@@ -343,7 +429,10 @@ def lp_density_check(
     op: FiniteRankOperator, p: float, blocks: DyadicBlockSet, sample_id: int = 0
 ) -> CheckSample:
     """Density comparison: lhs = ||sum_j rho_{P_j gamma P_j}||_p, rhs = ||rho_gamma||_p."""
-    return _lp_density_samples(op, [p], blocks, sample_id)[0]
+    if blocks.grid != op.grid:
+        raise GridMismatchError("operator and block set live on different grids")
+    exponents = _checked_exponents("lp_density", [p])
+    return _one_member(_lp_density_samples(op.grid, [op], exponents, blocks, sample_id))
 
 
 def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlockSet) -> float:
@@ -369,19 +458,7 @@ def gns_check(u: GridFunction, sample_id: int = 0) -> CheckSample:
 
     lhs = ||u||_{2+4/d}; rhs = ||u||_2^{2/(d+2)} * (gradient energy)^{d/(2(d+2))}.
     """
-    d = u.grid.dimension
-    p = 2.0 + 4.0 / d
-    norm2 = lp_norm(u, 2)
-    if norm2 == 0.0:
-        raise DegenerateInputError("zero input; the ratio is undefined")
-    gradient_energy = kinetic_form(u, 1)
-    if gradient_energy == 0.0:
-        raise DegenerateInputError(
-            "constant input has no gradient energy; the comparison degenerates"
-        )
-    lhs = lp_norm(u, p)
-    rhs = norm2 ** (2.0 / (d + 2.0)) * gradient_energy ** (d / (2.0 * (d + 2.0)))
-    return CheckSample(sample_id, 1, lhs, rhs, lhs / rhs)
+    return _one_member(_gns_samples(u.grid, u.values[None], [None], None, sample_id))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +846,7 @@ class RatioReport:
     ratio_max: float | None = None
     ratio_mean: float | None = None
     ratio_median: float | None = None
-    passed: bool = True
+    passed: bool | None = None
 
     def __post_init__(self) -> None:
         finite = [s.ratio for s in self.samples if not s.degenerate and math.isfinite(s.ratio)]
@@ -779,6 +856,7 @@ class RatioReport:
             self.ratio_max = max(finite)
             self.ratio_mean = statistics.fmean(finite)
             self.ratio_median = statistics.median(finite)
+        # Without an envelope the cell is unjudged: its verdict stays None.
         if self.envelope is not None and finite:
             lo, hi = self.envelope
             self.passed = lo <= self.ratio_min and self.ratio_max <= hi
@@ -904,21 +982,6 @@ _SAMPLERS = {
 }
 
 
-def _member_samples(
-    spec, grid, blocks, checker: str, exponents, index: int, visit
-) -> list[CheckSample]:
-    """One member's samples at every exponent; a degenerate member is degenerate at all."""
-    member = spec.member(grid, index)
-    try:
-        samples = _SAMPLERS[checker](member, exponents, blocks, index)
-    except DegenerateInputError:
-        rank = member.rank if isinstance(member, FiniteRankOperator) else 1
-        samples = [CheckSample(index, rank, 0.0, 0.0, math.inf, degenerate=True)] * len(exponents)
-    if visit is not None:
-        visit(index, member, blocks)
-    return samples
-
-
 def estimate_envelope(
     spec: CorpusSpec,
     checker: str,
@@ -927,16 +990,22 @@ def estimate_envelope(
     family: str = SMOOTH,
     profile_kind: str = "exp",
     name: str | None = None,
-    visit=None,
 ) -> list[RatioReport]:
     """Run one checker over a corpus at several exponents and aggregate the ratios.
 
     ``exponents`` is a sequence of (p, envelope) pairs; the result holds one
-    report per pair, in order.  Each member is built once and its fields
-    serve every exponent.  For "gns" the exponent is fixed by the dimension,
-    and p = None stands for it.  ``visit``, when given, is called as
-    visit(index, member, blocks) after each member's samples, so a caller can
-    check more on the same members without building them again.
+    report per pair, in order.  For "gns" the exponent is fixed by the
+    dimension, and p = None stands for it.
+
+    The corpus is evaluated in chunks of members whose block fields fit
+    torus_grid.FIELD_CHUNK_BYTES (one field per member for gns, one per block
+    and rank otherwise).  Each chunk is drawn in one ``CorpusSpec.members``
+    call and checked in one pass for every exponent: one forward and one
+    inverse transform for all its members and blocks, and one |.|^p
+    reduction per exponent and side.  Each member is built once and nothing
+    is called per member: a check that needs more of the members belongs in
+    the sampler.  An "lp" run that includes p = 2 gives each p = 2 sample its
+    Parseval closed form.
     """
     if checker not in _SAMPLERS:
         raise ConfigurationError(
@@ -951,12 +1020,16 @@ def estimate_envelope(
     else:
         ps = _checked_exponents(checker, ps)
     blocks = None
+    fields_per_member = 1
     if checker in ("lp", "lp_density"):
         profile = build_profile(profile_kind) if family == SMOOTH else None
         blocks = build_blocks(grid, family, profile)
-    members = [
-        _member_samples(spec, grid, blocks, checker, ps, i, visit) for i in range(spec.count)
-    ]
+        fields_per_member = blocks.block_count * int(spec.params.get("rank", 1))
+    members = []
+    for rows in field_chunks(grid, spec.count, fields_per_member):
+        start, stop = rows.start, min(rows.stop, spec.count)
+        chunk = spec.members(grid, start, stop - start)
+        members.extend(_SAMPLERS[checker](grid, chunk, ps, blocks, start)[0])
     grid_params = {
         "dimension": grid.dimension,
         "box_length": grid.box_length,

@@ -160,13 +160,3 @@ def write_samples_csv(samples, path) -> None:
             writer.writerow(
                 [s.sample_id, s.rank, format_float(s.lhs), format_float(s.rhs), ratio]
             )
-
-
-def emit_report(report, path, format: str = "json") -> None:
-    """Serialize one ratio report, either as JSON or as the per-sample CSV."""
-    if format == "json":
-        write_json(sanitize(report.to_dict()), path)
-    elif format == "csv":
-        write_samples_csv(report.samples, path)
-    else:
-        raise ValueError(f"unknown report format {format!r}; expected 'json' or 'csv'")

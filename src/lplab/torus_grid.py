@@ -229,34 +229,47 @@ def inverse_transform_stack(grid: TorusGrid, coefficients: np.ndarray) -> np.nda
     return values
 
 
-def _rank_chunks(grid: TorusGrid, rank: int, fields_per_member: int):
-    """Slices of a rank axis whose complex fields fit FIELD_CHUNK_BYTES."""
-    member_bytes = fields_per_member * grid.size * np.dtype(complex).itemsize
-    step = max(1, FIELD_CHUNK_BYTES // member_bytes)
-    return [slice(start, start + step) for start in range(0, rank, step)]
+def field_chunks(grid: TorusGrid, count: int, fields_per_item: int) -> list[slice]:
+    """Slices of an axis of ``count`` items whose complex fields fit FIELD_CHUNK_BYTES.
 
-
-def _weighted_energy(grid, values, weights, fields_per_member, fields) -> np.ndarray:
-    """sum_k weights_k |fields(values_k)|^2, summed over any per-member field axis.
-
-    ``fields`` maps a chunk [c, ...] of the stack to [c, ...] or to
-    [c, fields_per_member, ...].  Terms accumulate in ascending k.
+    Each item holds ``fields_per_item`` complex fields on the grid; a chunk
+    holds at least one item, and the last chunk may be partial.
     """
-    values = np.asarray(values)
+    item_bytes = fields_per_item * grid.size * np.dtype(complex).itemsize
+    step = max(1, FIELD_CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _weighted_energy(grid, weights, fields_per_member, fields) -> np.ndarray:
+    """sum_k weights[m, k] |fields_k|^2 for every member m of a stack, as [m, ...].
+
+    ``weights`` is [m, r]: one row of rank weights per member.  ``fields``
+    maps a slice of the rank axis to the chunk's fields, [m, c, ...] or
+    [m, c, fields_per_member, ...]; any per-rank field axis is summed.  The
+    rank axis is chunked so that every member's chunk fits FIELD_CHUNK_BYTES
+    together, and terms accumulate in ascending k.
+    """
     weights = np.asarray(weights, dtype=float)
-    acc = np.zeros(grid.shape)
-    for rows in _rank_chunks(grid, weights.size, fields_per_member):
-        energy = abs_squared(fields(values[rows]))
-        if energy.ndim > grid.dimension + 1:
-            energy = energy.sum(axis=1)
-        for weight, member_energy in zip(weights[rows], energy):
-            acc += weight * member_energy
+    count, rank = weights.shape
+    acc = np.zeros((count,) + grid.shape)
+    for rows in field_chunks(grid, rank, count * fields_per_member):
+        energy = abs_squared(fields(rows))
+        if energy.ndim > grid.dimension + 2:
+            energy = energy.sum(axis=2)
+        chunk_weights = weights[:, rows].reshape((count, -1) + (1,) * grid.dimension)
+        for k in range(chunk_weights.shape[1]):
+            acc += chunk_weights[:, k] * energy[:, k]
     return acc
+
+
+def density_stack(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
+    """weighted_density of every member of a stack: values [m, r, ...], weights [m, r]."""
+    return _weighted_energy(grid, weights, 1, lambda rows: values[:, rows])
 
 
 def weighted_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
     """sum_k weights_k |values_k(x)|^2 over a stack of grid fields [r, ...]."""
-    return _weighted_energy(grid, values, weights, 1, lambda chunk: chunk)
+    return density_stack(grid, np.asarray(values)[None], np.asarray(weights)[None])[0]
 
 
 def spectral_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
@@ -265,8 +278,40 @@ def spectral_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray
     By Parseval, L^{-d} sum_xi m(xi) w(xi) is sum_k weights_k <u_k, m(D) u_k>
     for any real multiplier m, with no inverse transform.
     """
+    stack = np.asarray(values)[None]
     return _weighted_energy(
-        grid, values, weights, 1, lambda chunk: forward_transform_stack(grid, chunk)
+        grid,
+        np.asarray(weights)[None],
+        1,
+        lambda rows: forward_transform_stack(grid, stack[:, rows]),
+    )[0]
+
+
+def fft_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Unnormalized transforms np.fft.fftn of a stack [..., N, .., N] over the grid axes.
+
+    These are the block kernel's input: its two transforms' integral
+    normalizations cancel, so neither is applied.
+    """
+    return np.fft.fftn(values, axes=_grid_axes(grid))
+
+
+def _block_fields(grid: TorusGrid, spectra: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """symbols_j(D) of every field of an unnormalized spectra stack [..., ...] as [..., J, ...]."""
+    blocks = np.expand_dims(spectra, -grid.dimension - 1) * symbols
+    return np.fft.ifftn(blocks, axes=_grid_axes(grid))
+
+
+def block_energy_stack(grid: TorusGrid, spectra: np.ndarray, weights, symbols) -> np.ndarray:
+    """weighted_block_energy of every member of a stack, as [m, ...].
+
+    ``spectra`` holds the members' fft_stack [m, r, ...] and ``weights`` is
+    [m, r].  Each chunk of the rank axis takes one batched inverse transform
+    for all members, ranks and blocks.
+    """
+    symbols = np.asarray(symbols)
+    return _weighted_energy(
+        grid, weights, len(symbols), lambda rows: _block_fields(grid, spectra[:, rows], symbols)
     )
 
 
@@ -278,17 +323,30 @@ def weighted_block_energy(
     ``values`` is a stack [r, ...] of grid fields and ``symbols`` a stack
     [J, ...] of multiplier tables in FFT layout.  Each chunk of the rank axis
     takes one batched forward and one batched inverse transform for all J
-    blocks.  The integral normalizations of the two transforms cancel, so
-    neither is applied.
+    blocks, so no transform of the whole stack is held at once.
     """
+    stack = np.asarray(values)[None]
     symbols = np.asarray(symbols)
-    axes = _grid_axes(grid)
+    return _weighted_energy(
+        grid,
+        np.asarray(weights)[None],
+        len(symbols),
+        lambda rows: _block_fields(grid, fft_stack(grid, stack[:, rows]), symbols),
+    )[0]
 
-    def block_fields(chunk):
-        spectra = np.fft.fftn(chunk, axes=axes)
-        return np.fft.ifftn(spectra[:, None] * symbols, axes=axes)
 
-    return _weighted_energy(grid, values, weights, len(symbols), block_fields)
+def lp_norms(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> list[float]:
+    """lp_norm of every field of a stack [m, ...], given as its magnitudes |f|.
+
+    The power sums take one array pass.  The root (.)^(1/p) is taken per
+    member on a Python float, with the C library's pow: numpy's SIMD power
+    differs from it in the last place on some inputs.
+    """
+    p = float(p)
+    if not p > 0:
+        raise ValueError(f"lp_norm requires p > 0, got {p}")
+    sums = grid.cell_volume * np.sum(magnitudes**p, axis=_grid_axes(grid))
+    return [total ** (1.0 / p) for total in sums.tolist()]
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -296,11 +354,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
     For p < 1 this is the usual quasinorm; no triangle inequality is implied.
     """
-    p = float(p)
-    if not p > 0:
-        raise ValueError(f"lp_norm requires p > 0, got {p}")
-    mag = np.abs(f.values)
-    return float((f.grid.cell_volume * np.sum(mag**p)) ** (1.0 / p))
+    return lp_norms(f.grid, np.abs(f.values)[None], p)[0]
 
 
 def inner_product(f: GridFunction, g: GridFunction):
@@ -333,6 +387,34 @@ def apply_symbol(f: GridFunction, symbol: SymbolLike) -> GridFunction:
     return inverse_transform(SpectrumFunction(grid, table * spectrum.coefficients))
 
 
+def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[float]:
+    """kinetic_form of every field of a stack [m, ...], from one batched transform.
+
+    A negative power raises if any field's zero-mode coefficient does not
+    vanish.
+    """
+    power = float(power)
+    count = len(values)
+    energy = abs_squared(forward_transform_stack(grid, values)).reshape(count, -1)
+    nsq = grid.frequency_norms_squared.reshape(-1)
+    if power < 0:
+        totals = np.sqrt(energy.sum(axis=1))
+        zero = np.sqrt(energy[:, np.flatnonzero(nsq == 0.0)[0]])
+        if np.any((totals > 0.0) & (zero > ZERO_MODE_RTOL * totals)):
+            raise ZeroModeSingularityError(
+                "zero-mode singularity: negative Laplacian power applied to a "
+                "function whose frequency-zero coefficient does not vanish"
+            )
+        weights = np.zeros(nsq.shape)
+        mask = nsq > 0
+        weights[mask] = nsq[mask] ** power
+    else:
+        # 0**power is 0 for power > 0 and 1 for power == 0, which is exactly
+        # the required zero-mode convention in both cases.
+        weights = nsq**power
+    return (np.sum(weights * energy, axis=1) / grid.volume).tolist()
+
+
 def kinetic_form(u: GridFunction, power: float) -> float:
     """Quadratic form of the fractional Laplacian, L^{-d} sum |xi|^(2 power) |coeffs|^2.
 
@@ -341,29 +423,7 @@ def kinetic_form(u: GridFunction, power: float) -> float:
     power < 0: requires the zero-mode coefficient to vanish (relative tolerance
     1e-10), otherwise the negative power is singular there.
     """
-    power = float(power)
-    grid = u.grid
-    coeffs = forward_transform(u).coefficients
-    energy = abs_squared(coeffs)
-    nsq = grid.frequency_norms_squared
-    zero = grid.zero_mode_index
-    if power < 0:
-        total = float(np.sqrt(energy.sum()))
-        if total == 0.0:
-            return 0.0
-        if np.sqrt(energy[zero]) > ZERO_MODE_RTOL * total:
-            raise ZeroModeSingularityError(
-                "zero-mode singularity: negative Laplacian power applied to a "
-                "function whose frequency-zero coefficient does not vanish"
-            )
-        weights = np.zeros(grid.shape)
-        mask = nsq > 0
-        weights[mask] = nsq[mask] ** power
-    else:
-        # 0**power is 0 for power > 0 and 1 for power == 0, which is exactly
-        # the required zero-mode convention in both cases.
-        weights = nsq**power
-    return float(np.sum(weights * energy) / grid.volume)
+    return kinetic_forms(u.grid, u.values[None], power)[0]
 
 
 def plane_wave(grid: TorusGrid, mode: Sequence[int], amplitude: complex = 1.0) -> GridFunction:

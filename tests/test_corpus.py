@@ -1,8 +1,6 @@
 """Seeded corpus generators: determinism, orthonormality, admissibility, and
 the declarative corpus spec."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -261,40 +259,6 @@ class TestCorpusSpec:
     def test_from_dict_missing_field(self):
         with pytest.raises(ConfigurationError, match="missing field"):
             CorpusSpec.from_dict({"kind": "fermi_sea", "count": 1})
-
-    def test_from_file_json(self, tmp_path):
-        path = tmp_path / "spec.json"
-        payload = {
-            "kind": "random_band_limited",
-            "count": 7,
-            "seed": 44,
-            "params": {"decay": 1.5, "zero_mean": True},
-        }
-        path.write_text(json.dumps(payload))
-        spec = CorpusSpec.from_file(path)
-        assert spec.count == 7
-        assert spec.params["zero_mean"] is True
-
-    def test_from_file_key_value(self, tmp_path):
-        path = tmp_path / "spec.txt"
-        path.write_text(
-            "# frame corpus\n"
-            "kind = random_orthonormal_frame\n"
-            "count = 5\n"
-            "seed = 45\n"
-            "rank = 4\n"
-            "weights = ones\n"
-        )
-        spec = CorpusSpec.from_file(path)
-        assert spec.kind == "random_orthonormal_frame"
-        assert spec.count == 5
-        assert spec.params == {"rank": 4, "weights": "ones"}
-
-    def test_from_file_rejects_garbage(self, tmp_path):
-        path = tmp_path / "spec.txt"
-        path.write_text("kind random_band_limited\n")
-        with pytest.raises(ConfigurationError, match="key=value"):
-            CorpusSpec.from_file(path)
 
 
 class TestDegenerateFrames:

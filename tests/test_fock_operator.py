@@ -1,7 +1,5 @@
-"""Finite-rank operators: densities, kinetic traces, Fermi seas, contract
-validation, and the operator file format."""
-
-import json
+"""Finite-rank operators: densities, kinetic traces, Fermi seas and contract
+validation."""
 
 import numpy as np
 import pytest
@@ -21,12 +19,10 @@ from lplab import (
     diagonal_block_bound,
     fermi_sea,
     kinetic_trace,
-    load_operator,
     plane_wave,
     power_bounded,
     random_orthonormal_frame,
     require_contract,
-    save_operator,
     unit_ball_volume,
     validate_contract,
 )
@@ -262,50 +258,3 @@ class TestContracts:
         report = validate_contract(bad)
         assert not report.passed
         np.testing.assert_allclose(report.margin, 0.5, atol=1e-10)
-
-
-class TestOperatorFiles:
-    def test_round_trip_is_bitwise(self, grid2, tmp_path):
-        op = random_orthonormal_frame(grid2, rank=3, decay=0.9, seed=91)
-        path = tmp_path / "op.lpo"
-        save_operator(op, path)
-        back = load_operator(path)
-        assert back.grid == op.grid
-        np.testing.assert_array_equal(back.eigenvalues, op.eigenvalues)
-        np.testing.assert_array_equal(back.eigenfunctions, op.eigenfunctions)
-        assert back.contract == op.contract
-
-    def test_contract_survives_round_trip(self, grid1, tmp_path):
-        op = wave_operator(grid1, [[1]], [0.5], contract=power_bounded(-0.25))
-        path = tmp_path / "op.lpo"
-        save_operator(op, path)
-        assert load_operator(path).contract == power_bounded(-0.25)
-
-    def test_unknown_schema_rejected(self, grid1, tmp_path):
-        op = wave_operator(grid1, [[1]], [1.0])
-        path = tmp_path / "op.lpo"
-        save_operator(op, path)
-        with open(path, "rb") as handle:
-            header = json.loads(handle.readline())
-            body = handle.read()
-        header["schema_version"] = 99
-        with open(path, "wb") as handle:
-            handle.write(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
-        with pytest.raises(ValueError, match="schema"):
-            load_operator(path)
-
-    def test_truncated_payload_rejected(self, grid1, tmp_path):
-        op = wave_operator(grid1, [[1]], [1.0])
-        path = tmp_path / "op.lpo"
-        save_operator(op, path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(ValueError, match="payload"):
-            load_operator(path)
-
-    def test_loaded_grid_respects_size_cap(self, grid1, tmp_path):
-        op = wave_operator(grid1, [[1]], [1.0])
-        path = tmp_path / "op.lpo"
-        save_operator(op, path)
-        with pytest.raises(ValueError, match="size cap"):
-            load_operator(path, size_cap=128)

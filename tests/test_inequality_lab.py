@@ -496,7 +496,7 @@ class TestRatioReport:
         assert report.ratio_max == 1.5
         np.testing.assert_allclose(report.ratio_mean, 1.0)
         np.testing.assert_allclose(report.ratio_median, 1.0)
-        assert report.passed  # no envelope attached
+        assert report.passed is None  # no envelope attached: unjudged
 
     def test_envelope_gates_pass(self):
         inside = RatioReport(

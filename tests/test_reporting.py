@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lplab import CheckSample, canonical_json, format_float, read_json, write_json
-from lplab.reporting import emit_report, sanitize, write_samples_csv
+from lplab.reporting import sanitize, write_samples_csv
 
 
 class TestFloatFormatting:
@@ -96,21 +96,3 @@ class TestSamplesCsv:
         write_samples_csv(self.samples(), path)
         data = path.read_bytes()
         assert b"\r" not in data
-
-    def test_emit_report_formats(self, tmp_path):
-        from lplab import RatioReport
-
-        report = RatioReport(
-            name="lp", p=2.0, family="smooth", profile_kind="exp",
-            grid=None, seed=1, samples=self.samples(),
-        )
-        json_path = tmp_path / "report.json"
-        emit_report(report, json_path)
-        parsed = read_json(json_path)
-        assert parsed["name"] == "lp"
-        assert parsed["sample_count"] == 2
-        csv_path = tmp_path / "report.csv"
-        emit_report(report, csv_path, format="csv")
-        assert csv_path.read_text().startswith("sample_id")
-        with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(report, tmp_path / "report.xml", format="xml")

@@ -275,18 +275,19 @@ class TestSectionsBuildOnce:
 
     @pytest.mark.parametrize("ps,closed_form", [(["2"], True), (["1.5", "3"], False)])
     def test_lp_builds_each_member_once(self, monkeypatch, ps, closed_form):
-        built = []
-        original = lplab.corpus.CorpusSpec.member
+        drawn = []
+        original = lplab.corpus.random_band_limited
 
-        def counted(spec, grid, index):
-            built.append(index)
-            return original(spec, grid, index)
+        def counted(*args, **kwargs):
+            drawn.extend(range(kwargs["index"], kwargs["index"] + kwargs["count"]))
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(lplab.corpus.CorpusSpec, "member", counted)
+        monkeypatch.setattr(lplab.corpus, "random_band_limited", counted)
         argv = ["lp", "--samples", "20"] + [arg for p in ps for arg in ("--p", p)]
         code, text = _run(argv)
         assert code == 0
-        assert built == list(range(20))
+        # The 20 members fit one chunk: one draw covers each of them once.
+        assert drawn == list(range(20))
         deviation = json.loads(text)["results"]["parseval_deviation"]
         assert (deviation is not None) == closed_form
         if closed_form:

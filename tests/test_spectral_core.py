@@ -243,15 +243,15 @@ class TestTransformCounts:
         assert fft_calls["ifftn"] == 0
 
     def test_envelope_builds_each_member_once(self, small1, monkeypatch):
-        built = []
-        original = lplab.corpus.CorpusSpec.member
+        drawn = []
+        original = lplab.corpus.random_band_limited
 
-        def counted(spec, grid, index):
-            built.append(index)
-            return original(spec, grid, index)
+        def counted(*args, **kwargs):
+            drawn.append((kwargs["index"], kwargs["count"]))
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(lplab.corpus.CorpusSpec, "member", counted)
+        monkeypatch.setattr(lplab.corpus, "random_band_limited", counted)
         spec = CorpusSpec("random_band_limited", count=5, seed=65, params={"decay": 1.0})
         reports = estimate_envelope(spec, "lp", [(1.5, None), (2.0, None), (3.0, None)], small1)
         assert [r.p for r in reports] == [1.5, 2.0, 3.0]
-        assert built == [0, 1, 2, 3, 4]
+        assert drawn == [(0, 5)]
