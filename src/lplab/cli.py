@@ -7,13 +7,20 @@ sections of ``lplab all`` and ``scripts/calibrate_envelopes.py`` all read
 that table, so every cell a default or desk run judges is a calibrated cell.
 
 Every subcommand writes a deterministic JSON payload (sorted keys, 17-digit
-floats, no timestamps) and exits 0 when all configured invariants and
-envelopes pass, 1 when a mathematical check fails (the report is still
-written), 2 on usage or configuration errors, among them a --config key
-the command does not take and a malformed --envelopes file, and 3 when
-nothing failed but some cell had no envelope to be judged against.  Such a
-cell reports "passed": null, the run's "pass" is null, and --out prints
-UNJUDGED.
+floats, no timestamps) in report schema 2: each envelope-judged cell holds
+its sample count, the min, max, mean and median ratio, the sample ids of
+the min and the max, its envelope and its verdict, and the payload's
+"unjudged" counts the cells without a verdict.  The per-sample rows go to
+--csv, not into the report.
+
+Exit codes: 0 when all configured invariants and envelopes pass; 1 when a
+mathematical check fails or a check raises inside the run (the report is
+still written, with the error under "results"); 2 on usage or
+configuration errors (ConfigurationError), among them a bad grid, an
+exponent below a checker's floor, a zero count, a --config key the command
+does not take and a malformed --envelopes file; and 3 when nothing failed
+but some cell had no envelope to be judged against.  Such a cell reports
+"passed": null, the run's "pass" is null, and --out prints UNJUDGED.
 
 Flag resolution order: explicit flag > --config file entry > built-in
 default.  Every run is serial, in this process; --jobs is accepted and
@@ -40,13 +47,7 @@ from .dyadic_partition import (
     build_profile,
     write_block_table_csv,
 )
-from .errors import (
-    ConfigurationError,
-    ContractViolationError,
-    DegenerateInputError,
-    UnsupportedFamilyError,
-    ZeroModeSingularityError,
-)
+from .errors import ConfigurationError, UnsupportedFamilyError
 from .inequality_lab import (
     RatioReport,
     SignEnsemble,
@@ -69,7 +70,9 @@ from .torus_grid import TorusGrid
 
 TAU = 2.0 * math.pi
 
-SCHEMA_VERSION = 1
+# 2: cells carry aggregates and the min/max sample ids, not per-sample
+# lists, and the payload counts its unjudged cells.
+SCHEMA_VERSION = 2
 
 PARTITION_TOLERANCE = 1e-12
 PARSEVAL_TOLERANCE = 1e-12
@@ -578,6 +581,16 @@ def _cmd_all(settings: dict, envelopes: dict):
     return sections, passed, None
 
 
+def _unjudged_cells(results) -> int:
+    """The envelope-judged cells of a results tree whose verdict is None."""
+    if isinstance(results, dict):
+        own = "envelope" in results and results.get("passed") is None
+        return own + sum(_unjudged_cells(value) for value in results.values())
+    if isinstance(results, list):
+        return sum(_unjudged_cells(value) for value in results)
+    return 0
+
+
 _HANDLERS = {**{command: _handler(command) for command in SECTIONS}, "all": _cmd_all}
 
 _VERDICT_WORDS = {True: "PASS", False: "FAIL", None: "UNJUDGED"}
@@ -601,11 +614,12 @@ def run(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         results, passed, samples = handler(settings, envelopes)
-    except (ContractViolationError, DegenerateInputError, ZeroModeSingularityError) as exc:
-        results, passed, samples = {"error": str(exc)}, False, None
-    except (ConfigurationError, UnsupportedFamilyError, ValueError) as exc:
+    except (ConfigurationError, UnsupportedFamilyError) as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # A check that raises fails the run; it is not a usage error.
+        results, passed, samples = {"error": str(exc)}, False, None
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -614,6 +628,7 @@ def run(argv=None) -> int:
         | {"rng": "philox4x64"},
         "results": results,
         "pass": passed,
+        "unjudged": _unjudged_cells(results),
     }
     text = canonical_json(sanitize(payload))
     try:

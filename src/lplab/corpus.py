@@ -199,14 +199,14 @@ def random_orthonormal_frames(
     """
     rank, count = int(rank), int(count)
     if rank < 1:
-        raise ValueError(f"rank must be at least 1, got {rank}")
+        raise ConfigurationError(f"rank must be at least 1, got {rank}")
     if rank > grid.size:
-        raise ValueError(f"rank {rank} exceeds the {grid.size} lattice modes")
+        raise ConfigurationError(f"rank {rank} exceeds the {grid.size} lattice modes")
     if weights not in ("uniform", "ones"):
-        raise ValueError(f"unknown weight law {weights!r}")
+        raise ConfigurationError(f"unknown weight law {weights!r}")
     force_zero_mean = zero_mean or (power_bound is not None and power_bound != 0.0)
     if force_zero_mean and rank > grid.size - 1:
-        raise ValueError(
+        raise ConfigurationError(
             f"rank {rank} exceeds the {grid.size - 1} mean-zero lattice modes"
         )
 
@@ -264,9 +264,9 @@ def _power_scaled(op: FiniteRankOperator) -> FiniteRankOperator:
 def _spike_window(dimension: int, j_range) -> tuple[int, int]:
     lo, hi = int(j_range[0]), int(j_range[1])
     if hi < lo:
-        raise ValueError(f"empty index range [{lo}, {hi}]")
+        raise ConfigurationError(f"empty index range [{lo}, {hi}]")
     if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+        raise ConfigurationError(f"dimension must be 1, 2 or 3, got {dimension}")
     return lo, hi
 
 

@@ -26,7 +26,12 @@ from functools import cached_property
 import numpy as np
 
 from .dyadic_partition import DyadicBlockSet
-from .errors import ContractViolationError, GridMismatchError, ZeroModeSingularityError
+from .errors import (
+    ConfigurationError,
+    ContractViolationError,
+    GridMismatchError,
+    ZeroModeSingularityError,
+)
 from .torus_grid import (
     FIELD_CHUNK_BYTES,
     GridFunction,
@@ -215,11 +220,11 @@ def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
     """
     mu = float(chemical_potential)
     if mu <= 0:
-        raise ValueError(f"chemical potential must be positive, got {mu}")
+        raise ConfigurationError(f"chemical potential must be positive, got {mu}")
     nsq_flat = grid.frequency_norms_squared.reshape(-1)
     selected = np.flatnonzero(nsq_flat <= mu)
     if selected.size == 0:
-        raise ValueError("no lattice modes under the chemical potential")
+        raise ConfigurationError("no lattice modes under the chemical potential")
     order = np.lexsort((selected, nsq_flat[selected]))
     modes = selected[order]
 

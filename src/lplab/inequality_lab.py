@@ -23,7 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusSpec, philox_generator, single_spike, spike_sequences
+from .corpus import (
+    CorpusSpec,
+    _rekeyed_generators,
+    philox_generator,
+    single_spike,
+    spike_sequences,
+)
 from .dyadic_partition import (
     SMOOTH,
     DyadicBlockSet,
@@ -49,6 +55,7 @@ from .fock_operator import (
 )
 from .projectors import project, project_companion
 from .torus_grid import (
+    FIELD_CHUNK_BYTES,
     GridFunction,
     TorusGrid,
     abs_squared,
@@ -97,9 +104,9 @@ class SignEnsemble:
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "monte_carlo"):
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
+            raise ConfigurationError(f"unknown ensemble mode {self.mode!r}")
         if self.mode == "monte_carlo" and self.samples < 1:
-            raise ValueError("monte_carlo ensembles need at least one sample")
+            raise ConfigurationError("monte_carlo ensembles need at least one sample")
 
     @classmethod
     def exact(cls) -> "SignEnsemble":
@@ -121,7 +128,7 @@ def _sign_blocks(count: int, ensemble: SignEnsemble):
     """Yield sign matrices covering the ensemble in a fixed order."""
     if ensemble.mode == "exact":
         if count > EXACT_ENUMERATION_CAP:
-            raise ValueError(
+            raise ConfigurationError(
                 f"exact enumeration supports at most {EXACT_ENUMERATION_CAP} "
                 f"terms, got {count}"
             )
@@ -138,6 +145,11 @@ def _sign_blocks(count: int, ensemble: SignEnsemble):
             remaining -= block
 
 
+def _ensemble_rows(count: int, ensemble: SignEnsemble) -> int:
+    """The number of sign vectors the ensemble averages over."""
+    return (1 << count) if ensemble.mode == "exact" else ensemble.samples
+
+
 def _sign_table(count: int, ensemble: SignEnsemble):
     """A function returning the ensemble's sign matrices, cast to complex, in order.
 
@@ -149,8 +161,7 @@ def _sign_table(count: int, ensemble: SignEnsemble):
     def build():
         return (rows.astype(complex) for rows in _sign_blocks(count, ensemble))
 
-    rows = (1 << count) if ensemble.mode == "exact" else ensemble.samples
-    if rows * count * 16 > SIGN_TABLE_BYTES:
+    if _ensemble_rows(count, ensemble) * count * 16 > SIGN_TABLE_BYTES:
         return build
     kept = list(build())
     return lambda: kept
@@ -239,7 +250,7 @@ class CheckSample:
 
     ``closed_form`` is the ratio's closed form where the checker computes
     one (the Parseval form of the p = 2 square-function ratio); it is not
-    part of the report.
+    written to the per-sample CSV.
     """
 
     sample_id: int
@@ -249,28 +260,6 @@ class CheckSample:
     ratio: float
     degenerate: bool = False
     closed_form: float | None = field(default=None, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "rank": self.rank,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio if math.isfinite(self.ratio) else None,
-            "degenerate": self.degenerate,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckSample":
-        ratio = data["ratio"]
-        return cls(
-            sample_id=int(data["sample_id"]),
-            rank=int(data["rank"]),
-            lhs=float(data["lhs"]),
-            rhs=float(data["rhs"]),
-            ratio=math.inf if ratio is None else float(ratio),
-            degenerate=bool(data["degenerate"]),
-        )
 
 
 _EXPONENT_FLOORS = {"lp": (1.0, "1"), "lp_density": (0.5, "1/2")}
@@ -282,7 +271,7 @@ def _checked_exponents(checker: str, exponents) -> list[float]:
     exponents = [float(p) for p in exponents]
     for p in exponents:
         if not p > floor:
-            raise ValueError(f"the {checker} check requires p > {label}, got {p}")
+            raise ConfigurationError(f"the {checker} check requires p > {label}, got {p}")
     return exponents
 
 
@@ -643,7 +632,7 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     nsq = grid.frequency_norms_squared.reshape(-1)
     below = nsq[nsq <= mu]
     if below.size == 0:
-        raise ValueError("no lattice modes under the chemical potential")
+        raise ConfigurationError("no lattice modes under the chemical potential")
     rank = int(below.size)
     kinetic = float(below.sum())
     exponent = _lt_exponent(grid.dimension, 0.0, 1.0)
@@ -744,7 +733,7 @@ def _sequence_lemma_rows(indices: np.ndarray, table: np.ndarray, dimension: int)
     """
     d = int(dimension)
     if d not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
+        raise ConfigurationError(f"dimension must be 1, 2 or 3, got {d}")
     caps = np.ldexp(1.0, indices * d)
     violations = np.argwhere((table < 0) | (table > caps * (1.0 + 1e-12)))
     if violations.size:
@@ -831,7 +820,13 @@ def sequence_lemma_trials(
 
 @dataclass
 class RatioReport:
-    """Aggregated per-sample ratios for one inequality at one exponent."""
+    """Aggregated per-sample ratios for one inequality at one exponent.
+
+    The aggregates, and the ids of the samples at the minimum and the
+    maximum (the lowest id on a tie), read only the finite ratios of
+    non-degenerate samples.  ``samples`` stays in memory for the CSV rows;
+    the report cell (``to_dict``) carries only the aggregates.
+    """
 
     name: str
     p: float | None
@@ -846,16 +841,21 @@ class RatioReport:
     ratio_max: float | None = None
     ratio_mean: float | None = None
     ratio_median: float | None = None
+    min_sample_id: int | None = None
+    max_sample_id: int | None = None
     passed: bool | None = None
 
     def __post_init__(self) -> None:
-        finite = [s.ratio for s in self.samples if not s.degenerate and math.isfinite(s.ratio)]
+        finite = [s for s in self.samples if not s.degenerate and math.isfinite(s.ratio)]
         self.degenerate_count = sum(1 for s in self.samples if s.degenerate)
         if finite:
-            self.ratio_min = min(finite)
-            self.ratio_max = max(finite)
-            self.ratio_mean = statistics.fmean(finite)
-            self.ratio_median = statistics.median(finite)
+            ratios = [s.ratio for s in finite]
+            self.ratio_min = min(ratios)
+            self.ratio_max = max(ratios)
+            self.ratio_mean = statistics.fmean(ratios)
+            self.ratio_median = statistics.median(ratios)
+            self.min_sample_id = min(s.sample_id for s in finite if s.ratio == self.ratio_min)
+            self.max_sample_id = min(s.sample_id for s in finite if s.ratio == self.ratio_max)
         # Without an envelope the cell is unjudged: its verdict stays None.
         if self.envelope is not None and finite:
             lo, hi = self.envelope
@@ -883,23 +883,11 @@ class RatioReport:
                 "mean": self.ratio_mean,
                 "median": self.ratio_median,
             },
+            "min_sample_id": self.min_sample_id,
+            "max_sample_id": self.max_sample_id,
             "envelope": list(self.envelope) if self.envelope is not None else None,
             "passed": self.passed,
-            "samples": [s.to_dict() for s in self.samples],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RatioReport":
-        return cls(
-            name=data["name"],
-            p=data["p"],
-            family=data["family"],
-            profile_kind=data["profile_kind"],
-            grid=data["grid"],
-            seed=int(data["seed"]),
-            samples=[CheckSample.from_dict(s) for s in data["samples"]],
-            envelope=tuple(data["envelope"]) if data["envelope"] is not None else None,
-        )
 
 
 def load_envelopes(path=None, names=None) -> dict:
@@ -1050,6 +1038,53 @@ def estimate_envelope(
     ]
 
 
+def _sign_sum_moments(shape, count, seed, ensemble, magnitudes, exponents):
+    """Draw ``count`` random complex coefficient arrays of ``shape`` and take
+    their sign-sum moments.
+
+    Array i is g1 + i g2 with [g1, g2] drawn from philox_generator(seed, i);
+    all of them are drawn into one [count, 2, *shape] table.  Returns each
+    array's l2 mass sum |a|^2 and, per exponent p, each array's E|S|^p over
+    the ensemble, where S are the sums ``magnitudes(a, signs)`` takes.
+
+    The sign sum stays one product per array; the moments take one
+    np.mean(|S|^p, axis=1) per exponent over a [chunk, rows] table of the
+    magnitudes of a chunk of arrays that fits FIELD_CHUNK_BYTES, or of one
+    array when its rows alone do not.
+    """
+    draws = np.empty((count, 2) + shape)
+    for row, rng in zip(draws, _rekeyed_generators(seed, range(count))):
+        rng.standard_normal(out=row)
+    coefficients = draws[:, 0] + 1j * draws[:, 1]
+    masses = np.sum(abs_squared(coefficients).reshape(count, -1), axis=1)
+    sign_count = max(shape)
+    signs = _sign_table(sign_count, ensemble)
+    table_row_bytes = _ensemble_rows(sign_count, ensemble) * np.dtype(float).itemsize
+    step = max(1, FIELD_CHUNK_BYTES // table_row_bytes)
+    moments = np.empty((len(exponents), count))
+    for start in range(0, count, step):
+        table = np.stack([magnitudes(a, signs) for a in coefficients[start : start + step]])
+        for k, p in enumerate(exponents):
+            moments[k, start : start + len(table)] = np.mean(table**p, axis=1)
+    return masses.tolist(), moments.tolist()
+
+
+def _sign_sum_reports(name, exponents, samples, seed, envelopes) -> list[RatioReport]:
+    return [
+        RatioReport(
+            name=name,
+            p=p,
+            family="none",
+            profile_kind="none",
+            grid=None,
+            seed=seed,
+            samples=p_samples,
+            envelope=envelope_for(envelopes, name, 0, p) if envelopes else None,
+        )
+        for p, p_samples in zip(exponents, samples)
+    ]
+
+
 def khinchine_reports(
     n_terms: int,
     p_list,
@@ -1065,38 +1100,19 @@ def khinchine_reports(
     ratio bounds both constants.
     """
     require_counts(term_count=n_terms, sample_count=count)
-    if ensemble is None:
-        ensemble = SignEnsemble.exact()
-    signs = _sign_table(n_terms, ensemble)
-    per_p: dict[float, list[CheckSample]] = {float(p): [] for p in p_list}
-    for index in range(count):
-        rng = philox_generator(seed, index)
-        draws = rng.standard_normal(size=(2, n_terms))
-        coefficients = draws[0] + 1j * draws[1]
-        magnitudes = _linear_sum_magnitudes(coefficients, signs)
-        l2 = float(np.sum(abs_squared(coefficients)))
-        for p in per_p:
-            expectation = float(np.mean(magnitudes**p))
+    exponents = list(dict.fromkeys(float(p) for p in p_list))
+    masses, moments = _sign_sum_moments(
+        (n_terms,), count, seed, ensemble or SignEnsemble.exact(),
+        _linear_sum_magnitudes, exponents,
+    )
+    samples = []
+    for p, expectations in zip(exponents, moments):
+        p_samples = []
+        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
             l2_power = l2 ** (p / 2.0)
-            per_p[p].append(
-                CheckSample(index, 1, expectation, l2_power, expectation / l2_power)
-            )
-    reports = []
-    for p, samples in per_p.items():
-        envelope = envelope_for(envelopes, "khinchine", 0, p) if envelopes else None
-        reports.append(
-            RatioReport(
-                name="khinchine",
-                p=p,
-                family="none",
-                profile_kind="none",
-                grid=None,
-                seed=seed,
-                samples=samples,
-                envelope=envelope,
-            )
-        )
-    return reports
+            p_samples.append(CheckSample(index, 1, expectation, l2_power, expectation / l2_power))
+        samples.append(p_samples)
+    return _sign_sum_reports("khinchine", exponents, samples, seed, envelopes)
 
 
 def tensor_khinchine_reports(
@@ -1109,37 +1125,18 @@ def tensor_khinchine_reports(
 ) -> list[RatioReport]:
     """Tensor sign-sum comparison over random complex square matrices."""
     require_counts(term_count=n_terms, sample_count=count)
-    if ensemble is None:
-        ensemble = SignEnsemble.exact()
-    signs = _sign_table(n_terms, ensemble)
-    per_p: dict[float, list[CheckSample]] = {float(p): [] for p in p_list}
-    for index in range(count):
-        rng = philox_generator(seed, index)
-        draws = rng.standard_normal(size=(2, n_terms, n_terms))
-        matrix = draws[0] + 1j * draws[1]
-        magnitudes = _tensor_sum_magnitudes(matrix, signs)
-        l2 = float(np.sum(abs_squared(matrix)))
-        for p in per_p:
-            expectation = float(np.mean(magnitudes**p))
+    exponents = list(dict.fromkeys(float(p) for p in p_list))
+    masses, moments = _sign_sum_moments(
+        (n_terms, n_terms), count, seed, ensemble or SignEnsemble.exact(),
+        _tensor_sum_magnitudes, exponents,
+    )
+    samples = []
+    for p, expectations in zip(exponents, moments):
+        p_samples = []
+        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
             l2_power = l2 ** (p / 2.0)
             degenerate = expectation < DEGENERACY_RTOL * l2_power
             ratio = math.inf if degenerate else l2_power / expectation
-            per_p[p].append(
-                CheckSample(index, 1, l2_power, expectation, ratio, degenerate)
-            )
-    reports = []
-    for p, samples in per_p.items():
-        envelope = envelope_for(envelopes, "khinchine_tensor", 0, p) if envelopes else None
-        reports.append(
-            RatioReport(
-                name="khinchine_tensor",
-                p=p,
-                family="none",
-                profile_kind="none",
-                grid=None,
-                seed=seed,
-                samples=samples,
-                envelope=envelope,
-            )
-        )
-    return reports
+            p_samples.append(CheckSample(index, 1, l2_power, expectation, ratio, degenerate))
+        samples.append(p_samples)
+    return _sign_sum_reports("khinchine_tensor", exponents, samples, seed, envelopes)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import GridMismatchError, ZeroModeSingularityError
+from .errors import ConfigurationError, GridMismatchError, ZeroModeSingularityError
 
 DEFAULT_SIZE_CAP = 2**24
 
@@ -69,13 +69,13 @@ class TorusGrid:
     def __post_init__(self) -> None:
         d, length, n = self.dimension, self.box_length, self.points_per_axis
         if d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {d}")
+            raise ConfigurationError(f"dimension must be 1, 2 or 3, got {d}")
         if not length > 0:
-            raise ValueError(f"box_length must be positive, got {length}")
+            raise ConfigurationError(f"box_length must be positive, got {length}")
         if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
+            raise ConfigurationError(f"points_per_axis must be a power of two >= 8, got {n}")
         if n**d > self.size_cap:
-            raise ValueError(
+            raise ConfigurationError(
                 f"grid of {n}^{d} = {n**d} points exceeds the size cap {self.size_cap}"
             )
 

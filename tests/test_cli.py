@@ -114,8 +114,47 @@ class TestExitCodes:
             raise AssertionError("drew coefficients before checking the counts")
 
         monkeypatch.setattr(lplab.inequality_lab, "philox_generator", no_draws)
+        monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
         assert run_cli("khinchine", flag, "0") == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lp", "--p", "1", "--samples", "2"], "requires p > 1"),
+            (["lp-density", "--p", "0.5", "--samples", "2"], "requires p > 1/2"),
+            (["khinchine", "--terms", "21"], "at most 20 terms"),
+            (["khinchine", "--mode", "monte_carlo", "--mc-samples", "0"], "at least one sample"),
+            (["seqlemma", "--dim", "4", "--trials", "5"], "dimension must be 1, 2 or 3"),
+            (["seqlemma", "--j-min", "3", "--j-max", "1", "--trials", "5"], "empty index range"),
+            (["lieb-thirring", "--n", "64", "--mu", "-1"], "chemical potential must be positive"),
+            (["lieb-thirring", "--family", "sharp"], "smooth block family"),
+        ],
+        ids=[
+            "lp_floor", "density_floor", "enumeration_cap", "no_mc_samples",
+            "seqlemma_dim", "empty_window", "negative_mu", "sharp_chain",
+        ],
+    )
+    def test_settings_a_handler_refuses_are_usage_errors(self, capsys, argv, message):
+        assert run_cli(*argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        """A check that raises mid-run is a failed run (exit 1), not a usage error."""
+
+        def broken(op, a, b):
+            raise ValueError("non-finite kinetic trace")
+
+        monkeypatch.setattr(lplab.cli, "generalized_lt_check", broken)
+        out = tmp_path / "glt.json"
+        code = run_cli("glt", "--dim", "1", "--n", "16", "--samples", "1", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().out.startswith("FAIL glt")
+        payload = read_json(out)
+        assert payload["pass"] is False
+        assert payload["results"] == {"error": "non-finite kinetic trace"}
+        assert payload["unjudged"] == 0
 
 
 class TestDeterminism:
@@ -205,7 +244,7 @@ class TestConfigResolution:
         assert code == 0
         payload = read_json(out)
         assert payload["config"]["samples"] == 5
-        assert len(payload["results"]["reports"][0]["samples"]) == 5
+        assert payload["results"]["reports"][0]["sample_count"] == 5
 
     def test_config_takes_passthrough_keys(self, tmp_path, capsys):
         out = tmp_path / "partition.json"
@@ -223,7 +262,7 @@ class TestConfigResolution:
         for hidden in ("jobs", "out", "csv", "envelopes", "config"):
             assert hidden not in payload["config"]
         assert payload["config"]["rng"] == "philox4x64"
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
 
 class TestSectionCommands:

@@ -518,14 +518,41 @@ class TestRatioReport:
         )
         assert not report.passed
 
-    def test_dict_round_trip(self):
+    def test_cell_holds_aggregates_not_samples(self):
+        grid = {"dimension": 1, "box_length": TAU, "points_per_axis": 256}
+        samples = [CheckSample(7, 1, 2.0, 4.0, 0.5)] + self.samples() + [
+            # 7 comes first but ties the minimum at a higher id than 0.
+            CheckSample(3, 1, 0.3, 3.0, 0.1, degenerate=True),  # below it, but degenerate
+            CheckSample(4, 1, 1.0, 0.0, math.inf),  # above the maximum, but not finite
+        ]
         report = RatioReport(
             name="gns", p=6.0, family="smooth", profile_kind="exp",
-            grid={"dimension": 1, "box_length": TAU, "points_per_axis": 256},
-            seed=9, samples=self.samples(), envelope=(0.4, 1.6),
+            grid=grid, seed=9, samples=samples, envelope=(0.4, 1.6),
         )
-        back = RatioReport.from_dict(report.to_dict())
-        assert back.to_dict() == report.to_dict()
+        assert report.to_dict() == {
+            "name": "gns",
+            "p": 6.0,
+            "family": "smooth",
+            "profile_kind": "exp",
+            "grid": grid,
+            "seed": 9,
+            "sample_count": 6,
+            "degenerate_count": 2,
+            "aggregates": {"min": 0.5, "max": 1.5, "mean": 2.5 / 3, "median": 0.5},
+            "min_sample_id": 0,
+            "max_sample_id": 1,
+            "envelope": [0.4, 1.6],
+            "passed": True,
+        }
+
+    def test_ids_of_an_empty_cell_are_null(self):
+        only_degenerate = [CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)]
+        cell = RatioReport(
+            name="lp", p=2.0, family="smooth", profile_kind="exp",
+            grid=None, seed=1, samples=only_degenerate,
+        ).to_dict()
+        assert cell["min_sample_id"] is None and cell["max_sample_id"] is None
+        assert cell["aggregates"] == {"min": None, "max": None, "mean": None, "median": None}
 
 
 class TestEnvelopeEstimation:
@@ -535,6 +562,7 @@ class TestEnvelopeEstimation:
     def test_deterministic(self, small1):
         (first,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
         (second,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
+        assert first.samples == second.samples
         assert first.to_dict() == second.to_dict()
 
     def test_gns_defaults_exponent(self, small1):

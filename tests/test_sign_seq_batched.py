@@ -1,12 +1,16 @@
-"""The batched sequence bound, the spike table and the shared sign table
-against the per-sequence code they replaced.
+"""The batched sequence bound, the spike table, the shared sign table and the
+chunked sign-sum pass against the per-item code they replaced.
 
-The references below are the one-dict sequence bound and the one-member
-spike draw.  The batched kernel sums the same columns in the same order and
-calls the same C library pow and log2, so ratios and constants are compared
-at rtol 1e-15, split indices and verdicts exactly.
+The references below are the one-dict sequence bound, the one-member spike
+draw and the one-vector sign-sum loop.  The batched sequence kernel sums the
+same columns in the same order and calls the same C library pow and log2,
+so ratios and constants are compared at rtol 1e-15, split indices and
+verdicts exactly.  The sign-sum pass keeps one sign product per vector and
+reduces each row of its magnitude table as the loop reduced each vector, so
+its samples are compared field for field.
 """
 
+import dataclasses
 import math
 import re
 
@@ -17,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import lplab.inequality_lab
 from lplab import (
+    CheckSample,
     CorpusSpec,
     SignEnsemble,
     TorusGrid,
@@ -27,7 +32,14 @@ from lplab import (
     spike_sequences,
     tensor_khinchine_reports,
 )
-from lplab.inequality_lab import _sequence_lemma_rows
+from lplab.inequality_lab import (
+    DEGENERACY_RTOL,
+    _linear_sum_magnitudes,
+    _sequence_lemma_rows,
+    _sign_table,
+    _tensor_sum_magnitudes,
+)
+from lplab.torus_grid import abs_squared
 
 
 def reference_bound(alpha: dict, dimension: int):
@@ -187,8 +199,8 @@ class TestSignTable:
         monkeypatch.setattr(lplab.inequality_lab, "SIGN_TABLE_BYTES", 0)
         rebuilt = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
         rebuilt_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
-        assert [r.to_dict() for r in rebuilt] == [r.to_dict() for r in kept]
-        assert [r.to_dict() for r in rebuilt_tensor] == [r.to_dict() for r in kept_tensor]
+        assert [r.samples for r in rebuilt] == [r.samples for r in kept]
+        assert [r.samples for r in rebuilt_tensor] == [r.samples for r in kept_tensor]
 
     @pytest.mark.parametrize("reports", [khinchine_reports, tensor_khinchine_reports])
     def test_empty_runs_are_refused(self, reports):
@@ -196,6 +208,88 @@ class TestSignTable:
             reports(0, [1.0], 5, 1)
         with pytest.raises(lplab.ConfigurationError, match="sample count"):
             reports(3, [1.0], 0, 1)
+
+
+def reference_sign_samples(n_terms, p_list, count, seed, ensemble, tensor):
+    """One list of samples per exponent, each vector drawn and summed on its own."""
+    signs = _sign_table(n_terms, ensemble)
+    per_p = {float(p): [] for p in p_list}
+    shape = (2, n_terms, n_terms) if tensor else (2, n_terms)
+    for index in range(count):
+        draws = philox_generator(seed, index).standard_normal(size=shape)
+        coefficients = draws[0] + 1j * draws[1]
+        if tensor:
+            magnitudes = _tensor_sum_magnitudes(coefficients, signs)
+        else:
+            magnitudes = _linear_sum_magnitudes(coefficients, signs)
+        l2 = float(np.sum(abs_squared(coefficients)))
+        for p, samples in per_p.items():
+            expectation = float(np.mean(magnitudes**p))
+            l2_power = l2 ** (p / 2.0)
+            if tensor:
+                degenerate = expectation < DEGENERACY_RTOL * l2_power
+                ratio = math.inf if degenerate else l2_power / expectation
+                samples.append(CheckSample(index, 1, l2_power, expectation, ratio, degenerate))
+            else:
+                samples.append(
+                    CheckSample(index, 1, expectation, l2_power, expectation / l2_power)
+                )
+    return list(per_p.values())
+
+
+def ensemble_rows(n_terms, ensemble):
+    return 2**n_terms if ensemble.mode == "exact" else ensemble.samples
+
+
+class TestSignSumPass:
+    PS = [1.0, 1.5, 2.0, 3.0]
+
+    def check(self, n_terms, count, seed, ensemble, tensor, ps=PS):
+        reports = (tensor_khinchine_reports if tensor else khinchine_reports)(
+            n_terms, ps, count, seed, ensemble
+        )
+        expected = reference_sign_samples(n_terms, ps, count, seed, ensemble, tensor)
+        assert [r.p for r in reports] == list(dict.fromkeys(float(p) for p in ps))
+        for report, samples in zip(reports, expected, strict=True):
+            assert len(report.samples) == count
+            for got, want in zip(report.samples, samples):
+                assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+    @pytest.mark.parametrize(
+        "n_terms, tensor", [(12, False), (8, True), (5, False), (5, True)]
+    )
+    def test_exact_terms(self, n_terms, tensor):
+        # 12 exact terms take 32 vectors per chunk, so 45 leaves a partial chunk.
+        self.check(n_terms, 45, 2027, SignEnsemble.exact(), tensor)
+
+    @pytest.mark.parametrize("tensor", [False, True])
+    @pytest.mark.parametrize("samples", [4096, 300])
+    def test_monte_carlo(self, tensor, samples):
+        self.check(8 if tensor else 12, 40, 2028, SignEnsemble.monte_carlo(samples, 11), tensor)
+
+    @pytest.mark.parametrize("tensor", [False, True])
+    def test_one_vector(self, tensor):
+        self.check(6, 1, 5, SignEnsemble.exact(), tensor)
+
+    def test_repeated_exponent_gives_one_report(self):
+        self.check(6, 7, 5, SignEnsemble.exact(), False, ps=[2.0, 1.0, 2])
+
+    @pytest.mark.parametrize("vectors", [1, 3])
+    @pytest.mark.parametrize("tensor", [False, True])
+    def test_small_chunks(self, monkeypatch, vectors, tensor):
+        ensemble = SignEnsemble.exact() if tensor else SignEnsemble.monte_carlo(300, 4)
+        n_terms = 6 if tensor else 9
+        monkeypatch.setattr(
+            lplab.inequality_lab, "FIELD_CHUNK_BYTES", vectors * ensemble_rows(n_terms, ensemble) * 8
+        )
+        self.check(n_terms, 10, 17, ensemble, tensor)
+
+    def test_rebuilt_table_one_vector_per_chunk(self):
+        """At 20 exact terms one vector's rows exceed the chunk budget and
+        the sign table is rebuilt block by block for every vector."""
+        assert 2**20 * 8 > lplab.inequality_lab.FIELD_CHUNK_BYTES
+        assert 2**20 * 20 * 16 > lplab.inequality_lab.SIGN_TABLE_BYTES
+        self.check(20, 2, 9, SignEnsemble.exact(), False, ps=[1.0, 3.0])
 
 
 def test_error_text_names_the_cap():
