@@ -16,7 +16,6 @@ from .torus_grid import (
     TorusGrid,
     abs_squared,
     apply_symbol,
-    constant_function,
     forward_transform,
     inner_product,
     inverse_transform,
@@ -34,17 +33,12 @@ from .dyadic_partition import (
     build_blocks,
     build_companions,
     build_profile,
-    overlap_count,
     write_block_table_csv,
 )
 from .projectors import (
-    SignVector,
-    bernstein_bound_constant,
     block_energy_sum,
-    frequency_comparability_bounds,
     project,
     project_companion,
-    random_sign_multiplier,
     square_function,
     unit_ball_volume,
 )
@@ -70,7 +64,6 @@ from .corpus import (
     random_orthonormal_frame,
     single_spike,
     spike_sequences,
-    wave_packet,
 )
 from .inequality_lab import (
     ChainResult,
@@ -103,6 +96,6 @@ from .inequality_lab import (
     summed_block_density,
     tensor_khinchine_reports,
 )
-from .reporting import canonical_json, format_float, read_json, write_json
+from .reporting import canonical_json, format_float
 
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ floats, no timestamps) in report schema 2: each envelope-judged cell holds
 its sample count, the min, max, mean and median ratio, the sample ids of
 the min and the max, its envelope and its verdict, and the payload's
 "unjudged" counts the cells without a verdict.  The per-sample rows go to
---csv, not into the report.
+--csv, not into the report.  Only the commands with rows take --csv:
+partition (its block table) and the enveloped sections lp, lp-density,
+khinchine and gns; the other commands refuse it with exit 2.
 
 Exit codes: 0 when all configured invariants and envelopes pass; 1 when a
 mathematical check fails or a check raises inside the run (the report is
@@ -181,10 +183,20 @@ _FLAG_HELP = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _passthrough_keys(command: str) -> tuple[str, ...]:
+    """The keys a command takes besides its defaults.  Only a command with
+    rows takes csv: partition its block table, an enveloped section its
+    samples."""
+    if command == "partition" or (command in SECTIONS and SECTIONS[command].envelopes):
+        return _PASSTHROUGH_KEYS
+    return tuple(key for key in _PASSTHROUGH_KEYS if key != "csv")
+
+
+def _add_common(sp: argparse.ArgumentParser, command: str) -> None:
     sp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
     sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    sp.add_argument("--csv", default=None, help="write per-sample CSV here")
+    if "csv" in _passthrough_keys(command):
+        sp.add_argument("--csv", default=None, help="write per-sample CSV here")
     sp.add_argument("--envelopes", default=None, help="envelope JSON overriding the packaged one")
     sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored: every run is serial")
 
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, section in SECTIONS.items():
         sp = sub.add_parser(command, help=section.help)
-        _add_common(sp)
+        _add_common(sp, command)
         for key, default in section.defaults.items():
             # A None default (the mu ladder) is a list of floats worked out at run time.
             many = default is None or isinstance(default, list)
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=_FLAG_HELP.get(key),
             )
-    _add_common(sub.add_parser("all", help="the full desk-scale suite"))
+    _add_common(sub.add_parser("all", help="the full desk-scale suite"), "all")
     return parser
 
 
@@ -225,11 +237,12 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if not isinstance(config, dict):
             raise ConfigurationError("config file must hold a JSON object")
     defaults = SECTIONS[args.command].defaults if args.command in SECTIONS else {}
-    unknown = sorted(set(config) - set(defaults) - set(_PASSTHROUGH_KEYS))
+    passthrough = _passthrough_keys(args.command)
+    unknown = sorted(set(config) - set(defaults) - set(passthrough))
     if unknown:
         raise ConfigurationError(f"{args.command} takes no config keys {unknown}")
     settings = {}
-    for key in (*defaults, *_PASSTHROUGH_KEYS):
+    for key in (*defaults, *passthrough):
         value = getattr(args, key, None)
         settings[key] = config.get(key, defaults.get(key)) if value is None else value
     return settings

@@ -1,9 +1,12 @@
-"""Seeded generators of test functions, operators and sequences.
+"""Seeded generators of band-limited fields, orthonormal frames and spike
+sequences.
 
 Every generator is a pure function of (parameters, master seed, member
 index).  Randomness comes from the counter-based Philox generator keyed by
 the (seed, index) pair, so corpora are reproducible across platforms and
-independent of generation order or worker count.
+independent of generation order or worker count.  A CorpusSpec names one of
+the two kinds the envelope sections draw, band-limited fields or frame
+operators, and draws its members a chunk at a time.
 """
 
 from __future__ import annotations
@@ -14,26 +17,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .fock_operator import (
-    FiniteRankOperator,
-    NO_CONTRACT,
-    UNIT_BALL,
-    fermi_sea,
-    power_bounded,
-    validate_contract,
-)
+from .fock_operator import FiniteRankOperator, UNIT_BALL, power_bounded, validate_contract
 from .torus_grid import GridFunction, TorusGrid, inverse_transform_stack
 
 GRAM_RETRY_LIMIT = 5
 LAMBDA_STREAM_INDEX = 2**48
 
-GENERATOR_KINDS = (
-    "random_band_limited",
-    "wave_packet",
-    "fermi_sea",
-    "random_orthonormal_frame",
-    "spike_sequence",
-)
+GENERATOR_KINDS = ("random_band_limited", "random_orthonormal_frame")
 
 
 def philox_generator(
@@ -82,44 +72,6 @@ def random_band_limited(
         coeffs[(slice(None),) + grid.zero_mode_index] = 0.0
     values = inverse_transform_stack(grid, coeffs)
     return values if count is not None else GridFunction(grid, values[0])
-
-
-def wave_packet(
-    grid: TorusGrid,
-    center: Sequence[float],
-    momentum_mode: Sequence[int],
-    width: float,
-) -> GridFunction:
-    """Periodized Gaussian at ``center`` riding the lattice wave of ``momentum_mode``.
-
-    The envelope is the wrapped Gaussian sum_m exp(-(x - x0 - mL)^2/(2w^2)),
-    separable across axes; three images per side cover every desk-scale
-    width to beyond double precision.
-    """
-    width = float(width)
-    if width <= 0:
-        raise ValueError(f"packet width must be positive, got {width}")
-    center = [float(c) for c in center]
-    if len(center) != grid.dimension:
-        raise ValueError(
-            f"center has {len(center)} coordinates for dimension {grid.dimension}"
-        )
-    idx = grid.mode_index(momentum_mode)
-    length = grid.box_length
-    values = np.ones(grid.shape)
-    for axis in range(grid.dimension):
-        x = grid.axis_coordinates
-        envelope = np.zeros(x.shape)
-        for image in range(-3, 4):
-            shifted = x - center[axis] - image * length
-            envelope = envelope + np.exp(-(shifted**2) / (2.0 * width**2))
-        expand = [None] * grid.dimension
-        expand[axis] = slice(None)
-        values = values * envelope[tuple(expand)]
-    phase = np.zeros(grid.shape)
-    for axis, m_idx in enumerate(idx):
-        phase = phase + grid.axis_frequencies[m_idx] * grid.coordinate_grids[axis]
-    return GridFunction(grid, values * np.exp(1j * phase))
 
 
 def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
@@ -381,61 +333,20 @@ class CorpusSpec:
 
     def member(self, grid: TorusGrid, index: int):
         """Build member ``index``; pure in (spec, grid, index)."""
-        if not 0 <= index < self.count:
-            raise IndexError(f"member index {index} outside [0, {self.count})")
-        p = self.params
-        if self.kind == "random_band_limited":
-            return random_band_limited(
-                grid,
-                decay=p.get("decay", 1.0),
-                seed=self.seed,
-                index=index,
-                zero_mean=bool(p.get("zero_mean", False)),
-            )
-        if self.kind == "wave_packet":
-            rng = philox_generator(self.seed, index)
-            center = p.get("center")
-            if center is None:
-                center = rng.uniform(0.0, grid.box_length, size=grid.dimension)
-            return wave_packet(
-                grid,
-                center=center,
-                momentum_mode=p.get("momentum_mode", [grid.points_per_axis // 4] + [0] * (grid.dimension - 1)),
-                width=p.get("width", grid.box_length / 8.0),
-            )
-        if self.kind == "fermi_sea":
-            return fermi_sea(grid, p["chemical_potential"])
-        if self.kind == "random_orthonormal_frame":
-            return random_orthonormal_frame(
-                grid,
-                rank=int(p.get("rank", 1)),
-                decay=p.get("decay", 1.0),
-                seed=self.seed,
-                index=index,
-                weights=p.get("weights", "uniform"),
-                zero_mean=bool(p.get("zero_mean", False)),
-                power_bound=p.get("power_bound"),
-            )
-        # spike_sequence: the grid fixes nothing but the dimension.
-        dimension = int(p.get("dimension", grid.dimension))
-        lo, hi = _spike_window(dimension, p.get("j_range", (-10, 10)))
-        return _spike_table(dimension, lo, hi, [philox_generator(self.seed, index)], 1)[0]
+        (member,) = self.members(grid, index, 1)
+        return GridFunction(grid, member) if self.kind == "random_band_limited" else member
 
     def members(self, grid: TorusGrid, start: int, count: int):
-        """Members start, ..., start + count - 1, as ``member`` builds them.
+        """Members start, ..., start + count - 1, drawn in one pass.
 
         A band-limited corpus returns their values as one [count, ...] stack
         from one draw, a frame corpus a list of operators built in one pass
-        (random_orthonormal_frames), and a wave-packet corpus a stack of
-        values built one member at a time.  Sea and sequence corpora have
-        no chunks: their members come from ``member`` alone.
+        (random_orthonormal_frames).
         """
         if not (0 <= start and count >= 1 and start + count <= self.count):
             raise IndexError(
                 f"members {start} .. {start + count - 1} outside [0, {self.count})"
             )
-        if self.kind in ("fermi_sea", "spike_sequence"):
-            raise ConfigurationError(f"a {self.kind} corpus is not drawn in chunks")
         p = self.params
         if self.kind == "random_band_limited":
             return random_band_limited(
@@ -446,19 +357,17 @@ class CorpusSpec:
                 zero_mean=bool(p.get("zero_mean", False)),
                 count=count,
             )
-        if self.kind == "random_orthonormal_frame":
-            return random_orthonormal_frames(
-                grid,
-                rank=int(p.get("rank", 1)),
-                decay=p.get("decay", 1.0),
-                seed=self.seed,
-                index=start,
-                count=count,
-                weights=p.get("weights", "uniform"),
-                zero_mean=bool(p.get("zero_mean", False)),
-                power_bound=p.get("power_bound"),
-            )
-        return np.stack([self.member(grid, i).values for i in range(start, start + count)])
+        return random_orthonormal_frames(
+            grid,
+            rank=int(p.get("rank", 1)),
+            decay=p.get("decay", 1.0),
+            seed=self.seed,
+            index=start,
+            count=count,
+            weights=p.get("weights", "uniform"),
+            zero_mean=bool(p.get("zero_mean", False)),
+            power_bound=p.get("power_bound"),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -467,15 +376,3 @@ class CorpusSpec:
             "seed": self.seed,
             "params": dict(self.params),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusSpec":
-        try:
-            return cls(
-                kind=data["kind"],
-                count=int(data["count"]),
-                seed=int(data["seed"]),
-                params=dict(data.get("params", {})),
-            )
-        except KeyError as missing:
-            raise ConfigurationError(f"corpus spec missing field {missing}") from None

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,9 +132,6 @@ class DyadicBlockSet:
     def interior_indices(self) -> range:
         return range(self.j_min + 1, self.j_max)
 
-    def is_interior(self, j: int) -> bool:
-        return self.j_min < j < self.j_max
-
     @property
     def profile_kind(self) -> str:
         return self.profile.kind if self.profile is not None else "indicator"
@@ -201,7 +197,8 @@ def build_blocks(
             elif j == j_max:
                 table = 1.0 - profile(radii * 2.0 ** -(j - 1))
             else:
-                table = profile(radii * 2.0**-j) - profile(radii * 2.0 ** -(j - 1))
+                # Scaling by 2 is exact, so this is phi(r 2^-j) - phi(r 2^-(j-1)).
+                table = profile.annulus_bump(radii * 2.0**-j)
             symbols.append(table)
         return DyadicBlockSet(grid, SMOOTH, j_min, j_max, symbols, profile=profile)
 
@@ -247,12 +244,6 @@ def build_companions(blocks: DyadicBlockSet) -> DyadicBlockSet:
             table = profile(radii * 2.0 ** -(j + 1)) - profile(radii * 2.0 ** -(j - 2))
         companions.append(table)
     return replace(blocks, companions=companions)
-
-
-def overlap_count(blocks: DyadicBlockSet, mode: Sequence[int]) -> int:
-    """Number of blocks whose multiplier is nonzero at the lattice mode."""
-    idx = blocks.grid.mode_index(mode)
-    return int(sum(1 for table in blocks.symbols if table[idx] != 0.0))
 
 
 def block_squared_sum(blocks: DyadicBlockSet) -> np.ndarray:

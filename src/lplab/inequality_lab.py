@@ -39,7 +39,6 @@ from .dyadic_partition import (
 )
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     DegenerateInputError,
     GridMismatchError,
     UnsupportedFamilyError,
@@ -51,7 +50,7 @@ from .fock_operator import (
     fermi_sea,
     kinetic_trace,
     power_bounded,
-    validate_contract,
+    require_contract,
 )
 from .projectors import project, project_companion
 from .torus_grid import (
@@ -75,7 +74,6 @@ _ENUMERATION_CHUNK = 1 << 16
 SIGN_TABLE_BYTES = 1 << 24
 DEGENERACY_RTOL = 1e-12
 CHAIN_RTOL = 1e-10
-DUALITY_TOLERANCE = 1e-10
 
 
 def require_counts(**counts: int) -> None:
@@ -167,6 +165,16 @@ def _sign_table(count: int, ensemble: SignEnsemble):
     return lambda: kept
 
 
+def _sign_sum_exponents(exponents) -> list[float]:
+    """The distinct exponents as floats, in order; the sign-sum comparisons
+    hold for p >= 1 only."""
+    exponents = list(dict.fromkeys(float(p) for p in exponents))
+    for p in exponents:
+        if not p >= 1:
+            raise ConfigurationError(f"the sign-sum comparison requires p >= 1, got {p}")
+    return exponents
+
+
 def _linear_sum_magnitudes(coefficients: np.ndarray, signs) -> np.ndarray:
     """|sum_j a_j r_j| for every sign vector of the table, in order."""
     return np.concatenate([np.abs(rows @ coefficients) for rows in signs()])
@@ -193,9 +201,7 @@ class KhinchineResult:
 
 def khinchine_ratio(coefficients, p: float, ensemble: SignEnsemble) -> KhinchineResult:
     """Compare E|sum a_j r_j|^p with (sum |a_j|^2)^(p/2), both directions."""
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"khinchine_ratio requires p >= 1, got {p}")
+    (p,) = _sign_sum_exponents([p])
     a = np.asarray(coefficients, dtype=complex).ravel()
     l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
     if l2_power == 0.0:
@@ -226,9 +232,7 @@ def khinchine_tensor_ratio(matrix, p: float, ensemble: SignEnsemble) -> TensorKh
     vanishes while the coefficient mass does not) are flagged degenerate and
     carry an infinite ratio.
     """
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"khinchine_tensor_ratio requires p >= 1, got {p}")
+    (p,) = _sign_sum_exponents([p])
     a = np.atleast_2d(np.asarray(matrix, dtype=complex))
     l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
     if l2_power == 0.0:
@@ -493,11 +497,7 @@ def lieb_thirring_check(op: FiniteRankOperator) -> LiebThirringResult:
     inequality, (sum_k lambda_k)^(2/d) * tr (-Laplacian) gamma; its ratio to
     the same integral degrades with rank, which is the point of comparing.
     """
-    report = validate_contract(op, UNIT_BALL)
-    if not report.passed:
-        raise ContractViolationError(
-            f"operator fails the unit-ball contract with margin {report.margin:.3e}"
-        )
+    require_contract(op, UNIT_BALL)
     d = op.grid.dimension
     exponent = _lt_exponent(d, 0.0, 1.0)
     kinetic, denominator = _lt_sides(op, 1.0, exponent)
@@ -548,12 +548,7 @@ def generalized_lt_check(op: FiniteRankOperator, a: float, b: float) -> Generali
         raise ConfigurationError(f"power a must exceed -d/2 = {-d / 2.0}, got {a}")
     if b < 0:
         raise ConfigurationError(f"power b must be nonnegative, got {b}")
-    contract = power_bounded(a)
-    report = validate_contract(op, contract)
-    if not report.passed:
-        raise ContractViolationError(
-            f"operator fails the power-bounded({a}) contract with margin {report.margin:.3e}"
-        )
+    require_contract(op, power_bounded(a))
     exponent = _lt_exponent(d, a, b)
     kinetic, denominator = _lt_sides(op, b, exponent)
     if denominator == 0.0:
@@ -602,11 +597,7 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
     """
     if blocks.family != SMOOTH:
         raise UnsupportedFamilyError("the chain needs the smooth block family")
-    report = validate_contract(op, UNIT_BALL)
-    if not report.passed:
-        raise ContractViolationError(
-            f"operator fails the unit-ball contract with margin {report.margin:.3e}"
-        )
+    require_contract(op, UNIT_BALL)
     grid = op.grid
     w = op.spectral_density
     kinetic_w = grid.frequency_norms_squared * w
@@ -1100,7 +1091,7 @@ def khinchine_reports(
     ratio bounds both constants.
     """
     require_counts(term_count=n_terms, sample_count=count)
-    exponents = list(dict.fromkeys(float(p) for p in p_list))
+    exponents = _sign_sum_exponents(p_list)
     masses, moments = _sign_sum_moments(
         (n_terms,), count, seed, ensemble or SignEnsemble.exact(),
         _linear_sum_magnitudes, exponents,
@@ -1125,7 +1116,7 @@ def tensor_khinchine_reports(
 ) -> list[RatioReport]:
     """Tensor sign-sum comparison over random complex square matrices."""
     require_counts(term_count=n_terms, sample_count=count)
-    exponents = list(dict.fromkeys(float(p) for p in p_list))
+    exponents = _sign_sum_exponents(p_list)
     masses, moments = _sign_sum_moments(
         (n_terms, n_terms), count, seed, ensemble or SignEnsemble.exact(),
         _tensor_sum_magnitudes, exponents,

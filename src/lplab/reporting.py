@@ -121,16 +121,6 @@ def canonical_json(payload) -> str:
     return "".join(parts)
 
 
-def write_json(payload, path) -> None:
-    with open(path, "w") as handle:
-        handle.write(canonical_json(payload))
-
-
-def read_json(path):
-    with open(path) as handle:
-        return json.load(handle)
-
-
 def sanitize(value):
     """Recursively convert numpy scalars and non-finite floats for JSON output."""
     if isinstance(value, dict):

@@ -434,7 +434,3 @@ def plane_wave(grid: TorusGrid, mode: Sequence[int], amplitude: complex = 1.0) -
         xi = grid.axis_frequencies[m_idx]
         phase = phase + xi * grid.coordinate_grids[axis]
     return GridFunction(grid, amplitude * np.exp(1j * phase))
-
-
-def constant_function(grid: TorusGrid, value: complex = 1.0) -> GridFunction:
-    return GridFunction(grid, np.full(grid.shape, value, dtype=complex))

@@ -15,7 +15,6 @@ from lplab.cli import (
     section_cells,
     section_runs,
 )
-from lplab.reporting import read_json
 
 
 def run_cli(*argv):
@@ -44,7 +43,7 @@ class TestExitCodes:
         code = run_cli("partition", "--n", "64", "--out", str(out))
         capsys.readouterr()
         assert code == 0
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["pass"] is True
         assert payload["command"] == "partition"
         assert payload["results"]["partition_residual"] == 0.0
@@ -60,7 +59,7 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert code == 1
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["pass"] is False
 
     @pytest.mark.parametrize(
@@ -151,7 +150,7 @@ class TestExitCodes:
         code = run_cli("glt", "--dim", "1", "--n", "16", "--samples", "1", "--out", str(out))
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL glt")
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["pass"] is False
         assert payload["results"] == {"error": "non-finite kinetic trace"}
         assert payload["unjudged"] == 0
@@ -214,6 +213,28 @@ class TestEmittedFiles:
         assert lines[0] == "j,xi_norm,symbol,companion"
         assert len(lines) > 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["all"],
+            ["lieb-thirring", "--dim", "1", "--n", "64", "--mu", "9.5"],
+            ["glt", "--dim", "1", "--n", "16", "--samples", "1"],
+            ["seqlemma", "--trials", "10"],
+        ],
+        ids=["all", "lieb_thirring", "glt", "seqlemma"],
+    )
+    def test_commands_without_rows_refuse_csv(self, tmp_path, capsys, argv):
+        """Only partition and the enveloped sections write rows; the other
+        commands refuse --csv and the csv config key instead of ignoring them."""
+        csv_path = tmp_path / "rows.csv"
+        assert run_cli(*argv, "--csv", str(csv_path)) == 2
+        assert "--csv" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"csv": str(csv_path)}))
+        assert run_cli(*argv, "--config", str(config)) == 2
+        assert "'csv'" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_stdout_when_no_out_file(self, capsys):
         assert run_cli("partition", "--n", "64") == 0
         captured = capsys.readouterr()
@@ -229,7 +250,7 @@ class TestConfigResolution:
         code = run_cli("lp", "--config", str(config), "--out", str(out))
         capsys.readouterr()
         assert code == 0
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["config"]["n"] == 64
         assert payload["config"]["samples"] == 7
 
@@ -242,7 +263,7 @@ class TestConfigResolution:
         )
         capsys.readouterr()
         assert code == 0
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["config"]["samples"] == 5
         assert payload["results"]["reports"][0]["sample_count"] == 5
 
@@ -252,13 +273,13 @@ class TestConfigResolution:
         config.write_text(json.dumps({"n": 64, "jobs": 2, "out": str(out), "csv": None}))
         assert run_cli("partition", "--config", str(config)) == 0
         capsys.readouterr()
-        assert read_json(out)["config"]["n"] == 64
+        assert json.loads(out.read_text())["config"]["n"] == 64
 
     def test_config_echo_masks_passthrough_keys(self, tmp_path, capsys):
         out = tmp_path / "partition.json"
         assert run_cli("partition", "--n", "64", "--out", str(out)) == 0
         capsys.readouterr()
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         for hidden in ("jobs", "out", "csv", "envelopes", "config"):
             assert hidden not in payload["config"]
         assert payload["config"]["rng"] == "philox4x64"
@@ -266,6 +287,17 @@ class TestConfigResolution:
 
 
 class TestSectionCommands:
+    def test_khinchine_exponent_below_one_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("khinchine", "--p", "0.5", "--count", "5") == 2
+        assert "requires p >= 1, got 0.5" in capsys.readouterr().err
+        out = tmp_path / "khinchine.json"
+        assert run_cli("khinchine", "--p", "1", "--count", "5", "--out", str(out)) == 0
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        cells = payload["results"]["classical"] + payload["results"]["tensor"]
+        assert [(cell["p"], cell["passed"]) for cell in cells] == [(1.0, True), (1.0, True)]
+        assert payload["unjudged"] == 0
+
     def test_khinchine_section(self, tmp_path, capsys):
         out = tmp_path / "khinchine.json"
         code = run_cli(
@@ -274,7 +306,7 @@ class TestSectionCommands:
         )
         capsys.readouterr()
         assert code == 0
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["pass"] is True
         assert payload["results"]["pair_lower_ratio_residual"] <= 1e-12
         assert payload["results"]["diagonal_spike_residual"] == 0.0
@@ -284,7 +316,7 @@ class TestSectionCommands:
         code = run_cli("seqlemma", "--trials", "200", "--dim", "2", "--out", str(out))
         capsys.readouterr()
         assert code == 0
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["results"]["failures"] == 0
 
     def test_gns_section(self, tmp_path, capsys):
@@ -292,7 +324,7 @@ class TestSectionCommands:
         code = run_cli("gns", "--n", "64", "--samples", "12", "--out", str(out))
         capsys.readouterr()
         assert code == 0
-        payload = read_json(out)
+        payload = json.loads(out.read_text())
         assert payload["results"]["reports"][0]["p"] == 6.0
 
 

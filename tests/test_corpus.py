@@ -11,22 +11,16 @@ from lplab import (
     DegenerateInputError,
     FiniteRankOperator,
     GridFunction,
-    TorusGrid,
     UNIT_BALL,
     forward_transform,
-    lp_norm,
     philox_generator,
     power_bounded,
-    project,
     random_band_limited,
     random_orthonormal_frame,
     single_spike,
     spike_sequences,
     validate_contract,
-    wave_packet,
 )
-
-TAU = 2.0 * np.pi
 
 
 class TestPhiloxStreams:
@@ -73,46 +67,6 @@ class TestBandLimited:
         # The zero mode is removed in the spectral domain; one FFT round trip
         # later it is only zero up to rounding noise.
         assert abs(coeffs[grid2.zero_mode_index]) <= 1e-13 * np.abs(coeffs).max()
-
-
-class TestWavePacket:
-    def test_width_must_be_positive(self, grid1):
-        with pytest.raises(ValueError, match="width"):
-            wave_packet(grid1, center=[np.pi], momentum_mode=[4], width=0.0)
-
-    def test_center_length_checked(self, grid2):
-        with pytest.raises(ValueError):
-            wave_packet(grid2, center=[1.0], momentum_mode=[4, 0], width=0.5)
-
-    def test_peak_sits_at_center(self, grid1):
-        packet = wave_packet(grid1, center=[np.pi], momentum_mode=[8], width=0.3)
-        magnitudes = np.abs(packet.values)
-        peak = grid1.axis_coordinates[np.argmax(magnitudes)]
-        assert abs(peak - np.pi) <= grid1.spacing
-
-    def test_modulus_translates_with_center(self, grid1):
-        # Shifting the center by 32 cells permutes the modulus profile.
-        shift_cells = 32
-        a = wave_packet(grid1, center=[np.pi], momentum_mode=[8], width=0.3)
-        b = wave_packet(
-            grid1,
-            center=[np.pi + shift_cells * grid1.spacing],
-            momentum_mode=[8],
-            width=0.3,
-        )
-        np.testing.assert_allclose(
-            np.roll(np.abs(a.values), shift_cells), np.abs(b.values), rtol=1e-9, atol=1e-12
-        )
-
-    def test_energy_concentrates_near_momentum_scale(self, grid1, blocks1):
-        # Carrier mode 16 lives at radius 2^4; a moderately wide packet keeps
-        # almost all of its energy in the adjacent blocks.
-        packet = wave_packet(grid1, center=[2.0], momentum_mode=[16], width=1.0)
-        total = lp_norm(packet, 2) ** 2
-        near = sum(
-            lp_norm(project(packet, blocks1, j), 2) ** 2 for j in (3, 4, 5)
-        )
-        assert near / total > 0.99
 
 
 class TestOrthonormalFrame:
@@ -189,21 +143,20 @@ class TestSpikeSequences:
             spike_sequences(4)
 
     def test_member_draws_only_its_own_sequence(self, monkeypatch):
-        spec = CorpusSpec("spike_sequence", count=1000, seed=34, params={"dimension": 2})
-        grid = TorusGrid(2, TAU, 8)
         direct = spike_sequences(2, count=1000, seed=34)
         for index in (0, 1, 57, 999):
-            assert spec.member(grid, index) == direct[index]
-        calls = []
-        original = lplab.corpus.philox_generator
+            assert spike_sequences(2, count=index + 1, seed=34)[index] == direct[index]
+        keys = []
+        original = lplab.corpus._rekeyed_generators
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(master_seed, indices, stream=0):
+            for index in indices:
+                keys.append((master_seed, index))
+                yield from original(master_seed, [index], stream)
 
-        monkeypatch.setattr(lplab.corpus, "philox_generator", counted)
-        spec.member(grid, 999)
-        assert calls == [(34, 999)]
+        monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", counted)
+        assert spike_sequences(2, count=3, seed=34) == spike_sequences(2, count=3, seed=34)
+        assert keys == [(34, 0), (34, 1), (34, 2)] * 2
 
     def test_single_spike_saturates_cap(self):
         assert single_spike(2, 3) == {3: 64.0}
@@ -217,7 +170,7 @@ class TestCorpusSpec:
 
     def test_count_checked(self):
         with pytest.raises(ConfigurationError, match="sample count"):
-            CorpusSpec("fermi_sea", count=0, seed=0)
+            CorpusSpec("random_band_limited", count=0, seed=0)
 
     def test_member_index_window(self, grid1):
         spec = CorpusSpec("random_band_limited", count=2, seed=40)
@@ -227,19 +180,15 @@ class TestCorpusSpec:
     def test_member_dispatch(self, grid1):
         cases = {
             "random_band_limited": GridFunction,
-            "wave_packet": GridFunction,
             "random_orthonormal_frame": FiniteRankOperator,
-            "spike_sequence": dict,
         }
         for kind, expected in cases.items():
             spec = CorpusSpec(kind, count=2, seed=41)
             assert isinstance(spec.member(grid1, 1), expected), kind
-        sea_spec = CorpusSpec(
-            "fermi_sea", count=1, seed=0, params={"chemical_potential": 1.1}
-        )
-        sea = sea_spec.member(grid1, 0)
-        assert isinstance(sea, FiniteRankOperator)
-        assert sea.rank == 3
+        # Seas and sequences have their own sections and are not corpus kinds.
+        for kind in ("fermi_sea", "spike_sequence", "wave_packet"):
+            with pytest.raises(ConfigurationError, match="generator kind"):
+                CorpusSpec(kind, count=1, seed=0)
 
     def test_members_match_direct_calls(self, grid1):
         spec = CorpusSpec(
@@ -253,12 +202,8 @@ class TestCorpusSpec:
         np.testing.assert_array_equal(member.eigenfunctions, direct.eigenfunctions)
 
     def test_dict_round_trip(self):
-        spec = CorpusSpec("wave_packet", count=4, seed=43, params={"width": 0.5})
-        assert CorpusSpec.from_dict(spec.to_dict()) == spec
-
-    def test_from_dict_missing_field(self):
-        with pytest.raises(ConfigurationError, match="missing field"):
-            CorpusSpec.from_dict({"kind": "fermi_sea", "count": 1})
+        spec = CorpusSpec("random_band_limited", count=4, seed=43, params={"decay": 0.5})
+        assert CorpusSpec(**spec.to_dict()) == spec
 
 
 class TestDegenerateFrames:

@@ -15,7 +15,6 @@ from lplab import (
     build_blocks,
     build_companions,
     build_profile,
-    overlap_count,
     write_block_table_csv,
 )
 from lplab.dyadic_partition import PROFILE_KINDS
@@ -112,6 +111,12 @@ class TestBlockConstruction:
             np.testing.assert_allclose(
                 np.diff(table)[same_radius], 0.0, atol=1e-12
             )
+
+
+def overlap_count(blocks, mode):
+    """Number of blocks whose multiplier is nonzero at the lattice mode."""
+    index = blocks.grid.mode_index(mode)
+    return np.count_nonzero([table[index] for table in blocks.symbols])
 
 
 class TestOverlap:

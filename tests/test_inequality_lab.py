@@ -19,7 +19,6 @@ from lplab import (
     SignEnsemble,
     TorusGrid,
     UnsupportedFamilyError,
-    constant_function,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
@@ -290,7 +289,7 @@ class TestGnsCheck:
 
     def test_constant_degenerates(self, grid1):
         with pytest.raises(DegenerateInputError, match="constant"):
-            gns_check(constant_function(grid1, 2.0))
+            gns_check(GridFunction(grid1, np.full(grid1.shape, 2.0 + 0j)))
 
     def test_zero_degenerates(self, grid1):
         zero = GridFunction(grid1, np.zeros(grid1.shape, dtype=complex))
@@ -342,7 +341,7 @@ class TestLiebThirring:
     def test_contract_enforced(self, grid1):
         functions = np.stack([normalized_wave(grid1, [1]).values])
         op = FiniteRankOperator(grid1, np.array([1.5]), functions)
-        with pytest.raises(ContractViolationError, match="unit-ball"):
+        with pytest.raises(ContractViolationError, match="unit_ball"):
             lieb_thirring_check(op)
 
     def test_zero_mode_sea_degenerates(self, grid1):
@@ -473,7 +472,7 @@ class TestGeneralizedLT:
         grid = TorusGrid(1, 2.0 * TAU, 16)
         u = normalized_wave(grid, [1])  # |xi| = 1/2, heavy under (-Laplacian)^{-1}
         op = rank_one(grid, u)
-        with pytest.raises(ContractViolationError, match="power-bounded"):
+        with pytest.raises(ContractViolationError, match="power_bounded"):
             generalized_lt_check(op, 1.0, 1.0)
 
 
@@ -613,6 +612,19 @@ class TestKhinchineReports:
             n_terms=4, p_list=[1.0], count=10, seed=85, envelopes=envelopes
         )
         assert reports[0].envelope == (0.5, 1.5)
+
+    def test_every_sign_sum_entry_refuses_exponents_below_one(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew coefficients before checking the exponents")
+
+        monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
+        for reports in (khinchine_reports, tensor_khinchine_reports):
+            with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.5"):
+                reports(n_terms=4, p_list=[2.0, 0.5], count=3, seed=86)
+        with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.9"):
+            khinchine_ratio([1.0, 1.0], 0.9, EXACT)
+        with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.9"):
+            khinchine_tensor_ratio([[1.0]], 0.9, EXACT)
 
 
 class TestEnvelopeLookup:

@@ -242,23 +242,13 @@ def test_each_chunk_is_drawn_in_one_call(checker, kind, params, fields, monkeypa
     assert draws == [(0, 3 * rank), (3 * rank, 3 * rank), (6 * rank, rank)]
 
 
-def test_wave_packet_members_stack_member_values():
-    grid = _grid(2)
-    spec = CorpusSpec("wave_packet", COUNT, 96, {"width": 0.7})
-    stack = spec.members(grid, 2, 4)
-    for offset, values in enumerate(stack):
-        np.testing.assert_array_equal(values, spec.member(grid, 2 + offset).values)
-    (report,) = estimate_envelope(spec, "lp", [(3.0, None)], grid)
-    assert report.sample_count == COUNT and report.degenerate_count == 0
-
-
 def test_members_outside_the_corpus_or_without_chunks_are_refused():
     grid = _grid(1)
     with pytest.raises(IndexError, match="outside"):
         CorpusSpec("random_band_limited", 5, 1).members(grid, 3, 3)
-    sea = CorpusSpec("fermi_sea", 4, 1, {"chemical_potential": 9.5})
-    with pytest.raises(ConfigurationError, match="not drawn in chunks"):
-        estimate_envelope(sea, "lp_density", [(1.0, None)], grid)
+    # Every corpus kind is drawn in chunks: a sea is refused as a kind.
+    with pytest.raises(ConfigurationError, match="generator kind"):
+        CorpusSpec("fermi_sea", 4, 1, {"chemical_potential": 9.5})
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,20 @@
-"""Block projectors: reconstruction, reproduction, disjointness, and the
-finite-size Bernstein and frequency-comparability bounds."""
+"""Block projectors: reconstruction, reproduction, disjointness, signed
+block sums, and the finite-size Bernstein and frequency-comparability bounds."""
 
 import numpy as np
 import pytest
 
 from lplab import (
-    GridFunction,
-    GridMismatchError,
-    SignVector,
-    bernstein_bound_constant,
+    apply_symbol,
     block_energy_sum,
+    diagonal_block_bound,
     forward_transform,
-    frequency_comparability_bounds,
     kinetic_form,
     lp_norm,
     plane_wave,
     project,
     project_companion,
     random_band_limited,
-    random_sign_multiplier,
     square_function,
     unit_ball_volume,
 )
@@ -81,43 +77,43 @@ class TestSquareFunction:
         assert energies.min() >= 0.0
 
 
+def signed_block_sum(f, blocks, signs):
+    """Apply sum_j r_j Psi_j, the symbol of a randomized block decomposition."""
+    table = sum(r * blocks.symbol(j) for j, r in zip(blocks.block_indices, signs))
+    return apply_symbol(f, table)
+
+
 class TestBernstein:
+    # Cauchy-Schwarz over block j's spectral support bounds |P_j f|^2
+    # pointwise by B_j ||f||_2^2, where B_j = L^-d sum_xi Psi_j(xi)^2 is the
+    # density bound of the rank-one operator |f><f| / ||f||_2^2.
     @pytest.mark.parametrize("seed", range(5))
     def test_interior_sup_bound_1d(self, blocks1, seed):
-        constant = bernstein_bound_constant(1)
         f = random_band_limited(blocks1.grid, decay=0.3, seed=100 + seed)
+        l2sq = lp_norm(f, 2) ** 2
         for j in blocks1.interior_indices:
-            piece = project(f, blocks1, j)
-            sup = np.abs(piece.values).max()
-            l2 = lp_norm(piece, 2)
-            assert sup <= constant * 2 ** (j / 2) * l2 * (1 + 1e-9), f"block {j}"
+            sup = np.abs(project(f, blocks1, j).values).max()
+            assert sup**2 <= diagonal_block_bound(blocks1, j) * l2sq * (1 + 1e-9), f"block {j}"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_interior_sup_bound_2d(self, blocks2, seed):
-        constant = bernstein_bound_constant(2)
         f = random_band_limited(blocks2.grid, decay=0.3, seed=200 + seed)
+        l2sq = lp_norm(f, 2) ** 2
         for j in blocks2.interior_indices:
-            piece = project(f, blocks2, j)
-            sup = np.abs(piece.values).max()
-            l2 = lp_norm(piece, 2)
-            assert sup <= constant * 2**j * l2 * (1 + 1e-9), f"block {j}"
+            sup = np.abs(project(f, blocks2, j).values).max()
+            assert sup**2 <= diagonal_block_bound(blocks2, j) * l2sq * (1 + 1e-9), f"block {j}"
 
     def test_constant_prefactor_values(self):
-        np.testing.assert_allclose(
-            bernstein_bound_constant(1), 2.0 * np.sqrt(4.0 / (2.0 * np.pi)), rtol=1e-14
-        )
         np.testing.assert_allclose(unit_ball_volume(1), 2.0, rtol=1e-14)
         np.testing.assert_allclose(unit_ball_volume(2), np.pi, rtol=1e-14)
         np.testing.assert_allclose(unit_ball_volume(3), 4.0 * np.pi / 3.0, rtol=1e-14)
 
 
 class TestFrequencyComparability:
-    def test_bounds_are_powers_of_four(self):
-        assert frequency_comparability_bounds(3) == (16.0, 256.0)
-        assert frequency_comparability_bounds(0) == (0.25, 4.0)
-
     @pytest.mark.parametrize("seed", range(4))
     def test_rayleigh_quotient_inside_window(self, blocks1, seed):
+        # An interior block lives on 2^(j-1) <= |xi| <= 2^(j+1); the chain's
+        # spectral floor 4^j / 4 is the lower end.
         f = random_band_limited(blocks1.grid, decay=0.5, seed=300 + seed)
         for j in blocks1.interior_indices:
             piece = project(f, blocks1, j)
@@ -125,51 +121,32 @@ class TestFrequencyComparability:
             if l2sq == 0.0:
                 continue
             quotient = kinetic_form(piece, 1.0) / l2sq
-            low, high = frequency_comparability_bounds(j)
+            low, high = 4.0 ** (j - 1), 4.0 ** (j + 1)
             assert low * (1 - 1e-9) <= quotient <= high * (1 + 1e-9), f"block {j}"
 
 
 class TestSignMultiplier:
     def test_all_plus_signs_give_identity(self, blocks1):
         f = random_band_limited(blocks1.grid, decay=0.8, seed=14)
-        signs = SignVector(blocks1.j_min, (1,) * blocks1.block_count)
-        out = random_sign_multiplier(f, blocks1, signs)
+        out = signed_block_sum(f, blocks1, [1] * blocks1.block_count)
         np.testing.assert_allclose(out.values, f.values, atol=1e-12 * np.abs(f.values).max())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_non_expansive(self, blocks1, seed):
         rng = np.random.default_rng(400 + seed)
         f = random_band_limited(blocks1.grid, decay=0.5, seed=500 + seed)
-        signs = SignVector.for_blocks(blocks1, rng)
-        out = random_sign_multiplier(f, blocks1, signs)
+        out = signed_block_sum(f, blocks1, rng.integers(0, 2, blocks1.block_count) * 2 - 1)
         assert lp_norm(out, 2) <= lp_norm(f, 2) * (1 + 1e-12)
 
     def test_involution(self, blocks1):
         # Applying the same sign pattern twice multiplies by (sum r_j Psi_j)^2,
         # which is below 1 only where blocks of opposite sign overlap.
         f = random_band_limited(blocks1.grid, decay=0.5, seed=15)
-        rng = np.random.default_rng(16)
-        signs = SignVector.for_blocks(blocks1, rng)
-        twice = random_sign_multiplier(
-            random_sign_multiplier(f, blocks1, signs), blocks1, signs
-        )
+        signs = np.random.default_rng(16).integers(0, 2, blocks1.block_count) * 2 - 1
+        twice = signed_block_sum(signed_block_sum(f, blocks1, signs), blocks1, signs)
         assert lp_norm(twice, 2) <= lp_norm(f, 2) * (1 + 1e-12)
         # The squared symbol is nonnegative and at most 1, so no Fourier
         # coefficient is amplified.
         coeffs_in = np.abs(forward_transform(f).coefficients)
         coeffs_out = np.abs(forward_transform(twice).coefficients)
         assert np.all(coeffs_out <= coeffs_in + 1e-10 * coeffs_in.max())
-
-    def test_sign_vector_validation(self):
-        with pytest.raises(ValueError, match="sign entries"):
-            SignVector(0, (1, 0, -1))
-        signs = SignVector(2, (1, -1))
-        assert signs.sign(2) == 1
-        assert signs.sign(3) == -1
-        with pytest.raises(IndexError):
-            signs.sign(4)
-
-    def test_mismatched_sign_vector(self, blocks1):
-        f = random_band_limited(blocks1.grid, decay=1.0, seed=17)
-        with pytest.raises(GridMismatchError, match="does not match"):
-            random_sign_multiplier(f, blocks1, SignVector(0, (1, -1)))

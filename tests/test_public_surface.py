@@ -1,0 +1,97 @@
+"""The package's public surface: every name lplab re-exports is reached by
+a section, a script or a benchmark span site, or is listed below with the
+reason it stays.  A helper that only tests call fails here."""
+
+import ast
+from pathlib import Path
+
+import lplab
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lplab"
+
+# Re-exported names that nothing in src/lplab, scripts/ or the span sites
+# reaches yet, each with the reason it is kept.
+KEPT = {
+    "diagonal_block_bound": "the pointwise cap of the proof path's sequence rung (ROADMAP item 5)",
+    "unit_ball_volume": "omega_d of the semiclassical Weyl constant (ROADMAP item 5)",
+    "lp_function_check": "one-member lp check; the acceptance gates call it on the lp sampler",
+    "lp_density_check": "one-member density check; the acceptance gates call it on the sampler",
+    "gns_check": "one-member gns check; its unit tests hold the gns sampler to closed forms",
+    "parseval_square_ratio": "the p = 2 closed form the acceptance gates hold the lp sampler to",
+    "summed_block_density": "the rank-one reduction of acceptance gate 3",
+    "duality_identity_check": "the pairing identity of acceptance gate 1",
+    "plane_wave": "the lattice probe of acceptance gate 5",
+}
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a module loads, outside the statement that defines each of them.
+
+    An import alone is not a reference; a name used in its own definition
+    (a recursive call) does not count either.
+    """
+    names = set()
+    for statement in ast.parse(path.read_text()).body:
+        defined = set()
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(statement.name)
+        elif isinstance(statement, ast.Assign):
+            defined.update(t.id for t in statement.targets if isinstance(t, ast.Name))
+        loaded = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+        names |= loaded - defined
+    return names
+
+
+def span_site_names() -> set[str]:
+    """The functions perfbench's tracer wraps, read from its SPAN_SITES."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPAN_SITES"]:
+            return {attr for _name, _home, attr, _inside in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/spans.py defines no SPAN_SITES")
+
+
+def reached_names() -> set[str]:
+    modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    reached = span_site_names()
+    for path in modules + scripts:
+        reached |= referenced_names(path)
+    return reached
+
+
+def test_every_export_is_reached_or_kept_for_a_stated_reason():
+    unreached = exported_names() - reached_names()
+    assert sorted(unreached - set(KEPT)) == [], "test-only helpers: wire them in or delete them"
+    assert sorted(set(KEPT) - unreached) == [], "reached now: drop them from KEPT"
+
+
+def test_every_export_resolves():
+    for name in exported_names():
+        assert hasattr(lplab, name), name
+
+
+def test_the_scan_sees_references_and_skips_definitions(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from x import imported\n"
+        "def helper():\n    return helper()\n"
+        "def caller():\n    return used() + obj.attribute\n"
+    )
+    assert referenced_names(module) == {"used", "obj", "attribute"}

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lplab import CheckSample, canonical_json, format_float, read_json, write_json
+from lplab import CheckSample, canonical_json, format_float
 from lplab.reporting import sanitize, write_samples_csv
 
 
@@ -48,8 +48,8 @@ class TestCanonicalJson:
     def test_file_round_trip(self, tmp_path):
         payload = {"a": [1, 2.5, None], "b": {"c": True}}
         path = tmp_path / "payload.json"
-        write_json(payload, path)
-        assert read_json(path) == payload
+        path.write_text(canonical_json(payload))
+        assert json.loads(path.read_text()) == payload
 
 
 class TestSanitize:

@@ -13,7 +13,6 @@ from lplab import (
     ZeroModeSingularityError,
     abs_squared,
     apply_symbol,
-    constant_function,
     forward_transform,
     inner_product,
     inverse_transform,
@@ -158,7 +157,7 @@ class TestNorms:
     def test_constant_norm_closed_form(self, grid2):
         # ||c||_p = |c| L^{d/p} for a constant on the torus.
         c = 3.0 + 4.0j
-        f = constant_function(grid2, c)
+        f = GridFunction(grid2, np.full(grid2.shape, c))
         for p in (1.0, 1.5, 2.0, 4.0):
             np.testing.assert_allclose(
                 lp_norm(f, p), 5.0 * TAU ** (2.0 / p), rtol=1e-12
@@ -247,7 +246,7 @@ class TestKineticForm:
 
     def test_negative_power_requires_zero_mean(self, grid1):
         with pytest.raises(ZeroModeSingularityError):
-            kinetic_form(constant_function(grid1, 1.0), -0.5)
+            kinetic_form(GridFunction(grid1, np.ones(grid1.shape, dtype=complex)), -0.5)
 
     def test_negative_power_on_zero_mean_input(self, grid1):
         u = plane_wave(grid1, [4])
