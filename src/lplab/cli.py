@@ -19,8 +19,9 @@ Exit codes: 0 when all configured invariants and envelopes pass; 1 when a
 mathematical check fails or a check raises inside the run (the report is
 still written, with the error under "results"); 2 on usage or
 configuration errors (ConfigurationError), among them a bad grid, an
-exponent below a checker's floor, a zero count, a --config key the command
-does not take and a malformed --envelopes file; and 3 when nothing failed
+exponent below a checker's floor, a non-finite setting, a zero count or
+rank, a --config key the command does not take and a malformed --envelopes
+file, each refused before anything is drawn; and 3 when nothing failed
 but some cell had no envelope to be judged against.  Such a cell reports
 "passed": null, the run's "pass" is null, and --out prints UNJUDGED.
 
@@ -36,7 +37,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from .inequality_lab import (
     lieb_thirring_check,
     load_envelopes,
     lt_chain_check,
+    lt_exponent,
     require_counts,
     sequence_lemma_trials,
     tensor_khinchine_reports,
@@ -493,7 +495,7 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
     def chain(rung, sea):
         if rung in chain_rungs:
             sea_chains[rung] = {
-                "source": f"sea_rank_{sea.rank}", **lt_chain_check(sea, blocks).to_dict()
+                "source": f"sea_rank_{sea.rank}", **asdict(lt_chain_check(sea, blocks))
             }
 
     rows = fermi_sweep(grid, ladder, chain)
@@ -503,7 +505,7 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
             grid, rank=4, decay=1.0, seed=int(settings["seed"]), index=index
         )
         chains.append(
-            {"source": f"frame_{index}", **lt_chain_check(frame, blocks).to_dict()}
+            {"source": f"frame_{index}", **asdict(lt_chain_check(frame, blocks))}
         )
 
     positivity = all(row["ratio"] > 0 for row in rows)
@@ -535,6 +537,7 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
 def _cmd_glt(settings: dict, envelopes: dict):
     grid = _grid_of(settings)
     a, b = float(settings["a"]), float(settings["b"])
+    lt_exponent(grid.dimension, a, b)  # refuses the powers before any frame is drawn
     rows = []
     agreement = None
     for rank in settings["rank"]:
@@ -548,7 +551,7 @@ def _cmd_glt(settings: dict, envelopes: dict):
                 power_bound=a,
             )
             result = generalized_lt_check(op, a, b)
-            rows.append(result.to_dict() | {"sample_id": index})
+            rows.append(asdict(result) | {"sample_id": index})
             if a == 0.0 and b == 1.0:
                 reference = lieb_thirring_check(op)
                 drift = abs(result.ratio - reference.ratio)

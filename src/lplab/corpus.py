@@ -11,6 +11,7 @@ operators, and draws its members a chunk at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -62,12 +63,15 @@ def random_band_limited(
     [count, ...] stack.  Either way the members are drawn in one pass: one
     weight table, one re-keyed generator and one batched inverse transform.
     """
+    decay = float(decay)
+    if not math.isfinite(decay):
+        raise ConfigurationError(f"decay must be finite, got {decay}")
     members = 1 if count is None else int(count)
     draws = np.empty((members, 2) + grid.shape)
     indices = range(index, index + members)
     for row, rng in zip(draws, _rekeyed_generators(seed, indices, stream)):
         rng.standard_normal(out=row)
-    coeffs = (draws[:, 0] + 1j * draws[:, 1]) * (1.0 + grid.frequency_norms) ** (-float(decay))
+    coeffs = (draws[:, 0] + 1j * draws[:, 1]) * (1.0 + grid.frequency_norms) ** -decay
     if zero_mean:
         coeffs[(slice(None),) + grid.zero_mode_index] = 0.0
     values = inverse_transform_stack(grid, coeffs)
@@ -161,13 +165,6 @@ def random_orthonormal_frames(
         raise ConfigurationError(
             f"rank {rank} exceeds the {grid.size - 1} mean-zero lattice modes"
         )
-
-    indices = range(index, index + count)
-    if weights == "uniform":
-        keys = (LAMBDA_STREAM_INDEX + i for i in indices)
-        lambdas = [rng.uniform(0.0, 1.0, size=rank) for rng in _rekeyed_generators(seed, keys)]
-    else:
-        lambdas = [np.ones(rank)] * count
     contract = UNIT_BALL if power_bound is None else power_bounded(power_bound)
 
     def attempt(member: int, stream: int, frames: int) -> np.ndarray:
@@ -182,8 +179,16 @@ def random_orthonormal_frames(
         )
         return _orthonormalize(grid, raw.reshape((frames, rank) + grid.shape))
 
+    # The members are drawn first: random_band_limited refuses a bad decay.
+    first = attempt(index, 0, count)
+    indices = range(index, index + count)
+    if weights == "uniform":
+        keys = (LAMBDA_STREAM_INDEX + i for i in indices)
+        lambdas = [rng.uniform(0.0, 1.0, size=rank) for rng in _rekeyed_generators(seed, keys)]
+    else:
+        lambdas = [np.ones(rank)] * count
     result = []
-    for member, functions, eigenvalues in zip(indices, attempt(index, 0, count), lambdas):
+    for member, functions, eigenvalues in zip(indices, first, lambdas):
         op = FiniteRankOperator(grid, eigenvalues, functions, contract=contract)
         stream = 1
         while op.gram_residual > 1e-10:
@@ -330,6 +335,8 @@ class CorpusSpec:
             )
         if self.count < 1:
             raise ConfigurationError(f"sample count must be >= 1, got {self.count}")
+        if int(self.params.get("rank", 1)) < 1:
+            raise ConfigurationError(f"rank must be at least 1, got {self.params['rank']}")
 
     def member(self, grid: TorusGrid, index: int):
         """Build member ``index``; pure in (spec, grid, index)."""

@@ -3,10 +3,10 @@
 An operator is stored as gamma = sum_k lambda_k |u_k><u_k| with nonnegative
 weights and grid functions u_k; nothing is ever materialized as a dense
 N^d x N^d matrix.  Block-conjugated densities come from the batched block
-kernel of torus_grid, one forward and one inverse transform per chunk of
-eigenfunctions for all blocks.  Kinetic traces are Parseval sums of the
-spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, with no inverse
-transform.
+kernel of torus_grid, one inverse transform per chunk of eigenfunctions for
+all blocks.  Kinetic traces are Parseval sums of the spectral density
+w(xi) = sum_k lambda_k |coeffs_k(xi)|^2 against torus_grid.laplacian_power,
+with no inverse transform; the trace itself is kinetic_trace(op, 0).
 
 Contracts describe the operator bound a checker relies on:
 
@@ -14,12 +14,13 @@ Contracts describe the operator bound a checker relies on:
                   eigenfunctions and lambda_k <= 1.
 * power_bounded:  0 <= gamma <= (-Laplacian)^a, verified through the largest
                   eigenvalue of the weighted Gram matrix of the functions
-                  (-Laplacian)^{-a/2} u_k.
+                  (-Laplacian)^{-a/2} u_k, with laplacian_power's table.
 * none:           nothing is claimed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,15 +39,15 @@ from .torus_grid import (
     TorusGrid,
     abs_squared,
     forward_transform_stack,
-    lp_norm,
+    laplacian_power,
     spectral_density,
     weighted_block_energy,
     weighted_density,
+    zero_mode_offenders,
 )
 
 GRAM_TOLERANCE = 1e-10
 EIGENVALUE_TOLERANCE = 1e-10
-ZERO_MEAN_RTOL = 1e-10
 
 CONTRACT_KINDS = ("none", "unit_ball", "power_bounded")
 
@@ -60,16 +61,16 @@ class OperatorContract:
         if self.kind not in CONTRACT_KINDS:
             raise ValueError(f"unknown contract kind {self.kind!r}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "power": float(self.power)}
-
 
 NO_CONTRACT = OperatorContract("none")
 UNIT_BALL = OperatorContract("unit_ball")
 
 
 def power_bounded(power: float) -> OperatorContract:
-    return OperatorContract("power_bounded", float(power))
+    power = float(power)
+    if not math.isfinite(power):
+        raise ConfigurationError(f"the power-bounded contract needs a finite power, got {power}")
+    return OperatorContract("power_bounded", power)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -162,15 +163,6 @@ class FiniteRankOperator:
                 op.__dict__[name] = self.__dict__[name]
         return op
 
-    def eigenfunction(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.eigenfunctions[k])
-
-    def trace(self) -> float:
-        total = 0.0
-        for k in range(self.rank):
-            total += float(self.eigenvalues[k]) * lp_norm(self.eigenfunction(k), 2) ** 2
-        return total
-
 
 def density(op: FiniteRankOperator) -> GridFunction:
     """The diagonal density sum_k lambda_k |u_k(x)|^2."""
@@ -192,14 +184,13 @@ def conjugated_density(
 def kinetic_trace(op: FiniteRankOperator, power: float) -> float:
     """tr (-Laplacian)^power gamma = L^{-d} sum_xi |xi|^(2 power) w(xi).
 
-    w is the spectral density sum_k lambda_k |coeffs_k|^2.  As in
-    torus_grid.kinetic_form, the zero mode counts only at power 0.
+    w is the spectral density sum_k lambda_k |coeffs_k|^2; at power 0 this is
+    the trace of gamma.
     """
     power = float(power)
     if power < 0:
         raise ValueError(f"kinetic_trace requires power >= 0, got {power}")
-    # 0**power is 0 for power > 0 and 1 for power == 0.
-    weights = op.grid.frequency_norms_squared**power
+    weights = laplacian_power(op.grid, power)
     return float(np.sum(weights * op.spectral_density) / op.grid.volume)
 
 
@@ -245,14 +236,6 @@ class ValidationReport:
     passed: bool
     margin: float
     checks: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "contract": self.contract.to_dict(),
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "checks": {k: float(v) for k, v in self.checks.items()},
-        }
 
 
 def _gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
@@ -307,29 +290,18 @@ def validate_contract(
     # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
     spectra = op.forward_stack().reshape(op.rank, -1)
-    nsq = op.grid.frequency_norms_squared.reshape(-1)
-    zero_col = int(np.flatnonzero(nsq == 0.0)[0])
+    if a != 0.0 and np.any(zero_mode_offenders(abs_squared(spectra))):
+        if a < 0:
+            raise ZeroModeSingularityError(
+                "zero-mode singularity: power-bounded contract with negative "
+                "power requires mean-zero eigenfunctions"
+            )
+        # Positive power: the bounding operator annihilates constants, so
+        # any zero-mode mass is an outright (infinite) violation.
+        checks["power_excess"] = float("inf")
+        return ValidationReport(contract, False, float("inf"), checks)
 
-    if a != 0.0:
-        row_norms = np.sqrt(abs_squared(spectra).sum(axis=1))
-        zero_mass = np.abs(spectra[:, zero_col])
-        offenders = zero_mass > ZERO_MEAN_RTOL * np.maximum(row_norms, 1e-300)
-        if np.any(offenders):
-            if a < 0:
-                raise ZeroModeSingularityError(
-                    "zero-mode singularity: power-bounded contract with negative "
-                    "power requires mean-zero eigenfunctions"
-                )
-            # Positive power: the bounding operator annihilates constants, so
-            # any zero-mode mass is an outright (infinite) violation.
-            checks["power_excess"] = float("inf")
-            return ValidationReport(contract, False, float("inf"), checks)
-
-    weights = np.zeros(nsq.shape)
-    positive = nsq > 0
-    weights[positive] = nsq[positive] ** (-a)
-    if a == 0.0:
-        weights[zero_col] = 1.0
+    weights = laplacian_power(op.grid, -a).reshape(-1)
     scaled = spectra * weights
     overlap = (scaled @ spectra.conj().T) / op.grid.volume
     root_weights = np.sqrt(op.eigenvalues)

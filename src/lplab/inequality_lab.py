@@ -172,23 +172,49 @@ def _sign_sum_exponents(exponents) -> list[float]:
     for p in exponents:
         if not p >= 1:
             raise ConfigurationError(f"the sign-sum comparison requires p >= 1, got {p}")
+        if p == math.inf:
+            raise ConfigurationError(f"the sign-sum comparison requires a finite p, got {p}")
     return exponents
 
 
-def _linear_sum_magnitudes(coefficients: np.ndarray, signs) -> np.ndarray:
-    """|sum_j a_j r_j| for every sign vector of the table, in order."""
-    return np.concatenate([np.abs(rows @ coefficients) for rows in signs()])
+def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -> np.ndarray:
+    """E|S|^p over the ensemble for every array of a stack, as [p, c].
+
+    ``coefficients`` is [c, n], where S = sum_j a_j r_j, or [c, J, K], where
+    S = sum_jk a_jk r_j r_k over one shared sign sequence of length max(J, K).
+    The sign sum is one product per array; the moments take one
+    np.mean(|S|^p, axis=1) per exponent over a [chunk, rows] table of the
+    magnitudes of a chunk of arrays that fits FIELD_CHUNK_BYTES, or of one
+    array when its rows alone do not.  The sign rows come from _sign_table.
+    """
+    shape = coefficients.shape[1:]
+    sign_count = max(shape)
+    signs = _sign_table(sign_count, ensemble)
+
+    def magnitudes(a):
+        if a.ndim == 1:
+            return np.concatenate([np.abs(rows @ a) for rows in signs()])
+        rows_j, cols_k = a.shape
+        return np.concatenate(
+            [np.abs(((rows[:, :rows_j] @ a) * rows[:, :cols_k]).sum(axis=1)) for rows in signs()]
+        )
+
+    count = len(coefficients)
+    table_row_bytes = _ensemble_rows(sign_count, ensemble) * np.dtype(float).itemsize
+    step = max(1, FIELD_CHUNK_BYTES // table_row_bytes)
+    moments = np.empty((len(exponents), count))
+    for start in range(0, count, step):
+        table = np.stack([magnitudes(a) for a in coefficients[start : start + step]])
+        for k, p in enumerate(exponents):
+            moments[k, start : start + len(table)] = np.mean(table**p, axis=1)
+    return moments
 
 
-def _tensor_sum_magnitudes(matrix: np.ndarray, signs) -> np.ndarray:
-    """|sum_jk a_jk r_j r_k| over one shared sign sequence of length max(J, K)."""
-    rows_j, cols_k = matrix.shape
-    parts = []
-    for rows in signs():
-        left = rows[:, :rows_j]
-        right = rows[:, :cols_k]
-        parts.append(np.abs(((left @ matrix) * right).sum(axis=1)))
-    return np.concatenate(parts)
+def _tensor_ratio(expectation: float, l2_power: float) -> tuple[float, bool]:
+    """The tensor ratio l2 power / expectation, and whether the sign sums
+    cancel identically (then the ratio is infinite)."""
+    degenerate = expectation < DEGENERACY_RTOL * l2_power
+    return (math.inf if degenerate else l2_power / expectation), degenerate
 
 
 @dataclass(frozen=True)
@@ -206,8 +232,7 @@ def khinchine_ratio(coefficients, p: float, ensemble: SignEnsemble) -> Khinchine
     l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
     if l2_power == 0.0:
         raise DegenerateInputError("all coefficients vanish; the ratio is undefined")
-    magnitudes = _linear_sum_magnitudes(a, _sign_table(a.size, ensemble))
-    expectation = float(np.mean(magnitudes**p))
+    expectation = float(_sign_moments(a[None], ensemble, [p])[0, 0])
     return KhinchineResult(
         expectation=expectation,
         l2_power=l2_power,
@@ -237,11 +262,8 @@ def khinchine_tensor_ratio(matrix, p: float, ensemble: SignEnsemble) -> TensorKh
     l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
     if l2_power == 0.0:
         raise DegenerateInputError("all coefficients vanish; the ratio is undefined")
-    magnitudes = _tensor_sum_magnitudes(a, _sign_table(max(a.shape), ensemble))
-    expectation = float(np.mean(magnitudes**p))
-    degenerate = expectation < DEGENERACY_RTOL * l2_power
-    ratio = math.inf if degenerate else l2_power / expectation
-    return TensorKhinchineResult(expectation, l2_power, ratio, degenerate)
+    expectation = float(_sign_moments(a[None], ensemble, [p])[0, 0])
+    return TensorKhinchineResult(expectation, l2_power, *_tensor_ratio(expectation, l2_power))
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +298,8 @@ def _checked_exponents(checker: str, exponents) -> list[float]:
     for p in exponents:
         if not p > floor:
             raise ConfigurationError(f"the {checker} check requires p > {label}, got {p}")
+        if p == math.inf:
+            raise ConfigurationError(f"the {checker} check requires a finite p, got {p}")
     return exponents
 
 
@@ -458,7 +482,14 @@ def gns_check(u: GridFunction, sample_id: int = 0) -> CheckSample:
 # Kinetic-energy inequalities
 
 
-def _lt_exponent(dimension: int, a: float, b: float) -> float:
+def lt_exponent(dimension: int, a: float, b: float) -> float:
+    """The density exponent 1 + 2b/(d + 2a) at powers a > -d/2 and b >= 0, both finite."""
+    if not (math.isfinite(a) and a > -dimension / 2.0):
+        raise ConfigurationError(
+            f"power a must be finite and exceed -d/2 = {-dimension / 2.0}, got {a}"
+        )
+    if not (math.isfinite(b) and b >= 0):
+        raise ConfigurationError(f"power b must be finite and nonnegative, got {b}")
     return 1.0 + 2.0 * b / (dimension + 2.0 * a)
 
 
@@ -478,15 +509,6 @@ class LiebThirringResult:
     weak_bound: float
     weak_ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "kinetic": self.kinetic,
-            "density_power_integral": self.density_power_integral,
-            "ratio": self.ratio,
-            "weak_bound": self.weak_bound,
-            "weak_ratio": self.weak_ratio,
-        }
 
 
 def lieb_thirring_check(op: FiniteRankOperator) -> LiebThirringResult:
@@ -499,7 +521,7 @@ def lieb_thirring_check(op: FiniteRankOperator) -> LiebThirringResult:
     """
     require_contract(op, UNIT_BALL)
     d = op.grid.dimension
-    exponent = _lt_exponent(d, 0.0, 1.0)
+    exponent = lt_exponent(d, 0.0, 1.0)
     kinetic, denominator = _lt_sides(op, 1.0, exponent)
     if kinetic == 0.0:
         raise DegenerateInputError(
@@ -527,29 +549,14 @@ class GeneralizedLTResult:
     density_power_integral: float
     ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "power_a": self.power_a,
-            "power_b": self.power_b,
-            "exponent": self.exponent,
-            "kinetic": self.kinetic,
-            "density_power_integral": self.density_power_integral,
-            "ratio": self.ratio,
-        }
 
 
 def generalized_lt_check(op: FiniteRankOperator, a: float, b: float) -> GeneralizedLTResult:
     """Kinetic comparison at powers (a, b): tr (-Laplacian)^b gamma versus
     integral rho^(1 + 2b/(d + 2a)), for operators below (-Laplacian)^a."""
     a, b = float(a), float(b)
-    d = op.grid.dimension
-    if not a > -d / 2.0:
-        raise ConfigurationError(f"power a must exceed -d/2 = {-d / 2.0}, got {a}")
-    if b < 0:
-        raise ConfigurationError(f"power b must be nonnegative, got {b}")
+    exponent = lt_exponent(op.grid.dimension, a, b)
     require_contract(op, power_bounded(a))
-    exponent = _lt_exponent(d, a, b)
     kinetic, denominator = _lt_sides(op, b, exponent)
     if denominator == 0.0:
         raise DegenerateInputError("zero density; the ratio is undefined")
@@ -573,13 +580,6 @@ class ChainResult:
     block_density_bound: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "block_kinetic": self.block_kinetic,
-            "block_density_bound": self.block_density_bound,
-            "passed": self.passed,
-        }
 
 
 def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResult:
@@ -626,7 +626,7 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
         raise ConfigurationError("no lattice modes under the chemical potential")
     rank = int(below.size)
     kinetic = float(below.sum())
-    exponent = _lt_exponent(grid.dimension, 0.0, 1.0)
+    exponent = lt_exponent(grid.dimension, 0.0, 1.0)
     denominator = grid.volume * (rank / grid.volume) ** exponent
     return {
         "rank": rank,
@@ -679,15 +679,6 @@ class SequenceLemmaResult:
     ratio: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "split_index": self.split_index,
-            "constant": self.constant,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
 
 
 class _LemmaRows(NamedTuple):
@@ -1029,51 +1020,39 @@ def estimate_envelope(
     ]
 
 
-def _sign_sum_moments(shape, count, seed, ensemble, magnitudes, exponents):
-    """Draw ``count`` random complex coefficient arrays of ``shape`` and take
-    their sign-sum moments.
+def _sign_sum_reports(name, shape, p_list, count, seed, ensemble, envelopes):
+    """One report per exponent over ``count`` random complex arrays of ``shape``,
+    (n,) classical or (n, n) tensor; its ratio is expectation / l2 power or the reverse.
 
     Array i is g1 + i g2 with [g1, g2] drawn from philox_generator(seed, i);
-    all of them are drawn into one [count, 2, *shape] table.  Returns each
-    array's l2 mass sum |a|^2 and, per exponent p, each array's E|S|^p over
-    the ensemble, where S are the sums ``magnitudes(a, signs)`` takes.
-
-    The sign sum stays one product per array; the moments take one
-    np.mean(|S|^p, axis=1) per exponent over a [chunk, rows] table of the
-    magnitudes of a chunk of arrays that fits FIELD_CHUNK_BYTES, or of one
-    array when its rows alone do not.
+    all of them are drawn into one [count, 2, *shape] table.
     """
+    require_counts(term_count=shape[0], sample_count=count)
+    exponents = _sign_sum_exponents(p_list)
     draws = np.empty((count, 2) + shape)
     for row, rng in zip(draws, _rekeyed_generators(seed, range(count))):
         rng.standard_normal(out=row)
     coefficients = draws[:, 0] + 1j * draws[:, 1]
-    masses = np.sum(abs_squared(coefficients).reshape(count, -1), axis=1)
-    sign_count = max(shape)
-    signs = _sign_table(sign_count, ensemble)
-    table_row_bytes = _ensemble_rows(sign_count, ensemble) * np.dtype(float).itemsize
-    step = max(1, FIELD_CHUNK_BYTES // table_row_bytes)
-    moments = np.empty((len(exponents), count))
-    for start in range(0, count, step):
-        table = np.stack([magnitudes(a, signs) for a in coefficients[start : start + step]])
-        for k, p in enumerate(exponents):
-            moments[k, start : start + len(table)] = np.mean(table**p, axis=1)
-    return masses.tolist(), moments.tolist()
-
-
-def _sign_sum_reports(name, exponents, samples, seed, envelopes) -> list[RatioReport]:
-    return [
-        RatioReport(
-            name=name,
-            p=p,
-            family="none",
-            profile_kind="none",
-            grid=None,
-            seed=seed,
-            samples=p_samples,
-            envelope=envelope_for(envelopes, name, 0, p) if envelopes else None,
+    masses = np.sum(abs_squared(coefficients).reshape(count, -1), axis=1).tolist()
+    moments = _sign_moments(coefficients, ensemble or SignEnsemble.exact(), exponents)
+    reports = []
+    for p, expectations in zip(exponents, moments.tolist()):
+        samples = []
+        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
+            l2_power = l2 ** (p / 2.0)
+            if len(shape) == 1:
+                samples.append(CheckSample(index, 1, expectation, l2_power, expectation / l2_power))
+            else:
+                ratio, degenerate = _tensor_ratio(expectation, l2_power)
+                samples.append(CheckSample(index, 1, l2_power, expectation, ratio, degenerate))
+        envelope = envelope_for(envelopes, name, 0, p) if envelopes else None
+        reports.append(
+            RatioReport(
+                name, p, family="none", profile_kind="none", grid=None, seed=seed,
+                samples=samples, envelope=envelope,
+            )
         )
-        for p, p_samples in zip(exponents, samples)
-    ]
+    return reports
 
 
 def khinchine_reports(
@@ -1090,20 +1069,7 @@ def khinchine_reports(
     reciprocal is the upper direction, so a two-sided envelope on this single
     ratio bounds both constants.
     """
-    require_counts(term_count=n_terms, sample_count=count)
-    exponents = _sign_sum_exponents(p_list)
-    masses, moments = _sign_sum_moments(
-        (n_terms,), count, seed, ensemble or SignEnsemble.exact(),
-        _linear_sum_magnitudes, exponents,
-    )
-    samples = []
-    for p, expectations in zip(exponents, moments):
-        p_samples = []
-        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
-            l2_power = l2 ** (p / 2.0)
-            p_samples.append(CheckSample(index, 1, expectation, l2_power, expectation / l2_power))
-        samples.append(p_samples)
-    return _sign_sum_reports("khinchine", exponents, samples, seed, envelopes)
+    return _sign_sum_reports("khinchine", (n_terms,), p_list, count, seed, ensemble, envelopes)
 
 
 def tensor_khinchine_reports(
@@ -1115,19 +1081,6 @@ def tensor_khinchine_reports(
     envelopes: dict | None = None,
 ) -> list[RatioReport]:
     """Tensor sign-sum comparison over random complex square matrices."""
-    require_counts(term_count=n_terms, sample_count=count)
-    exponents = _sign_sum_exponents(p_list)
-    masses, moments = _sign_sum_moments(
-        (n_terms, n_terms), count, seed, ensemble or SignEnsemble.exact(),
-        _tensor_sum_magnitudes, exponents,
+    return _sign_sum_reports(
+        "khinchine_tensor", (n_terms, n_terms), p_list, count, seed, ensemble, envelopes
     )
-    samples = []
-    for p, expectations in zip(exponents, moments):
-        p_samples = []
-        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
-            l2_power = l2 ** (p / 2.0)
-            degenerate = expectation < DEGENERACY_RTOL * l2_power
-            ratio = math.inf if degenerate else l2_power / expectation
-            p_samples.append(CheckSample(index, 1, l2_power, expectation, ratio, degenerate))
-        samples.append(p_samples)
-    return _sign_sum_reports("khinchine_tensor", exponents, samples, seed, envelopes)

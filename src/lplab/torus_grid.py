@@ -12,13 +12,18 @@ Normalization convention (Riemann-sum approximation of the continuum pair):
 
 so Parseval reads  h^d sum_x |f|^2 = L^{-d} sum_xi |coeffs|^2, and a single
 unit coefficient at xi inverts to the normalized plane wave L^{-d} e^{i xi x}.
+
+The symbol |xi|^(2s) of (-Laplacian)^s and its zero-mode rule live only in
+laplacian_power and zero_mode_offenders; block energies have one kernel,
+block_energy_stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -55,28 +60,26 @@ class TorusGrid:
         Side length L of the periodic box.
     points_per_axis : int
         Samples per axis N; must be a power of two and at least 8 so that
-        the dyadic frequency decomposition has room for several blocks.
-    size_cap : int
-        Upper bound on the total number of grid points N^d.  Guards against
+        the dyadic frequency decomposition has room for several blocks.  The
+        total N^d may not exceed DEFAULT_SIZE_CAP, which guards against
         accidentally requesting more than desk scale.
     """
 
     dimension: int
     box_length: float
     points_per_axis: int
-    size_cap: int = DEFAULT_SIZE_CAP
 
     def __post_init__(self) -> None:
         d, length, n = self.dimension, self.box_length, self.points_per_axis
         if d not in (1, 2, 3):
             raise ConfigurationError(f"dimension must be 1, 2 or 3, got {d}")
-        if not length > 0:
-            raise ConfigurationError(f"box_length must be positive, got {length}")
+        if not (length > 0 and math.isfinite(length)):
+            raise ConfigurationError(f"box_length must be finite and positive, got {length}")
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigurationError(f"points_per_axis must be a power of two >= 8, got {n}")
-        if n**d > self.size_cap:
+        if n**d > DEFAULT_SIZE_CAP:
             raise ConfigurationError(
-                f"grid of {n}^{d} = {n**d} points exceeds the size cap {self.size_cap}"
+                f"grid of {n}^{d} = {n**d} points exceeds the size cap {DEFAULT_SIZE_CAP}"
             )
 
     @property
@@ -129,12 +132,6 @@ class TorusGrid:
         for g in grids:
             g.flags.writeable = False
         return tuple(grids)
-
-    @cached_property
-    def frequency_stack(self) -> np.ndarray:
-        stack = np.stack(self.frequency_grids)
-        stack.flags.writeable = False
-        return stack
 
     @cached_property
     def frequency_norms_squared(self) -> np.ndarray:
@@ -321,18 +318,11 @@ def weighted_block_energy(
     """sum_j sum_k weights_k |symbols_j(D) values_k|^2 on the physical grid.
 
     ``values`` is a stack [r, ...] of grid fields and ``symbols`` a stack
-    [J, ...] of multiplier tables in FFT layout.  Each chunk of the rank axis
-    takes one batched forward and one batched inverse transform for all J
-    blocks, so no transform of the whole stack is held at once.
+    [J, ...] of multiplier tables in FFT layout: block_energy_stack of a
+    one-member stack.
     """
-    stack = np.asarray(values)[None]
-    symbols = np.asarray(symbols)
-    return _weighted_energy(
-        grid,
-        np.asarray(weights)[None],
-        len(symbols),
-        lambda rows: _block_fields(grid, fft_stack(grid, stack[:, rows]), symbols),
-    )[0]
+    spectra = fft_stack(grid, np.asarray(values)[None])
+    return block_energy_stack(grid, spectra, np.asarray(weights)[None], symbols)[0]
 
 
 def lp_norms(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> list[float]:
@@ -364,27 +354,35 @@ def inner_product(f: GridFunction, g: GridFunction):
     return complex(f.grid.cell_volume * np.sum(np.conj(f.values) * g.values))
 
 
-SymbolLike = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
-def apply_symbol(f: GridFunction, symbol: SymbolLike) -> GridFunction:
-    """Apply a Fourier multiplier.
-
-    ``symbol`` is either an array tabulated on the frequency lattice (same
-    shape as the grid, FFT layout) or a callable evaluated on the stacked
-    frequency lattice of shape (dimension,) + grid.shape.
-    """
+def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
+    """Apply a Fourier multiplier tabulated on the frequency lattice (same shape
+    as the grid, FFT layout)."""
     grid = f.grid
-    if callable(symbol):
-        table = np.asarray(symbol(grid.frequency_stack))
-    else:
-        table = np.asarray(symbol)
+    table = np.asarray(symbol)
     if table.shape != grid.shape:
         raise GridMismatchError(
             f"symbol table of shape {table.shape} does not fit grid shape {grid.shape}"
         )
     spectrum = forward_transform(f)
     return inverse_transform(SpectrumFunction(grid, table * spectrum.coefficients))
+
+
+def laplacian_power(grid: TorusGrid, s: float) -> np.ndarray:
+    """The symbol |xi|^(2s) of (-Laplacian)^s in FFT layout; the zero mode counts
+    only at s = 0 (for s < 0 callers refuse fields with zero-mode mass)."""
+    s = float(s)
+    nsq = grid.frequency_norms_squared
+    table = np.ones(grid.shape) if s == 0.0 else np.zeros(grid.shape)
+    positive = nsq > 0
+    table[positive] = nsq[positive] ** s
+    return table
+
+
+def zero_mode_offenders(energy: np.ndarray) -> np.ndarray:
+    """Which rows of an energy table [m, N^d] of |coeffs|^2 in FFT layout carry
+    zero-mode mass: |coeffs(0)| above ZERO_MODE_RTOL times the row's l2 norm."""
+    totals = np.sqrt(energy.sum(axis=1))
+    return np.sqrt(energy[:, 0]) > ZERO_MODE_RTOL * totals
 
 
 def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[float]:
@@ -394,35 +392,20 @@ def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[flo
     vanish.
     """
     power = float(power)
-    count = len(values)
-    energy = abs_squared(forward_transform_stack(grid, values)).reshape(count, -1)
-    nsq = grid.frequency_norms_squared.reshape(-1)
-    if power < 0:
-        totals = np.sqrt(energy.sum(axis=1))
-        zero = np.sqrt(energy[:, np.flatnonzero(nsq == 0.0)[0]])
-        if np.any((totals > 0.0) & (zero > ZERO_MODE_RTOL * totals)):
-            raise ZeroModeSingularityError(
-                "zero-mode singularity: negative Laplacian power applied to a "
-                "function whose frequency-zero coefficient does not vanish"
-            )
-        weights = np.zeros(nsq.shape)
-        mask = nsq > 0
-        weights[mask] = nsq[mask] ** power
-    else:
-        # 0**power is 0 for power > 0 and 1 for power == 0, which is exactly
-        # the required zero-mode convention in both cases.
-        weights = nsq**power
+    energy = abs_squared(forward_transform_stack(grid, values)).reshape(len(values), -1)
+    if power < 0 and np.any(zero_mode_offenders(energy)):
+        raise ZeroModeSingularityError(
+            "zero-mode singularity: negative Laplacian power applied to a "
+            "function whose frequency-zero coefficient does not vanish"
+        )
+    weights = laplacian_power(grid, power).reshape(-1)
     return (np.sum(weights * energy, axis=1) / grid.volume).tolist()
 
 
 def kinetic_form(u: GridFunction, power: float) -> float:
-    """Quadratic form of the fractional Laplacian, L^{-d} sum |xi|^(2 power) |coeffs|^2.
-
-    power > 0: the frequency-zero mode contributes nothing.
-    power = 0: the zero mode is included, so the form equals the squared L^2 norm.
-    power < 0: requires the zero-mode coefficient to vanish (relative tolerance
-    1e-10), otherwise the negative power is singular there.
-    """
+    """Quadratic form of the fractional Laplacian, L^{-d} sum |xi|^(2 power) |coeffs|^2,
+    with laplacian_power's zero-mode rule; power < 0 requires the zero-mode
+    coefficient to vanish."""
     return kinetic_forms(u.grid, u.values[None], power)[0]
 
 

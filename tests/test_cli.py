@@ -6,6 +6,7 @@ import json
 import pytest
 
 import lplab.cli
+import lplab.corpus
 import lplab.inequality_lab
 from lplab.cli import (
     SECTIONS,
@@ -138,6 +139,36 @@ class TestExitCodes:
     def test_settings_a_handler_refuses_are_usage_errors(self, capsys, argv, message):
         assert run_cli(*argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["glt", "--a", "inf", "--samples", "1"], "power a must be finite"),
+            (["glt", "--a", "nan", "--samples", "1"], "power a must be finite"),
+            (["glt", "--b", "nan", "--samples", "1"], "power b must be finite"),
+            (["glt", "--b", "inf", "--samples", "1"], "power b must be finite"),
+            (["lp-density", "--rank", "0", "--samples", "2"], "rank must be at least 1"),
+            (["lp", "--box", "inf", "--samples", "2"], "box_length must be finite"),
+            (["lp", "--decay", "nan", "--samples", "2"], "decay must be finite"),
+            (["glt", "--decay", "nan", "--samples", "1"], "decay must be finite"),
+            (["lp", "--p", "inf", "--samples", "2"], "requires a finite p"),
+            (["khinchine", "--p", "inf", "--count", "2"], "requires a finite p"),
+        ],
+        ids=[
+            "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
+            "box_inf", "lp_decay_nan", "glt_decay_nan", "lp_p_inf", "khinchine_p_inf",
+        ],
+    )
+    def test_settings_refused_before_any_draw(self, capsys, monkeypatch, argv, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before refusing the settings")
+
+        monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
+        monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         """A check that raises mid-run is a failed run (exit 1), not a usage error."""

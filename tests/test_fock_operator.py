@@ -7,7 +7,6 @@ import pytest
 from lplab import (
     ContractViolationError,
     FiniteRankOperator,
-    GridFunction,
     GridMismatchError,
     NO_CONTRACT,
     TorusGrid,
@@ -43,7 +42,12 @@ class TestConstruction:
     def test_rank_and_trace(self, grid1):
         op = wave_operator(grid1, [[0], [1], [-1]], [1.0, 1.0, 1.0])
         assert op.rank == 3
-        np.testing.assert_allclose(op.trace(), 3.0, rtol=1e-15)
+        np.testing.assert_allclose(kinetic_trace(op, 0.0), 3.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("power", [np.inf, -np.inf, np.nan])
+    def test_power_bounded_needs_a_finite_power(self, power):
+        with pytest.raises(ValueError, match="finite power"):
+            power_bounded(power)
 
     def test_eigenvalue_validation(self, grid1):
         u = normalized_wave(grid1, [1]).values[None]
@@ -55,12 +59,6 @@ class TestConstruction:
     def test_shape_validation(self, grid1):
         with pytest.raises(GridMismatchError):
             FiniteRankOperator(grid1, np.array([1.0]), np.zeros((1, 8), dtype=complex))
-
-    def test_eigenfunction_accessor(self, grid1):
-        op = wave_operator(grid1, [[2]], [1.0])
-        u = op.eigenfunction(0)
-        assert isinstance(u, GridFunction)
-        assert u.grid is grid1
 
 
 class TestDensity:
@@ -86,7 +84,7 @@ class TestDensity:
         for grid, seed in ((grid1, 73), (grid2, 74)):
             op = random_orthonormal_frame(grid, rank=4, decay=0.8, seed=seed)
             mass = grid.integrate(density(op).values)
-            np.testing.assert_allclose(mass, op.trace(), rtol=1e-10)
+            np.testing.assert_allclose(mass, kinetic_trace(op, 0.0), rtol=1e-10)
 
     def test_density_never_negative(self, grid1):
         op = random_orthonormal_frame(grid1, rank=5, decay=0.5, seed=75)
@@ -183,7 +181,7 @@ class TestFermiSea:
 
     def test_trace_equals_rank(self, grid1):
         sea = fermi_sea(grid1, 16.5)
-        np.testing.assert_allclose(sea.trace(), sea.rank, rtol=1e-12)
+        np.testing.assert_allclose(kinetic_trace(sea, 0.0), sea.rank, rtol=1e-12)
 
     def test_sea_satisfies_unit_ball_contract(self, grid2):
         sea = fermi_sea(grid2, 4.5)

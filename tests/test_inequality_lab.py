@@ -383,7 +383,7 @@ class TestChain:
         for seed in range(4):
             op = random_orthonormal_frame(grid1, rank=3, decay=0.6, seed=750 + seed)
             result = lt_chain_check(op, blocks1)
-            assert result.passed, result.to_dict()
+            assert result.passed, result
             assert result.block_kinetic <= result.kinetic * (1 + 1e-9)
             assert result.block_density_bound <= result.block_kinetic * (1 + 1e-9)
 

@@ -30,13 +30,7 @@ from lplab import (
     spike_sequences,
     tensor_khinchine_reports,
 )
-from lplab.inequality_lab import (
-    DEGENERACY_RTOL,
-    _linear_sum_magnitudes,
-    _sequence_lemma_rows,
-    _sign_table,
-    _tensor_sum_magnitudes,
-)
+from lplab.inequality_lab import DEGENERACY_RTOL, _sequence_lemma_rows, _sign_table
 from lplab.torus_grid import abs_squared
 
 
@@ -205,6 +199,22 @@ class TestSignTable:
             reports(3, [1.0], 0, 1)
 
 
+def linear_sum_magnitudes(coefficients, signs):
+    """|sum_j a_j r_j| for every sign vector of the table, in order."""
+    return np.concatenate([np.abs(rows @ coefficients) for rows in signs()])
+
+
+def tensor_sum_magnitudes(matrix, signs):
+    """|sum_jk a_jk r_j r_k| over one shared sign sequence of length max(J, K)."""
+    rows_j, cols_k = matrix.shape
+    parts = []
+    for rows in signs():
+        left = rows[:, :rows_j]
+        right = rows[:, :cols_k]
+        parts.append(np.abs(((left @ matrix) * right).sum(axis=1)))
+    return np.concatenate(parts)
+
+
 def reference_sign_samples(n_terms, p_list, count, seed, ensemble, tensor):
     """One list of samples per exponent, each vector drawn and summed on its own."""
     signs = _sign_table(n_terms, ensemble)
@@ -214,9 +224,9 @@ def reference_sign_samples(n_terms, p_list, count, seed, ensemble, tensor):
         draws = philox_generator(seed, index).standard_normal(size=shape)
         coefficients = draws[0] + 1j * draws[1]
         if tensor:
-            magnitudes = _tensor_sum_magnitudes(coefficients, signs)
+            magnitudes = tensor_sum_magnitudes(coefficients, signs)
         else:
-            magnitudes = _linear_sum_magnitudes(coefficients, signs)
+            magnitudes = linear_sum_magnitudes(coefficients, signs)
         l2 = float(np.sum(abs_squared(coefficients)))
         for p, samples in per_p.items():
             expectation = float(np.mean(magnitudes**p))

@@ -19,6 +19,7 @@ from lplab import (
     SMOOTH,
     CorpusSpec,
     FiniteRankOperator,
+    GridFunction,
     TorusGrid,
     UNIT_BALL,
     apply_symbol,
@@ -52,19 +53,24 @@ GRIDS = {
 }
 
 
+def member(op, k):
+    """Eigenfunction k of an operator as a grid function."""
+    return GridFunction(op.grid, op.eigenfunctions[k])
+
+
 def reference_summed_density(op, blocks):
     """sum_j sum_k lambda_k |P_j u_k|^2, one transform pair per (k, j)."""
     acc = np.zeros(op.grid.shape)
     for j in blocks.block_indices:
         for k in range(op.rank):
-            piece = apply_symbol(op.eigenfunction(k), blocks.symbol(j)).values
+            piece = apply_symbol(member(op, k), blocks.symbol(j)).values
             acc = acc + float(op.eigenvalues[k]) * np.abs(piece) ** 2
     return acc
 
 
 def reference_kinetic_trace(op, power):
     return sum(
-        float(op.eigenvalues[k]) * kinetic_form(op.eigenfunction(k), power)
+        float(op.eigenvalues[k]) * kinetic_form(member(op, k), power)
         for k in range(op.rank)
     )
 
@@ -76,13 +82,13 @@ def reference_chain(op, blocks):
     for j in blocks.block_indices:
         for k in range(op.rank):
             t1 += float(op.eigenvalues[k]) * kinetic_form(
-                project(op.eigenfunction(k), blocks, j), 1
+                project(member(op, k), blocks, j), 1
             )
     t2 = 0.0
     for j in blocks.interior_indices:
         rho_j = np.zeros(op.grid.shape)
         for k in range(op.rank):
-            piece = project(op.eigenfunction(k), blocks, j).values
+            piece = project(member(op, k), blocks, j).values
             rho_j = rho_j + float(op.eigenvalues[k]) * np.abs(piece) ** 2
         t2 += 0.25 * 2.0 ** (2 * j) * float(op.grid.integrate(rho_j))
     return t0, t1, t2
@@ -165,7 +171,7 @@ class TestAgainstLoops:
         for j in blocks.block_indices:
             expected = np.zeros(grid.shape)
             for k in range(op.rank):
-                piece = apply_symbol(op.eigenfunction(k), blocks.symbol(j)).values
+                piece = apply_symbol(member(op, k), blocks.symbol(j)).values
                 expected = expected + float(op.eigenvalues[k]) * np.abs(piece) ** 2
             assert_fields_close(conjugated_density(op, blocks, j).values, expected)
 
@@ -200,7 +206,7 @@ class TestClosedForms:
         op, blocks = frame_of(case)
         w = np.zeros(op.grid.shape)
         for k in range(op.rank):
-            coeffs = forward_transform(op.eigenfunction(k)).coefficients
+            coeffs = forward_transform(member(op, k)).coefficients
             w = w + float(op.eigenvalues[k]) * np.abs(coeffs) ** 2
         closed = float(np.sum(block_squared_sum(blocks) * w) / np.sum(w))
         assert lp_density_check(op, 1.0, blocks).ratio == pytest.approx(closed, rel=RTOL)

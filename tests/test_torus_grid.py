@@ -20,6 +20,7 @@ from lplab import (
     lp_norm,
     plane_wave,
 )
+from lplab.torus_grid import laplacian_power, zero_mode_offenders
 
 TAU = 2.0 * np.pi
 
@@ -46,14 +47,13 @@ class TestGridValidation:
             TorusGrid(1, TAU, 4)
 
     def test_box_length_positive(self):
-        with pytest.raises(ValueError, match="box_length"):
-            TorusGrid(1, -1.0, 16)
+        for length in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="box_length must be finite and positive"):
+                TorusGrid(1, length, 16)
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="size cap"):
             TorusGrid(3, TAU, 512)  # 512^3 > 2^24
-        # The cap is adjustable.
-        TorusGrid(1, TAU, 16, size_cap=16)
 
     def test_geometry_accessors(self, grid2):
         assert grid2.shape == (64, 64)
@@ -205,16 +205,60 @@ class TestApplySymbol:
         two_pass = apply_symbol(apply_symbol(f, s), t)
         np.testing.assert_allclose(two_pass.values, one_pass.values, atol=1e-12)
 
-    def test_callable_symbol(self, grid1):
-        f = random_function(grid1, seed=54)
-        by_callable = apply_symbol(f, lambda stack: np.exp(-(stack**2).sum(axis=0)))
-        by_table = apply_symbol(f, np.exp(-grid1.frequency_norms_squared))
-        np.testing.assert_allclose(by_callable.values, by_table.values, atol=1e-14)
-
     def test_table_shape_mismatch(self, grid1):
         f = random_function(grid1, seed=55)
         with pytest.raises(GridMismatchError, match="symbol table"):
             apply_symbol(f, np.ones((8,)))
+
+
+LAPLACIAN_GRIDS = [TorusGrid(1, TAU, 256), TorusGrid(2, 3.0, 64), TorusGrid(3, TAU, 16)]
+
+
+def kinetic_forms_table(grid, power):
+    """The table kinetic_forms built inline before laplacian_power."""
+    nsq = grid.frequency_norms_squared.reshape(-1)
+    if power < 0:
+        weights = np.zeros(nsq.shape)
+        mask = nsq > 0
+        weights[mask] = nsq[mask] ** power
+    else:
+        weights = nsq**power
+    return weights.reshape(grid.shape)
+
+
+def kinetic_trace_table(grid, power):
+    """The table kinetic_trace built inline (power >= 0 only)."""
+    return grid.frequency_norms_squared**power
+
+
+def contract_table(grid, a):
+    """The table validate_contract built inline for the contract power a = -s."""
+    nsq = grid.frequency_norms_squared.reshape(-1)
+    zero_col = int(np.flatnonzero(nsq == 0.0)[0])
+    weights = np.zeros(nsq.shape)
+    positive = nsq > 0
+    weights[positive] = nsq[positive] ** (-a)
+    if a == 0.0:
+        weights[zero_col] = 1.0
+    return weights.reshape(grid.shape)
+
+
+class TestLaplacianPower:
+    @pytest.mark.parametrize("grid", LAPLACIAN_GRIDS, ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("s", [-1.0, -0.25, 0.0, 1.0, 2.0])
+    def test_equals_the_inline_tables(self, grid, s):
+        table = laplacian_power(grid, s)
+        assert np.array_equal(table, kinetic_forms_table(grid, s))
+        assert np.array_equal(table, contract_table(grid, -s))
+        if s >= 0:
+            assert np.array_equal(table, kinetic_trace_table(grid, s))
+
+    def test_zero_mode_offenders(self, grid1):
+        spectra = np.fft.fftn(random_function(grid1, seed=57).values)[None].repeat(3, axis=0)
+        spectra[1, 0] = 0.0  # mean zero
+        spectra[2] = 0.0  # the zero field carries no mass anywhere
+        energy = abs_squared(spectra)
+        assert zero_mode_offenders(energy).tolist() == [True, False, False]
 
 
 class TestKineticForm:
