@@ -20,10 +20,11 @@ mathematical check fails or a check raises inside the run (the report is
 still written, with the error under "results"); 2 on usage or
 configuration errors (ConfigurationError), among them a bad grid, an
 exponent below a checker's floor, a non-finite setting, a zero count or
-rank, a --config key the command does not take and a malformed --envelopes
-file, each refused before anything is drawn; and 3 when nothing failed
-but some cell had no envelope to be judged against.  Such a cell reports
-"passed": null, the run's "pass" is null, and --out prints UNJUDGED.
+rank, an empty list of exponents or ranks, a --config key the command does
+not take and a malformed --envelopes file, each refused before anything is
+drawn; and 3 when nothing failed but some cell had no envelope to be judged
+against.  Such a cell reports "passed": null, the run's "pass" is null, and
+--out prints UNJUDGED.
 
 Flag resolution order: explicit flag > --config file entry > built-in
 default.  Every run is serial, in this process; --jobs is accepted and
@@ -247,6 +248,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     for key in (*defaults, *passthrough):
         value = getattr(args, key, None)
         settings[key] = config.get(key, defaults.get(key)) if value is None else value
+        if isinstance(defaults.get(key), list) and not settings[key]:
+            raise ConfigurationError(f"{key} needs at least one value")
     return settings
 
 
@@ -389,7 +392,7 @@ def calibration_runs() -> list[tuple[str, dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results dict, passed, csv samples)
+# Subcommand handlers: each returns (results dict, passed, RatioReports or None)
 
 
 def _verdict(*verdicts: bool | None) -> bool | None:
@@ -401,8 +404,7 @@ def _verdict(*verdicts: bool | None) -> bool | None:
 
 def _report_results(reports: list[RatioReport], passed: bool = True, **extra):
     results = {"reports": [r.to_dict() for r in reports], **extra}
-    passed = _verdict(passed, *(r.passed for r in reports))
-    return results, passed, [s for r in reports for s in r.samples]
+    return results, _verdict(passed, *(r.passed for r in reports)), reports
 
 
 def _cmd_partition(settings: dict, envelopes: dict):
@@ -471,7 +473,7 @@ def _cmd_khinchine(settings: dict, envelopes: dict):
         "pair_lower_ratio_residual": pair_residual,
         "diagonal_spike_residual": spike_residual,
     }
-    return results, passed, [s for r in reports for s in r.samples]
+    return results, passed, reports
 
 
 def _cmd_gns(settings: dict, envelopes: dict):
@@ -483,6 +485,8 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
     family, profile_kind = settings["family"], settings["profile"]
     if family != SMOOTH:
         raise UnsupportedFamilyError("the kinetic chain needs the smooth block family")
+    if int(settings["chain_samples"]) < 0:
+        raise ConfigurationError(f"chain samples must be >= 0, got {settings['chain_samples']}")
     ladder = settings["mu"] or _default_mu_ladder(grid)
     profile = build_profile(profile_kind)
     blocks = build_companions(build_blocks(grid, family, profile))
@@ -538,6 +542,7 @@ def _cmd_glt(settings: dict, envelopes: dict):
     grid = _grid_of(settings)
     a, b = float(settings["a"]), float(settings["b"])
     lt_exponent(grid.dimension, a, b)  # refuses the powers before any frame is drawn
+    require_counts(sample_count=settings["samples"])
     rows = []
     agreement = None
     for rank in settings["rank"]:
@@ -588,23 +593,15 @@ def _handler(command: str):
 def _cmd_all(settings: dict, envelopes: dict):
     sections = {}
     passed = True
+    reports = []
     for command, section in SECTIONS.items():
         handler = _handler(command)
         for label, section_settings in zip(section.desk, section_runs(command)[1:]):
-            results, section_passed, _ = handler(section_settings, envelopes)
+            results, section_passed, section_reports = handler(section_settings, envelopes)
             sections[label] = {"results": results, "pass": section_passed}
             passed = _verdict(passed, section_passed)
-    return sections, passed, None
-
-
-def _unjudged_cells(results) -> int:
-    """The envelope-judged cells of a results tree whose verdict is None."""
-    if isinstance(results, dict):
-        own = "envelope" in results and results.get("passed") is None
-        return own + sum(_unjudged_cells(value) for value in results.values())
-    if isinstance(results, list):
-        return sum(_unjudged_cells(value) for value in results)
-    return 0
+            reports += section_reports or []
+    return sections, passed, reports
 
 
 _HANDLERS = {**{command: _handler(command) for command in SECTIONS}, "all": _cmd_all}
@@ -629,13 +626,13 @@ def run(argv=None) -> int:
 
     handler = _HANDLERS[args.command]
     try:
-        results, passed, samples = handler(settings, envelopes)
+        results, passed, reports = handler(settings, envelopes)
     except (ConfigurationError, UnsupportedFamilyError) as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         # A check that raises fails the run; it is not a usage error.
-        results, passed, samples = {"error": str(exc)}, False, None
+        results, passed, reports = {"error": str(exc)}, False, None
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -644,7 +641,7 @@ def run(argv=None) -> int:
         | {"rng": "philox4x64"},
         "results": results,
         "pass": passed,
-        "unjudged": _unjudged_cells(results),
+        "unjudged": sum(r.passed is None for r in reports or ()),
     }
     text = canonical_json(sanitize(payload))
     try:
@@ -654,8 +651,8 @@ def run(argv=None) -> int:
             print(f"{_VERDICT_WORDS[passed]} {args.command} -> {settings['out']}")
         else:
             sys.stdout.write(text)
-        if settings.get("csv") and samples is not None and args.command != "partition":
-            write_samples_csv(samples, settings["csv"])
+        if settings.get("csv") and reports is not None:
+            write_samples_csv([s for r in reports for s in r.samples], settings["csv"])
     except OSError as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -218,12 +217,22 @@ def _power_scaled(op: FiniteRankOperator) -> FiniteRankOperator:
     return op.reweighted(op.eigenvalues / top)
 
 
+# The sequence bound's terms reach 2^((d + 2) j); beyond this exponent they
+# leave the normal binary64 range (2^-1022 .. 2^1023).
+SPIKE_EXPONENT_LIMIT = 1000
+
+
 def _spike_window(dimension: int, j_range) -> tuple[int, int]:
     lo, hi = int(j_range[0]), int(j_range[1])
     if hi < lo:
         raise ConfigurationError(f"empty index range [{lo}, {hi}]")
     if dimension not in (1, 2, 3):
         raise ConfigurationError(f"dimension must be 1, 2 or 3, got {dimension}")
+    if (dimension + 2) * max(abs(lo), abs(hi)) > SPIKE_EXPONENT_LIMIT:
+        raise ConfigurationError(
+            f"index range [{lo}, {hi}] leaves the binary64 range at d={dimension}: "
+            f"(d + 2) * max |j| must be at most {SPIKE_EXPONENT_LIMIT}"
+        )
     return lo, hi
 
 
@@ -253,12 +262,9 @@ def _rekeyed_generators(master_seed: int, indices, stream: int = 0):
         yield generator
 
 
-class SpikeTable(Sequence):
-    """Spike sequences as one (count, J) array; each member is a view of one row.
-
-    Row i is member i, column k is the index ``lo + k``; indexing the table
-    returns the member as a {j: alpha_j} dict.
-    """
+class SpikeTable:
+    """Spike sequences as one (count, J) array: row i is member i, column k
+    is the index ``lo + k``."""
 
     def __init__(self, lo: int, values: np.ndarray) -> None:
         self.lo = lo
@@ -267,19 +273,6 @@ class SpikeTable(Sequence):
     @property
     def indices(self) -> np.ndarray:
         return np.arange(self.lo, self.lo + self.values.shape[1])
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __getitem__(self, index: int) -> dict[int, float]:
-        return dict(zip(self.indices.tolist(), self.values[index].tolist()))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpikeTable)
-            and self.lo == other.lo
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def _spike_table(dimension: int, lo: int, hi: int, generators, count: int) -> SpikeTable:

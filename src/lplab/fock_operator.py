@@ -201,6 +201,14 @@ def diagonal_block_bound(blocks: DyadicBlockSet, j: int) -> float:
     return float(np.sum(table**2) / blocks.grid.volume)
 
 
+def finite_chemical_potential(chemical_potential: float) -> float:
+    """The chemical potential as a float; ConfigurationError unless positive and finite."""
+    mu = float(chemical_potential)
+    if not (math.isfinite(mu) and mu > 0):
+        raise ConfigurationError(f"chemical potential must be positive and finite, got {mu}")
+    return mu
+
+
 def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
     """Projection onto the plane waves with |xi|^2 <= chemical_potential.
 
@@ -209,9 +217,7 @@ def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
     construction is deterministic.  Each wave is the outer product of the
     one-axis waves e^{i xi_m x_m}, read from one table of N x N phases.
     """
-    mu = float(chemical_potential)
-    if mu <= 0:
-        raise ConfigurationError(f"chemical potential must be positive, got {mu}")
+    mu = finite_chemical_potential(chemical_potential)
     nsq_flat = grid.frequency_norms_squared.reshape(-1)
     selected = np.flatnonzero(nsq_flat <= mu)
     if selected.size == 0:

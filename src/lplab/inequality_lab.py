@@ -48,6 +48,7 @@ from .fock_operator import (
     UNIT_BALL,
     density,
     fermi_sea,
+    finite_chemical_potential,
     kinetic_trace,
     power_bounded,
     require_contract,
@@ -619,7 +620,7 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     The sea's density is the constant rank/volume, so both sides reduce to
     sums over the modes below the chemical potential.
     """
-    mu = float(chemical_potential)
+    mu = finite_chemical_potential(chemical_potential)
     nsq = grid.frequency_norms_squared.reshape(-1)
     below = nsq[nsq <= mu]
     if below.size == 0:
@@ -643,6 +644,8 @@ def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
     relative gap.  ``visit``, when given, is called as visit(rung, sea) after
     each rung's check, while the sweep still holds that rung's sea.
     """
+    # Refuse a bad rung before any sea is built.
+    chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
     rows = []
     for rung, mu in enumerate(chemical_potentials):
         sea = fermi_sea(grid, mu)

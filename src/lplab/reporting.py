@@ -4,7 +4,8 @@ Reports are meant to be byte-identical across reruns and across worker
 counts, so everything here is order-stable: JSON keys are sorted, floats are
 rendered with 17 significant digits (round-trip exact for binary64), CSV rows
 use a fixed line terminator, and no timestamps or host information are ever
-embedded.
+embedded.  The JSON text comes from json's own pure-Python encoder; only its
+float rendering is replaced.
 """
 
 from __future__ import annotations
@@ -19,106 +20,32 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-_escape = json.encoder.encode_basestring_ascii
+class _CanonicalEncoder(json.JSONEncoder):
+    """json's pure-Python encoder with format_float for floats.
 
-
-def _float_text(value: float) -> str:
-    """format_float of an exact float, which must be finite."""
-    if not math.isfinite(value):
-        raise ValueError("non-finite float in report payload; map to None before encoding")
-    return format(value, ".17g")
-
-
-# The JSON text of each exact scalar type; subclasses such as numpy's float64
-# take the isinstance checks of _subclass_text, in json's order.
-_SCALAR_TEXT = {
-    str: _escape,
-    float: _float_text,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _subclass_text(value) -> str:
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(float(value))
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as JSON text: keys must be str, int, float, bool or None."""
-    if isinstance(key, str):
-        return _escape(key)
-    if isinstance(key, float):
-        return _escape(_float_text(float(key)))
-    if key is True or key is False or key is None:
-        return '"' + _SCALAR_TEXT[type(key)](key) + '"'
-    if isinstance(key, int):
-        return _escape(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write(value, newline: str, parts: list) -> None:
-    """Append the JSON text of ``value`` to ``parts``.
-
-    ``newline`` is the line break plus the indent of the line ``value``
-    starts on.  Scalar members of a container are written in its loop, so
-    only containers recurse.
+    It is the encoder json.dumps uses whenever ``indent`` is set; only its
+    float text changes.  A non-finite float raises ValueError.
     """
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        parts.append(text(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        separator, comma = "[" + inner, "," + inner
-        for item in value:
-            text = _SCALAR_TEXT.get(type(item))
-            if text is not None:
-                parts.append(separator + text(item))
-            else:
-                parts.append(separator)
-                _write(item, inner, parts)
-            separator = comma
-        parts.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        separator, comma = "{" + inner, "," + inner
-        for key, item in sorted(value.items()):
-            head = separator + (_escape(key) if type(key) is str else _key_text(key)) + ": "
-            text = _SCALAR_TEXT.get(type(item))
-            if text is not None:
-                parts.append(head + text(item))
-            else:
-                parts.append(head)
-                _write(item, inner, parts)
-            separator = comma
-        parts.append(newline + "}")
-    else:
-        parts.append(_subclass_text(value))
+
+    def iterencode(self, o, _one_shot=False):
+        def floatstr(value):
+            if not math.isfinite(value):
+                raise ValueError("non-finite float in report payload; map to None before encoding")
+            return format_float(value)
+
+        markers = {} if self.check_circular else None
+        return json.encoder._make_iterencode(
+            markers, self.default, json.encoder.encode_basestring_ascii, self.indent,
+            floatstr, self.key_separator, self.item_separator, self.sort_keys,
+            self.skipkeys, _one_shot=False,
+        )(o, 0)
 
 
 def canonical_json(payload) -> str:
-    """Sorted-key JSON text with 17-digit floats and a trailing newline.
-
-    The text is json.dumps(payload, sort_keys=True, indent=2) with every
-    float rendered by format_float, written in one recursive pass.  A
-    non-finite float raises ValueError: callers map it to None first.
-    """
-    parts: list[str] = []
-    _write(payload, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    """json.dumps(payload, sort_keys=True, indent=2) with every float
+    rendered by format_float, plus a trailing newline.  A non-finite float
+    raises ValueError: callers map it to None first."""
+    return json.dumps(payload, cls=_CanonicalEncoder, sort_keys=True, indent=2) + "\n"
 
 
 def sanitize(value):

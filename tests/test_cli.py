@@ -141,34 +141,58 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, config, message",
         [
-            (["glt", "--a", "inf", "--samples", "1"], "power a must be finite"),
-            (["glt", "--a", "nan", "--samples", "1"], "power a must be finite"),
-            (["glt", "--b", "nan", "--samples", "1"], "power b must be finite"),
-            (["glt", "--b", "inf", "--samples", "1"], "power b must be finite"),
-            (["lp-density", "--rank", "0", "--samples", "2"], "rank must be at least 1"),
-            (["lp", "--box", "inf", "--samples", "2"], "box_length must be finite"),
-            (["lp", "--decay", "nan", "--samples", "2"], "decay must be finite"),
-            (["glt", "--decay", "nan", "--samples", "1"], "decay must be finite"),
-            (["lp", "--p", "inf", "--samples", "2"], "requires a finite p"),
-            (["khinchine", "--p", "inf", "--count", "2"], "requires a finite p"),
+            (["glt", "--a", "inf", "--samples", "1"], None, "power a must be finite"),
+            (["glt", "--a", "nan", "--samples", "1"], None, "power a must be finite"),
+            (["glt", "--b", "nan", "--samples", "1"], None, "power b must be finite"),
+            (["glt", "--b", "inf", "--samples", "1"], None, "power b must be finite"),
+            (["lp-density", "--rank", "0", "--samples", "2"], None, "rank must be at least 1"),
+            (["lp", "--box", "inf", "--samples", "2"], None, "box_length must be finite"),
+            (["lp", "--decay", "nan", "--samples", "2"], None, "decay must be finite"),
+            (["glt", "--decay", "nan", "--samples", "1"], None, "decay must be finite"),
+            (["lp", "--p", "inf", "--samples", "2"], None, "requires a finite p"),
+            (["khinchine", "--p", "inf", "--count", "2"], None, "requires a finite p"),
+            (["glt", "--samples", "0"], None, "sample count must be >= 1"),
+            (["lp-density"], {"rank": []}, "rank needs at least one value"),
+            (["glt"], {"rank": []}, "rank needs at least one value"),
+            (["lp"], {"p": []}, "p needs at least one value"),
+            (["khinchine"], {"p": []}, "p needs at least one value"),
+            (["lieb-thirring", "--mu", "inf"], None, "positive and finite, got inf"),
+            (["lieb-thirring", "--mu", "2.5", "--mu", "inf"], None, "positive and finite, got inf"),
+            (["lieb-thirring", "--mu", "nan"], None, "positive and finite, got nan"),
+            (["lieb-thirring", "--chain-samples", "-1"], None, "chain samples must be >= 0"),
+            (["seqlemma", "--trials", "5", "--j-min", "-2000", "--j-max", "2000"], None,
+             "leaves the binary64 range"),
+            (["seqlemma", "--dim", "1", "--j-min", "-600", "--j-max", "-500"], None,
+             "leaves the binary64 range"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
             "box_inf", "lp_decay_nan", "glt_decay_nan", "lp_p_inf", "khinchine_p_inf",
+            "glt_no_samples", "density_no_ranks", "glt_no_ranks", "lp_no_exponents",
+            "khinchine_no_exponents", "mu_inf", "mu_ladder_with_inf", "mu_nan",
+            "negative_chain_samples", "seqlemma_overflow", "seqlemma_underflow",
         ],
     )
-    def test_settings_refused_before_any_draw(self, capsys, monkeypatch, argv, message):
+    def test_settings_refused_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, argv, config, message
+    ):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before refusing the settings")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
         monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
+        monkeypatch.setattr(lplab.inequality_lab, "fermi_sea", no_draws)
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
         assert run_cli(*argv) == 2
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         """A check that raises mid-run is a failed run (exit 1), not a usage error."""
@@ -234,6 +258,31 @@ class TestEmittedFiles:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "sample_id,rank,lhs,rhs,ratio"
         assert len(lines) == 1 + 9
+
+    def test_csv_rows_and_unjudged_count_come_from_the_reports(self, tmp_path, capsys):
+        """With no envelope at p = 1.5 the cells of every rank at 1.5 go
+        unjudged: the payload counts exactly the null verdicts its report
+        holds, and the CSV holds one row per sample of every cell."""
+        envelopes = load_envelopes()
+        del envelopes["lp_density"]["d1"]["1.5"]
+        envelope_path = tmp_path / "envelopes.json"
+        envelope_path.write_text(json.dumps(envelopes))
+        out, csv_path = tmp_path / "density.json", tmp_path / "density.csv"
+        code = run_cli(
+            "lp-density", "--samples", "3", "--rank", "1", "--rank", "2", "--p", "1",
+            "--p", "1.5", "--envelopes", str(envelope_path),
+            "--out", str(out), "--csv", str(csv_path),
+        )
+        capsys.readouterr()
+        assert code == 3
+        payload = json.loads(out.read_text())
+        cells = payload["results"]["reports"]
+        unjudged = [(c["name"], c["p"]) for c in cells if c["passed"] is None]
+        assert unjudged == [("lp_density_rank1", 1.5), ("lp_density_rank2", 1.5)]
+        assert payload["unjudged"] == len(unjudged)
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert len(rows) == sum(c["sample_count"] for c in cells) == 12
+        assert [row[1] for row in rows] == ["1"] * 6 + ["2"] * 6
 
     def test_partition_block_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "blocks.csv"

@@ -17,6 +17,7 @@ from lplab import (
     power_bounded,
     random_band_limited,
     random_orthonormal_frame,
+    sequence_lemma_trials,
     single_spike,
     spike_sequences,
     validate_contract,
@@ -122,21 +123,34 @@ class TestOrthonormalFrame:
 class TestSpikeSequences:
     def test_admissible_by_construction(self):
         for dim in (1, 2, 3):
-            for alpha in spike_sequences(dim, count=5, seed=31):
-                for j, value in alpha.items():
-                    assert 0.0 <= value <= 2.0 ** (j * dim), (dim, j)
+            table = spike_sequences(dim, count=5, seed=31)
+            caps = 2.0 ** (table.indices * dim)
+            assert np.all((0.0 <= table.values) & (table.values <= caps)), dim
 
     def test_deterministic_and_distinct(self):
         first = spike_sequences(2, count=3, seed=32)
         second = spike_sequences(2, count=3, seed=32)
-        assert first == second
-        assert first[0] != first[1]
+        assert first.lo == second.lo
+        assert np.array_equal(first.values, second.values)
+        assert not np.array_equal(first.values[0], first.values[1])
 
     def test_index_window(self):
-        alpha = spike_sequences(1, j_range=(-2, 4), count=1, seed=33)[0]
-        assert sorted(alpha) == list(range(-2, 5))
+        table = spike_sequences(1, j_range=(-2, 4), count=1, seed=33)
+        assert table.indices.tolist() == list(range(-2, 5))
+        assert table.values.shape == (1, 7)
         with pytest.raises(ValueError, match="empty index range"):
             spike_sequences(1, j_range=(3, 1))
+
+    @pytest.mark.parametrize(
+        "dim, limit", [(1, 333), (2, 250), (3, 200)], ids=["d1", "d2", "d3"]
+    )
+    def test_window_stays_inside_binary64(self, dim, limit):
+        """The widest windows run without a floating-point warning; one step
+        past (d + 2) max |j| = 1000 is refused before anything is drawn."""
+        sequence_lemma_trials(dim, trials=20, seed=35, j_range=(-limit, limit))
+        for window in ((-limit - 1, 0), (0, limit + 1)):
+            with pytest.raises(ConfigurationError, match="binary64"):
+                spike_sequences(dim, j_range=window)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -145,7 +159,8 @@ class TestSpikeSequences:
     def test_member_draws_only_its_own_sequence(self, monkeypatch):
         direct = spike_sequences(2, count=1000, seed=34)
         for index in (0, 1, 57, 999):
-            assert spike_sequences(2, count=index + 1, seed=34)[index] == direct[index]
+            prefix = spike_sequences(2, count=index + 1, seed=34)
+            assert np.array_equal(prefix.values, direct.values[: index + 1])
         keys = []
         original = lplab.corpus._rekeyed_generators
 
@@ -155,7 +170,9 @@ class TestSpikeSequences:
                 yield from original(master_seed, [index], stream)
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", counted)
-        assert spike_sequences(2, count=3, seed=34) == spike_sequences(2, count=3, seed=34)
+        first = spike_sequences(2, count=3, seed=34)
+        assert np.array_equal(first.values, spike_sequences(2, count=3, seed=34).values)
+        assert np.array_equal(first.values, direct.values[:3])
         assert keys == [(34, 0), (34, 1), (34, 2)] * 2
 
     def test_single_spike_saturates_cap(self):

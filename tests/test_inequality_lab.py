@@ -348,6 +348,12 @@ class TestLiebThirring:
         with pytest.raises(DegenerateInputError):
             lieb_thirring_check(fermi_sea(grid1, 0.5))
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_potential_is_refused(self, grid1, mu):
+        for build in (fermi_sea, fermi_lattice_oracle):
+            with pytest.raises(ConfigurationError, match="chemical potential must be positive"):
+                build(grid1, mu)
+
     def test_oracle_agrees_with_pipeline(self, grid1, grid2):
         for grid, mu in ((grid1, 9.5), (grid1, 33.0), (grid2, 8.5)):
             oracle = fermi_lattice_oracle(grid, mu)
