@@ -21,7 +21,8 @@ still written, with the error under "results"); 2 on usage or
 configuration errors (ConfigurationError), among them a bad grid, an
 exponent below a checker's floor, a non-finite setting, a zero count or
 rank, an empty list of exponents or ranks, a --config key the command does
-not take and a malformed --envelopes file, each refused before anything is
+not take, a --config value of a list setting that is not a JSON list of
+numbers and a malformed --envelopes file, each refused before anything is
 drawn; and 3 when nothing failed but some cell had no envelope to be judged
 against.  Such a cell reports "passed": null, the run's "pass" is null, and
 --out prints UNJUDGED.
@@ -62,6 +63,7 @@ from .inequality_lab import (
     khinchine_ratio,
     khinchine_reports,
     khinchine_tensor_ratio,
+    kinetic_chain,
     lieb_thirring_check,
     load_envelopes,
     lt_chain_check,
@@ -204,6 +206,12 @@ def _add_common(sp: argparse.ArgumentParser, command: str) -> None:
     sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored: every run is serial")
 
 
+def _takes_list(default) -> bool:
+    """Whether a setting is a list of numbers.  A None default (the mu ladder)
+    is a list of floats worked out at run time."""
+    return default is None or isinstance(default, list)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per section, with one flag per default; list defaults repeat."""
     parser = argparse.ArgumentParser(
@@ -217,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(command, help=section.help)
         _add_common(sp, command)
         for key, default in section.defaults.items():
-            # A None default (the mu ladder) is a list of floats worked out at run time.
-            many = default is None or isinstance(default, list)
+            many = _takes_list(default)
             kind = float if default is None else type(default[0] if many else default)
             sp.add_argument(
                 "--" + key.replace("_", "-"),
@@ -247,10 +254,25 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     settings = {}
     for key in (*defaults, *passthrough):
         value = getattr(args, key, None)
-        settings[key] = config.get(key, defaults.get(key)) if value is None else value
-        if isinstance(defaults.get(key), list) and not settings[key]:
+        if value is None:
+            value = config.get(key, defaults.get(key))
+            if key in config and key in defaults:
+                _check_config_list(key, value, defaults[key])
+        settings[key] = value
+        if isinstance(defaults.get(key), list) and not value:
             raise ConfigurationError(f"{key} needs at least one value")
     return settings
+
+
+def _check_config_list(key: str, value, default) -> None:
+    """A config value of a list setting must be a JSON list of numbers; the
+    mu ladder's null default may stay null."""
+    if not _takes_list(default) or (default is None and value is None):
+        return
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+        raise ConfigurationError(
+            f"config key {key} needs a JSON list of numbers, got {json.dumps(value)}"
+        )
 
 
 def _grid_of(settings: dict) -> TorusGrid:
@@ -491,15 +513,15 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
     profile = build_profile(profile_kind)
     blocks = build_companions(build_blocks(grid, family, profile))
 
-    # The chain runs on the first and the middle rung's sea while the sweep
-    # holds it, reusing the checks the sweep made on it.
+    # The chain runs on the first and the middle rung's spectral density
+    # from the sweep, which has checked that rung's unit-ball contract.
     chain_rungs = (0, len(ladder) // 2)
     sea_chains = {}
 
-    def chain(rung, sea):
+    def chain(rung, rank, w):
         if rung in chain_rungs:
             sea_chains[rung] = {
-                "source": f"sea_rank_{sea.rank}", **asdict(lt_chain_check(sea, blocks))
+                "source": f"sea_rank_{rank}", **asdict(kinetic_chain(grid, w, blocks))
             }
 
     rows = fermi_sweep(grid, ladder, chain)

@@ -6,7 +6,15 @@ N^d x N^d matrix.  Block-conjugated densities come from the batched block
 kernel of torus_grid, one inverse transform per chunk of eigenfunctions for
 all blocks.  Kinetic traces are Parseval sums of the spectral density
 w(xi) = sum_k lambda_k |coeffs_k(xi)|^2 against torus_grid.laplacian_power,
-with no inverse transform; the trace itself is kinetic_trace(op, 0).
+with no inverse transform (spectral_trace); the trace itself is
+kinetic_trace(op, 0).
+
+Plane-wave Fermi seas come from one wave generator, _plane_waves, which
+builds any range of a sea's waves (rank rows, and a range of the leading
+grid axis) with the bits of the full stack.  fermi_sea builds its whole
+stack through it; inequality_lab.fermi_sweep streams a ladder of seas
+through it without holding one.  Gram matrices have one kernel,
+_gram_matrix, summed over column blocks of a stack or over generated slabs.
 
 Contracts describe the operator bound a checker relies on:
 
@@ -181,17 +189,22 @@ def conjugated_density(
     return GridFunction(op.grid, values)
 
 
-def kinetic_trace(op: FiniteRankOperator, power: float) -> float:
-    """tr (-Laplacian)^power gamma = L^{-d} sum_xi |xi|^(2 power) w(xi).
+def spectral_trace(grid: TorusGrid, w: np.ndarray, power: float) -> float:
+    """L^{-d} sum_xi |xi|^(2 power) w(xi) for a spectral density w in FFT layout.
 
-    w is the spectral density sum_k lambda_k |coeffs_k|^2; at power 0 this is
-    the trace of gamma.
+    With w = sum_k lambda_k |coeffs_k|^2 this is tr (-Laplacian)^power gamma;
+    at power 0 it is the trace of gamma.
     """
     power = float(power)
     if power < 0:
         raise ValueError(f"kinetic_trace requires power >= 0, got {power}")
-    weights = laplacian_power(op.grid, power)
-    return float(np.sum(weights * op.spectral_density) / op.grid.volume)
+    weights = laplacian_power(grid, power)
+    return float(np.sum(weights * w) / grid.volume)
+
+
+def kinetic_trace(op: FiniteRankOperator, power: float) -> float:
+    """tr (-Laplacian)^power gamma: spectral_trace of the operator's spectral density."""
+    return spectral_trace(op.grid, op.spectral_density, power)
 
 
 def diagonal_block_bound(blocks: DyadicBlockSet, j: int) -> float:
@@ -209,13 +222,11 @@ def finite_chemical_potential(chemical_potential: float) -> float:
     return mu
 
 
-def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
-    """Projection onto the plane waves with |xi|^2 <= chemical_potential.
+def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
+    """Flat lattice indices of the modes with |xi|^2 <= chemical_potential,
+    ordered by (|xi|^2, flat index).
 
-    Eigenfunctions are the normalized lattice waves L^{-d/2} e^{i xi x} with
-    unit weights, ordered by (|xi|^2, flattened lattice index) so the
-    construction is deterministic.  Each wave is the outer product of the
-    one-axis waves e^{i xi_m x_m}, read from one table of N x N phases.
+    The modes of a smaller chemical potential are a prefix of these.
     """
     mu = finite_chemical_potential(chemical_potential)
     nsq_flat = grid.frequency_norms_squared.reshape(-1)
@@ -223,17 +234,42 @@ def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
     if selected.size == 0:
         raise ConfigurationError("no lattice modes under the chemical potential")
     order = np.lexsort((selected, nsq_flat[selected]))
-    modes = selected[order]
+    return selected[order]
 
+
+def _plane_waves(
+    grid: TorusGrid, modes: np.ndarray, rows: slice = slice(None), leading: slice = slice(None)
+) -> np.ndarray:
+    """The normalized waves L^{-d/2} e^{i xi x} of modes[rows], restricted to
+    the range ``leading`` of the first grid axis, as [r, l, N, .., N].
+
+    Each wave is the outer product of the one-axis waves e^{i xi_m x_m}, read
+    from one table of N x N phases and appended one axis at a time.  An
+    element is the same chain of products whatever the ranges, so the pieces
+    have the bits of the full stack.
+    """
+    modes = modes[rows]
     # axis_waves[m, n] = exp(i xi_m x_n) for one axis.
     axis_waves = np.exp(1j * np.outer(grid.axis_frequencies, grid.axis_coordinates))
     functions = np.full(modes.size, grid.volume**-0.5, dtype=complex)
-    for m_idx in np.unravel_index(modes, grid.shape):
-        # Append one axis: [r, N, .., N] times [r, 1, .., 1, N].
-        factor = axis_waves[m_idx].reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
+    for axis, m_idx in enumerate(np.unravel_index(modes, grid.shape)):
+        table = axis_waves[m_idx][:, leading] if axis == 0 else axis_waves[m_idx]
+        # Append one axis: [r, l, .., N] times [r, 1, .., 1, N].
+        factor = table.reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
         functions = functions[..., None] * factor
+    return functions
+
+
+def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
+    """Projection onto the plane waves with |xi|^2 <= chemical_potential.
+
+    Eigenfunctions are the normalized lattice waves of _plane_waves with unit
+    weights, ordered by (|xi|^2, flattened lattice index) so the
+    construction is deterministic.
+    """
+    modes = _sea_modes(grid, chemical_potential)
     weights = np.ones(modes.size)
-    return FiniteRankOperator(grid, weights, functions, contract=UNIT_BALL)
+    return FiniteRankOperator(grid, weights, _plane_waves(grid, modes), contract=UNIT_BALL)
 
 
 @dataclass
@@ -244,26 +280,40 @@ class ValidationReport:
     checks: dict[str, float] = field(default_factory=dict)
 
 
-def _gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
-    """<u_k, u_l> over a stack [r, ...], in the quadrature inner product.
+def _gram_matrix(grid: TorusGrid, functions) -> np.ndarray:
+    """<u_k, u_l> of r grid fields, in the quadrature inner product.
 
-    The product c @ c^H is summed over column chunks c of the (r, N^d) view,
-    each no wider than FIELD_CHUNK_BYTES of complex fields, so no conjugate
-    copy of the whole stack is made.
+    ``functions`` is a stack [r, ...], read in column slices of its (r, N^d)
+    view no wider than FIELD_CHUNK_BYTES of complex fields, or an iterable
+    of blocks [r, ...] whose columns together cover the grid once.  Each
+    block of real part x and imaginary part y adds x x^T + y y^T to Re G
+    (numpy takes a product with the operand's own transpose through BLAS
+    syrk) and P - P^T, P = y x^T, to Im G; no conjugate copy is made.
     """
-    flat = functions.reshape(len(functions), -1)
-    width = max(1, FIELD_CHUNK_BYTES // (flat.shape[0] * np.dtype(complex).itemsize))
-    gram = np.zeros((flat.shape[0], flat.shape[0]), dtype=complex)
-    for start in range(0, flat.shape[1], width):
-        columns = flat[:, start : start + width]
-        gram += columns @ columns.conj().T
-    return grid.cell_volume * gram
+    if isinstance(functions, np.ndarray):
+        flat = functions.reshape(len(functions), -1)
+        width = max(1, FIELD_CHUNK_BYTES // (flat.shape[0] * np.dtype(complex).itemsize))
+        functions = (flat[:, start : start + width] for start in range(0, flat.shape[1], width))
+    real = imag = 0.0
+    for block in functions:
+        columns = block.reshape(len(block), -1)
+        x = np.ascontiguousarray(columns.real)
+        y = np.ascontiguousarray(columns.imag)
+        cross = y @ x.T
+        real += x @ x.T
+        real += y @ y.T
+        imag += cross - cross.T
+    return grid.cell_volume * (real + 1j * imag)
+
+
+def _identity_excess(gram: np.ndarray) -> float:
+    """max |G_kl - delta_kl| of a Gram matrix."""
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
 def gram_residual(grid: TorusGrid, functions: np.ndarray) -> float:
     """max |<u_k, u_l> - delta_kl| over a stack [r, ...] of grid fields."""
-    gram = _gram_matrix(grid, functions)
-    return float(np.max(np.abs(gram - np.eye(len(functions)))))
+    return _identity_excess(_gram_matrix(grid, functions))
 
 
 def validate_contract(

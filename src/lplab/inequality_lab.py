@@ -39,19 +39,23 @@ from .dyadic_partition import (
 )
 from .errors import (
     ConfigurationError,
+    ContractViolationError,
     DegenerateInputError,
     GridMismatchError,
     UnsupportedFamilyError,
 )
 from .fock_operator import (
+    GRAM_TOLERANCE,
     FiniteRankOperator,
     UNIT_BALL,
-    density,
-    fermi_sea,
+    _gram_matrix,
+    _identity_excess,
+    _plane_waves,
+    _sea_modes,
     finite_chemical_potential,
-    kinetic_trace,
     power_bounded,
     require_contract,
+    spectral_trace,
 )
 from .projectors import project, project_companion
 from .torus_grid import (
@@ -63,6 +67,7 @@ from .torus_grid import (
     density_stack,
     fft_stack,
     field_chunks,
+    forward_transform_stack,
     inner_product,
     kinetic_forms,
     lp_norm,
@@ -494,11 +499,9 @@ def lt_exponent(dimension: int, a: float, b: float) -> float:
     return 1.0 + 2.0 * b / (dimension + 2.0 * a)
 
 
-def _lt_sides(op: FiniteRankOperator, b: float, exponent: float) -> tuple[float, float]:
-    numerator = kinetic_trace(op, b)
-    rho = density(op)
-    denominator = float(op.grid.integrate(rho.values**exponent))
-    return numerator, denominator
+def _lt_sides(grid: TorusGrid, b: float, exponent: float, w, rho) -> tuple[float, float]:
+    """tr (-Laplacian)^b gamma from the spectral density w, and integral rho^exponent."""
+    return spectral_trace(grid, w, b), float(grid.integrate(rho**exponent))
 
 
 @dataclass(frozen=True)
@@ -511,6 +514,28 @@ class LiebThirringResult:
     weak_ratio: float
 
 
+def _lieb_thirring_result(
+    grid: TorusGrid, rank: int, eigenvalue_sum: float, w, rho
+) -> LiebThirringResult:
+    """The Lieb-Thirring sides and ratios of an operator given by its rank,
+    its eigenvalue sum, its spectral density w and its density rho."""
+    d = grid.dimension
+    exponent = lt_exponent(d, 0.0, 1.0)
+    kinetic, denominator = _lt_sides(grid, 1.0, exponent, w, rho)
+    if kinetic == 0.0:
+        raise DegenerateInputError(
+            "operator concentrated on the zero mode; the comparison degenerates"
+        )
+    weak_bound = eigenvalue_sum ** (2.0 / d) * kinetic
+    return LiebThirringResult(
+        rank=rank,
+        kinetic=kinetic,
+        density_power_integral=denominator,
+        ratio=kinetic / denominator,
+        weak_bound=weak_bound,
+        weak_ratio=weak_bound / denominator,
+    )
+
 
 def lieb_thirring_check(op: FiniteRankOperator) -> LiebThirringResult:
     """Kinetic trace against the density power integral, rank-uniform side.
@@ -521,22 +546,8 @@ def lieb_thirring_check(op: FiniteRankOperator) -> LiebThirringResult:
     the same integral degrades with rank, which is the point of comparing.
     """
     require_contract(op, UNIT_BALL)
-    d = op.grid.dimension
-    exponent = lt_exponent(d, 0.0, 1.0)
-    kinetic, denominator = _lt_sides(op, 1.0, exponent)
-    if kinetic == 0.0:
-        raise DegenerateInputError(
-            "operator concentrated on the zero mode; the comparison degenerates"
-        )
-    weight_sum = float(np.sum(op.eigenvalues))
-    weak_bound = weight_sum ** (2.0 / d) * kinetic
-    return LiebThirringResult(
-        rank=op.rank,
-        kinetic=kinetic,
-        density_power_integral=denominator,
-        ratio=kinetic / denominator,
-        weak_bound=weak_bound,
-        weak_ratio=weak_bound / denominator,
+    return _lieb_thirring_result(
+        op.grid, op.rank, float(np.sum(op.eigenvalues)), op.spectral_density, op.density_values
     )
 
 
@@ -558,7 +569,9 @@ def generalized_lt_check(op: FiniteRankOperator, a: float, b: float) -> Generali
     a, b = float(a), float(b)
     exponent = lt_exponent(op.grid.dimension, a, b)
     require_contract(op, power_bounded(a))
-    kinetic, denominator = _lt_sides(op, b, exponent)
+    kinetic, denominator = _lt_sides(
+        op.grid, b, exponent, op.spectral_density, op.density_values
+    )
     if denominator == 0.0:
         raise DegenerateInputError("zero density; the ratio is undefined")
     return GeneralizedLTResult(
@@ -583,14 +596,14 @@ class ChainResult:
 
 
 
-def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResult:
+def kinetic_chain(grid: TorusGrid, w: np.ndarray, blocks: DyadicBlockSet) -> ChainResult:
     """Chain tr(-Laplacian)gamma >= sum_j tr(-Laplacian)P_j gamma P_j
-    >= (1/4) sum_j 2^(2j) integral rho_{P_j gamma P_j} over interior blocks.
+    >= (1/4) sum_j 2^(2j) integral rho_{P_j gamma P_j} over interior blocks,
+    from the spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2.
 
     The 1/4 is the spectral floor |xi|^2 >= 2^(2j)/4 on an interior block's
     support.  Both inequalities are asserted with relative slack 1e-10.
-    Every rung is a Parseval sum of the spectral density
-    w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, computed once:
+    Every rung is a Parseval sum of w:
 
         t0 = L^{-d} sum_xi |xi|^2 w
         t1 = L^{-d} sum_j sum_xi |xi|^2 Psi_j^2 w
@@ -598,9 +611,6 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
     """
     if blocks.family != SMOOTH:
         raise UnsupportedFamilyError("the chain needs the smooth block family")
-    require_contract(op, UNIT_BALL)
-    grid = op.grid
-    w = op.spectral_density
     kinetic_w = grid.frequency_norms_squared * w
     t0 = float(np.sum(kinetic_w) / grid.volume)
     t1 = float(np.sum(block_squared_sum(blocks) * kinetic_w) / grid.volume)
@@ -612,6 +622,12 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
     slack1 = CHAIN_RTOL * max(abs(t1), abs(t2), 1e-300)
     passed = (t1 <= t0 + slack0) and (t2 <= t1 + slack1)
     return ChainResult(t0, t1, t2, passed)
+
+
+def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResult:
+    """kinetic_chain of a unit-ball operator, on its spectral density."""
+    require_contract(op, UNIT_BALL)
+    return kinetic_chain(op.grid, op.spectral_density, blocks)
 
 
 def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
@@ -637,23 +653,77 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     }
 
 
+def _leading_slabs(grid: TorusGrid, rank: int) -> list[slice]:
+    """Slices of the first grid axis whose fields of ``rank`` waves fit
+    FIELD_CHUNK_BYTES; a slab holds at least one index."""
+    slab_bytes = rank * (grid.size // grid.points_per_axis) * np.dtype(complex).itemsize
+    step = max(1, FIELD_CHUNK_BYTES // slab_bytes)
+    return [slice(start, start + step) for start in range(0, grid.points_per_axis, step)]
+
+
 def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
     """Fermi-sea comparison across a ladder of chemical potentials.
 
     Each entry carries the pipeline result, the lattice-sum oracle and their
-    relative gap.  ``visit``, when given, is called as visit(rung, sea) after
-    each rung's check, while the sweep still holds that rung's sea.
+    relative gap.  ``visit``, when given, is called as visit(rung, rank, w)
+    after each rung's check, with the rung's spectral density w.
+
+    No sea is held in memory.  The top rung is the largest potential, and
+    every rung's waves are a prefix of its waves in fermi_sea's order, so
+    the sweep makes two passes over the top rung's waves, which
+    fock_operator._plane_waves generates piece by piece:
+
+    * Gram pass: one Gram matrix G of the top rung's waves, summed over
+      slabs of the first grid axis that hold every wave.  A rung of rank r
+      satisfies the unit-ball contract when max |G[:r, :r] - I| <=
+      GRAM_TOLERANCE; otherwise ContractViolationError is raised, as
+      require_contract does.
+    * Transform pass: the waves in field_chunks of the rank axis, each
+      transformed once; |coeffs_k|^2 and |u_k|^2 are summed in ascending k
+      into w and rho, which are copied at each rung's rank.
+
+    The sums run as spectral_density and density_values run them on the
+    rung's own sea, so each row equals lieb_thirring_check(fermi_sea(grid,
+    mu)) bit for bit.  The lattice-sum oracle takes nothing from the passes.
     """
-    # Refuse a bad rung before any sea is built.
+    # Refuse a bad rung before any wave is generated.
     chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
+    if not chemical_potentials:
+        return []
+    modes = _sea_modes(grid, max(chemical_potentials))
+    top = modes.size
+    norms = grid.frequency_norms_squared.reshape(-1)[modes]
+    ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
+
+    gram = _gram_matrix(
+        grid, (_plane_waves(grid, modes, leading=slab) for slab in _leading_slabs(grid, top))
+    )
+    for rank in sorted(set(ranks)):
+        excess = _identity_excess(gram[:rank, :rank])
+        if excess > GRAM_TOLERANCE:
+            raise ContractViolationError(
+                f"operator fails the unit_ball contract with margin {excess:.3e}"
+            )
+
+    snapshots = {}
+    w, rho = np.zeros(grid.shape), np.zeros(grid.shape)
+    for chunk in field_chunks(grid, top, 1):
+        waves = _plane_waves(grid, modes, chunk)
+        spectral = abs_squared(forward_transform_stack(grid, waves))
+        physical = abs_squared(waves)
+        for k in range(len(waves)):
+            w += spectral[k]
+            rho += physical[k]
+            rank = chunk.start + k + 1
+            if rank in ranks:
+                snapshots[rank] = (w.copy(), rho.copy())
+
     rows = []
-    for rung, mu in enumerate(chemical_potentials):
-        sea = fermi_sea(grid, mu)
-        result = lieb_thirring_check(sea)
+    for rung, (mu, rank) in enumerate(zip(chemical_potentials, ranks)):
+        rung_w, rung_rho = snapshots[rank]
+        result = _lieb_thirring_result(grid, rank, float(rank), rung_w, rung_rho)
         if visit is not None:
-            visit(rung, sea)
-        # Drop the sea before the next rung builds its larger one.
-        del sea
+            visit(rung, rank, rung_w)
         oracle = fermi_lattice_oracle(grid, mu)
         gap = abs(result.ratio - oracle["ratio"]) / oracle["ratio"]
         rows.append(

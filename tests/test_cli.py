@@ -7,6 +7,7 @@ import pytest
 
 import lplab.cli
 import lplab.corpus
+import lplab.fock_operator
 import lplab.inequality_lab
 from lplab.cli import (
     SECTIONS,
@@ -166,6 +167,13 @@ class TestExitCodes:
              "leaves the binary64 range"),
             (["seqlemma", "--dim", "1", "--j-min", "-600", "--j-max", "-500"], None,
              "leaves the binary64 range"),
+            (["lp"], {"p": 2}, "config key p needs a JSON list of numbers, got 2"),
+            (["lp"], {"p": None}, "config key p needs a JSON list of numbers, got null"),
+            (["lieb-thirring"], {"mu": 2.5},
+             "config key mu needs a JSON list of numbers, got 2.5"),
+            (["glt"], {"rank": "32"}, 'config key rank needs a JSON list of numbers, got "32"'),
+            (["lp-density"], {"rank": [1, True]},
+             "config key rank needs a JSON list of numbers, got [1, true]"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -173,6 +181,8 @@ class TestExitCodes:
             "glt_no_samples", "density_no_ranks", "glt_no_ranks", "lp_no_exponents",
             "khinchine_no_exponents", "mu_inf", "mu_ladder_with_inf", "mu_nan",
             "negative_chain_samples", "seqlemma_overflow", "seqlemma_underflow",
+            "config_p_number", "config_p_null", "config_mu_number", "config_rank_string",
+            "config_rank_bool",
         ],
     )
     def test_settings_refused_before_any_draw(
@@ -183,7 +193,10 @@ class TestExitCodes:
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
         monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
-        monkeypatch.setattr(lplab.inequality_lab, "fermi_sea", no_draws)
+        # The sweep generates its waves without building a sea.
+        monkeypatch.setattr(lplab.fock_operator, "fermi_sea", no_draws)
+        monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
+        monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", no_draws)
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
@@ -354,6 +367,17 @@ class TestConfigResolution:
         assert run_cli("partition", "--config", str(config)) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["config"]["n"] == 64
+
+    @pytest.mark.parametrize("mu", [None, [2.5, 4.5]])
+    def test_mu_config_takes_null_or_a_list(self, tmp_path, capsys, mu):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"mu": mu, "n": 64}))
+        code = run_cli("lieb-thirring", "--config", str(path), "--chain-samples", "0")
+        from_config = capsys.readouterr().out
+        flags = [arg for value in mu or () for arg in ("--mu", str(value))]
+        assert run_cli("lieb-thirring", "--n", "64", "--chain-samples", "0", *flags) == code
+        assert capsys.readouterr().out == from_config
+        assert json.loads(from_config)["config"]["mu"] == mu
 
     def test_config_echo_masks_passthrough_keys(self, tmp_path, capsys):
         out = tmp_path / "partition.json"

@@ -1,0 +1,97 @@
+"""The streamed Fermi ladder against the seas it no longer builds.
+
+fermi_sweep generates the top rung's waves in pieces; every row, spectral
+density and chain must equal those of the rung's own materialized sea bit
+for bit, a wave off the unit sphere must fail the unit-ball contract, and
+the sweep must hold no stack of waves.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import lplab.inequality_lab
+import lplab.torus_grid
+from lplab import (
+    ContractViolationError,
+    TorusGrid,
+    build_blocks,
+    fermi_lattice_oracle,
+    fermi_sea,
+    fermi_sweep,
+    lieb_thirring_check,
+    lt_chain_check,
+)
+from lplab.inequality_lab import kinetic_chain
+
+TAU = 2.0 * np.pi
+GRIDS = {1: (1, 256), 2: (2, 64), 3: (3, 16)}
+LADDERS = {
+    1: ([1.5, 4.5, 16.5, 64.5], [16.5, 1.5, 64.5, 16.5]),
+    2: ([1.5, 2.5, 8.5, 16.5], [8.5, 1.5, 8.5, 2.5]),
+    3: ([1.5, 2.5, 4.5, 8.5], [4.5, 8.5, 1.5, 4.5]),
+}
+
+
+def _grid(d):
+    dim, n = GRIDS[d]
+    return TorusGrid(dim, TAU, n)
+
+
+@pytest.mark.parametrize("chunk_fields", [None, 3])
+@pytest.mark.parametrize("order", ["sorted", "unsorted_repeated"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rows_and_chains_equal_the_materialized_seas(d, order, chunk_fields, monkeypatch):
+    grid = _grid(d)
+    if chunk_fields is not None:
+        # Rank chunks of 3 waves put rung boundaries inside chunks.
+        monkeypatch.setattr(
+            lplab.torus_grid, "FIELD_CHUNK_BYTES", chunk_fields * grid.size * 16
+        )
+    ladder = LADDERS[d][order == "unsorted_repeated"]
+    blocks = build_blocks(grid)
+    visited = []
+    rows = fermi_sweep(grid, ladder, lambda rung, rank, w: visited.append((rung, rank, w)))
+    assert [rung for rung, _, _ in visited] == list(range(len(ladder)))
+    for mu, row, (_, rank, w) in zip(ladder, rows, visited):
+        sea = fermi_sea(grid, mu)
+        expected = lieb_thirring_check(sea)
+        assert row["rank"] == rank == sea.rank
+        assert row["ratio"] == expected.ratio
+        assert row["weak_ratio"] == expected.weak_ratio
+        assert row["oracle_ratio"] == fermi_lattice_oracle(grid, mu)["ratio"]
+        np.testing.assert_array_equal(w, sea.spectral_density)
+        assert kinetic_chain(grid, w, blocks) == lt_chain_check(sea, blocks)
+
+
+@pytest.mark.parametrize("wave", [0, 7, 92])
+def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
+    grid = _grid(3)
+    generate = lplab.inequality_lab._plane_waves
+
+    def perturbed(grid, modes, rows=slice(None), leading=slice(None)):
+        waves = generate(grid, modes, rows, leading)
+        first = rows.indices(len(modes))[0]
+        if first <= wave < first + len(waves):
+            waves[wave - first] *= 1.0 + 1e-6
+        return waves
+
+    monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", perturbed)
+    with pytest.raises(ContractViolationError, match="unit_ball contract"):
+        fermi_sweep(grid, [2.5, 8.5])
+
+
+def test_sweep_holds_no_stack_of_waves():
+    grid = TorusGrid(3, TAU, 32)
+    top_rank = fermi_lattice_oracle(grid, 16.5)["rank"]
+    stack_bytes = top_rank * grid.size * np.dtype(complex).itemsize
+    assert top_rank == 257
+    tracemalloc.start()
+    try:
+        rows = fermi_sweep(grid, [2.5, 4.5, 16.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [row["rank"] for row in rows] == [19, 33, 257]
+    assert peak < stack_bytes / 4, (peak, stack_bytes)

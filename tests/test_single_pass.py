@@ -3,9 +3,10 @@
 A frame's members are drawn in one pass per attempt, checked bit for bit
 against the per-member draw they replaced, kept here as the reference; an
 operator computes its Gram residual, spectral density and density once, and
-a power-bounded frame transforms its stack once; `lp` and `lieb-thirring`
-build no member or sea twice; and the report writer is checked byte for byte
-against the json encoder subclass it replaced, also kept here.
+a power-bounded frame transforms its stack once; `lp` builds no member
+twice, and `lieb-thirring` generates each wave of its top rung once per
+pass; and the report writer is checked byte for byte against the json
+encoder subclass it replaced, also kept here.
 """
 
 import contextlib
@@ -13,7 +14,6 @@ import dataclasses
 import io
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -238,19 +238,29 @@ def _run(argv):
 
 
 class TestSectionsBuildOnce:
-    def test_lieb_thirring_chains_run_on_the_sweep_seas(self, monkeypatch):
-        seas = []
-        original = lplab.fock_operator.fermi_sea
+    def test_lieb_thirring_streams_the_top_rung_once(self, monkeypatch):
+        def no_sea(*args):
+            raise AssertionError("the sweep built a sea")
 
-        def counted(grid, mu):
-            seas.append(mu)
-            return original(grid, mu)
+        for module in (lplab, lplab.fock_operator):
+            monkeypatch.setattr(module, "fermi_sea", no_sea)
+        generated = []
+        waves = lplab.inequality_lab._plane_waves
 
-        for module in (lplab, lplab.fock_operator, lplab.inequality_lab, lplab.cli):
-            if hasattr(module, "fermi_sea"):
-                monkeypatch.setattr(module, "fermi_sea", counted)
-        grams = []
-        gram = lplab.fock_operator._gram_matrix
+        def recorded(grid, modes, rows=slice(None), leading=slice(None)):
+            generated.append(
+                (range(*rows.indices(len(modes))), range(*leading.indices(grid.points_per_axis)))
+            )
+            return waves(grid, modes, rows, leading)
+
+        monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", recorded)
+        sweep_grams, grams = [], []
+        sweep_gram, gram = lplab.inequality_lab._gram_matrix, lplab.fock_operator._gram_matrix
+        monkeypatch.setattr(
+            lplab.inequality_lab,
+            "_gram_matrix",
+            lambda grid, blocks: sweep_grams.append(1) or sweep_gram(grid, blocks),
+        )
         monkeypatch.setattr(
             lplab.fock_operator,
             "_gram_matrix",
@@ -258,11 +268,20 @@ class TestSectionsBuildOnce:
         )
         code, text = _run("lieb-thirring --dim 3 --n 16 --mu 2.5 --mu 4.5 --mu 8.5".split())
         assert code == 0
-        assert seas == [2.5, 4.5, 8.5]
         results = json.loads(text)["results"]
-        sea_ranks = [row["rank"] for row in results["sweep"]]
-        assert sea_ranks == [19, 33, 93]
-        assert Counter(r for r in grams if r in sea_ranks) == {19: 1, 33: 1, 93: 1}
+        assert [row["rank"] for row in results["sweep"]] == [19, 33, 93]
+        every_row, every_index = range(93), range(16)
+        # Gram pass: slabs of the first axis, each with every wave of the top rung.
+        slabs = [leading for rows, leading in generated if rows == every_row]
+        assert sorted(i for slab in slabs for i in slab) == list(every_index)
+        assert len(slabs) > 1
+        # Transform pass: chunks of the rank axis, each on the whole grid.
+        chunks = [rows for rows, leading in generated if rows != every_row]
+        assert all(leading == every_index for rows, leading in generated if rows != every_row)
+        assert sorted(k for rows in chunks for k in rows) == list(every_row)
+        assert len(chunks) > 1
+        assert sweep_grams == [1]
+        assert grams == [4, 4]  # one per chain frame; none of a sea
         sources = [c["source"] for c in results["chains"]]
         assert sources == ["sea_rank_19", "sea_rank_33", "frame_0", "frame_1"]
 
