@@ -257,22 +257,39 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if value is None:
             value = config.get(key, defaults.get(key))
             if key in config and key in defaults:
-                _check_config_list(key, value, defaults[key])
+                _check_config_value(key, value, defaults[key])
         settings[key] = value
         if isinstance(defaults.get(key), list) and not value:
             raise ConfigurationError(f"{key} needs at least one value")
     return settings
 
 
-def _check_config_list(key: str, value, default) -> None:
-    """A config value of a list setting must be a JSON list of numbers; the
-    mu ladder's null default may stay null."""
-    if not _takes_list(default) or (default is None and value is None):
-        return
-    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
-        raise ConfigurationError(
-            f"config key {key} needs a JSON list of numbers, got {json.dumps(value)}"
-        )
+# The JSON types a config value of a scalar setting may have, by the type of
+# its default, and their name in the refusal.
+_JSON_KINDS = {
+    int: ((int,), "a JSON integer"),
+    float: ((int, float), "a JSON number"),
+    str: ((str,), "a JSON string"),
+}
+
+
+def _check_config_value(key: str, value, default) -> None:
+    """A config value must be what its flag accepts: a list setting a JSON
+    list of numbers (the mu ladder's null default may stay null), a choice
+    one of its _CHOICES, any other scalar the JSON type of its default.  A
+    JSON integer stands for a float; a boolean stands for nothing."""
+    if _takes_list(default):
+        numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+        accepted = numbers or (default is None and value is None)
+        expected = "a JSON list of numbers"
+    elif key in _CHOICES:
+        accepted = value in _CHOICES[key]
+        expected = f"one of {json.dumps(_CHOICES[key])}"
+    else:
+        kinds, expected = _JSON_KINDS[type(default)]
+        accepted = type(value) in kinds
+    if not accepted:
+        raise ConfigurationError(f"config key {key} needs {expected}, got {json.dumps(value)}")
 
 
 def _grid_of(settings: dict) -> TorusGrid:
@@ -511,7 +528,7 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
         raise ConfigurationError(f"chain samples must be >= 0, got {settings['chain_samples']}")
     ladder = settings["mu"] or _default_mu_ladder(grid)
     profile = build_profile(profile_kind)
-    blocks = build_companions(build_blocks(grid, family, profile))
+    blocks = build_blocks(grid, family, profile)
 
     # The chain runs on the first and the middle rung's spectral density
     # from the sweep, which has checked that rung's unit-ball contract.

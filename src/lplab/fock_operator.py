@@ -9,6 +9,12 @@ w(xi) = sum_k lambda_k |coeffs_k(xi)|^2 against torus_grid.laplacian_power,
 with no inverse transform (spectral_trace); the trace itself is
 kinetic_trace(op, 0).
 
+An operator transforms its eigenfunctions at most once, whatever its
+contract: the first reader of the forward stack (the spectral density or
+the power-bounded check) transforms the whole stack in one call, and the
+operator keeps it beside its eigenfunctions.  No command holds a Fermi sea
+as an operator; the ladder is streamed (below).
+
 Plane-wave Fermi seas come from one wave generator, _plane_waves, which
 builds any range of a sea's waves (rank rows, and a range of the leading
 grid axis) with the bits of the full stack.  fermi_sea builds its whole
@@ -42,13 +48,12 @@ from .errors import (
     ZeroModeSingularityError,
 )
 from .torus_grid import (
-    FIELD_CHUNK_BYTES,
     GridFunction,
     TorusGrid,
     abs_squared,
+    byte_chunks,
     forward_transform_stack,
     laplacian_power,
-    spectral_density,
     weighted_block_energy,
     weighted_density,
     zero_mode_offenders,
@@ -91,8 +96,10 @@ class FiniteRankOperator:
     """gamma = sum_k eigenvalues[k] |eigenfunctions[k]><eigenfunctions[k]|.
 
     The operator is immutable: both arrays are read-only views, so the
-    quantities it computes at most once (the Gram residual, the spectral
-    density w and the density rho) cannot go stale.
+    quantities it computes at most once (the Gram residual, the forward
+    stack of its eigenfunctions, the spectral density w and the density
+    rho) cannot go stale.  The forward stack is kept for every contract;
+    the spectral density and the power-bounded check both read it.
     """
 
     grid: TorusGrid
@@ -126,33 +133,18 @@ class FiniteRankOperator:
         return gram_residual(self.grid, self.eigenfunctions)
 
     @cached_property
-    def _kept_stack(self) -> np.ndarray:
+    def _forward_stack(self) -> np.ndarray:
+        """The forward transforms [r, ...] of the eigenfunctions."""
         return _read_only(forward_transform_stack(self.grid, self.eigenfunctions))
-
-    def forward_stack(self) -> np.ndarray:
-        """The forward transforms [r, ...] of the eigenfunctions.
-
-        A power-bounded operator keeps them, since its contract check and its
-        spectral density both read them.  Any other operator transforms anew
-        on each call, so no stack as large as a Fermi sea's outlives the
-        check that needed it.
-        """
-        if self.contract.kind == "power_bounded":
-            return self._kept_stack
-        return forward_transform_stack(self.grid, self.eigenfunctions)
 
     @cached_property
     def spectral_density(self) -> np.ndarray:
         """w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, in FFT layout.
 
-        Taken from the kept stack of a power-bounded operator; otherwise
-        transformed in chunks, with the same values.
+        By Parseval, L^{-d} sum_xi m(xi) w(xi) is sum_k lambda_k <u_k, m(D) u_k>
+        for any real multiplier m, with no inverse transform.
         """
-        if self.contract.kind == "power_bounded":
-            w = weighted_density(self.grid, self._kept_stack, self.eigenvalues)
-        else:
-            w = spectral_density(self.grid, self.eigenfunctions, self.eigenvalues)
-        return _read_only(w)
+        return _read_only(weighted_density(self.grid, self._forward_stack, self.eigenvalues))
 
     @cached_property
     def density_values(self) -> np.ndarray:
@@ -162,11 +154,11 @@ class FiniteRankOperator:
     def reweighted(self, eigenvalues) -> "FiniteRankOperator":
         """The operator on the same eigenfunctions with other eigenvalues.
 
-        It shares what depends on the eigenfunctions alone: the Gram residual
-        and a kept forward stack.
+        It shares what depends on the eigenfunctions alone, once computed:
+        the Gram residual and the forward stack.
         """
         op = FiniteRankOperator(self.grid, eigenvalues, self.eigenfunctions, self.contract)
-        for name in ("gram_residual", "_kept_stack"):
+        for name in ("gram_residual", "_forward_stack"):
             if name in self.__dict__:
                 op.__dict__[name] = self.__dict__[name]
         return op
@@ -283,17 +275,17 @@ class ValidationReport:
 def _gram_matrix(grid: TorusGrid, functions) -> np.ndarray:
     """<u_k, u_l> of r grid fields, in the quadrature inner product.
 
-    ``functions`` is a stack [r, ...], read in column slices of its (r, N^d)
-    view no wider than FIELD_CHUNK_BYTES of complex fields, or an iterable
-    of blocks [r, ...] whose columns together cover the grid once.  Each
-    block of real part x and imaginary part y adds x x^T + y y^T to Re G
-    (numpy takes a product with the operand's own transpose through BLAS
-    syrk) and P - P^T, P = y x^T, to Im G; no conjugate copy is made.
+    ``functions`` is a stack [r, ...], read in byte_chunks of the columns of
+    its (r, N^d) view, or an iterable of blocks [r, ...] whose columns
+    together cover the grid once.  Each block of real part x and imaginary
+    part y adds x x^T + y y^T to Re G (numpy takes a product with the
+    operand's own transpose through BLAS syrk) and P - P^T, P = y x^T, to
+    Im G; no conjugate copy is made.
     """
     if isinstance(functions, np.ndarray):
         flat = functions.reshape(len(functions), -1)
-        width = max(1, FIELD_CHUNK_BYTES // (flat.shape[0] * np.dtype(complex).itemsize))
-        functions = (flat[:, start : start + width] for start in range(0, flat.shape[1], width))
+        column_bytes = len(flat) * np.dtype(complex).itemsize
+        functions = (flat[:, cols] for cols in byte_chunks(flat.shape[1], column_bytes))
     real = imag = 0.0
     for block in functions:
         columns = block.reshape(len(block), -1)
@@ -345,7 +337,7 @@ def validate_contract(
     # power_bounded: top eigenvalue of M_kl = sqrt(l_k l_l) <v_k, v_l> with
     # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
-    spectra = op.forward_stack().reshape(op.rank, -1)
+    spectra = op._forward_stack.reshape(op.rank, -1)
     if a != 0.0 and np.any(zero_mode_offenders(abs_squared(spectra))):
         if a < 0:
             raise ZeroModeSingularityError(

@@ -59,11 +59,11 @@ from .fock_operator import (
 )
 from .projectors import project, project_companion
 from .torus_grid import (
-    FIELD_CHUNK_BYTES,
     GridFunction,
     TorusGrid,
     abs_squared,
     block_energy_stack,
+    byte_chunks,
     density_stack,
     fft_stack,
     field_chunks,
@@ -77,7 +77,6 @@ from .torus_grid import (
 
 EXACT_ENUMERATION_CAP = 20
 _ENUMERATION_CHUNK = 1 << 16
-SIGN_TABLE_BYTES = 1 << 24
 DEGENERACY_RTOL = 1e-12
 CHAIN_RTOL = 1e-10
 
@@ -121,15 +120,19 @@ class SignEnsemble:
         return cls("monte_carlo", int(samples), int(seed))
 
 
+# Sign blocks are taken from this table: complex +-1, the dtype of the
+# coefficients they multiply, with no float intermediate or cast per block.
+_SIGNS = np.array([-1.0, 1.0], dtype=complex)
+
+
 def _sign_rows(start: int, stop: int, n: int) -> np.ndarray:
     """Rows of the full sign enumeration: bit b of the code -> sign of term b."""
     codes = np.arange(start, stop, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & np.uint32(1)
-    return bits.astype(np.float64) * 2.0 - 1.0
+    return _SIGNS.take((codes[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & np.uint32(1))
 
 
 def _sign_blocks(count: int, ensemble: SignEnsemble):
-    """Yield sign matrices covering the ensemble in a fixed order."""
+    """Yield complex sign matrices covering the ensemble in a fixed order."""
     if ensemble.mode == "exact":
         if count > EXACT_ENUMERATION_CAP:
             raise ConfigurationError(
@@ -145,30 +148,13 @@ def _sign_blocks(count: int, ensemble: SignEnsemble):
         while remaining > 0:
             block = min(remaining, _ENUMERATION_CHUNK)
             draws = rng.integers(0, 2, size=(block, count))
-            yield draws.astype(np.float64) * 2.0 - 1.0
+            yield _SIGNS.take(draws)
             remaining -= block
 
 
 def _ensemble_rows(count: int, ensemble: SignEnsemble) -> int:
     """The number of sign vectors the ensemble averages over."""
     return (1 << count) if ensemble.mode == "exact" else ensemble.samples
-
-
-def _sign_table(count: int, ensemble: SignEnsemble):
-    """A function returning the ensemble's sign matrices, cast to complex, in order.
-
-    Up to SIGN_TABLE_BYTES the matrices are built once and kept, so a run of
-    sums over many coefficient vectors shares them (12 exact terms: 0.8 MB);
-    a larger ensemble is rebuilt block by block on every pass.
-    """
-
-    def build():
-        return (rows.astype(complex) for rows in _sign_blocks(count, ensemble))
-
-    if _ensemble_rows(count, ensemble) * count * 16 > SIGN_TABLE_BYTES:
-        return build
-    kept = list(build())
-    return lambda: kept
 
 
 def _sign_sum_exponents(exponents) -> list[float]:
@@ -188,31 +174,32 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
 
     ``coefficients`` is [c, n], where S = sum_j a_j r_j, or [c, J, K], where
     S = sum_jk a_jk r_j r_k over one shared sign sequence of length max(J, K).
-    The sign sum is one product per array; the moments take one
-    np.mean(|S|^p, axis=1) per exponent over a [chunk, rows] table of the
-    magnitudes of a chunk of arrays that fits FIELD_CHUNK_BYTES, or of one
-    array when its rows alone do not.  The sign rows come from _sign_table.
+    The arrays are taken in byte_chunks whose [chunk, rows] tables of |S|
+    fit the budget; a chunk holds one array when its rows alone do not.
+    Each chunk makes one pass over the ensemble: every sign block is built
+    once and fills its columns of the table with one product per array.
+    The moments take one np.mean(|S|^p, axis=1) per exponent.
     """
-    shape = coefficients.shape[1:]
-    sign_count = max(shape)
-    signs = _sign_table(sign_count, ensemble)
+    sign_count = max(coefficients.shape[1:])
+    total = _ensemble_rows(sign_count, ensemble)
 
-    def magnitudes(a):
+    def sums(rows, a):
         if a.ndim == 1:
-            return np.concatenate([np.abs(rows @ a) for rows in signs()])
+            return rows @ a
         rows_j, cols_k = a.shape
-        return np.concatenate(
-            [np.abs(((rows[:, :rows_j] @ a) * rows[:, :cols_k]).sum(axis=1)) for rows in signs()]
-        )
+        return ((rows[:, :rows_j] @ a) * rows[:, :cols_k]).sum(axis=1)
 
-    count = len(coefficients)
-    table_row_bytes = _ensemble_rows(sign_count, ensemble) * np.dtype(float).itemsize
-    step = max(1, FIELD_CHUNK_BYTES // table_row_bytes)
-    moments = np.empty((len(exponents), count))
-    for start in range(0, count, step):
-        table = np.stack([magnitudes(a) for a in coefficients[start : start + step]])
+    moments = np.empty((len(exponents), len(coefficients)))
+    for chunk in byte_chunks(len(coefficients), total * np.dtype(float).itemsize):
+        arrays = coefficients[chunk]
+        table = np.empty((len(arrays), total))
+        start = 0
+        for rows in _sign_blocks(sign_count, ensemble):
+            for a, magnitudes in zip(arrays, table):
+                np.abs(sums(rows, a), out=magnitudes[start : start + len(rows)])
+            start += len(rows)
         for k, p in enumerate(exponents):
-            moments[k, start : start + len(table)] = np.mean(table**p, axis=1)
+            moments[k, chunk] = np.mean(table**p, axis=1)
     return moments
 
 
@@ -653,14 +640,6 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     }
 
 
-def _leading_slabs(grid: TorusGrid, rank: int) -> list[slice]:
-    """Slices of the first grid axis whose fields of ``rank`` waves fit
-    FIELD_CHUNK_BYTES; a slab holds at least one index."""
-    slab_bytes = rank * (grid.size // grid.points_per_axis) * np.dtype(complex).itemsize
-    step = max(1, FIELD_CHUNK_BYTES // slab_bytes)
-    return [slice(start, start + step) for start in range(0, grid.points_per_axis, step)]
-
-
 def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
     """Fermi-sea comparison across a ladder of chemical potentials.
 
@@ -674,10 +653,10 @@ def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
     fock_operator._plane_waves generates piece by piece:
 
     * Gram pass: one Gram matrix G of the top rung's waves, summed over
-      slabs of the first grid axis that hold every wave.  A rung of rank r
-      satisfies the unit-ball contract when max |G[:r, :r] - I| <=
-      GRAM_TOLERANCE; otherwise ContractViolationError is raised, as
-      require_contract does.
+      byte_chunks of the first grid axis, slabs that hold every wave.  A
+      rung of rank r satisfies the unit-ball contract when
+      max |G[:r, :r] - I| <= GRAM_TOLERANCE; otherwise
+      ContractViolationError is raised, as require_contract does.
     * Transform pass: the waves in field_chunks of the rank axis, each
       transformed once; |coeffs_k|^2 and |u_k|^2 are summed in ascending k
       into w and rho, which are copied at each rung's rank.
@@ -695,9 +674,9 @@ def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
     norms = grid.frequency_norms_squared.reshape(-1)[modes]
     ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
 
-    gram = _gram_matrix(
-        grid, (_plane_waves(grid, modes, leading=slab) for slab in _leading_slabs(grid, top))
-    )
+    slab_bytes = top * (grid.size // grid.points_per_axis) * np.dtype(complex).itemsize
+    slabs = byte_chunks(grid.points_per_axis, slab_bytes)
+    gram = _gram_matrix(grid, (_plane_waves(grid, modes, leading=slab) for slab in slabs))
     for rank in sorted(set(ranks)):
         excess = _identity_excess(gram[:rank, :rank])
         if excess > GRAM_TOLERANCE:
@@ -1040,15 +1019,14 @@ def estimate_envelope(
     report per pair, in order.  For "gns" the exponent is fixed by the
     dimension, and p = None stands for it.
 
-    The corpus is evaluated in chunks of members whose block fields fit
-    torus_grid.FIELD_CHUNK_BYTES (one field per member for gns, one per block
-    and rank otherwise).  Each chunk is drawn in one ``CorpusSpec.members``
-    call and checked in one pass for every exponent: one forward and one
-    inverse transform for all its members and blocks, and one |.|^p
-    reduction per exponent and side.  Each member is built once and nothing
-    is called per member: a check that needs more of the members belongs in
-    the sampler.  An "lp" run that includes p = 2 gives each p = 2 sample its
-    Parseval closed form.
+    The corpus is evaluated in field_chunks of members (one field per member
+    for gns, one per block and rank otherwise).  Each chunk is drawn in one
+    ``CorpusSpec.members`` call and checked in one pass for every exponent:
+    one forward and one inverse transform for all its members and blocks,
+    and one |.|^p reduction per exponent and side.  Each member is built
+    once and nothing is called per member: a check that needs more of the
+    members belongs in the sampler.  An "lp" run that includes p = 2 gives
+    each p = 2 sample its Parseval closed form.
     """
     if checker not in _SAMPLERS:
         raise ConfigurationError(

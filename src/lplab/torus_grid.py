@@ -33,8 +33,10 @@ DEFAULT_SIZE_CAP = 2**24
 
 ZERO_MODE_RTOL = 1e-10
 
-# Complex fields a batched kernel holds per chunk of a rank axis.  A larger
-# budget batches more transforms per call but raises the peak resident set.
+# The bytes one chunk of a batched pass may hold: members or ranks of
+# complex fields, slabs of a Gram sum, rows of a sign-sum table.  Every pass
+# sizes its chunks through byte_chunks, so this is the only budget.  A larger
+# one batches more work per call but raises the peak resident set.
 FIELD_CHUNK_BYTES = 1 << 20
 
 
@@ -226,15 +228,17 @@ def inverse_transform_stack(grid: TorusGrid, coefficients: np.ndarray) -> np.nda
     return values
 
 
-def field_chunks(grid: TorusGrid, count: int, fields_per_item: int) -> list[slice]:
-    """Slices of an axis of ``count`` items whose complex fields fit FIELD_CHUNK_BYTES.
-
-    Each item holds ``fields_per_item`` complex fields on the grid; a chunk
-    holds at least one item, and the last chunk may be partial.
-    """
-    item_bytes = fields_per_item * grid.size * np.dtype(complex).itemsize
+def byte_chunks(count: int, item_bytes: int) -> list[slice]:
+    """Slices of an axis of ``count`` items of ``item_bytes`` each that fit
+    FIELD_CHUNK_BYTES; a chunk holds at least one item, and the last chunk
+    may be partial."""
     step = max(1, FIELD_CHUNK_BYTES // item_bytes)
     return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def field_chunks(grid: TorusGrid, count: int, fields_per_item: int) -> list[slice]:
+    """byte_chunks of an axis whose items hold ``fields_per_item`` complex fields."""
+    return byte_chunks(count, fields_per_item * grid.size * np.dtype(complex).itemsize)
 
 
 def _weighted_energy(grid, weights, fields_per_member, fields) -> np.ndarray:
@@ -267,21 +271,6 @@ def density_stack(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
 def weighted_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
     """sum_k weights_k |values_k(x)|^2 over a stack of grid fields [r, ...]."""
     return density_stack(grid, np.asarray(values)[None], np.asarray(weights)[None])[0]
-
-
-def spectral_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
-    """w(xi) = sum_k weights_k |coeffs_k(xi)|^2, on the frequency lattice in FFT layout.
-
-    By Parseval, L^{-d} sum_xi m(xi) w(xi) is sum_k weights_k <u_k, m(D) u_k>
-    for any real multiplier m, with no inverse transform.
-    """
-    stack = np.asarray(values)[None]
-    return _weighted_energy(
-        grid,
-        np.asarray(weights)[None],
-        1,
-        lambda rows: forward_transform_stack(grid, stack[:, rows]),
-    )[0]
 
 
 def fft_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:

@@ -119,7 +119,6 @@ class TestExitCodes:
         assert run_cli("khinchine", flag, "0") == 2
         assert message in capsys.readouterr().err
 
-
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -174,6 +173,13 @@ class TestExitCodes:
             (["glt"], {"rank": "32"}, 'config key rank needs a JSON list of numbers, got "32"'),
             (["lp-density"], {"rank": [1, True]},
              "config key rank needs a JSON list of numbers, got [1, true]"),
+            (["lp"], {"n": "abc"}, 'config key n needs a JSON integer, got "abc"'),
+            (["lp"], {"samples": "3"}, 'config key samples needs a JSON integer, got "3"'),
+            (["lp"], {"dim": 2.7, "n": 16, "samples": 2},
+             "config key dim needs a JSON integer, got 2.7"),
+            (["lp"], {"samples": True}, "config key samples needs a JSON integer, got true"),
+            (["lp"], {"family": "bogus"},
+             'config key family needs one of ["smooth", "sharp"], got "bogus"'),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -182,7 +188,8 @@ class TestExitCodes:
             "khinchine_no_exponents", "mu_inf", "mu_ladder_with_inf", "mu_nan",
             "negative_chain_samples", "seqlemma_overflow", "seqlemma_underflow",
             "config_p_number", "config_p_null", "config_mu_number", "config_rank_string",
-            "config_rank_bool",
+            "config_rank_bool", "config_n_string", "config_samples_string",
+            "config_dim_fraction", "config_samples_bool", "config_family_unknown",
         ],
     )
     def test_settings_refused_before_any_draw(
@@ -367,6 +374,15 @@ class TestConfigResolution:
         assert run_cli("partition", "--config", str(config)) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["config"]["n"] == 64
+
+    def test_config_values_of_the_flag_types_are_taken(self, tmp_path):
+        """A JSON integer stands for a float setting, and a choice is taken as given."""
+        values = {"n": 16, "samples": 2, "box": 6, "decay": 1, "family": "sharp", "p": [2]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "lp.json"
+        assert run_cli("lp", "--config", str(config), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"].items() >= values.items()
 
     @pytest.mark.parametrize("mu", [None, [2.5, 4.5]])
     def test_mu_config_takes_null_or_a_list(self, tmp_path, capsys, mu):

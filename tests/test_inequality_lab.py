@@ -19,6 +19,7 @@ from lplab import (
     SignEnsemble,
     TorusGrid,
     UnsupportedFamilyError,
+    build_blocks,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
@@ -385,13 +386,15 @@ class TestChain:
             result.block_density_bound, result.kinetic / 4.0, rtol=1e-12
         )
 
-    def test_random_frames_pass(self, grid1, blocks1):
-        for seed in range(4):
-            op = random_orthonormal_frame(grid1, rank=3, decay=0.6, seed=750 + seed)
-            result = lt_chain_check(op, blocks1)
-            assert result.passed, result
-            assert result.block_kinetic <= result.kinetic * (1 + 1e-9)
-            assert result.block_density_bound <= result.block_kinetic * (1 + 1e-9)
+    def test_random_frames_pass(self, grid1, blocks1, grid2, blocks2):
+        grid3 = TorusGrid(3, TAU, 16)
+        for grid, blocks in ((grid1, blocks1), (grid2, blocks2), (grid3, build_blocks(grid3))):
+            for seed in range(4):
+                op = random_orthonormal_frame(grid, rank=3, decay=0.6, seed=750 + seed)
+                result = lt_chain_check(op, blocks)
+                assert result.passed, (grid.dimension, seed, result)
+                assert result.block_kinetic <= result.kinetic * (1 + 1e-9)
+                assert result.block_density_bound <= result.block_kinetic * (1 + 1e-9)
 
     def test_fermi_sea_passes(self, grid2, blocks2):
         result = lt_chain_check(fermi_sea(grid2, 8.5), blocks2)

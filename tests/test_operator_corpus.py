@@ -19,6 +19,7 @@ import lplab.cli
 import lplab.corpus
 import lplab.fock_operator
 import lplab.inequality_lab
+import lplab.torus_grid
 from lplab import (
     DegenerateInputError,
     TorusGrid,
@@ -151,7 +152,7 @@ class TestChunkedGram:
     def test_equals_full_product_on_uneven_chunks(self, rank, width, monkeypatch):
         grid = TorusGrid(2, TAU, 16)
         monkeypatch.setattr(
-            lplab.fock_operator, "FIELD_CHUNK_BYTES", width * rank * np.dtype(complex).itemsize
+            lplab.torus_grid, "FIELD_CHUNK_BYTES", width * rank * np.dtype(complex).itemsize
         )
         stack = _raw_stack(grid, rank, zero_mean=False)
         stack /= np.sqrt(grid.cell_volume * np.sum(np.abs(stack) ** 2, axis=(1, 2)))[:, None, None]
@@ -165,7 +166,7 @@ class TestChunkedGram:
         grid = TorusGrid(3, TAU, 32)
         op = random_orthonormal_frame(grid, rank=rank, decay=1.0, seed=42)
         flat = op.eigenfunctions.reshape(rank, -1)
-        width = lplab.fock_operator.FIELD_CHUNK_BYTES // (rank * np.dtype(complex).itemsize)
+        width = lplab.torus_grid.FIELD_CHUNK_BYTES // (rank * np.dtype(complex).itemsize)
         assert width < flat.shape[1] and flat.shape[1] % width != 0
         expected = grid.cell_volume * (flat @ flat.conj().T)
         np.testing.assert_allclose(

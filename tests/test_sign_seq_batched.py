@@ -1,5 +1,5 @@
-"""The batched sequence bound, the spike table, the shared sign table and the
-chunked sign-sum pass against the per-item code they replaced.
+"""The batched sequence bound, the spike table and the chunked sign-sum pass
+against the per-item code they replaced.
 
 The references below are the one-dict sequence bound, the one-member spike
 draw and the one-vector sign-sum loop.  The batched sequence kernel sums the
@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import lplab.inequality_lab
+import lplab.torus_grid
 from lplab import (
     CheckSample,
     SignEnsemble,
@@ -30,7 +31,7 @@ from lplab import (
     spike_sequences,
     tensor_khinchine_reports,
 )
-from lplab.inequality_lab import DEGENERACY_RTOL, _sequence_lemma_rows, _sign_table
+from lplab.inequality_lab import DEGENERACY_RTOL, _sequence_lemma_rows, _sign_blocks
 from lplab.torus_grid import abs_squared
 
 
@@ -164,7 +165,9 @@ class TestSpikeTable:
 
 
 class TestSignTable:
-    def test_one_enumeration_per_call(self, monkeypatch):
+    def test_one_enumeration_per_chunk(self, monkeypatch):
+        """Each chunk of arrays makes one pass over the sign blocks: 12 exact
+        terms take 32 arrays per chunk, 8 tensor terms take all 50."""
         calls = []
         original = lplab.inequality_lab._sign_rows
 
@@ -174,23 +177,10 @@ class TestSignTable:
 
         monkeypatch.setattr(lplab.inequality_lab, "_sign_rows", counted)
         khinchine_reports(12, [1.0, 2.0], 50, 2027)
-        assert calls == [(0, 4096, 12)]
+        assert calls == [(0, 4096, 12)] * 2
         calls.clear()
         tensor_khinchine_reports(8, [1.0, 2.0], 50, 2028)
         assert calls == [(0, 256, 8)]
-
-    @pytest.mark.parametrize(
-        "ensemble", [SignEnsemble.exact(), SignEnsemble.monte_carlo(300, 11)], ids=["exact", "mc"]
-    )
-    def test_rebuilt_blocks_give_the_same_reports(self, monkeypatch, ensemble):
-        """Past the table budget the blocks are rebuilt on every pass."""
-        kept = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
-        kept_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
-        monkeypatch.setattr(lplab.inequality_lab, "SIGN_TABLE_BYTES", 0)
-        rebuilt = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
-        rebuilt_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
-        assert [r.samples for r in rebuilt] == [r.samples for r in kept]
-        assert [r.samples for r in rebuilt_tensor] == [r.samples for r in kept_tensor]
 
     @pytest.mark.parametrize("reports", [khinchine_reports, tensor_khinchine_reports])
     def test_empty_runs_are_refused(self, reports):
@@ -202,14 +192,14 @@ class TestSignTable:
 
 def linear_sum_magnitudes(coefficients, signs):
     """|sum_j a_j r_j| for every sign vector of the table, in order."""
-    return np.concatenate([np.abs(rows @ coefficients) for rows in signs()])
+    return np.concatenate([np.abs(rows @ coefficients) for rows in signs])
 
 
 def tensor_sum_magnitudes(matrix, signs):
     """|sum_jk a_jk r_j r_k| over one shared sign sequence of length max(J, K)."""
     rows_j, cols_k = matrix.shape
     parts = []
-    for rows in signs():
+    for rows in signs:
         left = rows[:, :rows_j]
         right = rows[:, :cols_k]
         parts.append(np.abs(((left @ matrix) * right).sum(axis=1)))
@@ -218,7 +208,7 @@ def tensor_sum_magnitudes(matrix, signs):
 
 def reference_sign_samples(n_terms, p_list, count, seed, ensemble, tensor):
     """One list of samples per exponent, each vector drawn and summed on its own."""
-    signs = _sign_table(n_terms, ensemble)
+    signs = list(_sign_blocks(n_terms, ensemble))
     per_p = {float(p): [] for p in p_list}
     shape = (2, n_terms, n_terms) if tensor else (2, n_terms)
     for index in range(count):
@@ -286,15 +276,14 @@ class TestSignSumPass:
         ensemble = SignEnsemble.exact() if tensor else SignEnsemble.monte_carlo(300, 4)
         n_terms = 6 if tensor else 9
         monkeypatch.setattr(
-            lplab.inequality_lab, "FIELD_CHUNK_BYTES", vectors * ensemble_rows(n_terms, ensemble) * 8
+            lplab.torus_grid, "FIELD_CHUNK_BYTES", vectors * ensemble_rows(n_terms, ensemble) * 8
         )
         self.check(n_terms, 10, 17, ensemble, tensor)
 
     def test_rebuilt_table_one_vector_per_chunk(self):
-        """At 20 exact terms one vector's rows exceed the chunk budget and
-        the sign table is rebuilt block by block for every vector."""
-        assert 2**20 * 8 > lplab.inequality_lab.FIELD_CHUNK_BYTES
-        assert 2**20 * 20 * 16 > lplab.inequality_lab.SIGN_TABLE_BYTES
+        """At 20 exact terms one vector's rows exceed the chunk budget, so
+        every vector makes its own pass over the 16 sign blocks."""
+        assert 2**20 * 8 > lplab.torus_grid.FIELD_CHUNK_BYTES
         self.check(20, 2, 9, SignEnsemble.exact(), False, ps=[1.0, 3.0])
 
 

@@ -3,7 +3,7 @@
 A frame's members are drawn in one pass per attempt, checked bit for bit
 against the per-member draw they replaced, kept here as the reference; an
 operator computes its Gram residual, spectral density and density once, and
-a power-bounded frame transforms its stack once; `lp` builds no member
+transforms its stack once whatever its contract; `lp` builds no member
 twice, and `lieb-thirring` generates each wave of its top rung once per
 pass; and the report writer is checked byte for byte against the json
 encoder subclass it replaced, also kept here.
@@ -28,10 +28,12 @@ import lplab.inequality_lab
 import lplab.torus_grid
 from lplab import (
     FiniteRankOperator,
+    GridFunction,
     SpectrumFunction,
     TorusGrid,
     canonical_json,
     format_float,
+    forward_transform,
     generalized_lt_check,
     inverse_transform,
     lieb_thirring_check,
@@ -42,7 +44,7 @@ from lplab import (
     validate_contract,
 )
 from lplab.corpus import _orthonormalize
-from lplab.torus_grid import spectral_density
+from lplab.torus_grid import abs_squared
 
 TAU = 2.0 * np.pi
 GRIDS = {1: (1, 256), 2: (2, 64), 3: (3, 16)}
@@ -51,6 +53,14 @@ GRIDS = {1: (1, 256), 2: (2, 64), 3: (3, 16)}
 def _grid(d):
     dim, n = GRIDS[d]
     return TorusGrid(dim, TAU, n)
+
+
+def per_eigenfunction_density(op):
+    """sum_k lambda_k |transform of u_k|^2, one eigenfunction at a time, added in ascending k."""
+    w = np.zeros(op.grid.shape)
+    for weight, u in zip(op.eigenvalues, op.eigenfunctions):
+        w += weight * abs_squared(forward_transform(GridFunction(op.grid, u)).coefficients)
+    return w
 
 
 @pytest.fixture
@@ -164,16 +174,18 @@ class TestOperatorCache:
     @pytest.mark.parametrize("chunk_members", [1, 3, 64])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_density_from_kept_stack_equals_chunked(self, d, chunk_members, monkeypatch):
+        """Every contract's spectral density, summed over the kept stack in
+        rank chunks of 1, 3 or 64 fields, equals the per-eigenfunction sum."""
         grid = _grid(d)
-        op = random_orthonormal_frame(grid, 5, 1.0, 37, power_bound=1.0)
         monkeypatch.setattr(
             lplab.torus_grid,
             "FIELD_CHUNK_BYTES",
             chunk_members * grid.size * np.dtype(complex).itemsize,
         )
-        chunked = spectral_density(grid, op.eigenfunctions, op.eigenvalues)
-        assert "_kept_stack" in op.__dict__
-        np.testing.assert_array_equal(op.spectral_density, chunked)
+        for power_bound in (None, 1.0):
+            op = random_orthonormal_frame(grid, 5, 1.0, 37, power_bound=power_bound)
+            np.testing.assert_array_equal(op.spectral_density, per_eigenfunction_density(op))
+            assert "_forward_stack" in op.__dict__
 
     def test_power_bounded_frame_transforms_its_stack_once(self, fft_calls):
         grid = _grid(3)
@@ -189,7 +201,7 @@ class TestOperatorCache:
         # Cache the weighted quantities first: reweighting must not share them.
         assert op.spectral_density.shape == op.density_values.shape == grid.shape
         bumped = op.reweighted(op.eigenvalues * (1.0 + 1e-6))
-        assert bumped.forward_stack() is op.forward_stack()
+        assert bumped._forward_stack is op._forward_stack
         report = validate_contract(bumped)
         assert not report.passed
         assert report.checks["power_excess"] > 1e-7
@@ -214,17 +226,18 @@ class TestOperatorCache:
         fresh = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions, op.contract)
         grams.clear()
         transforms = []
-        monkeypatch.setattr(
-            lplab.fock_operator,
-            "spectral_density",
-            lambda *args: transforms.append(1) or spectral_density(*args),
-        )
+        transform = lplab.fock_operator.forward_transform_stack
+
+        def counted_transform(grid, values):
+            transforms.append(len(values))
+            return transform(grid, values)
+
+        monkeypatch.setattr(lplab.fock_operator, "forward_transform_stack", counted_transform)
         base = lieb_thirring_check(fresh)
         lt_chain_check(fresh, blocks1)
         general = generalized_lt_check(fresh, 0.0, 1.0)
-        assert grams == [4] and transforms == [1]
+        assert grams == [4] and transforms == [4]
         assert general.ratio == base.ratio
-        assert "_kept_stack" not in fresh.__dict__
 
 
 # ---------------------------------------------------------------------------
