@@ -120,15 +120,17 @@ class SignEnsemble:
         return cls("monte_carlo", int(samples), int(seed))
 
 
-# Sign blocks are taken from this table: complex +-1, the dtype of the
-# coefficients they multiply, with no float intermediate or cast per block.
-_SIGNS = np.array([-1.0, 1.0], dtype=complex)
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """+1 where a bit is set and -1 elsewhere, as complex: the dtype of the
+    coefficients the signs multiply, with no float intermediate, no cast
+    per block and no index array (np.take would copy the bits as intp)."""
+    return np.where(bits, 1.0 + 0j, -1.0 + 0j)
 
 
 def _sign_rows(start: int, stop: int, n: int) -> np.ndarray:
     """Rows of the full sign enumeration: bit b of the code -> sign of term b."""
     codes = np.arange(start, stop, dtype=np.uint32)
-    return _SIGNS.take((codes[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & np.uint32(1))
+    return _signs(codes[:, None] & (np.uint32(1) << np.arange(n, dtype=np.uint32)))
 
 
 def _sign_blocks(count: int, ensemble: SignEnsemble):
@@ -148,7 +150,7 @@ def _sign_blocks(count: int, ensemble: SignEnsemble):
         while remaining > 0:
             block = min(remaining, _ENUMERATION_CHUNK)
             draws = rng.integers(0, 2, size=(block, count))
-            yield _SIGNS.take(draws)
+            yield _signs(draws)
             remaining -= block
 
 
@@ -176,12 +178,22 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     S = sum_jk a_jk r_j r_k over one shared sign sequence of length max(J, K).
     The arrays are taken in byte_chunks whose [chunk, rows] tables of |S|
     fit the budget; a chunk holds one array when its rows alone do not.
-    Each chunk makes one pass over the ensemble: every sign block is built
-    once and fills its columns of the table with one product per array.
-    The moments take one np.mean(|S|^p, axis=1) per exponent.
+    Each chunk makes one pass over the ensemble: every sign block fills its
+    columns of the table with one product per array.  The moments take one
+    np.mean(|S|^p, axis=1) per exponent.
+
+    The sign blocks are built once per call and kept for every chunk when
+    the ensemble holds no more entries than one block of the largest exact
+    ensemble, _ENUMERATION_CHUNK rows of EXACT_ENUMERATION_CAP terms, which
+    a pass may hold anyway; a larger ensemble is rebuilt block by block for
+    each chunk.  At 16 exact terms a chunk holds 2 of 500 arrays, so
+    rebuilding there would build the blocks 250 times.
     """
     sign_count = max(coefficients.shape[1:])
     total = _ensemble_rows(sign_count, ensemble)
+    kept = None
+    if total * sign_count <= _ENUMERATION_CHUNK * EXACT_ENUMERATION_CAP:
+        kept = list(_sign_blocks(sign_count, ensemble))
 
     def sums(rows, a):
         if a.ndim == 1:
@@ -194,7 +206,7 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
         arrays = coefficients[chunk]
         table = np.empty((len(arrays), total))
         start = 0
-        for rows in _sign_blocks(sign_count, ensemble):
+        for rows in kept if kept is not None else _sign_blocks(sign_count, ensemble):
             for a, magnitudes in zip(arrays, table):
                 np.abs(sums(rows, a), out=magnitudes[start : start + len(rows)])
             start += len(rows)

@@ -23,19 +23,20 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lplab"
 def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
-    seen = {"slabs": [], "columns": [], "passes": []}
+    seen = {"slabs": [], "columns": [], "chunks": []}
     plane_waves = lplab.inequality_lab._plane_waves
-    sign_blocks = lplab.inequality_lab._sign_blocks
     contiguous = np.ascontiguousarray
+    mean = np.mean
 
     def waves(grid, modes, rows=slice(None), leading=slice(None)):
         if leading != slice(None):
             seen["slabs"].append(leading)
         return plane_waves(grid, modes, rows, leading)
 
-    def blocks(count, ensemble):
-        seen["passes"].append(count)
-        return sign_blocks(count, ensemble)
+    def moments(table, axis):
+        # _sign_moments takes one mean per exponent over each chunk's table.
+        seen["chunks"].append(len(table))
+        return mean(table, axis=axis)
 
     def columns(part):
         # _gram_matrix copies the real and the imaginary part of each block.
@@ -43,7 +44,6 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         return contiguous(part)
 
     monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", waves)
-    monkeypatch.setattr(lplab.inequality_lab, "_sign_blocks", blocks)
 
     def counts():
         for calls in seen.values():
@@ -52,8 +52,10 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np, "ascontiguousarray", columns)
             _gram_matrix(grid, stack)
-        khinchine_reports(8, [1.0], 40, 5)
-        return len(seen["slabs"]), len(seen["columns"]) // 2, len(seen["passes"])
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "mean", moments)
+            khinchine_reports(8, [1.0], 40, 5)
+        return len(seen["slabs"]), len(seen["columns"]) // 2, len(seen["chunks"])
 
     # 1 MiB: slabs of 7 of 16 indices, blocks of 1985 of 4096 columns, all 40 arrays.
     assert counts() == (3, 3, 1)

@@ -165,9 +165,9 @@ class TestSpikeTable:
 
 
 class TestSignTable:
-    def test_one_enumeration_per_chunk(self, monkeypatch):
-        """Each chunk of arrays makes one pass over the sign blocks: 12 exact
-        terms take 32 arrays per chunk, 8 tensor terms take all 50."""
+    def test_one_enumeration_per_call(self, monkeypatch):
+        """12 exact terms take 32 arrays per chunk, so 50 arrays make two
+        chunks; the 4096 sign rows are kept for both and enumerated once."""
         calls = []
         original = lplab.inequality_lab._sign_rows
 
@@ -177,10 +177,36 @@ class TestSignTable:
 
         monkeypatch.setattr(lplab.inequality_lab, "_sign_rows", counted)
         khinchine_reports(12, [1.0, 2.0], 50, 2027)
-        assert calls == [(0, 4096, 12)] * 2
+        assert calls == [(0, 4096, 12)]
         calls.clear()
         tensor_khinchine_reports(8, [1.0, 2.0], 50, 2028)
         assert calls == [(0, 256, 8)]
+
+    @pytest.mark.parametrize(
+        "ensemble", [SignEnsemble.exact(), SignEnsemble.monte_carlo(300, 11)], ids=["exact", "mc"]
+    )
+    def test_rebuilt_blocks_give_the_same_reports(self, monkeypatch, ensemble):
+        """With blocks of 4 rows only 4 x 20 sign entries are kept, so these
+        ensembles are rebuilt for each chunk of 3 classical arrays."""
+        kept = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
+        kept_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
+        passes = []
+        original = lplab.inequality_lab._sign_blocks
+
+        def counted(count, ensemble):
+            passes.append(count)
+            return original(count, ensemble)
+
+        monkeypatch.setattr(lplab.inequality_lab, "_ENUMERATION_CHUNK", 4)
+        monkeypatch.setattr(lplab.inequality_lab, "_sign_blocks", counted)
+        monkeypatch.setattr(
+            lplab.torus_grid, "FIELD_CHUNK_BYTES", 3 * ensemble_rows(7, ensemble) * 8
+        )
+        rebuilt = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
+        assert passes == [7] * 7
+        rebuilt_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
+        assert [r.samples for r in rebuilt] == [r.samples for r in kept]
+        assert [r.samples for r in rebuilt_tensor] == [r.samples for r in kept_tensor]
 
     @pytest.mark.parametrize("reports", [khinchine_reports, tensor_khinchine_reports])
     def test_empty_runs_are_refused(self, reports):
