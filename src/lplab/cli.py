@@ -2,9 +2,11 @@
 
 Every subcommand is one row of ``SECTIONS``: its built-in defaults (grid,
 corpus, exponents, ranks), the desk sections ``lplab all`` runs of it and
-the envelopes its ratios are judged against.  The parser's flags, the
-sections of ``lplab all`` and ``scripts/calibrate_envelopes.py`` all read
-that table, so every cell a default or desk run judges is a calibrated cell.
+the envelopes its ratios are judged against.  The sections of ``lplab all``
+and ``scripts/calibrate_envelopes.py`` read that table, so every cell a
+default or desk run judges is a calibrated cell.  ``_settings`` adds --out,
+--csv, --envelopes and --jobs to a row's defaults; the parser's flags, the
+--config checks and the report's config echo all read it.
 
 Every subcommand writes a deterministic JSON payload (sorted keys, 17-digit
 floats, no timestamps) in report schema 2: each envelope-judged cell holds
@@ -20,12 +22,12 @@ mathematical check fails or a check raises inside the run (the report is
 still written, with the error under "results"); 2 on usage or
 configuration errors (ConfigurationError), among them a bad grid, an
 exponent below a checker's floor, a non-finite setting, a zero count or
-rank, an empty list of exponents or ranks, a --config key the command does
-not take, a --config value of a list setting that is not a JSON list of
-numbers and a malformed --envelopes file, each refused before anything is
-drawn; and 3 when nothing failed but some cell had no envelope to be judged
-against.  Such a cell reports "passed": null, the run's "pass" is null, and
---out prints UNJUDGED.
+rank, an empty list setting, a --config key the command does not take, a
+--config value its flag would not take (null is taken only where the
+default is None) and a malformed --envelopes file, each refused before
+anything is drawn; and 3 when nothing failed but some cell had no envelope
+to be judged against.  Such a cell reports "passed": null, the run's
+"pass" is null, and --out prints UNJUDGED.
 
 Flag resolution order: explicit flag > --config file entry > built-in
 default.  Every run is serial, in this process; --jobs is accepted and
@@ -40,6 +42,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from .inequality_lab import (
     estimate_envelope,
     fermi_sweep,
     generalized_lt_check,
+    gns_exponent,
     khinchine_ratio,
     khinchine_reports,
     khinchine_tensor_ratio,
@@ -170,8 +174,7 @@ SECTIONS: dict[str, Section] = {
 }
 
 ENVELOPE_NAMES = tuple(name for section in SECTIONS.values() for name in section.envelopes)
-
-_PASSTHROUGH_KEYS = ("jobs", "out", "csv", "envelopes")
+_ALL = Section("the full desk-scale suite", {}, {})
 
 _CHOICES = {
     "family": (SMOOTH, SHARP),
@@ -180,6 +183,10 @@ _CHOICES = {
     "mode": ("exact", "monte_carlo"),
 }
 _FLAG_HELP = {
+    "out": "write the JSON report here instead of stdout",
+    "csv": "write per-sample CSV here",
+    "envelopes": "envelope JSON overriding the packaged one",
+    "jobs": "accepted and ignored: every run is serial",
     "dim": "spatial dimension (1, 2 or 3)",
     "n": "points per axis (power of two)",
     "box": "box side length",
@@ -188,32 +195,36 @@ _FLAG_HELP = {
 }
 
 
-def _passthrough_keys(command: str) -> tuple[str, ...]:
-    """The keys a command takes besides its defaults.  Only a command with
-    rows takes csv: partition its block table, an enveloped section its
-    samples."""
-    if command == "partition" or (command in SECTIONS and SECTIONS[command].envelopes):
-        return _PASSTHROUGH_KEYS
-    return tuple(key for key in _PASSTHROUGH_KEYS if key != "csv")
+class Setting(NamedTuple):
+    """A setting: its flag's type, whether the flag repeats into a list, its
+    default, and whether the report's config echoes it."""
+    kind: type
+    many: bool
+    default: object = None
+    echoed: bool = True
 
 
-def _add_common(sp: argparse.ArgumentParser, command: str) -> None:
-    sp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
-    sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    if "csv" in _passthrough_keys(command):
-        sp.add_argument("--csv", default=None, help="write per-sample CSV here")
-    sp.add_argument("--envelopes", default=None, help="envelope JSON overriding the packaged one")
-    sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored: every run is serial")
-
-
-def _takes_list(default) -> bool:
-    """Whether a setting is a list of numbers.  A None default (the mu ladder)
+def _settings(command: str) -> dict[str, Setting]:
+    """Every setting a command takes, in flag order: the output paths,
+    --envelopes and --jobs, which the report does not echo (only a command
+    with rows takes csv: partition its block table, an enveloped section its
+    samples), then its section's defaults.  A None default (the mu ladder)
     is a list of floats worked out at run time."""
-    return default is None or isinstance(default, list)
+    section = SECTIONS.get(command, _ALL)
+    table = {
+        key: Setting(kind, False, echoed=False)
+        for key, kind in (("out", str), ("csv", str), ("envelopes", str), ("jobs", int))
+        if key != "csv" or command == "partition" or section.envelopes
+    }
+    for key, default in section.defaults.items():
+        many = default is None or isinstance(default, list)
+        kind = float if default is None else type(default[0] if many else default)
+        table[key] = Setting(kind, many, default)
+    return table
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per section, with one flag per default; list defaults repeat."""
+    """One subcommand per section and "all", with one flag per setting; list settings repeat."""
     parser = argparse.ArgumentParser(
         prog="lplab",
         description="Dyadic frequency-block laboratory: partitions, square "
@@ -221,21 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
         "discretized periodic box.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, section in SECTIONS.items():
-        sp = sub.add_parser(command, help=section.help)
-        _add_common(sp, command)
-        for key, default in section.defaults.items():
-            many = _takes_list(default)
-            kind = float if default is None else type(default[0] if many else default)
+    for command in (*SECTIONS, "all"):
+        sp = sub.add_parser(command, help=SECTIONS.get(command, _ALL).help)
+        sp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
+        for key, setting in _settings(command).items():
             sp.add_argument(
                 "--" + key.replace("_", "-"),
-                type=kind,
-                action="append" if many else "store",
+                type=setting.kind,
+                action="append" if setting.many else "store",
                 choices=_CHOICES.get(key),
                 default=None,
                 help=_FLAG_HELP.get(key),
             )
-    _add_common(sub.add_parser("all", help="the full desk-scale suite"), "all")
     return parser
 
 
@@ -246,26 +254,25 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
             config = json.load(handle)
         if not isinstance(config, dict):
             raise ConfigurationError("config file must hold a JSON object")
-    defaults = SECTIONS[args.command].defaults if args.command in SECTIONS else {}
-    passthrough = _passthrough_keys(args.command)
-    unknown = sorted(set(config) - set(defaults) - set(passthrough))
+    table = _settings(args.command)
+    unknown = sorted(set(config) - set(table))
     if unknown:
         raise ConfigurationError(f"{args.command} takes no config keys {unknown}")
     settings = {}
-    for key in (*defaults, *passthrough):
-        value = getattr(args, key, None)
+    for key, setting in table.items():
+        value = getattr(args, key)
         if value is None:
-            value = config.get(key, defaults.get(key))
-            if key in config and key in defaults:
-                _check_config_value(key, value, defaults[key])
-        settings[key] = value
-        if isinstance(defaults.get(key), list) and not value:
+            value = config.get(key, setting.default)
+            if key in config:
+                _check_config_value(key, value, setting)
+        if setting.many and value is not None and not value:
             raise ConfigurationError(f"{key} needs at least one value")
+        settings[key] = value
     return settings
 
 
-# The JSON types a config value of a scalar setting may have, by the type of
-# its default, and their name in the refusal.
+# The JSON types a config value of a scalar setting may have, by its flag's
+# type, and their name in the refusal.
 _JSON_KINDS = {
     int: ((int,), "a JSON integer"),
     float: ((int, float), "a JSON number"),
@@ -273,20 +280,21 @@ _JSON_KINDS = {
 }
 
 
-def _check_config_value(key: str, value, default) -> None:
-    """A config value must be what its flag accepts: a list setting a JSON
-    list of numbers (the mu ladder's null default may stay null), a choice
-    one of its _CHOICES, any other scalar the JSON type of its default.  A
-    JSON integer stands for a float; a boolean stands for nothing."""
-    if _takes_list(default):
-        numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-        accepted = numbers or (default is None and value is None)
+def _check_config_value(key: str, value, setting: Setting) -> None:
+    """A config value must be what its flag accepts: null only where the
+    default is None, a list setting a JSON list of numbers, a choice one of
+    its _CHOICES, any other setting the JSON type of its flag.  A JSON
+    integer stands for a float; a boolean stands for nothing."""
+    if value is None and setting.default is None:
+        return
+    if setting.many:
+        accepted = isinstance(value, list) and all(type(v) in (int, float) for v in value)
         expected = "a JSON list of numbers"
     elif key in _CHOICES:
         accepted = value in _CHOICES[key]
         expected = f"one of {json.dumps(_CHOICES[key])}"
     else:
-        kinds, expected = _JSON_KINDS[type(default)]
+        kinds, expected = _JSON_KINDS[setting.kind]
         accepted = type(value) in kinds
     if not accepted:
         raise ConfigurationError(f"config key {key} needs {expected}, got {json.dumps(value)}")
@@ -313,7 +321,7 @@ def _exponents(settings: dict) -> list[float]:
     """The exponents a run judges; gns has one, fixed by the dimension."""
     if "p" in settings:
         return [float(p) for p in settings["p"]]
-    return [2.0 + 4.0 / int(settings["dim"])]
+    return [gns_exponent(int(settings["dim"]))]
 
 
 def _corpus_spec(command: str, settings: dict, rank: int | None = None) -> CorpusSpec:
@@ -532,17 +540,13 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
 
     # The chain runs on the first and the middle rung's spectral density
     # from the sweep, which has checked that rung's unit-ball contract.
-    chain_rungs = (0, len(ladder) // 2)
-    sea_chains = {}
-
-    def chain(rung, rank, w):
-        if rung in chain_rungs:
-            sea_chains[rung] = {
-                "source": f"sea_rank_{rank}", **asdict(kinetic_chain(grid, w, blocks))
-            }
-
-    rows = fermi_sweep(grid, ladder, chain)
-    chains = [sea_chains[rung] for rung in chain_rungs]
+    rows, densities = fermi_sweep(grid, ladder)
+    chains = [
+        {"source": f"sea_rank_{rows[rung]['rank']}",
+         **asdict(kinetic_chain(grid, densities[rung], blocks))}
+        for rung in (0, len(ladder) // 2)
+    ]
+    del densities  # the frames below would otherwise run beside every rung's w
     for index in range(int(settings["chain_samples"])):
         frame = random_orthonormal_frame(
             grid, rank=4, decay=1.0, seed=int(settings["seed"]), index=index
@@ -676,7 +680,7 @@ def run(argv=None) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": {k: v for k, v in settings.items() if k not in _PASSTHROUGH_KEYS}
+        "config": {k: settings[k] for k, s in _settings(args.command).items() if s.echoed}
         | {"rng": "philox4x64"},
         "results": results,
         "pass": passed,

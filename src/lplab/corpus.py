@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
-from .fock_operator import FiniteRankOperator, UNIT_BALL, power_bounded, validate_contract
+from .fock_operator import (
+    GRAM_TOLERANCE, UNIT_BALL, FiniteRankOperator, power_bounded, validate_contract
+)
 from .torus_grid import GridFunction, TorusGrid, inverse_transform_stack
 
 GRAM_RETRY_LIMIT = 5
@@ -45,6 +47,15 @@ def _stream_counter(stream: int) -> np.ndarray:
     return np.array([stream << 56, 0, 0, 0], dtype=np.uint64)
 
 
+def complex_normals(shape, seed: int, indices, stream: int = 0) -> np.ndarray:
+    """g1 + i g2 for each index i, as [len(indices), *shape], where [g1, g2]
+    are the first standard normals of philox_generator(seed, i, stream)."""
+    draws = np.empty((len(indices), 2) + tuple(shape))
+    for row, rng in zip(draws, _rekeyed_generators(seed, indices, stream)):
+        rng.standard_normal(out=row)
+    return draws[:, 0] + 1j * draws[:, 1]
+
+
 def random_band_limited(
     grid: TorusGrid,
     decay: float,
@@ -56,7 +67,7 @@ def random_band_limited(
 ):
     """Random field with coefficients (g1 + i g2)(xi) * (1 + |xi|)^(-decay).
 
-    Member i draws its normals from ``philox_generator(seed, i, stream)``.
+    Member i takes the complex_normals draw of index i on ``stream``.
     Without ``count`` the result is member ``index`` as a GridFunction; with
     it, the values of members index, ..., index + count - 1 as one
     [count, ...] stack.  Either way the members are drawn in one pass: one
@@ -66,11 +77,8 @@ def random_band_limited(
     if not math.isfinite(decay):
         raise ConfigurationError(f"decay must be finite, got {decay}")
     members = 1 if count is None else int(count)
-    draws = np.empty((members, 2) + grid.shape)
-    indices = range(index, index + members)
-    for row, rng in zip(draws, _rekeyed_generators(seed, indices, stream)):
-        rng.standard_normal(out=row)
-    coeffs = (draws[:, 0] + 1j * draws[:, 1]) * (1.0 + grid.frequency_norms) ** -decay
+    normals = complex_normals(grid.shape, seed, range(index, index + members), stream)
+    coeffs = normals * (1.0 + grid.frequency_norms) ** -decay
     if zero_mean:
         coeffs[(slice(None),) + grid.zero_mode_index] = 0.0
     values = inverse_transform_stack(grid, coeffs)
@@ -190,7 +198,7 @@ def random_orthonormal_frames(
     for member, functions, eigenvalues in zip(indices, first, lambdas):
         op = FiniteRankOperator(grid, eigenvalues, functions, contract=contract)
         stream = 1
-        while op.gram_residual > 1e-10:
+        while op.gram_residual > GRAM_TOLERANCE:
             if stream == GRAM_RETRY_LIMIT:
                 raise DegenerateInputError(
                     f"orthonormalization failed {GRAM_RETRY_LIMIT} times for seed "

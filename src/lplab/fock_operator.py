@@ -17,10 +17,11 @@ as an operator; the ladder is streamed (below).
 
 Plane-wave Fermi seas come from one wave generator, _plane_waves, which
 builds any range of a sea's waves (rank rows, and a range of the leading
-grid axis) with the bits of the full stack.  fermi_sea builds its whole
-stack through it; inequality_lab.fermi_sweep streams a ladder of seas
-through it without holding one.  Gram matrices have one kernel,
-_gram_matrix, summed over column blocks of a stack or over generated slabs.
+grid axis) with the bits of the full stack: fermi_sea builds its stack
+through it, sea_ladder streams a ladder of seas through it without holding
+one.  Gram matrices have one kernel, _gram_matrix, over column blocks of a
+stack or generated slabs; validate_contract and sea_ladder share one
+unit-ball verdict and one violation message.
 
 Contracts describe the operator bound a checker relies on:
 
@@ -52,6 +53,7 @@ from .torus_grid import (
     TorusGrid,
     abs_squared,
     byte_chunks,
+    field_chunks,
     forward_transform_stack,
     laplacian_power,
     weighted_block_energy,
@@ -102,7 +104,7 @@ class FiniteRankOperator:
     the spectral density and the power-bounded check both read it.  It is
     as large as the eigenfunctions (a sea of 257 waves at d = 3, n = 32
     holds 135 MB more), so a ladder of large plane-wave seas belongs in
-    inequality_lab.fermi_sweep, which holds neither.
+    sea_ladder, which holds neither.
     """
 
     grid: TorusGrid
@@ -220,15 +222,13 @@ def finite_chemical_potential(chemical_potential: float) -> float:
 
 def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
     """Flat lattice indices of the modes with |xi|^2 <= chemical_potential,
-    ordered by (|xi|^2, flat index).
+    ordered by (|xi|^2, flat index); mu > 0 keeps the zero mode among them.
 
     The modes of a smaller chemical potential are a prefix of these.
     """
     mu = finite_chemical_potential(chemical_potential)
     nsq_flat = grid.frequency_norms_squared.reshape(-1)
     selected = np.flatnonzero(nsq_flat <= mu)
-    if selected.size == 0:
-        raise ConfigurationError("no lattice modes under the chemical potential")
     order = np.lexsort((selected, nsq_flat[selected]))
     return selected[order]
 
@@ -266,6 +266,47 @@ def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
     modes = _sea_modes(grid, chemical_potential)
     weights = np.ones(modes.size)
     return FiniteRankOperator(grid, weights, _plane_waves(grid, modes), contract=UNIT_BALL)
+
+
+def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(rank, w, rho) of the Fermi sea at each chemical potential, in order.
+
+    No sea is held: every rung's waves are a prefix of the top rung's in
+    fermi_sea's order, and _plane_waves generates those piece by piece for
+    two passes.  The Gram pass sums one Gram matrix G over byte_chunks of
+    the first grid axis; a rung of rank r must pass the unit-ball contract
+    on G[:r, :r], or ContractViolationError is raised as by require_contract.
+    The transform pass takes field_chunks of the rank axis, transforms each
+    once and sums |coeffs_k|^2 and |u_k|^2 in ascending k into w and rho,
+    copied at each rung's rank: the sums spectral_density and density_values
+    run on fermi_sea(grid, mu), bit for bit.
+    """
+    # Refuse a bad rung before any wave is generated.
+    chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
+    if not chemical_potentials:
+        return []
+    modes = _sea_modes(grid, max(chemical_potentials))
+    norms = grid.frequency_norms_squared.reshape(-1)[modes]
+    ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
+
+    slab_bytes = modes.size * (grid.size // grid.points_per_axis) * np.dtype(complex).itemsize
+    slabs = byte_chunks(grid.points_per_axis, slab_bytes)
+    gram = _gram_matrix(grid, (_plane_waves(grid, modes, leading=slab) for slab in slabs))
+    for rank in sorted(set(ranks)):
+        _require(_unit_ball_report(UNIT_BALL, _identity_excess(gram[:rank, :rank]), 1.0))
+
+    rungs = {}
+    w, rho = np.zeros(grid.shape), np.zeros(grid.shape)
+    for chunk in field_chunks(grid, modes.size, 1):
+        waves = _plane_waves(grid, modes, chunk)
+        spectral = abs_squared(forward_transform_stack(grid, waves))
+        physical = abs_squared(waves)
+        for k in range(len(waves)):
+            w += spectral[k]
+            rho += physical[k]
+            if chunk.start + k + 1 in ranks:
+                rungs[chunk.start + k + 1] = (w.copy(), rho.copy())
+    return [(rank, *rungs[rank]) for rank in ranks]
 
 
 @dataclass
@@ -312,6 +353,14 @@ def gram_residual(grid: TorusGrid, functions: np.ndarray) -> float:
     return _identity_excess(_gram_matrix(grid, functions))
 
 
+def _unit_ball_report(contract, gram_excess: float, top_eigenvalue) -> ValidationReport:
+    """The unit-ball verdict from a Gram residual and the largest eigenvalue."""
+    eigen_excess = float(top_eigenvalue - 1.0)
+    failed = gram_excess > GRAM_TOLERANCE or eigen_excess > EIGENVALUE_TOLERANCE
+    checks = {"gram_residual": gram_excess, "eigenvalue_excess": eigen_excess}
+    return ValidationReport(contract, not failed, max(gram_excess, eigen_excess, 0.0), checks)
+
+
 def validate_contract(
     op: FiniteRankOperator, contract: OperatorContract | None = None
 ) -> ValidationReport:
@@ -326,18 +375,12 @@ def validate_contract(
     if contract.kind == "none":
         return ValidationReport(contract, True, 0.0)
 
-    checks: dict[str, float] = {}
     gram_excess = op.gram_residual
-    checks["gram_residual"] = gram_excess
-    failed = gram_excess > GRAM_TOLERANCE
-
     if contract.kind == "unit_ball":
-        eigen_excess = float(np.max(op.eigenvalues) - 1.0)
-        checks["eigenvalue_excess"] = eigen_excess
-        failed = failed or eigen_excess > EIGENVALUE_TOLERANCE
-        margin = max(gram_excess, eigen_excess, 0.0)
-        return ValidationReport(contract, not failed, margin, checks)
+        return _unit_ball_report(contract, gram_excess, np.max(op.eigenvalues))
 
+    checks = {"gram_residual": gram_excess}
+    failed = gram_excess > GRAM_TOLERANCE
     # power_bounded: top eigenvalue of M_kl = sqrt(l_k l_l) <v_k, v_l> with
     # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
@@ -367,10 +410,13 @@ def validate_contract(
     return ValidationReport(contract, not failed, margin, checks)
 
 
-def require_contract(op: FiniteRankOperator, contract: OperatorContract) -> ValidationReport:
-    report = validate_contract(op, contract)
+def _require(report: ValidationReport) -> ValidationReport:
     if not report.passed:
         raise ContractViolationError(
-            f"operator fails the {contract.kind} contract with margin {report.margin:.3e}"
+            f"operator fails the {report.contract.kind} contract with margin {report.margin:.3e}"
         )
     return report
+
+
+def require_contract(op: FiniteRankOperator, contract: OperatorContract) -> ValidationReport:
+    return _require(validate_contract(op, contract))

@@ -4,7 +4,10 @@ Each checker computes the two sides of one comparability statement and
 reports the ratio; the envelope estimator runs a checker over a seeded
 corpus and compares the observed ratio range against frozen bounds.  The
 checkers prove nothing: they measure, and the measured envelopes stand in
-for the existence constants the statements assert.
+for the existence constants the statements assert.  Operators, their
+contracts and the Fermi ladder (sea_ladder) come from fock_operator and
+seeded draws from corpus, through public names only; this module keeps
+the comparisons.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .corpus import (
     CorpusSpec,
-    _rekeyed_generators,
+    complex_normals,
     philox_generator,
     single_spike,
     spike_sequences,
@@ -39,22 +42,17 @@ from .dyadic_partition import (
 )
 from .errors import (
     ConfigurationError,
-    ContractViolationError,
     DegenerateInputError,
     GridMismatchError,
     UnsupportedFamilyError,
 )
 from .fock_operator import (
-    GRAM_TOLERANCE,
     FiniteRankOperator,
     UNIT_BALL,
-    _gram_matrix,
-    _identity_excess,
-    _plane_waves,
-    _sea_modes,
     finite_chemical_potential,
     power_bounded,
     require_contract,
+    sea_ladder,
     spectral_trace,
 )
 from .projectors import project, project_companion
@@ -67,7 +65,6 @@ from .torus_grid import (
     density_stack,
     fft_stack,
     field_chunks,
-    forward_transform_stack,
     inner_product,
     kinetic_forms,
     lp_norm,
@@ -385,6 +382,11 @@ def _lp_density_samples(grid, ops, exponents, blocks, first):
     return _norm_ratios(grid, lhs_fields, rhs_fields, exponents, ops[0].rank, first)
 
 
+def gns_exponent(dimension: int) -> float:
+    """The critical exponent 2 + 4/d of the interpolation inequality."""
+    return 2.0 + 4.0 / dimension
+
+
 def _gns_samples(grid, values, exponents, blocks, first):
     """gns samples of a stack of fields [c, ...]: its exponent is fixed by the
     dimension, so each member has one sample, under every label."""
@@ -392,7 +394,7 @@ def _gns_samples(grid, values, exponents, blocks, first):
     magnitudes = np.abs(values)
     norms2 = lp_norms(grid, magnitudes, 2.0)
     gradient_energies = kinetic_forms(grid, values, 1.0)
-    norms = lp_norms(grid, magnitudes, 2.0 + 4.0 / d)
+    norms = lp_norms(grid, magnitudes, gns_exponent(d))
     members, reasons = [], []
     for m, (norm2, gradient_energy, lhs) in enumerate(zip(norms2, gradient_energies, norms)):
         reason = None
@@ -637,9 +639,7 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     """
     mu = finite_chemical_potential(chemical_potential)
     nsq = grid.frequency_norms_squared.reshape(-1)
-    below = nsq[nsq <= mu]
-    if below.size == 0:
-        raise ConfigurationError("no lattice modes under the chemical potential")
+    below = nsq[nsq <= mu]  # never empty: mu > 0 keeps the zero mode
     rank = int(below.size)
     kinetic = float(below.sum())
     exponent = lt_exponent(grid.dimension, 0.0, 1.0)
@@ -652,69 +652,15 @@ def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
     }
 
 
-def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
-    """Fermi-sea comparison across a ladder of chemical potentials.
-
-    Each entry carries the pipeline result, the lattice-sum oracle and their
-    relative gap.  ``visit``, when given, is called as visit(rung, rank, w)
-    after each rung's check, with the rung's spectral density w.
-
-    No sea is held in memory.  The top rung is the largest potential, and
-    every rung's waves are a prefix of its waves in fermi_sea's order, so
-    the sweep makes two passes over the top rung's waves, which
-    fock_operator._plane_waves generates piece by piece:
-
-    * Gram pass: one Gram matrix G of the top rung's waves, summed over
-      byte_chunks of the first grid axis, slabs that hold every wave.  A
-      rung of rank r satisfies the unit-ball contract when
-      max |G[:r, :r] - I| <= GRAM_TOLERANCE; otherwise
-      ContractViolationError is raised, as require_contract does.
-    * Transform pass: the waves in field_chunks of the rank axis, each
-      transformed once; |coeffs_k|^2 and |u_k|^2 are summed in ascending k
-      into w and rho, which are copied at each rung's rank.
-
-    The sums run as spectral_density and density_values run them on the
-    rung's own sea, so each row equals lieb_thirring_check(fermi_sea(grid,
-    mu)) bit for bit.  The lattice-sum oracle takes nothing from the passes.
-    """
-    # Refuse a bad rung before any wave is generated.
-    chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
-    if not chemical_potentials:
-        return []
-    modes = _sea_modes(grid, max(chemical_potentials))
-    top = modes.size
-    norms = grid.frequency_norms_squared.reshape(-1)[modes]
-    ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
-
-    slab_bytes = top * (grid.size // grid.points_per_axis) * np.dtype(complex).itemsize
-    slabs = byte_chunks(grid.points_per_axis, slab_bytes)
-    gram = _gram_matrix(grid, (_plane_waves(grid, modes, leading=slab) for slab in slabs))
-    for rank in sorted(set(ranks)):
-        excess = _identity_excess(gram[:rank, :rank])
-        if excess > GRAM_TOLERANCE:
-            raise ContractViolationError(
-                f"operator fails the unit_ball contract with margin {excess:.3e}"
-            )
-
-    snapshots = {}
-    w, rho = np.zeros(grid.shape), np.zeros(grid.shape)
-    for chunk in field_chunks(grid, top, 1):
-        waves = _plane_waves(grid, modes, chunk)
-        spectral = abs_squared(forward_transform_stack(grid, waves))
-        physical = abs_squared(waves)
-        for k in range(len(waves)):
-            w += spectral[k]
-            rho += physical[k]
-            rank = chunk.start + k + 1
-            if rank in ranks:
-                snapshots[rank] = (w.copy(), rho.copy())
-
-    rows = []
-    for rung, (mu, rank) in enumerate(zip(chemical_potentials, ranks)):
-        rung_w, rung_rho = snapshots[rank]
-        result = _lieb_thirring_result(grid, rank, float(rank), rung_w, rung_rho)
-        if visit is not None:
-            visit(rung, rank, rung_w)
+def fermi_sweep(grid: TorusGrid, chemical_potentials) -> tuple[list[dict], list[np.ndarray]]:
+    """Fermi-sea comparison across a ladder of chemical potentials: per rung
+    of fock_operator.sea_ladder, a row (the pipeline result, the lattice-sum
+    oracle and their relative gap) and the spectral density w.  Each row
+    equals lieb_thirring_check(fermi_sea(grid, mu)) bit for bit."""
+    chemical_potentials = list(chemical_potentials)
+    rows, densities = [], []
+    for mu, (rank, w, rho) in zip(chemical_potentials, sea_ladder(grid, chemical_potentials)):
+        result = _lieb_thirring_result(grid, rank, float(rank), w, rho)
         oracle = fermi_lattice_oracle(grid, mu)
         gap = abs(result.ratio - oracle["ratio"]) / oracle["ratio"]
         rows.append(
@@ -727,7 +673,8 @@ def fermi_sweep(grid: TorusGrid, chemical_potentials, visit=None) -> list[dict]:
                 "oracle_gap": gap,
             }
         )
-    return rows
+        densities.append(w)
+    return rows, densities
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +976,7 @@ def estimate_envelope(
 
     ``exponents`` is a sequence of (p, envelope) pairs; the result holds one
     report per pair, in order.  For "gns" the exponent is fixed by the
-    dimension, and p = None stands for it.
+    dimension (gns_exponent); p is None or that exponent.
 
     The corpus is evaluated in field_chunks of members (one field per member
     for gns, one per block and rank otherwise).  Each chunk is drawn in one
@@ -1044,12 +991,13 @@ def estimate_envelope(
         raise ConfigurationError(
             f"unknown checker {checker!r}, expected one of {tuple(_SAMPLERS)}"
         )
-    if spec.count < 1:
-        raise ConfigurationError("empty corpus")
     exponents = list(exponents)
     ps = [p for p, _ in exponents]
     if checker == "gns":
-        ps = [2.0 + 4.0 / grid.dimension if p is None else p for p in ps]
+        fixed = gns_exponent(grid.dimension)
+        if any(p is not None and float(p) != fixed for p in ps):
+            raise ConfigurationError(f"the gns check takes only p = 2 + 4/d = {fixed:g}, got {ps}")
+        ps = [fixed] * len(ps)
     else:
         ps = _checked_exponents(checker, ps)
     blocks = None
@@ -1085,17 +1033,11 @@ def estimate_envelope(
 
 def _sign_sum_reports(name, shape, p_list, count, seed, ensemble, envelopes):
     """One report per exponent over ``count`` random complex arrays of ``shape``,
-    (n,) classical or (n, n) tensor; its ratio is expectation / l2 power or the reverse.
-
-    Array i is g1 + i g2 with [g1, g2] drawn from philox_generator(seed, i);
-    all of them are drawn into one [count, 2, *shape] table.
-    """
+    (n,) classical or (n, n) tensor, array i the complex_normals draw of index i;
+    its ratio is expectation / l2 power or the reverse."""
     require_counts(term_count=shape[0], sample_count=count)
     exponents = _sign_sum_exponents(p_list)
-    draws = np.empty((count, 2) + shape)
-    for row, rng in zip(draws, _rekeyed_generators(seed, range(count))):
-        rng.standard_normal(out=row)
-    coefficients = draws[:, 0] + 1j * draws[:, 1]
+    coefficients = complex_normals(shape, seed, range(count))
     masses = np.sum(abs_squared(coefficients).reshape(count, -1), axis=1).tolist()
     moments = _sign_moments(coefficients, ensemble or SignEnsemble.exact(), exponents)
     reports = []

@@ -198,7 +198,7 @@ def test_gate_6_sequence_bound():
 def test_gate_7_fermi_ladder(grid1):
     """Fermi ladder: oracle agreement, oracle-direction monotonicity, tail convergence, weak-bound gap."""
     ladder = (1.1, 9.5, 49.5, 225.5, 961.5, 3969.5)
-    rows = fermi_sweep(grid1, ladder)
+    rows, _ = fermi_sweep(grid1, ladder)
     assert [row["rank"] for row in rows] == [3, 7, 15, 31, 63, 127]
     for row in rows:
         assert row["ratio"] > 0.0

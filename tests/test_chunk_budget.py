@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-import lplab.inequality_lab
+import lplab.fock_operator
 import lplab.torus_grid
 from lplab import TorusGrid, fermi_sea, fermi_sweep, khinchine_reports
 from lplab.fock_operator import _gram_matrix
@@ -24,7 +24,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
     seen = {"slabs": [], "columns": [], "chunks": []}
-    plane_waves = lplab.inequality_lab._plane_waves
+    plane_waves = lplab.fock_operator._plane_waves
     contiguous = np.ascontiguousarray
     mean = np.mean
 
@@ -43,7 +43,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         seen["columns"].append(part.shape[1])
         return contiguous(part)
 
-    monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", waves)
+    monkeypatch.setattr(lplab.fock_operator, "_plane_waves", waves)
 
     def counts():
         for calls in seen.values():

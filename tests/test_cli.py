@@ -115,7 +115,7 @@ class TestExitCodes:
             raise AssertionError("drew coefficients before checking the counts")
 
         monkeypatch.setattr(lplab.inequality_lab, "philox_generator", no_draws)
-        monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
+        monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
         assert run_cli("khinchine", flag, "0") == 2
         assert message in capsys.readouterr().err
 
@@ -180,6 +180,11 @@ class TestExitCodes:
             (["lp"], {"samples": True}, "config key samples needs a JSON integer, got true"),
             (["lp"], {"family": "bogus"},
              'config key family needs one of ["smooth", "sharp"], got "bogus"'),
+            (["lp"], {"out": 5}, "config key out needs a JSON string, got 5"),
+            (["lp"], {"envelopes": 3}, "config key envelopes needs a JSON string, got 3"),
+            (["lp"], {"csv": ["a"]}, 'config key csv needs a JSON string, got ["a"]'),
+            (["lp"], {"jobs": "many"}, 'config key jobs needs a JSON integer, got "many"'),
+            (["lieb-thirring"], {"mu": []}, "mu needs at least one value"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -190,6 +195,8 @@ class TestExitCodes:
             "config_p_number", "config_p_null", "config_mu_number", "config_rank_string",
             "config_rank_bool", "config_n_string", "config_samples_string",
             "config_dim_fraction", "config_samples_bool", "config_family_unknown",
+            "config_out_number", "config_envelopes_number", "config_csv_list",
+            "config_jobs_string", "config_mu_empty",
         ],
     )
     def test_settings_refused_before_any_draw(
@@ -199,11 +206,9 @@ class TestExitCodes:
             raise AssertionError("drew before refusing the settings")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
-        monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
         # The sweep generates its waves without building a sea.
         monkeypatch.setattr(lplab.fock_operator, "fermi_sea", no_draws)
         monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
-        monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", no_draws)
         if config is not None:
             path = tmp_path / "config.json"
             path.write_text(json.dumps(config))
@@ -374,6 +379,15 @@ class TestConfigResolution:
         assert run_cli("partition", "--config", str(config)) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["config"]["n"] == 64
+
+    def test_config_run_settings_may_be_null(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        nulls = {"out": None, "csv": None, "envelopes": None, "jobs": None}
+        config.write_text(json.dumps({"n": 64, **nulls}))
+        assert run_cli("partition", "--config", str(config)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["n"] == 64
+        assert not set(nulls) & set(payload["config"])
 
     def test_config_values_of_the_flag_types_are_taken(self, tmp_path):
         """A JSON integer stands for a float setting, and a choice is taken as given."""

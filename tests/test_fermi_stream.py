@@ -1,9 +1,9 @@
 """The streamed Fermi ladder against the seas it no longer builds.
 
-fermi_sweep generates the top rung's waves in pieces; every row, spectral
-density and chain must equal those of the rung's own materialized sea bit
-for bit, a wave off the unit sphere must fail the unit-ball contract, and
-the sweep must hold no stack of waves.
+fock_operator.sea_ladder generates the top rung's waves in pieces; every
+rung's w and rho, and every fermi_sweep row and chain, must equal those of
+the rung's own materialized sea bit for bit, a wave off the unit sphere
+must fail the unit-ball contract, and the sweep must hold no stack of waves.
 """
 
 import tracemalloc
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import lplab.inequality_lab
+import lplab.fock_operator
 import lplab.torus_grid
 from lplab import (
     ContractViolationError,
@@ -23,6 +23,7 @@ from lplab import (
     lieb_thirring_check,
     lt_chain_check,
 )
+from lplab.fock_operator import sea_ladder
 from lplab.inequality_lab import kinetic_chain
 
 TAU = 2.0 * np.pi
@@ -39,25 +40,43 @@ def _grid(d):
     return TorusGrid(dim, TAU, n)
 
 
-@pytest.mark.parametrize("chunk_fields", [None, 3])
-@pytest.mark.parametrize("order", ["sorted", "unsorted_repeated"])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_rows_and_chains_equal_the_materialized_seas(d, order, chunk_fields, monkeypatch):
-    grid = _grid(d)
+def _chunk(grid, chunk_fields, monkeypatch):
     if chunk_fields is not None:
         # Rank chunks of 3 waves put rung boundaries inside chunks.
         monkeypatch.setattr(
             lplab.torus_grid, "FIELD_CHUNK_BYTES", chunk_fields * grid.size * 16
         )
+
+
+@pytest.mark.parametrize("chunk_fields", [None, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ladder_densities_equal_the_materialized_seas(d, chunk_fields, monkeypatch):
+    grid = _grid(d)
+    _chunk(grid, chunk_fields, monkeypatch)
+    ladder = LADDERS[d][1]
+    rungs = sea_ladder(grid, ladder)
+    assert len(rungs) == len(ladder)
+    for mu, (rank, w, rho) in zip(ladder, rungs):
+        sea = fermi_sea(grid, mu)
+        assert rank == sea.rank
+        np.testing.assert_array_equal(rho, sea.density_values)
+        np.testing.assert_array_equal(w, sea.spectral_density)
+
+
+@pytest.mark.parametrize("chunk_fields", [None, 3])
+@pytest.mark.parametrize("order", ["sorted", "unsorted_repeated"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rows_and_chains_equal_the_materialized_seas(d, order, chunk_fields, monkeypatch):
+    grid = _grid(d)
+    _chunk(grid, chunk_fields, monkeypatch)
     ladder = LADDERS[d][order == "unsorted_repeated"]
     blocks = build_blocks(grid)
-    visited = []
-    rows = fermi_sweep(grid, ladder, lambda rung, rank, w: visited.append((rung, rank, w)))
-    assert [rung for rung, _, _ in visited] == list(range(len(ladder)))
-    for mu, row, (_, rank, w) in zip(ladder, rows, visited):
+    rows, densities = fermi_sweep(grid, ladder)
+    assert len(rows) == len(densities) == len(ladder)
+    for mu, row, w in zip(ladder, rows, densities):
         sea = fermi_sea(grid, mu)
         expected = lieb_thirring_check(sea)
-        assert row["rank"] == rank == sea.rank
+        assert row["rank"] == sea.rank
         assert row["ratio"] == expected.ratio
         assert row["weak_ratio"] == expected.weak_ratio
         assert row["oracle_ratio"] == fermi_lattice_oracle(grid, mu)["ratio"]
@@ -68,7 +87,7 @@ def test_rows_and_chains_equal_the_materialized_seas(d, order, chunk_fields, mon
 @pytest.mark.parametrize("wave", [0, 7, 92])
 def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
     grid = _grid(3)
-    generate = lplab.inequality_lab._plane_waves
+    generate = lplab.fock_operator._plane_waves
 
     def perturbed(grid, modes, rows=slice(None), leading=slice(None)):
         waves = generate(grid, modes, rows, leading)
@@ -77,7 +96,7 @@ def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
             waves[wave - first] *= 1.0 + 1e-6
         return waves
 
-    monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", perturbed)
+    monkeypatch.setattr(lplab.fock_operator, "_plane_waves", perturbed)
     with pytest.raises(ContractViolationError, match="unit_ball contract"):
         fermi_sweep(grid, [2.5, 8.5])
 
@@ -89,7 +108,7 @@ def test_sweep_holds_no_stack_of_waves():
     assert top_rank == 257
     tracemalloc.start()
     try:
-        rows = fermi_sweep(grid, [2.5, 4.5, 16.5])
+        rows, _ = fermi_sweep(grid, [2.5, 4.5, 16.5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -364,7 +364,7 @@ class TestLiebThirring:
 
     def test_sweep_rows(self, grid1):
         ladder = [1.1, 4.5, 16.5]
-        rows = fermi_sweep(grid1, ladder)
+        rows, _ = fermi_sweep(grid1, ladder)
         assert [row["rank"] for row in rows] == [3, 5, 9]
         for row in rows:
             assert row["oracle_gap"] <= 1e-10
@@ -577,6 +577,14 @@ class TestEnvelopeEstimation:
         (report,) = estimate_envelope(self.spec(), "gns", [(None, None)], small1)
         assert report.p == 6.0
 
+    def test_gns_refuses_any_other_exponent(self, small1):
+        """A gns report labelled p measures the ratio at p: 2 + 4/d is the only p."""
+        (report,) = estimate_envelope(self.spec(), "gns", [(6.0, None)], small1)
+        assert report.p == 6.0
+        for p in (3.0, 2.0, math.inf):
+            with pytest.raises(ConfigurationError, match="only p = 2 \\+ 4/d = 6"):
+                estimate_envelope(self.spec(), "gns", [(None, None), (p, None)], small1)
+
     def test_unknown_checker(self, small1):
         with pytest.raises(ConfigurationError, match="unknown checker"):
             estimate_envelope(self.spec(), "sobolev", [(2.0, None)], small1)
@@ -626,7 +634,7 @@ class TestKhinchineReports:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew coefficients before checking the exponents")
 
-        monkeypatch.setattr(lplab.inequality_lab, "_rekeyed_generators", no_draws)
+        monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
         for reports in (khinchine_reports, tensor_khinchine_reports):
             with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.5"):
                 reports(n_terms=4, p_list=[2.0, 0.5], count=3, seed=86)

@@ -1,6 +1,7 @@
 """The package's public surface: every name lplab re-exports is reached by
 a section, a script or a benchmark span site, or is listed below with the
-reason it stays.  A helper that only tests call fails here."""
+reason it stays.  A helper that only tests call fails here, and so does a
+module that reaches into another lplab module's private names."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,50 @@ def test_the_scan_sees_references_and_skips_definitions(tmp_path):
         "def caller():\n    return used() + obj.attribute\n"
     )
     assert referenced_names(module) == {"used", "obj", "attribute"}
+
+
+def private_imports(path: Path) -> set[str]:
+    """The private names (a leading _) a module takes from another lplab
+    module: imported by name, or read as an attribute of an lplab module it
+    imported."""
+    tree = ast.parse(path.read_text())
+    found, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("lplab")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.add(alias.name)
+                elif not node.module or node.module == "lplab":
+                    modules.add(alias.asname or alias.name)  # from . import corpus
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            found.add(node.attr)
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    offenders = {
+        path.name: sorted(private_imports(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if private_imports(path)
+    }
+    assert offenders == {}, "give the owner a public name or move the caller into it"
+
+
+def test_the_private_import_scan_sees_names_and_attributes(tmp_path):
+    module = tmp_path / "module.py"
+    for source, expected in [
+        ("from .fock_operator import _plane_waves, fermi_sea\n", {"_plane_waves"}),
+        ("from lplab.corpus import _rekeyed_generators as keyed\n", {"_rekeyed_generators"}),
+        ("from . import corpus\nrows = corpus._stream_counter(0)\n", {"_stream_counter"}),
+        ("from .corpus import complex_normals\nfrom numpy import _core\n", set()),
+        ("from __future__ import annotations\nclass A:\n    def _own(self):\n"
+         "        return self._cache\n", set()),
+    ]:
+        module.write_text(source)
+        assert private_imports(module) == expected, source

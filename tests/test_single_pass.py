@@ -258,7 +258,7 @@ class TestSectionsBuildOnce:
         for module in (lplab, lplab.fock_operator):
             monkeypatch.setattr(module, "fermi_sea", no_sea)
         generated = []
-        waves = lplab.inequality_lab._plane_waves
+        waves = lplab.fock_operator._plane_waves
 
         def recorded(grid, modes, rows=slice(None), leading=slice(None)):
             generated.append(
@@ -266,19 +266,19 @@ class TestSectionsBuildOnce:
             )
             return waves(grid, modes, rows, leading)
 
-        monkeypatch.setattr(lplab.inequality_lab, "_plane_waves", recorded)
+        monkeypatch.setattr(lplab.fock_operator, "_plane_waves", recorded)
         sweep_grams, grams = [], []
-        sweep_gram, gram = lplab.inequality_lab._gram_matrix, lplab.fock_operator._gram_matrix
-        monkeypatch.setattr(
-            lplab.inequality_lab,
-            "_gram_matrix",
-            lambda grid, blocks: sweep_grams.append(1) or sweep_gram(grid, blocks),
-        )
-        monkeypatch.setattr(
-            lplab.fock_operator,
-            "_gram_matrix",
-            lambda grid, functions: grams.append(len(functions)) or gram(grid, functions),
-        )
+        gram = lplab.fock_operator._gram_matrix
+
+        def counted_gram(grid, functions):
+            # A frame's Gram matrix reads a stack; the sweep's, generated slabs.
+            if isinstance(functions, np.ndarray):
+                grams.append(len(functions))
+            else:
+                sweep_grams.append(1)
+            return gram(grid, functions)
+
+        monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted_gram)
         code, text = _run("lieb-thirring --dim 3 --n 16 --mu 2.5 --mu 4.5 --mu 8.5".split())
         assert code == 0
         results = json.loads(text)["results"]
