@@ -271,8 +271,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-# The JSON types a config value of a scalar setting may have, by its flag's
-# type, and their name in the refusal.
+# The JSON types a config value of a scalar setting, or each element of a
+# list setting, may have, by its flag's type, and their name in the refusal.
 _JSON_KINDS = {
     int: ((int,), "a JSON integer"),
     float: ((int, float), "a JSON number"),
@@ -282,14 +282,17 @@ _JSON_KINDS = {
 
 def _check_config_value(key: str, value, setting: Setting) -> None:
     """A config value must be what its flag accepts: null only where the
-    default is None, a list setting a JSON list of numbers, a choice one of
-    its _CHOICES, any other setting the JSON type of its flag.  A JSON
-    integer stands for a float; a boolean stands for nothing."""
+    default is None, a list setting a JSON list of numbers each of its
+    flag's JSON type, a choice one of its _CHOICES, any other setting the
+    JSON type of its flag.  A JSON integer stands for a float; a boolean
+    stands for nothing."""
     if value is None and setting.default is None:
         return
     if setting.many:
-        accepted = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-        expected = "a JSON list of numbers"
+        kinds, each = _JSON_KINDS[setting.kind]
+        numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+        accepted = numbers and all(type(v) in kinds for v in value)
+        expected = f"a JSON list of numbers, each {each}" if numbers else "a JSON list of numbers"
     elif key in _CHOICES:
         accepted = value in _CHOICES[key]
         expected = f"one of {json.dumps(_CHOICES[key])}"
@@ -536,11 +539,12 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
         raise ConfigurationError(f"chain samples must be >= 0, got {settings['chain_samples']}")
     ladder = settings["mu"] or _default_mu_ladder(grid)
     profile = build_profile(profile_kind)
-    blocks = build_blocks(grid, family, profile)
 
     # The chain runs on the first and the middle rung's spectral density
-    # from the sweep, which has checked that rung's unit-ball contract.
+    # from the sweep, which has checked that rung's unit-ball contract.  The
+    # blocks are built after the sweep, so they do not sit beside its buffers.
     rows, densities = fermi_sweep(grid, ladder)
+    blocks = build_blocks(grid, family, profile)
     chains = [
         {"source": f"sea_rank_{rows[rung]['rank']}",
          **asdict(kinetic_chain(grid, densities[rung], blocks))}
@@ -554,6 +558,7 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
         chains.append(
             {"source": f"frame_{index}", **asdict(lt_chain_check(frame, blocks))}
         )
+        del frame  # release the frame before the next one is drawn
 
     positivity = all(row["ratio"] > 0 for row in rows)
     oracle_ok = all(row["oracle_gap"] <= ORACLE_TOLERANCE for row in rows)
@@ -604,6 +609,7 @@ def _cmd_glt(settings: dict, envelopes: dict):
                 reference = lieb_thirring_check(op)
                 drift = abs(result.ratio - reference.ratio)
                 agreement = drift if agreement is None else max(agreement, drift)
+            del op  # release the frame before the next one is drawn
     finite_positive = all(
         math.isfinite(row["ratio"]) and row["ratio"] > 0 for row in rows
     )

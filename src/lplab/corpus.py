@@ -49,11 +49,17 @@ def _stream_counter(stream: int) -> np.ndarray:
 
 def complex_normals(shape, seed: int, indices, stream: int = 0) -> np.ndarray:
     """g1 + i g2 for each index i, as [len(indices), *shape], where [g1, g2]
-    are the first standard normals of philox_generator(seed, i, stream)."""
-    draws = np.empty((len(indices), 2) + tuple(shape))
-    for row, rng in zip(draws, _rekeyed_generators(seed, indices, stream)):
-        rng.standard_normal(out=row)
-    return draws[:, 0] + 1j * draws[:, 1]
+    are the first standard normals of philox_generator(seed, i, stream).
+
+    Each index's draw fills one [2, *shape] buffer, copied straight into the
+    real and imaginary parts of its row of the result.
+    """
+    normals = np.empty((len(indices),) + tuple(shape), dtype=complex)
+    draws = np.empty((2,) + tuple(shape))
+    for row, rng in zip(normals, _rekeyed_generators(seed, indices, stream)):
+        rng.standard_normal(out=draws)
+        row.real, row.imag = draws
+    return normals
 
 
 def random_band_limited(
@@ -72,16 +78,18 @@ def random_band_limited(
     it, the values of members index, ..., index + count - 1 as one
     [count, ...] stack.  Either way the members are drawn in one pass: one
     weight table, one re-keyed generator and one batched inverse transform.
+    The weights and the transform are applied in place, so the draw holds
+    one array of the result's size.
     """
     decay = float(decay)
     if not math.isfinite(decay):
         raise ConfigurationError(f"decay must be finite, got {decay}")
     members = 1 if count is None else int(count)
-    normals = complex_normals(grid.shape, seed, range(index, index + members), stream)
-    coeffs = normals * (1.0 + grid.frequency_norms) ** -decay
+    coeffs = complex_normals(grid.shape, seed, range(index, index + members), stream)
+    coeffs *= (1.0 + grid.frequency_norms) ** -decay
     if zero_mean:
         coeffs[(slice(None),) + grid.zero_mode_index] = 0.0
-    values = inverse_transform_stack(grid, coeffs)
+    values = inverse_transform_stack(grid, coeffs, out=coeffs)
     return values if count is not None else GridFunction(grid, values[0])
 
 

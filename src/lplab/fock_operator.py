@@ -18,8 +18,8 @@ as an operator; the ladder is streamed (below).
 Plane-wave Fermi seas come from one wave generator, _plane_waves, which
 builds any range of a sea's waves (rank rows, and a range of the leading
 grid axis) with the bits of the full stack: fermi_sea builds its stack
-through it, sea_ladder streams a ladder of seas through it without holding
-one.  Gram matrices have one kernel, _gram_matrix, over column blocks of a
+through it, sea_ladder streams a ladder of seas through it into buffers it
+reuses, without holding one.  Gram matrices have one kernel, _gram_matrix, over column blocks of a
 stack or generated slabs; validate_contract and sea_ladder share one
 unit-ball verdict and one violation message.
 
@@ -234,10 +234,15 @@ def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
 
 
 def _plane_waves(
-    grid: TorusGrid, modes: np.ndarray, rows: slice = slice(None), leading: slice = slice(None)
+    grid: TorusGrid,
+    modes: np.ndarray,
+    rows: slice = slice(None),
+    leading: slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The normalized waves L^{-d/2} e^{i xi x} of modes[rows], restricted to
-    the range ``leading`` of the first grid axis, as [r, l, N, .., N].
+    the range ``leading`` of the first grid axis, as [r, l, N, .., N]; the
+    last outer product is written into ``out`` when it is given.
 
     Each wave is the outer product of the one-axis waves e^{i xi_m x_m}, read
     from one table of N x N phases and appended one axis at a time.  An
@@ -252,7 +257,8 @@ def _plane_waves(
         table = axis_waves[m_idx][:, leading] if axis == 0 else axis_waves[m_idx]
         # Append one axis: [r, l, .., N] times [r, 1, .., 1, N].
         factor = table.reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
-        functions = functions[..., None] * factor
+        last = axis == grid.dimension - 1
+        functions = np.multiply(functions[..., None], factor, out=out if last else None)
     return functions
 
 
@@ -273,13 +279,16 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
 
     No sea is held: every rung's waves are a prefix of the top rung's in
     fermi_sea's order, and _plane_waves generates those piece by piece for
-    two passes.  The Gram pass sums one Gram matrix G over byte_chunks of
-    the first grid axis; a rung of rank r must pass the unit-ball contract
-    on G[:r, :r], or ContractViolationError is raised as by require_contract.
-    The transform pass takes field_chunks of the rank axis, transforms each
-    once and sums |coeffs_k|^2 and |u_k|^2 in ascending k into w and rho,
-    copied at each rung's rank: the sums spectral_density and density_values
-    run on fermi_sea(grid, mu), bit for bit.
+    two passes, each into buffers it reuses.  The Gram pass (_ladder_gram)
+    sums one Gram matrix G over slabs of the first grid axis; a rung of rank
+    r must pass the unit-ball contract on G[:r, :r], or
+    ContractViolationError is raised as by require_contract.  A chemical
+    potential below the first shell (2 pi / L)^2, whose sea holds only the
+    zero mode, is refused with ConfigurationError before any wave is
+    generated.  The transform pass takes field_chunks of the rank axis,
+    transforms each once and sums |coeffs_k|^2 and |u_k|^2 in ascending k
+    into w and rho, copied at each rung's rank: the sums spectral_density
+    and density_values run on fermi_sea(grid, mu), bit for bit.
     """
     # Refuse a bad rung before any wave is generated.
     chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
@@ -288,25 +297,58 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
     modes = _sea_modes(grid, max(chemical_potentials))
     norms = grid.frequency_norms_squared.reshape(-1)[modes]
     ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
+    for mu, rank in zip(chemical_potentials, ranks):
+        if rank == 1:
+            raise ConfigurationError(
+                f"chemical potential {mu} lies below the first shell "
+                f"{(2.0 * math.pi / grid.box_length) ** 2}: its sea holds only the zero mode"
+            )
 
-    slab_bytes = modes.size * (grid.size // grid.points_per_axis) * np.dtype(complex).itemsize
-    slabs = byte_chunks(grid.points_per_axis, slab_bytes)
-    gram = _gram_matrix(grid, (_plane_waves(grid, modes, leading=slab) for slab in slabs))
+    gram = _ladder_gram(grid, modes)
     for rank in sorted(set(ranks)):
         _require(_unit_ball_report(UNIT_BALL, _identity_excess(gram[:rank, :rank]), 1.0))
 
     rungs = {}
     w, rho = np.zeros(grid.shape), np.zeros(grid.shape)
-    for chunk in field_chunks(grid, modes.size, 1):
-        waves = _plane_waves(grid, modes, chunk)
-        spectral = abs_squared(forward_transform_stack(grid, waves))
-        physical = abs_squared(waves)
-        for k in range(len(waves)):
+    chunks = field_chunks(grid, modes.size, 1)
+    width = len(range(modes.size)[chunks[0]])
+    waves_buffer = np.empty((width,) + grid.shape, dtype=complex)
+    spectra_buffer = np.empty_like(waves_buffer)
+    spectral_buffer, physical_buffer = np.empty((2, width) + grid.shape)
+    for chunk in chunks:
+        count = len(range(modes.size)[chunk])
+        waves = _plane_waves(grid, modes, chunk, out=waves_buffer[:count])
+        spectra = forward_transform_stack(grid, waves, out=spectra_buffer[:count])
+        spectral = abs_squared(spectra, out=spectral_buffer[:count])
+        physical = abs_squared(waves, out=physical_buffer[:count])
+        for k in range(count):
             w += spectral[k]
             rho += physical[k]
             if chunk.start + k + 1 in ranks:
                 rungs[chunk.start + k + 1] = (w.copy(), rho.copy())
     return [(rank, *rungs[rank]) for rank in ranks]
+
+
+def _ladder_gram(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the waves of ``modes``, summed over slabs of the
+    first grid axis that _plane_waves generates into one reused buffer.
+
+    A slab is as many first-axis indices as fit FIELD_CHUNK_BYTES, and at
+    least one: N^(d-1) columns, the width the Gram products run at in BLAS.
+    The buffer is freed when the last slab is read, before G is formed and
+    before the transform pass allocates.
+    """
+    n, columns = grid.points_per_axis, grid.size // grid.points_per_axis
+    slabs = byte_chunks(n, modes.size * columns * np.dtype(complex).itemsize)
+
+    def slab_waves():
+        buffer = np.empty(modes.size * len(range(n)[slabs[0]]) * columns, dtype=complex)
+        for slab in slabs:
+            shape = (modes.size, len(range(n)[slab])) + grid.shape[1:]
+            out = buffer[: math.prod(shape)].reshape(shape)
+            yield _plane_waves(grid, modes, leading=slab, out=out)
+
+    return _gram_matrix(grid, slab_waves())
 
 
 @dataclass
@@ -322,25 +364,39 @@ def _gram_matrix(grid: TorusGrid, functions) -> np.ndarray:
 
     ``functions`` is a stack [r, ...], read in byte_chunks of the columns of
     its (r, N^d) view, or an iterable of blocks [r, ...] whose columns
-    together cover the grid once.  Each block of real part x and imaginary
-    part y adds x x^T + y y^T to Re G (numpy takes a product with the
-    operand's own transpose through BLAS syrk) and P - P^T, P = y x^T, to
-    Im G; no conjugate copy is made.
+    together cover the grid once.  With X and Y the sums over the blocks of
+    x x^T + y y^T and y x^T (_gram_sums), Re G is X and Im G is Y - Y^T; no
+    conjugate copy is made, and the blocks are released before G is formed.
     """
     if isinstance(functions, np.ndarray):
         flat = functions.reshape(len(functions), -1)
         column_bytes = len(flat) * np.dtype(complex).itemsize
         functions = (flat[:, cols] for cols in byte_chunks(flat.shape[1], column_bytes))
-    real = imag = 0.0
-    for block in functions:
+    real, cross = _gram_sums(functions)
+    return grid.cell_volume * (real + 1j * (cross - cross.T))
+
+
+def _gram_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """sum x x^T + y y^T and sum y x^T over blocks [r, ...] of real part x
+    and imaginary part y.
+
+    Each block's parts are copied into one float buffer, sized by the first
+    block and reused by the rest; numpy takes a product with the operand's
+    own transpose through BLAS syrk.
+    """
+    real = cross = 0.0
+    parts = np.empty(0)
+    for block in blocks:
         columns = block.reshape(len(block), -1)
-        x = np.ascontiguousarray(columns.real)
-        y = np.ascontiguousarray(columns.imag)
-        cross = y @ x.T
+        if parts.size < 2 * columns.size:
+            parts = np.empty(2 * columns.size)
+        x, y = parts[: 2 * columns.size].reshape((2,) + columns.shape)
+        np.copyto(x, columns.real)
+        np.copyto(y, columns.imag)
         real += x @ x.T
         real += y @ y.T
-        imag += cross - cross.T
-    return grid.cell_volume * (real + 1j * imag)
+        cross += y @ x.T
+    return real, cross
 
 
 def _identity_excess(gram: np.ndarray) -> float:

@@ -435,7 +435,7 @@ def parseval_square_ratio(u: GridFunction, blocks: DyadicBlockSet) -> float:
     By Parseval the ratio squared is the energy-weighted mean of
     sum_j Psi_j(xi)^2 over the spectrum of u.
     """
-    (closed_form,) = _parseval_ratios(blocks, np.fft.fftn(u.values)[None])
+    (closed_form,) = _parseval_ratios(blocks, fft_stack(u.grid, u.values[None]))
     if closed_form is None:
         raise DegenerateInputError("zero input; the ratio is undefined")
     return closed_form

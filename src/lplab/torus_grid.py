@@ -36,18 +36,22 @@ ZERO_MODE_RTOL = 1e-10
 # The bytes one chunk of a batched pass may hold: members or ranks of
 # complex fields, slabs of a Gram sum, rows of a sign-sum table.  Every pass
 # sizes its chunks through byte_chunks, so this is the only budget.  A larger
-# one batches more work per call but raises the peak resident set.
+# one batches more work per call but raises the peak resident set.  A chunk
+# holds at least one item, so an item above the budget (one first-axis slab
+# of a large Fermi sea's waves) is a chunk of its own; a pass that repeats
+# such chunks fills buffers it reuses, so one chunk is alive at a time.
 FIELD_CHUNK_BYTES = 1 << 20
 
 
-def abs_squared(values: np.ndarray) -> np.ndarray:
-    """|z|^2 computed as re^2 + im^2, avoiding the sqrt round trip of abs()**2."""
+def abs_squared(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|z|^2 computed as re^2 + im^2, avoiding the sqrt round trip of abs()**2;
+    into ``out`` when given, a float array of the values' shape."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
-        out = v.real**2
+        out = np.square(v.real, out=out)
         out += v.imag**2
         return out
-    return v * v
+    return np.multiply(v, v, out=out)
 
 
 @dataclass(frozen=True)
@@ -214,16 +218,30 @@ def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
     return tuple(range(-grid.dimension, 0))
 
 
-def forward_transform_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """forward_transform of every field in a stack [r, ...] at once."""
-    spectra = np.fft.fftn(values, axes=_grid_axes(grid))
+def _transform_stack(function, grid: TorusGrid, values, out: np.ndarray | None) -> np.ndarray:
+    """np.fft.fftn or np.fft.ifftn of a stack over the grid axes, every axis
+    transformed into one complex array: ``out``, which may be ``values``
+    itself, or one fresh array."""
+    values = np.asarray(values)
+    if out is None:
+        out = np.empty(values.shape, np.result_type(values.dtype, 1j))
+    return function(values, axes=_grid_axes(grid), out=out)
+
+
+def forward_transform_stack(
+    grid: TorusGrid, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """forward_transform of every field in a stack [r, ...] at once, into ``out`` if given."""
+    spectra = _transform_stack(np.fft.fftn, grid, values, out)
     spectra *= grid.cell_volume
     return spectra
 
 
-def inverse_transform_stack(grid: TorusGrid, coefficients: np.ndarray) -> np.ndarray:
-    """inverse_transform of every spectrum in a stack [r, ...] at once."""
-    values = np.fft.ifftn(coefficients, axes=_grid_axes(grid))
+def inverse_transform_stack(
+    grid: TorusGrid, coefficients: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """inverse_transform of every spectrum in a stack [r, ...] at once, into ``out`` if given."""
+    values = _transform_stack(np.fft.ifftn, grid, coefficients, out)
     values /= grid.cell_volume
     return values
 
@@ -279,13 +297,14 @@ def fft_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     These are the block kernel's input: its two transforms' integral
     normalizations cancel, so neither is applied.
     """
-    return np.fft.fftn(values, axes=_grid_axes(grid))
+    return _transform_stack(np.fft.fftn, grid, values, None)
 
 
 def _block_fields(grid: TorusGrid, spectra: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """symbols_j(D) of every field of an unnormalized spectra stack [..., ...] as [..., J, ...]."""
+    """symbols_j(D) of every field of an unnormalized spectra stack [..., ...] as
+    [..., J, ...], inverse-transformed in place."""
     blocks = np.expand_dims(spectra, -grid.dimension - 1) * symbols
-    return np.fft.ifftn(blocks, axes=_grid_axes(grid))
+    return _transform_stack(np.fft.ifftn, grid, blocks, blocks)
 
 
 def block_energy_stack(grid: TorusGrid, spectra: np.ndarray, weights, symbols) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Shared fixtures: the two workhorse grids and their dyadic block sets.
+"""Shared fixtures: the two workhorse grids and their dyadic block sets,
+and the allocation-peak probe of the memory bounds.
 
 Session scope keeps the FFT tables and block symbols tabulated once; every
 fixture object is treated as read-only by the tests.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,3 +54,20 @@ def sharp1(grid1):
 @pytest.fixture(scope="session")
 def sharp2(grid2):
     return lplab.build_blocks(grid2, family=lplab.SHARP)
+
+
+@pytest.fixture
+def traced_peak():
+    """fn(*args, **kwargs) -> (its result, the peak bytes tracemalloc saw
+    allocated during the call, counted from the call's start)."""
+
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    return measure

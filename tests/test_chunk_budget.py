@@ -25,23 +25,24 @@ def test_one_budget_sizes_every_pass(monkeypatch):
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
     seen = {"slabs": [], "columns": [], "chunks": []}
     plane_waves = lplab.fock_operator._plane_waves
-    contiguous = np.ascontiguousarray
+    copyto = np.copyto
     mean = np.mean
 
-    def waves(grid, modes, rows=slice(None), leading=slice(None)):
+    def waves(grid, modes, rows=slice(None), leading=slice(None), out=None):
         if leading != slice(None):
             seen["slabs"].append(leading)
-        return plane_waves(grid, modes, rows, leading)
+        return plane_waves(grid, modes, rows, leading, out)
 
     def moments(table, axis):
         # _sign_moments takes one mean per exponent over each chunk's table.
         seen["chunks"].append(len(table))
         return mean(table, axis=axis)
 
-    def columns(part):
-        # _gram_matrix copies the real and the imaginary part of each block.
+    def columns(buffer, part):
+        # _gram_matrix copies the real and the imaginary part of each block
+        # into its float buffer.
         seen["columns"].append(part.shape[1])
-        return contiguous(part)
+        return copyto(buffer, part)
 
     monkeypatch.setattr(lplab.fock_operator, "_plane_waves", waves)
 
@@ -50,7 +51,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
             calls.clear()
         fermi_sweep(grid, [4.5])
         with monkeypatch.context() as patch:
-            patch.setattr(np, "ascontiguousarray", columns)
+            patch.setattr(np, "copyto", columns)
             _gram_matrix(grid, stack)
         with monkeypatch.context() as patch:
             patch.setattr(np, "mean", moments)

@@ -185,6 +185,10 @@ class TestExitCodes:
             (["lp"], {"csv": ["a"]}, 'config key csv needs a JSON string, got ["a"]'),
             (["lp"], {"jobs": "many"}, 'config key jobs needs a JSON integer, got "many"'),
             (["lieb-thirring"], {"mu": []}, "mu needs at least one value"),
+            (["lp-density"], {"rank": [1.5], "samples": 2, "n": 16},
+             "config key rank needs a JSON list of numbers, each a JSON integer, got [1.5]"),
+            (["lieb-thirring", "--mu", "0.7", "--n", "64"], None,
+             "chemical potential 0.7 lies below the first shell 1.0: its sea holds only the zero mode"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -196,7 +200,8 @@ class TestExitCodes:
             "config_rank_bool", "config_n_string", "config_samples_string",
             "config_dim_fraction", "config_samples_bool", "config_family_unknown",
             "config_out_number", "config_envelopes_number", "config_csv_list",
-            "config_jobs_string", "config_mu_empty",
+            "config_jobs_string", "config_mu_empty", "config_rank_fraction",
+            "mu_below_first_shell",
         ],
     )
     def test_settings_refused_before_any_draw(

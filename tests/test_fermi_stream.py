@@ -6,8 +6,6 @@ the rung's own materialized sea bit for bit, a wave off the unit sphere
 must fail the unit-ball contract, and the sweep must hold no stack of waves.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -89,10 +87,12 @@ def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
     grid = _grid(3)
     generate = lplab.fock_operator._plane_waves
 
-    def perturbed(grid, modes, rows=slice(None), leading=slice(None)):
-        waves = generate(grid, modes, rows, leading)
+    def perturbed(grid, modes, rows=slice(None), leading=slice(None), out=None):
+        waves = generate(grid, modes, rows, leading, out)
+        assert out is None or waves is out
         first = rows.indices(len(modes))[0]
         if first <= wave < first + len(waves):
+            # Scaled inside the buffer the ladder reads the slab from.
             waves[wave - first] *= 1.0 + 1e-6
         return waves
 
@@ -101,16 +101,23 @@ def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
         fermi_sweep(grid, [2.5, 8.5])
 
 
-def test_sweep_holds_no_stack_of_waves():
+def test_sweep_holds_no_stack_of_waves(traced_peak):
     grid = TorusGrid(3, TAU, 32)
     top_rank = fermi_lattice_oracle(grid, 16.5)["rank"]
     stack_bytes = top_rank * grid.size * np.dtype(complex).itemsize
     assert top_rank == 257
-    tracemalloc.start()
-    try:
-        rows, _ = fermi_sweep(grid, [2.5, 4.5, 16.5])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (rows, _), peak = traced_peak(fermi_sweep, grid, [2.5, 4.5, 16.5])
     assert [row["rank"] for row in rows] == [19, 33, 257]
     assert peak < stack_bytes / 4, (peak, stack_bytes)
+
+
+def test_ladder_holds_one_slab_and_its_float_copy(traced_peak):
+    """The Gram pass generates each first-axis slab into one complex buffer
+    and copies its parts into one float buffer of the same bytes; the
+    transform pass runs after both are freed."""
+    grid = TorusGrid(3, TAU, 32)
+    grid.frequency_norms_squared  # the grid's own table is not the ladder's
+    slab_bytes = 257 * 32**2 * np.dtype(complex).itemsize
+    rungs, peak = traced_peak(sea_ladder, grid, [2.5, 4.5, 16.5])
+    assert [rank for rank, _, _ in rungs] == [19, 33, 257]
+    assert peak <= 2.5 * slab_bytes, (peak / slab_bytes)

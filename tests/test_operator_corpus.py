@@ -9,7 +9,6 @@ must keep them bound.
 
 import importlib
 import importlib.util
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -173,15 +172,10 @@ class TestChunkedGram:
             _gram_matrix(grid, op.eigenfunctions), expected, rtol=0, atol=1e-14
         )
 
-    def test_contract_check_copies_no_stack(self):
+    def test_contract_check_copies_no_stack(self, traced_peak):
         sea = fermi_sea(TorusGrid(3, TAU, 32), 16.5)
         stack_bytes = sea.eigenfunctions.nbytes
-        tracemalloc.start()
-        try:
-            report = validate_contract(sea)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        report, peak = traced_peak(validate_contract, sea)
         assert report.passed
         assert peak < stack_bytes / 4, (peak, stack_bytes)
 

@@ -1,7 +1,8 @@
 """The package's public surface: every name lplab re-exports is reached by
 a section, a script or a benchmark span site, or is listed below with the
 reason it stays.  A helper that only tests call fails here, and so does a
-module that reaches into another lplab module's private names."""
+module that reaches into another lplab module's private names or calls a
+numpy.fft transform outside torus_grid."""
 
 import ast
 from pathlib import Path
@@ -143,3 +144,52 @@ def test_the_private_import_scan_sees_names_and_attributes(tmp_path):
     ]:
         module.write_text(source)
         assert private_imports(module) == expected, source
+
+
+# numpy.fft names that build tables, not transforms.
+FFT_HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}
+
+
+def fft_calls(path: Path) -> set[str]:
+    """The numpy.fft transforms a module reaches: np.fft.<name> or
+    numpy.fft.<name> read anywhere, or numpy.fft or a name of it imported."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "fft"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in {"np", "numpy"}
+            and node.attr not in FFT_HELPERS
+        ):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            found |= {alias.name for alias in node.names} - FFT_HELPERS
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found |= {alias.name for alias in node.names} & {"fft"}
+    return found
+
+
+def test_only_torus_grid_calls_a_transform():
+    assert fft_calls(PACKAGE / "torus_grid.py") >= {"fftn", "ifftn"}
+    offenders = {
+        path.name: sorted(fft_calls(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "torus_grid.py" and fft_calls(path)
+    }
+    assert offenders == {}, "transform through torus_grid (fft_stack or the *_transform_stack)"
+
+
+def test_the_transform_scan_sees_attributes_and_imports(tmp_path):
+    module = tmp_path / "module.py"
+    for source, expected in [
+        ("import numpy as np\nspectrum = np.fft.fftn(values)[None]\n", {"fftn"}),
+        ("import numpy\nvalues = numpy.fft.irfft(spectrum)\n", {"irfft"}),
+        ("from numpy.fft import ifftn, fftfreq\n", {"ifftn"}),
+        ("from numpy import fft\n", {"fft"}),
+        ("import numpy as np\nxi = np.fft.fftfreq(8)\n", set()),
+        ("from .torus_grid import fft_stack\nspectra = fft_stack(grid, values)\n", set()),
+    ]:
+        module.write_text(source)
+        assert fft_calls(module) == expected, source

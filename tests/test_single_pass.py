@@ -260,11 +260,11 @@ class TestSectionsBuildOnce:
         generated = []
         waves = lplab.fock_operator._plane_waves
 
-        def recorded(grid, modes, rows=slice(None), leading=slice(None)):
+        def recorded(grid, modes, rows=slice(None), leading=slice(None), out=None):
             generated.append(
                 (range(*rows.indices(len(modes))), range(*leading.indices(grid.points_per_axis)))
             )
-            return waves(grid, modes, rows, leading)
+            return waves(grid, modes, rows, leading, out)
 
         monkeypatch.setattr(lplab.fock_operator, "_plane_waves", recorded)
         sweep_grams, grams = [], []
