@@ -313,14 +313,14 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
     chunks = field_chunks(grid, modes.size, 1)
     width = len(range(modes.size)[chunks[0]])
     waves_buffer = np.empty((width,) + grid.shape, dtype=complex)
-    spectra_buffer = np.empty_like(waves_buffer)
     spectral_buffer, physical_buffer = np.empty((2, width) + grid.shape)
     for chunk in chunks:
         count = len(range(modes.size)[chunk])
         waves = _plane_waves(grid, modes, chunk, out=waves_buffer[:count])
-        spectra = forward_transform_stack(grid, waves, out=spectra_buffer[:count])
-        spectral = abs_squared(spectra, out=spectral_buffer[:count])
         physical = abs_squared(waves, out=physical_buffer[:count])
+        # The waves are transformed in place once |u_k|^2 is taken.
+        spectra = forward_transform_stack(grid, waves, out=waves)
+        spectral = abs_squared(spectra, out=spectral_buffer[:count])
         for k in range(count):
             w += spectral[k]
             rho += physical[k]
@@ -381,14 +381,14 @@ def _gram_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
     and imaginary part y.
 
     Each block's parts are copied into one float buffer, sized by the first
-    block and reused by the rest; numpy takes a product with the operand's
-    own transpose through BLAS syrk.
+    block, which byte_chunks makes the widest, and reused by the rest; numpy
+    takes a product with the operand's own transpose through BLAS syrk.
     """
     real = cross = 0.0
-    parts = np.empty(0)
+    parts = None
     for block in blocks:
         columns = block.reshape(len(block), -1)
-        if parts.size < 2 * columns.size:
+        if parts is None:
             parts = np.empty(2 * columns.size)
         x, y = parts[: 2 * columns.size].reshape((2,) + columns.shape)
         np.copyto(x, columns.real)

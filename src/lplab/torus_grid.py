@@ -45,7 +45,8 @@ FIELD_CHUNK_BYTES = 1 << 20
 
 def abs_squared(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|z|^2 computed as re^2 + im^2, avoiding the sqrt round trip of abs()**2;
-    into ``out`` when given, a float array of the values' shape."""
+    into ``out`` when given, a float array of the values' shape.  With ``out``
+    the im^2 term is still one temporary array of the values' shape."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
         out = np.square(v.real, out=out)
