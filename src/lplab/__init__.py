@@ -12,15 +12,8 @@ from .errors import (
 )
 from .torus_grid import (
     GridFunction,
-    SpectrumFunction,
     TorusGrid,
     abs_squared,
-    apply_symbol,
-    forward_transform,
-    inner_product,
-    inverse_transform,
-    kinetic_form,
-    lp_norm,
     plane_wave,
 )
 from .dyadic_partition import (
@@ -35,24 +28,15 @@ from .dyadic_partition import (
     build_profile,
     write_block_table_csv,
 )
-from .projectors import (
-    block_energy_sum,
-    project,
-    project_companion,
-    square_function,
-    unit_ball_volume,
-)
+from .projectors import unit_ball_volume
 from .fock_operator import (
     FiniteRankOperator,
     NO_CONTRACT,
     OperatorContract,
     UNIT_BALL,
     ValidationReport,
-    conjugated_density,
-    density,
     diagonal_block_bound,
     fermi_sea,
-    kinetic_trace,
     power_bounded,
     require_contract,
     validate_contract,

@@ -73,6 +73,7 @@ from .inequality_lab import (
     lt_chain_check,
     lt_exponent,
     require_counts,
+    require_enumerable,
     sequence_lemma_trials,
     tensor_khinchine_reports,
 )
@@ -379,6 +380,9 @@ def sign_sum_reports(settings: dict, envelopes: dict) -> tuple[list, list]:
         tensor_ensemble = SignEnsemble.monte_carlo(
             settings["mc_samples"], settings["tensor_seed"]
         )
+    # Both ensembles share the mode: both counts are refused before the
+    # classical pass draws anything.
+    require_enumerable(ensemble, settings["terms"], settings["tensor_terms"])
     ps = _exponents(settings)
     count = int(settings["count"])
     classical = khinchine_reports(

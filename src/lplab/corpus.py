@@ -97,7 +97,9 @@ def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt, two passes, in the quadrature inner product.
 
     ``vectors`` is one frame [rank, ...] or a stack of frames
-    [frames, rank, ...]; each frame is orthonormalized on its own.
+    [frames, rank, ...], a C-contiguous complex array; each frame is
+    orthonormalized on its own, in place: the input is overwritten and
+    returned.
     Right-looking: each pass normalizes pivot i of every frame, then takes
     its inner products with every later row in one reduction over the
     (frames, rank, N^d) view and subtracts them in one in-place update.
@@ -107,7 +109,7 @@ def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
     """
     shape = np.shape(vectors)
     rank = shape[-grid.dimension - 1]
-    frames = np.array(vectors, dtype=complex, order="C").reshape(-1, rank, grid.size)
+    frames = np.asarray(vectors).reshape(-1, rank, grid.size)
     cell_volume = grid.cell_volume
     for _pass in range(2):
         for i in range(rank):

@@ -2,12 +2,12 @@
 
 An operator is stored as gamma = sum_k lambda_k |u_k><u_k| with nonnegative
 weights and grid functions u_k; nothing is ever materialized as a dense
-N^d x N^d matrix.  Block-conjugated densities come from the batched block
-kernel of torus_grid, one inverse transform per chunk of eigenfunctions for
-all blocks.  Kinetic traces are Parseval sums of the spectral density
-w(xi) = sum_k lambda_k |coeffs_k(xi)|^2 against torus_grid.laplacian_power,
-with no inverse transform (spectral_trace); the trace itself is
-kinetic_trace(op, 0).
+N^d x N^d matrix.  The checkers of inequality_lab take block-conjugated
+densities from the batched block kernel of torus_grid, one inverse
+transform per chunk of eigenfunctions for all blocks.  Kinetic traces are
+Parseval sums of the spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2
+against torus_grid.laplacian_power, with no inverse transform
+(spectral_trace).
 
 An operator transforms its eigenfunctions at most once, whatever its
 contract: the first reader of the forward stack (the spectral density or
@@ -49,14 +49,12 @@ from .errors import (
     ZeroModeSingularityError,
 )
 from .torus_grid import (
-    GridFunction,
     TorusGrid,
     abs_squared,
     byte_chunks,
     field_chunks,
     forward_transform_stack,
     laplacian_power,
-    weighted_block_energy,
     weighted_density,
     zero_mode_offenders,
 )
@@ -170,23 +168,6 @@ class FiniteRankOperator:
         return op
 
 
-def density(op: FiniteRankOperator) -> GridFunction:
-    """The diagonal density sum_k lambda_k |u_k(x)|^2."""
-    return GridFunction(op.grid, op.density_values)
-
-
-def conjugated_density(
-    op: FiniteRankOperator, blocks: DyadicBlockSet, j: int
-) -> GridFunction:
-    """Density of P_j gamma P_j, i.e. sum_k lambda_k |P_j u_k|^2."""
-    if blocks.grid != op.grid:
-        raise GridMismatchError("operator and block set live on different grids")
-    values = weighted_block_energy(
-        op.grid, op.eigenfunctions, op.eigenvalues, [blocks.symbol(j)]
-    )
-    return GridFunction(op.grid, values)
-
-
 def spectral_trace(grid: TorusGrid, w: np.ndarray, power: float) -> float:
     """L^{-d} sum_xi |xi|^(2 power) w(xi) for a spectral density w in FFT layout.
 
@@ -195,14 +176,9 @@ def spectral_trace(grid: TorusGrid, w: np.ndarray, power: float) -> float:
     """
     power = float(power)
     if power < 0:
-        raise ValueError(f"kinetic_trace requires power >= 0, got {power}")
+        raise ValueError(f"spectral_trace requires power >= 0, got {power}")
     weights = laplacian_power(grid, power)
     return float(np.sum(weights * w) / grid.volume)
-
-
-def kinetic_trace(op: FiniteRankOperator, power: float) -> float:
-    """tr (-Laplacian)^power gamma: spectral_trace of the operator's spectral density."""
-    return spectral_trace(op.grid, op.spectral_density, power)
 
 
 def diagonal_block_bound(blocks: DyadicBlockSet, j: int) -> float:

@@ -55,7 +55,6 @@ from .fock_operator import (
     sea_ladder,
     spectral_trace,
 )
-from .projectors import project, project_companion
 from .torus_grid import (
     GridFunction,
     TorusGrid,
@@ -65,9 +64,9 @@ from .torus_grid import (
     density_stack,
     fft_stack,
     field_chunks,
-    inner_product,
+    forward_transform_stack,
+    inverse_transform_stack,
     kinetic_forms,
-    lp_norm,
     lp_norms,
     weighted_block_energy,
 )
@@ -124,6 +123,20 @@ def _signs(bits: np.ndarray) -> np.ndarray:
     return np.where(bits, 1.0 + 0j, -1.0 + 0j)
 
 
+def require_enumerable(ensemble: SignEnsemble, *term_counts: int) -> None:
+    """Raise ConfigurationError if an exact ensemble would enumerate the 2^n
+    sign vectors of more than EXACT_ENUMERATION_CAP terms; a caller checks
+    every count it will pass before it draws any coefficients."""
+    if ensemble.mode != "exact":
+        return
+    for count in term_counts:
+        if int(count) > EXACT_ENUMERATION_CAP:
+            raise ConfigurationError(
+                f"exact enumeration supports at most {EXACT_ENUMERATION_CAP} "
+                f"terms, got {count}"
+            )
+
+
 def _sign_rows(start: int, stop: int, n: int) -> np.ndarray:
     """Rows of the full sign enumeration: bit b of the code -> sign of term b."""
     codes = np.arange(start, stop, dtype=np.uint32)
@@ -133,11 +146,7 @@ def _sign_rows(start: int, stop: int, n: int) -> np.ndarray:
 def _sign_blocks(count: int, ensemble: SignEnsemble):
     """Yield complex sign matrices covering the ensemble in a fixed order."""
     if ensemble.mode == "exact":
-        if count > EXACT_ENUMERATION_CAP:
-            raise ConfigurationError(
-                f"exact enumeration supports at most {EXACT_ENUMERATION_CAP} "
-                f"terms, got {count}"
-            )
+        require_enumerable(ensemble, count)
         total = 1 << count
         for start in range(0, total, _ENUMERATION_CHUNK):
             yield _sign_rows(start, min(start + _ENUMERATION_CHUNK, total), count)
@@ -463,18 +472,26 @@ def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlock
     """Residual of the pairing identity <g, f> = sum_j <companion_j g, P_j f>.
 
     Returns |difference| / (||f||_2 ||g||_2); exact reproduction of each block
-    by its companion makes this a pure rounding residual.
+    by its companion makes this a pure rounding residual.  One forward
+    transform serves f and g, and one inverse transform each gives every
+    block piece P_j f and every companion piece companion_j g.
     """
     if blocks.family != SMOOTH:
         raise UnsupportedFamilyError("the pairing identity needs smooth companions")
-    direct = inner_product(g, f)
-    split = 0.0 + 0.0j
-    for j in blocks.block_indices:
-        split += inner_product(project_companion(g, blocks, j), project(f, blocks, j))
-    scale = lp_norm(f, 2) * lp_norm(g, 2)
+    grid = blocks.grid
+    if f.grid != grid or g.grid != grid:
+        raise GridMismatchError("functions and block set live on different grids")
+    values = np.stack([f.values, g.values])
+    spectra = forward_transform_stack(grid, values)
+    pieces = inverse_transform_stack(grid, spectra[0] * np.asarray(blocks.symbols))
+    tables = np.stack([blocks.companion(j) for j in blocks.block_indices])
+    companions = inverse_transform_stack(grid, spectra[1] * tables)
+    direct = grid.cell_volume * np.vdot(g.values, f.values)
+    split = grid.cell_volume * np.vdot(companions, pieces)
+    scale = math.prod(lp_norms(grid, np.abs(values), 2))
     if scale == 0.0:
         return 0.0
-    return abs(direct - split) / scale
+    return float(abs(direct - split) / scale)
 
 
 def gns_check(u: GridFunction, sample_id: int = 0) -> CheckSample:

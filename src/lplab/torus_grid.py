@@ -188,33 +188,6 @@ class GridFunction:
             )
 
 
-@dataclass
-class SpectrumFunction:
-    """Fourier coefficients on the frequency lattice, in FFT layout."""
-
-    grid: TorusGrid
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coefficients = np.asarray(self.coefficients)
-        if self.coefficients.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"coefficients of shape {self.coefficients.shape} do not fit grid shape {self.grid.shape}"
-            )
-
-
-def forward_transform(f: GridFunction) -> SpectrumFunction:
-    """Forward transform with integral normalization, coeffs = h^d * FFT(values)."""
-    coeffs = np.fft.fftn(f.values) * f.grid.cell_volume
-    return SpectrumFunction(f.grid, coeffs)
-
-
-def inverse_transform(spectrum: SpectrumFunction) -> GridFunction:
-    """Inverse of forward_transform; exact round trip up to float rounding."""
-    values = np.fft.ifftn(spectrum.coefficients) / spectrum.grid.cell_volume
-    return GridFunction(spectrum.grid, values)
-
-
 def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
     return tuple(range(-grid.dimension, 0))
 
@@ -232,7 +205,8 @@ def _transform_stack(function, grid: TorusGrid, values, out: np.ndarray | None) 
 def forward_transform_stack(
     grid: TorusGrid, values: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """forward_transform of every field in a stack [r, ...] at once, into ``out`` if given."""
+    """coeffs_k = h^d * FFT(values_k) for every field of a stack [r, ...] at once,
+    into ``out`` if given."""
     spectra = _transform_stack(np.fft.fftn, grid, values, out)
     spectra *= grid.cell_volume
     return spectra
@@ -241,7 +215,9 @@ def forward_transform_stack(
 def inverse_transform_stack(
     grid: TorusGrid, coefficients: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """inverse_transform of every spectrum in a stack [r, ...] at once, into ``out`` if given."""
+    """values_k = IFFT(coeffs_k) / h^d for every spectrum of a stack [r, ...] at
+    once, into ``out`` if given; the inverse of forward_transform_stack up to
+    float rounding."""
     values = _transform_stack(np.fft.ifftn, grid, coefficients, out)
     values /= grid.cell_volume
     return values
@@ -335,7 +311,9 @@ def weighted_block_energy(
 
 
 def lp_norms(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> list[float]:
-    """lp_norm of every field of a stack [m, ...], given as its magnitudes |f|.
+    """Quadrature L^p norms (h^d sum |f_m|^p)^(1/p), p > 0, of every field of a
+    stack [m, ...], given as its magnitudes |f|; for p < 1 these are the usual
+    quasinorms, with no triangle inequality implied.
 
     The power sums take one array pass.  The root (.)^(1/p) is taken per
     member on a Python float, with the C library's pow: numpy's SIMD power
@@ -343,37 +321,9 @@ def lp_norms(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> list[float]:
     """
     p = float(p)
     if not p > 0:
-        raise ValueError(f"lp_norm requires p > 0, got {p}")
+        raise ValueError(f"lp_norms requires p > 0, got {p}")
     sums = grid.cell_volume * np.sum(magnitudes**p, axis=_grid_axes(grid))
     return [total ** (1.0 / p) for total in sums.tolist()]
-
-
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Quadrature L^p norm (h^d sum |f|^p)^(1/p) for p > 0.
-
-    For p < 1 this is the usual quasinorm; no triangle inequality is implied.
-    """
-    return lp_norms(f.grid, np.abs(f.values)[None], p)[0]
-
-
-def inner_product(f: GridFunction, g: GridFunction):
-    """Quadrature pairing h^d sum conj(f) g (conjugate-linear in the first slot)."""
-    if f.grid != g.grid:
-        raise GridMismatchError("inner_product requires both functions on the same grid")
-    return complex(f.grid.cell_volume * np.sum(np.conj(f.values) * g.values))
-
-
-def apply_symbol(f: GridFunction, symbol: np.ndarray) -> GridFunction:
-    """Apply a Fourier multiplier tabulated on the frequency lattice (same shape
-    as the grid, FFT layout)."""
-    grid = f.grid
-    table = np.asarray(symbol)
-    if table.shape != grid.shape:
-        raise GridMismatchError(
-            f"symbol table of shape {table.shape} does not fit grid shape {grid.shape}"
-        )
-    spectrum = forward_transform(f)
-    return inverse_transform(SpectrumFunction(grid, table * spectrum.coefficients))
 
 
 def laplacian_power(grid: TorusGrid, s: float) -> np.ndarray:
@@ -395,7 +345,9 @@ def zero_mode_offenders(energy: np.ndarray) -> np.ndarray:
 
 
 def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[float]:
-    """kinetic_form of every field of a stack [m, ...], from one batched transform.
+    """Quadratic forms L^{-d} sum_xi |xi|^(2 power) |coeffs_m(xi)|^2 of the
+    fractional Laplacian, for every field of a stack [m, ...], from one
+    batched transform, with laplacian_power's zero-mode rule.
 
     A negative power raises if any field's zero-mode coefficient does not
     vanish.
@@ -409,13 +361,6 @@ def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[flo
         )
     weights = laplacian_power(grid, power).reshape(-1)
     return (np.sum(weights * energy, axis=1) / grid.volume).tolist()
-
-
-def kinetic_form(u: GridFunction, power: float) -> float:
-    """Quadratic form of the fractional Laplacian, L^{-d} sum |xi|^(2 power) |coeffs|^2,
-    with laplacian_power's zero-mode rule; power < 0 requires the zero-mode
-    coefficient to vanish."""
-    return kinetic_forms(u.grid, u.values[None], power)[0]
 
 
 def plane_wave(grid: TorusGrid, mode: Sequence[int], amplitude: complex = 1.0) -> GridFunction:

@@ -16,7 +16,6 @@ from lplab import (
     FiniteRankOperator,
     SignEnsemble,
     UNIT_BALL,
-    block_energy_sum,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
@@ -34,7 +33,6 @@ from lplab import (
     parseval_square_ratio,
     plane_wave,
     power_bounded,
-    project,
     random_band_limited,
     random_orthonormal_frame,
     sequence_lemma_trials,
@@ -43,6 +41,7 @@ from lplab import (
     validate_contract,
 )
 from lplab.cli import DENSITY_RANK_SLACK, run
+from lplab.torus_grid import block_energy_stack, fft_stack
 
 LP_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
 DENSITY_EXPONENTS = (0.75, 1.0, 1.5, 2.0, 3.0)
@@ -58,9 +57,10 @@ def test_gate_1_partition_reconstruction_duality(grid1, grid2, blocks1, blocks2)
         for index in range(count):
             f = random_band_limited(grid, 1.0, seed=4101, index=2 * index)
             g = random_band_limited(grid, 1.0, seed=4101, index=2 * index + 1)
+            spectrum = np.fft.fftn(f.values)
             total = np.zeros(grid.shape, dtype=complex)
             for j in blocks.block_indices:
-                total = total + project(f, blocks, j).values
+                total = total + np.fft.ifftn(blocks.symbol(j) * spectrum)
             scale = float(np.max(np.abs(f.values)))
             assert float(np.max(np.abs(total - f.values))) <= 1e-12 * scale
             assert duality_identity_check(f, g, blocks) <= 1e-10
@@ -109,9 +109,10 @@ def test_gate_3_density_blocks_rank_uniform(grid1, blocks1):
     for index in range(10):
         u = random_band_limited(grid1, 1.0, seed=2025, index=index)
         op = FiniteRankOperator(grid1, [1.0], u.values[None], contract=UNIT_BALL)
-        assert np.array_equal(
-            summed_block_density(op, blocks1).values, block_energy_sum(u, blocks1)
-        )
+        # The square-function energy as the lp sampler computes it.
+        spectra = fft_stack(grid1, u.values[None])[:, None]
+        energy = block_energy_stack(grid1, spectra, np.ones((1, 1)), blocks1.symbols)[0]
+        assert np.array_equal(summed_block_density(op, blocks1).values, energy)
         for p in DENSITY_EXPONENTS:
             scalar = lp_function_check(u, 2.0 * p, blocks1)
             dens = lp_density_check(op, p, blocks1)

@@ -189,6 +189,8 @@ class TestExitCodes:
              "config key rank needs a JSON list of numbers, each a JSON integer, got [1.5]"),
             (["lieb-thirring", "--mu", "0.7", "--n", "64"], None,
              "chemical potential 0.7 lies below the first shell 1.0: its sea holds only the zero mode"),
+            (["khinchine", "--terms", "21"], None, "at most 20 terms, got 21"),
+            (["khinchine", "--tensor-terms", "21"], None, "at most 20 terms, got 21"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -201,7 +203,7 @@ class TestExitCodes:
             "config_dim_fraction", "config_samples_bool", "config_family_unknown",
             "config_out_number", "config_envelopes_number", "config_csv_list",
             "config_jobs_string", "config_mu_empty", "config_rank_fraction",
-            "mu_below_first_shell",
+            "mu_below_first_shell", "terms_above_cap", "tensor_terms_above_cap",
         ],
     )
     def test_settings_refused_before_any_draw(

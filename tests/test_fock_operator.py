@@ -13,20 +13,30 @@ from lplab import (
     UNIT_BALL,
     ZeroModeSingularityError,
     abs_squared,
-    conjugated_density,
-    density,
     diagonal_block_bound,
     fermi_sea,
-    kinetic_trace,
     plane_wave,
     power_bounded,
     random_orthonormal_frame,
     require_contract,
+    summed_block_density,
     unit_ball_volume,
     validate_contract,
 )
+from lplab.fock_operator import spectral_trace
+from lplab.torus_grid import weighted_block_energy
 
 TAU = 2.0 * np.pi
+
+
+def kinetic_trace(op, power):
+    """tr (-Laplacian)^power gamma from the operator's spectral density."""
+    return spectral_trace(op.grid, op.spectral_density, power)
+
+
+def conjugated_density(op, blocks, j):
+    """The density sum_k lambda_k |P_j u_k|^2 of P_j gamma P_j."""
+    return weighted_block_energy(op.grid, op.eigenfunctions, op.eigenvalues, [blocks.symbol(j)])
 
 
 def normalized_wave(grid, mode):
@@ -64,31 +74,30 @@ class TestConstruction:
 class TestDensity:
     def test_two_waves_give_flat_density(self, grid1):
         op = wave_operator(grid1, [[1], [5]], [1.0, 1.0])
-        rho = density(op)
-        np.testing.assert_allclose(rho.values, 2.0 / TAU, rtol=1e-14)
+        np.testing.assert_allclose(op.density_values, 2.0 / TAU, rtol=1e-14)
 
     def test_rank_one_density_is_weighted_modulus(self, grid2):
         op = random_orthonormal_frame(grid2, rank=1, decay=1.0, seed=71)
         lam = op.eigenvalues[0]
         expected = lam * abs_squared(op.eigenfunctions[0])
-        np.testing.assert_array_equal(density(op).values, expected)
+        np.testing.assert_array_equal(op.density_values, expected)
 
     def test_density_linear_in_weights(self, grid1):
         op = random_orthonormal_frame(grid1, rank=3, decay=1.0, seed=72)
         doubled = FiniteRankOperator(
             op.grid, 2.0 * op.eigenvalues, op.eigenfunctions, contract=op.contract
         )
-        np.testing.assert_array_equal(density(doubled).values, 2.0 * density(op).values)
+        np.testing.assert_array_equal(doubled.density_values, 2.0 * op.density_values)
 
     def test_density_integrates_to_trace(self, grid1, grid2):
         for grid, seed in ((grid1, 73), (grid2, 74)):
             op = random_orthonormal_frame(grid, rank=4, decay=0.8, seed=seed)
-            mass = grid.integrate(density(op).values)
+            mass = grid.integrate(op.density_values)
             np.testing.assert_allclose(mass, kinetic_trace(op, 0.0), rtol=1e-10)
 
     def test_density_never_negative(self, grid1):
         op = random_orthonormal_frame(grid1, rank=5, decay=0.5, seed=75)
-        assert density(op).values.min() >= 0.0
+        assert op.density_values.min() >= 0.0
 
 
 class TestConjugatedDensity:
@@ -98,28 +107,26 @@ class TestConjugatedDensity:
         for j in blocks1.block_indices:
             rho_j = conjugated_density(op, blocks1, j)
             symbol_value = blocks1.symbol(j)[grid1.mode_index([16])]
-            np.testing.assert_allclose(
-                rho_j.values, symbol_value**2 / TAU, atol=1e-14 / TAU
-            )
+            np.testing.assert_allclose(rho_j, symbol_value**2 / TAU, atol=1e-14 / TAU)
 
     def test_grid_mismatch(self, grid1, blocks2):
         op = wave_operator(grid1, [[1]], [1.0])
         with pytest.raises(GridMismatchError, match="different grids"):
-            conjugated_density(op, blocks2, blocks2.j_min)
+            summed_block_density(op, blocks2)
 
     def test_block_masses_fill_parseval_window(self, grid2, blocks2, sharp2):
         # Pointwise the pieces interfere, but in integrated form the block
         # densities carry between half and all of the full mass (the squared
         # smooth symbols sum to a value in [1/2, 1]; sharp squares sum to 1).
         op = random_orthonormal_frame(grid2, rank=3, decay=0.8, seed=76)
-        mass = grid2.integrate(density(op).values)
+        mass = grid2.integrate(op.density_values)
         smooth_mass = sum(
-            grid2.integrate(conjugated_density(op, blocks2, j).values)
+            grid2.integrate(conjugated_density(op, blocks2, j))
             for j in blocks2.block_indices
         )
         assert 0.5 * mass * (1 - 1e-10) <= smooth_mass <= mass * (1 + 1e-10)
         sharp_mass = sum(
-            grid2.integrate(conjugated_density(op, sharp2, j).values)
+            grid2.integrate(conjugated_density(op, sharp2, j))
             for j in sharp2.block_indices
         )
         np.testing.assert_allclose(sharp_mass, mass, rtol=1e-10)
@@ -155,13 +162,13 @@ class TestDiagonalBlockBound:
         sea = fermi_sea(grid1, chemical_potential=260.0)
         rho3 = conjugated_density(sea, blocks1, 3)
         bound = diagonal_block_bound(blocks1, 3)
-        np.testing.assert_allclose(rho3.values.max(), bound, rtol=1e-10)
+        np.testing.assert_allclose(rho3.max(), bound, rtol=1e-10)
 
     def test_pointwise_bound_for_unit_ball_operators(self, grid1, blocks1):
         for seed in range(3):
             op = random_orthonormal_frame(grid1, rank=6, decay=0.4, seed=900 + seed)
             for j in blocks1.block_indices:
-                peak = conjugated_density(op, blocks1, j).values.max()
+                peak = conjugated_density(op, blocks1, j).max()
                 assert peak <= diagonal_block_bound(blocks1, j) * (1 + 1e-10)
 
 
@@ -191,7 +198,7 @@ class TestFermiSea:
 
     def test_flat_density(self, grid1):
         sea = fermi_sea(grid1, 9.5)
-        np.testing.assert_allclose(density(sea).values, sea.rank / TAU, rtol=1e-12)
+        np.testing.assert_allclose(sea.density_values, sea.rank / TAU, rtol=1e-12)
 
     def test_invalid_potential(self, grid1):
         with pytest.raises(ValueError, match="positive"):

@@ -15,11 +15,13 @@ from lplab import (
     DegenerateInputError,
     FiniteRankOperator,
     GridFunction,
+    GridMismatchError,
     RatioReport,
     SignEnsemble,
     TorusGrid,
     UnsupportedFamilyError,
     build_blocks,
+    build_companions,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
@@ -31,7 +33,6 @@ from lplab import (
     khinchine_ratio,
     khinchine_reports,
     khinchine_tensor_ratio,
-    kinetic_trace,
     lieb_thirring_check,
     lp_density_check,
     lp_function_check,
@@ -46,7 +47,8 @@ from lplab import (
     summed_block_density,
     tensor_khinchine_reports,
 )
-from lplab.projectors import block_energy_sum
+from lplab.fock_operator import spectral_trace
+from lplab.torus_grid import block_energy_stack, fft_stack
 
 TAU = 2.0 * np.pi
 EXACT = SignEnsemble.exact()
@@ -218,9 +220,9 @@ class TestLpDensityCheck:
         # the scalar pipeline exactly: same accumulations, same floats.
         u = random_band_limited(grid1, decay=0.8, seed=710)
         op = rank_one(grid1, u)
-        np.testing.assert_array_equal(
-            summed_block_density(op, blocks1).values, block_energy_sum(u, blocks1)
-        )
+        spectra = fft_stack(grid1, u.values[None])[:, None]
+        energy = block_energy_stack(grid1, spectra, np.ones((1, 1)), blocks1.symbols)[0]
+        np.testing.assert_array_equal(summed_block_density(op, blocks1).values, energy)
         for p in (0.75, 1.0, 1.5, 2.0):
             density_sample = lp_density_check(op, p, blocks1)
             scalar_sample = lp_function_check(u, 2.0 * p, blocks1)
@@ -249,7 +251,8 @@ class TestLpDensityCheck:
 
 class TestDuality:
     def test_random_pairs_within_tolerance(self, grid1, blocks1, grid2, blocks2):
-        for blocks, seed in ((blocks1, 720), (blocks2, 721)):
+        blocks3 = build_companions(build_blocks(TorusGrid(3, TAU, 16)))
+        for blocks, seed in ((blocks1, 720), (blocks2, 721), (blocks3, 722)):
             grid = blocks.grid
             f = random_band_limited(grid, decay=0.7, seed=seed)
             g = random_band_limited(grid, decay=0.7, seed=seed + 50)
@@ -268,6 +271,33 @@ class TestDuality:
         f = plane_wave(grid1, [3])
         with pytest.raises(UnsupportedFamilyError):
             duality_identity_check(f, f, sharp1)
+
+    def test_grid_mismatch(self, grid1, blocks1, small1):
+        f = plane_wave(grid1, [3])
+        with pytest.raises(GridMismatchError, match="different grids"):
+            duality_identity_check(f, plane_wave(small1, [3]), blocks1)
+        # Same shape, another box: the quadrature weights would differ.
+        other = TorusGrid(1, 1.0, grid1.points_per_axis)
+        with pytest.raises(GridMismatchError, match="different grids"):
+            duality_identity_check(plane_wave(other, [3]), f, blocks1)
+
+    def test_one_forward_and_two_inverse_transforms(self, grid1, grid2, monkeypatch):
+        calls = {"fftn": 0, "ifftn": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        for grid in (TorusGrid(1, TAU, 16), grid1, grid2):
+            blocks = build_companions(build_blocks(grid))
+            f = random_band_limited(grid, decay=0.7, seed=723)
+            g = random_band_limited(grid, decay=0.7, seed=724)
+            calls.update(fftn=0, ifftn=0)
+            duality_identity_check(f, g, blocks)
+            assert calls == {"fftn": 1, "ifftn": 2}, (blocks.block_count, calls)
 
 
 class TestGnsCheck:
@@ -467,7 +497,7 @@ class TestGeneralizedLT:
         assert result.exponent == 3.0
         assert math.isfinite(result.ratio) and result.ratio > 0
         np.testing.assert_allclose(
-            result.kinetic, kinetic_trace(op, 1.0), rtol=1e-12
+            result.kinetic, spectral_trace(grid, op.spectral_density, 1.0), rtol=1e-12
         )
 
     def test_power_domain_guards(self, grid1):

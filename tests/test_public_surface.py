@@ -1,8 +1,10 @@
 """The package's public surface: every name lplab re-exports is reached by
-a section, a script or a benchmark span site, or is listed below with the
-reason it stays.  A helper that only tests call fails here, and so does a
-module that reaches into another lplab module's private names or calls a
-numpy.fft transform outside torus_grid."""
+a section or a script, or is listed below with the reason it stays.  A
+benchmark span site is not a reach: the tracer times what the sections
+call, and a name only it binds reads 0 on every workload.  A helper that
+only tests call fails here, and so does a module that reaches into another
+lplab module's private names or calls a numpy.fft transform outside
+torus_grid."""
 
 import ast
 from pathlib import Path
@@ -12,11 +14,12 @@ import lplab
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lplab"
 
-# Re-exported names that nothing in src/lplab, scripts/ or the span sites
-# reaches yet, each with the reason it is kept.
+# Re-exported names that nothing in src/lplab or scripts/ reaches yet, each
+# with the reason it is kept.
 KEPT = {
-    "diagonal_block_bound": "the pointwise cap of the proof path's sequence rung (ROADMAP item 5)",
-    "unit_ball_volume": "omega_d of the semiclassical Weyl constant (ROADMAP item 5)",
+    "diagonal_block_bound": "the pointwise cap of the proof path's sequence rung (ROADMAP item 8)",
+    "unit_ball_volume": "omega_d of the semiclassical Weyl constant (ROADMAP item 8)",
+    "fermi_sea": "the materialized sea sea_ladder's tests compare against bit for bit",
     "lp_function_check": "one-member lp check; the acceptance gates call it on the lp sampler",
     "lp_density_check": "one-member density check; the acceptance gates call it on the sampler",
     "gns_check": "one-member gns check; its unit tests hold the gns sampler to closed forms",
@@ -60,19 +63,10 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
-def span_site_names() -> set[str]:
-    """The functions perfbench's tracer wraps, read from its SPAN_SITES."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPAN_SITES"]:
-            return {attr for _name, _home, attr, _inside in ast.literal_eval(node.value)}
-    raise AssertionError("perfbench/spans.py defines no SPAN_SITES")
-
-
 def reached_names() -> set[str]:
     modules = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     scripts = sorted((ROOT / "scripts").glob("*.py"))
-    reached = span_site_names()
+    reached = set()
     for path in modules + scripts:
         reached |= referenced_names(path)
     return reached

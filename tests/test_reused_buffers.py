@@ -5,8 +5,8 @@ passes one, or the input itself), complex_normals copies each member's draw
 straight into its result, and random_band_limited weights and transforms
 its coefficients in place.  Each must equal the expression it replaced bit
 for bit at d = 1, 2, 3, on complex stacks and on float views of them.  A
-band-limited draw then holds about one result, and glt releases each frame
-before it draws the next.
+band-limited draw then holds about one result, Gram-Schmidt overwrites the
+draw it is given, and glt releases each frame before it draws the next.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ import pytest
 
 import lplab.cli
 from lplab import GridFunction, TorusGrid, random_band_limited
-from lplab.corpus import complex_normals, philox_generator
+from lplab.corpus import _orthonormalize, complex_normals, philox_generator
 from lplab.torus_grid import (
     _block_fields,
     fft_stack,
@@ -120,6 +120,17 @@ def test_band_limited_draw_holds_about_one_result(traced_peak):
     values, peak = traced_peak(random_band_limited, grid, 1.0, 7, count=4)
     assert values.nbytes == 2 * 2**20
     assert peak <= 2.5 * values.nbytes, peak / values.nbytes
+
+
+def test_orthonormalize_overwrites_its_input(traced_peak):
+    grid = TorusGrid(3, TAU, 32)
+    raw = random_band_limited(grid, 1.0, 7, count=4)
+    expected = _orthonormalize(grid, raw.copy())
+    frame, peak = traced_peak(_orthonormalize, grid, raw)
+    assert np.shares_memory(frame, raw)
+    _same_bits(frame, expected)
+    # The pivot's conjugate and its product with the later rows: one input.
+    assert peak <= 1.25 * raw.nbytes, peak / raw.nbytes
 
 
 def test_glt_releases_each_frame_before_the_next(traced_peak):

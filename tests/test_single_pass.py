@@ -28,14 +28,10 @@ import lplab.inequality_lab
 import lplab.torus_grid
 from lplab import (
     FiniteRankOperator,
-    GridFunction,
-    SpectrumFunction,
     TorusGrid,
     canonical_json,
     format_float,
-    forward_transform,
     generalized_lt_check,
-    inverse_transform,
     lieb_thirring_check,
     lt_chain_check,
     philox_generator,
@@ -59,7 +55,7 @@ def per_eigenfunction_density(op):
     """sum_k lambda_k |transform of u_k|^2, one eigenfunction at a time, added in ascending k."""
     w = np.zeros(op.grid.shape)
     for weight, u in zip(op.eigenvalues, op.eigenfunctions):
-        w += weight * abs_squared(forward_transform(GridFunction(op.grid, u)).coefficients)
+        w += weight * abs_squared(np.fft.fftn(u) * op.grid.cell_volume)
     return w
 
 
@@ -88,7 +84,7 @@ def _per_member_band_limited(grid, decay, seed, index, zero_mean=False, stream=0
     coeffs = (draws[0] + 1j * draws[1]) * (1.0 + grid.frequency_norms) ** (-float(decay))
     if zero_mean:
         coeffs[grid.zero_mode_index] = 0.0
-    return inverse_transform(SpectrumFunction(grid, coeffs)).values
+    return np.fft.ifftn(coeffs) / grid.cell_volume
 
 
 def _reference_stack(grid, decay, seed, first, count, zero_mean=False, stream=0):

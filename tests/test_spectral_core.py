@@ -1,12 +1,12 @@
 """The batched spectral operator core against the per-pair transform loops.
 
 The reference functions below are the loop implementations the batched
-kernel replaced: one forward and one inverse transform per (eigenfunction,
-block) pair, and one kinetic form per eigenfunction.  The batched results
-sum in another order, so they are compared at rtol 1e-12; pointwise
-densities also get an absolute floor of 1e-12 times their peak, because a
-transform's rounding error is relative to the field's norm, not to the
-value at each point.
+kernel replaced, written in plain numpy: one forward and one inverse
+transform per (eigenfunction, block) pair, and one Parseval kinetic form
+per eigenfunction.  The batched results sum in another order, so they are
+compared at rtol 1e-12; pointwise densities also get an absolute floor of
+1e-12 times their peak, because a transform's rounding error is relative to
+the field's norm, not to the value at each point.
 """
 
 import numpy as np
@@ -22,26 +22,20 @@ from lplab import (
     GridFunction,
     TorusGrid,
     UNIT_BALL,
-    apply_symbol,
-    block_energy_sum,
     block_squared_sum,
     build_blocks,
     build_profile,
-    conjugated_density,
-    density,
     estimate_envelope,
-    kinetic_form,
-    kinetic_trace,
     lp_density_check,
     lp_function_check,
     lt_chain_check,
     parseval_square_ratio,
-    project,
     random_band_limited,
     random_orthonormal_frame,
     summed_block_density,
 )
-from lplab.torus_grid import forward_transform
+from lplab.fock_operator import spectral_trace
+from lplab.torus_grid import block_energy_stack, fft_stack, weighted_block_energy
 
 TAU = 2.0 * np.pi
 RTOL = 1e-12
@@ -56,6 +50,25 @@ GRIDS = {
 def member(op, k):
     """Eigenfunction k of an operator as a grid function."""
     return GridFunction(op.grid, op.eigenfunctions[k])
+
+
+def apply_symbol(f, table):
+    """table(D) f, one forward and one inverse transform."""
+    return GridFunction(f.grid, np.fft.ifftn(table * np.fft.fftn(f.values)))
+
+
+def project(f, blocks, j):
+    return apply_symbol(f, blocks.symbol(j))
+
+
+def kinetic_form(f, power):
+    """L^{-d} sum_xi |xi|^(2 power) |coeffs(xi)|^2 for power >= 0, with the
+    zero mode counted at power 0 only."""
+    grid = f.grid
+    coeffs = grid.cell_volume * np.fft.fftn(f.values)
+    nsq = grid.frequency_norms_squared
+    table = np.where(nsq > 0, nsq ** float(power), 1.0 if power == 0 else 0.0)
+    return float(np.sum(table * np.abs(coeffs) ** 2) / grid.volume)
 
 
 def reference_summed_density(op, blocks):
@@ -73,6 +86,13 @@ def reference_kinetic_trace(op, power):
         float(op.eigenvalues[k]) * kinetic_form(member(op, k), power)
         for k in range(op.rank)
     )
+
+
+def scalar_block_energy(u, blocks):
+    """sum_j |P_j u|^2 as the lp sampler computes it: block_energy_stack on
+    the fft_stack of a one-member stack."""
+    spectra = fft_stack(u.grid, u.values[None])[:, None]
+    return block_energy_stack(u.grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
 
 
 def reference_chain(op, blocks):
@@ -148,7 +168,9 @@ class TestAgainstLoops:
     def test_kinetic_trace_matches_per_eigenfunction_sum(self, case, power):
         op, _ = frame_of(case)
         np.testing.assert_allclose(
-            kinetic_trace(op, power), reference_kinetic_trace(op, power), rtol=RTOL
+            spectral_trace(op.grid, op.spectral_density, power),
+            reference_kinetic_trace(op, power),
+            rtol=RTOL,
         )
 
     @given(case=cases.filter(lambda c: c["family"] == SMOOTH))
@@ -173,7 +195,8 @@ class TestAgainstLoops:
             for k in range(op.rank):
                 piece = apply_symbol(member(op, k), blocks.symbol(j)).values
                 expected = expected + float(op.eigenvalues[k]) * np.abs(piece) ** 2
-            assert_fields_close(conjugated_density(op, blocks, j).values, expected)
+            actual = weighted_block_energy(grid, op.eigenfunctions, op.eigenvalues, [blocks.symbol(j)])
+            assert_fields_close(actual, expected)
 
 
 class TestClosedForms:
@@ -185,7 +208,7 @@ class TestClosedForms:
         u = random_band_limited(grid, case["decay"], seed=case["seed"])
         op = FiniteRankOperator(grid, [1.0], u.values[None], contract=UNIT_BALL)
         assert np.array_equal(
-            summed_block_density(op, blocks).values, block_energy_sum(u, blocks)
+            summed_block_density(op, blocks).values, scalar_block_energy(u, blocks)
         )
 
     @given(case=cases)
@@ -206,7 +229,7 @@ class TestClosedForms:
         op, blocks = frame_of(case)
         w = np.zeros(op.grid.shape)
         for k in range(op.rank):
-            coeffs = forward_transform(member(op, k)).coefficients
+            coeffs = np.fft.fftn(op.eigenfunctions[k])
             w = w + float(op.eigenvalues[k]) * np.abs(coeffs) ** 2
         closed = float(np.sum(block_squared_sum(blocks) * w) / np.sum(w))
         assert lp_density_check(op, 1.0, blocks).ratio == pytest.approx(closed, rel=RTOL)
@@ -217,7 +240,7 @@ class TestClosedForms:
             float(op.eigenvalues[k]) * np.abs(op.eigenfunctions[k]) ** 2
             for k in range(op.rank)
         )
-        assert_fields_close(density(op).values, expected)
+        assert_fields_close(op.density_values, expected)
 
 
 class TestTransformCounts:
