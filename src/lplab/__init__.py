@@ -53,30 +53,23 @@ from .inequality_lab import (
     ChainResult,
     CheckSample,
     GeneralizedLTResult,
-    KhinchineResult,
     LiebThirringResult,
     RatioReport,
     SequenceLemmaResult,
     SignEnsemble,
-    TensorKhinchineResult,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
     fermi_lattice_oracle,
     fermi_sweep,
     generalized_lt_check,
-    gns_check,
-    khinchine_ratio,
     khinchine_reports,
-    khinchine_tensor_ratio,
     lieb_thirring_check,
     load_envelopes,
-    lp_density_check,
-    lp_function_check,
     lt_chain_check,
-    parseval_square_ratio,
     sequence_lemma_bound,
     sequence_lemma_trials,
+    sign_sum_samples,
     summed_block_density,
     tensor_khinchine_reports,
 )

@@ -64,9 +64,7 @@ from .inequality_lab import (
     fermi_sweep,
     generalized_lt_check,
     gns_exponent,
-    khinchine_ratio,
     khinchine_reports,
-    khinchine_tensor_ratio,
     kinetic_chain,
     lieb_thirring_check,
     load_envelopes,
@@ -75,6 +73,7 @@ from .inequality_lab import (
     require_counts,
     require_enumerable,
     sequence_lemma_trials,
+    sign_sum_samples,
     tensor_khinchine_reports,
 )
 from .reporting import canonical_json, sanitize, write_samples_csv
@@ -514,9 +513,9 @@ def _cmd_lp_density(settings: dict, envelopes: dict):
 def _cmd_khinchine(settings: dict, envelopes: dict):
     classical, tensor = sign_sum_reports(settings, envelopes)
     reports = classical + tensor
-    pair = khinchine_ratio(np.array([1.0, 1.0]), 1.0, SignEnsemble.exact())
-    pair_residual = abs(pair.lower_ratio - 1.0 / math.sqrt(2.0))
-    spike = khinchine_tensor_ratio(np.array([[1.0]]), 1.0, SignEnsemble.exact())
+    ((pair,),) = sign_sum_samples([[1.0, 1.0]], [1.0], SignEnsemble.exact())
+    pair_residual = abs(pair.ratio - 1.0 / math.sqrt(2.0))
+    ((spike,),) = sign_sum_samples([[[1.0]]], [1.0], SignEnsemble.exact())
     spike_residual = abs(spike.ratio - 1.0)
     passed = _verdict(
         pair_residual <= 1e-12, spike_residual == 0.0, *(r.passed for r in reports)

@@ -430,7 +430,9 @@ def validate_contract(
 
     weights = laplacian_power(op.grid, -a).reshape(-1)
     scaled = spectra * weights
-    overlap = (scaled @ spectra.conj().T) / op.grid.volume
+    # conj(conj(scaled) @ spectra^T) = scaled @ spectra^H, without a
+    # conjugated copy of the kept stack: only the rank x rank product is.
+    overlap = (np.conjugate(scaled, out=scaled) @ spectra.T).conj() / op.grid.volume
     root_weights = np.sqrt(op.eigenvalues)
     m_matrix = root_weights[:, None] * overlap * root_weights[None, :]
     m_matrix = 0.5 * (m_matrix + m_matrix.conj().T)

@@ -151,7 +151,9 @@ def _sign_blocks(count: int, ensemble: SignEnsemble):
         for start in range(0, total, _ENUMERATION_CHUNK):
             yield _sign_rows(start, min(start + _ENUMERATION_CHUNK, total), count)
     else:
-        rng = philox_generator(ensemble.seed)
+        # Substream 1: the coefficients are complex_normals draws on stream
+        # 0, so a run that shares one seed still draws its signs apart.
+        rng = philox_generator(ensemble.seed, 0, 1)
         remaining = ensemble.samples
         while remaining > 0:
             block = min(remaining, _ENUMERATION_CHUNK)
@@ -221,62 +223,6 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     return moments
 
 
-def _tensor_ratio(expectation: float, l2_power: float) -> tuple[float, bool]:
-    """The tensor ratio l2 power / expectation, and whether the sign sums
-    cancel identically (then the ratio is infinite)."""
-    degenerate = expectation < DEGENERACY_RTOL * l2_power
-    return (math.inf if degenerate else l2_power / expectation), degenerate
-
-
-@dataclass(frozen=True)
-class KhinchineResult:
-    expectation: float
-    l2_power: float
-    lower_ratio: float
-    upper_ratio: float
-
-
-def khinchine_ratio(coefficients, p: float, ensemble: SignEnsemble) -> KhinchineResult:
-    """Compare E|sum a_j r_j|^p with (sum |a_j|^2)^(p/2), both directions."""
-    (p,) = _sign_sum_exponents([p])
-    a = np.asarray(coefficients, dtype=complex).ravel()
-    l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
-    if l2_power == 0.0:
-        raise DegenerateInputError("all coefficients vanish; the ratio is undefined")
-    expectation = float(_sign_moments(a[None], ensemble, [p])[0, 0])
-    return KhinchineResult(
-        expectation=expectation,
-        l2_power=l2_power,
-        lower_ratio=expectation / l2_power,
-        upper_ratio=l2_power / expectation if expectation > 0 else math.inf,
-    )
-
-
-@dataclass(frozen=True)
-class TensorKhinchineResult:
-    expectation: float
-    l2_power: float
-    ratio: float
-    degenerate: bool
-
-
-def khinchine_tensor_ratio(matrix, p: float, ensemble: SignEnsemble) -> TensorKhinchineResult:
-    """One-sided tensor comparison (sum |a_jk|^2)^(p/2) <= C * E|sum a_jk r_j r_k|^p.
-
-    Both indices draw from one shared sign sequence, so products r_j r_k are
-    correlated; inputs whose sign sums cancel identically (the expectation
-    vanishes while the coefficient mass does not) are flagged degenerate and
-    carry an infinite ratio.
-    """
-    (p,) = _sign_sum_exponents([p])
-    a = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    l2_power = float(np.sum(abs_squared(a)) ** (p / 2.0))
-    if l2_power == 0.0:
-        raise DegenerateInputError("all coefficients vanish; the ratio is undefined")
-    expectation = float(_sign_moments(a[None], ensemble, [p])[0, 0])
-    return TensorKhinchineResult(expectation, l2_power, *_tensor_ratio(expectation, l2_power))
-
-
 # ---------------------------------------------------------------------------
 # Per-sample checks
 
@@ -316,9 +262,8 @@ def _checked_exponents(checker: str, exponents) -> list[float]:
 
 # A sampler checks a chunk of members at every exponent in one pass.  It is
 # called as sampler(grid, chunk, exponents, blocks, first), where member m of
-# the chunk has sample id first + m, and returns two lists with one entry per
-# member: its samples, one per exponent, and None or the reason the member is
-# degenerate (then its samples are all marked degenerate).
+# the chunk has sample id first + m, and returns each member's samples, one
+# per exponent; a degenerate member's samples are all marked degenerate.
 
 
 def _degenerate(sample_id: int, rank: int, exponents) -> list[CheckSample]:
@@ -334,18 +279,16 @@ def _norm_ratios(grid, lhs_fields, rhs_fields, exponents, rank, first):
     lhs_magnitudes, rhs_magnitudes = np.abs(lhs_fields), np.abs(rhs_fields)
     lhs = [lp_norms(grid, lhs_magnitudes, p) for p in exponents]
     rhs = [lp_norms(grid, rhs_magnitudes, p) for p in exponents]
-    members, reasons = [], []
+    members = []
     for m in range(len(rhs_magnitudes)):
         sides = [(norms[m], bounds[m]) for norms, bounds in zip(lhs, rhs)]
         if any(bound == 0.0 for _, bound in sides):
             members.append(_degenerate(first + m, rank, exponents))
-            reasons.append("zero input; the ratio is undefined")
         else:
             members.append(
                 [CheckSample(first + m, rank, norm, bound, norm / bound) for norm, bound in sides]
             )
-            reasons.append(None)
-    return members, reasons
+    return members
 
 
 def _parseval_ratios(blocks: DyadicBlockSet, spectra: np.ndarray) -> list[float | None]:
@@ -365,25 +308,27 @@ def _parseval_ratios(blocks: DyadicBlockSet, spectra: np.ndarray) -> list[float 
 
 
 def _lp_function_samples(grid, values, exponents, blocks, first):
-    """Square-function samples of a stack of fields [c, ...].
+    """Square-function samples of a stack of fields [c, ...]:
+    lhs = || (sum_j |P_j u|^2)^(1/2) ||_p, rhs = ||u||_p.
 
     One forward transform serves the block kernel and, at p = 2, the
     Parseval closed form each p = 2 sample carries.
     """
     spectra = fft_stack(grid, values)[:, None]
     energy = block_energy_stack(grid, spectra, np.ones((len(values), 1)), blocks.symbols)
-    members, reasons = _norm_ratios(grid, np.sqrt(energy), values, exponents, 1, first)
+    members = _norm_ratios(grid, np.sqrt(energy), values, exponents, 1, first)
     squared = [position for position, p in enumerate(exponents) if p == 2.0]
     if squared:
         closed_forms = _parseval_ratios(blocks, spectra[:, 0])
-        for samples, reason, closed_form in zip(members, reasons, closed_forms):
-            for position in squared if reason is None else ():
+        for samples, closed_form in zip(members, closed_forms):
+            for position in () if samples[0].degenerate else squared:
                 samples[position] = replace(samples[position], closed_form=closed_form)
-    return members, reasons
+    return members
 
 
 def _lp_density_samples(grid, ops, exponents, blocks, first):
-    """Density samples of a list of operators of one rank."""
+    """Density samples of a list of operators of one rank:
+    lhs = ||sum_j rho_{P_j gamma P_j}||_p, rhs = ||rho_gamma||_p."""
     functions = np.stack([op.eigenfunctions for op in ops])
     weights = np.stack([op.eigenvalues for op in ops])
     lhs_fields = block_energy_stack(grid, fft_stack(grid, functions), weights, blocks.symbols)
@@ -398,56 +343,24 @@ def gns_exponent(dimension: int) -> float:
 
 def _gns_samples(grid, values, exponents, blocks, first):
     """gns samples of a stack of fields [c, ...]: its exponent is fixed by the
-    dimension, so each member has one sample, under every label."""
+    dimension, so each member has one sample, under every label.
+
+    lhs = ||u||_{2+4/d}; rhs = ||u||_2^{2/(d+2)} * (gradient energy)^{d/(2(d+2))}.
+    A zero or constant member is degenerate.
+    """
     d = grid.dimension
     magnitudes = np.abs(values)
     norms2 = lp_norms(grid, magnitudes, 2.0)
     gradient_energies = kinetic_forms(grid, values, 1.0)
     norms = lp_norms(grid, magnitudes, gns_exponent(d))
-    members, reasons = [], []
+    members = []
     for m, (norm2, gradient_energy, lhs) in enumerate(zip(norms2, gradient_energies, norms)):
-        reason = None
-        if norm2 == 0.0:
-            reason = "zero input; the ratio is undefined"
-        elif gradient_energy == 0.0:
-            reason = "constant input has no gradient energy; the comparison degenerates"
-        if reason is None:
+        if norm2 == 0.0 or gradient_energy == 0.0:
+            members.append(_degenerate(first + m, 1, exponents))
+        else:
             rhs = norm2 ** (2.0 / (d + 2.0)) * gradient_energy ** (d / (2.0 * (d + 2.0)))
             members.append([CheckSample(first + m, 1, lhs, rhs, lhs / rhs)] * len(exponents))
-        else:
-            members.append(_degenerate(first + m, 1, exponents))
-        reasons.append(reason)
-    return members, reasons
-
-
-def _one_member(sampled) -> CheckSample:
-    """The first sample of a one-member pass; raises if the member is degenerate."""
-    (samples,), (reason,) = sampled
-    if reason is not None:
-        raise DegenerateInputError(reason)
-    return samples[0]
-
-
-def lp_function_check(
-    u: GridFunction, p: float, blocks: DyadicBlockSet, sample_id: int = 0
-) -> CheckSample:
-    """Square-function comparison: lhs = || (sum_j |P_j u|^2)^(1/2) ||_p, rhs = ||u||_p."""
-    exponents = _checked_exponents("lp", [p])
-    return _one_member(
-        _lp_function_samples(u.grid, u.values[None], exponents, blocks, sample_id)
-    )
-
-
-def parseval_square_ratio(u: GridFunction, blocks: DyadicBlockSet) -> float:
-    """Closed form for the p = 2 square-function ratio.
-
-    By Parseval the ratio squared is the energy-weighted mean of
-    sum_j Psi_j(xi)^2 over the spectrum of u.
-    """
-    (closed_form,) = _parseval_ratios(blocks, fft_stack(u.grid, u.values[None]))
-    if closed_form is None:
-        raise DegenerateInputError("zero input; the ratio is undefined")
-    return closed_form
+    return members
 
 
 def summed_block_density(op: FiniteRankOperator, blocks: DyadicBlockSet) -> GridFunction:
@@ -456,16 +369,6 @@ def summed_block_density(op: FiniteRankOperator, blocks: DyadicBlockSet) -> Grid
         raise GridMismatchError("operator and block set live on different grids")
     values = weighted_block_energy(op.grid, op.eigenfunctions, op.eigenvalues, blocks.symbols)
     return GridFunction(op.grid, values)
-
-
-def lp_density_check(
-    op: FiniteRankOperator, p: float, blocks: DyadicBlockSet, sample_id: int = 0
-) -> CheckSample:
-    """Density comparison: lhs = ||sum_j rho_{P_j gamma P_j}||_p, rhs = ||rho_gamma||_p."""
-    if blocks.grid != op.grid:
-        raise GridMismatchError("operator and block set live on different grids")
-    exponents = _checked_exponents("lp_density", [p])
-    return _one_member(_lp_density_samples(op.grid, [op], exponents, blocks, sample_id))
 
 
 def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlockSet) -> float:
@@ -492,14 +395,6 @@ def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlock
     if scale == 0.0:
         return 0.0
     return float(abs(direct - split) / scale)
-
-
-def gns_check(u: GridFunction, sample_id: int = 0) -> CheckSample:
-    """Interpolation comparison at the dimension's critical exponent 2 + 4/d.
-
-    lhs = ||u||_{2+4/d}; rhs = ||u||_2^{2/(d+2)} * (gradient energy)^{d/(2(d+2))}.
-    """
-    return _one_member(_gns_samples(u.grid, u.values[None], [None], None, sample_id))
 
 
 # ---------------------------------------------------------------------------
@@ -1027,7 +922,7 @@ def estimate_envelope(
     for rows in field_chunks(grid, spec.count, fields_per_member):
         start, stop = rows.start, min(rows.stop, spec.count)
         chunk = spec.members(grid, start, stop - start)
-        members.extend(_SAMPLERS[checker](grid, chunk, ps, blocks, start)[0])
+        members.extend(_SAMPLERS[checker](grid, chunk, ps, blocks, start))
     grid_params = {
         "dimension": grid.dimension,
         "box_length": grid.box_length,
@@ -1048,33 +943,58 @@ def estimate_envelope(
     ]
 
 
+def sign_sum_samples(coefficients, exponents, ensemble: SignEnsemble) -> list[list[CheckSample]]:
+    """The sign-sum samples of a stack of coefficient arrays, as [p][c]: one
+    list per distinct exponent, one sample per array.
+
+    A [c, n] stack is classical: lhs = E|sum_j a_j r_j|^p, rhs = the l2 power
+    (sum_j |a_j|^2)^(p/2).  Its reciprocal is the upper direction, so a
+    two-sided envelope on this one ratio bounds both constants.  A [c, J, K]
+    stack is a tensor, one-sided: lhs = the l2 power, rhs =
+    E|sum_jk a_jk r_j r_k|^p over one shared sign sequence of length
+    max(J, K).  A zero array is degenerate; so is a tensor whose sign sums
+    cancel identically (its expectation vanishes while its mass does not).
+    """
+    exponents = _sign_sum_exponents(exponents)
+    coefficients = np.asarray(coefficients, dtype=complex)
+    if coefficients.ndim not in (2, 3):
+        raise ConfigurationError(
+            f"sign sums take a [c, n] or [c, J, K] stack, got shape {coefficients.shape}"
+        )
+    tensor = coefficients.ndim == 3
+    masses = np.sum(abs_squared(coefficients).reshape(len(coefficients), -1), axis=1).tolist()
+    moments = _sign_moments(coefficients, ensemble, exponents)
+    samples = []
+    for p, expectations in zip(exponents, moments.tolist()):
+        row = []
+        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
+            l2_power = l2 ** (p / 2.0)
+            if tensor:
+                sides = (l2_power, expectation)
+                degenerate = l2 == 0.0 or expectation < DEGENERACY_RTOL * l2_power
+            else:
+                sides = (expectation, l2_power)
+                degenerate = l2 == 0.0
+            ratio = math.inf if degenerate else sides[0] / sides[1]
+            row.append(CheckSample(index, 1, *sides, ratio, degenerate))
+        samples.append(row)
+    return samples
+
+
 def _sign_sum_reports(name, shape, p_list, count, seed, ensemble, envelopes):
     """One report per exponent over ``count`` random complex arrays of ``shape``,
-    (n,) classical or (n, n) tensor, array i the complex_normals draw of index i;
-    its ratio is expectation / l2 power or the reverse."""
+    (n,) classical or (n, n) tensor, array i the complex_normals draw of index i."""
     require_counts(term_count=shape[0], sample_count=count)
     exponents = _sign_sum_exponents(p_list)
     coefficients = complex_normals(shape, seed, range(count))
-    masses = np.sum(abs_squared(coefficients).reshape(count, -1), axis=1).tolist()
-    moments = _sign_moments(coefficients, ensemble or SignEnsemble.exact(), exponents)
-    reports = []
-    for p, expectations in zip(exponents, moments.tolist()):
-        samples = []
-        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
-            l2_power = l2 ** (p / 2.0)
-            if len(shape) == 1:
-                samples.append(CheckSample(index, 1, expectation, l2_power, expectation / l2_power))
-            else:
-                ratio, degenerate = _tensor_ratio(expectation, l2_power)
-                samples.append(CheckSample(index, 1, l2_power, expectation, ratio, degenerate))
-        envelope = envelope_for(envelopes, name, 0, p) if envelopes else None
-        reports.append(
-            RatioReport(
-                name, p, family="none", profile_kind="none", grid=None, seed=seed,
-                samples=samples, envelope=envelope,
-            )
+    samples = sign_sum_samples(coefficients, exponents, ensemble or SignEnsemble.exact())
+    return [
+        RatioReport(
+            name, p, family="none", profile_kind="none", grid=None, seed=seed, samples=row,
+            envelope=envelope_for(envelopes, name, 0, p) if envelopes else None,
         )
-    return reports
+        for p, row in zip(exponents, samples)
+    ]
 
 
 def khinchine_reports(

@@ -22,25 +22,22 @@ from lplab import (
     fermi_sea,
     fermi_sweep,
     generalized_lt_check,
-    khinchine_ratio,
     khinchine_reports,
-    khinchine_tensor_ratio,
     lieb_thirring_check,
     load_envelopes,
-    lp_density_check,
-    lp_function_check,
     lt_chain_check,
-    parseval_square_ratio,
     plane_wave,
     power_bounded,
     random_band_limited,
     random_orthonormal_frame,
     sequence_lemma_trials,
+    sign_sum_samples,
     summed_block_density,
     tensor_khinchine_reports,
     validate_contract,
 )
 from lplab.cli import DENSITY_RANK_SLACK, run
+from lplab.inequality_lab import _lp_density_samples, _lp_function_samples
 from lplab.torus_grid import block_energy_stack, fft_stack
 
 LP_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
@@ -89,10 +86,9 @@ def test_gate_2_square_function_envelope(grid1, grid2, blocks1):
                 f"[{report.ratio_min:.6f}, {report.ratio_max:.6f}] "
                 f"inside [{envelope[0]:.6f}, {envelope[1]:.6f}]"
             )
-    for index in range(25):
-        u = random_band_limited(grid1, 1.0, seed=2024, index=index)
-        sample = lp_function_check(u, 2.0, blocks1)
-        assert abs(sample.ratio - parseval_square_ratio(u, blocks1)) <= 1e-12
+    values = random_band_limited(grid1, 1.0, seed=2024, count=25)
+    for (sample,) in _lp_function_samples(grid1, values, [2.0], blocks1, 0):
+        assert abs(sample.ratio - sample.closed_form) <= 1e-12
     fresh_spec = CorpusSpec("random_band_limited", 200, 777, {"decay": 1.0})
     fresh_reports = estimate_envelope(fresh_spec, "lp", [(p, None) for p in LP_EXPONENTS], grid1)
     for p, fresh in zip(LP_EXPONENTS, fresh_reports):
@@ -106,16 +102,17 @@ def test_gate_2_square_function_envelope(grid1, grid2, blocks1):
 def test_gate_3_density_blocks_rank_uniform(grid1, blocks1):
     """Rank-one densities collapse to the scalar pipeline; ranks to 32 stay in the slack envelope."""
     envelopes = load_envelopes()
-    for index in range(10):
-        u = random_band_limited(grid1, 1.0, seed=2025, index=index)
-        op = FiniteRankOperator(grid1, [1.0], u.values[None], contract=UNIT_BALL)
-        # The square-function energy as the lp sampler computes it.
-        spectra = fft_stack(grid1, u.values[None])[:, None]
-        energy = block_energy_stack(grid1, spectra, np.ones((1, 1)), blocks1.symbols)[0]
+    values = random_band_limited(grid1, 1.0, seed=2025, count=10)
+    ops = [FiniteRankOperator(grid1, [1.0], u[None], contract=UNIT_BALL) for u in values]
+    # The square-function energy as the lp sampler computes it.
+    spectra = fft_stack(grid1, values)[:, None]
+    energies = block_energy_stack(grid1, spectra, np.ones((10, 1)), blocks1.symbols)
+    for op, energy in zip(ops, energies):
         assert np.array_equal(summed_block_density(op, blocks1).values, energy)
-        for p in DENSITY_EXPONENTS:
-            scalar = lp_function_check(u, 2.0 * p, blocks1)
-            dens = lp_density_check(op, p, blocks1)
+    scalars = _lp_function_samples(grid1, values, [2.0 * p for p in DENSITY_EXPONENTS], blocks1, 0)
+    densities = _lp_density_samples(grid1, ops, DENSITY_EXPONENTS, blocks1, 0)
+    for scalar_samples, density_samples in zip(scalars, densities, strict=True):
+        for scalar, dens in zip(scalar_samples, density_samples, strict=True):
             assert dens.ratio == pytest.approx(scalar.ratio**2, rel=1e-12)
     for rank in (1, 2, 4, 8, 16, 32):
         spec = CorpusSpec(
@@ -124,12 +121,13 @@ def test_gate_3_density_blocks_rank_uniform(grid1, blocks1):
             2025,
             {"rank": rank, "decay": 1.0, "weights": "uniform"},
         )
-        ops = [spec.member(grid1, index) for index in range(spec.count)]
+        exponents = []
         for p in DENSITY_EXPONENTS:
             lo, hi = envelope_for(envelopes, "lp_density", 1, p)
-            lo, hi = lo / DENSITY_RANK_SLACK, hi * DENSITY_RANK_SLACK
-            ratios = [lp_density_check(op, p, blocks1).ratio for op in ops]
-            assert lo <= min(ratios) and max(ratios) <= hi
+            exponents.append((p, (lo / DENSITY_RANK_SLACK, hi * DENSITY_RANK_SLACK)))
+        for report in estimate_envelope(spec, "lp_density", exponents, grid1):
+            assert report.sample_count == 20 and report.degenerate_count == 0
+            assert report.passed
         print(f"gate 3: rank {rank} inside the widened envelope at all exponents")
 
 
@@ -147,12 +145,11 @@ def test_gate_4_sign_sum_comparisons():
         assert report.passed
     spike = np.zeros((3, 3))
     spike[0, 0] = 1.0
-    for p in SIGN_EXPONENTS:
-        result = khinchine_tensor_ratio(spike, p, exact)
+    for (result,) in sign_sum_samples([spike], SIGN_EXPONENTS, exact):
         assert result.ratio == 1.0
         assert not result.degenerate
-    pair = khinchine_ratio([1.0, 1.0], 1.0, exact)
-    assert abs(pair.lower_ratio - 1.0 / math.sqrt(2.0)) <= 1e-12
+    ((pair,),) = sign_sum_samples([[1.0, 1.0]], [1.0], exact)
+    assert abs(pair.ratio - 1.0 / math.sqrt(2.0)) <= 1e-12
     print("gate 4: 500-sample sign-sum envelopes and the exact witnesses pass")
 
 

@@ -29,25 +29,27 @@ from lplab import (
     fermi_sea,
     fermi_sweep,
     generalized_lt_check,
-    gns_check,
-    khinchine_ratio,
     khinchine_reports,
-    khinchine_tensor_ratio,
     lieb_thirring_check,
-    lp_density_check,
-    lp_function_check,
     lt_chain_check,
-    parseval_square_ratio,
+    philox_generator,
     plane_wave,
     random_band_limited,
     random_orthonormal_frame,
     sequence_lemma_bound,
     sequence_lemma_trials,
+    sign_sum_samples,
     single_spike,
     summed_block_density,
     tensor_khinchine_reports,
 )
 from lplab.fock_operator import spectral_trace
+from lplab.inequality_lab import (
+    _gns_samples,
+    _lp_density_samples,
+    _lp_function_samples,
+    _sign_blocks,
+)
 from lplab.torus_grid import block_energy_stack, fft_stack
 
 TAU = 2.0 * np.pi
@@ -62,6 +64,31 @@ def rank_one(grid, u, weight=1.0):
     return FiniteRankOperator(grid, np.array([weight]), u.values[None])
 
 
+def sign_sum(a, p, ensemble=EXACT):
+    """The sample of one coefficient array at one exponent."""
+    return sign_sum_samples([a], [p], ensemble)[0][0]
+
+
+def lp_samples(u, exponents, blocks):
+    """The square-function samples of one member, one per exponent."""
+    return _lp_function_samples(u.grid, u.values[None], exponents, blocks, 0)[0]
+
+
+def density_samples(op, exponents, blocks):
+    """The density samples of one operator, one per exponent."""
+    return _lp_density_samples(op.grid, [op], exponents, blocks, 0)[0]
+
+
+def gns_sample(u):
+    """The gns sample of one member at its critical exponent."""
+    return _gns_samples(u.grid, u.values[None], [None], None, 0)[0][0]
+
+
+@pytest.fixture(scope="module")
+def blocks3():
+    return build_blocks(TorusGrid(3, TAU, 16))
+
+
 class TestKhinchine:
     def brute_moment(self, coefficients, p):
         a = np.asarray(coefficients, dtype=complex)
@@ -74,57 +101,71 @@ class TestKhinchine:
     def test_expectation_matches_brute_force(self, p):
         rng = np.random.default_rng(60)
         a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        result = khinchine_ratio(a, p, EXACT)
+        sample = sign_sum(a, p)
         expected = self.brute_moment(a, p)
-        np.testing.assert_allclose(result.expectation, expected, rtol=1e-12)
+        np.testing.assert_allclose(sample.lhs, expected, rtol=1e-12)
         np.testing.assert_allclose(
-            result.lower_ratio, expected / np.sum(np.abs(a) ** 2) ** (p / 2), rtol=1e-12
+            sample.ratio, expected / np.sum(np.abs(a) ** 2) ** (p / 2), rtol=1e-12
         )
 
     def test_two_equal_coefficients_at_p_one(self):
         # E|r_1 + r_2| = 1 while the l2 side is sqrt(2); the lower ratio is
         # exactly 1 / sqrt(2), the extremal pair of the lower inequality.
-        result = khinchine_ratio([1.0, 1.0], 1.0, EXACT)
-        assert result.expectation == 1.0
-        np.testing.assert_allclose(result.lower_ratio, 1.0 / math.sqrt(2.0), atol=1e-15)
+        sample = sign_sum([1.0, 1.0], 1.0)
+        assert sample.lhs == 1.0
+        np.testing.assert_allclose(sample.ratio, 1.0 / math.sqrt(2.0), atol=1e-15)
 
     def test_p_two_is_an_identity(self):
         rng = np.random.default_rng(61)
         a = rng.standard_normal(9)
-        result = khinchine_ratio(a, 2.0, EXACT)
-        np.testing.assert_allclose(result.lower_ratio, 1.0, rtol=1e-12)
-        np.testing.assert_allclose(result.upper_ratio, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(sign_sum(a, 2.0).ratio, 1.0, rtol=1e-12)
 
     def test_invariance_under_flips_and_permutations(self):
         rng = np.random.default_rng(62)
         a = rng.standard_normal(7)
-        base = khinchine_ratio(a, 3.0, EXACT).expectation
-        flipped = khinchine_ratio(a * (-1.0) ** np.arange(7), 3.0, EXACT).expectation
-        shuffled = khinchine_ratio(a[::-1], 3.0, EXACT).expectation
+        base = sign_sum(a, 3.0).lhs
+        flipped = sign_sum(a * (-1.0) ** np.arange(7), 3.0).lhs
+        shuffled = sign_sum(a[::-1], 3.0).lhs
         np.testing.assert_allclose(flipped, base, rtol=1e-12)
         np.testing.assert_allclose(shuffled, base, rtol=1e-12)
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError, match="at most 20"):
-            khinchine_ratio(np.ones(21), 2.0, EXACT)
+            sign_sum(np.ones(21), 2.0)
 
     def test_exponent_floor(self):
         with pytest.raises(ValueError, match="p >= 1"):
-            khinchine_ratio([1.0], 0.5, EXACT)
+            sign_sum([1.0], 0.5)
 
     def test_zero_coefficients_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            khinchine_ratio(np.zeros(4), 2.0, EXACT)
+        ((first, zero, last),) = sign_sum_samples([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]], [2.0], EXACT)
+        assert zero == CheckSample(1, 1, 0.0, 0.0, math.inf, degenerate=True)
+        assert not first.degenerate and not last.degenerate
+        assert first.ratio == last.ratio == 1.0
+
+    def test_stack_shape_refused(self):
+        for coefficients in ([1.0, 1.0], np.ones((1, 2, 2, 2))):
+            with pytest.raises(ConfigurationError, match=r"\[c, n\] or \[c, J, K\]"):
+                sign_sum_samples(coefficients, [2.0], EXACT)
 
     def test_monte_carlo_tracks_exact(self):
         rng = np.random.default_rng(63)
         a = rng.standard_normal(10)
-        exact = khinchine_ratio(a, 1.5, EXACT)
+        exact = sign_sum(a, 1.5)
         mc_ensemble = SignEnsemble.monte_carlo(samples=200_000, seed=64)
-        mc = khinchine_ratio(a, 1.5, mc_ensemble)
-        np.testing.assert_allclose(mc.expectation, exact.expectation, rtol=0.02)
-        again = khinchine_ratio(a, 1.5, mc_ensemble)
-        assert again.expectation == mc.expectation
+        mc = sign_sum(a, 1.5, mc_ensemble)
+        np.testing.assert_allclose(mc.lhs, exact.lhs, rtol=0.02)
+        again = sign_sum(a, 1.5, mc_ensemble)
+        assert again.lhs == mc.lhs
+
+    def test_monte_carlo_signs_are_not_a_coefficient_draw(self):
+        # A khinchine run passes one seed to its coefficients, array i drawn
+        # from philox_generator(seed, i) on stream 0, and to its signs.
+        seed, terms, samples = 2027, 12, 64
+        (signs,) = _sign_blocks(terms, SignEnsemble.monte_carlo(samples, seed))
+        for index in range(8):
+            bits = philox_generator(seed, index).integers(0, 2, size=(samples, terms))
+            assert not np.array_equal(signs.real > 0, bits == 1), index
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -148,105 +189,109 @@ class TestTensorKhinchine:
     def test_matches_brute_force(self, p):
         rng = np.random.default_rng(65)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        result = khinchine_tensor_ratio(m, p, EXACT)
-        np.testing.assert_allclose(
-            result.expectation, self.brute_tensor_moment(m, p), rtol=1e-12
-        )
-        assert not result.degenerate
+        sample = sign_sum(m, p)
+        np.testing.assert_allclose(sample.rhs, self.brute_tensor_moment(m, p), rtol=1e-12)
+        assert not sample.degenerate
 
     def test_corner_spike_is_extremal(self):
         m = np.zeros((2, 3))
         m[0, 1] = 1.0
-        result = khinchine_tensor_ratio(m, 1.5, EXACT)
-        assert result.expectation == 1.0
-        assert result.ratio == 1.0
+        sample = sign_sum(m, 1.5)
+        assert sample.rhs == 1.0
+        assert sample.ratio == 1.0
 
     def test_antisymmetric_input_cancels_identically(self):
         # Shared signs make the quadratic form r^T M r, which an antisymmetric
         # matrix kills for every sign vector.
         m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        result = khinchine_tensor_ratio(m, 2.0, EXACT)
-        assert result.expectation == 0.0
-        assert result.degenerate
-        assert result.ratio == math.inf
+        sample = sign_sum(m, 2.0)
+        assert sample.rhs == 0.0
+        assert sample.degenerate
+        assert sample.ratio == math.inf
 
     def test_rectangular_shapes_accepted(self):
         rng = np.random.default_rng(66)
         m = rng.standard_normal((2, 5))
-        result = khinchine_tensor_ratio(m, 2.0, EXACT)
         np.testing.assert_allclose(
-            result.expectation, self.brute_tensor_moment(m, 2.0), rtol=1e-12
+            sign_sum(m, 2.0).rhs, self.brute_tensor_moment(m, 2.0), rtol=1e-12
         )
 
     def test_zero_matrix_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            khinchine_tensor_ratio(np.zeros((3, 3)), 2.0, EXACT)
+        spike = np.zeros((3, 3))
+        spike[0, 0] = 1.0
+        ((zero, spike),) = sign_sum_samples([np.zeros((3, 3)), spike], [2.0], EXACT)
+        assert zero == CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)
+        assert not spike.degenerate and spike.ratio == 1.0
 
 
 class TestLpFunctionCheck:
-    def test_single_block_wave_has_unit_ratio(self, grid1, blocks1):
-        # Mode 16 sits on block 4's plateau, so the square function equals
-        # the modulus of the wave itself.
-        u = plane_wave(grid1, [16])
-        for p in (1.5, 2.0, 3.0):
-            sample = lp_function_check(u, p, blocks1)
-            np.testing.assert_allclose(sample.ratio, 1.0, rtol=1e-12)
+    def test_single_block_wave_has_unit_ratio(self, grid1, blocks1, blocks3):
+        # Mode 16 sits on block 4's plateau at d = 1 and mode (4, 0, 0) on
+        # block 2's at d = 3, so the square function equals the modulus of
+        # the wave itself.
+        for blocks, mode in ((blocks1, [16]), (blocks3, (4, 0, 0))):
+            for sample in lp_samples(plane_wave(blocks.grid, mode), [1.5, 2.0, 3.0], blocks):
+                np.testing.assert_allclose(sample.ratio, 1.0, rtol=1e-12)
 
     def test_p_two_closed_form(self, grid1, blocks1):
-        for seed in range(5):
-            u = random_band_limited(grid1, decay=0.6, seed=700 + seed)
-            sample = lp_function_check(u, 2.0, blocks1)
-            np.testing.assert_allclose(
-                sample.ratio, parseval_square_ratio(u, blocks1), rtol=1e-12
-            )
+        values = np.stack(
+            [random_band_limited(grid1, decay=0.6, seed=700 + seed).values for seed in range(5)]
+        )
+        for (sample,) in _lp_function_samples(grid1, values, [2.0], blocks1, 0):
+            np.testing.assert_allclose(sample.ratio, sample.closed_form, rtol=1e-12)
             assert math.sqrt(0.5) - 1e-12 <= sample.ratio <= 1.0 + 1e-12
 
-    def test_exponent_floor(self, grid1, blocks1):
-        u = plane_wave(grid1, [4])
+    def test_exponent_floor(self, small1):
+        spec = CorpusSpec("random_band_limited", count=2, seed=1, params={"decay": 1.0})
         with pytest.raises(ValueError, match="p > 1"):
-            lp_function_check(u, 1.0, blocks1)
+            estimate_envelope(spec, "lp", [(2.0, None), (1.0, None)], small1)
 
     def test_zero_input_degenerate(self, grid1, blocks1):
-        zero = GridFunction(grid1, np.zeros(grid1.shape, dtype=complex))
-        with pytest.raises(DegenerateInputError):
-            lp_function_check(zero, 2.0, blocks1)
-        with pytest.raises(DegenerateInputError):
-            parseval_square_ratio(zero, blocks1)
+        values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4]).values])
+        zero, wave = _lp_function_samples(grid1, values, [1.5, 2.0], blocks1, 0)
+        assert zero == [CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)] * 2
+        assert zero[1].closed_form is None
+        assert not any(sample.degenerate for sample in wave)
+        assert wave[1].closed_form is not None
 
 
 class TestLpDensityCheck:
-    def test_rank_one_reduces_to_scalar_check(self, grid1, blocks1):
+    def test_rank_one_reduces_to_scalar_check(self, grid1, blocks1, blocks3):
         # For a rank-one weight-one operator the density pipeline must follow
         # the scalar pipeline exactly: same accumulations, same floats.
-        u = random_band_limited(grid1, decay=0.8, seed=710)
-        op = rank_one(grid1, u)
-        spectra = fft_stack(grid1, u.values[None])[:, None]
-        energy = block_energy_stack(grid1, spectra, np.ones((1, 1)), blocks1.symbols)[0]
-        np.testing.assert_array_equal(summed_block_density(op, blocks1).values, energy)
-        for p in (0.75, 1.0, 1.5, 2.0):
-            density_sample = lp_density_check(op, p, blocks1)
-            scalar_sample = lp_function_check(u, 2.0 * p, blocks1)
-            np.testing.assert_allclose(
-                density_sample.ratio, scalar_sample.ratio**2, rtol=1e-12
-            )
+        for blocks, seed in ((blocks1, 710), (blocks3, 711)):
+            grid = blocks.grid
+            u = random_band_limited(grid, decay=0.8, seed=seed)
+            op = rank_one(grid, u)
+            spectra = fft_stack(grid, u.values[None])[:, None]
+            energy = block_energy_stack(grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
+            np.testing.assert_array_equal(summed_block_density(op, blocks).values, energy)
+            ps = [0.75, 1.0, 1.5, 2.0]
+            scalar_samples = lp_samples(u, [2.0 * p for p in ps], blocks)
+            for density_sample, scalar_sample in zip(density_samples(op, ps, blocks), scalar_samples):
+                np.testing.assert_allclose(
+                    density_sample.ratio, scalar_sample.ratio**2, rtol=1e-12
+                )
 
     def test_sharp_fermi_sea_is_exact(self, grid1, sharp1):
         # Every sea mode lies in exactly one sharp block, and both densities
         # are flat, so the comparison collapses to an identity.
         sea = fermi_sea(grid1, 16.5)
-        sample = lp_density_check(sea, 1.5, sharp1)
+        (sample,) = density_samples(sea, [1.5], sharp1)
         np.testing.assert_allclose(sample.ratio, 1.0, rtol=1e-12)
 
     def test_rank_recorded(self, grid2, blocks2):
         op = random_orthonormal_frame(grid2, rank=4, decay=0.8, seed=711)
-        sample = lp_density_check(op, 1.0, blocks2)
+        (sample,) = density_samples(op, [1.0], blocks2)
         assert sample.rank == 4
         assert math.isfinite(sample.ratio) and sample.ratio > 0
 
-    def test_exponent_floor(self, grid1, blocks1):
-        op = rank_one(grid1, plane_wave(grid1, [4]))
+    def test_exponent_floor(self, small1):
+        spec = CorpusSpec(
+            "random_orthonormal_frame", count=2, seed=1, params={"rank": 2, "decay": 0.8}
+        )
         with pytest.raises(ValueError, match="p > 1/2"):
-            lp_density_check(op, 0.5, blocks1)
+            estimate_envelope(spec, "lp_density", [(0.5, None)], small1)
 
 
 class TestDuality:
@@ -304,28 +349,33 @@ class TestGnsCheck:
     @pytest.mark.parametrize("mode", [1, 4, 16])
     def test_plane_wave_closed_form_1d(self, grid1, mode):
         # Single-mode ratio: (|xi| L)^(-d/(d+2)).
-        sample = gns_check(plane_wave(grid1, [mode]))
+        sample = gns_sample(plane_wave(grid1, [mode]))
         np.testing.assert_allclose(sample.ratio, (mode * TAU) ** (-1.0 / 3.0), rtol=1e-12)
 
-    def test_plane_wave_closed_form_2d(self, grid2):
-        sample = gns_check(plane_wave(grid2, [3, 4]))
-        np.testing.assert_allclose(sample.ratio, (5.0 * TAU) ** (-0.5), rtol=1e-12)
+    def test_plane_wave_closed_form_2d_and_3d(self, grid2, blocks3):
+        # |xi| = 5 at d = 2 and 3 at d = 3: (3 * 2 pi)^(-3/5) = 0.1717193856864170.
+        for grid, mode, expected in (
+            (grid2, [3, 4], (5.0 * TAU) ** (-0.5)),
+            (blocks3.grid, (1, 2, 2), 0.1717193856864170),
+        ):
+            sample = gns_sample(plane_wave(grid, mode))
+            np.testing.assert_allclose(sample.ratio, expected, rtol=1e-12)
 
     def test_scale_invariance(self, grid1):
         u = random_band_limited(grid1, decay=1.5, seed=730, zero_mean=True)
-        scaled = GridFunction(grid1, 17.5 * u.values)
-        np.testing.assert_allclose(
-            gns_check(scaled).ratio, gns_check(u).ratio, rtol=1e-12
-        )
+        values = np.stack([17.5 * u.values, u.values])
+        (scaled,), (plain,) = _gns_samples(grid1, values, [None], None, 0)
+        np.testing.assert_allclose(scaled.ratio, plain.ratio, rtol=1e-12)
 
     def test_constant_degenerates(self, grid1):
-        with pytest.raises(DegenerateInputError, match="constant"):
-            gns_check(GridFunction(grid1, np.full(grid1.shape, 2.0 + 0j)))
+        sample = gns_sample(GridFunction(grid1, np.full(grid1.shape, 2.0 + 0j)))
+        assert sample == CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)
 
     def test_zero_degenerates(self, grid1):
-        zero = GridFunction(grid1, np.zeros(grid1.shape, dtype=complex))
-        with pytest.raises(DegenerateInputError):
-            gns_check(zero)
+        values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4]).values])
+        (zero,), (wave,) = _gns_samples(grid1, values, [None], None, 0)
+        assert zero == CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)
+        assert not wave.degenerate
 
 
 class TestLiebThirring:
@@ -366,7 +416,7 @@ class TestLiebThirring:
         op = rank_one(grid, u)
         p = 2.0 + 4.0 / grid.dimension
         lt_ratio = lieb_thirring_check(op).ratio
-        gns_ratio = gns_check(u).ratio
+        gns_ratio = gns_sample(u).ratio
         np.testing.assert_allclose(lt_ratio, gns_ratio ** (-p), rtol=1e-9)
 
     def test_contract_enforced(self, grid1):
@@ -668,10 +718,9 @@ class TestKhinchineReports:
         for reports in (khinchine_reports, tensor_khinchine_reports):
             with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.5"):
                 reports(n_terms=4, p_list=[2.0, 0.5], count=3, seed=86)
-        with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.9"):
-            khinchine_ratio([1.0, 1.0], 0.9, EXACT)
-        with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.9"):
-            khinchine_tensor_ratio([[1.0]], 0.9, EXACT)
+        for coefficients in ([[1.0, 1.0]], [[[1.0]]]):
+            with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.9"):
+                sign_sum_samples(coefficients, [2.0, 0.9], EXACT)
 
 
 class TestEnvelopeLookup:

@@ -20,10 +20,6 @@ KEPT = {
     "diagonal_block_bound": "the pointwise cap of the proof path's sequence rung (ROADMAP item 8)",
     "unit_ball_volume": "omega_d of the semiclassical Weyl constant (ROADMAP item 8)",
     "fermi_sea": "the materialized sea sea_ladder's tests compare against bit for bit",
-    "lp_function_check": "one-member lp check; the acceptance gates call it on the lp sampler",
-    "lp_density_check": "one-member density check; the acceptance gates call it on the sampler",
-    "gns_check": "one-member gns check; its unit tests hold the gns sampler to closed forms",
-    "parseval_square_ratio": "the p = 2 closed form the acceptance gates hold the lp sampler to",
     "summed_block_density": "the rank-one reduction of acceptance gate 3",
     "duality_identity_check": "the pairing identity of acceptance gate 1",
     "plane_wave": "the lattice probe of acceptance gate 5",

@@ -6,7 +6,8 @@ straight into its result, and random_band_limited weights and transforms
 its coefficients in place.  Each must equal the expression it replaced bit
 for bit at d = 1, 2, 3, on complex stacks and on float views of them.  A
 band-limited draw then holds about one result, Gram-Schmidt overwrites the
-draw it is given, and glt releases each frame before it draws the next.
+draw it is given, the power-bounded check holds one weighted copy of the
+forward stack, and glt releases each frame before it draws the next.
 """
 
 import contextlib
@@ -16,7 +17,13 @@ import numpy as np
 import pytest
 
 import lplab.cli
-from lplab import GridFunction, TorusGrid, random_band_limited
+from lplab import (
+    GridFunction,
+    TorusGrid,
+    random_band_limited,
+    random_orthonormal_frame,
+    validate_contract,
+)
 from lplab.corpus import _orthonormalize, complex_normals, philox_generator
 from lplab.torus_grid import (
     _block_fields,
@@ -84,7 +91,8 @@ def test_block_fields_equal_the_fresh_inverse(d, part):
 @pytest.mark.parametrize("part", ["complex", "float_view"])
 @pytest.mark.parametrize("d", DIMENSIONS)
 def test_parseval_spectrum_is_the_direct_transform(d, part):
-    # parseval_square_ratio reads a member's spectrum through fft_stack.
+    # The lp sampler reads its members' spectra, for the block kernel and the
+    # Parseval closed form, through fft_stack.
     grid = GRIDS[d]
     u = GridFunction(grid, _inputs(grid, part)[0])
     _same_bits(fft_stack(grid, u.values[None]), np.fft.fftn(u.values)[None])
@@ -131,6 +139,19 @@ def test_orthonormalize_overwrites_its_input(traced_peak):
     _same_bits(frame, expected)
     # The pivot's conjugate and its product with the later rows: one input.
     assert peak <= 1.25 * raw.nbytes, peak / raw.nbytes
+
+
+def test_power_bounded_check_holds_one_scaled_stack(traced_peak):
+    grid = TorusGrid(3, TAU, 32)
+    op = random_orthonormal_frame(grid, rank=4, decay=1.0, seed=7, power_bound=1.0)
+    assert validate_contract(op).passed  # caches the Gram residual and the forward stack
+    report, peak = traced_peak(validate_contract, op)
+    assert report.passed
+    frame = op.eigenfunctions.nbytes
+    assert frame == 2 * 2**20
+    # The weighted copy of the forward stack, conjugated in place, and the
+    # weight table: no conjugated copy of the stack beside it.
+    assert peak <= 1.5 * frame, peak / frame
 
 
 def test_glt_releases_each_frame_before_the_next(traced_peak):

@@ -26,15 +26,13 @@ from lplab import (
     build_blocks,
     build_profile,
     estimate_envelope,
-    lp_density_check,
-    lp_function_check,
     lt_chain_check,
-    parseval_square_ratio,
     random_band_limited,
     random_orthonormal_frame,
     summed_block_density,
 )
 from lplab.fock_operator import spectral_trace
+from lplab.inequality_lab import _lp_density_samples, _lp_function_samples
 from lplab.torus_grid import block_energy_stack, fft_stack, weighted_block_energy
 
 TAU = 2.0 * np.pi
@@ -217,8 +215,8 @@ class TestClosedForms:
         grid = GRIDS[case["dimension"]]
         blocks = block_set(grid, case["family"], case["profile"])
         u = random_band_limited(grid, case["decay"], seed=case["seed"])
-        ratio = lp_function_check(u, 2.0, blocks).ratio
-        assert ratio == pytest.approx(parseval_square_ratio(u, blocks), rel=RTOL)
+        ((sample,),) = _lp_function_samples(grid, u.values[None], [2.0], blocks, 0)
+        assert sample.ratio == pytest.approx(sample.closed_form, rel=RTOL)
 
     @given(case=cases)
     @example(case=D3_SHARP)
@@ -232,7 +230,8 @@ class TestClosedForms:
             coeffs = np.fft.fftn(op.eigenfunctions[k])
             w = w + float(op.eigenvalues[k]) * np.abs(coeffs) ** 2
         closed = float(np.sum(block_squared_sum(blocks) * w) / np.sum(w))
-        assert lp_density_check(op, 1.0, blocks).ratio == pytest.approx(closed, rel=RTOL)
+        ((sample,),) = _lp_density_samples(op.grid, [op], [1.0], blocks, 0)
+        assert sample.ratio == pytest.approx(closed, rel=RTOL)
 
     def test_density_is_weighted_sum_of_moduli(self):
         op = random_orthonormal_frame(GRIDS[3], rank=8, decay=1.0, seed=62)
