@@ -11,7 +11,6 @@ from .errors import (
     ZeroModeSingularityError,
 )
 from .torus_grid import (
-    GridFunction,
     TorusGrid,
     abs_squared,
     plane_wave,
@@ -31,12 +30,10 @@ from .dyadic_partition import (
 from .projectors import unit_ball_volume
 from .fock_operator import (
     FiniteRankOperator,
-    NO_CONTRACT,
     OperatorContract,
     UNIT_BALL,
     ValidationReport,
     diagonal_block_bound,
-    fermi_sea,
     power_bounded,
     require_contract,
     validate_contract,

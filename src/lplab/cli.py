@@ -30,9 +30,10 @@ to be judged against.  Such a cell reports "passed": null, the run's
 "pass" is null, and --out prints UNJUDGED.
 
 Flag resolution order: explicit flag > --config file entry > built-in
-default.  Every run is serial, in this process; --jobs is accepted and
-ignored.  Output paths never enter the payload, so reruns are
-byte-identical.
+default; a grid run that sets no n takes its dimension's DESK_POINTS, and a
+repeated exponent is judged once.  Every run is serial, in this process;
+--jobs is accepted and ignored.  Output paths never enter the payload, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -112,20 +113,20 @@ class Section:
     corpus_params: dict = field(default_factory=dict)
 
 
-_GRID = {"dim": 1, "n": 256, "box": TAU, "family": SMOOTH, "profile": "exp"}
-_D1 = {"dim": 1, "n": 256}
-_D2 = {"dim": 2, "n": 64}
+# The points per axis of a grid run that does not set n, by dimension.
+DESK_POINTS = {1: 256, 2: 64, 3: 16}
+_GRID = {"dim": 1, "n": DESK_POINTS[1], "box": TAU, "family": SMOOTH, "profile": "exp"}
 
 SECTIONS: dict[str, Section] = {
     "partition": Section(
         "block tables and partition-of-unity residuals",
         dict(_GRID),
-        {"partition_d1": _D1, "partition_d2": _D2},
+        {"partition_d1": {}, "partition_d2": {"dim": 2}},
     ),
     "lp": Section(
         "square-function ratio envelope over a random corpus",
         dict(_GRID, p=[1.5, 2.0, 3.0, 4.0], samples=200, decay=1.0, seed=2024),
-        {"lp_d1": dict(_D1, samples=100), "lp_d2": dict(_D2, samples=50)},
+        {"lp_d1": dict(samples=100), "lp_d2": dict(dim=2, samples=50)},
         envelopes=("lp",),
         corpus="random_band_limited",
     ),
@@ -133,7 +134,7 @@ SECTIONS: dict[str, Section] = {
         "summed block-density ratio envelope over operator corpora",
         dict(_GRID, p=[1.0, 1.5, 2.0], rank=[1, 2, 4, 8], samples=50, decay=1.0,
              weights="uniform", seed=2025),
-        {"lp_density_d1": dict(_D1, samples=25, p=[0.6, 0.75, 1.0, 1.5, 2.0, 3.0])},
+        {"lp_density_d1": dict(samples=25, p=[0.6, 0.75, 1.0, 1.5, 2.0, 3.0])},
         envelopes=("lp_density",),
         corpus="random_orthonormal_frame",
     ),
@@ -147,7 +148,7 @@ SECTIONS: dict[str, Section] = {
     "gns": Section(
         "interpolation-inequality ratio envelope on mean-zero fields",
         dict(_GRID, samples=200, decay=1.5, seed=2026),
-        {"gns_d1": dict(_D1, samples=100), "gns_d2": dict(_D2, samples=50)},
+        {"gns_d1": dict(samples=100), "gns_d2": dict(dim=2, samples=50)},
         envelopes=("gns",),
         corpus="random_band_limited",
         corpus_params={"zero_mean": True},
@@ -155,15 +156,15 @@ SECTIONS: dict[str, Section] = {
     "lieb-thirring": Section(
         "kinetic/density comparison on a ladder of plane-wave seas",
         dict(_GRID, mu=None, chain_samples=2, seed=2031),
-        {"lieb_thirring_d1": _D1, "lieb_thirring_d2": _D2},
+        {"lieb_thirring_d1": {}, "lieb_thirring_d2": {"dim": 2}},
     ),
     "glt": Section(
         "generalized kinetic comparison at powers (a, b)",
-        dict(_GRID, dim=2, n=64, a=1.0, b=1.0, rank=[4], samples=25, decay=1.0, seed=2029),
+        dict(_GRID, dim=2, a=1.0, b=1.0, rank=[4], samples=25, decay=1.0, seed=2029),
         {
             "glt_d2_a1_b1": dict(a=1.0, b=1.0, samples=10),
             "glt_d2_a1_b2": dict(a=1.0, b=2.0, samples=10),
-            "glt_d1_neg_quarter": dict(_D1, a=-0.25, b=1.0, samples=10),
+            "glt_d1_neg_quarter": dict(dim=1, a=-0.25, b=1.0, samples=10),
         },
     ),
     "seqlemma": Section(
@@ -258,6 +259,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     unknown = sorted(set(config) - set(table))
     if unknown:
         raise ConfigurationError(f"{args.command} takes no config keys {unknown}")
+    given = set(config) | {key for key in table if getattr(args, key) is not None}
     settings = {}
     for key, setting in table.items():
         value = getattr(args, key)
@@ -268,7 +270,15 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if setting.many and value is not None and not value:
             raise ConfigurationError(f"{key} needs at least one value")
         settings[key] = value
-    return settings
+    return _at_desk_grid(settings, given)
+
+
+def _at_desk_grid(settings: dict, given) -> dict:
+    """The settings with n at its dimension's DESK_POINTS unless the keys
+    ``given`` by flag, config or desk section hold n; a bad dimension keeps n."""
+    if "n" not in settings or "n" in given:
+        return settings
+    return dict(settings, n=DESK_POINTS.get(settings["dim"], settings["n"]))
 
 
 # The JSON types a config value of a scalar setting, or each element of a
@@ -321,9 +331,9 @@ def _default_mu_ladder(grid: TorusGrid) -> list[float]:
 
 
 def _exponents(settings: dict) -> list[float]:
-    """The exponents a run judges; gns has one, fixed by the dimension."""
+    """The distinct exponents a run judges; gns has one, fixed by the dimension."""
     if "p" in settings:
-        return [float(p) for p in settings["p"]]
+        return list(dict.fromkeys(float(p) for p in settings["p"]))
     return [gns_exponent(int(settings["dim"]))]
 
 
@@ -404,7 +414,7 @@ def section_cells(command: str, settings: dict) -> list[tuple[str, str, str]]:
 def section_runs(command: str) -> list[dict]:
     """A command's settings at its defaults, then in each of its desk sections."""
     section = SECTIONS[command]
-    return [section.defaults] + [dict(section.defaults, **o) for o in section.desk.values()]
+    return [_at_desk_grid(dict(section.defaults, **o), o) for o in ({}, *section.desk.values())]
 
 
 _CALIBRATION_FREE = ("p", "rank", "samples", "count")

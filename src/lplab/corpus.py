@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 from .fock_operator import (
-    GRAM_TOLERANCE, UNIT_BALL, FiniteRankOperator, power_bounded, validate_contract
+    GRAM_TOLERANCE, FiniteRankOperator, OperatorContract, power_bounded, validate_contract
 )
-from .torus_grid import GridFunction, TorusGrid, inverse_transform_stack
+from .torus_grid import TorusGrid, inverse_transform_stack
 
 GRAM_RETRY_LIMIT = 5
 LAMBDA_STREAM_INDEX = 2**48
@@ -69,28 +69,25 @@ def random_band_limited(
     index: int = 0,
     zero_mean: bool = False,
     stream: int = 0,
-    count: int | None = None,
-):
-    """Random field with coefficients (g1 + i g2)(xi) * (1 + |xi|)^(-decay).
+    count: int = 1,
+) -> np.ndarray:
+    """Random fields with coefficients (g1 + i g2)(xi) * (1 + |xi|)^(-decay).
 
-    Member i takes the complex_normals draw of index i on ``stream``.
-    Without ``count`` the result is member ``index`` as a GridFunction; with
-    it, the values of members index, ..., index + count - 1 as one
-    [count, ...] stack.  Either way the members are drawn in one pass: one
-    weight table, one re-keyed generator and one batched inverse transform.
-    The weights and the transform are applied in place, so the draw holds
-    one array of the result's size.
+    The values of members index, ..., index + count - 1, as one [count, ...]
+    stack; member i takes the complex_normals draw of index i on ``stream``.
+    The members are drawn in one pass: one weight table, one re-keyed
+    generator and one batched inverse transform.  The weights and the
+    transform are applied in place, so the draw holds one array of the
+    result's size.
     """
     decay = float(decay)
     if not math.isfinite(decay):
         raise ConfigurationError(f"decay must be finite, got {decay}")
-    members = 1 if count is None else int(count)
-    coeffs = complex_normals(grid.shape, seed, range(index, index + members), stream)
+    coeffs = complex_normals(grid.shape, seed, range(index, index + int(count)), stream)
     coeffs *= (1.0 + grid.frequency_norms) ** -decay
     if zero_mean:
         coeffs[(slice(None),) + grid.zero_mode_index] = 0.0
-    values = inverse_transform_stack(grid, coeffs, out=coeffs)
-    return values if count is not None else GridFunction(grid, values[0])
+    return inverse_transform_stack(grid, coeffs, out=coeffs)
 
 
 def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
@@ -182,7 +179,8 @@ def random_orthonormal_frames(
         raise ConfigurationError(
             f"rank {rank} exceeds the {grid.size - 1} mean-zero lattice modes"
         )
-    contract = UNIT_BALL if power_bound is None else power_bounded(power_bound)
+    # Built before anything is drawn: a non-finite power bound is refused first.
+    contract = None if power_bound is None else power_bounded(power_bound)
 
     def attempt(member: int, stream: int, frames: int) -> np.ndarray:
         raw = random_band_limited(
@@ -206,7 +204,7 @@ def random_orthonormal_frames(
         lambdas = [np.ones(rank)] * count
     result = []
     for member, functions, eigenvalues in zip(indices, first, lambdas):
-        op = FiniteRankOperator(grid, eigenvalues, functions, contract=contract)
+        op = FiniteRankOperator(grid, eigenvalues, functions)
         stream = 1
         while op.gram_residual > GRAM_TOLERANCE:
             if stream == GRAM_RETRY_LIMIT:
@@ -215,19 +213,19 @@ def random_orthonormal_frames(
                     f"{seed}, member {member}"
                 )
             functions = attempt(member, stream, 1)[0]
-            op = FiniteRankOperator(grid, eigenvalues, functions, contract=contract)
+            op = FiniteRankOperator(grid, eigenvalues, functions)
             stream += 1
-        result.append(op if power_bound is None else _power_scaled(op))
+        result.append(op if contract is None else _power_scaled(op, contract))
     return result
 
 
-def _power_scaled(op: FiniteRankOperator) -> FiniteRankOperator:
-    """The frame with its eigenvalues rescaled into its power-bounded contract.
+def _power_scaled(op: FiniteRankOperator, contract: OperatorContract) -> FiniteRankOperator:
+    """The frame with its eigenvalues rescaled into a power-bounded contract.
 
     The rescaled operator shares the Gram residual and the forward stack
     this check computes, so its own checks transform nothing again.
     """
-    top = validate_contract(op).checks["power_excess"] + 1.0
+    top = validate_contract(op, contract).checks["power_excess"] + 1.0
     if not np.isfinite(top) or top <= 0:
         raise DegenerateInputError(
             "frame cannot be scaled into the power-bounded contract"
@@ -351,8 +349,7 @@ class CorpusSpec:
 
     def member(self, grid: TorusGrid, index: int):
         """Build member ``index``; pure in (spec, grid, index)."""
-        (member,) = self.members(grid, index, 1)
-        return GridFunction(grid, member) if self.kind == "random_band_limited" else member
+        return self.members(grid, index, 1)[0]
 
     def members(self, grid: TorusGrid, start: int, count: int):
         """Members start, ..., start + count - 1, drawn in one pass.

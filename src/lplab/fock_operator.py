@@ -9,20 +9,21 @@ Parseval sums of the spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2
 against torus_grid.laplacian_power, with no inverse transform
 (spectral_trace).
 
-An operator transforms its eigenfunctions at most once, whatever its
-contract: the first reader of the forward stack (the spectral density or
-the power-bounded check) transforms the whole stack in one call, and the
-operator keeps it beside its eigenfunctions.  No command holds a Fermi sea
-as an operator; the ladder is streamed (below).
+An operator transforms its eigenfunctions at most once: the first reader
+of the forward stack (the spectral density or the power-bounded check)
+transforms the whole stack in one call, and the operator keeps it beside
+its eigenfunctions.  No Fermi sea is held as an operator; the ladder is
+streamed (below).
 
 Plane-wave Fermi seas come from one wave generator, _plane_waves, which
 builds any range of a sea's waves (rank rows, and a range of the leading
-grid axis) with the bits of the full stack: fermi_sea builds its stack
-through it, sea_ladder streams a ladder of seas through it into buffers it
-reuses, without holding one.  Gram matrices have one kernel, _gram_matrix, over column blocks of a
-stack or generated slabs; validate_contract and sea_ladder share one
-unit-ball verdict and one violation message.
+grid axis) with the bits of the full stack: sea_ladder streams a ladder of
+seas through it into buffers it reuses, without holding one.  Gram
+matrices have one kernel, _gram_matrix, over column blocks of a stack or
+generated slabs; validate_contract and sea_ladder share one unit-ball
+verdict and one violation message.
 
+An operator carries no contract: every check names the one it verifies.
 Contracts describe the operator bound a checker relies on:
 
 * unit_ball:      0 <= gamma <= 1, verified through orthonormality of the
@@ -30,7 +31,6 @@ Contracts describe the operator bound a checker relies on:
 * power_bounded:  0 <= gamma <= (-Laplacian)^a, verified through the largest
                   eigenvalue of the weighted Gram matrix of the functions
                   (-Laplacian)^{-a/2} u_k, with laplacian_power's table.
-* none:           nothing is claimed.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ from .torus_grid import (
 GRAM_TOLERANCE = 1e-10
 EIGENVALUE_TOLERANCE = 1e-10
 
-CONTRACT_KINDS = ("none", "unit_ball", "power_bounded")
+CONTRACT_KINDS = ("unit_ball", "power_bounded")
 
 
 @dataclass(frozen=True)
 class OperatorContract:
-    kind: str = "none"
+    kind: str
     power: float = 0.0
 
     def __post_init__(self) -> None:
@@ -75,7 +75,6 @@ class OperatorContract:
             raise ValueError(f"unknown contract kind {self.kind!r}")
 
 
-NO_CONTRACT = OperatorContract("none")
 UNIT_BALL = OperatorContract("unit_ball")
 
 
@@ -98,8 +97,8 @@ class FiniteRankOperator:
     The operator is immutable: both arrays are read-only views, so the
     quantities it computes at most once (the Gram residual, the forward
     stack of its eigenfunctions, the spectral density w and the density
-    rho) cannot go stale.  The forward stack is kept for every contract;
-    the spectral density and the power-bounded check both read it.  It is
+    rho) cannot go stale.  The forward stack is kept once read; the
+    spectral density and the power-bounded check both read it.  It is
     as large as the eigenfunctions (a sea of 257 waves at d = 3, n = 32
     holds 135 MB more), so a ladder of large plane-wave seas belongs in
     sea_ladder, which holds neither.
@@ -108,7 +107,6 @@ class FiniteRankOperator:
     grid: TorusGrid
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # shape (rank,) + grid.shape
-    contract: OperatorContract = NO_CONTRACT
 
     def __post_init__(self) -> None:
         eigenvalues = np.asarray(self.eigenvalues, dtype=float)
@@ -161,7 +159,7 @@ class FiniteRankOperator:
         It shares what depends on the eigenfunctions alone, once computed:
         the Gram residual and the forward stack.
         """
-        op = FiniteRankOperator(self.grid, eigenvalues, self.eigenfunctions, self.contract)
+        op = FiniteRankOperator(self.grid, eigenvalues, self.eigenfunctions)
         for name in ("gram_residual", "_forward_stack"):
             if name in self.__dict__:
                 op.__dict__[name] = self.__dict__[name]
@@ -238,33 +236,22 @@ def _plane_waves(
     return functions
 
 
-def fermi_sea(grid: TorusGrid, chemical_potential: float) -> FiniteRankOperator:
-    """Projection onto the plane waves with |xi|^2 <= chemical_potential.
-
-    Eigenfunctions are the normalized lattice waves of _plane_waves with unit
-    weights, ordered by (|xi|^2, flattened lattice index) so the
-    construction is deterministic.
-    """
-    modes = _sea_modes(grid, chemical_potential)
-    weights = np.ones(modes.size)
-    return FiniteRankOperator(grid, weights, _plane_waves(grid, modes), contract=UNIT_BALL)
-
-
 def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(rank, w, rho) of the Fermi sea at each chemical potential, in order.
 
     No sea is held: every rung's waves are a prefix of the top rung's in
-    fermi_sea's order, and _plane_waves generates those piece by piece for
-    two passes, each into buffers it reuses.  The Gram pass (_ladder_gram)
-    sums one Gram matrix G over slabs of the first grid axis; a rung of rank
-    r must pass the unit-ball contract on G[:r, :r], or
+    (|xi|^2, flat index) order, and _plane_waves generates those piece by
+    piece for two passes, each into buffers it reuses.  The Gram pass
+    (_ladder_gram) sums one Gram matrix G over slabs of the first grid
+    axis; a rung of rank r must pass the unit-ball contract on G[:r, :r], or
     ContractViolationError is raised as by require_contract.  A chemical
     potential below the first shell (2 pi / L)^2, whose sea holds only the
     zero mode, is refused with ConfigurationError before any wave is
     generated.  The transform pass takes field_chunks of the rank axis,
     transforms each once and sums |coeffs_k|^2 and |u_k|^2 in ascending k
     into w and rho, copied at each rung's rank: the sums spectral_density
-    and density_values run on fermi_sea(grid, mu), bit for bit.
+    and density_values run on the operator of unit weights on those waves,
+    bit for bit.
     """
     # Refuse a bad rung before any wave is generated.
     chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
@@ -393,20 +380,13 @@ def _unit_ball_report(contract, gram_excess: float, top_eigenvalue) -> Validatio
     return ValidationReport(contract, not failed, max(gram_excess, eigen_excess, 0.0), checks)
 
 
-def validate_contract(
-    op: FiniteRankOperator, contract: OperatorContract | None = None
-) -> ValidationReport:
+def validate_contract(op: FiniteRankOperator, contract: OperatorContract) -> ValidationReport:
     """Check the operator against a contract and report the violation margin.
 
     The margin is the largest excess over the mathematical bound (0 when
     everything holds exactly); the report passes when each excess stays
     within its numerical tolerance.
     """
-    if contract is None:
-        contract = op.contract
-    if contract.kind == "none":
-        return ValidationReport(contract, True, 0.0)
-
     gram_excess = op.gram_residual
     if contract.kind == "unit_ball":
         return _unit_ball_report(contract, gram_excess, np.max(op.eigenvalues))

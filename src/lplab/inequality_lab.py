@@ -56,7 +56,6 @@ from .fock_operator import (
     spectral_trace,
 )
 from .torus_grid import (
-    GridFunction,
     TorusGrid,
     abs_squared,
     block_energy_stack,
@@ -68,7 +67,6 @@ from .torus_grid import (
     inverse_transform_stack,
     kinetic_forms,
     lp_norms,
-    weighted_block_energy,
 )
 
 EXACT_ENUMERATION_CAP = 20
@@ -363,16 +361,17 @@ def _gns_samples(grid, values, exponents, blocks, first):
     return members
 
 
-def summed_block_density(op: FiniteRankOperator, blocks: DyadicBlockSet) -> GridFunction:
-    """sum_j density(P_j gamma P_j) from the batched block kernel."""
+def summed_block_density(op: FiniteRankOperator, blocks: DyadicBlockSet) -> np.ndarray:
+    """sum_j density(P_j gamma P_j) from the batched block kernel, on the grid."""
     if blocks.grid != op.grid:
         raise GridMismatchError("operator and block set live on different grids")
-    values = weighted_block_energy(op.grid, op.eigenfunctions, op.eigenvalues, blocks.symbols)
-    return GridFunction(op.grid, values)
+    spectra = fft_stack(op.grid, op.eigenfunctions[None])
+    return block_energy_stack(op.grid, spectra, op.eigenvalues[None], blocks.symbols)[0]
 
 
-def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlockSet) -> float:
-    """Residual of the pairing identity <g, f> = sum_j <companion_j g, P_j f>.
+def duality_identity_check(f: np.ndarray, g: np.ndarray, blocks: DyadicBlockSet) -> float:
+    """Residual of the pairing identity <g, f> = sum_j <companion_j g, P_j f>
+    for two fields f and g on the block set's grid.
 
     Returns |difference| / (||f||_2 ||g||_2); exact reproduction of each block
     by its companion makes this a pure rounding residual.  One forward
@@ -382,14 +381,16 @@ def duality_identity_check(f: GridFunction, g: GridFunction, blocks: DyadicBlock
     if blocks.family != SMOOTH:
         raise UnsupportedFamilyError("the pairing identity needs smooth companions")
     grid = blocks.grid
-    if f.grid != grid or g.grid != grid:
-        raise GridMismatchError("functions and block set live on different grids")
-    values = np.stack([f.values, g.values])
+    if np.shape(f) != grid.shape or np.shape(g) != grid.shape:
+        raise GridMismatchError(
+            f"fields of shapes {np.shape(f)} and {np.shape(g)} do not fit grid shape {grid.shape}"
+        )
+    values = np.stack([f, g])
     spectra = forward_transform_stack(grid, values)
     pieces = inverse_transform_stack(grid, spectra[0] * np.asarray(blocks.symbols))
     tables = np.stack([blocks.companion(j) for j in blocks.block_indices])
     companions = inverse_transform_stack(grid, spectra[1] * tables)
-    direct = grid.cell_volume * np.vdot(g.values, f.values)
+    direct = grid.cell_volume * np.vdot(g, f)
     split = grid.cell_volume * np.vdot(companions, pieces)
     scale = math.prod(lp_norms(grid, np.abs(values), 2))
     if scale == 0.0:
@@ -568,7 +569,8 @@ def fermi_sweep(grid: TorusGrid, chemical_potentials) -> tuple[list[dict], list[
     """Fermi-sea comparison across a ladder of chemical potentials: per rung
     of fock_operator.sea_ladder, a row (the pipeline result, the lattice-sum
     oracle and their relative gap) and the spectral density w.  Each row
-    equals lieb_thirring_check(fermi_sea(grid, mu)) bit for bit."""
+    equals lieb_thirring_check of the sea's operator, unit weights on its
+    plane waves, bit for bit."""
     chemical_potentials = list(chemical_potentials)
     rows, densities = [], []
     for mu, (rank, w, rho) in zip(chemical_potentials, sea_ladder(grid, chemical_potentials)):
@@ -855,15 +857,14 @@ def _check_envelopes(envelopes, names) -> None:
 
 
 def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) -> tuple | None:
-    """Look up the [lo, hi] envelope for (inequality, dimension, exponent)."""
-    by_dim = envelopes.get(name)
-    if by_dim is None:
-        return None
-    by_p = by_dim.get(f"d{dimension}")
-    if by_p is None:
-        return None
-    pair = by_p.get(_exponent_key(p))
-    if pair is None:
+    """Look up the [lo, hi] envelope for (inequality, dimension, exponent).
+
+    A cell judges only its own exponent, not one that format(p, 'g') rounds
+    onto its key (2.0000001 onto "2").
+    """
+    key = _exponent_key(p)
+    pair = envelopes.get(name, {}).get(f"d{dimension}", {}).get(key)
+    if pair is None or (p is not None and float(key) != float(p)):
         return None
     return (float(pair[0]), float(pair[1]))
 

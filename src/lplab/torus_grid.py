@@ -173,21 +173,6 @@ class TorusGrid:
         return self.cell_volume * np.asarray(values).sum()
 
 
-@dataclass
-class GridFunction:
-    """Function sampled on the physical grid points of a TorusGrid."""
-
-    grid: TorusGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"values of shape {self.values.shape} do not fit grid shape {self.grid.shape}"
-            )
-
-
 def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
     return tuple(range(-grid.dimension, 0))
 
@@ -285,29 +270,18 @@ def _block_fields(grid: TorusGrid, spectra: np.ndarray, symbols: np.ndarray) -> 
 
 
 def block_energy_stack(grid: TorusGrid, spectra: np.ndarray, weights, symbols) -> np.ndarray:
-    """weighted_block_energy of every member of a stack, as [m, ...].
+    """sum_j sum_k weights[m, k] |symbols_j(D) u_mk|^2 on the physical grid, for
+    every member m of a stack, as [m, ...].
 
-    ``spectra`` holds the members' fft_stack [m, r, ...] and ``weights`` is
-    [m, r].  Each chunk of the rank axis takes one batched inverse transform
+    ``spectra`` holds the members' fft_stack [m, r, ...], ``weights`` is
+    [m, r] and ``symbols`` a stack [J, ...] of multiplier tables in FFT
+    layout.  Each chunk of the rank axis takes one batched inverse transform
     for all members, ranks and blocks.
     """
     symbols = np.asarray(symbols)
     return _weighted_energy(
         grid, weights, len(symbols), lambda rows: _block_fields(grid, spectra[:, rows], symbols)
     )
-
-
-def weighted_block_energy(
-    grid: TorusGrid, values: np.ndarray, weights, symbols
-) -> np.ndarray:
-    """sum_j sum_k weights_k |symbols_j(D) values_k|^2 on the physical grid.
-
-    ``values`` is a stack [r, ...] of grid fields and ``symbols`` a stack
-    [J, ...] of multiplier tables in FFT layout: block_energy_stack of a
-    one-member stack.
-    """
-    spectra = fft_stack(grid, np.asarray(values)[None])
-    return block_energy_stack(grid, spectra, np.asarray(weights)[None], symbols)[0]
 
 
 def lp_norms(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> list[float]:
@@ -363,11 +337,11 @@ def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[flo
     return (np.sum(weights * energy, axis=1) / grid.volume).tolist()
 
 
-def plane_wave(grid: TorusGrid, mode: Sequence[int], amplitude: complex = 1.0) -> GridFunction:
+def plane_wave(grid: TorusGrid, mode: Sequence[int], amplitude: complex = 1.0) -> np.ndarray:
     """The lattice plane wave amplitude * exp(i xi(mode) . x)."""
     idx = grid.mode_index(mode)  # validates the mode
     phase = np.zeros(grid.shape)
     for axis, m_idx in enumerate(idx):
         xi = grid.axis_frequencies[m_idx]
         phase = phase + xi * grid.coordinate_grids[axis]
-    return GridFunction(grid, amplitude * np.exp(1j * phase))
+    return amplitude * np.exp(1j * phase)

@@ -15,11 +15,9 @@ from lplab import (
     CorpusSpec,
     FiniteRankOperator,
     SignEnsemble,
-    UNIT_BALL,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
-    fermi_sea,
     fermi_sweep,
     generalized_lt_check,
     khinchine_reports,
@@ -39,6 +37,7 @@ from lplab import (
 from lplab.cli import DENSITY_RANK_SLACK, run
 from lplab.inequality_lab import _lp_density_samples, _lp_function_samples
 from lplab.torus_grid import block_energy_stack, fft_stack
+from sea_reference import fermi_sea
 
 LP_EXPONENTS = (1.5, 2.0, 3.0, 4.0)
 DENSITY_EXPONENTS = (0.75, 1.0, 1.5, 2.0, 3.0)
@@ -52,14 +51,14 @@ def test_gate_1_partition_reconstruction_duality(grid1, grid2, blocks1, blocks2)
     functions_checked = 0
     for grid, blocks, count in ((grid1, blocks1, 60), (grid2, blocks2, 40)):
         for index in range(count):
-            f = random_band_limited(grid, 1.0, seed=4101, index=2 * index)
-            g = random_band_limited(grid, 1.0, seed=4101, index=2 * index + 1)
-            spectrum = np.fft.fftn(f.values)
+            (f,) = random_band_limited(grid, 1.0, seed=4101, index=2 * index)
+            (g,) = random_band_limited(grid, 1.0, seed=4101, index=2 * index + 1)
+            spectrum = np.fft.fftn(f)
             total = np.zeros(grid.shape, dtype=complex)
             for j in blocks.block_indices:
                 total = total + np.fft.ifftn(blocks.symbol(j) * spectrum)
-            scale = float(np.max(np.abs(f.values)))
-            assert float(np.max(np.abs(total - f.values))) <= 1e-12 * scale
+            scale = float(np.max(np.abs(f)))
+            assert float(np.max(np.abs(total - f))) <= 1e-12 * scale
             assert duality_identity_check(f, g, blocks) <= 1e-10
             functions_checked += 1
     assert functions_checked == 100
@@ -103,12 +102,12 @@ def test_gate_3_density_blocks_rank_uniform(grid1, blocks1):
     """Rank-one densities collapse to the scalar pipeline; ranks to 32 stay in the slack envelope."""
     envelopes = load_envelopes()
     values = random_band_limited(grid1, 1.0, seed=2025, count=10)
-    ops = [FiniteRankOperator(grid1, [1.0], u[None], contract=UNIT_BALL) for u in values]
+    ops = [FiniteRankOperator(grid1, [1.0], u[None]) for u in values]
     # The square-function energy as the lp sampler computes it.
     spectra = fft_stack(grid1, values)[:, None]
     energies = block_energy_stack(grid1, spectra, np.ones((10, 1)), blocks1.symbols)
     for op, energy in zip(ops, energies):
-        assert np.array_equal(summed_block_density(op, blocks1).values, energy)
+        assert np.array_equal(summed_block_density(op, blocks1), energy)
     scalars = _lp_function_samples(grid1, values, [2.0 * p for p in DENSITY_EXPONENTS], blocks1, 0)
     densities = _lp_density_samples(grid1, ops, DENSITY_EXPONENTS, blocks1, 0)
     for scalar_samples, density_samples in zip(scalars, densities, strict=True):
@@ -172,7 +171,7 @@ def test_gate_5_kinetic_chain(grid1, grid2, blocks1, blocks2):
         assert result.block_kinetic <= result.kinetic * (1.0 + 1e-10)
         assert result.block_density_bound <= result.block_kinetic * (1.0 + 1e-10)
     wave = plane_wave(grid1, (4,), amplitude=grid1.volume**-0.5)
-    single = FiniteRankOperator(grid1, [1.0], wave.values[None], contract=UNIT_BALL)
+    single = FiniteRankOperator(grid1, [1.0], wave[None])
     result = lt_chain_check(single, blocks1)
     assert result.kinetic == pytest.approx(16.0, rel=1e-12)
     assert result.block_kinetic == pytest.approx(result.kinetic, rel=1e-12)

@@ -13,8 +13,9 @@ import numpy as np
 
 import lplab.fock_operator
 import lplab.torus_grid
-from lplab import TorusGrid, fermi_sea, fermi_sweep, khinchine_reports
+from lplab import TorusGrid, fermi_sweep, khinchine_reports
 from lplab.fock_operator import _gram_matrix
+from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lplab"

@@ -10,6 +10,7 @@ import lplab.corpus
 import lplab.fock_operator
 import lplab.inequality_lab
 from lplab.cli import (
+    DESK_POINTS,
     SECTIONS,
     calibration_runs,
     load_envelopes,
@@ -213,8 +214,6 @@ class TestExitCodes:
             raise AssertionError("drew before refusing the settings")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
-        # The sweep generates its waves without building a sea.
-        monkeypatch.setattr(lplab.fock_operator, "fermi_sea", no_draws)
         monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
         if config is not None:
             path = tmp_path / "config.json"
@@ -460,6 +459,33 @@ class TestSectionCommands:
         payload = json.loads(out.read_text())
         assert payload["results"]["failures"] == 0
 
+    def test_an_exponent_off_every_cell_is_unjudged(self, capsys):
+        # format(p, "g") writes 2.0000001 as "2": the p = 2 cell must not judge it.
+        code = run_cli("lp", "--n", "16", "--samples", "3", "--p", "2.0000001")
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 3
+        (cell,) = payload["results"]["reports"]
+        assert cell["p"] == 2.0000001
+        assert cell["envelope"] is None and cell["passed"] is None
+        assert payload["results"]["parseval_deviation"] is None
+        assert payload["pass"] is None and payload["unjudged"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lp", "--n", "16", "--samples", "3", "--p", "2", "--p", "2"],
+            ["lp-density", "--n", "16", "--samples", "2", "--rank", "1", "--p", "2", "--p", "2"],
+        ],
+        ids=["lp", "lp-density"],
+    )
+    def test_a_repeated_exponent_is_one_cell(self, capsys, argv):
+        assert run_cli(*argv) == 0
+        twice = json.loads(capsys.readouterr().out)
+        assert run_cli(*argv[:-2]) == 0
+        once = json.loads(capsys.readouterr().out)
+        assert [cell["p"] for cell in twice["results"]["reports"]] == [2.0]
+        assert twice["results"] == once["results"]
+
     def test_gns_section(self, tmp_path, capsys):
         out = tmp_path / "gns.json"
         code = run_cli("gns", "--n", "64", "--samples", "12", "--out", str(out))
@@ -467,6 +493,41 @@ class TestSectionCommands:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["results"]["reports"][0]["p"] == 6.0
+
+
+class TestGridDefaults:
+    """A grid run without n takes its dimension's desk grid."""
+
+    def test_gns_d2_runs_at_the_desk_grid_and_passes(self, capsys):
+        assert run_cli("gns", "--dim", "2") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["n"] == 64
+        assert payload["results"]["reports"][0]["grid"]["points_per_axis"] == 64
+        assert payload["pass"] is True
+
+    def test_gns_d3_runs_at_the_desk_grid_unjudged(self, capsys):
+        assert run_cli("gns", "--dim", "3", "--samples", "4") == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["n"] == 16
+        assert payload["unjudged"] == 1
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_an_unset_n_follows_the_dimension(self, capsys, dim):
+        assert run_cli("partition", "--dim", str(dim)) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n"] == DESK_POINTS[dim]
+
+    def test_a_given_n_is_kept(self, tmp_path, capsys):
+        assert run_cli("partition", "--dim", "2", "--n", "16") == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n"] == 16
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dim": 3, "n": 8}))
+        assert run_cli("partition", "--config", str(config)) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n"] == 8
+
+    def test_every_section_run_is_at_its_desk_grid(self):
+        runs = [s for command in SECTIONS for s in section_runs(command) if "n" in s]
+        assert len(runs) > 16
+        assert all(s["n"] == DESK_POINTS[s["dim"]] for s in runs)
 
 
 class TestSectionTable:

@@ -10,7 +10,6 @@ from lplab import (
     CorpusSpec,
     DegenerateInputError,
     FiniteRankOperator,
-    GridFunction,
     UNIT_BALL,
     philox_generator,
     power_bounded,
@@ -46,16 +45,23 @@ class TestBandLimited:
     def test_deterministic_in_seed_and_index(self, grid1):
         f = random_band_limited(grid1, decay=1.0, seed=5, index=2)
         g = random_band_limited(grid1, decay=1.0, seed=5, index=2)
-        np.testing.assert_array_equal(f.values, g.values)
+        np.testing.assert_array_equal(f, g)
         h = random_band_limited(grid1, decay=1.0, seed=5, index=3)
-        assert not np.array_equal(f.values, h.values)
+        assert not np.array_equal(f, h)
+
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_default_count_is_a_one_member_stack(self, grid2, zero_mean):
+        one = random_band_limited(grid2, decay=1.2, seed=8, index=3, zero_mean=zero_mean)
+        many = random_band_limited(grid2, 1.2, 8, index=1, zero_mean=zero_mean, count=4)
+        assert one.shape == (1,) + grid2.shape
+        assert np.array_equal(one[0], many[2])
 
     def test_decay_shapes_spectrum(self, grid1):
         rough = random_band_limited(grid1, decay=0.0, seed=6)
         smooth = random_band_limited(grid1, decay=3.0, seed=6)
         # Energy fraction above radius 32 should collapse under strong decay.
         def high_fraction(f):
-            energy = np.abs(np.fft.fftn(f.values)) ** 2
+            energy = np.abs(np.fft.fftn(f[0])) ** 2
             high = energy[grid1.frequency_norms > 32.0].sum()
             return high / energy.sum()
 
@@ -64,7 +70,7 @@ class TestBandLimited:
 
     def test_zero_mean_flag(self, grid2):
         f = random_band_limited(grid2, decay=1.0, seed=7, zero_mean=True)
-        coeffs = forward_transform_stack(grid2, f.values[None])[0]
+        coeffs = forward_transform_stack(grid2, f)[0]
         # The zero mode is removed in the spectral domain; one FFT round trip
         # later it is only zero up to rounding noise.
         assert abs(coeffs[grid2.zero_mode_index]) <= 1e-13 * np.abs(coeffs).max()
@@ -85,10 +91,9 @@ class TestOrthonormalFrame:
 
     def test_uniform_weights_stay_in_unit_ball(self, grid1):
         op = random_orthonormal_frame(grid1, rank=4, decay=1.0, seed=23)
-        assert op.contract == UNIT_BALL
         assert np.all(op.eigenvalues <= 1.0)
         assert np.all(op.eigenvalues >= 0.0)
-        assert validate_contract(op).passed
+        assert validate_contract(op, UNIT_BALL).passed
 
     def test_ones_weights(self, grid2):
         op = random_orthonormal_frame(grid2, rank=3, decay=1.0, seed=24, weights="ones")
@@ -114,8 +119,7 @@ class TestOrthonormalFrame:
         op = random_orthonormal_frame(
             grid1, rank=3, decay=1.0, seed=28, power_bound=a
         )
-        assert op.contract == power_bounded(a)
-        report = validate_contract(op)
+        report = validate_contract(op, power_bounded(a))
         assert report.passed, (a, report.checks)
 
 
@@ -195,12 +199,14 @@ class TestCorpusSpec:
 
     def test_member_dispatch(self, grid1):
         cases = {
-            "random_band_limited": GridFunction,
+            "random_band_limited": np.ndarray,
             "random_orthonormal_frame": FiniteRankOperator,
         }
         for kind, expected in cases.items():
             spec = CorpusSpec(kind, count=2, seed=41)
             assert isinstance(spec.member(grid1, 1), expected), kind
+        field = CorpusSpec("random_band_limited", count=2, seed=41).member(grid1, 1)
+        assert field.shape == grid1.shape
         # Seas and sequences have their own sections and are not corpus kinds.
         for kind in ("fermi_sea", "spike_sequence", "wave_packet"):
             with pytest.raises(ConfigurationError, match="generator kind"):

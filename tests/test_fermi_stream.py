@@ -16,13 +16,13 @@ from lplab import (
     TorusGrid,
     build_blocks,
     fermi_lattice_oracle,
-    fermi_sea,
     fermi_sweep,
     lieb_thirring_check,
     lt_chain_check,
 )
 from lplab.fock_operator import sea_ladder
 from lplab.inequality_lab import kinetic_chain
+from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
 GRIDS = {1: (1, 256), 2: (2, 64), 3: (3, 16)}

@@ -8,13 +8,11 @@ from lplab import (
     ContractViolationError,
     FiniteRankOperator,
     GridMismatchError,
-    NO_CONTRACT,
     TorusGrid,
     UNIT_BALL,
     ZeroModeSingularityError,
     abs_squared,
     diagonal_block_bound,
-    fermi_sea,
     plane_wave,
     power_bounded,
     random_orthonormal_frame,
@@ -24,7 +22,8 @@ from lplab import (
     validate_contract,
 )
 from lplab.fock_operator import spectral_trace
-from lplab.torus_grid import weighted_block_energy
+from lplab.torus_grid import block_energy_stack, fft_stack
+from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
 
@@ -36,16 +35,17 @@ def kinetic_trace(op, power):
 
 def conjugated_density(op, blocks, j):
     """The density sum_k lambda_k |P_j u_k|^2 of P_j gamma P_j."""
-    return weighted_block_energy(op.grid, op.eigenfunctions, op.eigenvalues, [blocks.symbol(j)])
+    spectra = fft_stack(op.grid, op.eigenfunctions[None])
+    return block_energy_stack(op.grid, spectra, op.eigenvalues[None], [blocks.symbol(j)])[0]
 
 
 def normalized_wave(grid, mode):
     return plane_wave(grid, mode, amplitude=grid.volume**-0.5)
 
 
-def wave_operator(grid, modes, weights, contract=NO_CONTRACT):
-    functions = np.stack([normalized_wave(grid, m).values for m in modes])
-    return FiniteRankOperator(grid, np.asarray(weights, dtype=float), functions, contract=contract)
+def wave_operator(grid, modes, weights):
+    functions = np.stack([normalized_wave(grid, m) for m in modes])
+    return FiniteRankOperator(grid, np.asarray(weights, dtype=float), functions)
 
 
 class TestConstruction:
@@ -60,7 +60,7 @@ class TestConstruction:
             power_bounded(power)
 
     def test_eigenvalue_validation(self, grid1):
-        u = normalized_wave(grid1, [1]).values[None]
+        u = normalized_wave(grid1, [1])[None]
         with pytest.raises(ValueError, match="nonnegative"):
             FiniteRankOperator(grid1, np.array([-0.5]), u)
         with pytest.raises(ValueError, match="nonempty"):
@@ -84,9 +84,7 @@ class TestDensity:
 
     def test_density_linear_in_weights(self, grid1):
         op = random_orthonormal_frame(grid1, rank=3, decay=1.0, seed=72)
-        doubled = FiniteRankOperator(
-            op.grid, 2.0 * op.eigenvalues, op.eigenfunctions, contract=op.contract
-        )
+        doubled = FiniteRankOperator(op.grid, 2.0 * op.eigenvalues, op.eigenfunctions)
         np.testing.assert_array_equal(doubled.density_values, 2.0 * op.density_values)
 
     def test_density_integrates_to_trace(self, grid1, grid2):
@@ -192,8 +190,7 @@ class TestFermiSea:
 
     def test_sea_satisfies_unit_ball_contract(self, grid2):
         sea = fermi_sea(grid2, 4.5)
-        assert sea.contract == UNIT_BALL
-        report = validate_contract(sea)
+        report = validate_contract(sea, UNIT_BALL)
         assert report.passed, report.checks
 
     def test_flat_density(self, grid1):
@@ -213,8 +210,8 @@ class TestContracts:
         assert report.margin <= 1e-10
 
     def test_eigenvalue_excess_sets_margin(self, grid1):
-        op = wave_operator(grid1, [[1], [2]], [1.5, 0.5], contract=UNIT_BALL)
-        report = validate_contract(op)
+        op = wave_operator(grid1, [[1], [2]], [1.5, 0.5])
+        report = validate_contract(op, UNIT_BALL)
         assert not report.passed
         np.testing.assert_allclose(report.margin, 0.5, atol=1e-12)
 
@@ -223,43 +220,38 @@ class TestContracts:
         with pytest.raises(ContractViolationError, match="unit_ball"):
             require_contract(op, UNIT_BALL)
 
-    def test_no_contract_always_passes(self, grid1):
-        op = wave_operator(grid1, [[1], [2]], [7.0, 3.0])
-        report = validate_contract(op, NO_CONTRACT)
-        assert report.passed
-
     def test_power_bounded_plane_waves(self, grid1):
         # With L = 2 pi every nonzero mode has |xi| >= 1, so lambda = 1 sits
         # exactly on the boundary |xi|^{2a} for mode 1 and well inside for 2.
         for mode in ([1], [2]):
-            op = wave_operator(grid1, [mode], [1.0], contract=power_bounded(1.0))
-            report = validate_contract(op)
+            op = wave_operator(grid1, [mode], [1.0])
+            report = validate_contract(op, power_bounded(1.0))
             assert report.passed, (mode, report.checks)
 
     def test_power_bounded_fails_below_unit_frequency(self):
         # A longer box pushes mode 1 to |xi| = 1/2; the weight |xi|^{-2} = 4
         # then exceeds the allowed unit bound by 3.
         grid = TorusGrid(1, 2.0 * TAU, 16)
-        op = wave_operator(grid, [[1]], [1.0], contract=power_bounded(1.0))
-        report = validate_contract(op)
+        op = wave_operator(grid, [[1]], [1.0])
+        report = validate_contract(op, power_bounded(1.0))
         assert not report.passed
         np.testing.assert_allclose(report.margin, 3.0, rtol=1e-9)
 
     def test_negative_power_zero_mean_requirement(self, grid1):
-        op = wave_operator(grid1, [[0]], [1.0], contract=power_bounded(-0.5))
+        op = wave_operator(grid1, [[0]], [1.0])
         with pytest.raises(ZeroModeSingularityError):
-            validate_contract(op)
+            validate_contract(op, power_bounded(-0.5))
 
     def test_positive_power_flags_nonzero_mean(self, grid1):
-        op = wave_operator(grid1, [[0]], [1.0], contract=power_bounded(1.0))
-        report = validate_contract(op)
+        op = wave_operator(grid1, [[0]], [1.0])
+        report = validate_contract(op, power_bounded(1.0))
         assert not report.passed
         assert report.margin == np.inf
 
     def test_power_zero_reduces_to_weight_check(self, grid1):
-        good = wave_operator(grid1, [[1]], [1.0], contract=power_bounded(0.0))
-        assert validate_contract(good).passed
-        bad = wave_operator(grid1, [[1]], [1.5], contract=power_bounded(0.0))
-        report = validate_contract(bad)
+        good = wave_operator(grid1, [[1]], [1.0])
+        assert validate_contract(good, power_bounded(0.0)).passed
+        bad = wave_operator(grid1, [[1]], [1.5])
+        report = validate_contract(bad, power_bounded(0.0))
         assert not report.passed
         np.testing.assert_allclose(report.margin, 0.5, atol=1e-10)

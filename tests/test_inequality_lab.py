@@ -14,7 +14,6 @@ from lplab import (
     CorpusSpec,
     DegenerateInputError,
     FiniteRankOperator,
-    GridFunction,
     GridMismatchError,
     RatioReport,
     SignEnsemble,
@@ -26,7 +25,6 @@ from lplab import (
     envelope_for,
     estimate_envelope,
     fermi_lattice_oracle,
-    fermi_sea,
     fermi_sweep,
     generalized_lt_check,
     khinchine_reports,
@@ -51,6 +49,7 @@ from lplab.inequality_lab import (
     _sign_blocks,
 )
 from lplab.torus_grid import block_energy_stack, fft_stack
+from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
 EXACT = SignEnsemble.exact()
@@ -61,7 +60,7 @@ def normalized_wave(grid, mode):
 
 
 def rank_one(grid, u, weight=1.0):
-    return FiniteRankOperator(grid, np.array([weight]), u.values[None])
+    return FiniteRankOperator(grid, np.array([weight]), u[None])
 
 
 def sign_sum(a, p, ensemble=EXACT):
@@ -71,7 +70,7 @@ def sign_sum(a, p, ensemble=EXACT):
 
 def lp_samples(u, exponents, blocks):
     """The square-function samples of one member, one per exponent."""
-    return _lp_function_samples(u.grid, u.values[None], exponents, blocks, 0)[0]
+    return _lp_function_samples(blocks.grid, u[None], exponents, blocks, 0)[0]
 
 
 def density_samples(op, exponents, blocks):
@@ -79,9 +78,9 @@ def density_samples(op, exponents, blocks):
     return _lp_density_samples(op.grid, [op], exponents, blocks, 0)[0]
 
 
-def gns_sample(u):
+def gns_sample(grid, u):
     """The gns sample of one member at its critical exponent."""
-    return _gns_samples(u.grid, u.values[None], [None], None, 0)[0][0]
+    return _gns_samples(grid, u[None], [None], None, 0)[0][0]
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +234,7 @@ class TestLpFunctionCheck:
 
     def test_p_two_closed_form(self, grid1, blocks1):
         values = np.stack(
-            [random_band_limited(grid1, decay=0.6, seed=700 + seed).values for seed in range(5)]
+            [random_band_limited(grid1, decay=0.6, seed=700 + seed)[0] for seed in range(5)]
         )
         for (sample,) in _lp_function_samples(grid1, values, [2.0], blocks1, 0):
             np.testing.assert_allclose(sample.ratio, sample.closed_form, rtol=1e-12)
@@ -247,7 +246,7 @@ class TestLpFunctionCheck:
             estimate_envelope(spec, "lp", [(2.0, None), (1.0, None)], small1)
 
     def test_zero_input_degenerate(self, grid1, blocks1):
-        values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4]).values])
+        values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4])])
         zero, wave = _lp_function_samples(grid1, values, [1.5, 2.0], blocks1, 0)
         assert zero == [CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)] * 2
         assert zero[1].closed_form is None
@@ -261,11 +260,11 @@ class TestLpDensityCheck:
         # the scalar pipeline exactly: same accumulations, same floats.
         for blocks, seed in ((blocks1, 710), (blocks3, 711)):
             grid = blocks.grid
-            u = random_band_limited(grid, decay=0.8, seed=seed)
+            (u,) = random_band_limited(grid, decay=0.8, seed=seed)
             op = rank_one(grid, u)
-            spectra = fft_stack(grid, u.values[None])[:, None]
+            spectra = fft_stack(grid, u[None])[:, None]
             energy = block_energy_stack(grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
-            np.testing.assert_array_equal(summed_block_density(op, blocks).values, energy)
+            np.testing.assert_array_equal(summed_block_density(op, blocks), energy)
             ps = [0.75, 1.0, 1.5, 2.0]
             scalar_samples = lp_samples(u, [2.0 * p for p in ps], blocks)
             for density_sample, scalar_sample in zip(density_samples(op, ps, blocks), scalar_samples):
@@ -299,8 +298,8 @@ class TestDuality:
         blocks3 = build_companions(build_blocks(TorusGrid(3, TAU, 16)))
         for blocks, seed in ((blocks1, 720), (blocks2, 721), (blocks3, 722)):
             grid = blocks.grid
-            f = random_band_limited(grid, decay=0.7, seed=seed)
-            g = random_band_limited(grid, decay=0.7, seed=seed + 50)
+            (f,) = random_band_limited(grid, decay=0.7, seed=seed)
+            (g,) = random_band_limited(grid, decay=0.7, seed=seed + 50)
             assert duality_identity_check(f, g, blocks) <= 1e-10
 
     def test_orthogonal_waves(self, grid1, blocks1):
@@ -309,7 +308,7 @@ class TestDuality:
         assert duality_identity_check(f, g, blocks1) <= 1e-14
 
     def test_zero_input_returns_zero(self, grid1, blocks1):
-        zero = GridFunction(grid1, np.zeros(grid1.shape, dtype=complex))
+        zero = np.zeros(grid1.shape, dtype=complex)
         assert duality_identity_check(zero, zero, blocks1) == 0.0
 
     def test_sharp_family_rejected(self, grid1, sharp1):
@@ -317,14 +316,14 @@ class TestDuality:
         with pytest.raises(UnsupportedFamilyError):
             duality_identity_check(f, f, sharp1)
 
-    def test_grid_mismatch(self, grid1, blocks1, small1):
+    def test_grid_mismatch(self, grid1, blocks1, small1, grid2):
+        # Either field off the block set's grid shape is refused.
         f = plane_wave(grid1, [3])
-        with pytest.raises(GridMismatchError, match="different grids"):
-            duality_identity_check(f, plane_wave(small1, [3]), blocks1)
-        # Same shape, another box: the quadrature weights would differ.
-        other = TorusGrid(1, 1.0, grid1.points_per_axis)
-        with pytest.raises(GridMismatchError, match="different grids"):
-            duality_identity_check(plane_wave(other, [3]), f, blocks1)
+        for wrong in (plane_wave(small1, [3]), plane_wave(grid2, [3, 0]), f[None]):
+            with pytest.raises(GridMismatchError, match="do not fit grid shape"):
+                duality_identity_check(f, wrong, blocks1)
+            with pytest.raises(GridMismatchError, match="do not fit grid shape"):
+                duality_identity_check(wrong, f, blocks1)
 
     def test_one_forward_and_two_inverse_transforms(self, grid1, grid2, monkeypatch):
         calls = {"fftn": 0, "ifftn": 0}
@@ -338,8 +337,8 @@ class TestDuality:
             monkeypatch.setattr(np.fft, name, counted)
         for grid in (TorusGrid(1, TAU, 16), grid1, grid2):
             blocks = build_companions(build_blocks(grid))
-            f = random_band_limited(grid, decay=0.7, seed=723)
-            g = random_band_limited(grid, decay=0.7, seed=724)
+            (f,) = random_band_limited(grid, decay=0.7, seed=723)
+            (g,) = random_band_limited(grid, decay=0.7, seed=724)
             calls.update(fftn=0, ifftn=0)
             duality_identity_check(f, g, blocks)
             assert calls == {"fftn": 1, "ifftn": 2}, (blocks.block_count, calls)
@@ -349,7 +348,7 @@ class TestGnsCheck:
     @pytest.mark.parametrize("mode", [1, 4, 16])
     def test_plane_wave_closed_form_1d(self, grid1, mode):
         # Single-mode ratio: (|xi| L)^(-d/(d+2)).
-        sample = gns_sample(plane_wave(grid1, [mode]))
+        sample = gns_sample(grid1, plane_wave(grid1, [mode]))
         np.testing.assert_allclose(sample.ratio, (mode * TAU) ** (-1.0 / 3.0), rtol=1e-12)
 
     def test_plane_wave_closed_form_2d_and_3d(self, grid2, blocks3):
@@ -358,21 +357,21 @@ class TestGnsCheck:
             (grid2, [3, 4], (5.0 * TAU) ** (-0.5)),
             (blocks3.grid, (1, 2, 2), 0.1717193856864170),
         ):
-            sample = gns_sample(plane_wave(grid, mode))
+            sample = gns_sample(grid, plane_wave(grid, mode))
             np.testing.assert_allclose(sample.ratio, expected, rtol=1e-12)
 
     def test_scale_invariance(self, grid1):
-        u = random_band_limited(grid1, decay=1.5, seed=730, zero_mean=True)
-        values = np.stack([17.5 * u.values, u.values])
+        (u,) = random_band_limited(grid1, decay=1.5, seed=730, zero_mean=True)
+        values = np.stack([17.5 * u, u])
         (scaled,), (plain,) = _gns_samples(grid1, values, [None], None, 0)
         np.testing.assert_allclose(scaled.ratio, plain.ratio, rtol=1e-12)
 
     def test_constant_degenerates(self, grid1):
-        sample = gns_sample(GridFunction(grid1, np.full(grid1.shape, 2.0 + 0j)))
+        sample = gns_sample(grid1, np.full(grid1.shape, 2.0 + 0j))
         assert sample == CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)
 
     def test_zero_degenerates(self, grid1):
-        values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4]).values])
+        values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4])])
         (zero,), (wave,) = _gns_samples(grid1, values, [None], None, 0)
         assert zero == CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)
         assert not wave.degenerate
@@ -402,9 +401,7 @@ class TestLiebThirring:
         # Halving every weight scales the ratio by 2^{2/d}: the kinetic side
         # is linear, the density side degree 1 + 2/d.
         op = random_orthonormal_frame(grid1, rank=4, decay=0.8, seed=740, weights="ones")
-        halved = FiniteRankOperator(
-            grid1, 0.5 * op.eigenvalues, op.eigenfunctions, contract=op.contract
-        )
+        halved = FiniteRankOperator(grid1, 0.5 * op.eigenvalues, op.eigenfunctions)
         full = lieb_thirring_check(op)
         half = lieb_thirring_check(halved)
         np.testing.assert_allclose(half.ratio, full.ratio * 2.0**2.0, rtol=1e-12)
@@ -416,11 +413,11 @@ class TestLiebThirring:
         op = rank_one(grid, u)
         p = 2.0 + 4.0 / grid.dimension
         lt_ratio = lieb_thirring_check(op).ratio
-        gns_ratio = gns_sample(u).ratio
+        gns_ratio = gns_sample(grid, u).ratio
         np.testing.assert_allclose(lt_ratio, gns_ratio ** (-p), rtol=1e-9)
 
     def test_contract_enforced(self, grid1):
-        functions = np.stack([normalized_wave(grid1, [1]).values])
+        functions = np.stack([normalized_wave(grid1, [1])])
         op = FiniteRankOperator(grid1, np.array([1.5]), functions)
         with pytest.raises(ContractViolationError, match="unit_ball"):
             lieb_thirring_check(op)
@@ -738,6 +735,13 @@ class TestEnvelopeLookup:
     def test_float_key_normalization(self):
         envelopes = {"lp": {"d1": {"2": [0.9, 1.1]}}}
         assert envelope_for(envelopes, "lp", 1, 2.0) == (0.9, 1.1)
+
+    def test_a_cell_judges_only_its_own_exponent(self):
+        # format(p, "g") keeps six digits: these exponents print as "2".
+        envelopes = {"lp": {"d1": {"2": [0.9, 1.1]}}}
+        for p in (2.0000001, 1.9999999, 2.000001):
+            assert format(p, "g") == "2"
+            assert envelope_for(envelopes, "lp", 1, p) is None, p
 
     def test_packaged_envelopes_load(self):
         envelopes = lplab.load_envelopes()

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from lplab import (
-    GridFunction,
     diagonal_block_bound,
     plane_wave,
     random_band_limited,
@@ -20,8 +19,8 @@ from lplab.torus_grid import block_energy_stack, fft_stack, kinetic_forms, lp_no
 
 
 def apply_symbol(f, table):
-    """table(D) f as a grid function."""
-    return GridFunction(f.grid, np.fft.ifftn(table * np.fft.fftn(f.values)))
+    """table(D) f on the grid."""
+    return np.fft.ifftn(table * np.fft.fftn(f))
 
 
 def project(f, blocks, j):
@@ -32,33 +31,33 @@ def project_companion(f, blocks, j):
     return apply_symbol(f, blocks.companion(j))
 
 
-def lp_norm(f, p):
-    return lp_norms(f.grid, np.abs(f.values)[None], p)[0]
+def lp_norm(grid, f, p):
+    return lp_norms(grid, np.abs(f)[None], p)[0]
 
 
 def block_energy_sum(f, blocks):
     """sum_j |P_j f|^2 as the lp sampler computes it."""
-    spectra = fft_stack(f.grid, f.values[None])[:, None]
-    return block_energy_stack(f.grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
+    spectra = fft_stack(blocks.grid, f[None])[:, None]
+    return block_energy_stack(blocks.grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
 
 
 class TestReconstruction:
     def test_blocks_sum_back_to_input(self, blocks1, blocks2):
         for blocks, seed in ((blocks1, 7), (blocks2, 8)):
-            f = random_band_limited(blocks.grid, decay=0.5, seed=seed)
+            f = random_band_limited(blocks.grid, decay=0.5, seed=seed)[0]
             total = np.zeros(blocks.grid.shape, dtype=complex)
             for j in blocks.block_indices:
-                total = total + project(f, blocks, j).values
-            scale = np.abs(f.values).max()
-            np.testing.assert_allclose(total, f.values, atol=1e-12 * scale)
+                total = total + project(f, blocks, j)
+            scale = np.abs(f).max()
+            np.testing.assert_allclose(total, f, atol=1e-12 * scale)
 
     def test_companion_reproduces_projection(self, blocks1):
-        f = random_band_limited(blocks1.grid, decay=1.0, seed=9)
+        f = random_band_limited(blocks1.grid, decay=1.0, seed=9)[0]
         for j in blocks1.block_indices:
             piece = project(f, blocks1, j)
             again = project_companion(piece, blocks1, j)
-            scale = max(np.abs(piece.values).max(), 1e-300)
-            np.testing.assert_allclose(again.values, piece.values, atol=1e-12 * scale)
+            scale = max(np.abs(piece).max(), 1e-300)
+            np.testing.assert_allclose(again, piece, atol=1e-12 * scale)
 
     def test_far_blocks_have_disjoint_symbols(self, blocks1, blocks2):
         for blocks in (blocks1, blocks2):
@@ -69,14 +68,16 @@ class TestReconstruction:
                         assert np.count_nonzero(product) == 0
 
     def test_far_block_projection_composes_to_noise_floor(self, blocks1):
-        f = random_band_limited(blocks1.grid, decay=0.5, seed=10)
+        f = random_band_limited(blocks1.grid, decay=0.5, seed=10)[0]
         piece = project(project(f, blocks1, 2), blocks1, 5)
-        assert np.abs(piece.values).max() <= 1e-12 * np.abs(f.values).max()
+        assert np.abs(piece).max() <= 1e-12 * np.abs(f).max()
 
     def test_plane_wave_lands_in_its_blocks(self, blocks1):
         # Mode 16 sits at radius 2^4, on the boundary shared by blocks 4, 5.
         u = plane_wave(blocks1.grid, [16])
-        energies = [lp_norm(project(u, blocks1, j), 2) ** 2 for j in blocks1.block_indices]
+        energies = [
+            lp_norm(blocks1.grid, project(u, blocks1, j), 2) ** 2 for j in blocks1.block_indices
+        ]
         total = sum(energies)
         assert energies[4] / total > 0.99
         for j, energy in zip(blocks1.block_indices, energies):
@@ -88,13 +89,13 @@ class TestSquareFunction:
     def test_square_function_within_parseval_window(self, blocks1, blocks2):
         # sum_j Psi_j^2 lies in [1/2, 1], so ||Sf||_2 does too, relative to ||f||_2.
         for blocks, seed in ((blocks1, 11), (blocks2, 12)):
-            f = random_band_limited(blocks.grid, decay=0.7, seed=seed)
-            square_function = GridFunction(blocks.grid, np.sqrt(block_energy_sum(f, blocks)))
-            ratio = lp_norm(square_function, 2) / lp_norm(f, 2)
+            f = random_band_limited(blocks.grid, decay=0.7, seed=seed)[0]
+            square_function = np.sqrt(block_energy_sum(f, blocks))
+            ratio = lp_norm(blocks.grid, square_function, 2) / lp_norm(blocks.grid, f, 2)
             assert np.sqrt(0.5) - 1e-9 <= ratio <= 1.0 + 1e-9
 
     def test_energy_sum_is_real_nonnegative(self, blocks1):
-        f = random_band_limited(blocks1.grid, decay=1.0, seed=13)
+        f = random_band_limited(blocks1.grid, decay=1.0, seed=13)[0]
         energies = block_energy_sum(f, blocks1)
         assert energies.dtype.kind == "f"
         assert energies.min() >= 0.0
@@ -112,18 +113,18 @@ class TestBernstein:
     # density bound of the rank-one operator |f><f| / ||f||_2^2.
     @pytest.mark.parametrize("seed", range(5))
     def test_interior_sup_bound_1d(self, blocks1, seed):
-        f = random_band_limited(blocks1.grid, decay=0.3, seed=100 + seed)
-        l2sq = lp_norm(f, 2) ** 2
+        f = random_band_limited(blocks1.grid, decay=0.3, seed=100 + seed)[0]
+        l2sq = lp_norm(blocks1.grid, f, 2) ** 2
         for j in blocks1.interior_indices:
-            sup = np.abs(project(f, blocks1, j).values).max()
+            sup = np.abs(project(f, blocks1, j)).max()
             assert sup**2 <= diagonal_block_bound(blocks1, j) * l2sq * (1 + 1e-9), f"block {j}"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_interior_sup_bound_2d(self, blocks2, seed):
-        f = random_band_limited(blocks2.grid, decay=0.3, seed=200 + seed)
-        l2sq = lp_norm(f, 2) ** 2
+        f = random_band_limited(blocks2.grid, decay=0.3, seed=200 + seed)[0]
+        l2sq = lp_norm(blocks2.grid, f, 2) ** 2
         for j in blocks2.interior_indices:
-            sup = np.abs(project(f, blocks2, j).values).max()
+            sup = np.abs(project(f, blocks2, j)).max()
             assert sup**2 <= diagonal_block_bound(blocks2, j) * l2sq * (1 + 1e-9), f"block {j}"
 
     def test_constant_prefactor_values(self):
@@ -137,39 +138,39 @@ class TestFrequencyComparability:
     def test_rayleigh_quotient_inside_window(self, blocks1, seed):
         # An interior block lives on 2^(j-1) <= |xi| <= 2^(j+1); the chain's
         # spectral floor 4^j / 4 is the lower end.
-        f = random_band_limited(blocks1.grid, decay=0.5, seed=300 + seed)
+        f = random_band_limited(blocks1.grid, decay=0.5, seed=300 + seed)[0]
         for j in blocks1.interior_indices:
             piece = project(f, blocks1, j)
-            l2sq = lp_norm(piece, 2) ** 2
+            l2sq = lp_norm(blocks1.grid, piece, 2) ** 2
             if l2sq == 0.0:
                 continue
-            quotient = kinetic_forms(piece.grid, piece.values[None], 1.0)[0] / l2sq
+            quotient = kinetic_forms(blocks1.grid, piece[None], 1.0)[0] / l2sq
             low, high = 4.0 ** (j - 1), 4.0 ** (j + 1)
             assert low * (1 - 1e-9) <= quotient <= high * (1 + 1e-9), f"block {j}"
 
 
 class TestSignMultiplier:
     def test_all_plus_signs_give_identity(self, blocks1):
-        f = random_band_limited(blocks1.grid, decay=0.8, seed=14)
+        f = random_band_limited(blocks1.grid, decay=0.8, seed=14)[0]
         out = signed_block_sum(f, blocks1, [1] * blocks1.block_count)
-        np.testing.assert_allclose(out.values, f.values, atol=1e-12 * np.abs(f.values).max())
+        np.testing.assert_allclose(out, f, atol=1e-12 * np.abs(f).max())
 
     @pytest.mark.parametrize("seed", range(6))
     def test_non_expansive(self, blocks1, seed):
         rng = np.random.default_rng(400 + seed)
-        f = random_band_limited(blocks1.grid, decay=0.5, seed=500 + seed)
+        f = random_band_limited(blocks1.grid, decay=0.5, seed=500 + seed)[0]
         out = signed_block_sum(f, blocks1, rng.integers(0, 2, blocks1.block_count) * 2 - 1)
-        assert lp_norm(out, 2) <= lp_norm(f, 2) * (1 + 1e-12)
+        assert lp_norm(blocks1.grid, out, 2) <= lp_norm(blocks1.grid, f, 2) * (1 + 1e-12)
 
     def test_involution(self, blocks1):
         # Applying the same sign pattern twice multiplies by (sum r_j Psi_j)^2,
         # which is below 1 only where blocks of opposite sign overlap.
-        f = random_band_limited(blocks1.grid, decay=0.5, seed=15)
+        f = random_band_limited(blocks1.grid, decay=0.5, seed=15)[0]
         signs = np.random.default_rng(16).integers(0, 2, blocks1.block_count) * 2 - 1
         twice = signed_block_sum(signed_block_sum(f, blocks1, signs), blocks1, signs)
-        assert lp_norm(twice, 2) <= lp_norm(f, 2) * (1 + 1e-12)
+        assert lp_norm(blocks1.grid, twice, 2) <= lp_norm(blocks1.grid, f, 2) * (1 + 1e-12)
         # The squared symbol is nonnegative and at most 1, so no Fourier
         # coefficient is amplified.
-        coeffs_in = np.abs(np.fft.fftn(f.values))
-        coeffs_out = np.abs(np.fft.fftn(twice.values))
+        coeffs_in = np.abs(np.fft.fftn(f))
+        coeffs_out = np.abs(np.fft.fftn(twice))
         assert np.all(coeffs_out <= coeffs_in + 1e-10 * coeffs_in.max())

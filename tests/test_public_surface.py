@@ -19,7 +19,6 @@ PACKAGE = ROOT / "src" / "lplab"
 KEPT = {
     "diagonal_block_bound": "the pointwise cap of the proof path's sequence rung (ROADMAP item 8)",
     "unit_ball_volume": "omega_d of the semiclassical Weyl constant (ROADMAP item 8)",
-    "fermi_sea": "the materialized sea sea_ladder's tests compare against bit for bit",
     "summed_block_density": "the rank-one reduction of acceptance gate 3",
     "duality_identity_check": "the pairing identity of acceptance gate 1",
     "plane_wave": "the lattice probe of acceptance gate 5",

@@ -18,8 +18,8 @@ import pytest
 
 import lplab.cli
 from lplab import (
-    GridFunction,
     TorusGrid,
+    power_bounded,
     random_band_limited,
     random_orthonormal_frame,
     validate_contract,
@@ -94,8 +94,8 @@ def test_parseval_spectrum_is_the_direct_transform(d, part):
     # The lp sampler reads its members' spectra, for the block kernel and the
     # Parseval closed form, through fft_stack.
     grid = GRIDS[d]
-    u = GridFunction(grid, _inputs(grid, part)[0])
-    _same_bits(fft_stack(grid, u.values[None]), np.fft.fftn(u.values)[None])
+    u = _inputs(grid, part)[0]
+    _same_bits(fft_stack(grid, u[None]), np.fft.fftn(u)[None])
 
 
 @pytest.mark.parametrize("d", DIMENSIONS)
@@ -144,8 +144,9 @@ def test_orthonormalize_overwrites_its_input(traced_peak):
 def test_power_bounded_check_holds_one_scaled_stack(traced_peak):
     grid = TorusGrid(3, TAU, 32)
     op = random_orthonormal_frame(grid, rank=4, decay=1.0, seed=7, power_bound=1.0)
-    assert validate_contract(op).passed  # caches the Gram residual and the forward stack
-    report, peak = traced_peak(validate_contract, op)
+    contract = power_bounded(1.0)
+    assert validate_contract(op, contract).passed  # caches the Gram residual and the forward stack
+    report, peak = traced_peak(validate_contract, op, contract)
     assert report.passed
     frame = op.eigenfunctions.nbytes
     assert frame == 2 * 2**20

@@ -35,6 +35,7 @@ from lplab import (
     lieb_thirring_check,
     lt_chain_check,
     philox_generator,
+    power_bounded,
     random_band_limited,
     random_orthonormal_frame,
     validate_contract,
@@ -108,7 +109,7 @@ class TestBatchedDraws:
         reference = _reference_stack(grid, 1.3, 17, 5, 6, zero_mean, stream)
         np.testing.assert_array_equal(stack, reference)
         single = random_band_limited(grid, 1.3, 17, index=7, zero_mean=zero_mean, stream=stream)
-        np.testing.assert_array_equal(single.values, reference[2])
+        np.testing.assert_array_equal(single, reference[2:3])
 
     @pytest.mark.parametrize("power_bound", [None, 1.0])
     @pytest.mark.parametrize("zero_mean", [False, True])
@@ -128,8 +129,9 @@ class TestBatchedDraws:
         if power_bound is None:
             np.testing.assert_array_equal(op.eigenvalues, lambdas)
         else:
-            probe = FiniteRankOperator(grid, lambdas, op.eigenfunctions, op.contract)
-            top = validate_contract(probe).checks["power_excess"] + 1.0
+            probe = FiniteRankOperator(grid, lambdas, op.eigenfunctions)
+            contract = power_bounded(power_bound)
+            top = validate_contract(probe, contract).checks["power_excess"] + 1.0
             np.testing.assert_array_equal(op.eigenvalues, lambdas / top)
 
     def test_retry_draws_the_next_stream(self, monkeypatch):
@@ -193,12 +195,12 @@ class TestOperatorCache:
     def test_power_excess_uses_the_checked_weights(self, fft_calls):
         grid = _grid(2)
         op = random_orthonormal_frame(grid, 4, 1.0, 43, power_bound=1.0)
-        assert validate_contract(op).passed
+        assert validate_contract(op, power_bounded(1.0)).passed
         # Cache the weighted quantities first: reweighting must not share them.
         assert op.spectral_density.shape == op.density_values.shape == grid.shape
         bumped = op.reweighted(op.eigenvalues * (1.0 + 1e-6))
         assert bumped._forward_stack is op._forward_stack
-        report = validate_contract(bumped)
+        report = validate_contract(bumped, power_bounded(1.0))
         assert not report.passed
         assert report.checks["power_excess"] > 1e-7
         np.testing.assert_allclose(
@@ -219,7 +221,7 @@ class TestOperatorCache:
 
         monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted)
         op = random_orthonormal_frame(blocks1.grid, 4, 1.0, 47)
-        fresh = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions, op.contract)
+        fresh = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
         grams.clear()
         transforms = []
         transform = lplab.fock_operator.forward_transform_stack
@@ -248,11 +250,6 @@ def _run(argv):
 
 class TestSectionsBuildOnce:
     def test_lieb_thirring_streams_the_top_rung_once(self, monkeypatch):
-        def no_sea(*args):
-            raise AssertionError("the sweep built a sea")
-
-        for module in (lplab, lplab.fock_operator):
-            monkeypatch.setattr(module, "fermi_sea", no_sea)
         generated = []
         waves = lplab.fock_operator._plane_waves
 

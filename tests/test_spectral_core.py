@@ -19,9 +19,7 @@ from lplab import (
     SMOOTH,
     CorpusSpec,
     FiniteRankOperator,
-    GridFunction,
     TorusGrid,
-    UNIT_BALL,
     block_squared_sum,
     build_blocks,
     build_profile,
@@ -33,7 +31,7 @@ from lplab import (
 )
 from lplab.fock_operator import spectral_trace
 from lplab.inequality_lab import _lp_density_samples, _lp_function_samples
-from lplab.torus_grid import block_energy_stack, fft_stack, weighted_block_energy
+from lplab.torus_grid import block_energy_stack, fft_stack
 
 TAU = 2.0 * np.pi
 RTOL = 1e-12
@@ -45,25 +43,19 @@ GRIDS = {
 }
 
 
-def member(op, k):
-    """Eigenfunction k of an operator as a grid function."""
-    return GridFunction(op.grid, op.eigenfunctions[k])
-
-
 def apply_symbol(f, table):
     """table(D) f, one forward and one inverse transform."""
-    return GridFunction(f.grid, np.fft.ifftn(table * np.fft.fftn(f.values)))
+    return np.fft.ifftn(table * np.fft.fftn(f))
 
 
 def project(f, blocks, j):
     return apply_symbol(f, blocks.symbol(j))
 
 
-def kinetic_form(f, power):
+def kinetic_form(grid, f, power):
     """L^{-d} sum_xi |xi|^(2 power) |coeffs(xi)|^2 for power >= 0, with the
     zero mode counted at power 0 only."""
-    grid = f.grid
-    coeffs = grid.cell_volume * np.fft.fftn(f.values)
+    coeffs = grid.cell_volume * np.fft.fftn(f)
     nsq = grid.frequency_norms_squared
     table = np.where(nsq > 0, nsq ** float(power), 1.0 if power == 0 else 0.0)
     return float(np.sum(table * np.abs(coeffs) ** 2) / grid.volume)
@@ -74,14 +66,14 @@ def reference_summed_density(op, blocks):
     acc = np.zeros(op.grid.shape)
     for j in blocks.block_indices:
         for k in range(op.rank):
-            piece = apply_symbol(member(op, k), blocks.symbol(j)).values
+            piece = apply_symbol(op.eigenfunctions[k], blocks.symbol(j))
             acc = acc + float(op.eigenvalues[k]) * np.abs(piece) ** 2
     return acc
 
 
 def reference_kinetic_trace(op, power):
     return sum(
-        float(op.eigenvalues[k]) * kinetic_form(member(op, k), power)
+        float(op.eigenvalues[k]) * kinetic_form(op.grid, op.eigenfunctions[k], power)
         for k in range(op.rank)
     )
 
@@ -89,8 +81,8 @@ def reference_kinetic_trace(op, power):
 def scalar_block_energy(u, blocks):
     """sum_j |P_j u|^2 as the lp sampler computes it: block_energy_stack on
     the fft_stack of a one-member stack."""
-    spectra = fft_stack(u.grid, u.values[None])[:, None]
-    return block_energy_stack(u.grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
+    spectra = fft_stack(blocks.grid, u[None])[:, None]
+    return block_energy_stack(blocks.grid, spectra, np.ones((1, 1)), blocks.symbols)[0]
 
 
 def reference_chain(op, blocks):
@@ -100,13 +92,13 @@ def reference_chain(op, blocks):
     for j in blocks.block_indices:
         for k in range(op.rank):
             t1 += float(op.eigenvalues[k]) * kinetic_form(
-                project(member(op, k), blocks, j), 1
+                op.grid, project(op.eigenfunctions[k], blocks, j), 1
             )
     t2 = 0.0
     for j in blocks.interior_indices:
         rho_j = np.zeros(op.grid.shape)
         for k in range(op.rank):
-            piece = project(member(op, k), blocks, j).values
+            piece = project(op.eigenfunctions[k], blocks, j)
             rho_j = rho_j + float(op.eigenvalues[k]) * np.abs(piece) ** 2
         t2 += 0.25 * 2.0 ** (2 * j) * float(op.grid.integrate(rho_j))
     return t0, t1, t2
@@ -157,7 +149,7 @@ class TestAgainstLoops:
     def test_summed_density_matches_pair_loop(self, case):
         op, blocks = frame_of(case)
         assert_fields_close(
-            summed_block_density(op, blocks).values, reference_summed_density(op, blocks)
+            summed_block_density(op, blocks), reference_summed_density(op, blocks)
         )
 
     @given(case=cases, power=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
@@ -191,9 +183,10 @@ class TestAgainstLoops:
         for j in blocks.block_indices:
             expected = np.zeros(grid.shape)
             for k in range(op.rank):
-                piece = apply_symbol(member(op, k), blocks.symbol(j)).values
+                piece = apply_symbol(op.eigenfunctions[k], blocks.symbol(j))
                 expected = expected + float(op.eigenvalues[k]) * np.abs(piece) ** 2
-            actual = weighted_block_energy(grid, op.eigenfunctions, op.eigenvalues, [blocks.symbol(j)])
+            spectra = fft_stack(grid, op.eigenfunctions[None])
+            actual = block_energy_stack(grid, spectra, op.eigenvalues[None], [blocks.symbol(j)])[0]
             assert_fields_close(actual, expected)
 
 
@@ -203,19 +196,18 @@ class TestClosedForms:
     def test_rank_one_reduces_bit_for_bit(self, case):
         grid = GRIDS[case["dimension"]]
         blocks = block_set(grid, case["family"], case["profile"])
-        u = random_band_limited(grid, case["decay"], seed=case["seed"])
-        op = FiniteRankOperator(grid, [1.0], u.values[None], contract=UNIT_BALL)
-        assert np.array_equal(
-            summed_block_density(op, blocks).values, scalar_block_energy(u, blocks)
-        )
+        values = random_band_limited(grid, case["decay"], seed=case["seed"])
+        op = FiniteRankOperator(grid, [1.0], values)
+        expected = scalar_block_energy(values[0], blocks)
+        assert np.array_equal(summed_block_density(op, blocks), expected)
 
     @given(case=cases)
     @settings(max_examples=12, deadline=None, derandomize=True)
     def test_ratio_at_p2_is_parseval_closed_form(self, case):
         grid = GRIDS[case["dimension"]]
         blocks = block_set(grid, case["family"], case["profile"])
-        u = random_band_limited(grid, case["decay"], seed=case["seed"])
-        ((sample,),) = _lp_function_samples(grid, u.values[None], [2.0], blocks, 0)
+        values = random_band_limited(grid, case["decay"], seed=case["seed"])
+        ((sample,),) = _lp_function_samples(grid, values, [2.0], blocks, 0)
         assert sample.ratio == pytest.approx(sample.closed_form, rel=RTOL)
 
     @given(case=cases)
