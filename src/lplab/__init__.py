@@ -57,6 +57,7 @@ from .inequality_lab import (
     duality_identity_check,
     envelope_for,
     estimate_envelope,
+    exponent_key,
     fermi_lattice_oracle,
     fermi_sweep,
     generalized_lt_check,

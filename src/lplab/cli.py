@@ -62,6 +62,7 @@ from .inequality_lab import (
     SignEnsemble,
     envelope_for,
     estimate_envelope,
+    exponent_key,
     fermi_sweep,
     generalized_lt_check,
     gns_exponent,
@@ -407,7 +408,7 @@ def sign_sum_reports(settings: dict, envelopes: dict) -> tuple[list, list]:
 def section_cells(command: str, settings: dict) -> list[tuple[str, str, str]]:
     """The (envelope, "d<k>", exponent) cells a run judges, in report order."""
     dim = f"d{settings.get('dim', 0)}"
-    ps = [format(p, "g") for p in _exponents(settings)]
+    ps = [exponent_key(p) for p in _exponents(settings)]
     return [(name, dim, p) for name in SECTIONS[command].envelopes for p in ps]
 
 

@@ -238,7 +238,10 @@ def _power_scaled(op: FiniteRankOperator, contract: OperatorContract) -> FiniteR
 SPIKE_EXPONENT_LIMIT = 1000
 
 
-def _spike_window(dimension: int, j_range) -> tuple[int, int]:
+def spike_window(dimension: int, j_range) -> tuple[int, int]:
+    """The index window (lo, hi) of j_range, refused (ConfigurationError)
+    when it is empty, the dimension is not 1, 2 or 3, or its terms leave the
+    binary64 range."""
     lo, hi = int(j_range[0]), int(j_range[1])
     if hi < lo:
         raise ConfigurationError(f"empty index range [{lo}, {hi}]")
@@ -279,8 +282,8 @@ def _rekeyed_generators(master_seed: int, indices, stream: int = 0):
 
 
 class SpikeTable:
-    """Spike sequences as one (count, J) array: row i is member i, column k
-    is the index ``lo + k``."""
+    """Spike sequences as one (count, J) array: row r is the r-th member of
+    the draw, column k is the index ``lo + k``."""
 
     def __init__(self, lo: int, values: np.ndarray) -> None:
         self.lo = lo
@@ -310,17 +313,22 @@ def spike_sequences(
     j_range: tuple[int, int] = (-10, 10),
     count: int = 1,
     seed: int = 0,
+    index: int = 0,
 ) -> SpikeTable:
     """Random admissible sequences 0 <= alpha_j <= 2^(j d) on the index window.
 
     Each member multiplies the cap 2^(j d) by a uniform coefficient and a
-    random sparse mask, so admissibility holds by construction.  All members
-    are drawn into one (count, J) table; member i still comes from its own
-    Philox key (seed, i), so it does not depend on the count.
+    random sparse mask, so admissibility holds by construction.  Members
+    index, ..., index + count - 1 are drawn into one (count, J) table;
+    member i comes from its own Philox key (seed, i), so a row depends on
+    neither the count nor the first member of the draw.
     """
-    lo, hi = _spike_window(dimension, j_range)
-    count = int(count)
-    return _spike_table(dimension, lo, hi, _rekeyed_generators(seed, range(count)), count)
+    lo, hi = spike_window(dimension, j_range)
+    count, index = int(count), int(index)
+    if index < 0:
+        raise ConfigurationError(f"first member index must be at least 0, got {index}")
+    generators = _rekeyed_generators(seed, range(index, index + count))
+    return _spike_table(dimension, lo, hi, generators, count)
 
 
 def single_spike(dimension: int, j: int) -> dict[int, float]:

@@ -18,9 +18,6 @@ import math
 import re
 import statistics
 from collections.abc import Sequence
-# Nothing here starts a process; the name stays bound because perfbench's
-# span tracer (perfbench/spans.py) patches it.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -32,6 +29,7 @@ from .corpus import (
     philox_generator,
     single_spike,
     spike_sequences,
+    spike_window,
 )
 from .dyadic_partition import (
     SMOOTH,
@@ -73,6 +71,23 @@ EXACT_ENUMERATION_CAP = 20
 _ENUMERATION_CHUNK = 1 << 16
 DEGENERACY_RTOL = 1e-12
 CHAIN_RTOL = 1e-10
+
+
+def __getattr__(name: str):
+    """Resolve ProcessPoolExecutor on its first read (PEP 562).
+
+    Nothing here starts a process, but perfbench's span tracer
+    (perfbench/spans.py) still reads and patches this module's
+    ProcessPoolExecutor.  Resolving it lazily keeps concurrent.futures and
+    multiprocessing out of every lplab process the tracer does not run in.
+    This hook goes when ROADMAP item 1's benchmark change retires the
+    tracer's pool class.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def require_counts(**counts: int) -> None:
@@ -701,21 +716,31 @@ def sequence_lemma_trials(
     """Run the sequence bound over random admissible sequences plus the
     single-spike sharpness witness; aggregates worst cases.
 
-    The sequences are drawn as one (trials, J) table and bounded in one pass
-    over its rows.
+    The trials are drawn and bounded in byte_chunks of the trial axis, each
+    chunk one (chunk, J) table bounded in one pass over its rows.  A trial is
+    sized as four rows of its 2J+1 uniforms, room for the draw and for the
+    masks and products that the draw and the bound build from it.  Every
+    row is bounded on its own, so the chunking changes no count or maximum.
     """
     require_counts(trial_count=trials)
-    table = spike_sequences(dimension, j_range, trials, seed)
-    rows = _sequence_lemma_rows(table.indices, table.values, dimension)
-    failures = int(np.count_nonzero(~rows.passed))
+    lo, hi = spike_window(dimension, j_range)
+    trial_bytes = 4 * (2 * (hi - lo + 1) + 1) * np.dtype(float).itemsize
+    failures, max_ratio, max_constant = 0, 0.0, 0.0
+    for chunk in byte_chunks(trials, trial_bytes):
+        count = min(chunk.stop, trials) - chunk.start
+        table = spike_sequences(dimension, (lo, hi), count, seed, index=chunk.start)
+        rows = _sequence_lemma_rows(table.indices, table.values, dimension)
+        failures += int(np.count_nonzero(~rows.passed))
+        max_ratio = float(rows.ratio.max(initial=max_ratio))
+        max_constant = float(rows.constant.max(initial=max_constant))
     spike = sequence_lemma_bound(single_spike(dimension, j=3), dimension)
     return {
         "dimension": dimension,
         "trials": trials,
         "seed": seed,
         "failures": failures,
-        "max_ratio": float(rows.ratio.max(initial=0.0)),
-        "max_constant": float(rows.constant.max(initial=0.0)),
+        "max_ratio": max_ratio,
+        "max_constant": max_constant,
         "spike_ratio": spike.ratio,
         "passed": failures == 0 and abs(spike.ratio - 1.0) <= 1e-12,
     }
@@ -815,8 +840,15 @@ def load_envelopes(path=None, names=None) -> dict:
     return envelopes
 
 
-def _exponent_key(p: float | None) -> str:
-    return "all" if p is None else format(float(p), "g")
+def exponent_key(p: float | None) -> str:
+    """The envelope key of exponent p, one that reads back as p:
+    format(p, "g") when float() of it equals p, otherwise repr(p) (2 + 4/3
+    is "3.3333333333333335", not "3.33333"); "all" when p is None."""
+    if p is None:
+        return "all"
+    p = float(p)
+    key = format(p, "g")
+    return key if float(key) == p else repr(p)
 
 
 def _is_exponent_key(key: str) -> bool:
@@ -826,7 +858,7 @@ def _is_exponent_key(key: str) -> bool:
         p = float(key)
     except ValueError:
         return False
-    return math.isfinite(p) and key == _exponent_key(p)
+    return math.isfinite(p) and key == exponent_key(p)
 
 
 def _check_envelopes(envelopes, names) -> None:
@@ -846,7 +878,11 @@ def _check_envelopes(envelopes, names) -> None:
             for p, pair in by_p.items():
                 where = f"{name}.{dim}.{p}"
                 if not _is_exponent_key(p):
-                    bad(where, "exponent keys are written as format(p, 'g')")
+                    bad(
+                        where,
+                        "exponent keys are written as exponent_key(p): format(p, 'g'), "
+                        "or repr(p) where that does not read back as p",
+                    )
                 if not (
                     isinstance(pair, list)
                     and len(pair) == 2
@@ -859,12 +895,12 @@ def _check_envelopes(envelopes, names) -> None:
 def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) -> tuple | None:
     """Look up the [lo, hi] envelope for (inequality, dimension, exponent).
 
-    A cell judges only its own exponent, not one that format(p, 'g') rounds
-    onto its key (2.0000001 onto "2").
+    The cell is keyed by exponent_key(p), which reads back as p, so a cell
+    judges only its own exponent, not one that format(p, 'g') rounds onto
+    its key (2.0000001 is keyed "2.0000001", not "2").
     """
-    key = _exponent_key(p)
-    pair = envelopes.get(name, {}).get(f"d{dimension}", {}).get(key)
-    if pair is None or (p is not None and float(key) != float(p)):
+    pair = envelopes.get(name, {}).get(f"d{dimension}", {}).get(exponent_key(p))
+    if pair is None:
         return None
     return (float(pair[0]), float(pair[1]))
 

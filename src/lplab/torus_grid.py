@@ -34,9 +34,10 @@ DEFAULT_SIZE_CAP = 2**24
 ZERO_MODE_RTOL = 1e-10
 
 # The bytes one chunk of a batched pass may hold: members or ranks of
-# complex fields, slabs of a Gram sum, rows of a sign-sum table.  Every pass
-# sizes its chunks through byte_chunks, so this is the only budget.  A larger
-# one batches more work per call but raises the peak resident set.  A chunk
+# complex fields, slabs of a Gram sum, rows of a sign-sum table, trials of
+# the sequence bound.  Every pass sizes its chunks through byte_chunks, so
+# this is the only budget.  A larger one batches more work per call but
+# raises the peak resident set.  A chunk
 # holds at least one item, so an item above the budget (one first-axis slab
 # of a large Fermi sea's waves) is a chunk of its own; a pass that repeats
 # such chunks fills buffers it reuses, so one chunk is alive at a time.

@@ -1,6 +1,7 @@
 """Inequality checkers against closed forms and brute-force oracles."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from lplab import (
     duality_identity_check,
     envelope_for,
     estimate_envelope,
+    exponent_key,
     fermi_lattice_oracle,
     fermi_sweep,
     generalized_lt_check,
@@ -43,6 +45,7 @@ from lplab import (
 )
 from lplab.fock_operator import spectral_trace
 from lplab.inequality_lab import (
+    gns_exponent,
     _gns_samples,
     _lp_density_samples,
     _lp_function_samples,
@@ -742,6 +745,36 @@ class TestEnvelopeLookup:
         for p in (2.0000001, 1.9999999, 2.000001):
             assert format(p, "g") == "2"
             assert envelope_for(envelopes, "lp", 1, p) is None, p
+
+    def test_a_d3_gns_cell_keyed_by_exponent_key_is_judged(self, tmp_path):
+        # 2 + 4/3 has no six-digit "g" form that reads back as itself.
+        p = gns_exponent(3)
+        assert format(p, "g") == "3.33333"
+        assert exponent_key(p) == repr(p)
+        path = tmp_path / "envelopes.json"
+        path.write_text(json.dumps({"gns": {"d3": {exponent_key(p): [0.1, 1.0]}}}))
+        envelopes = lplab.load_envelopes(path)
+        assert envelope_for(envelopes, "gns", 3, p) == (0.1, 1.0)
+        assert envelope_for(envelopes, "gns", 3, 3.33333) is None
+
+    def test_exponent_keys_keep_the_packaged_spellings(self):
+        packaged = {
+            key
+            for by_dim in lplab.load_envelopes().values()
+            for by_p in by_dim.values()
+            for key in by_p
+        }
+        assert packaged == {"0.6", "0.75", "1", "1.5", "2", "3", "4", "6"}
+        assert {exponent_key(float(key)) for key in packaged} == packaged
+        assert exponent_key(None) == "all"
+        assert exponent_key(2.0000001) == "2.0000001"
+
+    def test_a_key_that_does_not_read_as_its_exponent_key_is_refused(self, tmp_path):
+        for key in ("2.0", "3.33333333333333335", "nan"):
+            path = tmp_path / "envelopes.json"
+            path.write_text(json.dumps({"gns": {"d3": {key: [0.1, 1.0]}}}))
+            with pytest.raises(ConfigurationError, match="exponent_key"):
+                lplab.load_envelopes(path)
 
     def test_packaged_envelopes_load(self):
         envelopes = lplab.load_envelopes()

@@ -9,6 +9,9 @@ must keep them bound.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +214,20 @@ class TestTracerBindings:
         assert callable(lplab.corpus.CorpusSpec.member)
         assert isinstance(lplab.inequality_lab.ProcessPoolExecutor, type)
         assert lplab.cli._HANDLERS["all"] is lplab.cli._cmd_all
+
+    def test_a_cold_import_starts_no_pool_machinery(self):
+        # The pool name resolves on first read (above); importing the CLI
+        # alone must not pull in concurrent.futures or multiprocessing.
+        probe = (
+            "import sys, lplab.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        )
+        paths = [str(SPANS.parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_frame_draws_each_member_through_the_module_binding(self, rank, monkeypatch):
