@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusSpec, random_orthonormal_frame
+from .corpus import CorpusSpec, philox_key, random_orthonormal_frame
 from .dyadic_partition import (
     SHARP,
     SMOOTH,
@@ -270,6 +270,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
                 _check_config_value(key, value, setting)
         if setting.many and value is not None and not value:
             raise ConfigurationError(f"{key} needs at least one value")
+        if key in ("seed", "tensor_seed"):
+            philox_key(value)  # a seed no Philox key holds is refused before any draw
         settings[key] = value
     return _at_desk_grid(settings, given)
 

@@ -36,8 +36,17 @@ def philox_generator(
     ``stream`` offsets the counter block, giving a fresh substream for the
     same key (used for orthonormalization retries).
     """
-    key = np.array([master_seed, member_index], dtype=np.uint64)
+    key = philox_key(master_seed, member_index)
     return np.random.Generator(np.random.Philox(counter=_stream_counter(stream), key=key))
+
+
+def philox_key(master_seed: int, member_index: int = 0) -> np.ndarray:
+    """The Philox key [master seed, member index]; ConfigurationError unless
+    both are integers in [0, 2^64)."""
+    for name, value in (("seed", master_seed), ("member index", member_index)):
+        if not 0 <= value < 2**64:
+            raise ConfigurationError(f"{name} must be at least 0 and below 2^64, got {value}")
+    return np.array([master_seed, member_index], dtype=np.uint64)
 
 
 def _stream_counter(stream: int) -> np.ndarray:
@@ -47,7 +56,7 @@ def _stream_counter(stream: int) -> np.ndarray:
     return np.array([stream << 56, 0, 0, 0], dtype=np.uint64)
 
 
-def complex_normals(shape, seed: int, indices, stream: int = 0) -> np.ndarray:
+def complex_normals(shape, seed: int, indices: range, stream: int = 0) -> np.ndarray:
     """g1 + i g2 for each index i, as [len(indices), *shape], where [g1, g2]
     are the first standard normals of philox_generator(seed, i, stream).
 
@@ -198,7 +207,7 @@ def random_orthonormal_frames(
     first = attempt(index, 0, count)
     indices = range(index, index + count)
     if weights == "uniform":
-        keys = (LAMBDA_STREAM_INDEX + i for i in indices)
+        keys = range(LAMBDA_STREAM_INDEX + index, LAMBDA_STREAM_INDEX + index + count)
         lambdas = [rng.uniform(0.0, 1.0, size=rank) for rng in _rekeyed_generators(seed, keys)]
     else:
         lambdas = [np.ones(rank)] * count
@@ -222,8 +231,9 @@ def random_orthonormal_frames(
 def _power_scaled(op: FiniteRankOperator, contract: OperatorContract) -> FiniteRankOperator:
     """The frame with its eigenvalues rescaled into a power-bounded contract.
 
-    The rescaled operator shares the Gram residual and the forward stack
-    this check computes, so its own checks transform nothing again.
+    The rescaled operator shares the Gram residual, the forward stack and
+    the power overlap this check computes, so its own check of the contract
+    transforms nothing and forms no overlap again.
     """
     top = validate_contract(op, contract).checks["power_excess"] + 1.0
     if not np.isfinite(top) or top <= 0:
@@ -255,8 +265,8 @@ def spike_window(dimension: int, j_range) -> tuple[int, int]:
     return lo, hi
 
 
-def _rekeyed_generators(master_seed: int, indices, stream: int = 0):
-    """Yield, for each index, a generator in the state
+def _rekeyed_generators(master_seed: int, indices: range, stream: int = 0):
+    """Yield, for each index of a range, a generator in the state
     ``philox_generator(master_seed, i, stream)`` starts in.
 
     One bit generator is re-keyed per index, so every yield is the same
@@ -266,7 +276,10 @@ def _rekeyed_generators(master_seed: int, indices, stream: int = 0):
     counter = _stream_counter(stream)
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
-    key = np.array([master_seed, 0], dtype=np.uint64)
+    key = philox_key(master_seed)
+    if indices:  # the ends of a range bound every index in it
+        philox_key(master_seed, indices[0])
+        philox_key(master_seed, indices[-1])
     # The setter copies every field, so one state dict serves every index.
     state = dict(
         bit_generator.state,
@@ -325,8 +338,8 @@ def spike_sequences(
     """
     lo, hi = spike_window(dimension, j_range)
     count, index = int(count), int(index)
-    if index < 0:
-        raise ConfigurationError(f"first member index must be at least 0, got {index}")
+    if count < 0:
+        raise ConfigurationError(f"member count must be at least 0, got {count}")
     generators = _rekeyed_generators(seed, range(index, index + count))
     return _spike_table(dimension, lo, hi, generators, count)
 

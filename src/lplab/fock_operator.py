@@ -16,12 +16,11 @@ its eigenfunctions.  No Fermi sea is held as an operator; the ladder is
 streamed (below).
 
 Plane-wave Fermi seas come from one wave generator, _plane_waves, which
-builds any range of a sea's waves (rank rows, and a range of the leading
-grid axis) with the bits of the full stack: sea_ladder streams a ladder of
-seas through it into buffers it reuses, without holding one.  Gram
-matrices have one kernel, _gram_matrix, over column blocks of a stack or
-generated slabs; validate_contract and sea_ladder share one unit-ball
-verdict and one violation message.
+builds any range of a sea's waves with the bits of the full stack:
+sea_ladder streams a ladder of seas through it without holding one, and
+certifies each rung's orthonormality from the spectra it transforms, with
+no Gram matrix.  Stacks have one Gram kernel, _gram_matrix; validate_contract
+and sea_ladder share one unit-ball verdict and one violation message.
 
 An operator carries no contract: every check names the one it verifies.
 Contracts describe the operator bound a checker relies on:
@@ -96,12 +95,12 @@ class FiniteRankOperator:
 
     The operator is immutable: both arrays are read-only views, so the
     quantities it computes at most once (the Gram residual, the forward
-    stack of its eigenfunctions, the spectral density w and the density
-    rho) cannot go stale.  The forward stack is kept once read; the
-    spectral density and the power-bounded check both read it.  It is
-    as large as the eigenfunctions (a sea of 257 waves at d = 3, n = 32
-    holds 135 MB more), so a ladder of large plane-wave seas belongs in
-    sea_ladder, which holds neither.
+    stack of its eigenfunctions, the overlaps of the power-bounded check,
+    the spectral density w and the density rho) cannot go stale.  The
+    forward stack is kept once read; the spectral density and the
+    power-bounded check both read it.  It is as large as the eigenfunctions
+    (a sea of 257 waves at d = 3, n = 32 holds 135 MB more), so a ladder of
+    large plane-wave seas belongs in sea_ladder, which holds neither.
     """
 
     grid: TorusGrid
@@ -153,14 +152,19 @@ class FiniteRankOperator:
         """rho(x) = sum_k lambda_k |u_k(x)|^2."""
         return _read_only(weighted_density(self.grid, self.eigenfunctions, self.eigenvalues))
 
+    @cached_property
+    def _power_overlaps(self) -> dict:
+        """power -> _power_overlap of the eigenfunctions, filled by validate_contract."""
+        return {}
+
     def reweighted(self, eigenvalues) -> "FiniteRankOperator":
         """The operator on the same eigenfunctions with other eigenvalues.
 
         It shares what depends on the eigenfunctions alone, once computed:
-        the Gram residual and the forward stack.
+        the Gram residual, the forward stack and the power overlaps.
         """
         op = FiniteRankOperator(self.grid, eigenvalues, self.eigenfunctions)
-        for name in ("gram_residual", "_forward_stack"):
+        for name in ("gram_residual", "_forward_stack", "_power_overlaps"):
             if name in self.__dict__:
                 op.__dict__[name] = self.__dict__[name]
         return op
@@ -208,19 +212,14 @@ def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
 
 
 def _plane_waves(
-    grid: TorusGrid,
-    modes: np.ndarray,
-    rows: slice = slice(None),
-    leading: slice = slice(None),
-    out: np.ndarray | None = None,
+    grid: TorusGrid, modes: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The normalized waves L^{-d/2} e^{i xi x} of modes[rows], restricted to
-    the range ``leading`` of the first grid axis, as [r, l, N, .., N]; the
-    last outer product is written into ``out`` when it is given.
+    """The normalized waves L^{-d/2} e^{i xi x} of modes[rows], as [r, N, .., N];
+    the last outer product is written into ``out`` when it is given.
 
     Each wave is the outer product of the one-axis waves e^{i xi_m x_m}, read
     from one table of N x N phases and appended one axis at a time.  An
-    element is the same chain of products whatever the ranges, so the pieces
+    element is the same chain of products whatever the rows, so the pieces
     have the bits of the full stack.
     """
     modes = modes[rows]
@@ -228,9 +227,8 @@ def _plane_waves(
     axis_waves = np.exp(1j * np.outer(grid.axis_frequencies, grid.axis_coordinates))
     functions = np.full(modes.size, grid.volume**-0.5, dtype=complex)
     for axis, m_idx in enumerate(np.unravel_index(modes, grid.shape)):
-        table = axis_waves[m_idx][:, leading] if axis == 0 else axis_waves[m_idx]
-        # Append one axis: [r, l, .., N] times [r, 1, .., 1, N].
-        factor = table.reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
+        # Append one axis: [r, N, ..] times [r, 1, .., 1, N].
+        factor = axis_waves[m_idx].reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
         last = axis == grid.dimension - 1
         functions = np.multiply(functions[..., None], factor, out=out if last else None)
     return functions
@@ -240,24 +238,32 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
     """(rank, w, rho) of the Fermi sea at each chemical potential, in order.
 
     No sea is held: every rung's waves are a prefix of the top rung's in
-    (|xi|^2, flat index) order, and _plane_waves generates those piece by
-    piece for two passes, each into buffers it reuses.  The Gram pass
-    (_ladder_gram) sums one Gram matrix G over slabs of the first grid
-    axis; a rung of rank r must pass the unit-ball contract on G[:r, :r], or
-    ContractViolationError is raised as by require_contract.  A chemical
+    (|xi|^2, flat index) order.  One pass generates field_chunks of the rank
+    axis with _plane_waves into a buffer it reuses, transforms each once and
+    sums |coeffs_k|^2 and |u_k|^2 in ascending k into w and rho, copied at
+    each rung's rank: the sums spectral_density and density_values run on
+    the operator of unit weights on those waves, bit for bit.  A chemical
     potential below the first shell (2 pi / L)^2, whose sea holds only the
-    zero mode, is refused with ConfigurationError before any wave is
-    generated.  The transform pass takes field_chunks of the rank axis,
-    transforms each once and sums |coeffs_k|^2 and |u_k|^2 in ascending k
-    into w and rho, copied at each rung's rank: the sums spectral_density
-    and density_values run on the operator of unit weights on those waves,
-    bit for bit.
+    zero mode, is refused (ConfigurationError) before any wave is generated.
+
+    The |coeffs_k|^2 also certify the unit-ball contract, with no Gram
+    matrix.  With c_k = a_k e_{m_k} + r_k, m_k the wave's own mode and
+    r_k(m_k) = 0, distinct modes and Parseval give |G_kl - delta_kl| <= B
+    on the Gram matrix of the first r waves, with maxima over k < r:
+
+        B = max |L^{-d} |a_k|^2 - 1|
+            + L^{-d} (2 max |a_k| max ||r_k||_inf + max ||r_k||_2^2).
+
+    Each rung takes the unit-ball verdict on its B when the pass reaches its
+    rank; a failure raises ContractViolationError as require_contract does.
     """
     # Refuse a bad rung before any wave is generated.
     chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
     if not chemical_potentials:
         return []
     modes = _sea_modes(grid, max(chemical_potentials))
+    if np.any(np.diff(np.sort(modes)) == 0):
+        raise ContractViolationError("operator fails the unit_ball contract: a mode repeats")
     norms = grid.frequency_norms_squared.reshape(-1)[modes]
     ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
     for mu, rank in zip(chemical_potentials, ranks):
@@ -267,12 +273,10 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
                 f"{(2.0 * math.pi / grid.box_length) ** 2}: its sea holds only the zero mode"
             )
 
-    gram = _ladder_gram(grid, modes)
-    for rank in sorted(set(ranks)):
-        _require(_unit_ball_report(UNIT_BALL, _identity_excess(gram[:rank, :rank]), 1.0))
-
     rungs = {}
     w, rho = np.zeros(grid.shape), np.zeros(grid.shape)
+    # Running maxima of |L^{-d} |a_k|^2 - 1|, |a_k|^2, ||r_k||_inf^2, ||r_k||_2^2.
+    maxima = np.zeros((4, 1))
     chunks = field_chunks(grid, modes.size, 1)
     width = len(range(modes.size)[chunks[0]])
     waves_buffer = np.empty((width,) + grid.shape, dtype=complex)
@@ -284,34 +288,21 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
         # The waves are transformed in place once |u_k|^2 is taken.
         spectra = forward_transform_stack(grid, waves, out=waves)
         spectral = abs_squared(spectra, out=spectral_buffer[:count])
+        # r_k's entries are read with |a_k|^2 set aside, then put back.
+        table, own = spectral.reshape(count, -1), (np.arange(count), modes[chunk])
+        peaks = table[own]
+        table[own] = 0.0
+        terms = [np.abs(peaks / grid.volume - 1.0), peaks, table.max(axis=1), table.sum(axis=1)]
+        table[own] = peaks
+        maxima = np.maximum.accumulate(np.hstack([maxima[:, -1:], terms]), axis=1)
+        bounds = maxima[0] + (2.0 * np.sqrt(maxima[1] * maxima[2]) + maxima[3]) / grid.volume
         for k in range(count):
             w += spectral[k]
             rho += physical[k]
             if chunk.start + k + 1 in ranks:
+                _require(_unit_ball_report(UNIT_BALL, float(bounds[k + 1]), 1.0))
                 rungs[chunk.start + k + 1] = (w.copy(), rho.copy())
     return [(rank, *rungs[rank]) for rank in ranks]
-
-
-def _ladder_gram(grid: TorusGrid, modes: np.ndarray) -> np.ndarray:
-    """The Gram matrix of the waves of ``modes``, summed over slabs of the
-    first grid axis that _plane_waves generates into one reused buffer.
-
-    A slab is as many first-axis indices as fit FIELD_CHUNK_BYTES, and at
-    least one: N^(d-1) columns, the width the Gram products run at in BLAS.
-    The buffer is freed when the last slab is read, before G is formed and
-    before the transform pass allocates.
-    """
-    n, columns = grid.points_per_axis, grid.size // grid.points_per_axis
-    slabs = byte_chunks(n, modes.size * columns * np.dtype(complex).itemsize)
-
-    def slab_waves():
-        buffer = np.empty(modes.size * len(range(n)[slabs[0]]) * columns, dtype=complex)
-        for slab in slabs:
-            shape = (modes.size, len(range(n)[slab])) + grid.shape[1:]
-            out = buffer[: math.prod(shape)].reshape(shape)
-            yield _plane_waves(grid, modes, leading=slab, out=out)
-
-    return _gram_matrix(grid, slab_waves())
 
 
 @dataclass
@@ -322,54 +313,35 @@ class ValidationReport:
     checks: dict[str, float] = field(default_factory=dict)
 
 
-def _gram_matrix(grid: TorusGrid, functions) -> np.ndarray:
-    """<u_k, u_l> of r grid fields, in the quadrature inner product.
+def _gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
+    """<u_k, u_l> of a stack [r, ...] of grid fields, in the quadrature inner product.
 
-    ``functions`` is a stack [r, ...], read in byte_chunks of the columns of
-    its (r, N^d) view, or an iterable of blocks [r, ...] whose columns
-    together cover the grid once.  With X and Y the sums over the blocks of
-    x x^T + y y^T and y x^T (_gram_sums), Re G is X and Im G is Y - Y^T; no
-    conjugate copy is made, and the blocks are released before G is formed.
+    The columns of its (r, N^d) view are read in byte_chunks.  Each block's
+    real part x and imaginary part y are copied into one float buffer, sized
+    by the first block, which byte_chunks makes the widest, and reused by
+    the rest.  With X and Y the sums over the blocks of x x^T + y y^T and
+    y x^T, Re G is X and Im G is Y - Y^T: numpy takes a product with the
+    operand's own transpose through BLAS syrk, and no conjugate copy is made.
     """
-    if isinstance(functions, np.ndarray):
-        flat = functions.reshape(len(functions), -1)
-        column_bytes = len(flat) * np.dtype(complex).itemsize
-        functions = (flat[:, cols] for cols in byte_chunks(flat.shape[1], column_bytes))
-    real, cross = _gram_sums(functions)
-    return grid.cell_volume * (real + 1j * (cross - cross.T))
-
-
-def _gram_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """sum x x^T + y y^T and sum y x^T over blocks [r, ...] of real part x
-    and imaginary part y.
-
-    Each block's parts are copied into one float buffer, sized by the first
-    block, which byte_chunks makes the widest, and reused by the rest; numpy
-    takes a product with the operand's own transpose through BLAS syrk.
-    """
+    flat = functions.reshape(len(functions), -1)
+    blocks = byte_chunks(flat.shape[1], len(flat) * np.dtype(complex).itemsize)
+    parts = np.empty(2 * len(flat) * len(range(flat.shape[1])[blocks[0]]))
     real = cross = 0.0
-    parts = None
-    for block in blocks:
-        columns = block.reshape(len(block), -1)
-        if parts is None:
-            parts = np.empty(2 * columns.size)
+    for cols in blocks:
+        columns = flat[:, cols]
         x, y = parts[: 2 * columns.size].reshape((2,) + columns.shape)
         np.copyto(x, columns.real)
         np.copyto(y, columns.imag)
         real += x @ x.T
         real += y @ y.T
         cross += y @ x.T
-    return real, cross
-
-
-def _identity_excess(gram: np.ndarray) -> float:
-    """max |G_kl - delta_kl| of a Gram matrix."""
-    return float(np.max(np.abs(gram - np.eye(len(gram)))))
+    return grid.cell_volume * (real + 1j * (cross - cross.T))
 
 
 def gram_residual(grid: TorusGrid, functions: np.ndarray) -> float:
     """max |<u_k, u_l> - delta_kl| over a stack [r, ...] of grid fields."""
-    return _identity_excess(_gram_matrix(grid, functions))
+    gram = _gram_matrix(grid, functions)
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
 def _unit_ball_report(contract, gram_excess: float, top_eigenvalue) -> ValidationReport:
@@ -396,8 +368,10 @@ def validate_contract(op: FiniteRankOperator, contract: OperatorContract) -> Val
     # power_bounded: top eigenvalue of M_kl = sqrt(l_k l_l) <v_k, v_l> with
     # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
-    spectra = op._forward_stack.reshape(op.rank, -1)
-    if a != 0.0 and np.any(zero_mode_offenders(abs_squared(spectra))):
+    if a not in op._power_overlaps:
+        op._power_overlaps[a] = _power_overlap(op.grid, op._forward_stack, a)
+    overlap = op._power_overlaps[a]
+    if overlap is None:
         if a < 0:
             raise ZeroModeSingularityError(
                 "zero-mode singularity: power-bounded contract with negative "
@@ -408,11 +382,6 @@ def validate_contract(op: FiniteRankOperator, contract: OperatorContract) -> Val
         checks["power_excess"] = float("inf")
         return ValidationReport(contract, False, float("inf"), checks)
 
-    weights = laplacian_power(op.grid, -a).reshape(-1)
-    scaled = spectra * weights
-    # conj(conj(scaled) @ spectra^T) = scaled @ spectra^H, without a
-    # conjugated copy of the kept stack: only the rank x rank product is.
-    overlap = (np.conjugate(scaled, out=scaled) @ spectra.T).conj() / op.grid.volume
     root_weights = np.sqrt(op.eigenvalues)
     m_matrix = root_weights[:, None] * overlap * root_weights[None, :]
     m_matrix = 0.5 * (m_matrix + m_matrix.conj().T)
@@ -422,6 +391,19 @@ def validate_contract(op: FiniteRankOperator, contract: OperatorContract) -> Val
     failed = failed or power_excess > EIGENVALUE_TOLERANCE
     margin = max(gram_excess, power_excess, 0.0)
     return ValidationReport(contract, not failed, margin, checks)
+
+
+def _power_overlap(grid: TorusGrid, forward_stack: np.ndarray, power: float) -> np.ndarray | None:
+    """<v_k, v_l> with v_k = (-Laplacian)^{-power/2} u_k, from the forward
+    stack [r, ...] of the u_k; None when power != 0 and some u_k carries
+    zero-mode mass, which v_k (power < 0) or the bound (power > 0) forbids."""
+    spectra = forward_stack.reshape(len(forward_stack), -1)
+    if power != 0.0 and np.any(zero_mode_offenders(abs_squared(spectra))):
+        return None
+    scaled = spectra * laplacian_power(grid, -power).reshape(-1)
+    # conj(conj(scaled) @ spectra^T) = scaled @ spectra^H, without a
+    # conjugated copy of the kept stack: only the rank x rank product is.
+    return (np.conjugate(scaled, out=scaled) @ spectra.T).conj() / grid.volume
 
 
 def _require(report: ValidationReport) -> ValidationReport:

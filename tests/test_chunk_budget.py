@@ -1,6 +1,6 @@
 """One memory budget: torus_grid.FIELD_CHUNK_BYTES sizes every chunked pass.
 
-Patching that one binding must resize the Fermi sweep's Gram slabs, the
+Patching that one binding must resize the Fermi sweep's rank chunks, the
 column blocks of a stack's Gram matrix and the array chunks of the sign-sum
 pass, and no other module of the package may name the budget or define a
 byte budget of its own.
@@ -24,15 +24,15 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lplab"
 def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
-    seen = {"slabs": [], "columns": [], "chunks": []}
+    seen = {"ranks": [], "columns": [], "chunks": []}
     plane_waves = lplab.fock_operator._plane_waves
     copyto = np.copyto
     mean = np.mean
 
-    def waves(grid, modes, rows=slice(None), leading=slice(None), out=None):
-        if leading != slice(None):
-            seen["slabs"].append(leading)
-        return plane_waves(grid, modes, rows, leading, out)
+    def waves(grid, modes, rows=slice(None), out=None):
+        # The sweep generates each chunk of the rank axis once.
+        seen["ranks"].append(rows)
+        return plane_waves(grid, modes, rows, out)
 
     def moments(table, axis):
         # _sign_moments takes one mean per exponent over each chunk's table.
@@ -57,13 +57,13 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np, "mean", moments)
             khinchine_reports(8, [1.0], 40, 5)
-        return len(seen["slabs"]), len(seen["columns"]) // 2, len(seen["chunks"])
+        return len(seen["ranks"]), len(seen["columns"]) // 2, len(seen["chunks"])
 
-    # 1 MiB: slabs of 7 of 16 indices, blocks of 1985 of 4096 columns, all 40 arrays.
+    # 1 MiB: rank chunks of 16 of 33 waves, blocks of 1985 of 4096 columns, all 40 arrays.
     assert counts() == (3, 3, 1)
     monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", grid.size * 16)
-    # One field: slabs of 1 index, blocks of 124 columns, 32 arrays of 256 rows.
-    assert counts() == (16, 34, 2)
+    # One field: rank chunks of 1 wave, blocks of 124 columns, 32 arrays of 256 rows.
+    assert counts() == (33, 34, 2)
 
 
 def budget_names(path: Path) -> set[str]:

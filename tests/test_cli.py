@@ -192,6 +192,16 @@ class TestExitCodes:
              "chemical potential 0.7 lies below the first shell 1.0: its sea holds only the zero mode"),
             (["khinchine", "--terms", "21"], None, "at most 20 terms, got 21"),
             (["khinchine", "--tensor-terms", "21"], None, "at most 20 terms, got 21"),
+            (["seqlemma", "--seed", "-1", "--trials", "5"], None, "seed must be at least 0"),
+            (["lp", "--seed", "-1", "--samples", "2", "--n", "16"], None,
+             "seed must be at least 0"),
+            (["khinchine", "--count", "2", "--seed", "-1"], None, "seed must be at least 0"),
+            (["glt", "--seed", "-1", "--samples", "1"], None, "seed must be at least 0"),
+            (["lieb-thirring", "--seed", "-1", "--chain-samples", "1"], None,
+             "seed must be at least 0"),
+            (["khinchine", "--count", "2", "--tensor-seed", str(2**64)], None,
+             f"seed must be at least 0 and below 2^64, got {2**64}"),
+            (["lp"], {"seed": -3, "samples": 2, "n": 16}, "seed must be at least 0"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -205,6 +215,9 @@ class TestExitCodes:
             "config_out_number", "config_envelopes_number", "config_csv_list",
             "config_jobs_string", "config_mu_empty", "config_rank_fraction",
             "mu_below_first_shell", "terms_above_cap", "tensor_terms_above_cap",
+            "seqlemma_negative_seed", "lp_negative_seed", "khinchine_negative_seed",
+            "glt_negative_seed", "lieb_thirring_negative_seed", "tensor_seed_above_key",
+            "config_negative_seed",
         ],
     )
     def test_settings_refused_before_any_draw(

@@ -4,6 +4,7 @@ the declarative corpus spec."""
 import numpy as np
 import pytest
 
+import lplab
 import lplab.corpus
 from lplab import (
     ConfigurationError,
@@ -39,6 +40,18 @@ class TestPhiloxStreams:
     def test_stream_range_guard(self):
         with pytest.raises(ValueError, match="stream"):
             philox_generator(1, stream=256)
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (1, -1), (1, 2**64)])
+    def test_a_key_off_the_uint64_range_is_refused(self, seed, index):
+        with pytest.raises(ConfigurationError, match="at least 0 and below 2"):
+            philox_generator(seed, member_index=index)
+        with pytest.raises(ConfigurationError, match="at least 0 and below 2"):
+            random_band_limited(lplab.TorusGrid(1, 2 * np.pi, 16), 1.0, seed, index=index)
+
+    def test_the_largest_key_draws(self):
+        top = 2**64 - 1
+        grid = lplab.TorusGrid(1, 2 * np.pi, 16)
+        assert random_band_limited(grid, 1.0, top, index=top).shape == (1, 16)
 
 
 class TestBandLimited:

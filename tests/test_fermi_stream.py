@@ -2,8 +2,11 @@
 
 fock_operator.sea_ladder generates the top rung's waves in pieces; every
 rung's w and rho, and every fermi_sweep row and chain, must equal those of
-the rung's own materialized sea bit for bit, a wave off the unit sphere
-must fail the unit-ball contract, and the sweep must hold no stack of waves.
+the rung's own materialized sea bit for bit.  Its spectral certificate B
+must bound the dense Gram residual of every rung, so a wave off the unit
+sphere or mixed with another fails the unit-ball contract, and a repeated
+mode is refused.  The sweep must hold no stack of waves and no Gram matrix:
+its peak does not grow with the rank.
 """
 
 import numpy as np
@@ -20,9 +23,9 @@ from lplab import (
     lieb_thirring_check,
     lt_chain_check,
 )
-from lplab.fock_operator import sea_ladder
+from lplab.fock_operator import GRAM_TOLERANCE, _sea_modes, sea_ladder
 from lplab.inequality_lab import kinetic_chain
-from sea_reference import fermi_sea
+from sea_reference import fermi_sea, gram_excess
 
 TAU = 2.0 * np.pi
 GRIDS = {1: (1, 256), 2: (2, 64), 3: (3, 16)}
@@ -87,12 +90,12 @@ def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
     grid = _grid(3)
     generate = lplab.fock_operator._plane_waves
 
-    def perturbed(grid, modes, rows=slice(None), leading=slice(None), out=None):
-        waves = generate(grid, modes, rows, leading, out)
+    def perturbed(grid, modes, rows=slice(None), out=None):
+        waves = generate(grid, modes, rows, out)
         assert out is None or waves is out
         first = rows.indices(len(modes))[0]
         if first <= wave < first + len(waves):
-            # Scaled inside the buffer the ladder reads the slab from.
+            # Scaled inside the buffer the ladder transforms.
             waves[wave - first] *= 1.0 + 1e-6
         return waves
 
@@ -111,13 +114,113 @@ def test_sweep_holds_no_stack_of_waves(traced_peak):
     assert peak < stack_bytes / 4, (peak, stack_bytes)
 
 
-def test_ladder_holds_one_slab_and_its_float_copy(traced_peak):
-    """The Gram pass generates each first-axis slab into one complex buffer
-    and copies its parts into one float buffer of the same bytes; the
-    transform pass runs after both are freed."""
+# Small grids and two-rung ladders for the certificate: ranks (5, 9),
+# (9, 29) and (7, 19).
+CERTIFIED = {
+    1: (TorusGrid(1, TAU, 64), [4.5, 16.5]),
+    2: (TorusGrid(2, TAU, 16), [2.5, 8.5]),
+    3: (TorusGrid(3, TAU, 8), [1.5, 2.5]),
+}
+
+
+def _perturb_one_wave(monkeypatch, grid, top_mu, row, kind, eps):
+    """Patch the wave generator so that wave ``row`` of the sea is scaled by
+    1 + eps ("scale"), gains eps times a neighbouring wave of the sea ("mix"),
+    or moves a share eps of itself onto the first mode outside the sea
+    ("swap").  The sweep and the materialized sea read the same patch."""
+    generate = lplab.fock_operator._plane_waves
+    modes = _sea_modes(grid, 4.0 * top_mu)  # the sea, then the modes beyond it
+    rank = fermi_lattice_oracle(grid, top_mu)["rank"]
+    partner = {"scale": None, "mix": 1 if row == 0 else row - 1, "swap": rank}[kind]
+
+    def perturbed(grid, sea_modes, rows=slice(None), out=None):
+        waves = generate(grid, sea_modes, rows, out)
+        first = rows.indices(len(sea_modes))[0]
+        if first <= row < first + len(waves):
+            wave = waves[row - first]
+            if kind == "scale":
+                wave *= 1.0 + eps
+            else:
+                other = generate(grid, modes, slice(partner, partner + 1))[0]
+                if kind == "swap":
+                    wave *= 1.0 - eps
+                wave += eps * other
+        return waves
+
+    monkeypatch.setattr(lplab.fock_operator, "_plane_waves", perturbed)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("kind", ["scale", "mix", "swap"])
+@pytest.mark.parametrize("row", ["first", "middle", "last"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_certificate_bounds_the_dense_gram_residual(d, row, kind, eps, monkeypatch):
+    grid, ladder = CERTIFIED[d]
+    ranks = [fermi_lattice_oracle(grid, mu)["rank"] for mu in ladder]
+    wave = {"first": 0, "middle": ranks[-1] // 2, "last": ranks[-1] - 1}[row]
+    _perturb_one_wave(monkeypatch, grid, ladder[-1], wave, kind, eps)
+    sea = fermi_sea(grid, ladder[-1])
+    references = [gram_excess(sea, rank) for rank in ranks]
+    bounds = []
+    report = lplab.fock_operator._unit_ball_report
+
+    def recorded(contract, excess, top_eigenvalue):
+        bounds.append(excess)
+        return report(contract, excess, top_eigenvalue)
+
+    monkeypatch.setattr(lplab.fock_operator, "_unit_ball_report", recorded)
+    try:
+        sea_ladder(grid, ladder)
+        raised = False
+    except ContractViolationError as error:
+        assert "unit_ball contract" in str(error)
+        raised = True
+    # Each rung is judged on its own B, and the sweep stops at the first
+    # rung that fails.
+    assert len(bounds) == (1 if raised and bounds[0] > GRAM_TOLERANCE else 2)
+    for bound, reference in zip(bounds, references):
+        assert bound >= reference - 1e-13, (bound, reference)
+    assert raised == (bounds[-1] > GRAM_TOLERANCE)
+    if max(references) > GRAM_TOLERANCE:
+        assert raised
+
+
+def test_a_repeated_mode_is_refused_before_any_wave(monkeypatch):
+    grid = _grid(2)
+    sea_modes = lplab.fock_operator._sea_modes
+
+    def repeated(grid, chemical_potential):
+        modes = sea_modes(grid, chemical_potential)
+        return np.append(modes, modes[-1])
+
+    def no_waves(*args, **kwargs):
+        raise AssertionError("generated waves for a sea that repeats a mode")
+
+    monkeypatch.setattr(lplab.fock_operator, "_sea_modes", repeated)
+    monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_waves)
+    with pytest.raises(ContractViolationError, match="unit_ball contract: a mode repeats"):
+        sea_ladder(grid, [2.5, 8.5])
+
+
+def test_the_peak_does_not_grow_with_the_rank(traced_peak):
+    grid = TorusGrid(2, TAU, 64)
+    grid.frequency_norms_squared  # the grid's own table is not the ladder's
+    low, low_peak = traced_peak(sea_ladder, grid, [100.5])
+    high, high_peak = traced_peak(sea_ladder, grid, [900.5])
+    assert [low[0][0], high[0][0]] == [317, 2821]
+    assert high_peak <= 1.1 * low_peak, (low_peak, high_peak)
+
+
+def test_ladder_holds_only_the_transform_pass_buffers(traced_peak):
+    """One chunk of waves in one complex buffer, transformed in place; its
+    two |.|^2 tables in float buffers of the same bytes, and the im^2
+    temporary of one table; then w, rho and each rung's copy of both."""
     grid = TorusGrid(3, TAU, 32)
     grid.frequency_norms_squared  # the grid's own table is not the ladder's
-    slab_bytes = 257 * 32**2 * np.dtype(complex).itemsize
-    rungs, peak = traced_peak(sea_ladder, grid, [2.5, 4.5, 16.5])
+    field_bytes = grid.size * np.dtype(complex).itemsize
+    chunk_bytes = len(range(257)[lplab.torus_grid.field_chunks(grid, 257, 1)[0]]) * field_bytes
+    ladder = [2.5, 4.5, 16.5]
+    rungs, peak = traced_peak(sea_ladder, grid, ladder)
     assert [rank for rank, _, _ in rungs] == [19, 33, 257]
-    assert peak <= 2.5 * slab_bytes, (peak / slab_bytes)
+    bound = 2.5 * chunk_bytes + (1 + len(ladder)) * field_bytes
+    assert peak <= bound, (peak, bound)

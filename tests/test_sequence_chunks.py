@@ -82,6 +82,12 @@ def test_a_negative_first_member_is_refused():
         spike_sequences(1, count=3, seed=1, index=-1)
 
 
+@pytest.mark.parametrize("kwargs", [dict(count=-1), dict(count=2, seed=-1), dict(seed=2**64)])
+def test_a_negative_count_or_a_seed_off_the_key_range_is_refused(kwargs):
+    with pytest.raises(ConfigurationError, match="at least 0"):
+        spike_sequences(1, **kwargs)
+
+
 def test_the_peak_does_not_grow_with_the_trials(traced_peak):
     _, desk = traced_peak(sequence_lemma_trials, 1, 10_000, 3)
     _, twenty_fold = traced_peak(sequence_lemma_trials, 1, 200_000, 3)

@@ -192,6 +192,30 @@ class TestOperatorCache:
         generalized_lt_check(op, 1.0, 2.0)
         assert fft_calls == {"fftn": 1, "ifftn": 1}
 
+    def test_one_power_overlap_per_frame_and_power(self, monkeypatch):
+        products = []
+        overlap = lplab.fock_operator._power_overlap
+
+        def counted(grid, forward_stack, power):
+            products.append(power)
+            return overlap(grid, forward_stack, power)
+
+        monkeypatch.setattr(lplab.fock_operator, "_power_overlap", counted)
+        grid = _grid(2)
+        op = random_orthonormal_frame(grid, 4, 1.0, 53, power_bound=1.0)
+        # Drawing the frame scales it into the contract; the check of the
+        # rescaled frame reads the overlap that scaling computed.
+        generalized_lt_check(op, 1.0, 1.0)
+        generalized_lt_check(op, 1.0, 2.0)
+        assert products == [1.0]
+        # Another power is one more product, shared by a reweighted copy.
+        report = validate_contract(op, power_bounded(2.0))
+        assert validate_contract(op.reweighted(op.eigenvalues), power_bounded(2.0)) == report
+        assert products == [1.0, 2.0]
+        code, _ = _run("glt --dim 2 --n 16 --rank 4 --samples 3 --a 1 --b 2".split())
+        assert code == 0
+        assert products == [1.0, 2.0, 1.0, 1.0, 1.0]  # one per glt frame
+
     def test_power_excess_uses_the_checked_weights(self, fft_calls):
         grid = _grid(2)
         op = random_orthonormal_frame(grid, 4, 1.0, 43, power_bound=1.0)
@@ -253,22 +277,16 @@ class TestSectionsBuildOnce:
         generated = []
         waves = lplab.fock_operator._plane_waves
 
-        def recorded(grid, modes, rows=slice(None), leading=slice(None), out=None):
-            generated.append(
-                (range(*rows.indices(len(modes))), range(*leading.indices(grid.points_per_axis)))
-            )
-            return waves(grid, modes, rows, leading, out)
+        def recorded(grid, modes, rows=slice(None), out=None):
+            generated.append(range(*rows.indices(len(modes))))
+            return waves(grid, modes, rows, out)
 
         monkeypatch.setattr(lplab.fock_operator, "_plane_waves", recorded)
-        sweep_grams, grams = [], []
+        grams = []
         gram = lplab.fock_operator._gram_matrix
 
         def counted_gram(grid, functions):
-            # A frame's Gram matrix reads a stack; the sweep's, generated slabs.
-            if isinstance(functions, np.ndarray):
-                grams.append(len(functions))
-            else:
-                sweep_grams.append(1)
+            grams.append(len(functions))
             return gram(grid, functions)
 
         monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted_gram)
@@ -276,17 +294,11 @@ class TestSectionsBuildOnce:
         assert code == 0
         results = json.loads(text)["results"]
         assert [row["rank"] for row in results["sweep"]] == [19, 33, 93]
-        every_row, every_index = range(93), range(16)
-        # Gram pass: slabs of the first axis, each with every wave of the top rung.
-        slabs = [leading for rows, leading in generated if rows == every_row]
-        assert sorted(i for slab in slabs for i in slab) == list(every_index)
-        assert len(slabs) > 1
-        # Transform pass: chunks of the rank axis, each on the whole grid.
-        chunks = [rows for rows, leading in generated if rows != every_row]
-        assert all(leading == every_index for rows, leading in generated if rows != every_row)
-        assert sorted(k for rows in chunks for k in rows) == list(every_row)
-        assert len(chunks) > 1
-        assert sweep_grams == [1]
+        # One pass of chunks of the rank axis: every row of the top rung is
+        # generated exactly once, on the whole grid.
+        assert sorted(k for rows in generated for k in rows) == list(range(93))
+        assert len(generated) > 1
+        # The sweep certifies its rungs without a Gram matrix.
         assert grams == [4, 4]  # one per chain frame; none of a sea
         sources = [c["source"] for c in results["chains"]]
         assert sources == ["sea_rank_19", "sea_rank_33", "frame_0", "frame_1"]
