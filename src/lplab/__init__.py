@@ -23,8 +23,6 @@ from .dyadic_partition import (
     block_squared_sum,
     block_table,
     build_blocks,
-    build_companions,
-    build_profile,
     write_block_table_csv,
 )
 from .projectors import unit_ball_volume

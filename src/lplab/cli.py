@@ -31,9 +31,9 @@ to be judged against.  Such a cell reports "passed": null, the run's
 
 Flag resolution order: explicit flag > --config file entry > built-in
 default; a grid run that sets no n takes its dimension's DESK_POINTS, and a
-repeated exponent is judged once.  Every run is serial, in this process;
---jobs is accepted and ignored.  Output paths never enter the payload, so
-reruns are byte-identical.
+repeated exponent or rank is judged once.  Every run is serial, in this
+process; --jobs is accepted and ignored.  Output paths never enter the
+payload, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ from .dyadic_partition import (
     SHARP,
     SMOOTH,
     build_blocks,
-    build_companions,
-    build_profile,
     write_block_table_csv,
 )
 from .errors import ConfigurationError, UnsupportedFamilyError
@@ -333,10 +331,15 @@ def _default_mu_ladder(grid: TorusGrid) -> list[float]:
 # Envelope-judged runs, shared by the handlers and calibration
 
 
+def _distinct(values, kind: type) -> list:
+    """The distinct values of a repeatable setting as ``kind``, in first-seen order."""
+    return list(dict.fromkeys(kind(v) for v in values))
+
+
 def _exponents(settings: dict) -> list[float]:
     """The distinct exponents a run judges; gns has one, fixed by the dimension."""
     if "p" in settings:
-        return list(dict.fromkeys(float(p) for p in settings["p"]))
+        return _distinct(settings["p"], float)
     return [gns_exponent(int(settings["dim"]))]
 
 
@@ -360,8 +363,7 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
     grid = _grid_of(settings)
     ps = _exponents(settings)
     reports = []
-    for rank in settings.get("rank", [None]):
-        rank = None if rank is None else int(rank)
+    for rank in _distinct(settings["rank"], int) if "rank" in settings else [None]:
         exponents = []
         for p in ps:
             envelope = envelope_for(envelopes, checker, grid.dimension, p)
@@ -474,19 +476,15 @@ def _report_results(reports: list[RatioReport], passed: bool = True, **extra):
 
 
 def _cmd_partition(settings: dict, envelopes: dict):
-    grid = _grid_of(settings)
-    family = settings["family"]
-    profile = build_profile(settings["profile"]) if family == SMOOTH else None
-    blocks = build_blocks(grid, family, profile)
+    blocks = build_blocks(_grid_of(settings), settings["family"], settings["profile"])
     companion_residual = None
-    if family == SMOOTH:
-        blocks = build_companions(blocks)
+    if blocks.family == SMOOTH:
         companion_residual = 0.0
-        for j in blocks.block_indices:
-            symbol = blocks.symbol(j)
-            reproduced = blocks.companion(j) * symbol
+        for symbol, companion in zip(blocks.symbols, blocks.companions):
+            reproduced = companion * symbol
+            reproduced -= symbol
             companion_residual = max(
-                companion_residual, float(np.max(np.abs(reproduced - symbol)))
+                companion_residual, float(np.max(np.abs(reproduced, out=reproduced)))
             )
     residual = blocks.partition_residual()
     if settings.get("csv"):
@@ -554,17 +552,17 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
     if int(settings["chain_samples"]) < 0:
         raise ConfigurationError(f"chain samples must be >= 0, got {settings['chain_samples']}")
     ladder = settings["mu"] or _default_mu_ladder(grid)
-    profile = build_profile(profile_kind)
 
     # The chain runs on the first and the middle rung's spectral density
-    # from the sweep, which has checked that rung's unit-ball contract.  The
-    # blocks are built after the sweep, so they do not sit beside its buffers.
+    # from the sweep, which has checked that rung's unit-ball contract; a
+    # one-rung ladder runs it once.  The blocks are built after the sweep,
+    # so they do not sit beside its buffers.
     rows, densities = fermi_sweep(grid, ladder)
-    blocks = build_blocks(grid, family, profile)
+    blocks = build_blocks(grid, family, profile_kind)
     chains = [
         {"source": f"sea_rank_{rows[rung]['rank']}",
          **asdict(kinetic_chain(grid, densities[rung], blocks))}
-        for rung in (0, len(ladder) // 2)
+        for rung in sorted({0, len(ladder) // 2})
     ]
     del densities  # the frames below would otherwise run beside every rung's w
     for index in range(int(settings["chain_samples"])):
@@ -609,11 +607,11 @@ def _cmd_glt(settings: dict, envelopes: dict):
     require_counts(sample_count=settings["samples"])
     rows = []
     agreement = None
-    for rank in settings["rank"]:
+    for rank in _distinct(settings["rank"], int):
         for index in range(int(settings["samples"])):
             op = random_orthonormal_frame(
                 grid,
-                rank=int(rank),
+                rank=rank,
                 decay=float(settings["decay"]),
                 seed=int(settings["seed"]),
                 index=index,

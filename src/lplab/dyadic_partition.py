@@ -12,16 +12,21 @@ Two families are supported:
 
 * "smooth": the construction above; adjacent blocks overlap, at most two
   blocks are active at any frequency, and companion bumps (identically 1 on
-  each block's support) are available for reproducing identities.
+  each block's support) reproduce each block.
 * "sharp":  indicator annuli 2^j <= |xi| < 2^{j+1} with the same edge
   absorption; exactly one block is active at each frequency.
+
+A block set holds its tables as one float array [J, N, ..., N], row
+j - j_min for block j in FFT layout; a smooth set tabulates its companions
+in the same layout on first read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +46,9 @@ _LOG_EPS = 1e-9
 
 
 def _exp_glue(t: np.ndarray) -> np.ndarray:
-    """exp(-1/t) for t > 0, identically 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    """exp(-1/t) of a float array of positive t, written over t."""
+    np.divide(-1.0, t, out=t)
+    return np.exp(t, out=t)
 
 
 def _quintic_ramp(t: np.ndarray) -> np.ndarray:
@@ -73,52 +75,76 @@ class BumpProfile:
                 f"unknown profile kind {self.kind!r}, expected one of {PROFILE_KINDS}"
             )
 
-    def __call__(self, radii) -> np.ndarray:
+    def __call__(self, radii, out: np.ndarray | None = None) -> np.ndarray:
+        """phi at every radius, into ``out`` when given: a float array of the
+        radii's shape."""
         r = np.asarray(radii, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        out = np.empty(r.shape)
-        out[r <= 1.0] = 1.0
-        out[r >= 2.0] = 0.0
-        mid = (r > 1.0) & (r < 2.0)
+        if out is None:
+            out = np.empty(r.shape)
+        np.less_equal(r, 1.0, out=out)  # 1 up to r = 1, 0 beyond; the glue follows
+        mid = r > 1.0
+        mid &= r < 2.0
         if mid.any():
             rm = r[mid]
             if self.kind == "exp":
+                # On (1, 2) both glue arguments are positive.
                 up = _exp_glue(2.0 - rm)
-                down = _exp_glue(rm - 1.0)
-                out[mid] = up / (up + down)
+                down = _exp_glue(np.subtract(rm, 1.0, out=rm))
+                down += up
+                out[mid] = np.divide(up, down, out=up)
             else:
                 out[mid] = _quintic_ramp(2.0 - rm)
         if scalar:
             return float(out[0])
         return out
 
-    def annulus_bump(self, radii) -> np.ndarray:
-        """psi(r) = phi(r) - phi(2 r), supported on [1/2, 2], equal to 1 at r = 1."""
-        r = np.asarray(radii, dtype=float)
-        return self(r) - self(2.0 * r)
+
+def _indicator(radii, out: np.ndarray | None = None) -> np.ndarray:
+    """The sharp family's cutoff: 1 for r < 1, 0 from r = 1 on."""
+    return np.less(radii, 1.0, out=out)
 
 
-def build_profile(kind: str = "exp") -> BumpProfile:
-    return BumpProfile(kind)
+def _dyadic_rows(cutoff, radii, j_min: int, j_max: int, upper: int, lower: int) -> np.ndarray:
+    """Rows cutoff(r 2^-(j + upper)) - cutoff(r 2^-(j - lower)) for j = j_min ..
+    j_max, as one read-only array [J, ...], each row written in place.
+
+    The lowest row keeps only its first term, so it absorbs the zero mode and
+    the low tail; the highest is 1 minus its second, so it absorbs the high
+    tail.  Scaling by a power of two is exact, so with upper + lower = 1 each
+    row's second term is the first term of the row below, and the rows sum
+    to exactly 1.
+    """
+    rows = np.empty((j_max - j_min + 1,) + radii.shape)
+    for row, j in zip(rows, range(j_min, j_max + 1)):
+        if j == j_max:
+            np.subtract(1.0, cutoff(radii * 2.0 ** -(j - lower), row), out=row)
+            continue
+        cutoff(radii * 2.0 ** -(j + upper), row)
+        if j > j_min:
+            row -= cutoff(radii * 2.0 ** -(j - lower))
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass
 class DyadicBlockSet:
     """A finite dyadic partition of unity tabulated on a grid's frequency lattice.
 
-    symbols[j - j_min] is the multiplier table of block j, in FFT layout.
-    companions, when built, hold the wider bumps that are identically 1 on the
-    corresponding block's support.
+    ``symbols`` is one read-only float array [J, N, ..., N]: row j - j_min is
+    the multiplier table of block j, in FFT layout, and ``symbol(j)`` is a
+    view of it.  ``companions``, the wider bumps identically 1 on each
+    block's support, is an array of the same shape, tabulated from the
+    profile on first read; a sharp set has none.
     """
 
     grid: TorusGrid
     family: str
     j_min: int
     j_max: int
-    symbols: list[np.ndarray]
+    symbols: np.ndarray
     profile: BumpProfile | None = None
-    companions: list[np.ndarray] | None = None
 
     @property
     def block_indices(self) -> range:
@@ -132,10 +158,6 @@ class DyadicBlockSet:
     def interior_indices(self) -> range:
         return range(self.j_min + 1, self.j_max)
 
-    @property
-    def profile_kind(self) -> str:
-        return self.profile.kind if self.profile is not None else "indicator"
-
     def _offset(self, j: int) -> int:
         if not self.j_min <= j <= self.j_max:
             raise IndexError(
@@ -147,29 +169,40 @@ class DyadicBlockSet:
         return self.symbols[self._offset(j)]
 
     def companion(self, j: int) -> np.ndarray:
-        if self.companions is None:
-            raise ConfigurationError(
-                "companion tables have not been built for this block set"
-            )
         return self.companions[self._offset(j)]
+
+    @cached_property
+    def companions(self) -> np.ndarray:
+        """Companion bumps: wider multipliers identically 1 on each block's support.
+
+        Interior companions are the dilated wide bump phi(r/2) - phi(4 r), which
+        equals 1 on the annulus [1/2, 2] carrying the interior block.  The edge
+        companions are one-sided cutoffs equal to 1 on the absorbed ranges.
+        Only the smooth family has companions.
+        """
+        if self.profile is None:
+            raise UnsupportedFamilyError("companions are defined for the smooth family only")
+        return _dyadic_rows(self.profile, self.grid.frequency_norms, self.j_min, self.j_max, 1, 2)
 
     def partition_residual(self) -> float:
         total = np.zeros(self.grid.shape)
         for table in self.symbols:
-            total = total + table
-        return float(np.max(np.abs(total - 1.0)))
+            total += table
+        total -= 1.0
+        return float(np.max(np.abs(total, out=total)))
 
 
 def build_blocks(
-    grid: TorusGrid, family: str = SMOOTH, profile: BumpProfile | None = None
+    grid: TorusGrid, family: str = SMOOTH, profile_kind: str = "exp"
 ) -> DyadicBlockSet:
     """Tabulate the truncated dyadic family on the grid's frequency lattice.
 
-    The lowest block index is the scale of the smallest nonzero lattice
-    radius; blocks below it would vanish at every lattice point.  The highest
-    block covers the largest lattice radius.  Fewer than three blocks means
-    the grid is too coarse to exercise a dyadic decomposition at all, which
-    is reported as a configuration error.
+    ``profile_kind`` names the smooth family's BumpProfile; the sharp family
+    has none.  The lowest block index is the scale of the smallest nonzero
+    lattice radius; blocks below it would vanish at every lattice point.
+    The highest block covers the largest lattice radius.  Fewer than three
+    blocks means the grid is too coarse to exercise a dyadic decomposition at
+    all, which is reported as a configuration error.
     """
     if family not in (SMOOTH, SHARP):
         raise UnsupportedFamilyError(f"unknown block family {family!r}")
@@ -178,84 +211,39 @@ def build_blocks(
     nonzero = radii[radii > 0]
     r_min = float(nonzero.min())
     r_max = float(radii.max())
-
-    if family == SMOOTH:
-        if profile is None:
-            profile = build_profile()
-        j_min = math.floor(math.log2(r_min) + _LOG_EPS)
-        j_max = math.ceil(math.log2(r_max) - _LOG_EPS)
-        if j_max - j_min < 2:
-            raise ConfigurationError(
-                f"grid too coarse: only {j_max - j_min + 1} dyadic blocks fit "
-                f"(radii {r_min:g} .. {r_max:g}); need at least 3"
-            )
-        symbols: list[np.ndarray] = []
-        for j in range(j_min, j_max + 1):
-            if j == j_min:
-                # Absorbs the zero mode and the whole low tail: phi(0) = 1.
-                table = profile(radii * 2.0**-j)
-            elif j == j_max:
-                table = 1.0 - profile(radii * 2.0 ** -(j - 1))
-            else:
-                # Scaling by 2 is exact, so this is phi(r 2^-j) - phi(r 2^-(j-1)).
-                table = profile.annulus_bump(radii * 2.0**-j)
-            symbols.append(table)
-        return DyadicBlockSet(grid, SMOOTH, j_min, j_max, symbols, profile=profile)
-
     j_min = math.floor(math.log2(r_min) + _LOG_EPS)
-    j_max = math.floor(math.log2(r_max) + _LOG_EPS)
+    if family == SMOOTH:
+        # Block j is phi(r 2^-j) - phi(r 2^-(j-1)), on 2^(j-1) <= r <= 2^(j+1).
+        profile = BumpProfile(profile_kind)
+        j_max = math.ceil(math.log2(r_max) - _LOG_EPS)
+        cutoff, upper, lower = profile, 0, 1
+    else:
+        # Block j is the indicator of 2^j <= r < 2^(j+1).
+        profile = None
+        j_max = math.floor(math.log2(r_max) + _LOG_EPS)
+        cutoff, upper, lower = _indicator, 1, 0
     if j_max - j_min < 2:
         raise ConfigurationError(
-            f"grid too coarse: only {j_max - j_min + 1} sharp blocks fit "
+            f"grid too coarse: only {j_max - j_min + 1} "
+            f"{'dyadic' if family == SMOOTH else 'sharp'} blocks fit "
             f"(radii {r_min:g} .. {r_max:g}); need at least 3"
         )
-    symbols = []
-    for j in range(j_min, j_max + 1):
-        if j == j_min:
-            table = (radii < 2.0 ** (j + 1)).astype(float)
-        elif j == j_max:
-            table = (radii >= 2.0**j).astype(float)
-        else:
-            table = ((radii >= 2.0**j) & (radii < 2.0 ** (j + 1))).astype(float)
-        symbols.append(table)
-    return DyadicBlockSet(grid, SHARP, j_min, j_max, symbols, profile=None)
 
-
-def build_companions(blocks: DyadicBlockSet) -> DyadicBlockSet:
-    """Attach companion bumps: wider multipliers identically 1 on each block's support.
-
-    Interior companions are the dilated wide bump phi(r/2) - phi(4 r), which
-    equals 1 on the annulus [1/2, 2] carrying the interior block.  The edge
-    companions are one-sided cutoffs equal to 1 on the absorbed ranges.
-    Only the smooth family has companions.
-    """
-    if blocks.family != SMOOTH:
-        raise UnsupportedFamilyError("companions are defined for the smooth family only")
-    profile = blocks.profile
-    assert profile is not None
-    radii = blocks.grid.frequency_norms
-    companions: list[np.ndarray] = []
-    for j in blocks.block_indices:
-        if j == blocks.j_min:
-            table = profile(radii * 2.0 ** -(j + 1))
-        elif j == blocks.j_max:
-            table = 1.0 - profile(radii * 2.0 ** -(j - 2))
-        else:
-            table = profile(radii * 2.0 ** -(j + 1)) - profile(radii * 2.0 ** -(j - 2))
-        companions.append(table)
-    return replace(blocks, companions=companions)
+    symbols = _dyadic_rows(cutoff, radii, j_min, j_max, upper, lower)
+    return DyadicBlockSet(grid, family, j_min, j_max, symbols, profile)
 
 
 def block_squared_sum(blocks: DyadicBlockSet) -> np.ndarray:
     """Pointwise sum of squared block multipliers, sum_j Psi_j(xi)^2."""
     total = np.zeros(blocks.grid.shape)
     for table in blocks.symbols:
-        total = total + table**2
+        total += table**2
     return total
 
 
 def block_table(blocks: DyadicBlockSet) -> list[tuple[int, float, float, float | None]]:
-    """Rows (j, |xi|, Psi_j, companion or None), one per block and distinct lattice radius.
+    """Rows (j, |xi|, Psi_j, companion), one per block and distinct lattice
+    radius; the companion is None for the sharp family.
 
     The multipliers are radial, so a representative lattice point per radius
     carries the full information; this keeps tables plot-sized even in 3d.
@@ -265,9 +253,7 @@ def block_table(blocks: DyadicBlockSet) -> list[tuple[int, float, float, float |
     rows: list[tuple[int, float, float, float | None]] = []
     for j in blocks.block_indices:
         sym_flat = blocks.symbol(j).reshape(-1)
-        comp_flat = (
-            blocks.companion(j).reshape(-1) if blocks.companions is not None else None
-        )
+        comp_flat = blocks.companion(j).reshape(-1) if blocks.family == SMOOTH else None
         for radius, idx in zip(unique_radii, first_index):
             comp = float(comp_flat[idx]) if comp_flat is not None else None
             rows.append((int(j), float(radius), float(sym_flat[idx]), comp))

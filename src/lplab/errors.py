@@ -14,7 +14,7 @@ class ZeroModeSingularityError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A structurally invalid configuration (grid too coarse, missing companions, bad config file)."""
+    """A structurally invalid configuration (grid too coarse, bad config file)."""
 
 
 class UnsupportedFamilyError(ValueError):

@@ -35,7 +35,6 @@ from .dyadic_partition import (
     SMOOTH,
     DyadicBlockSet,
     build_blocks,
-    build_profile,
     block_squared_sum,
 )
 from .errors import (
@@ -402,9 +401,8 @@ def duality_identity_check(f: np.ndarray, g: np.ndarray, blocks: DyadicBlockSet)
         )
     values = np.stack([f, g])
     spectra = forward_transform_stack(grid, values)
-    pieces = inverse_transform_stack(grid, spectra[0] * np.asarray(blocks.symbols))
-    tables = np.stack([blocks.companion(j) for j in blocks.block_indices])
-    companions = inverse_transform_stack(grid, spectra[1] * tables)
+    pieces = inverse_transform_stack(grid, spectra[0] * blocks.symbols)
+    companions = inverse_transform_stack(grid, spectra[1] * blocks.companions)
     direct = grid.cell_volume * np.vdot(g, f)
     split = grid.cell_volume * np.vdot(companions, pieces)
     scale = math.prod(lp_norms(grid, np.abs(values), 2))
@@ -768,14 +766,15 @@ class RatioReport:
     seed: int
     samples: list
     envelope: tuple | None = None
-    degenerate_count: int = 0
-    ratio_min: float | None = None
-    ratio_max: float | None = None
-    ratio_mean: float | None = None
-    ratio_median: float | None = None
-    min_sample_id: int | None = None
-    max_sample_id: int | None = None
-    passed: bool | None = None
+    # Computed from the samples and the envelope; the constructor takes none.
+    degenerate_count: int = field(default=0, init=False)
+    ratio_min: float | None = field(default=None, init=False)
+    ratio_max: float | None = field(default=None, init=False)
+    ratio_mean: float | None = field(default=None, init=False)
+    ratio_median: float | None = field(default=None, init=False)
+    min_sample_id: int | None = field(default=None, init=False)
+    max_sample_id: int | None = field(default=None, init=False)
+    passed: bool | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         finite = [s for s in self.samples if not s.degenerate and math.isfinite(s.ratio)]
@@ -952,8 +951,7 @@ def estimate_envelope(
     blocks = None
     fields_per_member = 1
     if checker in ("lp", "lp_density"):
-        profile = build_profile(profile_kind) if family == SMOOTH else None
-        blocks = build_blocks(grid, family, profile)
+        blocks = build_blocks(grid, family, profile_kind)
         fields_per_member = blocks.block_count * int(spec.params.get("rank", 1))
     members = []
     for rows in field_chunks(grid, spec.count, fields_per_member):

@@ -89,6 +89,13 @@ class TorusGrid:
             raise ConfigurationError(
                 f"grid of {n}^{d} = {n**d} points exceeds the size cap {DEFAULT_SIZE_CAP}"
             )
+        # The lattice |xi|^2 runs from (2 pi / L)^2 to d (pi N / L)^2; the
+        # block scales take log2 of both, so both must be normal floats.
+        unit, top = 2.0 * math.pi / length, math.pi * n / length
+        if not (unit * unit >= np.finfo(float).tiny and math.isfinite(d * top * top)):
+            raise ConfigurationError(
+                f"box_length {length:g} puts the lattice |xi|^2 outside the binary64 range"
+            )
 
     @property
     def spacing(self) -> float:
@@ -275,11 +282,10 @@ def block_energy_stack(grid: TorusGrid, spectra: np.ndarray, weights, symbols) -
     every member m of a stack, as [m, ...].
 
     ``spectra`` holds the members' fft_stack [m, r, ...], ``weights`` is
-    [m, r] and ``symbols`` a stack [J, ...] of multiplier tables in FFT
+    [m, r] and ``symbols`` an array [J, ...] of multiplier tables in FFT
     layout.  Each chunk of the rank axis takes one batched inverse transform
     for all members, ranks and blocks.
     """
-    symbols = np.asarray(symbols)
     return _weighted_energy(
         grid, weights, len(symbols), lambda rows: _block_fields(grid, spectra[:, rows], symbols)
     )

@@ -38,12 +38,12 @@ def small2():
 
 @pytest.fixture(scope="session")
 def blocks1(grid1):
-    return lplab.build_companions(lplab.build_blocks(grid1))
+    return lplab.build_blocks(grid1)
 
 
 @pytest.fixture(scope="session")
 def blocks2(grid2):
-    return lplab.build_companions(lplab.build_blocks(grid2))
+    return lplab.build_blocks(grid2)
 
 
 @pytest.fixture(scope="session")

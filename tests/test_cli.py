@@ -150,6 +150,12 @@ class TestExitCodes:
             (["glt", "--b", "inf", "--samples", "1"], None, "power b must be finite"),
             (["lp-density", "--rank", "0", "--samples", "2"], None, "rank must be at least 1"),
             (["lp", "--box", "inf", "--samples", "2"], None, "box_length must be finite"),
+            (["partition", "--box", "1e-155"], None,
+             "box_length 1e-155 puts the lattice |xi|^2 outside the binary64 range"),
+            (["lp", "--box", "1e-200", "--n", "16", "--samples", "2"], None,
+             "box_length 1e-200 puts the lattice |xi|^2 outside the binary64 range"),
+            (["partition", "--box", "1e300"], None,
+             "box_length 1e+300 puts the lattice |xi|^2 outside the binary64 range"),
             (["lp", "--decay", "nan", "--samples", "2"], None, "decay must be finite"),
             (["glt", "--decay", "nan", "--samples", "1"], None, "decay must be finite"),
             (["lp", "--p", "inf", "--samples", "2"], None, "requires a finite p"),
@@ -205,7 +211,7 @@ class TestExitCodes:
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
-            "box_inf", "lp_decay_nan", "glt_decay_nan", "lp_p_inf", "khinchine_p_inf",
+            "box_inf", "box_overflow", "lp_box_overflow", "box_underflow", "lp_decay_nan", "glt_decay_nan", "lp_p_inf", "khinchine_p_inf",
             "glt_no_samples", "density_no_ranks", "glt_no_ranks", "lp_no_exponents",
             "khinchine_no_exponents", "mu_inf", "mu_ladder_with_inf", "mu_nan",
             "negative_chain_samples", "seqlemma_overflow", "seqlemma_underflow",
@@ -498,6 +504,33 @@ class TestSectionCommands:
         once = json.loads(capsys.readouterr().out)
         assert [cell["p"] for cell in twice["results"]["reports"]] == [2.0]
         assert twice["results"] == once["results"]
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["lp-density", "--rank", "1", "--rank", "1", "--samples", "2", "--n", "16",
+              "--p", "1"], "reports"),
+            (["glt", "--rank", "4", "--rank", "4", "--samples", "1"], "rows"),
+        ],
+        ids=["lp-density", "glt"],
+    )
+    def test_a_repeated_rank_is_judged_once(self, capsys, monkeypatch, argv, key):
+        frames = []
+        draw = lplab.cli.random_orthonormal_frame
+
+        def counted(*args, **kwargs):
+            frames.append(kwargs["rank"])
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(lplab.cli, "random_orthonormal_frame", counted)
+        assert run_cli(*argv) == 0
+        twice = json.loads(capsys.readouterr().out)["results"]
+        assert run_cli(*argv[:2], *argv[4:]) == 0
+        once = json.loads(capsys.readouterr().out)["results"]
+        assert twice == once
+        assert len(twice[key]) == 1
+        if key == "rows":
+            assert frames == [4, 4]  # one frame per run, not two in the first
 
     def test_gns_section(self, tmp_path, capsys):
         out = tmp_path / "gns.json"

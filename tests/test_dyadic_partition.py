@@ -7,14 +7,13 @@ import pytest
 
 import lplab
 from lplab import (
+    BumpProfile,
     ConfigurationError,
     TorusGrid,
     UnsupportedFamilyError,
     block_squared_sum,
     block_table,
     build_blocks,
-    build_companions,
-    build_profile,
     write_block_table_csv,
 )
 from lplab.dyadic_partition import PROFILE_KINDS
@@ -25,7 +24,7 @@ TAU = 2.0 * np.pi
 class TestBumpProfile:
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_plateau_and_support(self, kind):
-        phi = build_profile(kind)
+        phi = BumpProfile(kind)
         r = np.array([0.0, 0.3, 1.0, 2.0, 3.5])
         values = phi(r)
         np.testing.assert_array_equal(values[:3], [1.0, 1.0, 1.0])
@@ -35,32 +34,36 @@ class TestBumpProfile:
     def test_midpoint_symmetry(self, kind):
         # Both glues satisfy phi(r) + phi(3 - r) = 1 on the ramp, so the
         # midpoint value is exactly one half.
-        phi = build_profile(kind)
+        phi = BumpProfile(kind)
         assert phi(1.5) == 0.5
         r = np.linspace(1.05, 1.95, 37)
         np.testing.assert_allclose(phi(r) + phi(3.0 - r), 1.0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_monotone_decreasing(self, kind):
-        phi = build_profile(kind)
+        phi = BumpProfile(kind)
         r = np.linspace(0.0, 2.5, 401)
         values = phi(r)
         assert np.all(np.diff(values) <= 1e-15)
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
     def test_annulus_bump(self):
-        phi = build_profile("exp")
-        assert phi.annulus_bump(1.0) == 1.0
-        assert phi.annulus_bump(0.5) == 0.0
-        assert phi.annulus_bump(2.0) == 0.0
-        assert phi.annulus_bump(0.49) == 0.0
-        assert phi.annulus_bump(2.01) == 0.0
-        inside = phi.annulus_bump(np.linspace(0.55, 1.95, 50))
+        phi = BumpProfile("exp")
+
+        def psi(r):
+            return phi(r) - phi(2.0 * np.asarray(r))
+
+        assert psi(1.0) == 1.0
+        assert psi(0.5) == 0.0
+        assert psi(2.0) == 0.0
+        assert psi(0.49) == 0.0
+        assert psi(2.01) == 0.0
+        inside = psi(np.linspace(0.55, 1.95, 50))
         assert np.all(inside >= 0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError, match="profile kind"):
-            build_profile("cubic")
+            BumpProfile("cubic")
 
 
 class TestBlockConstruction:
@@ -87,7 +90,7 @@ class TestBlockConstruction:
     def test_partition_exact_for_quintic_and_odd_boxes(self):
         for dim, n, box in ((1, 64, 1.0), (2, 16, 10.0), (3, 16, TAU)):
             grid = TorusGrid(dim, box, n)
-            blocks = build_blocks(grid, profile=build_profile("quintic"))
+            blocks = build_blocks(grid, profile_kind="quintic")
             assert blocks.partition_residual() == 0.0
 
     def test_unknown_family(self, grid1):
@@ -155,14 +158,20 @@ class TestCompanions:
             assert table.min() >= 0.0
             assert table.max() <= 1.0
 
-    def test_companions_require_build(self, grid1):
-        bare = build_blocks(grid1)
-        with pytest.raises(ConfigurationError, match="companion"):
-            bare.companion(0)
+    def test_companions_are_tabulated_on_first_read(self, grid1):
+        blocks = build_blocks(grid1)
+        assert "companions" not in blocks.__dict__
+        first = blocks.companion(blocks.j_min)
+        assert "companions" in blocks.__dict__
+        assert blocks.companions.shape == blocks.symbols.shape
+        assert np.shares_memory(first, blocks.companions)
+        assert blocks.companions is blocks.companions
 
     def test_sharp_family_has_no_companions(self, sharp1):
         with pytest.raises(UnsupportedFamilyError, match="smooth"):
-            build_companions(sharp1)
+            sharp1.companions
+        with pytest.raises(UnsupportedFamilyError, match="smooth"):
+            sharp1.companion(sharp1.j_min)
 
 
 class TestBlockTable:

@@ -36,7 +36,7 @@ def kinetic_trace(op, power):
 def conjugated_density(op, blocks, j):
     """The density sum_k lambda_k |P_j u_k|^2 of P_j gamma P_j."""
     spectra = fft_stack(op.grid, op.eigenfunctions[None])
-    return block_energy_stack(op.grid, spectra, op.eigenvalues[None], [blocks.symbol(j)])[0]
+    return block_energy_stack(op.grid, spectra, op.eigenvalues[None], blocks.symbol(j)[None])[0]
 
 
 def normalized_wave(grid, mode):

@@ -21,7 +21,6 @@ from lplab import (
     TorusGrid,
     UnsupportedFamilyError,
     build_blocks,
-    build_companions,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
@@ -298,7 +297,7 @@ class TestLpDensityCheck:
 
 class TestDuality:
     def test_random_pairs_within_tolerance(self, grid1, blocks1, grid2, blocks2):
-        blocks3 = build_companions(build_blocks(TorusGrid(3, TAU, 16)))
+        blocks3 = build_blocks(TorusGrid(3, TAU, 16))
         for blocks, seed in ((blocks1, 720), (blocks2, 721), (blocks3, 722)):
             grid = blocks.grid
             (f,) = random_band_limited(grid, decay=0.7, seed=seed)
@@ -339,7 +338,7 @@ class TestDuality:
 
             monkeypatch.setattr(np.fft, name, counted)
         for grid in (TorusGrid(1, TAU, 16), grid1, grid2):
-            blocks = build_companions(build_blocks(grid))
+            blocks = build_blocks(grid)
             (f,) = random_band_limited(grid, decay=0.7, seed=723)
             (g,) = random_band_limited(grid, decay=0.7, seed=724)
             calls.update(fftn=0, ifftn=0)
@@ -585,6 +584,18 @@ class TestRatioReport:
         np.testing.assert_allclose(report.ratio_mean, 1.0)
         np.testing.assert_allclose(report.ratio_median, 1.0)
         assert report.passed is None  # no envelope attached: unjudged
+
+    @pytest.mark.parametrize(
+        "computed",
+        ["degenerate_count", "ratio_min", "ratio_max", "ratio_mean", "ratio_median",
+         "min_sample_id", "max_sample_id", "passed"],
+    )
+    def test_computed_fields_are_not_constructor_arguments(self, computed):
+        with pytest.raises(TypeError, match=computed):
+            RatioReport(
+                name="lp", p=2.0, family="smooth", profile_kind="exp",
+                grid=None, seed=1, samples=self.samples(), **{computed: 0},
+            )
 
     def test_envelope_gates_pass(self):
         inside = RatioReport(

@@ -29,7 +29,6 @@ from lplab import (
     abs_squared,
     block_squared_sum,
     build_blocks,
-    build_profile,
     estimate_envelope,
     philox_generator,
     random_orthonormal_frame,
@@ -49,7 +48,7 @@ def _grid(d):
 
 
 def _blocks(grid, family):
-    return build_blocks(grid, family, build_profile("exp") if family == SMOOTH else None)
+    return build_blocks(grid, family, "exp")
 
 
 def _axes(grid):

@@ -303,12 +303,14 @@ class TestSectionsBuildOnce:
         sources = [c["source"] for c in results["chains"]]
         assert sources == ["sea_rank_19", "sea_rank_33", "frame_0", "frame_1"]
 
-    def test_one_rung_ladder_chains_its_sea_twice(self):
+    def test_one_rung_ladder_chains_its_sea_once(self):
         code, text = _run(["lieb-thirring", "--dim", "1", "--n", "64", "--mu", "2.5"])
         chains = json.loads(text)["results"]["chains"]
         assert code == 0
-        assert [c["source"] for c in chains[:2]] == ["sea_rank_3", "sea_rank_3"]
-        assert chains[0] == chains[1]
+        assert [c["source"] for c in chains] == ["sea_rank_3", "frame_0", "frame_1"]
+        code, text = _run(["lieb-thirring", "--mu", "1.5", "--chain-samples", "0"])
+        assert code == 0
+        assert [c["source"] for c in json.loads(text)["results"]["chains"]] == ["sea_rank_3"]
 
     @pytest.mark.parametrize("ps,closed_form", [(["2"], True), (["1.5", "3"], False)])
     def test_lp_builds_each_member_once(self, monkeypatch, ps, closed_form):

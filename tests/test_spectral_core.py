@@ -22,7 +22,6 @@ from lplab import (
     TorusGrid,
     block_squared_sum,
     build_blocks,
-    build_profile,
     estimate_envelope,
     lt_chain_check,
     random_band_limited,
@@ -111,8 +110,7 @@ def assert_fields_close(actual, expected):
 
 
 def block_set(grid, family, profile_kind):
-    profile = build_profile(profile_kind) if family == SMOOTH else None
-    return build_blocks(grid, family, profile)
+    return build_blocks(grid, family, profile_kind)
 
 
 cases = st.fixed_dictionaries(
@@ -186,7 +184,7 @@ class TestAgainstLoops:
                 piece = apply_symbol(op.eigenfunctions[k], blocks.symbol(j))
                 expected = expected + float(op.eigenvalues[k]) * np.abs(piece) ** 2
             spectra = fft_stack(grid, op.eigenfunctions[None])
-            actual = block_energy_stack(grid, spectra, op.eigenvalues[None], [blocks.symbol(j)])[0]
+            actual = block_energy_stack(grid, spectra, op.eigenvalues[None], blocks.symbol(j)[None])[0]
             assert_fields_close(actual, expected)
 
 
