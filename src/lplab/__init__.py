@@ -67,7 +67,6 @@ from .inequality_lab import (
     sequence_lemma_trials,
     sign_sum_samples,
     summed_block_density,
-    tensor_khinchine_reports,
 )
 from .reporting import canonical_json, format_float
 

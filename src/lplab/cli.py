@@ -5,8 +5,11 @@ corpus, exponents, ranks), the desk sections ``lplab all`` runs of it and
 the envelopes its ratios are judged against.  The sections of ``lplab all``
 and ``scripts/calibrate_envelopes.py`` read that table, so every cell a
 default or desk run judges is a calibrated cell.  ``_settings`` adds --out,
---csv, --envelopes and --jobs to a row's defaults; the parser's flags, the
---config checks and the report's config echo all read it.
+and --csv, --envelopes and --jobs where they act, to a row's defaults; the
+parser's flags, the --config checks and the report's config echo all read
+it.  A command takes exactly the settings its handler reads: the block
+settings only where blocks are built (lieb-thirring's chain needs smooth
+blocks, so it takes only the profile).
 
 Every subcommand writes a deterministic JSON payload (sorted keys, 17-digit
 floats, no timestamps) in report schema 2: each envelope-judged cell holds
@@ -30,10 +33,10 @@ to be judged against.  Such a cell reports "passed": null, the run's
 "pass" is null, and --out prints UNJUDGED.
 
 Flag resolution order: explicit flag > --config file entry > built-in
-default; a grid run that sets no n takes its dimension's DESK_POINTS, and a
-repeated exponent or rank is judged once.  Every run is serial, in this
-process; --jobs is accepted and ignored.  Output paths never enter the
-payload, so reruns are byte-identical.
+default, each typed as its flag; a grid run that sets no n takes its
+dimension's DESK_POINTS, and a repeated exponent, rank or mu is judged once.
+Every run is serial, in this process; `lplab all` ignores its --jobs.  Output
+paths never enter the payload, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .dyadic_partition import (
     build_blocks,
     write_block_table_csv,
 )
-from .errors import ConfigurationError, UnsupportedFamilyError
+from .errors import ConfigurationError
 from .inequality_lab import (
     RatioReport,
     SignEnsemble,
@@ -74,7 +77,6 @@ from .inequality_lab import (
     require_enumerable,
     sequence_lemma_trials,
     sign_sum_samples,
-    tensor_khinchine_reports,
 )
 from .reporting import canonical_json, sanitize, write_samples_csv
 from .torus_grid import TorusGrid
@@ -114,25 +116,27 @@ class Section:
 
 # The points per axis of a grid run that does not set n, by dimension.
 DESK_POINTS = {1: 256, 2: 64, 3: 16}
-_GRID = {"dim": 1, "n": DESK_POINTS[1], "box": TAU, "family": SMOOTH, "profile": "exp"}
+_GRID = {"dim": 1, "n": DESK_POINTS[1], "box": TAU}
+# The block settings, taken only by the commands that build blocks.
+_BLOCKS = {"family": SMOOTH, "profile": "exp"}
 
 SECTIONS: dict[str, Section] = {
     "partition": Section(
         "block tables and partition-of-unity residuals",
-        dict(_GRID),
+        dict(_GRID, **_BLOCKS),
         {"partition_d1": {}, "partition_d2": {"dim": 2}},
     ),
     "lp": Section(
         "square-function ratio envelope over a random corpus",
-        dict(_GRID, p=[1.5, 2.0, 3.0, 4.0], samples=200, decay=1.0, seed=2024),
+        dict(_GRID, **_BLOCKS, p=[1.5, 2.0, 3.0, 4.0], samples=200, decay=1.0, seed=2024),
         {"lp_d1": dict(samples=100), "lp_d2": dict(dim=2, samples=50)},
         envelopes=("lp",),
         corpus="random_band_limited",
     ),
     "lp-density": Section(
         "summed block-density ratio envelope over operator corpora",
-        dict(_GRID, p=[1.0, 1.5, 2.0], rank=[1, 2, 4, 8], samples=50, decay=1.0,
-             weights="uniform", seed=2025),
+        dict(_GRID, **_BLOCKS, p=[1.0, 1.5, 2.0], rank=[1, 2, 4, 8], samples=50,
+             decay=1.0, weights="uniform", seed=2025),
         {"lp_density_d1": dict(samples=25, p=[0.6, 0.75, 1.0, 1.5, 2.0, 3.0])},
         envelopes=("lp_density",),
         corpus="random_orthonormal_frame",
@@ -154,7 +158,7 @@ SECTIONS: dict[str, Section] = {
     ),
     "lieb-thirring": Section(
         "kinetic/density comparison on a ladder of plane-wave seas",
-        dict(_GRID, mu=None, chain_samples=2, seed=2031),
+        dict(_GRID, profile="exp", mu=None, chain_samples=2, seed=2031),
         {"lieb_thirring_d1": {}, "lieb_thirring_d2": {"dim": 2}},
     ),
     "glt": Section(
@@ -196,26 +200,27 @@ _FLAG_HELP = {
 
 
 class Setting(NamedTuple):
-    """A setting: its flag's type, whether the flag repeats into a list, its
-    default, and whether the report's config echoes it."""
+    """A setting: its flag's type, whether the flag repeats into a list, and its default."""
     kind: type
     many: bool
     default: object = None
-    echoed: bool = True
 
 
 def _settings(command: str) -> dict[str, Setting]:
-    """Every setting a command takes, in flag order: the output paths,
-    --envelopes and --jobs, which the report does not echo (only a command
-    with rows takes csv: partition its block table, an enveloped section its
-    samples), then its section's defaults.  A None default (the mu ladder)
-    is a list of floats worked out at run time."""
+    """Every setting a command takes, in flag order: the run settings, which
+    the report does not echo, then its section's defaults, which it does.
+    Only a command with rows takes csv (partition its block table, an
+    enveloped section its samples), only one that judges envelopes takes
+    envelopes, and only `lplab all` takes jobs.  A None default (the mu
+    ladder) is a list of floats worked out at run time."""
     section = SECTIONS.get(command, _ALL)
-    table = {
-        key: Setting(kind, False, echoed=False)
-        for key, kind in (("out", str), ("csv", str), ("envelopes", str), ("jobs", int))
-        if key != "csv" or command == "partition" or section.envelopes
-    }
+    run_settings = (
+        ("out", str, True),
+        ("csv", str, command == "partition" or section.envelopes),
+        ("envelopes", str, command == "all" or section.envelopes),
+        ("jobs", int, command == "all"),
+    )
+    table = {key: Setting(kind, False) for key, kind, taken in run_settings if taken}
     for key, default in section.defaults.items():
         many = default is None or isinstance(default, list)
         kind = float if default is None else type(default[0] if many else default)
@@ -266,6 +271,10 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
             value = config.get(key, setting.default)
             if key in config:
                 _check_config_value(key, value, setting)
+                # Typed as its flag would give it: a JSON 1 for a float setting is 1.0.
+                if value is not None:
+                    kind = setting.kind
+                    value = [kind(v) for v in value] if setting.many else kind(value)
         if setting.many and value is not None and not value:
             raise ConfigurationError(f"{key} needs at least one value")
         if key in ("seed", "tensor_seed"):
@@ -315,7 +324,7 @@ def _check_config_value(key: str, value, setting: Setting) -> None:
 
 
 def _grid_of(settings: dict) -> TorusGrid:
-    return TorusGrid(int(settings["dim"]), float(settings["box"]), int(settings["n"]))
+    return TorusGrid(settings["dim"], settings["box"], settings["n"])
 
 
 def _default_mu_ladder(grid: TorusGrid) -> list[float]:
@@ -331,39 +340,40 @@ def _default_mu_ladder(grid: TorusGrid) -> list[float]:
 # Envelope-judged runs, shared by the handlers and calibration
 
 
-def _distinct(values, kind: type) -> list:
-    """The distinct values of a repeatable setting as ``kind``, in first-seen order."""
-    return list(dict.fromkeys(kind(v) for v in values))
+def _distinct(values) -> list:
+    """The distinct values of a repeatable setting, in first-seen order."""
+    return list(dict.fromkeys(values))
 
 
 def _exponents(settings: dict) -> list[float]:
     """The distinct exponents a run judges; gns has one, fixed by the dimension."""
     if "p" in settings:
-        return _distinct(settings["p"], float)
-    return [gns_exponent(int(settings["dim"]))]
+        return _distinct(settings["p"])
+    return [gns_exponent(settings["dim"])]
 
 
 def _corpus_spec(command: str, settings: dict, rank: int | None = None) -> CorpusSpec:
     section = SECTIONS[command]
-    params = dict(section.corpus_params, decay=float(settings["decay"]))
+    params = dict(section.corpus_params, decay=settings["decay"])
     if "weights" in settings:
         params["weights"] = settings["weights"]
     if rank is not None:
         params["rank"] = rank
-    return CorpusSpec(section.corpus, int(settings["samples"]), int(settings["seed"]), params)
+    return CorpusSpec(section.corpus, settings["samples"], settings["seed"], params)
 
 
 def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioReport]:
     """A corpus section's envelope estimates: one per exponent, for each rank.
 
     A section with ranks names its reports by rank and judges ranks above one
-    against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.
+    against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.  A
+    section that builds no blocks (gns) reports the family "none".
     """
     checker = SECTIONS[command].envelopes[0]
     grid = _grid_of(settings)
     ps = _exponents(settings)
     reports = []
-    for rank in _distinct(settings["rank"], int) if "rank" in settings else [None]:
+    for rank in _distinct(settings["rank"]) if "rank" in settings else [None]:
         exponents = []
         for p in ps:
             envelope = envelope_for(envelopes, checker, grid.dimension, p)
@@ -373,7 +383,7 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
         reports.extend(
             estimate_envelope(
                 _corpus_spec(command, settings, rank), checker, exponents, grid,
-                settings["family"], settings["profile"],
+                settings.get("family", "none"), settings.get("profile", "none"),
                 name=None if rank is None else f"{checker}_rank{rank}",
             )
         )
@@ -397,13 +407,12 @@ def sign_sum_reports(settings: dict, envelopes: dict) -> tuple[list, list]:
     # Both ensembles share the mode: both counts are refused before the
     # classical pass draws anything.
     require_enumerable(ensemble, settings["terms"], settings["tensor_terms"])
-    ps = _exponents(settings)
-    count = int(settings["count"])
+    ps, count = _exponents(settings), settings["count"]
     classical = khinchine_reports(
-        int(settings["terms"]), ps, count, int(settings["seed"]), ensemble, envelopes
+        (settings["terms"],), ps, count, settings["seed"], ensemble, envelopes
     )
-    tensor = tensor_khinchine_reports(
-        int(settings["tensor_terms"]), ps, count, int(settings["tensor_seed"]),
+    tensor = khinchine_reports(
+        (settings["tensor_terms"],) * 2, ps, count, settings["tensor_seed"],
         tensor_ensemble, envelopes,
     )
     return classical, tensor
@@ -449,7 +458,7 @@ def calibration_runs() -> list[tuple[str, dict]]:
                 )
             merged = dict(runs[0])
             if "p" in merged:
-                merged["p"] = sorted({float(p) for s in runs for p in s["p"]})
+                merged["p"] = sorted({p for s in runs for p in s["p"]})
             if "rank" in merged:
                 merged["rank"] = [1]
             for key in ("samples", "count"):
@@ -546,28 +555,25 @@ def _cmd_gns(settings: dict, envelopes: dict):
 
 def _cmd_lieb_thirring(settings: dict, envelopes: dict):
     grid = _grid_of(settings)
-    family, profile_kind = settings["family"], settings["profile"]
-    if family != SMOOTH:
-        raise UnsupportedFamilyError("the kinetic chain needs the smooth block family")
-    if int(settings["chain_samples"]) < 0:
+    if settings["chain_samples"] < 0:
         raise ConfigurationError(f"chain samples must be >= 0, got {settings['chain_samples']}")
-    ladder = settings["mu"] or _default_mu_ladder(grid)
+    ladder = _distinct(settings["mu"] or _default_mu_ladder(grid))
 
     # The chain runs on the first and the middle rung's spectral density
     # from the sweep, which has checked that rung's unit-ball contract; a
-    # one-rung ladder runs it once.  The blocks are built after the sweep,
-    # so they do not sit beside its buffers.
+    # one-rung ladder runs it once.  The chain's 1/4 floor needs smooth
+    # blocks, built after the sweep so that they do not sit beside its buffers.
     rows, densities = fermi_sweep(grid, ladder)
-    blocks = build_blocks(grid, family, profile_kind)
+    blocks = build_blocks(grid, SMOOTH, settings["profile"])
     chains = [
         {"source": f"sea_rank_{rows[rung]['rank']}",
          **asdict(kinetic_chain(grid, densities[rung], blocks))}
         for rung in sorted({0, len(ladder) // 2})
     ]
     del densities  # the frames below would otherwise run beside every rung's w
-    for index in range(int(settings["chain_samples"])):
+    for index in range(settings["chain_samples"]):
         frame = random_orthonormal_frame(
-            grid, rank=4, decay=1.0, seed=int(settings["seed"]), index=index
+            grid, rank=4, decay=1.0, seed=settings["seed"], index=index
         )
         chains.append(
             {"source": f"frame_{index}", **asdict(lt_chain_check(frame, blocks))}
@@ -602,18 +608,18 @@ def _cmd_lieb_thirring(settings: dict, envelopes: dict):
 
 def _cmd_glt(settings: dict, envelopes: dict):
     grid = _grid_of(settings)
-    a, b = float(settings["a"]), float(settings["b"])
+    a, b = settings["a"], settings["b"]
     lt_exponent(grid.dimension, a, b)  # refuses the powers before any frame is drawn
     require_counts(sample_count=settings["samples"])
     rows = []
     agreement = None
-    for rank in _distinct(settings["rank"], int):
-        for index in range(int(settings["samples"])):
+    for rank in _distinct(settings["rank"]):
+        for index in range(settings["samples"]):
             op = random_orthonormal_frame(
                 grid,
                 rank=rank,
-                decay=float(settings["decay"]),
-                seed=int(settings["seed"]),
+                decay=settings["decay"],
+                seed=settings["seed"],
                 index=index,
                 power_bound=a,
             )
@@ -640,10 +646,8 @@ def _cmd_glt(settings: dict, envelopes: dict):
 
 def _cmd_seqlemma(settings: dict, envelopes: dict):
     summary = sequence_lemma_trials(
-        int(settings["dim"]),
-        int(settings["trials"]),
-        int(settings["seed"]),
-        (int(settings["j_min"]), int(settings["j_max"])),
+        settings["dim"], settings["trials"], settings["seed"],
+        (settings["j_min"], settings["j_max"]),
     )
     return summary, bool(summary["passed"]), None
 
@@ -682,7 +686,9 @@ def run(argv=None) -> int:
 
     try:
         settings = _resolve_settings(args)
-        envelopes = load_envelopes(settings.get("envelopes"), ENVELOPE_NAMES)
+        envelopes = {}
+        if "envelopes" in settings:
+            envelopes = load_envelopes(settings["envelopes"], ENVELOPE_NAMES)
     except (OSError, json.JSONDecodeError, ConfigurationError, ValueError) as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
@@ -690,7 +696,7 @@ def run(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         results, passed, reports = handler(settings, envelopes)
-    except (ConfigurationError, UnsupportedFamilyError) as exc:
+    except ConfigurationError as exc:
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -700,7 +706,7 @@ def run(argv=None) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "config": {k: settings[k] for k, s in _settings(args.command).items() if s.echoed}
+        "config": {k: settings[k] for k in SECTIONS.get(args.command, _ALL).defaults}
         | {"rng": "philox4x64"},
         "results": results,
         "pass": passed,

@@ -51,10 +51,17 @@ def _exp_glue(t: np.ndarray) -> np.ndarray:
     return np.exp(t, out=t)
 
 
-def _quintic_ramp(t: np.ndarray) -> np.ndarray:
-    """Quintic smoothstep on [0, 1]: C^2 at both endpoints, monotone."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
+def _quintic_ramp(r: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Quintic smoothstep t^3 (10 - 15 t + 6 t^2) of t = 2 - r on mid, where
+    1 < r < 2: C^2 at both endpoints, monotone.  The cube draws t from r
+    again, so two arrays of t's size are live at a time, as in the exp glue."""
+    t = 2.0 - r[mid]
+    poly = 15.0 * t
+    np.subtract(10.0, poly, out=poly)
+    poly += np.multiply(6.0, np.square(t, out=t), out=t)
+    del t  # released before the cube's t is drawn
+    t = r[mid]
+    return np.multiply(np.power(np.subtract(2.0, t, out=t), 3, out=t), poly, out=t)
 
 
 @dataclass(frozen=True)
@@ -87,15 +94,15 @@ class BumpProfile:
         mid = r > 1.0
         mid &= r < 2.0
         if mid.any():
-            rm = r[mid]
             if self.kind == "exp":
                 # On (1, 2) both glue arguments are positive.
+                rm = r[mid]
                 up = _exp_glue(2.0 - rm)
                 down = _exp_glue(np.subtract(rm, 1.0, out=rm))
                 down += up
                 out[mid] = np.divide(up, down, out=up)
             else:
-                out[mid] = _quintic_ramp(2.0 - rm)
+                out[mid] = _quintic_ramp(r, mid)
         if scalar:
             return float(out[0])
         return out

@@ -32,6 +32,7 @@ from .corpus import (
     spike_window,
 )
 from .dyadic_partition import (
+    SHARP,
     SMOOTH,
     DyadicBlockSet,
     build_blocks,
@@ -968,7 +969,7 @@ def estimate_envelope(
             name=name or checker,
             p=p,
             family=family,
-            profile_kind=profile_kind if family == SMOOTH else "indicator",
+            profile_kind="indicator" if family == SHARP else profile_kind,
             grid=grid_params,
             seed=spec.seed,
             samples=[samples[position] for samples in members],
@@ -1016,9 +1017,25 @@ def sign_sum_samples(coefficients, exponents, ensemble: SignEnsemble) -> list[li
     return samples
 
 
-def _sign_sum_reports(name, shape, p_list, count, seed, ensemble, envelopes):
-    """One report per exponent over ``count`` random complex arrays of ``shape``,
-    (n,) classical or (n, n) tensor, array i the complex_normals draw of index i."""
+def khinchine_reports(
+    shape: tuple[int, ...],
+    p_list,
+    count: int,
+    seed: int,
+    ensemble: SignEnsemble | None = None,
+    envelopes: dict | None = None,
+) -> list[RatioReport]:
+    """Sign-sum comparison over ``count`` random complex arrays of ``shape``:
+    one report per distinct exponent, array i the complex_normals draw of
+    index i.
+
+    Shape (n,) is classical, its cells named "khinchine": the per-sample
+    ratio is expectation / l2 power (the lower direction), and its reciprocal
+    is the upper direction, so a two-sided envelope on this single ratio
+    bounds both constants.  Shape (n, n) is a tensor, its cells named
+    "khinchine_tensor" (see sign_sum_samples).
+    """
+    name = "khinchine" if len(shape) == 1 else "khinchine_tensor"
     require_counts(term_count=shape[0], sample_count=count)
     exponents = _sign_sum_exponents(p_list)
     coefficients = complex_normals(shape, seed, range(count))
@@ -1030,34 +1047,3 @@ def _sign_sum_reports(name, shape, p_list, count, seed, ensemble, envelopes):
         )
         for p, row in zip(exponents, samples)
     ]
-
-
-def khinchine_reports(
-    n_terms: int,
-    p_list,
-    count: int,
-    seed: int,
-    ensemble: SignEnsemble | None = None,
-    envelopes: dict | None = None,
-) -> list[RatioReport]:
-    """Classical sign-sum comparison over random complex coefficient vectors.
-
-    The per-sample ratio is expectation / l2 power (the lower direction); its
-    reciprocal is the upper direction, so a two-sided envelope on this single
-    ratio bounds both constants.
-    """
-    return _sign_sum_reports("khinchine", (n_terms,), p_list, count, seed, ensemble, envelopes)
-
-
-def tensor_khinchine_reports(
-    n_terms: int,
-    p_list,
-    count: int,
-    seed: int,
-    ensemble: SignEnsemble | None = None,
-    envelopes: dict | None = None,
-) -> list[RatioReport]:
-    """Tensor sign-sum comparison over random complex square matrices."""
-    return _sign_sum_reports(
-        "khinchine_tensor", (n_terms, n_terms), p_list, count, seed, ensemble, envelopes
-    )

@@ -31,7 +31,6 @@ from lplab import (
     sequence_lemma_trials,
     sign_sum_samples,
     summed_block_density,
-    tensor_khinchine_reports,
     validate_contract,
 )
 from lplab.cli import DENSITY_RANK_SLACK, run
@@ -134,11 +133,11 @@ def test_gate_4_sign_sum_comparisons():
     """Exact sign enumeration bounds linear and tensor sums at the recorded constants."""
     envelopes = load_envelopes()
     exact = SignEnsemble.exact()
-    for report in khinchine_reports(12, SIGN_EXPONENTS, 500, 2027, envelopes=envelopes):
+    for report in khinchine_reports((12,), SIGN_EXPONENTS, 500, 2027, envelopes=envelopes):
         assert report.envelope is not None
         assert report.degenerate_count == 0
         assert report.passed
-    for report in tensor_khinchine_reports(8, SIGN_EXPONENTS, 500, 2028, envelopes=envelopes):
+    for report in khinchine_reports((8, 8), SIGN_EXPONENTS, 500, 2028, envelopes=envelopes):
         assert report.envelope is not None
         assert report.degenerate_count == 0
         assert report.passed
@@ -253,30 +252,16 @@ def test_gate_8_generalized_powers(grid1, grid2):
 def test_gate_9_reports_are_reproducible(tmp_path):
     """One seed, any worker count, byte-identical report files."""
 
-    def emit_lp(label, *extra):
-        out = tmp_path / f"lp_{label}.json"
-        code = run(
-            ["lp", "--dim", "1", "--samples", "24", "--p", "1.5", "--p", "2",
-             "--out", str(out), *extra]
-        )
-        assert code == 0
+    def emit(label, *argv):
+        out = tmp_path / f"{label}.json"
+        assert run([*argv, "--out", str(out)]) == 0
         return out.read_bytes()
 
-    first = emit_lp("a")
-    assert emit_lp("b") == first
-    assert emit_lp("j2", "--jobs", "2") == first
-    assert emit_lp("j3", "--jobs", "3") == first
-
-    def emit_density(label, *extra):
-        out = tmp_path / f"density_{label}.json"
-        code = run(
-            ["lp-density", "--dim", "1", "--samples", "8", "--rank", "1",
-             "--rank", "2", "--p", "1", "--p", "2", "--out", str(out), *extra]
-        )
-        assert code == 0
-        return out.read_bytes()
-
-    base = emit_density("a")
-    assert emit_density("b") == base
-    assert emit_density("j2", "--jobs", "2") == base
-    print("gate 9: lp and lp-density reports byte-identical across reruns and workers")
+    lp = ["lp", "--dim", "1", "--samples", "24", "--p", "1.5", "--p", "2"]
+    assert emit("lp_b", *lp) == emit("lp_a", *lp)
+    density = ["lp-density", "--dim", "1", "--samples", "8", "--rank", "1",
+               "--rank", "2", "--p", "1", "--p", "2"]
+    assert emit("density_b", *density) == emit("density_a", *density)
+    # Only `lplab all` takes --jobs.
+    assert emit("all_j2", "all", "--jobs", "2") == emit("all_j1", "all", "--jobs", "1")
+    print("gate 9: lp, lp-density and all reports byte-identical across reruns and workers")

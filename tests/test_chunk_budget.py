@@ -56,7 +56,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
             _gram_matrix(grid, stack)
         with monkeypatch.context() as patch:
             patch.setattr(np, "mean", moments)
-            khinchine_reports(8, [1.0], 40, 5)
+            khinchine_reports((8,), [1.0], 40, 5)
         return len(seen["ranks"]), len(seen["columns"]) // 2, len(seen["chunks"])
 
     # 1 MiB: rank chunks of 16 of 33 waves, blocks of 1985 of 4096 columns, all 40 arrays.

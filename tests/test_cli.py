@@ -130,11 +130,10 @@ class TestExitCodes:
             (["seqlemma", "--dim", "4", "--trials", "5"], "dimension must be 1, 2 or 3"),
             (["seqlemma", "--j-min", "3", "--j-max", "1", "--trials", "5"], "empty index range"),
             (["lieb-thirring", "--n", "64", "--mu", "-1"], "chemical potential must be positive"),
-            (["lieb-thirring", "--family", "sharp"], "smooth block family"),
         ],
         ids=[
             "lp_floor", "density_floor", "enumeration_cap", "no_mc_samples",
-            "seqlemma_dim", "empty_window", "negative_mu", "sharp_chain",
+            "seqlemma_dim", "empty_window", "negative_mu",
         ],
     )
     def test_settings_a_handler_refuses_are_usage_errors(self, capsys, argv, message):
@@ -190,7 +189,7 @@ class TestExitCodes:
             (["lp"], {"out": 5}, "config key out needs a JSON string, got 5"),
             (["lp"], {"envelopes": 3}, "config key envelopes needs a JSON string, got 3"),
             (["lp"], {"csv": ["a"]}, 'config key csv needs a JSON string, got ["a"]'),
-            (["lp"], {"jobs": "many"}, 'config key jobs needs a JSON integer, got "many"'),
+            (["all"], {"jobs": "many"}, 'config key jobs needs a JSON integer, got "many"'),
             (["lieb-thirring"], {"mu": []}, "mu needs at least one value"),
             (["lp-density"], {"rank": [1.5], "samples": 2, "n": 16},
              "config key rank needs a JSON list of numbers, each a JSON integer, got [1.5]"),
@@ -244,6 +243,46 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("gns", "family", "sharp"),
+            ("glt", "profile", "quintic"),
+            ("lieb-thirring", "family", "sharp"),
+            ("seqlemma", "envelopes", "envelopes.json"),
+            ("glt", "envelopes", "envelopes.json"),
+            ("partition", "jobs", 2),
+            ("lp", "jobs", 2),
+        ],
+        ids=[
+            "gns_family", "glt_profile", "lieb_thirring_family", "seqlemma_envelopes",
+            "glt_envelopes", "partition_jobs", "lp_jobs",
+        ],
+    )
+    def test_settings_a_handler_would_not_read_are_refused(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        """A command takes only the settings its handler reads: the flag and
+        the config key of any other exit 2 before anything is drawn."""
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before refusing the settings")
+
+        monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
+        monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
+        monkeypatch.setattr(lplab.cli, "build_blocks", no_draws)
+        flag = "--" + key
+        assert run_cli(command, flag, str(value)) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        assert run_cli(command, "--config", str(config)) == 2
+        captured = capsys.readouterr()
+        assert f"{command} takes no config keys ['{key}']" in captured.err
+        assert captured.out == ""
+
     def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         """A check that raises mid-run is a failed run (exit 1), not a usage error."""
 
@@ -262,11 +301,8 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def lp_args(self, out, jobs=None):
-        argv = ["lp", "--n", "64", "--p", "1.5", "--p", "2", "--samples", "10", "--out", str(out)]
-        if jobs is not None:
-            argv += ["--jobs", str(jobs)]
-        return argv
+    def lp_args(self, out):
+        return ["lp", "--n", "64", "--p", "1.5", "--p", "2", "--samples", "10", "--out", str(out)]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         first = tmp_path / "a.json"
@@ -277,10 +313,11 @@ class TestDeterminism:
         assert first.read_bytes() == second.read_bytes()
 
     def test_worker_count_is_invisible(self, tmp_path, capsys):
+        """Only `lplab all` takes --jobs, and its report does not depend on it."""
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
-        assert run_cli(*self.lp_args(serial, jobs=1)) == 0
-        assert run_cli(*self.lp_args(parallel, jobs=2)) == 0
+        assert run_cli("all", "--jobs", "1", "--out", str(serial)) == 0
+        assert run_cli("all", "--jobs", "2", "--out", str(parallel)) == 0
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
 
@@ -288,9 +325,9 @@ class TestDeterminism:
         """LPLAB_JOBS is no longer read; the report cannot depend on it."""
         flagged = tmp_path / "flagged.json"
         env = tmp_path / "env.json"
-        assert run_cli(*self.lp_args(flagged, jobs=2)) == 0
+        assert run_cli("all", "--jobs", "2", "--out", str(flagged)) == 0
         monkeypatch.setenv("LPLAB_JOBS", "2")
-        assert run_cli(*self.lp_args(env)) == 0
+        assert run_cli("all", "--out", str(env)) == 0
         capsys.readouterr()
         assert flagged.read_bytes() == env.read_bytes()
 
@@ -397,22 +434,57 @@ class TestConfigResolution:
         assert payload["config"]["samples"] == 5
         assert payload["results"]["reports"][0]["sample_count"] == 5
 
-    def test_config_takes_passthrough_keys(self, tmp_path, capsys):
+    @staticmethod
+    def stub_all(monkeypatch):
+        """Run `lplab all` without its sections: only its settings are under test."""
+        monkeypatch.setitem(lplab.cli._HANDLERS, "all", lambda settings, env: ({}, True, None))
+
+    def test_config_takes_passthrough_keys(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "partition.json"
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n": 64, "jobs": 2, "out": str(out), "csv": None}))
+        config.write_text(json.dumps({"n": 64, "out": str(out), "csv": None}))
         assert run_cli("partition", "--config", str(config)) == 0
         capsys.readouterr()
         assert json.loads(out.read_text())["config"]["n"] == 64
+        self.stub_all(monkeypatch)
+        config.write_text(json.dumps({"jobs": 2, "out": str(out)}))
+        assert run_cli("all", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["command"] == "all"
 
-    def test_config_run_settings_may_be_null(self, tmp_path, capsys):
+    def test_config_run_settings_may_be_null(self, tmp_path, capsys, monkeypatch):
+        self.stub_all(monkeypatch)
         config = tmp_path / "config.json"
-        nulls = {"out": None, "csv": None, "envelopes": None, "jobs": None}
-        config.write_text(json.dumps({"n": 64, **nulls}))
-        assert run_cli("partition", "--config", str(config)) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["config"]["n"] == 64
-        assert not set(nulls) & set(payload["config"])
+        for argv, values, nulls in (
+            (["partition"], {"n": 64}, ("out", "csv")),
+            (["lp", "--p", "2"], {"n": 16, "samples": 2}, ("out", "csv", "envelopes")),
+            (["all"], {}, ("out", "envelopes", "jobs")),
+        ):
+            config.write_text(json.dumps({**values, **dict.fromkeys(nulls)}))
+            assert run_cli(*argv, "--config", str(config)) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["command"] == argv[0]
+            assert payload["config"].items() >= values.items()
+            assert not set(nulls) & set(payload["config"])
+
+    def test_config_values_arrive_as_their_flag_types(self, tmp_path, monkeypatch):
+        """A JSON integer for a float setting reaches the handler as a float,
+        in a list element by element, as its flag would give it."""
+        seen = []
+
+        def handler(settings, envelopes):
+            seen.append(settings)
+            return {}, True, None
+
+        monkeypatch.setitem(lplab.cli._HANDLERS, "lp", handler)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"box": 6, "decay": 1, "p": [2, 3], "samples": 4}))
+        out = tmp_path / "lp.json"
+        assert run_cli("lp", "--config", str(config), "--out", str(out)) == 0
+        (settings,) = seen
+        assert [type(settings[k]) for k in ("box", "decay", "samples")] == [float, float, int]
+        assert [type(p) for p in settings["p"]] == [float, float]
+        assert settings["box"] == 6.0 and settings["p"] == [2.0, 3.0]
 
     def test_config_values_of_the_flag_types_are_taken(self, tmp_path):
         """A JSON integer stands for a float setting, and a choice is taken as given."""
@@ -538,7 +610,24 @@ class TestSectionCommands:
         capsys.readouterr()
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["results"]["reports"][0]["p"] == 6.0
+        (cell,) = payload["results"]["reports"]
+        assert cell["p"] == 6.0
+        # gns builds no blocks, so its cell names no block family.
+        assert (cell["family"], cell["profile_kind"]) == ("none", "none")
+        assert not {"family", "profile"} & set(payload["config"])
+
+    def test_a_repeated_chemical_potential_is_one_rung(self, capsys):
+        assert run_cli("lieb-thirring", "--mu", "2.5", "--mu", "2.5") == 0
+        twice = json.loads(capsys.readouterr().out)
+        assert run_cli("lieb-thirring", "--mu", "2.5") == 0
+        once = json.loads(capsys.readouterr().out)
+        assert twice.pop("config")["mu"] == [2.5, 2.5]
+        assert once.pop("config")["mu"] == [2.5]
+        assert twice == once
+        assert len(once["results"]["sweep"]) == 1
+        assert [c["source"] for c in once["results"]["chains"]] == [
+            "sea_rank_3", "frame_0", "frame_1"
+        ]
 
 
 class TestGridDefaults:
@@ -624,3 +713,52 @@ class TestSectionTable:
             for command in SECTIONS
             for settings in section_runs(command)[1:]
         ]
+
+
+class _RecordedReads(dict):
+    """A settings dict that records every key a handler reads from it."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# A small run of each command; khinchine in monte_carlo mode, which reads mc_samples.
+SMALL_RUNS = {
+    "partition": ["--n", "16"],
+    "lp": ["--n", "16", "--samples", "2"],
+    "lp-density": ["--n", "16", "--samples", "2", "--rank", "1"],
+    "khinchine": ["--mode", "monte_carlo", "--mc-samples", "64", "--count", "2",
+                  "--terms", "4", "--tensor-terms", "3"],
+    "gns": ["--n", "16", "--samples", "2"],
+    "lieb-thirring": ["--n", "64", "--mu", "2.5", "--chain-samples", "1"],
+    "glt": ["--dim", "1", "--n", "16", "--samples", "1"],
+    "seqlemma": ["--trials", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(SECTIONS))
+def test_every_section_setting_a_command_takes_is_read(monkeypatch, capsys, command):
+    """A command takes no setting its handler leaves unread."""
+    handler = lplab.cli._HANDLERS[command]
+    reads = set()
+
+    def recording(settings, envelopes):
+        settings = _RecordedReads(settings)
+        try:
+            return handler(settings, envelopes)
+        finally:
+            reads.update(settings.read)
+
+    monkeypatch.setitem(lplab.cli._HANDLERS, command, recording)
+    assert run_cli(command, *SMALL_RUNS[command]) in (0, 3)
+    capsys.readouterr()
+    assert sorted(set(SECTIONS[command].defaults) - reads) == []

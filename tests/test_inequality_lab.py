@@ -40,7 +40,6 @@ from lplab import (
     sign_sum_samples,
     single_spike,
     summed_block_density,
-    tensor_khinchine_reports,
 )
 from lplab.fock_operator import spectral_trace
 from lplab.inequality_lab import (
@@ -698,7 +697,7 @@ class TestEnvelopeEstimation:
 
 class TestKhinchineReports:
     def test_classical_report_batch(self):
-        reports = khinchine_reports(n_terms=6, p_list=[1.0, 2.0], count=20, seed=83)
+        reports = khinchine_reports(shape=(6,), p_list=[1.0, 2.0], count=20, seed=83)
         assert [r.p for r in reports] == [1.0, 2.0]
         for report in reports:
             assert report.sample_count == 20
@@ -709,7 +708,7 @@ class TestKhinchineReports:
         np.testing.assert_allclose(reports[1].ratio_max, 1.0, rtol=1e-10)
 
     def test_tensor_report_batch(self):
-        reports = tensor_khinchine_reports(n_terms=4, p_list=[2.0], count=15, seed=84)
+        reports = khinchine_reports(shape=(4, 4), p_list=[2.0], count=15, seed=84)
         (report,) = reports
         assert report.sample_count == 15
         assert report.ratio_max >= report.ratio_min > 0
@@ -717,7 +716,7 @@ class TestKhinchineReports:
     def test_envelope_lookup_used(self):
         envelopes = {"khinchine": {"d0": {"1": [0.5, 1.5]}}}
         reports = khinchine_reports(
-            n_terms=4, p_list=[1.0], count=10, seed=85, envelopes=envelopes
+            shape=(4,), p_list=[1.0], count=10, seed=85, envelopes=envelopes
         )
         assert reports[0].envelope == (0.5, 1.5)
 
@@ -726,9 +725,9 @@ class TestKhinchineReports:
             raise AssertionError("drew coefficients before checking the exponents")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
-        for reports in (khinchine_reports, tensor_khinchine_reports):
+        for shape in ((4,), (4, 4)):
             with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.5"):
-                reports(n_terms=4, p_list=[2.0, 0.5], count=3, seed=86)
+                khinchine_reports(shape=shape, p_list=[2.0, 0.5], count=3, seed=86)
         for coefficients in ([[1.0, 1.0]], [[[1.0]]]):
             with pytest.raises(ConfigurationError, match="requires p >= 1, got 0.9"):
                 sign_sum_samples(coefficients, [2.0, 0.9], EXACT)

@@ -29,7 +29,6 @@ from lplab import (
     sequence_lemma_bound,
     sequence_lemma_trials,
     spike_sequences,
-    tensor_khinchine_reports,
 )
 from lplab.inequality_lab import DEGENERACY_RTOL, _sequence_lemma_rows, _sign_blocks
 from lplab.torus_grid import abs_squared
@@ -176,10 +175,10 @@ class TestSignTable:
             return original(*args)
 
         monkeypatch.setattr(lplab.inequality_lab, "_sign_rows", counted)
-        khinchine_reports(12, [1.0, 2.0], 50, 2027)
+        khinchine_reports((12,), [1.0, 2.0], 50, 2027)
         assert calls == [(0, 4096, 12)]
         calls.clear()
-        tensor_khinchine_reports(8, [1.0, 2.0], 50, 2028)
+        khinchine_reports((8, 8), [1.0, 2.0], 50, 2028)
         assert calls == [(0, 256, 8)]
 
     @pytest.mark.parametrize(
@@ -188,8 +187,8 @@ class TestSignTable:
     def test_rebuilt_blocks_give_the_same_reports(self, monkeypatch, ensemble):
         """With blocks of 4 rows only 4 x 20 sign entries are kept, so these
         ensembles are rebuilt for each chunk of 3 classical arrays."""
-        kept = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
-        kept_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
+        kept = khinchine_reports((7,), [1.0, 3.0], 20, 4, ensemble)
+        kept_tensor = khinchine_reports((5, 5), [1.5], 20, 4, ensemble)
         passes = []
         original = lplab.inequality_lab._sign_blocks
 
@@ -202,18 +201,20 @@ class TestSignTable:
         monkeypatch.setattr(
             lplab.torus_grid, "FIELD_CHUNK_BYTES", 3 * ensemble_rows(7, ensemble) * 8
         )
-        rebuilt = khinchine_reports(7, [1.0, 3.0], 20, 4, ensemble)
+        rebuilt = khinchine_reports((7,), [1.0, 3.0], 20, 4, ensemble)
         assert passes == [7] * 7
-        rebuilt_tensor = tensor_khinchine_reports(5, [1.5], 20, 4, ensemble)
+        rebuilt_tensor = khinchine_reports((5, 5), [1.5], 20, 4, ensemble)
         assert [r.samples for r in rebuilt] == [r.samples for r in kept]
         assert [r.samples for r in rebuilt_tensor] == [r.samples for r in kept_tensor]
 
-    @pytest.mark.parametrize("reports", [khinchine_reports, tensor_khinchine_reports])
-    def test_empty_runs_are_refused(self, reports):
+    @pytest.mark.parametrize(
+        "axes", [1, 2], ids=["khinchine_reports", "tensor_khinchine_reports"]
+    )
+    def test_empty_runs_are_refused(self, axes):
         with pytest.raises(lplab.ConfigurationError, match="term count"):
-            reports(0, [1.0], 5, 1)
+            khinchine_reports((0,) * axes, [1.0], 5, 1)
         with pytest.raises(lplab.ConfigurationError, match="sample count"):
-            reports(3, [1.0], 0, 1)
+            khinchine_reports((3,) * axes, [1.0], 0, 1)
 
 
 def linear_sum_magnitudes(coefficients, signs):
@@ -267,9 +268,8 @@ class TestSignSumPass:
     PS = [1.0, 1.5, 2.0, 3.0]
 
     def check(self, n_terms, count, seed, ensemble, tensor, ps=PS):
-        reports = (tensor_khinchine_reports if tensor else khinchine_reports)(
-            n_terms, ps, count, seed, ensemble
-        )
+        shape = (n_terms, n_terms) if tensor else (n_terms,)
+        reports = khinchine_reports(shape, ps, count, seed, ensemble)
         expected = reference_sign_samples(n_terms, ps, count, seed, ensemble, tensor)
         assert [r.p for r in reports] == list(dict.fromkeys(float(p) for p in ps))
         for report, samples in zip(reports, expected, strict=True):
