@@ -367,11 +367,16 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
 
     A section with ranks names its reports by rank and judges ranks above one
     against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.  A
-    section that builds no blocks (gns) reports the family "none".
+    section that builds no blocks (gns) takes no block settings.
     """
     checker = SECTIONS[command].envelopes[0]
     grid = _grid_of(settings)
     ps = _exponents(settings)
+    block_settings = (
+        {"family": settings["family"], "profile_kind": settings["profile"]}
+        if "family" in settings
+        else {}
+    )
     reports = []
     for rank in _distinct(settings["rank"]) if "rank" in settings else [None]:
         exponents = []
@@ -383,7 +388,7 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
         reports.extend(
             estimate_envelope(
                 _corpus_spec(command, settings, rank), checker, exponents, grid,
-                settings.get("family", "none"), settings.get("profile", "none"),
+                **block_settings,
                 name=None if rank is None else f"{checker}_rank{rank}",
             )
         )

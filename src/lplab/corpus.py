@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DegenerateInputError
 from .fock_operator import (
     GRAM_TOLERANCE, FiniteRankOperator, OperatorContract, power_bounded, validate_contract
 )
-from .torus_grid import TorusGrid, inverse_transform_stack
+from .torus_grid import TorusGrid, field_chunks, inverse_transform_stack
 
 GRAM_RETRY_LIMIT = 5
 LAMBDA_STREAM_INDEX = 2**48
@@ -49,11 +49,11 @@ def philox_key(master_seed: int, member_index: int = 0) -> np.ndarray:
     return np.array([master_seed, member_index], dtype=np.uint64)
 
 
-def _stream_counter(stream: int) -> np.ndarray:
-    """The Philox counter at which substream ``stream`` starts."""
+def _stream_counter(stream: int) -> list[int]:
+    """The Philox counter at which substream ``stream`` starts, as four words."""
     if not 0 <= stream < 256:
         raise ValueError(f"stream must be in [0, 256), got {stream}")
-    return np.array([stream << 56, 0, 0, 0], dtype=np.uint64)
+    return [stream << 56, 0, 0, 0]
 
 
 def complex_normals(shape, seed: int, indices: range, stream: int = 0) -> np.ndarray:
@@ -107,11 +107,12 @@ def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
     orthonormalized on its own, in place: the input is overwritten and
     returned.
     Right-looking: each pass normalizes pivot i of every frame, then takes
-    its inner products with every later row in one reduction over the
-    (frames, rank, N^d) view and subtracts them in one in-place update.
-    Every row still meets its projections in ascending pivot order and is
-    then normalized, the same operations in the same order as the
-    left-looking per-pair loop on one frame.
+    its inner products with the later rows and subtracts them in place, one
+    field_chunk of the row axis (across every frame) at a time, so the pass
+    holds one chunk beside the frames.  Every row still meets its
+    projections in ascending pivot order and is then normalized, the same
+    operations in the same order as the left-looking per-pair loop on one
+    frame.
     """
     shape = np.shape(vectors)
     rank = shape[-grid.dimension - 1]
@@ -126,9 +127,11 @@ def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
             # Dividing by the norms cast to complex runs the same complex
             # division as by a real scalar, without a buffered cast.
             pivot /= norm[:, None].astype(complex)
-            rest = frames[:, i + 1 :]
-            overlaps = cell_volume * (pivot.conj()[:, None] * rest).sum(axis=2)
-            rest -= overlaps[:, :, None] * pivot[:, None]
+            conjugate = pivot.conj()[:, None]
+            for rows in field_chunks(grid, rank - i - 1, len(frames)):
+                rest = frames[:, i + 1 :][:, rows]
+                overlaps = cell_volume * (conjugate * rest).sum(axis=2)
+                rest -= overlaps[:, :, None] * pivot[:, None]
     return frames.reshape(shape)
 
 
@@ -272,18 +275,22 @@ def _rekeyed_generators(master_seed: int, indices: range, stream: int = 0):
     One bit generator is re-keyed per index, so every yield is the same
     object: draw from it before advancing.  Building a fresh Philox per index
     would also pull OS entropy for a seed sequence that the key then discards.
+    The state holds Python ints, which the setter reads faster than the
+    elements of numpy arrays, with the same bits.
     """
     counter = _stream_counter(stream)
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
-    key = philox_key(master_seed)
+    philox_key(master_seed)
     if indices:  # the ends of a range bound every index in it
         philox_key(master_seed, indices[0])
         philox_key(master_seed, indices[-1])
+    key = [int(master_seed), 0]
     # The setter copies every field, so one state dict serves every index.
     state = dict(
         bit_generator.state,
         state={"counter": counter, "key": key},
+        buffer=[0, 0, 0, 0],
         buffer_pos=4,
         has_uint32=0,
         uinteger=0,

@@ -9,11 +9,14 @@ Parseval sums of the spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2
 against torus_grid.laplacian_power, with no inverse transform
 (spectral_trace).
 
-An operator transforms its eigenfunctions at most once: the first reader
-of the forward stack (the spectral density or the power-bounded check)
-transforms the whole stack in one call, and the operator keeps it beside
-its eigenfunctions.  No Fermi sea is held as an operator; the ladder is
-streamed (below).
+Only a power-bounded check keeps the forward stack of an operator's
+eigenfunctions: it transforms the whole stack in one call, and the
+spectral density then sums over that stack.  Without one, the spectral
+density transforms the eigenfunctions in field_chunks of the rank axis and
+keeps none of them.  An operator therefore transforms its eigenfunctions
+once, unless its spectral density is read before its first power-bounded
+check.  No Fermi sea is held as an operator; the ladder is streamed
+(below).
 
 Plane-wave Fermi seas come from one wave generator, _plane_waves, which
 builds any range of a sea's waves with the bits of the full stack:
@@ -55,6 +58,7 @@ from .torus_grid import (
     forward_transform_stack,
     laplacian_power,
     weighted_density,
+    weighted_spectral_density,
     zero_mode_offenders,
 )
 
@@ -96,11 +100,11 @@ class FiniteRankOperator:
     The operator is immutable: both arrays are read-only views, so the
     quantities it computes at most once (the Gram residual, the forward
     stack of its eigenfunctions, the overlaps of the power-bounded check,
-    the spectral density w and the density rho) cannot go stale.  The
-    forward stack is kept once read; the spectral density and the
-    power-bounded check both read it.  It is as large as the eigenfunctions
-    (a sea of 257 waves at d = 3, n = 32 holds 135 MB more), so a ladder of
-    large plane-wave seas belongs in sea_ladder, which holds neither.
+    the spectral density w and the density rho) cannot go stale.  Only a
+    power-bounded check keeps the forward stack, which the spectral density
+    then reads; it is as large as the eigenfunctions (a sea of 257 waves at
+    d = 3, n = 32 holds 135 MB more), so a ladder of large plane-wave seas
+    belongs in sea_ladder, which holds neither.
     """
 
     grid: TorusGrid
@@ -141,11 +145,19 @@ class FiniteRankOperator:
     def spectral_density(self) -> np.ndarray:
         """w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, in FFT layout.
 
-        It transforms the whole stack in one call and keeps the transforms,
-        as many bytes as the eigenfunctions, beside them.  By Parseval, L^{-d} sum_xi m(xi) w(xi) is sum_k lambda_k <u_k, m(D) u_k>
-        for any real multiplier m, with no inverse transform.
+        It sums over the kept forward stack when a power-bounded check has
+        built it; otherwise it transforms the eigenfunctions a chunk at a
+        time and keeps no transform.  Both sums are the same, bit for bit.
+        By Parseval, L^{-d} sum_xi m(xi) w(xi) is
+        sum_k lambda_k <u_k, m(D) u_k> for any real multiplier m, with no
+        inverse transform.
         """
-        return _read_only(weighted_density(self.grid, self._forward_stack, self.eigenvalues))
+        stack = self.__dict__.get("_forward_stack")
+        if stack is None:
+            w = weighted_spectral_density(self.grid, self.eigenfunctions, self.eigenvalues)
+        else:
+            w = weighted_density(self.grid, stack, self.eigenvalues)
+        return _read_only(w)
 
     @cached_property
     def density_values(self) -> np.ndarray:
@@ -398,7 +410,11 @@ def _power_overlap(grid: TorusGrid, forward_stack: np.ndarray, power: float) -> 
     stack [r, ...] of the u_k; None when power != 0 and some u_k carries
     zero-mode mass, which v_k (power < 0) or the bound (power > 0) forbids."""
     spectra = forward_stack.reshape(len(forward_stack), -1)
-    if power != 0.0 and np.any(zero_mode_offenders(abs_squared(spectra))):
+    # One row chunk of |spectra|^2 at a time, not a table half the stack's size.
+    if power != 0.0 and any(
+        np.any(zero_mode_offenders(abs_squared(spectra[rows])))
+        for rows in field_chunks(grid, len(spectra), 1)
+    ):
         return None
     scaled = spectra * laplacian_power(grid, -power).reshape(-1)
     # conj(conj(scaled) @ spectra^T) = scaled @ spectra^H, without a

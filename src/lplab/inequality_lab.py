@@ -925,7 +925,9 @@ def estimate_envelope(
 
     ``exponents`` is a sequence of (p, envelope) pairs; the result holds one
     report per pair, in order.  For "gns" the exponent is fixed by the
-    dimension (gns_exponent); p is None or that exponent.
+    dimension (gns_exponent); p is None or that exponent.  gns builds no
+    blocks, so its reports name the family and profile "none", whatever
+    ``family`` and ``profile_kind`` say.
 
     The corpus is evaluated in field_chunks of members (one field per member
     for gns, one per block and rank otherwise).  Each chunk is drawn in one
@@ -954,6 +956,9 @@ def estimate_envelope(
     if checker in ("lp", "lp_density"):
         blocks = build_blocks(grid, family, profile_kind)
         fields_per_member = blocks.block_count * int(spec.params.get("rank", 1))
+        profile_kind = "indicator" if family == SHARP else profile_kind
+    else:
+        family = profile_kind = "none"
     members = []
     for rows in field_chunks(grid, spec.count, fields_per_member):
         start, stop = rows.start, min(rows.stop, spec.count)
@@ -969,7 +974,7 @@ def estimate_envelope(
             name=name or checker,
             p=p,
             family=family,
-            profile_kind="indicator" if family == SHARP else profile_kind,
+            profile_kind=profile_kind,
             grid=grid_params,
             seed=spec.seed,
             samples=[samples[position] for samples in members],

@@ -150,9 +150,12 @@ class TorusGrid:
 
     @cached_property
     def frequency_norms_squared(self) -> np.ndarray:
+        """|xi|^2 in FFT layout: the squared axis frequencies, each broadcast
+        along its own axis and added in axis order, so no meshgrid is built."""
+        squares = self.axis_frequencies**2
         nsq = np.zeros(self.shape)
-        for component in self.frequency_grids:
-            nsq = nsq + component**2
+        for axis in range(self.dimension):
+            nsq += squares.reshape((-1,) + (1,) * (self.dimension - 1 - axis))
         nsq.flags.writeable = False
         return nsq
 
@@ -259,6 +262,23 @@ def density_stack(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
 def weighted_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
     """sum_k weights_k |values_k(x)|^2 over a stack of grid fields [r, ...]."""
     return density_stack(grid, np.asarray(values)[None], np.asarray(weights)[None])[0]
+
+
+def weighted_spectral_density(grid: TorusGrid, values: np.ndarray, weights) -> np.ndarray:
+    """sum_k weights_k |coeffs_k(xi)|^2 over a stack of grid fields [r, ...],
+    in FFT layout.
+
+    The stack is transformed one field_chunk of the rank axis at a time, so
+    the pass holds one chunk of transforms; the sum is weighted_density's
+    of the whole forward stack, bit for bit.
+    """
+    values = np.asarray(values)[None]
+    return _weighted_energy(
+        grid,
+        np.asarray(weights)[None],
+        1,
+        lambda rows: forward_transform_stack(grid, values[:, rows]),
+    )[0]
 
 
 def fft_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """One memory budget: torus_grid.FIELD_CHUNK_BYTES sizes every chunked pass.
 
 Patching that one binding must resize the Fermi sweep's rank chunks, the
-column blocks of a stack's Gram matrix and the array chunks of the sign-sum
-pass, and no other module of the package may name the budget or define a
-byte budget of its own.
+column blocks of a stack's Gram matrix, the array chunks of the sign-sum
+pass, the row chunks of Gram-Schmidt and the rank chunks of a unit-ball
+operator's spectral density, and no other module of the package may name
+the budget or define a byte budget of its own.
 """
 
 import ast
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+import lplab.corpus
 import lplab.fock_operator
 import lplab.torus_grid
-from lplab import TorusGrid, fermi_sweep, khinchine_reports
+from lplab import FiniteRankOperator, TorusGrid, fermi_sweep, khinchine_reports
+from lplab.corpus import _orthonormalize
 from lplab.fock_operator import _gram_matrix
 from sea_reference import fermi_sea
 
@@ -24,10 +27,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lplab"
 def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
-    seen = {"ranks": [], "columns": [], "chunks": []}
+    seen = {"ranks": [], "columns": [], "chunks": [], "rows": [], "transforms": []}
     plane_waves = lplab.fock_operator._plane_waves
     copyto = np.copyto
     mean = np.mean
+    fftn = np.fft.fftn
+    field_chunks = lplab.corpus.field_chunks
 
     def waves(grid, modes, rows=slice(None), out=None):
         # The sweep generates each chunk of the rank axis once.
@@ -45,7 +50,19 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         seen["columns"].append(part.shape[1])
         return copyto(buffer, part)
 
+    def rows(grid, count, fields_per_item):
+        # Gram-Schmidt takes the later rows of each pivot in these chunks.
+        chunks = field_chunks(grid, count, fields_per_item)
+        seen["rows"].extend(chunks)
+        return chunks
+
+    def transform(values, **kwargs):
+        # The streamed spectral density transforms each rank chunk once.
+        seen["transforms"].append(len(values))
+        return fftn(values, **kwargs)
+
     monkeypatch.setattr(lplab.fock_operator, "_plane_waves", waves)
+    monkeypatch.setattr(lplab.corpus, "field_chunks", rows)
 
     def counts():
         for calls in seen.values():
@@ -57,13 +74,25 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np, "mean", moments)
             khinchine_reports((8,), [1.0], 40, 5)
-        return len(seen["ranks"]), len(seen["columns"]) // 2, len(seen["chunks"])
+        _orthonormalize(grid, stack.copy())
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "fftn", transform)
+            FiniteRankOperator(grid, np.ones(len(stack)), stack).spectral_density
+        return (
+            len(seen["ranks"]),
+            len(seen["columns"]) // 2,
+            len(seen["chunks"]),
+            len(seen["rows"]) // 2,  # one set per Gram-Schmidt pass
+            len(seen["transforms"]),
+        )
 
-    # 1 MiB: rank chunks of 16 of 33 waves, blocks of 1985 of 4096 columns, all 40 arrays.
-    assert counts() == (3, 3, 1)
+    # 1 MiB: rank chunks of 16 of 33 waves, blocks of 1985 of 4096 columns,
+    # all 40 arrays, rows of 16 of the 32 - i after pivot i, 16 of 33 ranks.
+    assert counts() == (3, 3, 1, 48, 3)
     monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", grid.size * 16)
-    # One field: rank chunks of 1 wave, blocks of 124 columns, 32 arrays of 256 rows.
-    assert counts() == (33, 34, 2)
+    # One field: rank chunks of 1 wave, blocks of 124 columns, 32 arrays of
+    # 256 rows, one row per pivot and later row, ranks of 1.
+    assert counts() == (33, 34, 2, 528, 33)
 
 
 def budget_names(path: Path) -> set[str]:

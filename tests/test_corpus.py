@@ -48,6 +48,20 @@ class TestPhiloxStreams:
         with pytest.raises(ConfigurationError, match="at least 0 and below 2"):
             random_band_limited(lplab.TorusGrid(1, 2 * np.pi, 16), 1.0, seed, index=index)
 
+    @pytest.mark.parametrize("stream", [0, 1, 255])
+    @pytest.mark.parametrize("seed", [0, 2031, 2**64 - 1])
+    def test_rekeyed_draws_equal_fresh_generators(self, seed, stream):
+        """The one re-keyed bit generator draws what a fresh Philox keyed by
+        (seed, index) on the stream draws, at both ends and the middle of
+        the index range, each index re-keyed after another."""
+        for lo in (0, 2**63 - 1, 2**64 - 2):
+            indices = range(lo, lo + 2)
+            generators = lplab.corpus._rekeyed_generators(seed, indices, stream)
+            for index, rng in zip(indices, generators):
+                np.testing.assert_array_equal(
+                    rng.random(43), philox_generator(seed, index, stream).random(43)
+                )
+
     def test_the_largest_key_draws(self):
         top = 2**64 - 1
         grid = lplab.TorusGrid(1, 2 * np.pi, 16)

@@ -667,6 +667,18 @@ class TestEnvelopeEstimation:
         (report,) = estimate_envelope(self.spec(), "gns", [(None, None)], small1)
         assert report.p == 6.0
 
+    @pytest.mark.parametrize("family", [lplab.SMOOTH, lplab.SHARP])
+    def test_gns_reports_name_no_block_family(self, family):
+        """gns builds no blocks, so its reports say "none" whatever family
+        and profile the call passes."""
+        spec = CorpusSpec("random_band_limited", 2, 1, {"decay": 1.5, "zero_mean": True})
+        grid = TorusGrid(1, 2 * math.pi, 64)
+        (report,) = estimate_envelope(spec, "gns", [(None, None)], grid, family, "quintic")
+        assert (report.family, report.profile_kind) == ("none", "none")
+        (lp,) = estimate_envelope(spec, "lp", [(2.0, None)], grid, family, "quintic")
+        profile = "indicator" if family == lplab.SHARP else "quintic"
+        assert (lp.family, lp.profile_kind) == (family, profile)
+
     def test_gns_refuses_any_other_exponent(self, small1):
         """A gns report labelled p measures the ratio at p: 2 + 4/d is the only p."""
         (report,) = estimate_envelope(self.spec(), "gns", [(6.0, None)], small1)

@@ -79,6 +79,21 @@ class TestRightLookingGramSchmidt:
         assert frame.shape == raw.shape
         np.testing.assert_array_equal(frame, _per_pair_orthonormalize(grid, raw))
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_row_chunks_equal_per_pair_loop(self, d, rows, monkeypatch):
+        """Gram-Schmidt in chunks of 1 or 3 later rows, on one frame and on
+        a stack of two, still equals the per-pair loop on every frame."""
+        dim, n = GRIDS[d]
+        grid = TorusGrid(dim, TAU, n)
+        raw = np.stack([_raw_stack(grid, 8, False, seed) for seed in (41, 43)])
+        for frames in (raw[:1], raw):
+            row_bytes = len(frames) * grid.size * np.dtype(complex).itemsize
+            monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", rows * row_bytes)
+            result = _orthonormalize(grid, frames.copy())
+            for frame, reference in zip(result, frames):
+                np.testing.assert_array_equal(frame, _per_pair_orthonormalize(grid, reference))
+
     def _outcome(self, fn, grid, raw):
         try:
             return fn(grid, raw)

@@ -6,12 +6,15 @@ straight into its result, and random_band_limited weights and transforms
 its coefficients in place.  Each must equal the expression it replaced bit
 for bit at d = 1, 2, 3, on complex stacks and on float views of them.  A
 band-limited draw then holds about one result, Gram-Schmidt overwrites the
-draw it is given, the power-bounded check holds one weighted copy of the
-forward stack, and glt releases each frame before it draws the next.
+draw it is given and holds one chunk beside it, a unit-ball chain check
+keeps its spectral density and no forward stack, the power-bounded check
+holds one weighted copy of the forward stack, and glt releases each frame
+before it draws the next.
 """
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ import pytest
 import lplab.cli
 from lplab import (
     TorusGrid,
+    build_blocks,
+    lt_chain_check,
     power_bounded,
     random_band_limited,
     random_orthonormal_frame,
@@ -137,8 +142,34 @@ def test_orthonormalize_overwrites_its_input(traced_peak):
     frame, peak = traced_peak(_orthonormalize, grid, raw)
     assert np.shares_memory(frame, raw)
     _same_bits(frame, expected)
-    # The pivot's conjugate and its product with the later rows: one input.
+    # The pivot's conjugate and one chunk of products with the later rows.
     assert peak <= 1.25 * raw.nbytes, peak / raw.nbytes
+
+
+def test_orthonormalize_holds_one_chunk_beside_a_large_frame(traced_peak):
+    grid = TorusGrid(3, TAU, 32)
+    raw = random_band_limited(grid, 1.0, 7, count=32)
+    assert raw.nbytes == 16 * 2**20
+    _, peak = traced_peak(_orthonormalize, grid, raw)
+    # One budget of products with the later rows and the pivot's conjugate,
+    # whatever the rank: no second frame.
+    assert peak <= 2 * 2**20, peak / 2**20
+
+
+def test_unit_ball_chain_keeps_only_its_spectral_density():
+    grid = TorusGrid(3, TAU, 32)
+    blocks = build_blocks(grid)
+    op = random_orthonormal_frame(grid, rank=16, decay=1.0, seed=7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert lt_chain_check(op, blocks).passed
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # w, one real field, stays cached on the operator; no forward stack does.
+    assert "_forward_stack" not in op.__dict__
+    assert op.spectral_density.nbytes <= retained < op.eigenfunctions[0].nbytes, retained
 
 
 def test_power_bounded_check_holds_one_scaled_stack(traced_peak):

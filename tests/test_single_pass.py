@@ -3,7 +3,7 @@
 A frame's members are drawn in one pass per attempt, checked bit for bit
 against the per-member draw they replaced, kept here as the reference; an
 operator computes its Gram residual, spectral density and density once, and
-transforms its stack once whatever its contract; `lp` builds no member
+transforms its stack once on every command's path; `lp` builds no member
 twice, and `lieb-thirring` generates each wave of its top rung once per
 pass; and the report writer is checked byte for byte against the json
 encoder subclass it replaced, also kept here.
@@ -172,8 +172,10 @@ class TestOperatorCache:
     @pytest.mark.parametrize("chunk_members", [1, 3, 64])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_density_from_kept_stack_equals_chunked(self, d, chunk_members, monkeypatch):
-        """Every contract's spectral density, summed over the kept stack in
-        rank chunks of 1, 3 or 64 fields, equals the per-eigenfunction sum."""
+        """Every contract's spectral density, in rank chunks of 1, 3 or 64
+        fields, equals the per-eigenfunction sum: summed over the stack a
+        power-bounded check keeps, or, with no such check, transformed
+        chunk by chunk with no stack kept.  Both ways give the same bits."""
         grid = _grid(d)
         monkeypatch.setattr(
             lplab.torus_grid,
@@ -183,7 +185,11 @@ class TestOperatorCache:
         for power_bound in (None, 1.0):
             op = random_orthonormal_frame(grid, 5, 1.0, 37, power_bound=power_bound)
             np.testing.assert_array_equal(op.spectral_density, per_eigenfunction_density(op))
-            assert "_forward_stack" in op.__dict__
+            assert ("_forward_stack" in op.__dict__) == (power_bound is not None)
+            kept = FiniteRankOperator(grid, op.eigenvalues, op.eigenfunctions)
+            validate_contract(kept, power_bounded(0.0))
+            assert "_forward_stack" in kept.__dict__
+            np.testing.assert_array_equal(kept.spectral_density, op.spectral_density)
 
     def test_power_bounded_frame_transforms_its_stack_once(self, fft_calls):
         grid = _grid(3)
@@ -235,7 +241,9 @@ class TestOperatorCache:
         )
         assert fft_calls["fftn"] == 1
 
-    def test_unit_ball_checks_share_one_gram_and_one_density(self, blocks1, monkeypatch):
+    def test_unit_ball_checks_share_one_gram_and_one_density(
+        self, blocks1, monkeypatch, fft_calls
+    ):
         grams = []
         original = lplab.fock_operator._gram_matrix
 
@@ -246,20 +254,26 @@ class TestOperatorCache:
         monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted)
         op = random_orthonormal_frame(blocks1.grid, 4, 1.0, 47)
         fresh = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
+        glt_order = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
         grams.clear()
-        transforms = []
-        transform = lplab.fock_operator.forward_transform_stack
-
-        def counted_transform(grid, values):
-            transforms.append(len(values))
-            return transform(grid, values)
-
-        monkeypatch.setattr(lplab.fock_operator, "forward_transform_stack", counted_transform)
+        fft_calls.update(fftn=0, ifftn=0)
+        # The unit-ball checks stream one density (one chunk of 4 fields)
+        # and keep no forward stack.
         base = lieb_thirring_check(fresh)
         lt_chain_check(fresh, blocks1)
+        assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
+        assert "_forward_stack" not in fresh.__dict__
+        # A later power-bounded check builds the stack it keeps: a second
+        # transform, in an order no command runs.
         general = generalized_lt_check(fresh, 0.0, 1.0)
-        assert grams == [4] and transforms == [4]
+        assert grams == [4] and fft_calls == {"fftn": 2, "ifftn": 0}
         assert general.ratio == base.ratio
+        # glt's order, the power bound first: one transform serves both checks.
+        grams.clear()
+        fft_calls.update(fftn=0, ifftn=0)
+        general = generalized_lt_check(glt_order, 0.0, 1.0)
+        assert lieb_thirring_check(glt_order).ratio == general.ratio == base.ratio
+        assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
 
 
 # ---------------------------------------------------------------------------

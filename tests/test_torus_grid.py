@@ -86,6 +86,21 @@ class TestGridValidation:
         np.testing.assert_allclose(xi[1], 1.0, rtol=1e-15)
         np.testing.assert_allclose(xi[grid1.points_per_axis // 2], -128.0, rtol=1e-15)
 
+    @pytest.mark.parametrize("d,n", [(2, 256), (3, 32)])
+    def test_frequency_norms_build_no_meshgrid(self, d, n, traced_peak):
+        """|xi|^2 equals the sum of the squared frequency meshgrids bit for
+        bit, and its table is the only grid-sized array it allocates."""
+        grid = TorusGrid(d, TAU, n)
+        grid.axis_frequencies
+        nsq, peak = traced_peak(lambda: grid.frequency_norms_squared)
+        assert "frequency_grids" not in grid.__dict__
+        # The table and one ufunc buffer of 64 KiB; the meshgrids were d more tables.
+        assert peak <= 1.5 * nsq.nbytes, peak / nsq.nbytes
+        reference = np.zeros(grid.shape)
+        for component in grid.frequency_grids:
+            reference = reference + component**2
+        np.testing.assert_array_equal(nsq, reference)
+
     def test_mode_index_wraps_negatives(self, grid1):
         assert grid1.mode_index([3]) == (3,)
         assert grid1.mode_index([-1]) == (255,)
