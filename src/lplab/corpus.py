@@ -87,11 +87,21 @@ def random_band_limited(
     The members are drawn in one pass: one weight table, one re-keyed
     generator and one batched inverse transform.  The weights and the
     transform are applied in place, so the draw holds one array of the
-    result's size.
+    result's size.  A decay whose weights overflow, or vanish at every
+    nonzero mode, is refused (ConfigurationError) before the draw.
     """
     decay = float(decay)
     if not math.isfinite(decay):
         raise ConfigurationError(f"decay must be finite, got {decay}")
+    # The weight is monotone in |xi|: it is largest at the largest |xi| for a
+    # decay below 0 and at the smallest nonzero |xi| above 0.
+    norms = grid.frequency_norms
+    with np.errstate(over="ignore"):
+        low, high = (1.0 + np.array([norms[norms > 0].min(), norms.max()])) ** -decay
+    if not (math.isfinite(high) and low > 0.0):
+        raise ConfigurationError(
+            f"decay {decay:g} puts the weights (1 + |xi|)^(-decay) outside the binary64 range"
+        )
     coeffs = complex_normals(grid.shape, seed, range(index, index + int(count)), stream)
     coeffs *= (1.0 + grid.frequency_norms) ** -decay
     if zero_mean:

@@ -5,9 +5,9 @@ weights and grid functions u_k; nothing is ever materialized as a dense
 N^d x N^d matrix.  The checkers of inequality_lab take block-conjugated
 densities from the batched block kernel of torus_grid, one inverse
 transform per chunk of eigenfunctions for all blocks.  Kinetic traces are
-Parseval sums of the spectral density w(xi) = sum_k lambda_k |coeffs_k(xi)|^2
-against torus_grid.laplacian_power, with no inverse transform
-(spectral_trace).
+torus_grid.spectral_trace of the spectral density
+w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, Parseval sums with no inverse
+transform.
 
 Only a power-bounded check keeps the forward stack of an operator's
 eigenfunctions: it transforms the whole stack in one call, and the
@@ -180,19 +180,6 @@ class FiniteRankOperator:
             if name in self.__dict__:
                 op.__dict__[name] = self.__dict__[name]
         return op
-
-
-def spectral_trace(grid: TorusGrid, w: np.ndarray, power: float) -> float:
-    """L^{-d} sum_xi |xi|^(2 power) w(xi) for a spectral density w in FFT layout.
-
-    With w = sum_k lambda_k |coeffs_k|^2 this is tr (-Laplacian)^power gamma;
-    at power 0 it is the trace of gamma.
-    """
-    power = float(power)
-    if power < 0:
-        raise ValueError(f"spectral_trace requires power >= 0, got {power}")
-    weights = laplacian_power(grid, power)
-    return float(np.sum(weights * w) / grid.volume)
 
 
 def diagonal_block_bound(blocks: DyadicBlockSet, j: int) -> float:

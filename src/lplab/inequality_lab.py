@@ -51,7 +51,6 @@ from .fock_operator import (
     power_bounded,
     require_contract,
     sea_ladder,
-    spectral_trace,
 )
 from .torus_grid import (
     TorusGrid,
@@ -63,8 +62,9 @@ from .torus_grid import (
     field_chunks,
     forward_transform_stack,
     inverse_transform_stack,
-    kinetic_forms,
     lp_norms,
+    power_integrals,
+    spectral_trace,
 )
 
 EXACT_ENUMERATION_CAP = 20
@@ -201,7 +201,8 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     fit the budget; a chunk holds one array when its rows alone do not.
     Each chunk makes one pass over the ensemble: every sign block fills its
     columns of the table with one product per array.  The moments take one
-    np.mean(|S|^p, axis=1) per exponent.
+    np.mean(|S|^p, axis=1) per exponent; a moment beyond the binary64 range
+    is inf, without a warning.
 
     The sign blocks are built once per call and kept for every chunk when
     the ensemble holds no more entries than one block of the largest exact
@@ -231,8 +232,9 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
             for a, magnitudes in zip(arrays, table):
                 np.abs(sums(rows, a), out=magnitudes[start : start + len(rows)])
             start += len(rows)
-        for k, p in enumerate(exponents):
-            moments[k, chunk] = np.mean(table**p, axis=1)
+        with np.errstate(over="ignore"):
+            for k, p in enumerate(exponents):
+                moments[k, chunk] = np.mean(table**p, axis=1)
     return moments
 
 
@@ -364,7 +366,9 @@ def _gns_samples(grid, values, exponents, blocks, first):
     d = grid.dimension
     magnitudes = np.abs(values)
     norms2 = lp_norms(grid, magnitudes, 2.0)
-    gradient_energies = kinetic_forms(grid, values, 1.0)
+    gradient_energies = spectral_trace(
+        grid, abs_squared(forward_transform_stack(grid, values)), 1.0
+    )
     norms = lp_norms(grid, magnitudes, gns_exponent(d))
     members = []
     for m, (norm2, gradient_energy, lhs) in enumerate(zip(norms2, gradient_energies, norms)):
@@ -429,7 +433,7 @@ def lt_exponent(dimension: int, a: float, b: float) -> float:
 
 def _lt_sides(grid: TorusGrid, b: float, exponent: float, w, rho) -> tuple[float, float]:
     """tr (-Laplacian)^b gamma from the spectral density w, and integral rho^exponent."""
-    return spectral_trace(grid, w, b), float(grid.integrate(rho**exponent))
+    return spectral_trace(grid, w, b), float(power_integrals(grid, rho[None], exponent)[0])
 
 
 @dataclass(frozen=True)
@@ -539,8 +543,8 @@ def kinetic_chain(grid: TorusGrid, w: np.ndarray, blocks: DyadicBlockSet) -> Cha
     """
     if blocks.family != SMOOTH:
         raise UnsupportedFamilyError("the chain needs the smooth block family")
+    t0 = spectral_trace(grid, w, 1.0)
     kinetic_w = grid.frequency_norms_squared * w
-    t0 = float(np.sum(kinetic_w) / grid.volume)
     t1 = float(np.sum(block_squared_sum(blocks) * kinetic_w) / grid.volume)
     t2 = 0.0
     for j in blocks.interior_indices:
@@ -995,6 +999,8 @@ def sign_sum_samples(coefficients, exponents, ensemble: SignEnsemble) -> list[li
     E|sum_jk a_jk r_j r_k|^p over one shared sign sequence of length
     max(J, K).  A zero array is degenerate; so is a tensor whose sign sums
     cancel identically (its expectation vanishes while its mass does not).
+    A moment or an l2 power beyond the binary64 range raises
+    DegenerateInputError naming p.
     """
     exponents = _sign_sum_exponents(exponents)
     coefficients = np.asarray(coefficients, dtype=complex)
@@ -1007,9 +1013,16 @@ def sign_sum_samples(coefficients, exponents, ensemble: SignEnsemble) -> list[li
     moments = _sign_moments(coefficients, ensemble, exponents)
     samples = []
     for p, expectations in zip(exponents, moments.tolist()):
+        try:
+            l2_powers = [l2 ** (p / 2.0) for l2 in masses]
+        except OverflowError:  # a float power raises where numpy's gives inf
+            l2_powers = [math.inf]
+        if not all(math.isfinite(side) for side in expectations + l2_powers):
+            raise DegenerateInputError(
+                f"the sign-sum moments or l2 powers at p = {p:g} leave the binary64 range"
+            )
         row = []
-        for index, (l2, expectation) in enumerate(zip(masses, expectations)):
-            l2_power = l2 ** (p / 2.0)
+        for index, (l2, l2_power, expectation) in enumerate(zip(masses, l2_powers, expectations)):
             if tensor:
                 sides = (l2_power, expectation)
                 degenerate = l2 == 0.0 or expectation < DEGENERACY_RTOL * l2_power

@@ -14,8 +14,10 @@ so Parseval reads  h^d sum_x |f|^2 = L^{-d} sum_xi |coeffs|^2, and a single
 unit coefficient at xi inverts to the normalized plane wave L^{-d} e^{i xi x}.
 
 The symbol |xi|^(2s) of (-Laplacian)^s and its zero-mode rule live only in
-laplacian_power and zero_mode_offenders; block energies have one kernel,
-block_energy_stack.
+laplacian_power and zero_mode_offenders.  Each lattice sum has one site:
+physical-space power integrals h^d sum |f|^p are power_integrals (lp_norms
+takes their roots), Parseval sums L^{-d} sum_xi |xi|^(2s) |coeffs|^2 are
+spectral_trace, and block energies are block_energy_stack.
 """
 
 from __future__ import annotations
@@ -135,20 +137,6 @@ class TorusGrid:
         return xi
 
     @cached_property
-    def coordinate_grids(self) -> tuple[np.ndarray, ...]:
-        grids = np.meshgrid(*(self.axis_coordinates,) * self.dimension, indexing="ij")
-        for g in grids:
-            g.flags.writeable = False
-        return tuple(grids)
-
-    @cached_property
-    def frequency_grids(self) -> tuple[np.ndarray, ...]:
-        grids = np.meshgrid(*(self.axis_frequencies,) * self.dimension, indexing="ij")
-        for g in grids:
-            g.flags.writeable = False
-        return tuple(grids)
-
-    @cached_property
     def frequency_norms_squared(self) -> np.ndarray:
         """|xi|^2 in FFT layout: the squared axis frequencies, each broadcast
         along its own axis and added in axis order, so no meshgrid is built."""
@@ -178,10 +166,6 @@ class TorusGrid:
             if not -half <= m < half:
                 raise GridMismatchError(f"mode coordinate {m} outside [-{half}, {half})")
         return tuple(m % n for m in mode)
-
-    def integrate(self, values: np.ndarray):
-        """Quadrature h^d * sum over the grid."""
-        return self.cell_volume * np.asarray(values).sum()
 
 
 def _grid_axes(grid: TorusGrid) -> tuple[int, ...]:
@@ -311,20 +295,25 @@ def block_energy_stack(grid: TorusGrid, spectra: np.ndarray, weights, symbols) -
     )
 
 
+def power_integrals(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> np.ndarray:
+    """Quadrature power integrals h^d sum |f_m|^p of every field of a stack
+    [m, ...], given as its magnitudes |f|, as [m]: one array pass."""
+    return grid.cell_volume * np.sum(magnitudes ** float(p), axis=_grid_axes(grid))
+
+
 def lp_norms(grid: TorusGrid, magnitudes: np.ndarray, p: float) -> list[float]:
     """Quadrature L^p norms (h^d sum |f_m|^p)^(1/p), p > 0, of every field of a
     stack [m, ...], given as its magnitudes |f|; for p < 1 these are the usual
     quasinorms, with no triangle inequality implied.
 
-    The power sums take one array pass.  The root (.)^(1/p) is taken per
-    member on a Python float, with the C library's pow: numpy's SIMD power
-    differs from it in the last place on some inputs.
+    The root (.)^(1/p) of each power_integrals entry is taken on a Python
+    float, with the C library's pow: numpy's SIMD power differs from it in
+    the last place on some inputs.
     """
     p = float(p)
     if not p > 0:
         raise ValueError(f"lp_norms requires p > 0, got {p}")
-    sums = grid.cell_volume * np.sum(magnitudes**p, axis=_grid_axes(grid))
-    return [total ** (1.0 / p) for total in sums.tolist()]
+    return [total ** (1.0 / p) for total in power_integrals(grid, magnitudes, p).tolist()]
 
 
 def laplacian_power(grid: TorusGrid, s: float) -> np.ndarray:
@@ -345,30 +334,35 @@ def zero_mode_offenders(energy: np.ndarray) -> np.ndarray:
     return np.sqrt(energy[:, 0]) > ZERO_MODE_RTOL * totals
 
 
-def kinetic_forms(grid: TorusGrid, values: np.ndarray, power: float) -> list[float]:
-    """Quadratic forms L^{-d} sum_xi |xi|^(2 power) |coeffs_m(xi)|^2 of the
-    fractional Laplacian, for every field of a stack [m, ...], from one
-    batched transform, with laplacian_power's zero-mode rule.
+def spectral_trace(grid: TorusGrid, energy: np.ndarray, power: float) -> float | list[float]:
+    """L^{-d} sum_xi |xi|^(2 power) energy(xi) of a table in FFT layout, as a
+    float, or of each table of a stack [m, ...], as a list.
 
-    A negative power raises if any field's zero-mode coefficient does not
-    vanish.
+    With energy = |coeffs|^2 of a field this is the quadratic form of
+    (-Laplacian)^power; with a spectral density w = sum_k lambda_k
+    |coeffs_k|^2 it is tr (-Laplacian)^power gamma, and at power 0 the trace
+    of gamma.  The symbol is laplacian_power's; a negative power raises if
+    any table carries zero-mode mass.
     """
     power = float(power)
-    energy = abs_squared(forward_transform_stack(grid, values)).reshape(len(values), -1)
-    if power < 0 and np.any(zero_mode_offenders(energy)):
+    energy = np.asarray(energy)
+    rows = energy.reshape(-1, grid.size)
+    if power < 0 and np.any(zero_mode_offenders(rows)):
         raise ZeroModeSingularityError(
             "zero-mode singularity: negative Laplacian power applied to a "
             "function whose frequency-zero coefficient does not vanish"
         )
     weights = laplacian_power(grid, power).reshape(-1)
-    return (np.sum(weights * energy, axis=1) / grid.volume).tolist()
+    traces = (np.sum(weights * rows, axis=1) / grid.volume).tolist()
+    return traces if energy.ndim > grid.dimension else traces[0]
 
 
 def plane_wave(grid: TorusGrid, mode: Sequence[int], amplitude: complex = 1.0) -> np.ndarray:
     """The lattice plane wave amplitude * exp(i xi(mode) . x)."""
     idx = grid.mode_index(mode)  # validates the mode
+    # Each axis phase xi_m x_m broadcast along its own axis, added in axis order.
     phase = np.zeros(grid.shape)
     for axis, m_idx in enumerate(idx):
-        xi = grid.axis_frequencies[m_idx]
-        phase = phase + xi * grid.coordinate_grids[axis]
+        axis_phase = grid.axis_frequencies[m_idx] * grid.axis_coordinates
+        phase += axis_phase.reshape((-1,) + (1,) * (grid.dimension - 1 - axis))
     return amplitude * np.exp(1j * phase)

@@ -157,6 +157,16 @@ class TestExitCodes:
              "box_length 1e+300 puts the lattice |xi|^2 outside the binary64 range"),
             (["lp", "--decay", "nan", "--samples", "2"], None, "decay must be finite"),
             (["glt", "--decay", "nan", "--samples", "1"], None, "decay must be finite"),
+            (["lp", "--decay", "-200", "--samples", "2"], None,
+             "decay -200 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
+            (["lp", "--decay", "1100", "--n", "16", "--samples", "2"], None,
+             "decay 1100 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
+            (["gns", "--decay", "1e308", "--samples", "2"], None,
+             "decay 1e+308 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
+            (["lp-density", "--decay", "1e308", "--samples", "2"], None,
+             "decay 1e+308 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
+            (["glt", "--decay", "1e308", "--samples", "1"], None,
+             "decay 1e+308 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
             (["lp", "--p", "inf", "--samples", "2"], None, "requires a finite p"),
             (["khinchine", "--p", "inf", "--count", "2"], None, "requires a finite p"),
             (["glt", "--samples", "0"], None, "sample count must be >= 1"),
@@ -210,7 +220,10 @@ class TestExitCodes:
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
-            "box_inf", "box_overflow", "lp_box_overflow", "box_underflow", "lp_decay_nan", "glt_decay_nan", "lp_p_inf", "khinchine_p_inf",
+            "box_inf", "box_overflow", "lp_box_overflow", "box_underflow", "lp_decay_nan",
+            "glt_decay_nan",
+            "lp_decay_overflow", "lp_decay_underflow", "gns_decay_underflow",
+            "density_decay_underflow", "glt_decay_underflow", "lp_p_inf", "khinchine_p_inf",
             "glt_no_samples", "density_no_ranks", "glt_no_ranks", "lp_no_exponents",
             "khinchine_no_exponents", "mu_inf", "mu_ladder_with_inf", "mu_nan",
             "negative_chain_samples", "seqlemma_overflow", "seqlemma_underflow",
@@ -283,6 +296,12 @@ class TestExitCodes:
         assert f"{command} takes no config keys ['{key}']" in captured.err
         assert captured.out == ""
 
+    def test_steep_decay_inside_binary64_still_runs(self, tmp_path, capsys):
+        """At decay 200 the weights underflow above |xi| = 1 only: the run draws."""
+        out = tmp_path / "lp.json"
+        assert run_cli("lp", "--decay", "200", "--samples", "2", "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith("PASS lp")
+
     def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         """A check that raises mid-run is a failed run (exit 1), not a usage error."""
 
@@ -298,6 +317,24 @@ class TestExitCodes:
         assert payload["pass"] is False
         assert payload["results"] == {"error": "non-finite kinetic trace"}
         assert payload["unjudged"] == 0
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p", ["250", "300"])
+    def test_sign_sums_beyond_binary64_fail_the_run(self, tmp_path, capsys, p):
+        """khinchine's moments leave binary64 at p = 250 and its l2 powers
+        too at p = 300: the check raises, the run fails (exit 1) with the
+        error under "results", and the error names p."""
+        out = tmp_path / "khinchine.json"
+        assert run_cli("khinchine", "--p", p, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL khinchine")
+        assert captured.err == ""
+        payload = json.loads(out.read_text())
+        assert payload["pass"] is False
+        assert payload["results"] == {
+            "error": f"the sign-sum moments or l2 powers at p = {p} leave the binary64 range"
+        }
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from lplab import (
     DegenerateInputError,
     FiniteRankOperator,
     UNIT_BALL,
+    abs_squared,
     philox_generator,
     power_bounded,
     random_band_limited,
@@ -94,6 +95,19 @@ class TestBandLimited:
 
         assert high_fraction(smooth) < 1e-6
         assert high_fraction(rough) > 0.1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_decay_whose_weights_leave_binary64_is_refused(self, grid1, small1):
+        # (1 + 128)^200 overflows at the top of grid1; 2^-1100 is 0 at |xi| = 1.
+        for grid, decay in ((grid1, -200.0), (small1, 1100.0), (grid1, 1e308)):
+            with pytest.raises(ConfigurationError, match="outside the binary64 range"):
+                random_band_limited(grid, decay, seed=8)
+        # At decay 200 only modes above |xi| = 1 lose their weight; the zero
+        # mode is dropped, or the mean would swamp the weight 2^-200 at |xi| = 1.
+        (f,) = random_band_limited(grid1, 200.0, seed=8, zero_mean=True)
+        energy = abs_squared(forward_transform_stack(grid1, f[None])[0])
+        assert np.all(np.isfinite(f))
+        assert energy[grid1.mode_index([1])] > 0.0
 
     def test_zero_mean_flag(self, grid2):
         f = random_band_limited(grid2, decay=1.0, seed=7, zero_mean=True)

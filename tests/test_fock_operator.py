@@ -21,8 +21,7 @@ from lplab import (
     unit_ball_volume,
     validate_contract,
 )
-from lplab.fock_operator import spectral_trace
-from lplab.torus_grid import block_energy_stack, fft_stack
+from lplab.torus_grid import block_energy_stack, fft_stack, power_integrals, spectral_trace
 from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
@@ -31,6 +30,11 @@ TAU = 2.0 * np.pi
 def kinetic_trace(op, power):
     """tr (-Laplacian)^power gamma from the operator's spectral density."""
     return spectral_trace(op.grid, op.spectral_density, power)
+
+
+def integral(grid, density):
+    """h^d sum_x density(x) of a nonnegative density."""
+    return power_integrals(grid, density[None], 1.0)[0]
 
 
 def conjugated_density(op, blocks, j):
@@ -90,7 +94,7 @@ class TestDensity:
     def test_density_integrates_to_trace(self, grid1, grid2):
         for grid, seed in ((grid1, 73), (grid2, 74)):
             op = random_orthonormal_frame(grid, rank=4, decay=0.8, seed=seed)
-            mass = grid.integrate(op.density_values)
+            mass = integral(grid, op.density_values)
             np.testing.assert_allclose(mass, kinetic_trace(op, 0.0), rtol=1e-10)
 
     def test_density_never_negative(self, grid1):
@@ -117,14 +121,14 @@ class TestConjugatedDensity:
         # densities carry between half and all of the full mass (the squared
         # smooth symbols sum to a value in [1/2, 1]; sharp squares sum to 1).
         op = random_orthonormal_frame(grid2, rank=3, decay=0.8, seed=76)
-        mass = grid2.integrate(op.density_values)
+        mass = integral(grid2, op.density_values)
         smooth_mass = sum(
-            grid2.integrate(conjugated_density(op, blocks2, j))
+            integral(grid2, conjugated_density(op, blocks2, j))
             for j in blocks2.block_indices
         )
         assert 0.5 * mass * (1 - 1e-10) <= smooth_mass <= mass * (1 + 1e-10)
         sharp_mass = sum(
-            grid2.integrate(conjugated_density(op, sharp2, j))
+            integral(grid2, conjugated_density(op, sharp2, j))
             for j in sharp2.block_indices
         )
         np.testing.assert_allclose(sharp_mass, mass, rtol=1e-10)
@@ -139,9 +143,13 @@ class TestKineticTrace:
         np.testing.assert_allclose(kinetic_trace(op, 0.0), 1.75, rtol=1e-12)
 
     def test_negative_power_rejected(self, grid1):
-        op = wave_operator(grid1, [[1]], [1.0])
-        with pytest.raises(ValueError, match="power >= 0"):
+        # A negative power is refused on zero-mode mass, the one Laplacian
+        # trace's rule; a mean-zero operator takes it.
+        op = wave_operator(grid1, [[0], [1]], [1.0, 1.0])
+        with pytest.raises(ZeroModeSingularityError, match="zero-mode singularity"):
             kinetic_trace(op, -0.5)
+        mean_zero = wave_operator(grid1, [[1], [-2]], [1.0, 1.0])
+        np.testing.assert_allclose(kinetic_trace(mean_zero, -0.5), 1.0 + 0.5, rtol=1e-12)
 
 
 class TestDiagonalBlockBound:

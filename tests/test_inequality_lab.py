@@ -41,7 +41,6 @@ from lplab import (
     single_spike,
     summed_block_density,
 )
-from lplab.fock_operator import spectral_trace
 from lplab.inequality_lab import (
     gns_exponent,
     _gns_samples,
@@ -49,7 +48,7 @@ from lplab.inequality_lab import (
     _lp_function_samples,
     _sign_blocks,
 )
-from lplab.torus_grid import block_energy_stack, fft_stack
+from lplab.torus_grid import block_energy_stack, fft_stack, spectral_trace
 from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
@@ -96,6 +95,21 @@ class TestKhinchine:
         for signs in itertools.product((-1.0, 1.0), repeat=a.size):
             total += abs(np.dot(signs, a)) ** p
         return total / 2.0 ** a.size
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_moment_beyond_binary64_names_p(self):
+        # Eight terms of 16 sum to |S| = 2^7 with probability 2^-7, so
+        # E|S|^300 >= 2^2093, above 2^1024.
+        with pytest.raises(DegenerateInputError, match="at p = 300 leave the binary64"):
+            sign_sum_samples(np.full((2, 8), 16.0), [2.0, 300.0], SignEnsemble.exact())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_l2_power_beyond_binary64_names_p(self):
+        # The sign sums of an antisymmetric tensor cancel, so its moment is 0,
+        # but its l2 power (2e20)^16 is above 2^1024.
+        tensor = np.array([[[0.0, 1e10], [-1e10, 0.0]]])
+        with pytest.raises(DegenerateInputError, match="at p = 32 leave the binary64"):
+            sign_sum_samples(tensor, [32.0], SignEnsemble.exact())
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_expectation_matches_brute_force(self, p):
@@ -449,6 +463,32 @@ class TestLiebThirring:
             assert row["ratio"] > 0
         # The finite-sum ratio climbs toward its continuum value in 1d.
         assert rows[0]["ratio"] < rows[1]["ratio"] < rows[2]["ratio"]
+
+
+ONE_SITE_GRIDS = {1: TorusGrid(1, TAU, 64), 2: TorusGrid(2, TAU, 16), 3: TorusGrid(3, TAU, 16)}
+
+
+class TestOneSiteSums:
+    """The Lieb-Thirring sides and the chain's t0 read torus_grid's one power
+    quadrature and one Laplacian trace; the forms they replaced are kept here
+    as references."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chain_kinetic_is_the_lieb_thirring_kinetic(self, d):
+        grid = ONE_SITE_GRIDS[d]
+        op = random_orthonormal_frame(grid, rank=3, decay=0.7, seed=770 + d)
+        chain = lt_chain_check(op, build_blocks(grid))
+        assert chain.kinetic == lieb_thirring_check(op).kinetic
+        w = op.spectral_density
+        assert chain.kinetic == float(np.sum(grid.frequency_norms_squared * w) / grid.volume)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_density_integral_is_the_grid_quadrature(self, d):
+        grid = ONE_SITE_GRIDS[d]
+        op = random_orthonormal_frame(grid, rank=3, decay=0.7, seed=780 + d)
+        rho = op.density_values ** (1.0 + 2.0 / d)
+        expected = float(grid.cell_volume * rho.sum())
+        assert lieb_thirring_check(op).density_power_integral == expected
 
 
 class TestChain:

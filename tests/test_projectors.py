@@ -15,7 +15,14 @@ from lplab import (
     random_band_limited,
     unit_ball_volume,
 )
-from lplab.torus_grid import block_energy_stack, fft_stack, kinetic_forms, lp_norms
+from lplab.torus_grid import (
+    abs_squared,
+    block_energy_stack,
+    fft_stack,
+    forward_transform_stack,
+    lp_norms,
+    spectral_trace,
+)
 
 
 def apply_symbol(f, table):
@@ -144,7 +151,8 @@ class TestFrequencyComparability:
             l2sq = lp_norm(blocks1.grid, piece, 2) ** 2
             if l2sq == 0.0:
                 continue
-            quotient = kinetic_forms(blocks1.grid, piece[None], 1.0)[0] / l2sq
+            energy = abs_squared(forward_transform_stack(blocks1.grid, piece[None]))
+            quotient = spectral_trace(blocks1.grid, energy, 1.0)[0] / l2sq
             low, high = 4.0 ** (j - 1), 4.0 ** (j + 1)
             assert low * (1 - 1e-9) <= quotient <= high * (1 + 1e-9), f"block {j}"
 

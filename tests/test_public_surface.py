@@ -1,12 +1,16 @@
 """The package's public surface: every name lplab re-exports is reached by
-a section or a script, or is listed below with the reason it stays.  A
-benchmark span site is not a reach: the tracer times what the sections
-call, and a name only it binds reads 0 on every workload.  A helper that
-only tests call fails here, and so does a module that reaches into another
-lplab module's private names or calls a numpy.fft transform outside
+a section or a script, or is listed below with the reason it stays, and so
+is every public method and property of a re-exported class.  A benchmark
+span site is not a reach: the tracer times what the sections call, and a
+name only it binds reads 0 on every workload.  A helper that only tests
+call fails here, and so does a module that reaches into another lplab
+module's private names or calls a numpy.fft transform outside
 torus_grid."""
 
 import ast
+import inspect
+import json
+from functools import cached_property
 from pathlib import Path
 
 import lplab
@@ -71,6 +75,66 @@ def test_every_export_is_reached_or_kept_for_a_stated_reason():
     unreached = exported_names() - reached_names()
     assert sorted(unreached - set(KEPT)) == [], "test-only helpers: wire them in or delete them"
     assert sorted(set(KEPT) - unreached) == [], "reached now: drop them from KEPT"
+
+
+MEMBER_KINDS = (property, cached_property, classmethod, staticmethod)
+
+
+def class_members(cls) -> set[str]:
+    """The public methods and properties a class defines itself.  Overrides
+    of a hook of a base outside lplab (json.JSONEncoder.default, say) are
+    the base's surface, not the class's, and are left out."""
+    outside = [base for base in cls.__mro__[1:] if not base.__module__.startswith("lplab")]
+    return {
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or isinstance(value, MEMBER_KINDS))
+        and not any(hasattr(base, name) for base in outside)
+    }
+
+
+def test_every_member_of_an_exported_class_is_reached():
+    reached = reached_names()
+    unreached = sorted(
+        f"{name}.{member}"
+        for name in exported_names()
+        if inspect.isclass(cls := getattr(lplab, name))
+        for member in class_members(cls) - reached
+    )
+    assert unreached == [], "test-only members: wire them in or delete them"
+
+
+def test_the_member_scan_sees_methods_and_properties_and_skips_hooks():
+    class Probe(json.JSONEncoder):
+        field_value = 3
+
+        def default(self, o):  # a stdlib hook
+            return str(o)
+
+        def method(self):
+            return self._helper()
+
+        def _helper(self):
+            return 0
+
+        @property
+        def view(self):
+            return 1
+
+        @cached_property
+        def table(self):
+            return 2
+
+        @classmethod
+        def build(cls):
+            return cls()
+
+        @staticmethod
+        def plain():
+            return 4
+
+    assert class_members(Probe) == {"method", "view", "table", "build", "plain"}
 
 
 def test_every_export_resolves():

@@ -28,9 +28,8 @@ from lplab import (
     random_orthonormal_frame,
     summed_block_density,
 )
-from lplab.fock_operator import spectral_trace
 from lplab.inequality_lab import _lp_density_samples, _lp_function_samples
-from lplab.torus_grid import block_energy_stack, fft_stack
+from lplab.torus_grid import block_energy_stack, fft_stack, spectral_trace
 
 TAU = 2.0 * np.pi
 RTOL = 1e-12
@@ -99,7 +98,7 @@ def reference_chain(op, blocks):
         for k in range(op.rank):
             piece = project(op.eigenfunctions[k], blocks, j)
             rho_j = rho_j + float(op.eigenvalues[k]) * np.abs(piece) ** 2
-        t2 += 0.25 * 2.0 ** (2 * j) * float(op.grid.integrate(rho_j))
+        t2 += 0.25 * 2.0 ** (2 * j) * float(op.grid.cell_volume * rho_j.sum())
     return t0, t1, t2
 
 

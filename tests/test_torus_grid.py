@@ -15,9 +15,10 @@ from lplab import (
 from lplab.torus_grid import (
     forward_transform_stack,
     inverse_transform_stack,
-    kinetic_forms,
     laplacian_power,
     lp_norms,
+    power_integrals,
+    spectral_trace,
     zero_mode_offenders,
 )
 
@@ -44,7 +45,13 @@ def norm(grid, f, p):
 
 
 def form(grid, f, power):
-    return kinetic_forms(grid, f[None], power)[0]
+    return spectral_trace(grid, abs_squared(forward(grid, f)), power)
+
+
+def meshgrids(axis_values, dimension):
+    """The ij meshgrids of one axis table, as TorusGrid's coordinate and
+    frequency meshgrid properties built them before they were removed."""
+    return np.meshgrid(*(axis_values,) * dimension, indexing="ij")
 
 
 class TestGridValidation:
@@ -93,11 +100,10 @@ class TestGridValidation:
         grid = TorusGrid(d, TAU, n)
         grid.axis_frequencies
         nsq, peak = traced_peak(lambda: grid.frequency_norms_squared)
-        assert "frequency_grids" not in grid.__dict__
         # The table and one ufunc buffer of 64 KiB; the meshgrids were d more tables.
         assert peak <= 1.5 * nsq.nbytes, peak / nsq.nbytes
         reference = np.zeros(grid.shape)
-        for component in grid.frequency_grids:
+        for component in meshgrids(grid.axis_frequencies, d):
             reference = reference + component**2
         np.testing.assert_array_equal(nsq, reference)
 
@@ -119,8 +125,10 @@ class TestTransformOracle:
 
     def direct_forward(self, grid, f):
         flat_values = f.reshape(-1)
-        points = np.stack([g.reshape(-1) for g in grid.coordinate_grids])
-        freqs = np.stack([g.reshape(-1) for g in grid.frequency_grids])
+        coordinates = meshgrids(grid.axis_coordinates, grid.dimension)
+        frequencies = meshgrids(grid.axis_frequencies, grid.dimension)
+        points = np.stack([g.reshape(-1) for g in coordinates])
+        freqs = np.stack([g.reshape(-1) for g in frequencies])
         coeffs = np.empty(grid.size, dtype=complex)
         for idx in range(grid.size):
             phase = np.exp(-1j * (freqs[:, idx][:, None] * points).sum(axis=0))
@@ -303,7 +311,7 @@ class TestKineticForm:
             f = random_function(grid, seed)
             coeffs = np.fft.fftn(f)
             gradient_energy = 0.0
-            for axis_freqs in grid.frequency_grids:
+            for axis_freqs in meshgrids(grid.axis_frequencies, grid.dimension):
                 derivative = np.fft.ifftn(1j * axis_freqs * coeffs)
                 gradient_energy += grid.cell_volume * np.sum(abs_squared(derivative))
             np.testing.assert_allclose(form(grid, f, 1.0), gradient_energy, rtol=1e-12)
@@ -315,9 +323,10 @@ class TestKineticForm:
     def test_negative_power_requires_zero_mean(self, grid1):
         # One field with zero-mode mass refuses the whole stack.
         stack = np.stack([plane_wave(grid1, [4]), np.ones(grid1.shape, dtype=complex)])
+        energy = abs_squared(forward_transform_stack(grid1, stack))
         with pytest.raises(ZeroModeSingularityError):
-            kinetic_forms(grid1, stack, -0.5)
-        assert kinetic_forms(grid1, stack[:1], -0.5)[0] > 0.0
+            spectral_trace(grid1, energy, -0.5)
+        assert spectral_trace(grid1, energy[:1], -0.5)[0] > 0.0
 
     def test_negative_power_on_zero_mean_input(self, grid1):
         u = plane_wave(grid1, [4])
@@ -326,3 +335,110 @@ class TestKineticForm:
     def test_zero_function_negative_power(self, grid1):
         zero = np.zeros(grid1.shape, dtype=complex)
         assert form(grid1, zero, -1.0) == 0.0
+
+
+ONE_SITE_GRIDS = [TorusGrid(1, TAU, 64), TorusGrid(2, 3.0, 16), TorusGrid(3, TAU, 8)]
+ONE_SITE_IDS = ["d1", "d2", "d3"]
+
+
+def reference_kinetic_forms(grid, values, power):
+    """The body of the removed torus_grid.kinetic_forms."""
+    power = float(power)
+    energy = abs_squared(forward_transform_stack(grid, values)).reshape(len(values), -1)
+    if power < 0 and np.any(zero_mode_offenders(energy)):
+        raise ZeroModeSingularityError("zero-mode singularity")
+    weights = laplacian_power(grid, power).reshape(-1)
+    return (np.sum(weights * energy, axis=1) / grid.volume).tolist()
+
+
+def reference_operator_trace(grid, w, power):
+    """The body of the removed fock_operator.spectral_trace (power >= 0)."""
+    weights = laplacian_power(grid, power)
+    return float(np.sum(weights * w) / grid.volume)
+
+
+def reference_integral(grid, values):
+    """The body of the removed TorusGrid.integrate."""
+    return grid.cell_volume * np.asarray(values).sum()
+
+
+def reference_plane_wave(grid, mode, amplitude=1.0):
+    """plane_wave as it read the removed coordinate meshgrids."""
+    phase = np.zeros(grid.shape)
+    coordinates = meshgrids(grid.axis_coordinates, grid.dimension)
+    for axis, m_idx in enumerate(grid.mode_index(mode)):
+        phase = phase + grid.axis_frequencies[m_idx] * coordinates[axis]
+    return amplitude * np.exp(1j * phase)
+
+
+def mean_zero_stack(grid, seed, count=3):
+    stack = np.stack([random_function(grid, seed + k) for k in range(count)])
+    return stack - stack.mean(axis=tuple(range(1, grid.dimension + 1)), keepdims=True)
+
+
+class TestOneSiteSums:
+    """Each lattice sum has one site: the removed forms, kept above as
+    references, equal the surviving ones bit for bit."""
+
+    @pytest.mark.parametrize("grid", ONE_SITE_GRIDS, ids=ONE_SITE_IDS)
+    @pytest.mark.parametrize("power", [-1.0, -0.5, 0.0, 1.0, 2.0])
+    def test_spectral_trace_of_a_stack_equals_kinetic_forms(self, grid, power):
+        values = mean_zero_stack(grid, 81)
+        energy = abs_squared(forward_transform_stack(grid, values))
+        traces = spectral_trace(grid, energy, power)
+        assert isinstance(traces, list)
+        assert traces == reference_kinetic_forms(grid, values, power)
+
+    @pytest.mark.parametrize("grid", ONE_SITE_GRIDS, ids=ONE_SITE_IDS)
+    @pytest.mark.parametrize("power", [-1.0, -0.5, 0.0, 1.0, 2.0])
+    def test_spectral_trace_of_one_table_equals_the_stack_row(self, grid, power):
+        values = mean_zero_stack(grid, 85)
+        w = abs_squared(forward_transform_stack(grid, values)).sum(axis=0)
+        trace = spectral_trace(grid, w, power)
+        assert isinstance(trace, float)
+        assert trace == spectral_trace(grid, w[None], power)[0]
+        if power >= 0:
+            assert trace == reference_operator_trace(grid, w, power)
+
+    @pytest.mark.parametrize("grid", ONE_SITE_GRIDS, ids=ONE_SITE_IDS)
+    @pytest.mark.parametrize("power", [-1.0, -0.5])
+    def test_negative_power_refuses_zero_mode_mass(self, grid, power):
+        values = mean_zero_stack(grid, 87)
+        values[1] += 0.5
+        energy = abs_squared(forward_transform_stack(grid, values))
+        with pytest.raises(ZeroModeSingularityError, match="zero-mode singularity"):
+            spectral_trace(grid, energy, power)
+        with pytest.raises(ZeroModeSingularityError, match="zero-mode singularity"):
+            spectral_trace(grid, energy[1], power)
+        with pytest.raises(ZeroModeSingularityError):
+            reference_kinetic_forms(grid, values, power)
+        assert spectral_trace(grid, energy[0], power) > 0.0
+        # Powers >= 0 take zero-mode mass: the zero mode counts at 0 only.
+        assert spectral_trace(grid, energy, 0.0) == reference_kinetic_forms(grid, values, 0.0)
+
+    @pytest.mark.parametrize("grid", ONE_SITE_GRIDS, ids=ONE_SITE_IDS)
+    @pytest.mark.parametrize("exponent", [1.0, 5.0 / 3.0, 2.0, 3.0])
+    def test_power_integrals_equal_the_grid_quadrature(self, grid, exponent):
+        values = np.stack([random_function(grid, 91 + k) for k in range(3)])
+        rho = abs_squared(values)
+        sums = power_integrals(grid, rho, exponent)
+        assert sums.shape == (3,)
+        for total, density in zip(sums, rho):
+            assert total == reference_integral(grid, density**exponent)
+        assert power_integrals(grid, rho[:1], exponent)[0] == sums[0]
+
+    @pytest.mark.parametrize("grid", ONE_SITE_GRIDS, ids=ONE_SITE_IDS)
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_lp_norms_are_the_roots_of_the_power_integrals(self, grid, p):
+        magnitudes = np.abs(np.stack([random_function(grid, 95 + k) for k in range(2)]))
+        sums = power_integrals(grid, magnitudes, p).tolist()
+        assert lp_norms(grid, magnitudes, p) == [total ** (1.0 / p) for total in sums]
+
+    @pytest.mark.parametrize("grid", ONE_SITE_GRIDS, ids=ONE_SITE_IDS)
+    def test_plane_wave_equals_the_meshgrid_form(self, grid):
+        half = grid.points_per_axis // 2
+        for mode in ([3, -half, 1], [0, 0, 0], [half - 1, 2, -1]):
+            mode = mode[: grid.dimension]
+            for amplitude in (1.0, 2.0 - 1.0j, grid.volume**-0.5):
+                expected = reference_plane_wave(grid, mode, amplitude)
+                assert np.array_equal(plane_wave(grid, mode, amplitude), expected)
