@@ -48,7 +48,6 @@ from .inequality_lab import (
     ChainResult,
     CheckSample,
     GeneralizedLTResult,
-    LiebThirringResult,
     RatioReport,
     SequenceLemmaResult,
     SignEnsemble,

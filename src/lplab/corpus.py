@@ -88,7 +88,9 @@ def random_band_limited(
     generator and one batched inverse transform.  The weights and the
     transform are applied in place, so the draw holds one array of the
     result's size.  A decay whose weights overflow, or vanish at every
-    nonzero mode, is refused (ConfigurationError) before the draw.
+    nonzero mode, is refused (ConfigurationError) before the draw; so,
+    unless ``zero_mean``, is one whose nonzero-mode weights all fall below
+    np.finfo(float).eps, beside the zero mode's weight 1.
     """
     decay = float(decay)
     if not math.isfinite(decay):
@@ -101,6 +103,12 @@ def random_band_limited(
     if not (math.isfinite(high) and low > 0.0):
         raise ConfigurationError(
             f"decay {decay:g} puts the weights (1 + |xi|)^(-decay) outside the binary64 range"
+        )
+    # The zero mode weighs 1: below eps beside it, every member is constant.
+    if not zero_mean and low < np.finfo(float).eps:
+        raise ConfigurationError(
+            f"decay {decay:g} leaves every nonzero-mode weight (1 + |xi|)^(-decay) below "
+            "the rounding of the zero mode's weight 1: every member is constant"
         )
     coeffs = complex_normals(grid.shape, seed, range(index, index + int(count)), stream)
     coeffs *= (1.0 + grid.frequency_norms) ** -decay

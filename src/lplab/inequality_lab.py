@@ -8,6 +8,12 @@ for the existence constants the statements assert.  Operators, their
 contracts and the Fermi ladder (sea_ladder) come from fock_operator and
 seeded draws from corpus, through public names only; this module keeps
 the comparisons.
+
+The Lieb-Thirring comparisons (the unit-ball check, the check at powers
+(a, b), the Fermi sweep and its lattice-sum oracle) all return one record,
+GeneralizedLTResult; all but the oracle build it in _lt_result, so the
+(0, 1) case equals the base check bit for bit.  The rank-dependent weak
+bound is computed only in the sweep rows.
 """
 
 from __future__ import annotations
@@ -420,67 +426,23 @@ def duality_identity_check(f: np.ndarray, g: np.ndarray, blocks: DyadicBlockSet)
 # Kinetic-energy inequalities
 
 
-def lt_exponent(dimension: int, a: float, b: float) -> float:
-    """The density exponent 1 + 2b/(d + 2a) at powers a > -d/2 and b >= 0, both finite."""
-    if not (math.isfinite(a) and a > -dimension / 2.0):
-        raise ConfigurationError(
-            f"power a must be finite and exceed -d/2 = {-dimension / 2.0}, got {a}"
-        )
+def lt_exponent(grid: TorusGrid, a: float, b: float) -> float:
+    """The density exponent 1 + 2b/(d + 2a) at powers a > -d/2 and b >= 0, both
+    finite, where the largest lattice symbol |xi|^(2b), (d (pi N / L)^2)^b,
+    is a binary64 number."""
+    d = grid.dimension
+    if not (math.isfinite(a) and a > -d / 2.0):
+        raise ConfigurationError(f"power a must be finite and exceed -d/2 = {-d / 2.0}, got {a}")
     if not (math.isfinite(b) and b >= 0):
         raise ConfigurationError(f"power b must be finite and nonnegative, got {b}")
-    return 1.0 + 2.0 * b / (dimension + 2.0 * a)
-
-
-def _lt_sides(grid: TorusGrid, b: float, exponent: float, w, rho) -> tuple[float, float]:
-    """tr (-Laplacian)^b gamma from the spectral density w, and integral rho^exponent."""
-    return spectral_trace(grid, w, b), float(power_integrals(grid, rho[None], exponent)[0])
-
-
-@dataclass(frozen=True)
-class LiebThirringResult:
-    rank: int
-    kinetic: float
-    density_power_integral: float
-    ratio: float
-    weak_bound: float
-    weak_ratio: float
-
-
-def _lieb_thirring_result(
-    grid: TorusGrid, rank: int, eigenvalue_sum: float, w, rho
-) -> LiebThirringResult:
-    """The Lieb-Thirring sides and ratios of an operator given by its rank,
-    its eigenvalue sum, its spectral density w and its density rho."""
-    d = grid.dimension
-    exponent = lt_exponent(d, 0.0, 1.0)
-    kinetic, denominator = _lt_sides(grid, 1.0, exponent, w, rho)
-    if kinetic == 0.0:
-        raise DegenerateInputError(
-            "operator concentrated on the zero mode; the comparison degenerates"
-        )
-    weak_bound = eigenvalue_sum ** (2.0 / d) * kinetic
-    return LiebThirringResult(
-        rank=rank,
-        kinetic=kinetic,
-        density_power_integral=denominator,
-        ratio=kinetic / denominator,
-        weak_bound=weak_bound,
-        weak_ratio=weak_bound / denominator,
-    )
-
-
-def lieb_thirring_check(op: FiniteRankOperator) -> LiebThirringResult:
-    """Kinetic trace against the density power integral, rank-uniform side.
-
-    ratio = tr (-Laplacian) gamma / integral rho^(1 + 2/d).  The weak bound is
-    the rank-dependent one obtained from interpolation plus the triangle
-    inequality, (sum_k lambda_k)^(2/d) * tr (-Laplacian) gamma; its ratio to
-    the same integral degrades with rank, which is the point of comparing.
-    """
-    require_contract(op, UNIT_BALL)
-    return _lieb_thirring_result(
-        op.grid, op.rank, float(np.sum(op.eigenvalues)), op.spectral_density, op.density_values
-    )
+    top = d * (math.pi * grid.points_per_axis / grid.box_length) ** 2
+    try:
+        top**b
+    except OverflowError:
+        raise ConfigurationError(
+            f"power b = {b:g} puts the lattice symbol |xi|^(2b) outside the binary64 range"
+        ) from None
+    return 1.0 + 2.0 * b / (d + 2.0 * a)
 
 
 @dataclass(frozen=True)
@@ -494,27 +456,40 @@ class GeneralizedLTResult:
     ratio: float
 
 
+def _lt_result(grid: TorusGrid, rank: int, a: float, b: float, w, rho) -> GeneralizedLTResult:
+    """tr (-Laplacian)^b gamma from the spectral density w against
+    integral rho^(1 + 2b/(d + 2a)) from the density rho, and their ratio.
+
+    A zero density, then a zero kinetic trace (an operator concentrated on
+    the zero mode), raises DegenerateInputError.
+    """
+    exponent = lt_exponent(grid, a, b)
+    kinetic = spectral_trace(grid, w, b)
+    denominator = float(power_integrals(grid, rho[None], exponent)[0])
+    if denominator == 0.0:
+        raise DegenerateInputError("zero density; the ratio is undefined")
+    if kinetic == 0.0:
+        raise DegenerateInputError(
+            "operator concentrated on the zero mode; the comparison degenerates"
+        )
+    return GeneralizedLTResult(rank, a, b, exponent, kinetic, denominator, kinetic / denominator)
+
+
+def lieb_thirring_check(op: FiniteRankOperator) -> GeneralizedLTResult:
+    """Kinetic trace against the density power integral, rank-uniform side:
+    ratio = tr (-Laplacian) gamma / integral rho^(1 + 2/d) of a unit-ball
+    operator, the (a, b) = (0, 1) case of generalized_lt_check."""
+    require_contract(op, UNIT_BALL)
+    return _lt_result(op.grid, op.rank, 0.0, 1.0, op.spectral_density, op.density_values)
+
 
 def generalized_lt_check(op: FiniteRankOperator, a: float, b: float) -> GeneralizedLTResult:
     """Kinetic comparison at powers (a, b): tr (-Laplacian)^b gamma versus
     integral rho^(1 + 2b/(d + 2a)), for operators below (-Laplacian)^a."""
     a, b = float(a), float(b)
-    exponent = lt_exponent(op.grid.dimension, a, b)
+    lt_exponent(op.grid, a, b)  # refuses the powers before the contract is checked
     require_contract(op, power_bounded(a))
-    kinetic, denominator = _lt_sides(
-        op.grid, b, exponent, op.spectral_density, op.density_values
-    )
-    if denominator == 0.0:
-        raise DegenerateInputError("zero density; the ratio is undefined")
-    return GeneralizedLTResult(
-        rank=op.rank,
-        power_a=a,
-        power_b=b,
-        exponent=exponent,
-        kinetic=kinetic,
-        density_power_integral=denominator,
-        ratio=kinetic / denominator,
-    )
+    return _lt_result(op.grid, op.rank, a, b, op.spectral_density, op.density_values)
 
 
 @dataclass(frozen=True)
@@ -562,47 +537,47 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
     return kinetic_chain(op.grid, op.spectral_density, blocks)
 
 
-def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> dict:
-    """Direct lattice sums for the Fermi-sea comparison, bypassing transforms.
-
-    The sea's density is the constant rank/volume, so both sides reduce to
-    sums over the modes below the chemical potential.
-    """
+def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> GeneralizedLTResult:
+    """The Fermi sea's (a, b) = (0, 1) comparison from direct lattice sums,
+    bypassing transforms: its density is the constant rank/volume, so both
+    sides reduce to sums over the modes below the chemical potential."""
     mu = finite_chemical_potential(chemical_potential)
     nsq = grid.frequency_norms_squared.reshape(-1)
     below = nsq[nsq <= mu]  # never empty: mu > 0 keeps the zero mode
     rank = int(below.size)
     kinetic = float(below.sum())
-    exponent = lt_exponent(grid.dimension, 0.0, 1.0)
+    exponent = lt_exponent(grid, 0.0, 1.0)
     denominator = grid.volume * (rank / grid.volume) ** exponent
-    return {
-        "rank": rank,
-        "kinetic": kinetic,
-        "density_power_integral": denominator,
-        "ratio": kinetic / denominator,
-    }
+    return GeneralizedLTResult(
+        rank, 0.0, 1.0, exponent, kinetic, denominator, kinetic / denominator
+    )
 
 
 def fermi_sweep(grid: TorusGrid, chemical_potentials) -> tuple[list[dict], list[np.ndarray]]:
     """Fermi-sea comparison across a ladder of chemical potentials: per rung
-    of fock_operator.sea_ladder, a row (the pipeline result, the lattice-sum
-    oracle and their relative gap) and the spectral density w.  Each row
-    equals lieb_thirring_check of the sea's operator, unit weights on its
-    plane waves, bit for bit."""
+    of fock_operator.sea_ladder, a row and the spectral density w.
+
+    A row holds the rung's ratio, equal bit for bit to lieb_thirring_check
+    of the sea's operator (unit weights on its plane waves), the lattice-sum
+    oracle's ratio and their relative gap, and the ratio of the weak bound:
+    the rank-dependent bound rank^(2/d) tr (-Laplacian) gamma that
+    interpolation and the triangle inequality give, over the same integral.
+    Its ratio degrades with rank, which is the point of comparing.
+    """
     chemical_potentials = list(chemical_potentials)
     rows, densities = [], []
     for mu, (rank, w, rho) in zip(chemical_potentials, sea_ladder(grid, chemical_potentials)):
-        result = _lieb_thirring_result(grid, rank, float(rank), w, rho)
-        oracle = fermi_lattice_oracle(grid, mu)
-        gap = abs(result.ratio - oracle["ratio"]) / oracle["ratio"]
+        result = _lt_result(grid, rank, 0.0, 1.0, w, rho)
+        oracle = fermi_lattice_oracle(grid, mu).ratio
+        weak_bound = float(rank) ** (2.0 / grid.dimension) * result.kinetic
         rows.append(
             {
                 "chemical_potential": float(mu),
-                "rank": result.rank,
+                "rank": rank,
                 "ratio": result.ratio,
-                "weak_ratio": result.weak_ratio,
-                "oracle_ratio": oracle["ratio"],
-                "oracle_gap": gap,
+                "weak_ratio": weak_bound / result.density_power_integral,
+                "oracle_ratio": oracle,
+                "oracle_gap": abs(result.ratio - oracle) / oracle,
             }
         )
         densities.append(w)

@@ -15,6 +15,7 @@ from lplab import (
     CorpusSpec,
     FiniteRankOperator,
     SignEnsemble,
+    TorusGrid,
     duality_identity_check,
     envelope_for,
     estimate_envelope,
@@ -219,14 +220,18 @@ def test_gate_7_fermi_ladder(grid1):
 
 def test_gate_8_generalized_powers(grid1, grid2):
     """Pair (0, 1) reproduces the base comparison bit for bit; shifted pairs stay finite and contract-clean."""
-    probes = [fermi_sea(grid1, 9.5), fermi_sea(grid2, 2.2)]
+    grid3 = TorusGrid(3, 2.0 * np.pi, 16)
+    probes = [fermi_sea(grid1, 9.5), fermi_sea(grid2, 2.2), fermi_sea(grid3, 2.5)]
     for index in range(3):
         probes.append(
             random_orthonormal_frame(grid1, rank=3, decay=1.0, seed=5208, index=index)
         )
+    probes.append(random_orthonormal_frame(grid3, rank=3, decay=1.0, seed=5208, index=3))
+    assert [op.rank for op in probes if op.grid == grid3] == [19, 3]
     for op in probes:
         base = lieb_thirring_check(op)
         general = generalized_lt_check(op, 0.0, 1.0)
+        assert general == base
         assert general.kinetic == base.kinetic
         assert general.density_power_integral == base.density_power_integral
         assert general.ratio == base.ratio

@@ -1,7 +1,10 @@
 """Command line driver: exit codes, determinism of emitted files, and flag
 resolution against config files and the environment."""
 
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +220,14 @@ class TestExitCodes:
             (["khinchine", "--count", "2", "--tensor-seed", str(2**64)], None,
              f"seed must be at least 0 and below 2^64, got {2**64}"),
             (["lp"], {"seed": -3, "samples": 2, "n": 16}, "seed must be at least 0"),
+            (["glt", "--dim", "1", "--b", "400", "--samples", "2"], None,
+             "power b = 400 puts the lattice symbol |xi|^(2b) outside the binary64 range"),
+            (["glt", "--dim", "1", "--b", "80", "--samples", "2"], None,
+             "power b = 80 puts the lattice symbol |xi|^(2b) outside the binary64 range"),
+            (["lp", "--decay", "200", "--samples", "4"], None,
+             "decay 200 leaves every nonzero-mode weight"),
+            (["lp-density", "--decay", "60", "--samples", "2", "--rank", "2"], None,
+             "decay 60 leaves every nonzero-mode weight"),
         ],
         ids=[
             "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
@@ -235,7 +246,8 @@ class TestExitCodes:
             "mu_below_first_shell", "terms_above_cap", "tensor_terms_above_cap",
             "seqlemma_negative_seed", "lp_negative_seed", "khinchine_negative_seed",
             "glt_negative_seed", "lieb_thirring_negative_seed", "tensor_seed_above_key",
-            "config_negative_seed",
+            "config_negative_seed", "glt_b_symbol_overflow", "glt_b_80_symbol_overflow",
+            "lp_decay_constant_members", "density_decay_constant_members",
         ],
     )
     def test_settings_refused_before_any_draw(
@@ -297,10 +309,19 @@ class TestExitCodes:
         assert captured.out == ""
 
     def test_steep_decay_inside_binary64_still_runs(self, tmp_path, capsys):
-        """At decay 200 the weights underflow above |xi| = 1 only: the run draws."""
+        """At box 2 pi the weight at |xi| = 1 is 2^-decay: decay 52 leaves it at
+        eps beside the zero mode's weight 1, the steepest decay that draws."""
         out = tmp_path / "lp.json"
-        assert run_cli("lp", "--decay", "200", "--samples", "2", "--out", str(out)) == 0
+        assert run_cli("lp", "--decay", "52", "--samples", "2", "--out", str(out)) == 0
         assert capsys.readouterr().out.startswith("PASS lp")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_kinetic_power_inside_binary64_still_runs(self, tmp_path, capsys):
+        """At d1 n256 the largest |xi|^(2b) is 2^(14 b): 2^980 at b = 70."""
+        out = tmp_path / "glt.json"
+        argv = ["glt", "--dim", "1", "--b", "70", "--samples", "2", "--out", str(out)]
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("PASS glt")
 
     def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         """A check that raises mid-run is a failed run (exit 1), not a usage error."""
@@ -666,6 +687,15 @@ class TestSectionCommands:
             "sea_rank_3", "frame_0", "frame_1"
         ]
 
+    def test_lieb_thirring_verdict_reads_only_checks_that_can_fail(self, capsys):
+        """Every sweep ratio is positive and every weak ratio is rank^(2/d)
+        times its ratio by construction, so neither is a reported verdict."""
+        assert run_cli("lieb-thirring", "--n", "64", "--chain-samples", "0") == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert set(results) == {
+            "sweep", "chains", "oracle_ok", "last_doubling_change", "convergence_ok"
+        }
+
 
 class TestGridDefaults:
     """A grid run without n takes its dimension's desk grid."""
@@ -715,6 +745,28 @@ class TestSectionTable:
             for p in by_p
         }
         assert planned == frozen
+
+    def test_frozen_envelopes_are_what_the_script_calibrates(self, capsys):
+        """scripts/calibrate_envelopes.py reproduces envelopes.json from the
+        section table: a change to SECTIONS that leaves it stale fails here.
+        The recomputed bounds may differ from the frozen ones in the last ulps."""
+        path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_envelopes.py"
+        spec = importlib.util.spec_from_file_location("calibrate_envelopes", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        calibrated = script.calibrate()
+        capsys.readouterr()
+        frozen = load_envelopes()
+        assert {name: {dim: set(by_p) for dim, by_p in by_dim.items()}
+                for name, by_dim in calibrated.items()} == {
+            name: {dim: set(by_p) for dim, by_p in by_dim.items()}
+            for name, by_dim in frozen.items()
+        }
+        for name, by_dim in frozen.items():
+            for dim, by_p in by_dim.items():
+                for p, bounds in by_p.items():
+                    for value, expected in zip(calibrated[name][dim][p], bounds, strict=True):
+                        assert math.isclose(value, expected, rel_tol=1e-12), (name, dim, p)
 
     def test_every_judged_cell_has_an_envelope(self):
         envelopes = load_envelopes()

@@ -102,8 +102,11 @@ class TestBandLimited:
         for grid, decay in ((grid1, -200.0), (small1, 1100.0), (grid1, 1e308)):
             with pytest.raises(ConfigurationError, match="outside the binary64 range"):
                 random_band_limited(grid, decay, seed=8)
-        # At decay 200 only modes above |xi| = 1 lose their weight; the zero
-        # mode is dropped, or the mean would swamp the weight 2^-200 at |xi| = 1.
+        # At decay 200 only modes above |xi| = 1 lose their weight, but the
+        # weight 2^-200 at |xi| = 1 is lost against the zero mode's 1: such a
+        # draw is refused unless the zero mode is dropped.
+        with pytest.raises(ConfigurationError, match="every member is constant"):
+            random_band_limited(grid1, 200.0, seed=8)
         (f,) = random_band_limited(grid1, 200.0, seed=8, zero_mean=True)
         energy = abs_squared(forward_transform_stack(grid1, f[None])[0])
         assert np.all(np.isfinite(f))

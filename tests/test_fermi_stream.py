@@ -79,8 +79,9 @@ def test_rows_and_chains_equal_the_materialized_seas(d, order, chunk_fields, mon
         expected = lieb_thirring_check(sea)
         assert row["rank"] == sea.rank
         assert row["ratio"] == expected.ratio
-        assert row["weak_ratio"] == expected.weak_ratio
-        assert row["oracle_ratio"] == fermi_lattice_oracle(grid, mu)["ratio"]
+        weak_bound = float(sea.rank) ** (2.0 / d) * expected.kinetic
+        assert row["weak_ratio"] == weak_bound / expected.density_power_integral
+        assert row["oracle_ratio"] == fermi_lattice_oracle(grid, mu).ratio
         np.testing.assert_array_equal(w, sea.spectral_density)
         assert kinetic_chain(grid, w, blocks) == lt_chain_check(sea, blocks)
 
@@ -106,7 +107,7 @@ def test_a_wave_off_the_unit_sphere_fails_the_contract(wave, monkeypatch):
 
 def test_sweep_holds_no_stack_of_waves(traced_peak):
     grid = TorusGrid(3, TAU, 32)
-    top_rank = fermi_lattice_oracle(grid, 16.5)["rank"]
+    top_rank = fermi_lattice_oracle(grid, 16.5).rank
     stack_bytes = top_rank * grid.size * np.dtype(complex).itemsize
     assert top_rank == 257
     (rows, _), peak = traced_peak(fermi_sweep, grid, [2.5, 4.5, 16.5])
@@ -130,7 +131,7 @@ def _perturb_one_wave(monkeypatch, grid, top_mu, row, kind, eps):
     ("swap").  The sweep and the materialized sea read the same patch."""
     generate = lplab.fock_operator._plane_waves
     modes = _sea_modes(grid, 4.0 * top_mu)  # the sea, then the modes beyond it
-    rank = fermi_lattice_oracle(grid, top_mu)["rank"]
+    rank = fermi_lattice_oracle(grid, top_mu).rank
     partner = {"scale": None, "mix": 1 if row == 0 else row - 1, "swap": rank}[kind]
 
     def perturbed(grid, sea_modes, rows=slice(None), out=None):
@@ -156,7 +157,7 @@ def _perturb_one_wave(monkeypatch, grid, top_mu, row, kind, eps):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_the_certificate_bounds_the_dense_gram_residual(d, row, kind, eps, monkeypatch):
     grid, ladder = CERTIFIED[d]
-    ranks = [fermi_lattice_oracle(grid, mu)["rank"] for mu in ladder]
+    ranks = [fermi_lattice_oracle(grid, mu).rank for mu in ladder]
     wave = {"first": 0, "middle": ranks[-1] // 2, "last": ranks[-1] - 1}[row]
     _perturb_one_wave(monkeypatch, grid, ladder[-1], wave, kind, eps)
     sea = fermi_sea(grid, ladder[-1])

@@ -405,10 +405,10 @@ class TestLiebThirring:
 
     def test_weak_bound_scales_with_rank(self, grid1, grid2):
         for grid, mu in ((grid1, 16.5), (grid2, 4.5)):
-            result = lieb_thirring_check(fermi_sea(grid, mu))
+            (result,), _ = fermi_sweep(grid, [mu])
             np.testing.assert_allclose(
-                result.weak_ratio / result.ratio,
-                result.rank ** (2.0 / grid.dimension),
+                result["weak_ratio"] / result["ratio"],
+                result["rank"] ** (2.0 / grid.dimension),
                 rtol=1e-12,
             )
 
@@ -441,6 +441,13 @@ class TestLiebThirring:
         with pytest.raises(DegenerateInputError):
             lieb_thirring_check(fermi_sea(grid1, 0.5))
 
+    def test_zero_density_is_refused_by_both_checks(self, grid1):
+        op = rank_one(grid1, normalized_wave(grid1, [2]), weight=0.0)
+        for check in (lieb_thirring_check, lambda op: generalized_lt_check(op, 0.0, 1.0)):
+            with pytest.raises(DegenerateInputError, match="zero density"):
+                check(op)
+
+
     @pytest.mark.parametrize("mu", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_potential_is_refused(self, grid1, mu):
         for build in (fermi_sea, fermi_lattice_oracle):
@@ -451,8 +458,11 @@ class TestLiebThirring:
         for grid, mu in ((grid1, 9.5), (grid1, 33.0), (grid2, 8.5)):
             oracle = fermi_lattice_oracle(grid, mu)
             result = lieb_thirring_check(fermi_sea(grid, mu))
-            assert oracle["rank"] == result.rank
-            np.testing.assert_allclose(result.ratio, oracle["ratio"], rtol=1e-10)
+            assert type(oracle) is type(result)
+            assert (oracle.rank, oracle.power_a, oracle.power_b, oracle.exponent) == (
+                result.rank, 0.0, 1.0, 1.0 + 2.0 / grid.dimension
+            )
+            np.testing.assert_allclose(result.ratio, oracle.ratio, rtol=1e-10)
 
     def test_sweep_rows(self, grid1):
         ladder = [1.1, 4.5, 16.5]
@@ -594,6 +604,21 @@ class TestGeneralizedLT:
             generalized_lt_check(op, -0.5, 1.0)
         with pytest.raises(ConfigurationError, match="nonnegative"):
             generalized_lt_check(op, 0.0, -1.0)
+
+    def test_constant_eigenfunction_degenerates_at_b1(self, grid1):
+        # tr (-Laplacian) gamma vanishes on the zero mode: the comparison is
+        # refused, not reported as ratio 0.  At b = 0 the kinetic side is the
+        # trace, 1, and the ratio is defined.
+        op = rank_one(grid1, normalized_wave(grid1, [0]))
+        with pytest.raises(DegenerateInputError, match="zero mode"):
+            generalized_lt_check(op, 0.0, 1.0)
+        np.testing.assert_allclose(generalized_lt_check(op, 0.0, 0.0).kinetic, 1.0, rtol=1e-12)
+
+    def test_power_whose_symbol_overflows_is_refused(self, grid1):
+        # The largest |xi|^(2b) at d1 n256 is 128^(2b) = 2^(14 b).
+        op = random_orthonormal_frame(grid1, rank=2, decay=1.0, seed=763, power_bound=0.0)
+        with pytest.raises(ConfigurationError, match="power b = 80 puts"):
+            generalized_lt_check(op, 0.0, 80.0)
 
     def test_contract_enforced(self):
         grid = TorusGrid(1, 2.0 * TAU, 16)
