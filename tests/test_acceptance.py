@@ -231,10 +231,7 @@ def test_gate_8_generalized_powers(grid1, grid2):
     for op in probes:
         base = lieb_thirring_check(op)
         general = generalized_lt_check(op, 0.0, 1.0)
-        assert general == base
-        assert general.kinetic == base.kinetic
-        assert general.density_power_integral == base.density_power_integral
-        assert general.ratio == base.ratio
+        assert general == base  # every field, kinetic, integral and ratio included
         assert general.exponent == 1.0 + 2.0 / op.grid.dimension
     for index in range(6):
         op = random_orthonormal_frame(

@@ -447,7 +447,6 @@ class TestLiebThirring:
             with pytest.raises(DegenerateInputError, match="zero density"):
                 check(op)
 
-
     @pytest.mark.parametrize("mu", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_potential_is_refused(self, grid1, mu):
         for build in (fermi_sea, fermi_lattice_oracle):
