@@ -45,12 +45,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import CorpusSpec, philox_key, random_orthonormal_frame
+from .corpus import philox_key, random_orthonormal_frame
 from .dyadic_partition import (
     SHARP,
     SMOOTH,
@@ -101,17 +101,16 @@ class Section:
 
     ``desk`` maps each report label of `lplab all` to its overrides of
     ``defaults``.  ``envelopes`` names the envelope tables its ratios are
-    judged against.  A corpus section draws a seeded corpus of kind
-    ``corpus`` (its parameters: the ``decay`` and ``weights`` settings, the
-    rank, and ``corpus_params``) and runs the checker ``envelopes[0]`` on it.
+    judged against.  A corpus section (lp, lp-density, gns) runs the checker
+    ``envelopes[0]``, which draws its own corpus (estimate_envelope) from
+    the section's samples, seed and decay, and lp-density's ranks and
+    weights.
     """
 
     help: str
     defaults: dict
     desk: dict
     envelopes: tuple[str, ...] = ()
-    corpus: str | None = None
-    corpus_params: dict = field(default_factory=dict)
 
 
 # The points per axis of a grid run that does not set n, by dimension.
@@ -131,7 +130,6 @@ SECTIONS: dict[str, Section] = {
         dict(_GRID, **_BLOCKS, p=[1.5, 2.0, 3.0, 4.0], samples=200, decay=1.0, seed=2024),
         {"lp_d1": dict(samples=100), "lp_d2": dict(dim=2, samples=50)},
         envelopes=("lp",),
-        corpus="random_band_limited",
     ),
     "lp-density": Section(
         "summed block-density ratio envelope over operator corpora",
@@ -139,7 +137,6 @@ SECTIONS: dict[str, Section] = {
              decay=1.0, weights="uniform", seed=2025),
         {"lp_density_d1": dict(samples=25, p=[0.6, 0.75, 1.0, 1.5, 2.0, 3.0])},
         envelopes=("lp_density",),
-        corpus="random_orthonormal_frame",
     ),
     "khinchine": Section(
         "classical and tensor sign-sum comparisons",
@@ -153,8 +150,6 @@ SECTIONS: dict[str, Section] = {
         dict(_GRID, samples=200, decay=1.5, seed=2026),
         {"gns_d1": dict(samples=100), "gns_d2": dict(dim=2, samples=50)},
         envelopes=("gns",),
-        corpus="random_band_limited",
-        corpus_params={"zero_mean": True},
     ),
     "lieb-thirring": Section(
         "kinetic/density comparison on a ladder of plane-wave seas",
@@ -352,31 +347,18 @@ def _exponents(settings: dict) -> list[float]:
     return [gns_exponent(settings["dim"])]
 
 
-def _corpus_spec(command: str, settings: dict, rank: int | None = None) -> CorpusSpec:
-    section = SECTIONS[command]
-    params = dict(section.corpus_params, decay=settings["decay"])
-    if "weights" in settings:
-        params["weights"] = settings["weights"]
-    if rank is not None:
-        params["rank"] = rank
-    return CorpusSpec(section.corpus, settings["samples"], settings["seed"], params)
-
-
 def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioReport]:
     """A corpus section's envelope estimates: one per exponent, for each rank.
 
-    A section with ranks names its reports by rank and judges ranks above one
-    against the rank-one envelope widened by ``DENSITY_RANK_SLACK``.  A
-    section that builds no blocks (gns) takes no block settings.
+    The section's checker draws its own corpus from the run's samples, seed
+    and decay, and lp-density's ranks and weights.  A section with ranks
+    names its reports by rank and judges ranks above one against the
+    rank-one envelope widened by ``DENSITY_RANK_SLACK``.  A section that
+    builds no blocks (gns) takes no block settings.
     """
     checker = SECTIONS[command].envelopes[0]
     grid = _grid_of(settings)
     ps = _exponents(settings)
-    block_settings = (
-        {"family": settings["family"], "profile_kind": settings["profile"]}
-        if "family" in settings
-        else {}
-    )
     reports = []
     for rank in _distinct(settings["rank"]) if "rank" in settings else [None]:
         exponents = []
@@ -387,8 +369,10 @@ def corpus_reports(command: str, settings: dict, envelopes: dict) -> list[RatioR
             exponents.append((p, envelope))
         reports.extend(
             estimate_envelope(
-                _corpus_spec(command, settings, rank), checker, exponents, grid,
-                **block_settings,
+                checker, exponents, grid, settings["samples"], settings["seed"],
+                settings["decay"], rank=rank, weights=settings.get("weights"),
+                family=settings.get("family", SMOOTH),
+                profile_kind=settings.get("profile", "exp"),
                 name=None if rank is None else f"{checker}_rank{rank}",
             )
         )

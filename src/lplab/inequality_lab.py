@@ -1,8 +1,9 @@
 """Inequality checkers and empirical constant envelopes.
 
 Each checker computes the two sides of one comparability statement and
-reports the ratio; the envelope estimator runs a checker over a seeded
-corpus and compares the observed ratio range against frozen bounds.  The
+reports the ratio; the envelope estimator runs a checker over the seeded
+corpus that the checker's row of _CHECKERS names, at the exponents that row
+admits, and compares the observed ratio range against frozen bounds.  The
 checkers prove nothing: they measure, and the measured envelopes stand in
 for the existence constants the statements assert.  Operators, their
 contracts and the Fermi ladder (sea_ladder) come from fock_operator and
@@ -24,7 +25,7 @@ import math
 import re
 import statistics
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -186,15 +187,23 @@ def _ensemble_rows(count: int, ensemble: SignEnsemble) -> int:
     return (1 << count) if ensemble.mode == "exact" else ensemble.samples
 
 
-def _sign_sum_exponents(exponents) -> list[float]:
-    """The distinct exponents as floats, in order; the sign-sum comparisons
-    hold for p >= 1 only."""
-    exponents = list(dict.fromkeys(float(p) for p in exponents))
+# An exponent rule (relation, floor, label): p relation floor, the floor a
+# number or a function of the dimension, written in a refusal as the label
+# formatted with it.
+_SIGN_SUM_RULE = (">=", 1.0, "1")
+
+
+def _checked_exponents(what: str, exponents, rule: tuple, dimension: int = 0) -> list[float]:
+    """The exponents as floats, in order; ConfigurationError, naming ``what``,
+    unless each is finite and keeps the rule at this dimension."""
+    relation, floor, label = rule
+    floor = floor(dimension) if callable(floor) else floor
+    exponents = [float(p) for p in exponents]
     for p in exponents:
-        if not p >= 1:
-            raise ConfigurationError(f"the sign-sum comparison requires p >= 1, got {p}")
+        if not {">": p > floor, ">=": p >= floor, "=": p == floor}[relation]:
+            raise ConfigurationError(f"{what} requires p {relation} {label.format(floor)}, got {p}")
         if p == math.inf:
-            raise ConfigurationError(f"the sign-sum comparison requires a finite p, got {p}")
+            raise ConfigurationError(f"{what} requires a finite p, got {p}")
     return exponents
 
 
@@ -264,21 +273,6 @@ class CheckSample:
     ratio: float
     degenerate: bool = False
     closed_form: float | None = field(default=None, compare=False)
-
-
-_EXPONENT_FLOORS = {"lp": (1.0, "1"), "lp_density": (0.5, "1/2")}
-
-
-def _checked_exponents(checker: str, exponents) -> list[float]:
-    """The exponents as floats; each must exceed the checker's floor."""
-    floor, label = _EXPONENT_FLOORS[checker]
-    exponents = [float(p) for p in exponents]
-    for p in exponents:
-        if not p > floor:
-            raise ConfigurationError(f"the {checker} check requires p > {label}, got {p}")
-        if p == math.inf:
-            raise ConfigurationError(f"the {checker} check requires a finite p, got {p}")
-    return exponents
 
 
 # A sampler checks a chunk of members at every exponent in one pass.  It is
@@ -367,17 +361,26 @@ def _gns_samples(grid, values, exponents, blocks, first):
     dimension, so each member has one sample, under every label.
 
     lhs = ||u||_{2+4/d}; rhs = ||u||_2^{2/(d+2)} * (gradient energy)^{d/(2(d+2))}.
-    A zero or constant member is degenerate.
+    A zero or constant member is degenerate.  A member whose L^2 norm is
+    positive but whose integral of |u|^(2+4/d) underflows to 0 raises
+    DegenerateInputError naming p: the ratio is scale invariant, but its
+    quadrature has left the binary64 range.
     """
     d = grid.dimension
+    p = gns_exponent(d)
     magnitudes = np.abs(values)
     norms2 = lp_norms(grid, magnitudes, 2.0)
     gradient_energies = spectral_trace(
         grid, abs_squared(forward_transform_stack(grid, values)), 1.0
     )
-    norms = lp_norms(grid, magnitudes, gns_exponent(d))
+    norms = lp_norms(grid, magnitudes, p)
     members = []
     for m, (norm2, gradient_energy, lhs) in enumerate(zip(norms2, gradient_energies, norms)):
+        if norm2 > 0.0 and lhs == 0.0:
+            raise DegenerateInputError(
+                f"the integral of |u|^p at p = {p:g} of member {first + m} leaves the "
+                "binary64 range"
+            )
         if norm2 == 0.0 or gradient_energy == 0.0:
             members.append(_degenerate(first + m, 1, exponents))
         else:
@@ -461,16 +464,22 @@ def _lt_result(grid: TorusGrid, rank: int, a: float, b: float, w, rho) -> Genera
     integral rho^(1 + 2b/(d + 2a)) from the density rho, and their ratio.
 
     A zero density, then a zero kinetic trace (an operator concentrated on
-    the zero mode), raises DegenerateInputError.
+    the zero mode), raises DegenerateInputError; so, naming the exponent q,
+    does a positive density whose integral of rho^q is 0 or infinite, or
+    whose ratio is not finite: the integral has left the binary64 range.
     """
     exponent = lt_exponent(grid, a, b)
     kinetic = spectral_trace(grid, w, b)
     denominator = float(power_integrals(grid, rho[None], exponent)[0])
-    if denominator == 0.0:
+    if denominator == 0.0 and not np.any(rho):
         raise DegenerateInputError("zero density; the ratio is undefined")
     if kinetic == 0.0:
         raise DegenerateInputError(
             "operator concentrated on the zero mode; the comparison degenerates"
+        )
+    if not (0.0 < denominator < math.inf and math.isfinite(kinetic / denominator)):
+        raise DegenerateInputError(
+            f"the integral of rho^q at q = {exponent:g} leaves the binary64 range"
         )
     return GeneralizedLTResult(rank, a, b, exponent, kinetic, denominator, kinetic / denominator)
 
@@ -739,7 +748,7 @@ class RatioReport:
     """
 
     name: str
-    p: float | None
+    p: float
     family: str
     profile_kind: str
     grid: dict | None
@@ -819,20 +828,16 @@ def load_envelopes(path=None, names=None) -> dict:
     return envelopes
 
 
-def exponent_key(p: float | None) -> str:
+def exponent_key(p: float) -> str:
     """The envelope key of exponent p, one that reads back as p:
     format(p, "g") when float() of it equals p, otherwise repr(p) (2 + 4/3
-    is "3.3333333333333335", not "3.33333"); "all" when p is None."""
-    if p is None:
-        return "all"
+    is "3.3333333333333335", not "3.33333")."""
     p = float(p)
     key = format(p, "g")
     return key if float(key) == p else repr(p)
 
 
 def _is_exponent_key(key: str) -> bool:
-    if key == "all":
-        return True
     try:
         p = float(key)
     except ValueError:
@@ -871,7 +876,7 @@ def _check_envelopes(envelopes, names) -> None:
                     bad(where, f"expected [lo, hi], two finite numbers with lo <= hi, got {pair!r}")
 
 
-def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) -> tuple | None:
+def envelope_for(envelopes: dict, name: str, dimension: int, p: float) -> tuple | None:
     """Look up the [lo, hi] envelope for (inequality, dimension, exponent).
 
     The cell is keyed by exponent_key(p), which reads back as p, so a cell
@@ -884,29 +889,53 @@ def envelope_for(envelopes: dict, name: str, dimension: int, p: float | None) ->
     return (float(pair[0]), float(pair[1]))
 
 
-_SAMPLERS = {
-    "lp": _lp_function_samples,
-    "lp_density": _lp_density_samples,
-    "gns": _gns_samples,
+# The one owner of each enveloped checker: its sampler, the CorpusSpec kind
+# it draws and the parameters it fixes there, its exponent rule, and whether
+# its sampler reads a block set.
+_CHECKERS = {
+    "lp": (_lp_function_samples, "random_band_limited", {}, (">", 1.0, "1"), True),
+    "lp_density": (_lp_density_samples, "random_orthonormal_frame", {}, (">", 0.5, "1/2"), True),
+    "gns": (
+        _gns_samples, "random_band_limited", {"zero_mean": True},
+        ("=", gns_exponent, "2 + 4/d = {:g}"), False,
+    ),
 }
 
 
+def _ratio_reports(name: str, cells, seed: int, family="none", profile_kind="none", grid=None):
+    """One RatioReport per (p, envelope, samples) cell, in order; each echoes
+    the grid's fields, or None when its samples were drawn on no grid."""
+    grid_fields = None if grid is None else asdict(grid)
+    return [
+        RatioReport(name, p, family, profile_kind, grid_fields, seed, samples, envelope)
+        for p, envelope, samples in cells
+    ]
+
+
 def estimate_envelope(
-    spec: CorpusSpec,
     checker: str,
-    exponents: Sequence[tuple[float | None, tuple | None]],
+    exponents: Sequence[tuple[float, tuple | None]],
     grid: TorusGrid,
+    samples: int,
+    seed: int,
+    decay: float = 1.0,
+    rank: int | None = None,
+    weights: str | None = None,
     family: str = SMOOTH,
     profile_kind: str = "exp",
     name: str | None = None,
 ) -> list[RatioReport]:
-    """Run one checker over a corpus at several exponents and aggregate the ratios.
+    """Run one checker over its own corpus at several exponents and aggregate the ratios.
 
     ``exponents`` is a sequence of (p, envelope) pairs; the result holds one
-    report per pair, in order.  For "gns" the exponent is fixed by the
-    dimension (gns_exponent); p is None or that exponent.  gns builds no
-    blocks, so its reports name the family and profile "none", whatever
-    ``family`` and ``profile_kind`` say.
+    report per pair, in order.  Each checker draws the corpus its row of
+    _CHECKERS names, of ``samples`` members from ``seed`` at ``decay``:
+    "lp" band-limited fields, "gns" mean-zero band-limited fields and
+    "lp_density" frame operators, the only corpus that takes a ``rank`` and
+    ``weights`` (by default 1 and "uniform").  "lp" takes p > 1, "lp_density"
+    p > 1/2 and "gns" only p = 2 + 4/d (gns_exponent).  gns builds no blocks,
+    so its reports name the family and profile "none", whatever ``family``
+    and ``profile_kind`` say.
 
     The corpus is evaluated in field_chunks of members (one field per member
     for gns, one per block and rank otherwise).  Each chunk is drawn in one
@@ -917,22 +946,20 @@ def estimate_envelope(
     members belongs in the sampler.  An "lp" run that includes p = 2 gives
     each p = 2 sample its Parseval closed form.
     """
-    if checker not in _SAMPLERS:
+    if checker not in _CHECKERS:
         raise ConfigurationError(
-            f"unknown checker {checker!r}, expected one of {tuple(_SAMPLERS)}"
+            f"unknown checker {checker!r}, expected one of {tuple(_CHECKERS)}"
         )
+    sampler, kind, fixed, rule, builds_blocks = _CHECKERS[checker]
+    frame = {key: v for key, v in (("rank", rank), ("weights", weights)) if v is not None}
+    if frame and kind != "random_orthonormal_frame":
+        raise ConfigurationError(f"the {checker} check draws fields: it takes no rank or weights")
+    spec = CorpusSpec(kind, samples, seed, {**fixed, "decay": decay, **frame})
     exponents = list(exponents)
-    ps = [p for p, _ in exponents]
-    if checker == "gns":
-        fixed = gns_exponent(grid.dimension)
-        if any(p is not None and float(p) != fixed for p in ps):
-            raise ConfigurationError(f"the gns check takes only p = 2 + 4/d = {fixed:g}, got {ps}")
-        ps = [fixed] * len(ps)
-    else:
-        ps = _checked_exponents(checker, ps)
+    ps = _checked_exponents(f"the {checker} check", [p for p, _ in exponents], rule, grid.dimension)
     blocks = None
     fields_per_member = 1
-    if checker in ("lp", "lp_density"):
+    if builds_blocks:
         blocks = build_blocks(grid, family, profile_kind)
         fields_per_member = blocks.block_count * int(spec.params.get("rank", 1))
         profile_kind = "indicator" if family == SHARP else profile_kind
@@ -942,25 +969,10 @@ def estimate_envelope(
     for rows in field_chunks(grid, spec.count, fields_per_member):
         start, stop = rows.start, min(rows.stop, spec.count)
         chunk = spec.members(grid, start, stop - start)
-        members.extend(_SAMPLERS[checker](grid, chunk, ps, blocks, start))
-    grid_params = {
-        "dimension": grid.dimension,
-        "box_length": grid.box_length,
-        "points_per_axis": grid.points_per_axis,
-    }
-    return [
-        RatioReport(
-            name=name or checker,
-            p=p,
-            family=family,
-            profile_kind=profile_kind,
-            grid=grid_params,
-            seed=spec.seed,
-            samples=[samples[position] for samples in members],
-            envelope=envelope,
-        )
-        for position, (p, (_, envelope)) in enumerate(zip(ps, exponents))
-    ]
+        members.extend(sampler(grid, chunk, ps, blocks, start))
+    columns = [list(column) for column in zip(*members)]
+    cells = zip(ps, [envelope for _, envelope in exponents], columns)
+    return _ratio_reports(name or checker, cells, spec.seed, family, profile_kind, grid)
 
 
 def sign_sum_samples(coefficients, exponents, ensemble: SignEnsemble) -> list[list[CheckSample]]:
@@ -977,7 +989,8 @@ def sign_sum_samples(coefficients, exponents, ensemble: SignEnsemble) -> list[li
     A moment or an l2 power beyond the binary64 range raises
     DegenerateInputError naming p.
     """
-    exponents = _sign_sum_exponents(exponents)
+    exponents = _checked_exponents("the sign-sum comparison", exponents, _SIGN_SUM_RULE)
+    exponents = list(dict.fromkeys(exponents))
     coefficients = np.asarray(coefficients, dtype=complex)
     if coefficients.ndim not in (2, 3):
         raise ConfigurationError(
@@ -1030,13 +1043,10 @@ def khinchine_reports(
     """
     name = "khinchine" if len(shape) == 1 else "khinchine_tensor"
     require_counts(term_count=shape[0], sample_count=count)
-    exponents = _sign_sum_exponents(p_list)
+    exponents = _checked_exponents("the sign-sum comparison", p_list, _SIGN_SUM_RULE)
+    exponents = list(dict.fromkeys(exponents))
     coefficients = complex_normals(shape, seed, range(count))
     samples = sign_sum_samples(coefficients, exponents, ensemble or SignEnsemble.exact())
-    return [
-        RatioReport(
-            name, p, family="none", profile_kind="none", grid=None, seed=seed, samples=row,
-            envelope=envelope_for(envelopes, name, 0, p) if envelopes else None,
-        )
-        for p, row in zip(exponents, samples)
-    ]
+    envelopes = envelopes or {}
+    cells = [(p, envelope_for(envelopes, name, 0, p), row) for p, row in zip(exponents, samples)]
+    return _ratio_reports(name, cells, seed)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from lplab import (
-    CorpusSpec,
     FiniteRankOperator,
     SignEnsemble,
     TorusGrid,
@@ -68,11 +67,10 @@ def test_gate_1_partition_reconstruction_duality(grid1, grid2, blocks1, blocks2)
 def test_gate_2_square_function_envelope(grid1, grid2, blocks1):
     """Square-function ratios sit in the frozen envelopes and are seed-stable."""
     envelopes = load_envelopes()
-    spec = CorpusSpec("random_band_limited", 200, 2024, {"decay": 1.0})
     base_reports = {}
     for grid, dim in ((grid1, 1), (grid2, 2)):
         exponents = [(p, envelope_for(envelopes, "lp", dim, p)) for p in LP_EXPONENTS]
-        reports = estimate_envelope(spec, "lp", exponents, grid)
+        reports = estimate_envelope("lp", exponents, grid, 200, 2024, decay=1.0)
         for (p, envelope), report in zip(exponents, reports):
             assert envelope is not None
             assert report.p == p
@@ -88,8 +86,7 @@ def test_gate_2_square_function_envelope(grid1, grid2, blocks1):
     values = random_band_limited(grid1, 1.0, seed=2024, count=25)
     for (sample,) in _lp_function_samples(grid1, values, [2.0], blocks1, 0):
         assert abs(sample.ratio - sample.closed_form) <= 1e-12
-    fresh_spec = CorpusSpec("random_band_limited", 200, 777, {"decay": 1.0})
-    fresh_reports = estimate_envelope(fresh_spec, "lp", [(p, None) for p in LP_EXPONENTS], grid1)
+    fresh_reports = estimate_envelope("lp", [(p, None) for p in LP_EXPONENTS], grid1, 200, 777)
     for p, fresh in zip(LP_EXPONENTS, fresh_reports):
         base = base_reports[p]
         assert abs(fresh.ratio_min - base.ratio_min) <= 0.2 * base.ratio_min
@@ -114,17 +111,12 @@ def test_gate_3_density_blocks_rank_uniform(grid1, blocks1):
         for scalar, dens in zip(scalar_samples, density_samples, strict=True):
             assert dens.ratio == pytest.approx(scalar.ratio**2, rel=1e-12)
     for rank in (1, 2, 4, 8, 16, 32):
-        spec = CorpusSpec(
-            "random_orthonormal_frame",
-            20,
-            2025,
-            {"rank": rank, "decay": 1.0, "weights": "uniform"},
-        )
         exponents = []
         for p in DENSITY_EXPONENTS:
             lo, hi = envelope_for(envelopes, "lp_density", 1, p)
             exponents.append((p, (lo / DENSITY_RANK_SLACK, hi * DENSITY_RANK_SLACK)))
-        for report in estimate_envelope(spec, "lp_density", exponents, grid1):
+        corpus = dict(decay=1.0, rank=rank, weights="uniform")
+        for report in estimate_envelope("lp_density", exponents, grid1, 20, 2025, **corpus):
             assert report.sample_count == 20 and report.degenerate_count == 0
             assert report.passed
         print(f"gate 3: rank {rank} inside the widened envelope at all exponents")

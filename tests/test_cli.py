@@ -77,13 +77,15 @@ class TestExitCodes:
             {"lp": {"d1": {"2": [0.5, float("inf")]}}},
             {"lp": {"d1": {"2": ["0.5", 2.0]}}},
             {"lp": {"d1": {"2.0": [0.5, 2.0]}}},
+            {"gns": {"d1": {"all": [0.1, 1.0]}}},
             {"lp": {"1": {"2": [0.5, 2.0]}}},
             {"lp": [0.5, 2.0]},
             [0.5, 2.0],
         ],
         ids=[
             "unknown_name", "short_pair", "lo_above_hi", "infinite", "string_bound",
-            "unreachable_exponent_key", "bare_dimension_key", "no_dimensions", "not_an_object",
+            "unreachable_exponent_key", "all_key", "bare_dimension_key", "no_dimensions",
+            "not_an_object",
         ],
     )
     def test_malformed_envelope_file_is_usage_error(self, tmp_path, capsys, envelopes):
@@ -322,6 +324,39 @@ class TestExitCodes:
         argv = ["glt", "--dim", "1", "--b", "70", "--samples", "2", "--out", str(out)]
         assert run_cli(*argv) == 0
         assert capsys.readouterr().out.startswith("PASS glt")
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["glt", "--dim", "1", "--a", "-0.49", "--b", "5"], "rho^q at q = 501"),
+            (["glt", "--dim", "1", "--a", "-0.4999", "--b", "1"], "rho^q at q = 10001"),
+            (["glt", "--dim", "1", "--a", "-0.45", "--b", "5"], None),
+            (["gns", "--decay", "200"], "|u|^p at p = 6 of member 0"),
+            (["gns", "--decay", "180"], "|u|^p at p = 6 of member 0"),
+            (["gns", "--dim", "2", "--decay", "300"], "|u|^p at p = 4 of member 0"),
+            (["gns", "--decay", "150"], None),
+        ],
+        ids=["glt_q501", "glt_q10001", "glt_q101", "gns_decay200", "gns_decay180",
+             "gns_d2_decay300", "gns_decay150"],
+    )
+    def test_an_integral_beyond_binary64_fails_the_run(self, tmp_path, capsys, argv, error):
+        """Near a = -d/2 glt's exponent q = 1 + 2b/(d + 2a) grows without
+        bound, and a mean-zero gns draw at decay D is of order 2^-D: the
+        integral of rho^q or of |u|^(2 + 4/d) then underflows for an input
+        that is not zero.  Both ratios are defined, so the run fails with an
+        error naming the exponent rather than report "zero density" or a
+        ratio of 0; at q = 101 and at decay 150 the runs pass."""
+        out = tmp_path / "report.json"
+        code = run_cli(*argv, "--samples", "2", "--out", str(out))
+        payload = json.loads(out.read_text())
+        capsys.readouterr()
+        if error is None:
+            assert code == 0 and payload["pass"] is True
+        else:
+            assert code == 1
+            assert payload["results"] == {
+                "error": f"the integral of {error} leaves the binary64 range"
+            }
 
     def test_value_error_inside_a_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         """A check that raises mid-run is a failed run (exit 1), not a usage error."""

@@ -12,7 +12,6 @@ from lplab import (
     CheckSample,
     ConfigurationError,
     ContractViolationError,
-    CorpusSpec,
     DegenerateInputError,
     FiniteRankOperator,
     GridMismatchError,
@@ -256,9 +255,8 @@ class TestLpFunctionCheck:
             assert math.sqrt(0.5) - 1e-12 <= sample.ratio <= 1.0 + 1e-12
 
     def test_exponent_floor(self, small1):
-        spec = CorpusSpec("random_band_limited", count=2, seed=1, params={"decay": 1.0})
         with pytest.raises(ValueError, match="p > 1"):
-            estimate_envelope(spec, "lp", [(2.0, None), (1.0, None)], small1)
+            estimate_envelope("lp", [(2.0, None), (1.0, None)], small1, 2, 1)
 
     def test_zero_input_degenerate(self, grid1, blocks1):
         values = np.stack([np.zeros(grid1.shape, dtype=complex), plane_wave(grid1, [4])])
@@ -301,11 +299,8 @@ class TestLpDensityCheck:
         assert math.isfinite(sample.ratio) and sample.ratio > 0
 
     def test_exponent_floor(self, small1):
-        spec = CorpusSpec(
-            "random_orthonormal_frame", count=2, seed=1, params={"rank": 2, "decay": 0.8}
-        )
         with pytest.raises(ValueError, match="p > 1/2"):
-            estimate_envelope(spec, "lp_density", [(0.5, None)], small1)
+            estimate_envelope("lp_density", [(0.5, None)], small1, 2, 1, 0.8, rank=2)
 
 
 class TestDuality:
@@ -390,6 +385,15 @@ class TestGnsCheck:
         (zero,), (wave,) = _gns_samples(grid1, values, [None], None, 0)
         assert zero == CheckSample(0, 1, 0.0, 0.0, math.inf, degenerate=True)
         assert not wave.degenerate
+
+    def test_member_whose_integral_underflows_is_refused(self, grid1):
+        """The ratio is scale invariant, but at 2^-200 times a member the
+        integral of |u|^6 underflows while ||u||_2 does not: the check
+        refuses, naming p and the member, rather than report ratio 0."""
+        (u,) = random_band_limited(grid1, decay=1.5, seed=730, zero_mean=True)
+        values = np.stack([u, 2.0**-200 * u, np.zeros(grid1.shape, dtype=complex)])
+        with pytest.raises(DegenerateInputError, match="p = 6 of member 4 leaves the binary64"):
+            _gns_samples(grid1, values, [6.0], None, 3)
 
 
 class TestLiebThirring:
@@ -613,6 +617,16 @@ class TestGeneralizedLT:
             generalized_lt_check(op, 0.0, 1.0)
         np.testing.assert_allclose(generalized_lt_check(op, 0.0, 0.0).kinetic, 1.0, rtol=1e-12)
 
+    def test_density_integral_that_underflows_is_refused(self, grid1):
+        """At a = -0.4999 the exponent is q = 1 + 2/(1 - 0.9998) = 10001: the
+        integral of rho^q underflows for a positive density, and the check
+        names q.  The same frame with zero eigenvalues has zero density."""
+        op = random_orthonormal_frame(grid1, rank=4, decay=1.0, seed=2029, power_bound=-0.4999)
+        with pytest.raises(DegenerateInputError, match="q = 10001 leaves the binary64 range"):
+            generalized_lt_check(op, -0.4999, 1.0)
+        with pytest.raises(DegenerateInputError, match="zero density"):
+            generalized_lt_check(op.reweighted(np.zeros(4)), -0.4999, 1.0)
+
     def test_power_whose_symbol_overflows_is_refused(self, grid1):
         # The largest |xi|^(2b) at d1 n256 is 128^(2b) = 2^(14 b).
         op = random_orthonormal_frame(grid1, rank=2, decay=1.0, seed=763, power_bound=0.0)
@@ -718,57 +732,62 @@ class TestRatioReport:
 
 
 class TestEnvelopeEstimation:
-    def spec(self, count=6):
-        return CorpusSpec("random_band_limited", count=count, seed=81, params={"decay": 0.8})
+    CORPUS = dict(samples=6, seed=81, decay=0.8)
 
     def test_deterministic(self, small1):
-        (first,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
-        (second,) = estimate_envelope(self.spec(), "lp", [(2.0, None)], small1)
+        (first,) = estimate_envelope("lp", [(2.0, None)], small1, **self.CORPUS)
+        (second,) = estimate_envelope("lp", [(2.0, None)], small1, **self.CORPUS)
         assert first.samples == second.samples
         assert first.to_dict() == second.to_dict()
-
-    def test_gns_defaults_exponent(self, small1):
-        (report,) = estimate_envelope(self.spec(), "gns", [(None, None)], small1)
-        assert report.p == 6.0
 
     @pytest.mark.parametrize("family", [lplab.SMOOTH, lplab.SHARP])
     def test_gns_reports_name_no_block_family(self, family):
         """gns builds no blocks, so its reports say "none" whatever family
         and profile the call passes."""
-        spec = CorpusSpec("random_band_limited", 2, 1, {"decay": 1.5, "zero_mean": True})
         grid = TorusGrid(1, 2 * math.pi, 64)
-        (report,) = estimate_envelope(spec, "gns", [(None, None)], grid, family, "quintic")
+        blocks = dict(family=family, profile_kind="quintic")
+        (report,) = estimate_envelope("gns", [(6.0, None)], grid, 2, 1, 1.5, **blocks)
         assert (report.family, report.profile_kind) == ("none", "none")
-        (lp,) = estimate_envelope(spec, "lp", [(2.0, None)], grid, family, "quintic")
+        (lp,) = estimate_envelope("lp", [(2.0, None)], grid, 2, 1, 1.5, **blocks)
         profile = "indicator" if family == lplab.SHARP else "quintic"
         assert (lp.family, lp.profile_kind) == (family, profile)
 
     def test_gns_refuses_any_other_exponent(self, small1):
         """A gns report labelled p measures the ratio at p: 2 + 4/d is the only p."""
-        (report,) = estimate_envelope(self.spec(), "gns", [(6.0, None)], small1)
+        (report,) = estimate_envelope("gns", [(6.0, None)], small1, **self.CORPUS)
         assert report.p == 6.0
         for p in (3.0, 2.0, math.inf):
-            with pytest.raises(ConfigurationError, match="only p = 2 \\+ 4/d = 6"):
-                estimate_envelope(self.spec(), "gns", [(None, None), (p, None)], small1)
+            with pytest.raises(ConfigurationError, match="requires p = 2 \\+ 4/d = 6, got"):
+                estimate_envelope("gns", [(6.0, None), (p, None)], small1, **self.CORPUS)
 
     def test_unknown_checker(self, small1):
         with pytest.raises(ConfigurationError, match="unknown checker"):
-            estimate_envelope(self.spec(), "sobolev", [(2.0, None)], small1)
+            estimate_envelope("sobolev", [(2.0, None)], small1, **self.CORPUS)
 
     def test_envelope_applied(self, small1):
         report, impossible = estimate_envelope(
-            self.spec(), "lp", [(2.0, (1e-6, 1e6)), (2.0, (0.999, 1.0))], small1
+            "lp", [(2.0, (1e-6, 1e6)), (2.0, (0.999, 1.0))], small1, **self.CORPUS
         )
         assert report.passed
         assert not impossible.passed
 
     def test_density_checker_over_frames(self, small1):
-        spec = CorpusSpec(
-            "random_orthonormal_frame", count=4, seed=82, params={"rank": 2, "decay": 0.8}
-        )
-        (report,) = estimate_envelope(spec, "lp_density", [(1.0, None)], small1)
+        (report,) = estimate_envelope("lp_density", [(1.0, None)], small1, 4, 82, 0.8, rank=2)
         assert report.sample_count == 4
         assert all(s.rank == 2 for s in report.samples)
+
+    @pytest.mark.parametrize("checker", ["lp", "gns"])
+    @pytest.mark.parametrize("frame", [{"rank": 2}, {"weights": "ones"}])
+    def test_a_field_checker_takes_no_frame_settings(self, small1, checker, frame):
+        """Only lp_density draws frames: a rank or weights elsewhere is refused."""
+        with pytest.raises(ConfigurationError, match="takes no rank or weights"):
+            estimate_envelope(checker, [(6.0, None)], small1, **self.CORPUS, **frame)
+
+    def test_the_report_echoes_the_grid_fields(self, small1):
+        (report,) = estimate_envelope("lp", [(2.0, None)], small1, **self.CORPUS)
+        assert report.to_dict()["grid"] == {
+            "dimension": 1, "box_length": TAU, "points_per_axis": 16,
+        }
 
 
 class TestKhinchineReports:
@@ -812,11 +831,10 @@ class TestKhinchineReports:
 class TestEnvelopeLookup:
     def test_lookup_paths(self):
         envelopes = {
-            "lp": {"d1": {"1.5": [0.7, 1.1], "all": [0.5, 2.0]}},
+            "lp": {"d1": {"1.5": [0.7, 1.1]}},
             "khinchine": {"d0": {"2": [0.9, 1.1]}},
         }
         assert envelope_for(envelopes, "lp", 1, 1.5) == (0.7, 1.1)
-        assert envelope_for(envelopes, "lp", 1, None) == (0.5, 2.0)
         assert envelope_for(envelopes, "lp", 2, 1.5) is None
         assert envelope_for(envelopes, "gns", 1, 6.0) is None
         assert envelope_for(envelopes, "khinchine", 0, 2.0) == (0.9, 1.1)
@@ -852,11 +870,10 @@ class TestEnvelopeLookup:
         }
         assert packaged == {"0.6", "0.75", "1", "1.5", "2", "3", "4", "6"}
         assert {exponent_key(float(key)) for key in packaged} == packaged
-        assert exponent_key(None) == "all"
         assert exponent_key(2.0000001) == "2.0000001"
 
     def test_a_key_that_does_not_read_as_its_exponent_key_is_refused(self, tmp_path):
-        for key in ("2.0", "3.33333333333333335", "nan"):
+        for key in ("2.0", "3.33333333333333335", "nan", "all"):
             path = tmp_path / "envelopes.json"
             path.write_text(json.dumps({"gns": {"d3": {key: [0.1, 1.0]}}}))
             with pytest.raises(ConfigurationError, match="exponent_key"):

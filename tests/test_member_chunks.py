@@ -158,15 +158,29 @@ def chunk(request, monkeypatch):
 LP_EXPONENTS = [1.5, 2.0, 3.0, 4.0]
 
 
+def _drawn_with_mean(monkeypatch, zero_mean):
+    """Draw every band-limited member with ``zero_mean`` as given.  Each
+    checker draws one kind of field (lp with its mean, gns without), but
+    its sampler takes either, so both kinds run through the chunked pass."""
+    original = lplab.corpus.random_band_limited
+
+    def draw(*args, **kwargs):
+        return original(*args, **dict(kwargs, zero_mean=zero_mean))
+
+    monkeypatch.setattr(lplab.corpus, "random_band_limited", draw)
+
+
 @pytest.mark.parametrize("zero_mean", [False, True], ids=["mean", "zero_mean"])
 @pytest.mark.parametrize("family", [SMOOTH, SHARP])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_lp_reports_equal_per_member_path(d, family, zero_mean, chunk):
+def test_lp_reports_equal_per_member_path(d, family, zero_mean, chunk, monkeypatch):
     grid = _grid(d)
     blocks = _blocks(grid, family)
     chunk(grid, blocks.block_count)
-    spec = CorpusSpec("random_band_limited", COUNT, 91, {"decay": 0.9, "zero_mean": zero_mean})
-    reports = estimate_envelope(spec, "lp", [(p, None) for p in LP_EXPONENTS], grid, family)
+    if zero_mean:
+        _drawn_with_mean(monkeypatch, zero_mean=True)
+    exponents = [(p, None) for p in LP_EXPONENTS]
+    reports = estimate_envelope("lp", exponents, grid, COUNT, 91, 0.9, family=family)
     members = [_reference_member(grid, 0.9, 91, i, zero_mean) for i in range(COUNT)]
     expected = []
     for i, u in enumerate(members):
@@ -187,9 +201,9 @@ def test_lp_density_reports_equal_per_member_path(d, family, rank, chunk):
     grid = _grid(d)
     blocks = _blocks(grid, family)
     chunk(grid, blocks.block_count * rank)
-    spec = CorpusSpec("random_orthonormal_frame", COUNT, 92, {"rank": rank, "decay": 1.0})
     ps = [0.75, 1.0, 2.0, 3.0]
-    reports = estimate_envelope(spec, "lp_density", [(p, None) for p in ps], grid, family)
+    exponents = [(p, None) for p in ps]
+    reports = estimate_envelope("lp_density", exponents, grid, COUNT, 92, rank=rank, family=family)
     for i in range(COUNT):
         weights, functions = _reference_frame(grid, rank, 1.0, 92, i)
         lhs = _reference_block_energy(grid, functions, weights, blocks.symbols)
@@ -200,11 +214,12 @@ def test_lp_density_reports_equal_per_member_path(d, family, rank, chunk):
 
 @pytest.mark.parametrize("zero_mean", [False, True], ids=["mean", "zero_mean"])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_gns_reports_equal_per_member_path(d, zero_mean, chunk):
+def test_gns_reports_equal_per_member_path(d, zero_mean, chunk, monkeypatch):
     grid = _grid(d)
     chunk(grid, 1)
-    spec = CorpusSpec("random_band_limited", COUNT, 93, {"decay": 1.5, "zero_mean": zero_mean})
-    (report,) = estimate_envelope(spec, "gns", [(None, None)], grid)
+    if not zero_mean:
+        _drawn_with_mean(monkeypatch, zero_mean=False)
+    (report,) = estimate_envelope("gns", [(2.0 + 4.0 / d, None)], grid, COUNT, 93, 1.5)
     expected = [
         _reference_gns(grid, _reference_member(grid, 1.5, 93, i, zero_mean), i)
         for i in range(COUNT)
@@ -221,6 +236,8 @@ def test_gns_reports_equal_per_member_path(d, zero_mean, chunk):
     ],
 )
 def test_each_chunk_is_drawn_in_one_call(checker, kind, params, fields, monkeypatch):
+    """Each chunk is one draw from the corpus the checker owns: its kind and
+    the parameters it fixes there, beside the caller's decay and rank."""
     grid = _grid(1)
     blocks = _blocks(grid, SMOOTH)
     rank = params.get("rank", 1)
@@ -236,9 +253,18 @@ def test_each_chunk_is_drawn_in_one_call(checker, kind, params, fields, monkeypa
         return original(*args, **kwargs)
 
     monkeypatch.setattr(lplab.corpus, "random_band_limited", counted)
-    spec = CorpusSpec(kind, COUNT, 94, {"decay": 1.0, **params})
-    estimate_envelope(spec, checker, [(None if checker == "gns" else 1.5, None)], grid)
+    specs = []
+    members = CorpusSpec.members
+
+    def recorded(spec, *args):
+        specs.append(spec)
+        return members(spec, *args)
+
+    monkeypatch.setattr(CorpusSpec, "members", recorded)
+    p = 6.0 if checker == "gns" else 1.5
+    estimate_envelope(checker, [(p, None)], grid, COUNT, 94, 1.0, rank=params.get("rank"))
     assert draws == [(0, 3 * rank), (3 * rank, 3 * rank), (6 * rank, rank)]
+    assert specs == [CorpusSpec(kind, COUNT, 94, {"decay": 1.0, **params})] * 3
 
 
 def test_members_outside_the_corpus_or_without_chunks_are_refused():
@@ -272,15 +298,13 @@ def test_zeroed_member_is_degenerate_and_leaves_its_neighbours(checker, monkeypa
     grid = _grid(1)
     blocks = _blocks(grid, SMOOTH)
     if checker == "lp_density":
-        spec = CorpusSpec("random_orthonormal_frame", COUNT, 95, {"rank": 2})
-        per_member, exponents = blocks.block_count * 2, [(0.75, None), (2.0, None)]
+        rank, per_member, exponents = 2, blocks.block_count * 2, [(0.75, None), (2.0, None)]
     else:
-        spec = CorpusSpec("random_band_limited", COUNT, 95, {"zero_mean": checker == "gns"})
-        per_member = blocks.block_count if checker == "lp" else 1
-        exponents = [(None, None)] if checker == "gns" else [(1.5, None), (2.0, None)]
+        rank, per_member = None, blocks.block_count if checker == "lp" else 1
+        exponents = [(6.0, None)] if checker == "gns" else [(1.5, None), (2.0, None)]
     # Member 4 sits inside the chunk of members 3, 4 and 5.
     monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", 3 * per_member * grid.size * 16)
-    clean = estimate_envelope(spec, checker, exponents, grid)
+    clean = estimate_envelope(checker, exponents, grid, COUNT, 95, rank=rank)
     if checker == "lp_density":
         original = lplab.corpus.random_orthonormal_frames
 
@@ -294,7 +318,7 @@ def test_zeroed_member_is_degenerate_and_leaves_its_neighbours(checker, monkeypa
         monkeypatch.setattr(lplab.corpus, "random_orthonormal_frames", frames)
     else:
         _zeroing_member(monkeypatch, 4)
-    zeroed = estimate_envelope(spec, checker, exponents, grid)
+    zeroed = estimate_envelope(checker, exponents, grid, COUNT, 95, rank=rank)
     for before, after in zip(clean, zeroed):
         assert after.samples[4].degenerate and after.degenerate_count == 1
         assert after.samples[4].closed_form is None

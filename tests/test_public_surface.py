@@ -4,8 +4,8 @@ is every public method and property of a re-exported class.  A benchmark
 span site is not a reach: the tracer times what the sections call, and a
 name only it binds reads 0 on every workload.  A helper that only tests
 call fails here, and so does a module that reaches into another lplab
-module's private names or calls a numpy.fft transform outside
-torus_grid."""
+module's private names, calls a numpy.fft transform outside torus_grid
+or builds a CorpusSpec outside corpus and inequality_lab."""
 
 import ast
 import inspect
@@ -246,3 +246,37 @@ def test_the_transform_scan_sees_attributes_and_imports(tmp_path):
     ]:
         module.write_text(source)
         assert fft_calls(module) == expected, source
+
+
+def corpus_spec_calls(path: Path) -> int:
+    """The CorpusSpec(...) calls in a module: by its name or as an attribute."""
+    return sum(
+        isinstance(node, ast.Call)
+        and "CorpusSpec" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_only_inequality_lab_builds_a_corpus():
+    """Each enveloped checker draws its own corpus (estimate_envelope): no
+    module but corpus, which defines CorpusSpec, and inequality_lab builds one."""
+    assert corpus_spec_calls(PACKAGE / "inequality_lab.py") >= 1
+    offenders = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name not in ("corpus.py", "inequality_lab.py") and corpus_spec_calls(path)
+    )
+    assert offenders == [], "let the checker's row in inequality_lab._CHECKERS name its corpus"
+
+
+def test_the_corpus_spec_scan_sees_names_and_attributes(tmp_path):
+    module = tmp_path / "module.py"
+    for source, expected in [
+        ("from .corpus import CorpusSpec\nspec = CorpusSpec('random_band_limited', 2, 1)\n", 1),
+        ("from lplab import corpus\nspec = corpus.CorpusSpec(kind, 2, 1, {'rank': 2})\n", 1),
+        ("from .corpus import CorpusSpec\ndef kind(spec: CorpusSpec) -> str:\n"
+         "    return spec.kind\n", 0),
+        ("from .corpus import CorpusSpec\nok = isinstance(spec, CorpusSpec)\n", 0),
+    ]:
+        module.write_text(source)
+        assert corpus_spec_calls(module) == expected, source

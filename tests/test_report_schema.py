@@ -1,8 +1,8 @@
 """Report schema 2 against the benchmark's reference values.
 
 The benchmark (perfbench/) judges each report it produces against the
-values recorded in perfbench/reference.json.  These tests run the desk
-command and the sign_seq commands in-process at the reference seed and
+values recorded in perfbench/reference.json.  These tests run the desk,
+operators and sign_seq commands in-process at the reference seed and
 hold their reports to the same check, so a report change that drops or
 moves a judged value fails here before it fails the benchmark.  They only
 read perfbench's files.
@@ -36,7 +36,7 @@ workloads = _load("workloads")
 REFERENCE = checks.load_reference()
 TEMPLATES = [
     template
-    for name in ("desk", "sign_seq")
+    for name in ("desk", "operators", "sign_seq")
     for template in workloads.WORKLOADS[name].commands
 ]
 

@@ -17,7 +17,6 @@ import lplab.corpus
 from lplab import (
     SHARP,
     SMOOTH,
-    CorpusSpec,
     FiniteRankOperator,
     TorusGrid,
     block_squared_sum,
@@ -268,7 +267,6 @@ class TestTransformCounts:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(lplab.corpus, "random_band_limited", counted)
-        spec = CorpusSpec("random_band_limited", count=5, seed=65, params={"decay": 1.0})
-        reports = estimate_envelope(spec, "lp", [(1.5, None), (2.0, None), (3.0, None)], small1)
+        reports = estimate_envelope("lp", [(1.5, None), (2.0, None), (3.0, None)], small1, 5, 65)
         assert [r.p for r in reports] == [1.5, 2.0, 3.0]
         assert drawn == [(0, 5)]
