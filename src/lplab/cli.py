@@ -6,10 +6,10 @@ the envelopes its ratios are judged against.  The sections of ``lplab all``
 and ``scripts/calibrate_envelopes.py`` read that table, so every cell a
 default or desk run judges is a calibrated cell.  ``_settings`` adds --out,
 and --csv, --envelopes and --jobs where they act, to a row's defaults; the
-parser's flags, the --config checks and the report's config echo all read
-it.  A command takes exactly the settings its handler reads: the block
-settings only where blocks are built (lieb-thirring's chain needs smooth
-blocks, so it takes only the profile).
+parser's flags and the report's config echo both read it.  A command takes
+exactly the settings its handler reads: the block settings only where
+blocks are built (lieb-thirring's chain needs smooth blocks, so it takes
+only the profile).
 
 Every subcommand writes a deterministic JSON payload (sorted keys, 17-digit
 floats, no timestamps) in report schema 2: each envelope-judged cell holds
@@ -23,26 +23,25 @@ khinchine and gns; the other commands refuse it with exit 2.
 Exit codes: 0 when all configured invariants and envelopes pass; 1 when a
 mathematical check fails or a check raises inside the run (the report is
 still written, with the error under "results"); 2 on usage or
-configuration errors (ConfigurationError), among them a bad grid, an
+configuration errors (ConfigurationError), among them a flag the command
+does not take or a value its flag's type refuses (argparse), a bad grid, an
 exponent below a checker's floor, a non-finite setting, a zero count or
-rank, an empty list setting, a --config key the command does not take, a
---config value its flag would not take (null is taken only where the
-default is None) and a malformed --envelopes file, each refused before
-anything is drawn; and 3 when nothing failed but some cell had no envelope
-to be judged against.  Such a cell reports "passed": null, the run's
-"pass" is null, and --out prints UNJUDGED.
+rank, a chemical potential at or above the grid's Nyquist shell and a
+malformed --envelopes file, each refused before anything is drawn; and 3
+when nothing failed but some cell had no envelope to be judged against.
+Such a cell reports "passed": null, the run's "pass" is null, and --out
+prints UNJUDGED.
 
-Flag resolution order: explicit flag > --config file entry > built-in
-default, each typed as its flag; a grid run that sets no n takes its
-dimension's DESK_POINTS, and a repeated exponent, rank or mu is judged once.
-Every run is serial, in this process; `lplab all` ignores its --jobs.  Output
-paths never enter the payload, so reruns are byte-identical.
+Flag resolution order: explicit flag > built-in default; a grid run that
+sets no n takes its dimension's DESK_POINTS, and a repeated exponent, rank
+or mu is judged once.  Every run is serial, in this process; `lplab all`
+ignores its --jobs.  Output paths never enter the payload, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -58,6 +57,7 @@ from .dyadic_partition import (
     write_block_table_csv,
 )
 from .errors import ConfigurationError
+from .fock_operator import nyquist_shell
 from .inequality_lab import (
     RatioReport,
     SignEnsemble,
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command in (*SECTIONS, "all"):
         sp = sub.add_parser(command, help=SECTIONS.get(command, _ALL).help)
-        sp.add_argument("--config", default=None, help="JSON file of defaults; flags override")
         for key, setting in _settings(command).items():
             sp.add_argument(
                 "--" + key.replace("_", "-"),
@@ -248,74 +247,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    config = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise ConfigurationError("config file must hold a JSON object")
     table = _settings(args.command)
-    unknown = sorted(set(config) - set(table))
-    if unknown:
-        raise ConfigurationError(f"{args.command} takes no config keys {unknown}")
-    given = set(config) | {key for key in table if getattr(args, key) is not None}
+    given = {key for key in table if getattr(args, key) is not None}
     settings = {}
     for key, setting in table.items():
-        value = getattr(args, key)
-        if value is None:
-            value = config.get(key, setting.default)
-            if key in config:
-                _check_config_value(key, value, setting)
-                # Typed as its flag would give it: a JSON 1 for a float setting is 1.0.
-                if value is not None:
-                    kind = setting.kind
-                    value = [kind(v) for v in value] if setting.many else kind(value)
-        if setting.many and value is not None and not value:
-            raise ConfigurationError(f"{key} needs at least one value")
+        settings[key] = getattr(args, key) if key in given else setting.default
         if key in ("seed", "tensor_seed"):
-            philox_key(value)  # a seed no Philox key holds is refused before any draw
-        settings[key] = value
+            philox_key(settings[key])  # a seed no Philox key holds is refused before any draw
     return _at_desk_grid(settings, given)
 
 
 def _at_desk_grid(settings: dict, given) -> dict:
     """The settings with n at its dimension's DESK_POINTS unless the keys
-    ``given`` by flag, config or desk section hold n; a bad dimension keeps n."""
+    ``given`` by flag or desk section hold n; a bad dimension keeps n."""
     if "n" not in settings or "n" in given:
         return settings
     return dict(settings, n=DESK_POINTS.get(settings["dim"], settings["n"]))
-
-
-# The JSON types a config value of a scalar setting, or each element of a
-# list setting, may have, by its flag's type, and their name in the refusal.
-_JSON_KINDS = {
-    int: ((int,), "a JSON integer"),
-    float: ((int, float), "a JSON number"),
-    str: ((str,), "a JSON string"),
-}
-
-
-def _check_config_value(key: str, value, setting: Setting) -> None:
-    """A config value must be what its flag accepts: null only where the
-    default is None, a list setting a JSON list of numbers each of its
-    flag's JSON type, a choice one of its _CHOICES, any other setting the
-    JSON type of its flag.  A JSON integer stands for a float; a boolean
-    stands for nothing."""
-    if value is None and setting.default is None:
-        return
-    if setting.many:
-        kinds, each = _JSON_KINDS[setting.kind]
-        numbers = isinstance(value, list) and all(type(v) in (int, float) for v in value)
-        accepted = numbers and all(type(v) in kinds for v in value)
-        expected = f"a JSON list of numbers, each {each}" if numbers else "a JSON list of numbers"
-    elif key in _CHOICES:
-        accepted = value in _CHOICES[key]
-        expected = f"one of {json.dumps(_CHOICES[key])}"
-    else:
-        kinds, expected = _JSON_KINDS[setting.kind]
-        accepted = type(value) in kinds
-    if not accepted:
-        raise ConfigurationError(f"config key {key} needs {expected}, got {json.dumps(value)}")
 
 
 def _grid_of(settings: dict) -> TorusGrid:
@@ -323,12 +270,12 @@ def _grid_of(settings: dict) -> TorusGrid:
 
 
 def _default_mu_ladder(grid: TorusGrid) -> list[float]:
+    """The rank-doubling ladder of the grid's dimension, below the grid's
+    Nyquist shell: sea_ladder refuses a sea the lattice clips."""
     unit = (2.0 * math.pi / grid.box_length) ** 2
-    if grid.dimension == 1:
-        return [unit * (m * m + 0.5) for m in (1, 2, 4, 8, 16, 32)]
-    if grid.dimension == 2:
-        return [unit * radius for radius in (1.5, 2.5, 4.5, 8.5, 16.5, 32.5)]
-    return [unit * radius for radius in (1.5, 2.5, 4.5, 8.5)]
+    radii = {1: [m * m + 0.5 for m in (1, 2, 4, 8, 16, 32)], 2: [1.5, 2.5, 4.5, 8.5, 16.5, 32.5]}
+    ladder = [unit * radius for radius in radii.get(grid.dimension, [1.5, 2.5, 4.5, 8.5])]
+    return [mu for mu in ladder if mu < nyquist_shell(grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +617,7 @@ def run(argv=None) -> int:
         envelopes = {}
         if "envelopes" in settings:
             envelopes = load_envelopes(settings["envelopes"], ENVELOPE_NAMES)
-    except (OSError, json.JSONDecodeError, ConfigurationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigurationError and JSONDecodeError among them
         print(f"lplab: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ class ZeroModeSingularityError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A structurally invalid configuration (grid too coarse, bad config file)."""
+    """A structurally invalid configuration (grid too coarse, setting out of range)."""
 
 
 class UnsupportedFamilyError(ValueError):

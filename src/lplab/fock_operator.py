@@ -197,6 +197,13 @@ def finite_chemical_potential(chemical_potential: float) -> float:
     return mu
 
 
+def nyquist_shell(grid: TorusGrid) -> float:
+    """(pi N / L)^2, the |xi|^2 of the lattice mode -N/2 on one axis.  The
+    lattice holds no +N/2, so a sea at or above this shell is clipped by the
+    lattice and no longer approximates a Fermi ball."""
+    return float(np.max(grid.axis_frequencies**2))
+
+
 def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
     """Flat lattice indices of the modes with |xi|^2 <= chemical_potential,
     ordered by (|xi|^2, flat index); mu > 0 keeps the zero mode among them.
@@ -243,7 +250,8 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
     each rung's rank: the sums spectral_density and density_values run on
     the operator of unit weights on those waves, bit for bit.  A chemical
     potential below the first shell (2 pi / L)^2, whose sea holds only the
-    zero mode, is refused (ConfigurationError) before any wave is generated.
+    zero mode, or at or above the nyquist_shell, whose sea the lattice
+    clips, is refused (ConfigurationError) before any wave is generated.
 
     The |coeffs_k|^2 also certify the unit-ball contract, with no Gram
     matrix.  With c_k = a_k e_{m_k} + r_k, m_k the wave's own mode and
@@ -260,6 +268,13 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
     chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
     if not chemical_potentials:
         return []
+    shell = nyquist_shell(grid)
+    for mu in chemical_potentials:
+        if mu >= shell:
+            raise ConfigurationError(
+                f"chemical potential {mu} reaches the Nyquist shell {shell}: the lattice "
+                "clips its sea, which holds the mode -N/2 but not +N/2"
+            )
     modes = _sea_modes(grid, max(chemical_potentials))
     if np.any(np.diff(np.sort(modes)) == 0):
         raise ContractViolationError("operator fails the unit_ball contract: a mode repeats")

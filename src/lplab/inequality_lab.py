@@ -361,10 +361,10 @@ def _gns_samples(grid, values, exponents, blocks, first):
     dimension, so each member has one sample, under every label.
 
     lhs = ||u||_{2+4/d}; rhs = ||u||_2^{2/(d+2)} * (gradient energy)^{d/(2(d+2))}.
-    A zero or constant member is degenerate.  A member whose L^2 norm is
-    positive but whose integral of |u|^(2+4/d) underflows to 0 raises
-    DegenerateInputError naming p: the ratio is scale invariant, but its
-    quadrature has left the binary64 range.
+    A zero or constant member is degenerate.  A nonzero member whose
+    integral of |u|^(2+4/d) underflows to 0 raises DegenerateInputError
+    naming p: the ratio is scale invariant, but its quadrature has left the
+    binary64 range.
     """
     d = grid.dimension
     p = gns_exponent(d)
@@ -376,7 +376,7 @@ def _gns_samples(grid, values, exponents, blocks, first):
     norms = lp_norms(grid, magnitudes, p)
     members = []
     for m, (norm2, gradient_energy, lhs) in enumerate(zip(norms2, gradient_energies, norms)):
-        if norm2 > 0.0 and lhs == 0.0:
+        if lhs == 0.0 and np.any(values[m]):
             raise DegenerateInputError(
                 f"the integral of |u|^p at p = {p:g} of member {first + m} leaves the "
                 "binary64 range"

@@ -1,5 +1,5 @@
 """Command line driver: exit codes, determinism of emitted files, and flag
-resolution against config files and the environment."""
+resolution against the section defaults."""
 
 import importlib.util
 import json
@@ -36,9 +36,21 @@ class TestExitCodes:
         assert run_cli("partition", "--order", "3") == 2
         capsys.readouterr()
 
-    def test_missing_config_file_is_usage_error(self, capsys):
-        assert run_cli("partition", "--config", "/nonexistent/config.json") == 2
-        capsys.readouterr()
+    def test_no_command_takes_a_config_file(self, tmp_path, capsys, monkeypatch):
+        """Every setting comes from its flag or its section's default: --config
+        is an unknown flag, refused by argparse before any setting resolves."""
+
+        def no_resolution(args):
+            raise AssertionError("resolved the settings of a run given --config")
+
+        monkeypatch.setattr(lplab.cli, "_resolve_settings", no_resolution)
+        config = tmp_path / "c.json"
+        config.write_text("{}")
+        for command in (*SECTIONS, "all"):
+            assert run_cli(command, "--config", str(config)) == 2, command
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: --config" in captured.err
+            assert captured.out == ""
 
     def test_bad_grid_is_usage_error(self, capsys):
         assert run_cli("partition", "--n", "12") == 2
@@ -95,12 +107,6 @@ class TestExitCodes:
         assert code == 2
         assert "envelope file" in capsys.readouterr().err
 
-    def test_undeclared_config_key_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n": 64, "sampels": 5}))
-        assert run_cli("lp", "--config", str(config)) == 2
-        assert "sampels" in capsys.readouterr().err
-
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_seqlemma_without_trials_is_usage_error(self, capsys, trials):
         assert run_cli("seqlemma", "--trials", trials) == 2
@@ -146,124 +152,105 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, config, message",
+        "argv, message",
         [
-            (["glt", "--a", "inf", "--samples", "1"], None, "power a must be finite"),
-            (["glt", "--a", "nan", "--samples", "1"], None, "power a must be finite"),
-            (["glt", "--b", "nan", "--samples", "1"], None, "power b must be finite"),
-            (["glt", "--b", "inf", "--samples", "1"], None, "power b must be finite"),
-            (["lp-density", "--rank", "0", "--samples", "2"], None, "rank must be at least 1"),
-            (["lp", "--box", "inf", "--samples", "2"], None, "box_length must be finite"),
-            (["partition", "--box", "1e-155"], None,
+            (["glt", "--a", "inf", "--samples", "1"], "power a must be finite"),
+            (["glt", "--a", "nan", "--samples", "1"], "power a must be finite"),
+            (["glt", "--b", "nan", "--samples", "1"], "power b must be finite"),
+            (["glt", "--b", "inf", "--samples", "1"], "power b must be finite"),
+            (["lp-density", "--rank", "0", "--samples", "2"], "rank must be at least 1"),
+            (["lp", "--box", "inf", "--samples", "2"], "box_length must be finite"),
+            (["partition", "--box", "1e-155"],
              "box_length 1e-155 puts the lattice |xi|^2 outside the binary64 range"),
-            (["lp", "--box", "1e-200", "--n", "16", "--samples", "2"], None,
+            (["lp", "--box", "1e-200", "--n", "16", "--samples", "2"],
              "box_length 1e-200 puts the lattice |xi|^2 outside the binary64 range"),
-            (["partition", "--box", "1e300"], None,
+            (["partition", "--box", "1e300"],
              "box_length 1e+300 puts the lattice |xi|^2 outside the binary64 range"),
-            (["lp", "--decay", "nan", "--samples", "2"], None, "decay must be finite"),
-            (["glt", "--decay", "nan", "--samples", "1"], None, "decay must be finite"),
-            (["lp", "--decay", "-200", "--samples", "2"], None,
+            (["lp", "--decay", "nan", "--samples", "2"], "decay must be finite"),
+            (["glt", "--decay", "nan", "--samples", "1"], "decay must be finite"),
+            (["lp", "--decay", "-200", "--samples", "2"],
              "decay -200 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
-            (["lp", "--decay", "1100", "--n", "16", "--samples", "2"], None,
+            (["lp", "--decay", "1100", "--n", "16", "--samples", "2"],
              "decay 1100 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
-            (["gns", "--decay", "1e308", "--samples", "2"], None,
+            (["gns", "--decay", "1e308", "--samples", "2"],
              "decay 1e+308 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
-            (["lp-density", "--decay", "1e308", "--samples", "2"], None,
+            (["lp-density", "--decay", "1e308", "--samples", "2"],
              "decay 1e+308 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
-            (["glt", "--decay", "1e308", "--samples", "1"], None,
+            (["glt", "--decay", "1e308", "--samples", "1"],
              "decay 1e+308 puts the weights (1 + |xi|)^(-decay) outside the binary64 range"),
-            (["lp", "--p", "inf", "--samples", "2"], None, "requires a finite p"),
-            (["khinchine", "--p", "inf", "--count", "2"], None, "requires a finite p"),
-            (["glt", "--samples", "0"], None, "sample count must be >= 1"),
-            (["lp-density"], {"rank": []}, "rank needs at least one value"),
-            (["glt"], {"rank": []}, "rank needs at least one value"),
-            (["lp"], {"p": []}, "p needs at least one value"),
-            (["khinchine"], {"p": []}, "p needs at least one value"),
-            (["lieb-thirring", "--mu", "inf"], None, "positive and finite, got inf"),
-            (["lieb-thirring", "--mu", "2.5", "--mu", "inf"], None, "positive and finite, got inf"),
-            (["lieb-thirring", "--mu", "nan"], None, "positive and finite, got nan"),
-            (["lieb-thirring", "--chain-samples", "-1"], None, "chain samples must be >= 0"),
-            (["seqlemma", "--trials", "5", "--j-min", "-2000", "--j-max", "2000"], None,
+            (["lp", "--p", "inf", "--samples", "2"], "requires a finite p"),
+            (["khinchine", "--p", "inf", "--count", "2"], "requires a finite p"),
+            (["glt", "--samples", "0"], "sample count must be >= 1"),
+            (["lp-density", "--rank"], "expected one argument"),
+            (["glt", "--rank"], "expected one argument"),
+            (["lp", "--p"], "expected one argument"),
+            (["khinchine", "--p"], "expected one argument"),
+            (["lieb-thirring", "--mu", "inf"], "positive and finite, got inf"),
+            (["lieb-thirring", "--mu", "2.5", "--mu", "inf"], "positive and finite, got inf"),
+            (["lieb-thirring", "--mu", "nan"], "positive and finite, got nan"),
+            (["lieb-thirring", "--chain-samples", "-1"], "chain samples must be >= 0"),
+            (["seqlemma", "--trials", "5", "--j-min", "-2000", "--j-max", "2000"],
              "leaves the binary64 range"),
-            (["seqlemma", "--dim", "1", "--j-min", "-600", "--j-max", "-500"], None,
+            (["seqlemma", "--dim", "1", "--j-min", "-600", "--j-max", "-500"],
              "leaves the binary64 range"),
-            (["lp"], {"p": 2}, "config key p needs a JSON list of numbers, got 2"),
-            (["lp"], {"p": None}, "config key p needs a JSON list of numbers, got null"),
-            (["lieb-thirring"], {"mu": 2.5},
-             "config key mu needs a JSON list of numbers, got 2.5"),
-            (["glt"], {"rank": "32"}, 'config key rank needs a JSON list of numbers, got "32"'),
-            (["lp-density"], {"rank": [1, True]},
-             "config key rank needs a JSON list of numbers, got [1, true]"),
-            (["lp"], {"n": "abc"}, 'config key n needs a JSON integer, got "abc"'),
-            (["lp"], {"samples": "3"}, 'config key samples needs a JSON integer, got "3"'),
-            (["lp"], {"dim": 2.7, "n": 16, "samples": 2},
-             "config key dim needs a JSON integer, got 2.7"),
-            (["lp"], {"samples": True}, "config key samples needs a JSON integer, got true"),
-            (["lp"], {"family": "bogus"},
-             'config key family needs one of ["smooth", "sharp"], got "bogus"'),
-            (["lp"], {"out": 5}, "config key out needs a JSON string, got 5"),
-            (["lp"], {"envelopes": 3}, "config key envelopes needs a JSON string, got 3"),
-            (["lp"], {"csv": ["a"]}, 'config key csv needs a JSON string, got ["a"]'),
-            (["all"], {"jobs": "many"}, 'config key jobs needs a JSON integer, got "many"'),
-            (["lieb-thirring"], {"mu": []}, "mu needs at least one value"),
-            (["lp-density"], {"rank": [1.5], "samples": 2, "n": 16},
-             "config key rank needs a JSON list of numbers, each a JSON integer, got [1.5]"),
-            (["lieb-thirring", "--mu", "0.7", "--n", "64"], None,
+            (["lieb-thirring", "--mu", "0.7", "--n", "64"],
              "chemical potential 0.7 lies below the first shell 1.0: its sea holds only the zero mode"),
-            (["khinchine", "--terms", "21"], None, "at most 20 terms, got 21"),
-            (["khinchine", "--tensor-terms", "21"], None, "at most 20 terms, got 21"),
-            (["seqlemma", "--seed", "-1", "--trials", "5"], None, "seed must be at least 0"),
-            (["lp", "--seed", "-1", "--samples", "2", "--n", "16"], None,
-             "seed must be at least 0"),
-            (["khinchine", "--count", "2", "--seed", "-1"], None, "seed must be at least 0"),
-            (["glt", "--seed", "-1", "--samples", "1"], None, "seed must be at least 0"),
-            (["lieb-thirring", "--seed", "-1", "--chain-samples", "1"], None,
-             "seed must be at least 0"),
-            (["khinchine", "--count", "2", "--tensor-seed", str(2**64)], None,
+            (["khinchine", "--terms", "21"], "at most 20 terms, got 21"),
+            (["khinchine", "--tensor-terms", "21"], "at most 20 terms, got 21"),
+            (["seqlemma", "--seed", "-1", "--trials", "5"], "seed must be at least 0"),
+            (["lp", "--seed", "-1", "--samples", "2", "--n", "16"], "seed must be at least 0"),
+            (["khinchine", "--count", "2", "--seed", "-1"], "seed must be at least 0"),
+            (["glt", "--seed", "-1", "--samples", "1"], "seed must be at least 0"),
+            (["lieb-thirring", "--seed", "-1", "--chain-samples", "1"], "seed must be at least 0"),
+            (["khinchine", "--count", "2", "--tensor-seed", str(2**64)],
              f"seed must be at least 0 and below 2^64, got {2**64}"),
-            (["lp"], {"seed": -3, "samples": 2, "n": 16}, "seed must be at least 0"),
-            (["glt", "--dim", "1", "--b", "400", "--samples", "2"], None,
+            (["glt", "--dim", "1", "--b", "400", "--samples", "2"],
              "power b = 400 puts the lattice symbol |xi|^(2b) outside the binary64 range"),
-            (["glt", "--dim", "1", "--b", "80", "--samples", "2"], None,
+            (["glt", "--dim", "1", "--b", "80", "--samples", "2"],
              "power b = 80 puts the lattice symbol |xi|^(2b) outside the binary64 range"),
-            (["lp", "--decay", "200", "--samples", "4"], None,
+            (["lp", "--decay", "200", "--samples", "4"],
              "decay 200 leaves every nonzero-mode weight"),
-            (["lp-density", "--decay", "60", "--samples", "2", "--rank", "2"], None,
+            (["lp-density", "--decay", "60", "--samples", "2", "--rank", "2"],
              "decay 60 leaves every nonzero-mode weight"),
+            (["lp", "--n", "abc"], "invalid int value"),
+            (["lp", "--samples", "3.5"], "invalid int value"),
+            (["lp", "--dim", "2.7"], "invalid int value"),
+            (["lp-density", "--rank", "1.5"], "invalid int value"),
+            (["lp", "--p", "abc"], "invalid float value"),
+            (["lieb-thirring", "--mu", "x"], "invalid float value"),
+            (["all", "--jobs", "many"], "invalid int value"),
+            (["lp", "--family", "bogus"], "invalid choice: 'bogus'"),
+            (["khinchine", "--mode", "bogus"], "invalid choice: 'bogus'"),
+            (["lp-density", "--weights", "bogus"], "invalid choice: 'bogus'"),
+            (["lieb-thirring", "--dim", "1", "--n", "16", "--mu", "64.5"],
+             "chemical potential 64.5 reaches the Nyquist shell 64.0"),
+            (["lieb-thirring", "--dim", "2", "--n", "8", "--mu", "2.5", "--mu", "20"],
+             "chemical potential 20.0 reaches the Nyquist shell 16.0"),
         ],
         ids=[
-            "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero",
-            "box_inf", "box_overflow", "lp_box_overflow", "box_underflow", "lp_decay_nan",
-            "glt_decay_nan",
-            "lp_decay_overflow", "lp_decay_underflow", "gns_decay_underflow",
+            "glt_a_inf", "glt_a_nan", "glt_b_nan", "glt_b_inf", "density_rank_zero", "box_inf",
+            "box_overflow", "lp_box_overflow", "box_underflow", "lp_decay_nan",
+            "glt_decay_nan", "lp_decay_overflow", "lp_decay_underflow", "gns_decay_underflow",
             "density_decay_underflow", "glt_decay_underflow", "lp_p_inf", "khinchine_p_inf",
             "glt_no_samples", "density_no_ranks", "glt_no_ranks", "lp_no_exponents",
             "khinchine_no_exponents", "mu_inf", "mu_ladder_with_inf", "mu_nan",
             "negative_chain_samples", "seqlemma_overflow", "seqlemma_underflow",
-            "config_p_number", "config_p_null", "config_mu_number", "config_rank_string",
-            "config_rank_bool", "config_n_string", "config_samples_string",
-            "config_dim_fraction", "config_samples_bool", "config_family_unknown",
-            "config_out_number", "config_envelopes_number", "config_csv_list",
-            "config_jobs_string", "config_mu_empty", "config_rank_fraction",
             "mu_below_first_shell", "terms_above_cap", "tensor_terms_above_cap",
             "seqlemma_negative_seed", "lp_negative_seed", "khinchine_negative_seed",
             "glt_negative_seed", "lieb_thirring_negative_seed", "tensor_seed_above_key",
-            "config_negative_seed", "glt_b_symbol_overflow", "glt_b_80_symbol_overflow",
-            "lp_decay_constant_members", "density_decay_constant_members",
+            "glt_b_symbol_overflow", "glt_b_80_symbol_overflow", "lp_decay_constant_members",
+            "density_decay_constant_members", "n_not_an_int", "samples_not_an_int",
+            "dim_not_an_int", "rank_not_an_int", "p_not_a_float", "mu_not_a_float",
+            "jobs_not_an_int", "family_unknown", "mode_unknown", "weights_unknown",
+            "mu_at_nyquist_shell", "mu_above_nyquist_shell",
         ],
     )
-    def test_settings_refused_before_any_draw(
-        self, tmp_path, capsys, monkeypatch, argv, config, message
-    ):
+    def test_settings_refused_before_any_draw(self, capsys, monkeypatch, argv, message):
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before refusing the settings")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
         monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
-        if config is not None:
-            path = tmp_path / "config.json"
-            path.write_text(json.dumps(config))
-            argv = [*argv, "--config", str(path)]
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -287,10 +274,10 @@ class TestExitCodes:
         ],
     )
     def test_settings_a_handler_would_not_read_are_refused(
-        self, tmp_path, capsys, monkeypatch, command, key, value
+        self, capsys, monkeypatch, command, key, value
     ):
-        """A command takes only the settings its handler reads: the flag and
-        the config key of any other exit 2 before anything is drawn."""
+        """A command takes only the settings its handler reads: the flag of
+        any other exits 2 before anything is drawn."""
 
         def no_draws(*args, **kwargs):
             raise AssertionError("drew before refusing the settings")
@@ -302,12 +289,6 @@ class TestExitCodes:
         assert run_cli(command, flag, str(value)) == 2
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {flag}" in captured.err
-        assert captured.out == ""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({key: value}))
-        assert run_cli(command, "--config", str(config)) == 2
-        captured = capsys.readouterr()
-        assert f"{command} takes no config keys ['{key}']" in captured.err
         assert captured.out == ""
 
     def test_steep_decay_inside_binary64_still_runs(self, tmp_path, capsys):
@@ -334,18 +315,23 @@ class TestExitCodes:
             (["gns", "--decay", "200"], "|u|^p at p = 6 of member 0"),
             (["gns", "--decay", "180"], "|u|^p at p = 6 of member 0"),
             (["gns", "--dim", "2", "--decay", "300"], "|u|^p at p = 4 of member 0"),
+            (["gns", "--decay", "600"], "|u|^p at p = 6 of member 0"),
+            (["gns", "--decay", "1000"], "|u|^p at p = 6 of member 0"),
+            (["gns", "--dim", "2", "--decay", "900"], "|u|^p at p = 4 of member 0"),
             (["gns", "--decay", "150"], None),
         ],
         ids=["glt_q501", "glt_q10001", "glt_q101", "gns_decay200", "gns_decay180",
-             "gns_d2_decay300", "gns_decay150"],
+             "gns_d2_decay300", "gns_decay600", "gns_decay1000", "gns_d2_decay900",
+             "gns_decay150"],
     )
     def test_an_integral_beyond_binary64_fails_the_run(self, tmp_path, capsys, argv, error):
         """Near a = -d/2 glt's exponent q = 1 + 2b/(d + 2a) grows without
         bound, and a mean-zero gns draw at decay D is of order 2^-D: the
         integral of rho^q or of |u|^(2 + 4/d) then underflows for an input
-        that is not zero.  Both ratios are defined, so the run fails with an
-        error naming the exponent rather than report "zero density" or a
-        ratio of 0; at q = 101 and at decay 150 the runs pass."""
+        that is not zero, from decay 600 with its ||u||_2^2.  Both ratios are
+        defined, so the run fails with an error naming the exponent rather
+        than report "zero density", a ratio of 0 or degenerate members; at
+        q = 101 and at decay 150 the runs pass."""
         out = tmp_path / "report.json"
         code = run_cli(*argv, "--samples", "2", "--out", str(out))
         payload = json.loads(out.read_text())
@@ -485,14 +471,10 @@ class TestEmittedFiles:
     )
     def test_commands_without_rows_refuse_csv(self, tmp_path, capsys, argv):
         """Only partition and the enveloped sections write rows; the other
-        commands refuse --csv and the csv config key instead of ignoring them."""
+        commands refuse --csv instead of ignoring it."""
         csv_path = tmp_path / "rows.csv"
         assert run_cli(*argv, "--csv", str(csv_path)) == 2
         assert "--csv" in capsys.readouterr().err
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"csv": str(csv_path)}))
-        assert run_cli(*argv, "--config", str(config)) == 2
-        assert "'csv'" in capsys.readouterr().err
         assert not csv_path.exists()
 
     def test_stdout_when_no_out_file(self, capsys):
@@ -503,108 +485,14 @@ class TestEmittedFiles:
 
 
 class TestConfigResolution:
-    def test_config_file_supplies_defaults(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n": 64, "samples": 7}))
-        out = tmp_path / "lp.json"
-        code = run_cli("lp", "--config", str(config), "--out", str(out))
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["n"] == 64
-        assert payload["config"]["samples"] == 7
-
-    def test_flags_override_config(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n": 64, "samples": 7}))
-        out = tmp_path / "lp.json"
-        code = run_cli(
-            "lp", "--config", str(config), "--samples", "5", "--out", str(out)
-        )
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["samples"] == 5
-        assert payload["results"]["reports"][0]["sample_count"] == 5
-
-    @staticmethod
-    def stub_all(monkeypatch):
-        """Run `lplab all` without its sections: only its settings are under test."""
-        monkeypatch.setitem(lplab.cli._HANDLERS, "all", lambda settings, env: ({}, True, None))
-
-    def test_config_takes_passthrough_keys(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "partition.json"
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"n": 64, "out": str(out), "csv": None}))
-        assert run_cli("partition", "--config", str(config)) == 0
-        capsys.readouterr()
-        assert json.loads(out.read_text())["config"]["n"] == 64
-        self.stub_all(monkeypatch)
-        config.write_text(json.dumps({"jobs": 2, "out": str(out)}))
-        assert run_cli("all", "--config", str(config)) == 0
-        capsys.readouterr()
-        assert json.loads(out.read_text())["command"] == "all"
-
-    def test_config_run_settings_may_be_null(self, tmp_path, capsys, monkeypatch):
-        self.stub_all(monkeypatch)
-        config = tmp_path / "config.json"
-        for argv, values, nulls in (
-            (["partition"], {"n": 64}, ("out", "csv")),
-            (["lp", "--p", "2"], {"n": 16, "samples": 2}, ("out", "csv", "envelopes")),
-            (["all"], {}, ("out", "envelopes", "jobs")),
-        ):
-            config.write_text(json.dumps({**values, **dict.fromkeys(nulls)}))
-            assert run_cli(*argv, "--config", str(config)) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["command"] == argv[0]
-            assert payload["config"].items() >= values.items()
-            assert not set(nulls) & set(payload["config"])
-
-    def test_config_values_arrive_as_their_flag_types(self, tmp_path, monkeypatch):
-        """A JSON integer for a float setting reaches the handler as a float,
-        in a list element by element, as its flag would give it."""
-        seen = []
-
-        def handler(settings, envelopes):
-            seen.append(settings)
-            return {}, True, None
-
-        monkeypatch.setitem(lplab.cli._HANDLERS, "lp", handler)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"box": 6, "decay": 1, "p": [2, 3], "samples": 4}))
-        out = tmp_path / "lp.json"
-        assert run_cli("lp", "--config", str(config), "--out", str(out)) == 0
-        (settings,) = seen
-        assert [type(settings[k]) for k in ("box", "decay", "samples")] == [float, float, int]
-        assert [type(p) for p in settings["p"]] == [float, float]
-        assert settings["box"] == 6.0 and settings["p"] == [2.0, 3.0]
-
-    def test_config_values_of_the_flag_types_are_taken(self, tmp_path):
-        """A JSON integer stands for a float setting, and a choice is taken as given."""
-        values = {"n": 16, "samples": 2, "box": 6, "decay": 1, "family": "sharp", "p": [2]}
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(values))
-        out = tmp_path / "lp.json"
-        assert run_cli("lp", "--config", str(config), "--out", str(out)) == 0
-        assert json.loads(out.read_text())["config"].items() >= values.items()
-
-    @pytest.mark.parametrize("mu", [None, [2.5, 4.5]])
-    def test_mu_config_takes_null_or_a_list(self, tmp_path, capsys, mu):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"mu": mu, "n": 64}))
-        code = run_cli("lieb-thirring", "--config", str(path), "--chain-samples", "0")
-        from_config = capsys.readouterr().out
-        flags = [arg for value in mu or () for arg in ("--mu", str(value))]
-        assert run_cli("lieb-thirring", "--n", "64", "--chain-samples", "0", *flags) == code
-        assert capsys.readouterr().out == from_config
-        assert json.loads(from_config)["config"]["mu"] == mu
+    """The report's config echo: the section's resolved settings, no run setting."""
 
     def test_config_echo_masks_passthrough_keys(self, tmp_path, capsys):
         out = tmp_path / "partition.json"
         assert run_cli("partition", "--n", "64", "--out", str(out)) == 0
         capsys.readouterr()
         payload = json.loads(out.read_text())
-        for hidden in ("jobs", "out", "csv", "envelopes", "config"):
+        for hidden in ("jobs", "out", "csv", "envelopes"):
             assert hidden not in payload["config"]
         assert payload["config"]["rng"] == "philox4x64"
         assert payload["schema_version"] == 2
@@ -731,6 +619,22 @@ class TestSectionCommands:
             "sweep", "chains", "oracle_ok", "last_doubling_change", "convergence_ok"
         }
 
+    @pytest.mark.parametrize(
+        "dim, n, ranks, code",
+        [(1, 16, [3, 5, 9], 1), (1, 32, [3, 5, 9, 17], 0), (1, 64, [3, 5, 9, 17, 33], 0),
+         (2, 8, [5, 9, 13, 25], 1)],
+    )
+    def test_the_default_ladder_stops_below_the_nyquist_shell(self, capsys, dim, n, ranks, code):
+        """A sea at or above (pi N / L)^2 holds the mode -N/2 but not +N/2, so
+        the default ladder drops those rungs: a coarse grid's convergence is
+        judged on unclipped seas, and fails where they have not converged."""
+        argv = ["lieb-thirring", "--dim", str(dim), "--n", str(n), "--chain-samples", "0"]
+        assert run_cli(*argv) == code
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert [row["rank"] for row in results["sweep"]] == ranks
+        assert results["last_doubling_change"] > 0.0
+        assert results["convergence_ok"] == (code == 0)
+
 
 class TestGridDefaults:
     """A grid run without n takes its dimension's desk grid."""
@@ -753,12 +657,10 @@ class TestGridDefaults:
         assert run_cli("partition", "--dim", str(dim)) == 0
         assert json.loads(capsys.readouterr().out)["config"]["n"] == DESK_POINTS[dim]
 
-    def test_a_given_n_is_kept(self, tmp_path, capsys):
+    def test_a_given_n_is_kept(self, capsys):
         assert run_cli("partition", "--dim", "2", "--n", "16") == 0
         assert json.loads(capsys.readouterr().out)["config"]["n"] == 16
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"dim": 3, "n": 8}))
-        assert run_cli("partition", "--config", str(config)) == 0
+        assert run_cli("partition", "--dim", "3", "--n", "8") == 0
         assert json.loads(capsys.readouterr().out)["config"]["n"] == 8
 
     def test_every_section_run_is_at_its_desk_grid(self):

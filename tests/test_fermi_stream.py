@@ -5,7 +5,7 @@ rung's w and rho, and every fermi_sweep row and chain, must equal those of
 the rung's own materialized sea bit for bit.  Its spectral certificate B
 must bound the dense Gram residual of every rung, so a wave off the unit
 sphere or mixed with another fails the unit-ball contract, and a repeated
-mode is refused.  The sweep must hold no stack of waves and no Gram matrix:
+mode is refused, and so is a rung the lattice clips.  The sweep must hold no stack of waves and no Gram matrix:
 its peak does not grow with the rank.
 """
 
@@ -15,6 +15,7 @@ import pytest
 import lplab.fock_operator
 import lplab.torus_grid
 from lplab import (
+    ConfigurationError,
     ContractViolationError,
     TorusGrid,
     build_blocks,
@@ -23,7 +24,7 @@ from lplab import (
     lieb_thirring_check,
     lt_chain_check,
 )
-from lplab.fock_operator import GRAM_TOLERANCE, _sea_modes, sea_ladder
+from lplab.fock_operator import GRAM_TOLERANCE, _sea_modes, nyquist_shell, sea_ladder
 from lplab.inequality_lab import kinetic_chain
 from sea_reference import fermi_sea, gram_excess
 
@@ -201,6 +202,28 @@ def test_a_repeated_mode_is_refused_before_any_wave(monkeypatch):
     monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_waves)
     with pytest.raises(ContractViolationError, match="unit_ball contract: a mode repeats"):
         sea_ladder(grid, [2.5, 8.5])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_rung_the_lattice_clips_is_refused_before_any_wave(d, monkeypatch):
+    """(pi N / L)^2 is the |xi|^2 of the mode -N/2, whose +N/2 partner the
+    lattice lacks: just below it a sea holds each axis's -N/2 < k < N/2, at
+    or above it the sea is refused."""
+    grid = TorusGrid(d, TAU, 8)
+    shell = nyquist_shell(grid)
+    assert shell == 16.0
+    ((rank, _, _),) = sea_ladder(grid, [np.nextafter(shell, 0.0)])
+    assert rank == fermi_lattice_oracle(grid, 15.5).rank
+    if d == 1:
+        assert rank == 7
+
+    def no_waves(*args, **kwargs):
+        raise AssertionError("generated waves for a clipped sea")
+
+    monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_waves)
+    for ladder in ([shell], [1.5, 2.0 * shell]):
+        with pytest.raises(ConfigurationError, match="reaches the Nyquist shell 16.0"):
+            sea_ladder(grid, ladder)
 
 
 def test_the_peak_does_not_grow_with_the_rank(traced_peak):

@@ -4,8 +4,9 @@ is every public method and property of a re-exported class.  A benchmark
 span site is not a reach: the tracer times what the sections call, and a
 name only it binds reads 0 on every workload.  A helper that only tests
 call fails here, and so does a module that reaches into another lplab
-module's private names, calls a numpy.fft transform outside torus_grid
-or builds a CorpusSpec outside corpus and inequality_lab."""
+module's private names, calls a numpy.fft transform outside torus_grid,
+builds a CorpusSpec outside corpus and inequality_lab or parses JSON
+outside inequality_lab's envelope loader."""
 
 import ast
 import inspect
@@ -280,3 +281,46 @@ def test_the_corpus_spec_scan_sees_names_and_attributes(tmp_path):
     ]:
         module.write_text(source)
         assert corpus_spec_calls(module) == expected, source
+
+
+def json_reads(path: Path) -> set[str]:
+    """The json parsers a module reaches: json.load or json.loads read
+    anywhere, or either imported from json."""
+    parsers = {"load", "loads"}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+            and node.attr in parsers
+        ):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found |= {alias.name for alias in node.names} & parsers
+    return found
+
+
+def test_only_the_envelope_loader_parses_json():
+    """Every setting reaches a handler through its flag: the one JSON input
+    is the envelope table (inequality_lab.load_envelopes)."""
+    assert json_reads(PACKAGE / "inequality_lab.py") >= {"load"}
+    offenders = {
+        path.name: sorted(json_reads(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "inequality_lab.py" and json_reads(path)
+    }
+    assert offenders == {}, "settings come from flags; read JSON only in load_envelopes"
+
+
+def test_the_json_read_scan_sees_attributes_and_imports(tmp_path):
+    module = tmp_path / "module.py"
+    for source, expected in [
+        ("import json\nwith open(path) as handle:\n    config = json.load(handle)\n", {"load"}),
+        ("import json\nconfig = json.loads(text)\n", {"loads"}),
+        ("from json import loads as parse, dumps\n", {"loads"}),
+        ("import json\ntext = json.dumps(payload, sort_keys=True)\n", set()),
+        ("import json\ntry:\n    pass\nexcept json.JSONDecodeError:\n    pass\n", set()),
+    ]:
+        module.write_text(source)
+        assert json_reads(module) == expected, source
