@@ -18,12 +18,15 @@ once, unless its spectral density is read before its first power-bounded
 check.  No Fermi sea is held as an operator; the ladder is streamed
 (below).
 
-Plane-wave Fermi seas come from one wave generator, _plane_waves, which
-builds any range of a sea's waves with the bits of the full stack:
-sea_ladder streams a ladder of seas through it without holding one, and
-certifies each rung's orthonormality from the spectra it transforms, with
-no Gram matrix.  Stacks have one Gram kernel, _gram_matrix; validate_contract
-and sea_ladder share one unit-ball verdict and one violation message.
+Plane-wave Fermi seas are never generated.  A plane wave is the outer
+product of one-axis waves, so its spectrum is the outer product of their
+one-axis transforms: sea_ladder transforms one table of the top sea's
+one-axis waves, _axis_waves, once per sweep and builds every wave's
+|c_k|^2 and |u_k|^2 tables as real outer products of its rows.  It streams a ladder of seas
+without holding one, and certifies each rung's orthonormality from those
+spectra, with no Gram matrix.  Stacks have one Gram kernel, _gram_matrix;
+validate_contract and sea_ladder share one unit-ball verdict and one
+violation message.
 
 An operator carries no contract: every check names the one it verifies.
 Contracts describe the operator bound a checker relies on:
@@ -54,6 +57,7 @@ from .torus_grid import (
     TorusGrid,
     abs_squared,
     byte_chunks,
+    fft_stack,
     field_chunks,
     forward_transform_stack,
     laplacian_power,
@@ -204,6 +208,20 @@ def nyquist_shell(grid: TorusGrid) -> float:
     return float(np.max(grid.axis_frequencies**2))
 
 
+def sea_chemical_potential(grid: TorusGrid, chemical_potential: float) -> float:
+    """The chemical potential of a Fermi sea on the grid, as a float;
+    ConfigurationError unless it is positive, finite and below the
+    nyquist_shell, at or above which the lattice clips the sea."""
+    mu = finite_chemical_potential(chemical_potential)
+    shell = nyquist_shell(grid)
+    if mu >= shell:
+        raise ConfigurationError(
+            f"chemical potential {mu} reaches the Nyquist shell {shell}: the lattice "
+            "clips its sea, which holds the mode -N/2 but not +N/2"
+        )
+    return mu
+
+
 def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
     """Flat lattice indices of the modes with |xi|^2 <= chemical_potential,
     ordered by (|xi|^2, flat index); mu > 0 keeps the zero mode among them.
@@ -217,43 +235,75 @@ def _sea_modes(grid: TorusGrid, chemical_potential: float) -> np.ndarray:
     return selected[order]
 
 
-def _plane_waves(
-    grid: TorusGrid, modes: np.ndarray, rows: slice = slice(None), out: np.ndarray | None = None
-) -> np.ndarray:
-    """The normalized waves L^{-d/2} e^{i xi x} of modes[rows], as [r, N, .., N];
-    the last outer product is written into ``out`` when it is given.
+def _axis_waves(grid: TorusGrid, axis_modes: np.ndarray) -> np.ndarray:
+    """The one-axis waves of ``axis_modes`` (indices into the axis's
+    frequencies) as [2, r, N]: [0] holds e^{i xi_m x} and [1] the same
+    waves scaled by L^{-d/2}.
 
-    Each wave is the outer product of the one-axis waves e^{i xi_m x_m}, read
-    from one table of N x N phases and appended one axis at a time.  An
-    element is the same chain of products whatever the rows, so the pieces
-    have the bits of the full stack.
+    Every normalized plane wave of the grid is an outer product of d of
+    these waves, one of them scaled.
     """
-    modes = modes[rows]
-    # axis_waves[m, n] = exp(i xi_m x_n) for one axis.
-    axis_waves = np.exp(1j * np.outer(grid.axis_frequencies, grid.axis_coordinates))
-    functions = np.full(modes.size, grid.volume**-0.5, dtype=complex)
-    for axis, m_idx in enumerate(np.unravel_index(modes, grid.shape)):
-        # Append one axis: [r, N, ..] times [r, 1, .., 1, N].
-        factor = axis_waves[m_idx].reshape((modes.size,) + (1,) * (functions.ndim - 1) + (-1,))
-        last = axis == grid.dimension - 1
-        functions = np.multiply(functions[..., None], factor, out=out if last else None)
-    return functions
+    waves = np.exp(1j * np.outer(grid.axis_frequencies[axis_modes], grid.axis_coordinates))
+    return np.stack([waves, waves * grid.volume**-0.5])
+
+
+def _axis_squares(grid: TorusGrid, axis_modes: np.ndarray) -> np.ndarray:
+    """The |.|^2 rows that _wave_squares multiplies, as [2, 2, r, N]: [0] of
+    the one-axis spectra, [1] of the _axis_waves; plain rows, then scaled.
+
+    The table of _axis_waves is transformed in one call on the line grid.
+    A scaled spectrum also takes the factor h^d of forward_transform_stack.
+    """
+    waves = _axis_waves(grid, axis_modes)
+    spectra = fft_stack(TorusGrid(1, grid.box_length, grid.points_per_axis), waves)
+    spectra[1] *= grid.cell_volume
+    return np.stack([abs_squared(spectra), abs_squared(waves)])
+
+
+def _wave_squares(squares: np.ndarray, factors: np.ndarray, out) -> np.ndarray:
+    """The |c_k|^2 and |u_k|^2 tables of c normalized plane waves, written
+    into the two float tables [c, N, .., N] of ``out``.
+
+    ``factors`` [d, c] gives each wave's row of ``squares`` (_axis_squares)
+    on each axis; row 0 is the constant wave.  Each table is the outer
+    product of those rows, appended one axis at a time.  A wave's first
+    non-constant axis (axis 0 for the zero mode) takes the scaled row and
+    every other axis the plain one.  A constant factor's rows are 1 and
+    N^2 e_0, exact in binary, so a wave with at most one non-constant
+    factor gets the tables of the transform of its materialized wave, bit
+    for bit.
+    """
+    dimension, count = factors.shape
+    first = np.argmax(factors != 0, axis=0)
+    for rows, table in zip(squares, out):
+        product = np.ones(count)
+        for axis, row in enumerate(factors):
+            # Append one axis: [r, N, ..] times [r, 1, .., 1, N].
+            factor = rows[(first == axis).astype(int), row].reshape((count,) + (1,) * axis + (-1,))
+            last = axis == dimension - 1
+            product = np.multiply(product[..., None], factor, out=table if last else None)
+    return out
 
 
 def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(rank, w, rho) of the Fermi sea at each chemical potential, in order.
 
     No sea is held: every rung's waves are a prefix of the top rung's in
-    (|xi|^2, flat index) order.  One pass generates field_chunks of the rank
-    axis with _plane_waves into a buffer it reuses, transforms each once and
-    sums |coeffs_k|^2 and |u_k|^2 in ascending k into w and rho, copied at
-    each rung's rank: the sums spectral_density and density_values run on
-    the operator of unit weights on those waves, bit for bit.  A chemical
-    potential below the first shell (2 pi / L)^2, whose sea holds only the
-    zero mode, or at or above the nyquist_shell, whose sea the lattice
-    clips, is refused (ConfigurationError) before any wave is generated.
+    (|xi|^2, flat index) order.  The table of _axis_waves on the r one-axis
+    modes of the top sea (those with xi_m^2 <= mu) is transformed once, and
+    one pass builds field_chunks of the rank axis with _wave_squares into
+    two float tables it reuses, summing |c_k|^2 and |u_k|^2 in ascending k
+    into w and rho, copied at each rung's rank.  On a rung whose waves each
+    have at most one non-constant factor these are the sums
+    spectral_density and density_values run on the operator of unit
+    weights on those waves, bit for bit; elsewhere the outer products and
+    the transform differ by rounding.  The pass costs O(R N^d + r N log N)
+    for top rank R.  A chemical potential below the first shell
+    (2 pi / L)^2, whose sea holds only the zero mode, or one that
+    sea_chemical_potential refuses, is refused (ConfigurationError) before
+    the table is built.
 
-    The |coeffs_k|^2 also certify the unit-ball contract, with no Gram
+    The |c_k|^2 also certify the unit-ball contract, with no Gram
     matrix.  With c_k = a_k e_{m_k} + r_k, m_k the wave's own mode and
     r_k(m_k) = 0, distinct modes and Parseval give |G_kl - delta_kl| <= B
     on the Gram matrix of the first r waves, with maxima over k < r:
@@ -264,22 +314,16 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
     Each rung takes the unit-ball verdict on its B when the pass reaches its
     rank; a failure raises ContractViolationError as require_contract does.
     """
-    # Refuse a bad rung before any wave is generated.
-    chemical_potentials = [finite_chemical_potential(mu) for mu in chemical_potentials]
+    # Refuse a bad rung before the table is built.
+    chemical_potentials = [sea_chemical_potential(grid, mu) for mu in chemical_potentials]
     if not chemical_potentials:
         return []
-    shell = nyquist_shell(grid)
-    for mu in chemical_potentials:
-        if mu >= shell:
-            raise ConfigurationError(
-                f"chemical potential {mu} reaches the Nyquist shell {shell}: the lattice "
-                "clips its sea, which holds the mode -N/2 but not +N/2"
-            )
     modes = _sea_modes(grid, max(chemical_potentials))
     if np.any(np.diff(np.sort(modes)) == 0):
         raise ContractViolationError("operator fails the unit_ball contract: a mode repeats")
-    norms = grid.frequency_norms_squared.reshape(-1)[modes]
-    ranks = [int(np.searchsorted(norms, mu, side="right")) for mu in chemical_potentials]
+    # A rung's waves are the first rank of the top rung's.
+    nsq = grid.frequency_norms_squared
+    ranks = [int(np.count_nonzero(nsq <= mu)) for mu in chemical_potentials]
     for mu, rank in zip(chemical_potentials, ranks):
         if rank == 1:
             raise ConfigurationError(
@@ -287,21 +331,23 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
                 f"{(2.0 * math.pi / grid.box_length) ** 2}: its sea holds only the zero mode"
             )
 
+    # The one-axis modes of the top sea, the constant first, and the row of
+    # each among them.
+    line = TorusGrid(1, grid.box_length, grid.points_per_axis)
+    axis_modes = _sea_modes(line, max(chemical_potentials))
+    squares = _axis_squares(grid, axis_modes)
+    rows = np.zeros(grid.points_per_axis, dtype=int)
+    rows[axis_modes] = np.arange(axis_modes.size)
     rungs = {}
     w, rho = np.zeros(grid.shape), np.zeros(grid.shape)
     # Running maxima of |L^{-d} |a_k|^2 - 1|, |a_k|^2, ||r_k||_inf^2, ||r_k||_2^2.
     maxima = np.zeros((4, 1))
     chunks = field_chunks(grid, modes.size, 1)
-    width = len(range(modes.size)[chunks[0]])
-    waves_buffer = np.empty((width,) + grid.shape, dtype=complex)
-    spectral_buffer, physical_buffer = np.empty((2, width) + grid.shape)
+    tables = np.empty((2, len(range(modes.size)[chunks[0]])) + grid.shape)
     for chunk in chunks:
         count = len(range(modes.size)[chunk])
-        waves = _plane_waves(grid, modes, chunk, out=waves_buffer[:count])
-        physical = abs_squared(waves, out=physical_buffer[:count])
-        # The waves are transformed in place once |u_k|^2 is taken.
-        spectra = forward_transform_stack(grid, waves, out=waves)
-        spectral = abs_squared(spectra, out=spectral_buffer[:count])
+        factors = rows[np.stack(np.unravel_index(modes[chunk], grid.shape))]
+        spectral, physical = _wave_squares(squares, factors, tables[:, :count])
         # r_k's entries are read with |a_k|^2 set aside, then put back.
         table, own = spectral.reshape(count, -1), (np.arange(count), modes[chunk])
         peaks = table[own]

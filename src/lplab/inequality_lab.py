@@ -54,9 +54,9 @@ from .errors import (
 from .fock_operator import (
     FiniteRankOperator,
     UNIT_BALL,
-    finite_chemical_potential,
     power_bounded,
     require_contract,
+    sea_chemical_potential,
     sea_ladder,
 )
 from .torus_grid import (
@@ -549,8 +549,10 @@ def lt_chain_check(op: FiniteRankOperator, blocks: DyadicBlockSet) -> ChainResul
 def fermi_lattice_oracle(grid: TorusGrid, chemical_potential: float) -> GeneralizedLTResult:
     """The Fermi sea's (a, b) = (0, 1) comparison from direct lattice sums,
     bypassing transforms: its density is the constant rank/volume, so both
-    sides reduce to sums over the modes below the chemical potential."""
-    mu = finite_chemical_potential(chemical_potential)
+    sides reduce to sums over the modes below the chemical potential.  A
+    chemical potential that sea_chemical_potential refuses, the clipped seas
+    at or above the Nyquist shell among them, is refused here too."""
+    mu = sea_chemical_potential(grid, chemical_potential)
     nsq = grid.frequency_norms_squared.reshape(-1)
     below = nsq[nsq <= mu]  # never empty: mu > 0 keeps the zero mode
     rank = int(below.size)

@@ -28,16 +28,16 @@ def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
     seen = {"ranks": [], "columns": [], "chunks": [], "rows": [], "transforms": []}
-    plane_waves = lplab.fock_operator._plane_waves
+    wave_squares = lplab.fock_operator._wave_squares
     copyto = np.copyto
     mean = np.mean
     fftn = np.fft.fftn
     field_chunks = lplab.corpus.field_chunks
 
-    def waves(grid, modes, rows=slice(None), out=None):
-        # The sweep generates each chunk of the rank axis once.
-        seen["ranks"].append(rows)
-        return plane_waves(grid, modes, rows, out)
+    def squares(axis_squares, factors, out):
+        # The sweep builds the tables of each chunk of the rank axis once.
+        seen["ranks"].append(factors.shape[1])
+        return wave_squares(axis_squares, factors, out)
 
     def moments(table, axis):
         # _sign_moments takes one mean per exponent over each chunk's table.
@@ -61,7 +61,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         seen["transforms"].append(len(values))
         return fftn(values, **kwargs)
 
-    monkeypatch.setattr(lplab.fock_operator, "_plane_waves", waves)
+    monkeypatch.setattr(lplab.fock_operator, "_wave_squares", squares)
     monkeypatch.setattr(lplab.corpus, "field_chunks", rows)
 
     def counts():

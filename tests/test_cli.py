@@ -250,7 +250,7 @@ class TestExitCodes:
             raise AssertionError("drew before refusing the settings")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
-        monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
+        monkeypatch.setattr(lplab.fock_operator, "_axis_waves", no_draws)
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -283,7 +283,7 @@ class TestExitCodes:
             raise AssertionError("drew before refusing the settings")
 
         monkeypatch.setattr(lplab.corpus, "_rekeyed_generators", no_draws)
-        monkeypatch.setattr(lplab.fock_operator, "_plane_waves", no_draws)
+        monkeypatch.setattr(lplab.fock_operator, "_axis_waves", no_draws)
         monkeypatch.setattr(lplab.cli, "build_blocks", no_draws)
         flag = "--" + key
         assert run_cli(command, flag, str(value)) == 2

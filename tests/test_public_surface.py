@@ -189,7 +189,7 @@ def test_no_module_imports_another_modules_private_names():
 def test_the_private_import_scan_sees_names_and_attributes(tmp_path):
     module = tmp_path / "module.py"
     for source, expected in [
-        ("from .fock_operator import _plane_waves, fermi_sea\n", {"_plane_waves"}),
+        ("from .fock_operator import _axis_waves, sea_ladder\n", {"_axis_waves"}),
         ("from lplab.corpus import _rekeyed_generators as keyed\n", {"_rekeyed_generators"}),
         ("from . import corpus\nrows = corpus._stream_counter(0)\n", {"_stream_counter"}),
         ("from .corpus import complex_normals\nfrom numpy import _core\n", set()),

@@ -41,6 +41,7 @@ from lplab import (
     validate_contract,
 )
 from lplab.corpus import _orthonormalize
+from lplab.fock_operator import _sea_modes
 from lplab.torus_grid import abs_squared
 
 TAU = 2.0 * np.pi
@@ -288,14 +289,20 @@ def _run(argv):
 
 class TestSectionsBuildOnce:
     def test_lieb_thirring_streams_the_top_rung_once(self, monkeypatch):
-        generated = []
-        waves = lplab.fock_operator._plane_waves
+        tables, generated = [], []
+        axis_waves = lplab.fock_operator._axis_waves
+        wave_squares = lplab.fock_operator._wave_squares
 
-        def recorded(grid, modes, rows=slice(None), out=None):
-            generated.append(range(*rows.indices(len(modes))))
-            return waves(grid, modes, rows, out)
+        def table(grid, axis_modes):
+            tables.append((grid, list(axis_modes)))
+            return axis_waves(grid, axis_modes)
 
-        monkeypatch.setattr(lplab.fock_operator, "_plane_waves", recorded)
+        def recorded(squares, factors, out):
+            generated.append(factors)
+            return wave_squares(squares, factors, out)
+
+        monkeypatch.setattr(lplab.fock_operator, "_axis_waves", table)
+        monkeypatch.setattr(lplab.fock_operator, "_wave_squares", recorded)
         grams = []
         gram = lplab.fock_operator._gram_matrix
 
@@ -308,9 +315,15 @@ class TestSectionsBuildOnce:
         assert code == 0
         results = json.loads(text)["results"]
         assert [row["rank"] for row in results["sweep"]] == [19, 33, 93]
-        # One pass of chunks of the rank axis: every row of the top rung is
-        # generated exactly once, on the whole grid.
-        assert sorted(k for rows in generated for k in rows) == list(range(93))
+        # One one-axis table, and one pass of chunks of the rank axis: the
+        # tables of every wave of the top rung are built exactly once, on
+        # the whole grid.
+        grid = TorusGrid(3, TAU, 16)
+        axis_modes = [0, 1, 15, 2, 14]  # the one-axis modes m with m^2 <= 8.5
+        assert tables == [(grid, axis_modes)]
+        rows = np.concatenate(generated, axis=1)
+        waves = np.ravel_multi_index(np.take(axis_modes, rows), grid.shape)
+        np.testing.assert_array_equal(waves, _sea_modes(grid, 8.5))
         assert len(generated) > 1
         # The sweep certifies its rungs without a Gram matrix.
         assert grams == [4, 4]  # one per chain frame; none of a sea
