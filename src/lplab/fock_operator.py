@@ -9,13 +9,13 @@ torus_grid.spectral_trace of the spectral density
 w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, Parseval sums with no inverse
 transform.
 
-Only a power-bounded check keeps the forward stack of an operator's
-eigenfunctions: it transforms the whole stack in one call, and the
-spectral density then sums over that stack.  Without one, the spectral
+Only a contract check at a nonzero power keeps the forward stack of an
+operator's eigenfunctions: it transforms the whole stack in one call, and
+the spectral density then sums over that stack.  Without one, the spectral
 density transforms the eigenfunctions in field_chunks of the rank axis and
 keeps none of them.  An operator therefore transforms its eigenfunctions
-once, unless its spectral density is read before its first power-bounded
-check.  No Fermi sea is held as an operator; the ladder is streamed
+once, unless its spectral density is read before its first check at a
+nonzero power.  No Fermi sea is held as an operator; the ladder is streamed
 (below).
 
 Plane-wave Fermi seas are never generated.  A plane wave is the outer
@@ -24,18 +24,20 @@ one-axis transforms: sea_ladder transforms one table of the top sea's
 one-axis waves, _axis_waves, once per sweep and builds every wave's
 |c_k|^2 and |u_k|^2 tables as real outer products of its rows.  It streams a ladder of seas
 without holding one, and certifies each rung's orthonormality from those
-spectra, with no Gram matrix.  Stacks have one Gram kernel, _gram_matrix;
-validate_contract and sea_ladder share one unit-ball verdict and one
-violation message.
+spectra, with no Gram matrix.  Stacks have one Gram kernel, _gram_matrix,
+and an operator builds its Gram matrix once; validate_contract and
+sea_ladder share one report builder, _contract_report, and one violation
+message.
 
 An operator carries no contract: every check names the one it verifies.
-Contracts describe the operator bound a checker relies on:
-
-* unit_ball:      0 <= gamma <= 1, verified through orthonormality of the
-                  eigenfunctions and lambda_k <= 1.
-* power_bounded:  0 <= gamma <= (-Laplacian)^a, verified through the largest
-                  eigenvalue of the weighted Gram matrix of the functions
-                  (-Laplacian)^{-a/2} u_k, with laplacian_power's table.
+A contract is one power a, the bound 0 <= gamma <= (-Laplacian)^a that a
+checker relies on; the unit ball 0 <= gamma <= 1 is a = 0 (UNIT_BALL,
+named unit_ball in messages, power_bounded elsewhere).  Every power is
+verified one way: the Gram residual of the eigenfunctions, and the largest
+eigenvalue of Lambda^{1/2} M_a Lambda^{1/2}, with Lambda the eigenvalues
+and M_a the overlaps <v_k, v_l> of v_k = (-Laplacian)^{-a/2} u_k, from
+laplacian_power's table.  M_0 is the operator's Gram matrix, so at a = 0
+that eigenvalue is the operator norm of gamma.
 """
 
 from __future__ import annotations
@@ -69,27 +71,30 @@ from .torus_grid import (
 GRAM_TOLERANCE = 1e-10
 EIGENVALUE_TOLERANCE = 1e-10
 
-CONTRACT_KINDS = ("unit_ball", "power_bounded")
-
-
 @dataclass(frozen=True)
 class OperatorContract:
-    kind: str
+    """0 <= gamma <= (-Laplacian)^power; power 0 is the unit ball 0 <= gamma <= 1.
+
+    A non-finite power is refused (ConfigurationError).
+    """
+
     power: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in CONTRACT_KINDS:
-            raise ValueError(f"unknown contract kind {self.kind!r}")
+        if not math.isfinite(self.power):
+            raise ConfigurationError(f"an operator contract needs a finite power, got {self.power}")
+
+    @property
+    def kind(self) -> str:
+        """The contract's name in messages: unit_ball at power 0, else power_bounded."""
+        return "unit_ball" if self.power == 0.0 else "power_bounded"
 
 
-UNIT_BALL = OperatorContract("unit_ball")
+UNIT_BALL = OperatorContract(0.0)
 
 
 def power_bounded(power: float) -> OperatorContract:
-    power = float(power)
-    if not math.isfinite(power):
-        raise ConfigurationError(f"the power-bounded contract needs a finite power, got {power}")
-    return OperatorContract("power_bounded", power)
+    return OperatorContract(float(power))
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -102,13 +107,14 @@ class FiniteRankOperator:
     """gamma = sum_k eigenvalues[k] |eigenfunctions[k]><eigenfunctions[k]|.
 
     The operator is immutable: both arrays are read-only views, so the
-    quantities it computes at most once (the Gram residual, the forward
-    stack of its eigenfunctions, the overlaps of the power-bounded check,
-    the spectral density w and the density rho) cannot go stale.  Only a
-    power-bounded check keeps the forward stack, which the spectral density
-    then reads; it is as large as the eigenfunctions (a sea of 257 waves at
-    d = 3, n = 32 holds 135 MB more), so a ladder of large plane-wave seas
-    belongs in sea_ladder, which holds neither.
+    quantities it computes at most once (the Gram matrix of its
+    eigenfunctions and its residual, their forward stack, the overlaps of
+    contract checks at other powers, the spectral density w and the density
+    rho) cannot go stale.  Only a check at a nonzero power keeps the
+    forward stack, which the spectral density then reads; it is as large
+    as the eigenfunctions (a sea of 257 waves at d = 3, n = 32 holds 135 MB
+    more), so a ladder of large plane-wave seas belongs in sea_ladder, which
+    holds neither.
     """
 
     grid: TorusGrid
@@ -138,7 +144,7 @@ class FiniteRankOperator:
     @cached_property
     def gram_residual(self) -> float:
         """max |<u_k, u_l> - delta_kl|; it depends on the eigenfunctions alone."""
-        return gram_residual(self.grid, self.eigenfunctions)
+        return gram_residual(self._power_overlaps[0.0])
 
     @cached_property
     def _forward_stack(self) -> np.ndarray:
@@ -149,8 +155,8 @@ class FiniteRankOperator:
     def spectral_density(self) -> np.ndarray:
         """w(xi) = sum_k lambda_k |coeffs_k(xi)|^2, in FFT layout.
 
-        It sums over the kept forward stack when a power-bounded check has
-        built it; otherwise it transforms the eigenfunctions a chunk at a
+        It sums over the kept forward stack when a check at a nonzero power
+        has built it; otherwise it transforms the eigenfunctions a chunk at a
         time and keeps no transform.  Both sums are the same, bit for bit.
         By Parseval, L^{-d} sum_xi m(xi) w(xi) is
         sum_k lambda_k <u_k, m(D) u_k> for any real multiplier m, with no
@@ -170,14 +176,20 @@ class FiniteRankOperator:
 
     @cached_property
     def _power_overlaps(self) -> dict:
-        """power -> _power_overlap of the eigenfunctions, filled by validate_contract."""
-        return {}
+        """power a -> M_a, the overlaps <v_k, v_l> of v_k = (-Laplacian)^{-a/2} u_k.
+
+        M_0, the Gram matrix <u_k, u_l>, is built with the dict, from the
+        eigenfunctions; validate_contract adds the _power_overlap of each
+        other power it checks.
+        """
+        return {0.0: _read_only(_gram_matrix(self.grid, self.eigenfunctions))}
 
     def reweighted(self, eigenvalues) -> "FiniteRankOperator":
         """The operator on the same eigenfunctions with other eigenvalues.
 
         It shares what depends on the eigenfunctions alone, once computed:
-        the Gram residual, the forward stack and the power overlaps.
+        the Gram residual, the forward stack and the overlaps, the Gram
+        matrix among them.
         """
         op = FiniteRankOperator(self.grid, eigenvalues, self.eigenfunctions)
         for name in ("gram_residual", "_forward_stack", "_power_overlaps"):
@@ -360,7 +372,7 @@ def sea_ladder(grid: TorusGrid, chemical_potentials) -> list[tuple[int, np.ndarr
             w += spectral[k]
             rho += physical[k]
             if chunk.start + k + 1 in ranks:
-                _require(_unit_ball_report(UNIT_BALL, float(bounds[k + 1]), 1.0))
+                _require(_contract_report(UNIT_BALL, float(bounds[k + 1]), 1.0))
                 rungs[chunk.start + k + 1] = (w.copy(), rho.copy())
     return [(rank, *rungs[rank]) for rank in ranks]
 
@@ -376,57 +388,42 @@ class ValidationReport:
 def _gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
     """<u_k, u_l> of a stack [r, ...] of grid fields, in the quadrature inner product.
 
-    The columns of its (r, N^d) view are read in byte_chunks.  Each block's
-    real part x and imaginary part y are copied into one float buffer, sized
-    by the first block, which byte_chunks makes the widest, and reused by
-    the rest.  With X and Y the sums over the blocks of x x^T + y y^T and
-    y x^T, Re G is X and Im G is Y - Y^T: numpy takes a product with the
-    operand's own transpose through BLAS syrk, and no conjugate copy is made.
+    The columns of its (r, N^d) view are read in byte_chunks, and each block
+    c adds c c^H.
     """
     flat = functions.reshape(len(functions), -1)
-    blocks = byte_chunks(flat.shape[1], len(flat) * np.dtype(complex).itemsize)
-    parts = np.empty(2 * len(flat) * len(range(flat.shape[1])[blocks[0]]))
-    real = cross = 0.0
-    for cols in blocks:
-        columns = flat[:, cols]
-        x, y = parts[: 2 * columns.size].reshape((2,) + columns.shape)
-        np.copyto(x, columns.real)
-        np.copyto(y, columns.imag)
-        real += x @ x.T
-        real += y @ y.T
-        cross += y @ x.T
-    return grid.cell_volume * (real + 1j * (cross - cross.T))
+    gram = 0.0
+    for cols in byte_chunks(flat.shape[1], len(flat) * np.dtype(complex).itemsize):
+        block = flat[:, cols]
+        gram += block @ block.conj().T
+    return grid.cell_volume * gram
 
 
-def gram_residual(grid: TorusGrid, functions: np.ndarray) -> float:
-    """max |<u_k, u_l> - delta_kl| over a stack [r, ...] of grid fields."""
-    gram = _gram_matrix(grid, functions)
+def gram_residual(gram: np.ndarray) -> float:
+    """max |G_kl - delta_kl| of a Gram matrix G."""
     return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
-def _unit_ball_report(contract, gram_excess: float, top_eigenvalue) -> ValidationReport:
-    """The unit-ball verdict from a Gram residual and the largest eigenvalue."""
-    eigen_excess = float(top_eigenvalue - 1.0)
-    failed = gram_excess > GRAM_TOLERANCE or eigen_excess > EIGENVALUE_TOLERANCE
-    checks = {"gram_residual": gram_excess, "eigenvalue_excess": eigen_excess}
-    return ValidationReport(contract, not failed, max(gram_excess, eigen_excess, 0.0), checks)
+def _contract_report(contract, gram_excess: float, top_eigenvalue) -> ValidationReport:
+    """The verdict from a Gram residual and the top eigenvalue of the
+    operator relative to its bound, which is at most 1 when the bound holds."""
+    power_excess = float(top_eigenvalue - 1.0)
+    failed = gram_excess > GRAM_TOLERANCE or power_excess > EIGENVALUE_TOLERANCE
+    checks = {"gram_residual": gram_excess, "power_excess": power_excess}
+    return ValidationReport(contract, not failed, max(gram_excess, power_excess, 0.0), checks)
 
 
 def validate_contract(op: FiniteRankOperator, contract: OperatorContract) -> ValidationReport:
     """Check the operator against a contract and report the violation margin.
 
-    The margin is the largest excess over the mathematical bound (0 when
-    everything holds exactly); the report passes when each excess stays
-    within its numerical tolerance.
+    gamma <= (-Laplacian)^a holds when the top eigenvalue of
+    Lambda^{1/2} M_a Lambda^{1/2} is at most 1, with Lambda the eigenvalues
+    and M_a the overlaps of the eigenfunctions; at a = 0, M_0 is their Gram
+    matrix and that eigenvalue is the operator norm of gamma.  The margin is
+    the largest excess over the mathematical bound (0 when everything holds
+    exactly); the report passes when the Gram residual and the excess each
+    stay within their numerical tolerance.
     """
-    gram_excess = op.gram_residual
-    if contract.kind == "unit_ball":
-        return _unit_ball_report(contract, gram_excess, np.max(op.eigenvalues))
-
-    checks = {"gram_residual": gram_excess}
-    failed = gram_excess > GRAM_TOLERANCE
-    # power_bounded: top eigenvalue of M_kl = sqrt(l_k l_l) <v_k, v_l> with
-    # v_k = (-Laplacian)^{-power/2} u_k must not exceed 1.
     a = contract.power
     if a not in op._power_overlaps:
         op._power_overlaps[a] = _power_overlap(op.grid, op._forward_stack, a)
@@ -439,27 +436,22 @@ def validate_contract(op: FiniteRankOperator, contract: OperatorContract) -> Val
             )
         # Positive power: the bounding operator annihilates constants, so
         # any zero-mode mass is an outright (infinite) violation.
-        checks["power_excess"] = float("inf")
-        return ValidationReport(contract, False, float("inf"), checks)
+        return _contract_report(contract, op.gram_residual, math.inf)
 
     root_weights = np.sqrt(op.eigenvalues)
     m_matrix = root_weights[:, None] * overlap * root_weights[None, :]
     m_matrix = 0.5 * (m_matrix + m_matrix.conj().T)
-    top = float(np.linalg.eigvalsh(m_matrix)[-1])
-    power_excess = top - 1.0
-    checks["power_excess"] = power_excess
-    failed = failed or power_excess > EIGENVALUE_TOLERANCE
-    margin = max(gram_excess, power_excess, 0.0)
-    return ValidationReport(contract, not failed, margin, checks)
+    return _contract_report(contract, op.gram_residual, np.linalg.eigvalsh(m_matrix)[-1])
 
 
 def _power_overlap(grid: TorusGrid, forward_stack: np.ndarray, power: float) -> np.ndarray | None:
     """<v_k, v_l> with v_k = (-Laplacian)^{-power/2} u_k, from the forward
-    stack [r, ...] of the u_k; None when power != 0 and some u_k carries
-    zero-mode mass, which v_k (power < 0) or the bound (power > 0) forbids."""
+    stack [r, ...] of the u_k, at a power other than 0; None when some u_k
+    carries zero-mode mass, which v_k (power < 0) or the bound (power > 0)
+    forbids."""
     spectra = forward_stack.reshape(len(forward_stack), -1)
     # One row chunk of |spectra|^2 at a time, not a table half the stack's size.
-    if power != 0.0 and any(
+    if any(
         np.any(zero_mode_offenders(abs_squared(spectra[rows])))
         for rows in field_chunks(grid, len(spectra), 1)
     ):

@@ -12,8 +12,8 @@ the comparisons.
 
 The Lieb-Thirring comparisons (the unit-ball check, the check at powers
 (a, b), the Fermi sweep and its lattice-sum oracle) all return one record,
-GeneralizedLTResult; all but the oracle build it in _lt_result, so the
-(0, 1) case equals the base check bit for bit.  The rank-dependent weak
+GeneralizedLTResult; all but the oracle build it in _lt_result, and the
+unit-ball check is the check at (0, 1).  The rank-dependent weak
 bound is computed only in the sweep rows.
 """
 
@@ -164,22 +164,24 @@ def _sign_rows(start: int, stop: int, n: int) -> np.ndarray:
 
 
 def _sign_blocks(count: int, ensemble: SignEnsemble):
-    """Yield complex sign matrices covering the ensemble in a fixed order."""
-    if ensemble.mode == "exact":
-        require_enumerable(ensemble, count)
-        total = 1 << count
-        for start in range(0, total, _ENUMERATION_CHUNK):
-            yield _sign_rows(start, min(start + _ENUMERATION_CHUNK, total), count)
-    else:
-        # Substream 1: the coefficients are complex_normals draws on stream
-        # 0, so a run that shares one seed still draws its signs apart.
-        rng = philox_generator(ensemble.seed, 0, 1)
-        remaining = ensemble.samples
-        while remaining > 0:
-            block = min(remaining, _ENUMERATION_CHUNK)
-            draws = rng.integers(0, 2, size=(block, count))
-            yield _signs(draws)
-            remaining -= block
+    """Yield complex sign matrices covering the ensemble in a fixed order,
+    in byte_chunks of its rows of ``count`` complex signs.
+
+    A Monte Carlo block draws its rows from one stream, and numpy's
+    integers(0, 2) stream gives the same rows however the draws are split.
+    """
+    require_enumerable(ensemble, count)
+    total = _ensemble_rows(count, ensemble)
+    # Substream 1: the coefficients are complex_normals draws on stream 0,
+    # so a run that shares one seed still draws its signs apart.
+    rng = philox_generator(ensemble.seed, 0, 1) if ensemble.mode != "exact" else None
+    # An empty sum still has one row, sized as one sign.
+    for rows in byte_chunks(total, max(count, 1) * np.dtype(complex).itemsize):
+        start, stop = rows.start, min(rows.stop, total)
+        if rng is None:
+            yield _sign_rows(start, stop, count)
+        else:
+            yield _signs(rng.integers(0, 2, size=(stop - start, count)))
 
 
 def _ensemble_rows(count: int, ensemble: SignEnsemble) -> int:
@@ -220,10 +222,9 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     is inf, without a warning.
 
     The sign blocks are built once per call and kept for every chunk when
-    the ensemble holds no more entries than one block of the largest exact
-    ensemble, _ENUMERATION_CHUNK rows of EXACT_ENUMERATION_CAP terms, which
-    a pass may hold anyway; a larger ensemble is rebuilt block by block for
-    each chunk.  At 16 exact terms a chunk holds 2 of 500 arrays, so
+    the ensemble holds no more entries than _ENUMERATION_CHUNK rows of
+    EXACT_ENUMERATION_CAP terms; a larger ensemble is rebuilt block by block
+    for each chunk.  At 16 exact terms a chunk holds 2 of 500 arrays, so
     rebuilding there would build the blocks 250 times.
     """
     sign_count = max(coefficients.shape[1:])
@@ -487,9 +488,8 @@ def _lt_result(grid: TorusGrid, rank: int, a: float, b: float, w, rho) -> Genera
 def lieb_thirring_check(op: FiniteRankOperator) -> GeneralizedLTResult:
     """Kinetic trace against the density power integral, rank-uniform side:
     ratio = tr (-Laplacian) gamma / integral rho^(1 + 2/d) of a unit-ball
-    operator, the (a, b) = (0, 1) case of generalized_lt_check."""
-    require_contract(op, UNIT_BALL)
-    return _lt_result(op.grid, op.rank, 0.0, 1.0, op.spectral_density, op.density_values)
+    operator: generalized_lt_check at (a, b) = (0, 1)."""
+    return generalized_lt_check(op, 0.0, 1.0)
 
 
 def generalized_lt_check(op: FiniteRankOperator, a: float, b: float) -> GeneralizedLTResult:

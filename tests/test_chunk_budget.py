@@ -1,10 +1,10 @@
 """One memory budget: torus_grid.FIELD_CHUNK_BYTES sizes every chunked pass.
 
 Patching that one binding must resize the Fermi sweep's rank chunks, the
-column blocks of a stack's Gram matrix, the array chunks of the sign-sum
-pass, the row chunks of Gram-Schmidt and the rank chunks of a unit-ball
-operator's spectral density, and no other module of the package may name
-the budget or define a byte budget of its own.
+column blocks of a stack's Gram matrix, the array chunks and the sign
+blocks of the sign-sum pass, the row chunks of Gram-Schmidt and the rank
+chunks of a unit-ball operator's spectral density, and no other module of
+the package may name the budget or define a byte budget of its own.
 """
 
 import ast
@@ -14,8 +14,9 @@ import numpy as np
 
 import lplab.corpus
 import lplab.fock_operator
+import lplab.inequality_lab
 import lplab.torus_grid
-from lplab import FiniteRankOperator, TorusGrid, fermi_sweep, khinchine_reports
+from lplab import FiniteRankOperator, SignEnsemble, TorusGrid, fermi_sweep, khinchine_reports
 from lplab.corpus import _orthonormalize
 from lplab.fock_operator import _gram_matrix
 from sea_reference import fermi_sea
@@ -27,9 +28,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lplab"
 def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
-    seen = {"ranks": [], "columns": [], "chunks": [], "rows": [], "transforms": []}
+    seen = {"ranks": [], "columns": [], "chunks": [], "signs": [], "rows": [], "transforms": []}
     wave_squares = lplab.fock_operator._wave_squares
-    copyto = np.copyto
+    gram_blocks = lplab.fock_operator.byte_chunks
+    sign_blocks = lplab.inequality_lab._sign_blocks
     mean = np.mean
     fftn = np.fft.fftn
     field_chunks = lplab.corpus.field_chunks
@@ -44,11 +46,17 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         seen["chunks"].append(len(table))
         return mean(table, axis=axis)
 
-    def columns(buffer, part):
-        # _gram_matrix copies the real and the imaginary part of each block
-        # into its float buffer.
-        seen["columns"].append(part.shape[1])
-        return copyto(buffer, part)
+    def columns(count, item_bytes):
+        # _gram_matrix reads the columns of the stack in these blocks.
+        blocks = gram_blocks(count, item_bytes)
+        seen["columns"].extend(blocks)
+        return blocks
+
+    def signs(count, ensemble):
+        # The sign-sum pass sums over these blocks of sign vectors.
+        for block in sign_blocks(count, ensemble):
+            seen["signs"].append(len(block))
+            yield block
 
     def rows(grid, count, fields_per_item):
         # Gram-Schmidt takes the later rows of each pivot in these chunks.
@@ -69,30 +77,36 @@ def test_one_budget_sizes_every_pass(monkeypatch):
             calls.clear()
         fermi_sweep(grid, [4.5])
         with monkeypatch.context() as patch:
-            patch.setattr(np, "copyto", columns)
+            patch.setattr(lplab.fock_operator, "byte_chunks", columns)
             _gram_matrix(grid, stack)
         with monkeypatch.context() as patch:
             patch.setattr(np, "mean", moments)
             khinchine_reports((8,), [1.0], 40, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(lplab.inequality_lab, "_sign_blocks", signs)
+            khinchine_reports((8,), [1.0], 1, 5, SignEnsemble.monte_carlo(20_000, 5))
         _orthonormalize(grid, stack.copy())
         with monkeypatch.context() as patch:
             patch.setattr(np.fft, "fftn", transform)
             FiniteRankOperator(grid, np.ones(len(stack)), stack).spectral_density
         return (
             len(seen["ranks"]),
-            len(seen["columns"]) // 2,
+            len(seen["columns"]),
             len(seen["chunks"]),
+            len(seen["signs"]),
             len(seen["rows"]) // 2,  # one set per Gram-Schmidt pass
             len(seen["transforms"]),
         )
 
     # 1 MiB: rank chunks of 16 of 33 waves, blocks of 1985 of 4096 columns,
-    # all 40 arrays, rows of 16 of the 32 - i after pivot i, 16 of 33 ranks.
-    assert counts() == (3, 3, 1, 48, 3)
+    # all 40 arrays, sign blocks of 8192 of 20,000 rows, rows of 16 of the
+    # 32 - i after pivot i, 16 of 33 ranks.
+    assert counts() == (3, 3, 1, 3, 48, 3)
     monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", grid.size * 16)
     # One field: rank chunks of 1 wave, blocks of 124 columns, 32 arrays of
-    # 256 rows, one row per pivot and later row, ranks of 1.
-    assert counts() == (33, 34, 2, 528, 33)
+    # 256 rows, sign blocks of 512 rows, one row per pivot and later row,
+    # ranks of 1.
+    assert counts() == (33, 34, 2, 40, 528, 33)
 
 
 def budget_names(path: Path) -> set[str]:

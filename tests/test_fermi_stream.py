@@ -237,13 +237,13 @@ def test_the_certificate_bounds_the_dense_gram_residual(d, row, kind, eps, monke
     sea = fermi_sea(grid, ladder[-1])
     references = [gram_excess(sea, rank) for rank in ranks]
     bounds = []
-    report = lplab.fock_operator._unit_ball_report
+    report = lplab.fock_operator._contract_report
 
     def recorded(contract, excess, top_eigenvalue):
         bounds.append(excess)
         return report(contract, excess, top_eigenvalue)
 
-    monkeypatch.setattr(lplab.fock_operator, "_unit_ball_report", recorded)
+    monkeypatch.setattr(lplab.fock_operator, "_contract_report", recorded)
     try:
         sea_ladder(grid, ladder)
         raised = False

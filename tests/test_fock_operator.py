@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from lplab import (
+    ConfigurationError,
     ContractViolationError,
     FiniteRankOperator,
     GridMismatchError,
+    OperatorContract,
     TorusGrid,
     UNIT_BALL,
     ZeroModeSingularityError,
     abs_squared,
     diagonal_block_bound,
+    generalized_lt_check,
     plane_wave,
     power_bounded,
     random_orthonormal_frame,
@@ -255,6 +258,45 @@ class TestContracts:
         report = validate_contract(op, power_bounded(1.0))
         assert not report.passed
         assert report.margin == np.inf
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_the_contract_refuses_a_non_finite_power(self, power):
+        with pytest.raises(ConfigurationError, match="finite power"):
+            OperatorContract(power)
+
+    def test_the_unit_ball_is_power_zero(self, grid1):
+        assert UNIT_BALL == power_bounded(0.0) == OperatorContract(-0.0)
+        op = wave_operator(grid1, [[1], [2]], [1.5, 0.5])
+        assert validate_contract(op, UNIT_BALL) == validate_contract(op, power_bounded(0.0))
+        with pytest.raises(ContractViolationError, match="unit_ball contract"):
+            require_contract(op, power_bounded(0.0))
+        with pytest.raises(ContractViolationError, match="power_bounded contract"):
+            require_contract(op, power_bounded(-0.25))
+
+    @pytest.mark.parametrize("d, n", [(1, 16), (2, 8)])
+    def test_power_zero_judges_the_operator_norm(self, d, n):
+        """1 + power_excess is the largest eigenvalue of the dense matrix
+        h^d sum_k lambda_k u_k u_k^*, here with the eigenfunction of the
+        largest weight off the unit sphere by about 1e-12, which moves that
+        eigenvalue off the largest weight."""
+        grid = TorusGrid(d, TAU, n)
+        frame = random_orthonormal_frame(grid, rank=3, decay=1.0, seed=83)
+        functions = frame.eigenfunctions.copy()
+        functions[np.argmax(frame.eigenvalues)] *= 1.0 + 5e-13
+        op = FiniteRankOperator(grid, frame.eigenvalues, functions)
+        assert 1e-13 < op.gram_residual < 1e-11
+        flat = functions.reshape(3, -1)
+        dense = grid.cell_volume * (flat.T * op.eigenvalues) @ flat.conj()
+        top = np.linalg.eigvalsh(dense)[-1]
+        assert top - np.max(op.eigenvalues) > 1e-13
+        report = validate_contract(op, UNIT_BALL)
+        assert report.passed and report.checks.keys() == {"gram_residual", "power_excess"}
+        np.testing.assert_allclose(1.0 + report.checks["power_excess"], top, rtol=0, atol=1e-14)
+
+    def test_power_zero_frame_keeps_no_forward_stack(self, grid1):
+        op = random_orthonormal_frame(grid1, rank=3, decay=1.0, seed=84, power_bound=0.0)
+        generalized_lt_check(op, 0.0, 1.0)
+        assert "_forward_stack" not in op.__dict__
 
     def test_power_zero_reduces_to_weight_check(self, grid1):
         good = wave_operator(grid1, [[1]], [1.0])

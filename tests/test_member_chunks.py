@@ -334,9 +334,9 @@ def _failing_gram_checks(monkeypatch, failing):
     original = lplab.fock_operator.gram_residual
     calls = []
 
-    def checked(grid, functions):
-        calls.append(len(functions))
-        return 1.0 if len(calls) in failing else original(grid, functions)
+    def checked(gram):
+        calls.append(len(gram))
+        return 1.0 if len(calls) in failing else original(gram)
 
     monkeypatch.setattr(lplab.fock_operator, "gram_residual", checked)
     return calls

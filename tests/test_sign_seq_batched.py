@@ -185,8 +185,8 @@ class TestSignTable:
         "ensemble", [SignEnsemble.exact(), SignEnsemble.monte_carlo(300, 11)], ids=["exact", "mc"]
     )
     def test_rebuilt_blocks_give_the_same_reports(self, monkeypatch, ensemble):
-        """With blocks of 4 rows only 4 x 20 sign entries are kept, so these
-        ensembles are rebuilt for each chunk of 3 classical arrays."""
+        """With 4 x 20 sign entries the most that is kept, these ensembles
+        are rebuilt for each chunk of 3 classical arrays."""
         kept = khinchine_reports((7,), [1.0, 3.0], 20, 4, ensemble)
         kept_tensor = khinchine_reports((5, 5), [1.5], 20, 4, ensemble)
         passes = []
@@ -206,6 +206,24 @@ class TestSignTable:
         rebuilt_tensor = khinchine_reports((5, 5), [1.5], 20, 4, ensemble)
         assert [r.samples for r in rebuilt] == [r.samples for r in kept]
         assert [r.samples for r in rebuilt_tensor] == [r.samples for r in kept_tensor]
+
+    @pytest.mark.parametrize("terms, rows", [(3, 1), (12, 7), (200, 100), (12, 32_768)])
+    def test_budgeted_blocks_join_into_one_unsplit_draw(self, monkeypatch, terms, rows):
+        """Blocks of FIELD_CHUNK_BYTES hold ``rows`` sign vectors each, and
+        numpy's integers(0, 2) stream gives the same bits however it is split."""
+        samples = 2 * rows + 1
+        monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", rows * terms * 16)
+        blocks = list(_sign_blocks(terms, SignEnsemble.monte_carlo(samples, 61)))
+        assert [len(block) for block in blocks] == [rows, rows, 1]
+        unsplit = philox_generator(61, 0, 1).integers(0, 2, size=(samples, terms))
+        np.testing.assert_array_equal(np.concatenate(blocks), np.where(unsplit, 1.0, -1.0))
+
+    def test_monte_carlo_signs_fit_the_budget(self, traced_peak):
+        """100 terms of 20,000 draws are 32 MB of complex signs; the pass
+        holds a few budgets of them at a time."""
+        ensemble = SignEnsemble.monte_carlo(20_000, 5)
+        _, peak = traced_peak(khinchine_reports, (100,), [2.0], 2, 5, ensemble)
+        assert peak < 4 * lplab.torus_grid.FIELD_CHUNK_BYTES, peak
 
     @pytest.mark.parametrize(
         "axes", [1, 2], ids=["khinchine_reports", "tensor_khinchine_reports"]

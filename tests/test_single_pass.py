@@ -140,9 +140,9 @@ class TestBatchedDraws:
         original = lplab.fock_operator.gram_residual
         checks = []
 
-        def failing_first(grid, functions):
-            checks.append(len(functions))
-            return 1.0 if len(checks) == 1 else original(grid, functions)
+        def failing_first(gram):
+            checks.append(len(gram))
+            return 1.0 if len(checks) == 1 else original(gram)
 
         monkeypatch.setattr(lplab.fock_operator, "gram_residual", failing_first)
         op = random_orthonormal_frame(grid, 4, 1.0, 31, index=1)
@@ -175,8 +175,9 @@ class TestOperatorCache:
     def test_density_from_kept_stack_equals_chunked(self, d, chunk_members, monkeypatch):
         """Every contract's spectral density, in rank chunks of 1, 3 or 64
         fields, equals the per-eigenfunction sum: summed over the stack a
-        power-bounded check keeps, or, with no such check, transformed
-        chunk by chunk with no stack kept.  Both ways give the same bits."""
+        check at a nonzero power keeps, or, with no such check, transformed
+        chunk by chunk with no stack kept.  Both ways give the same bits.
+        The check at power 0 reads the Gram matrix and keeps no stack."""
         grid = _grid(d)
         monkeypatch.setattr(
             lplab.torus_grid,
@@ -189,6 +190,8 @@ class TestOperatorCache:
             assert ("_forward_stack" in op.__dict__) == (power_bound is not None)
             kept = FiniteRankOperator(grid, op.eigenvalues, op.eigenfunctions)
             validate_contract(kept, power_bounded(0.0))
+            assert "_forward_stack" not in kept.__dict__
+            validate_contract(kept, power_bounded(1.0))
             assert "_forward_stack" in kept.__dict__
             np.testing.assert_array_equal(kept.spectral_density, op.spectral_density)
 
@@ -264,16 +267,17 @@ class TestOperatorCache:
         lt_chain_check(fresh, blocks1)
         assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
         assert "_forward_stack" not in fresh.__dict__
-        # A later power-bounded check builds the stack it keeps: a second
-        # transform, in an order no command runs.
+        # The check at (0, 1) is the base check: it reads the same Gram
+        # matrix and density, and transforms nothing more.
         general = generalized_lt_check(fresh, 0.0, 1.0)
-        assert grams == [4] and fft_calls == {"fftn": 2, "ifftn": 0}
-        assert general.ratio == base.ratio
+        assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
+        assert "_forward_stack" not in fresh.__dict__
+        assert general == base
         # glt's order, the power bound first: one transform serves both checks.
         grams.clear()
         fft_calls.update(fftn=0, ifftn=0)
         general = generalized_lt_check(glt_order, 0.0, 1.0)
-        assert lieb_thirring_check(glt_order).ratio == general.ratio == base.ratio
+        assert lieb_thirring_check(glt_order) == general == base
         assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
 
 
