@@ -59,7 +59,6 @@ from .inequality_lab import (
     fermi_sweep,
     generalized_lt_check,
     khinchine_reports,
-    lieb_thirring_check,
     load_envelopes,
     lt_chain_check,
     sequence_lemma_bound,

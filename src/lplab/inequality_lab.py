@@ -10,11 +10,12 @@ contracts and the Fermi ladder (sea_ladder) come from fock_operator and
 seeded draws from corpus, through public names only; this module keeps
 the comparisons.
 
-The Lieb-Thirring comparisons (the unit-ball check, the check at powers
-(a, b), the Fermi sweep and its lattice-sum oracle) all return one record,
-GeneralizedLTResult; all but the oracle build it in _lt_result, and the
-unit-ball check is the check at (0, 1).  The rank-dependent weak
-bound is computed only in the sweep rows.
+The Lieb-Thirring comparisons (generalized_lt_check at powers (a, b), the
+Fermi sweep and its lattice-sum oracle) all return one record,
+GeneralizedLTResult; all but the oracle build it in _lt_result.  The
+paper's bound for unit-ball operators is generalized_lt_check at
+(a, b) = (0, 1).  The rank-dependent weak bound is computed only in the
+sweep rows.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     np.mean(|S|^p, axis=1) per exponent; a moment beyond the binary64 range
     is inf, without a warning.
 
-    The sign blocks are built once per call and kept for every chunk when
+    A single chunk streams the sign blocks, each built once.  Over several
+    chunks the blocks are built once per call and kept for every chunk when
     the ensemble holds no more entries than _ENUMERATION_CHUNK rows of
     EXACT_ENUMERATION_CAP terms; a larger ensemble is rebuilt block by block
     for each chunk.  At 16 exact terms a chunk holds 2 of 500 arrays, so
@@ -229,8 +231,9 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     """
     sign_count = max(coefficients.shape[1:])
     total = _ensemble_rows(sign_count, ensemble)
+    chunks = byte_chunks(len(coefficients), total * np.dtype(float).itemsize)
     kept = None
-    if total * sign_count <= _ENUMERATION_CHUNK * EXACT_ENUMERATION_CAP:
+    if len(chunks) > 1 and total * sign_count <= _ENUMERATION_CHUNK * EXACT_ENUMERATION_CAP:
         kept = list(_sign_blocks(sign_count, ensemble))
 
     def sums(rows, a):
@@ -240,7 +243,7 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
         return ((rows[:, :rows_j] @ a) * rows[:, :cols_k]).sum(axis=1)
 
     moments = np.empty((len(exponents), len(coefficients)))
-    for chunk in byte_chunks(len(coefficients), total * np.dtype(float).itemsize):
+    for chunk in chunks:
         arrays = coefficients[chunk]
         table = np.empty((len(arrays), total))
         start = 0
@@ -485,13 +488,6 @@ def _lt_result(grid: TorusGrid, rank: int, a: float, b: float, w, rho) -> Genera
     return GeneralizedLTResult(rank, a, b, exponent, kinetic, denominator, kinetic / denominator)
 
 
-def lieb_thirring_check(op: FiniteRankOperator) -> GeneralizedLTResult:
-    """Kinetic trace against the density power integral, rank-uniform side:
-    ratio = tr (-Laplacian) gamma / integral rho^(1 + 2/d) of a unit-ball
-    operator: generalized_lt_check at (a, b) = (0, 1)."""
-    return generalized_lt_check(op, 0.0, 1.0)
-
-
 def generalized_lt_check(op: FiniteRankOperator, a: float, b: float) -> GeneralizedLTResult:
     """Kinetic comparison at powers (a, b): tr (-Laplacian)^b gamma versus
     integral rho^(1 + 2b/(d + 2a)), for operators below (-Laplacian)^a."""
@@ -568,9 +564,10 @@ def fermi_sweep(grid: TorusGrid, chemical_potentials) -> tuple[list[dict], list[
     """Fermi-sea comparison across a ladder of chemical potentials: per rung
     of fock_operator.sea_ladder, a row and the spectral density w.
 
-    A row holds the rung's ratio, equal bit for bit to lieb_thirring_check
-    of the sea's operator (unit weights on its plane waves), the lattice-sum
-    oracle's ratio and their relative gap, and the ratio of the weak bound:
+    A row holds the rung's ratio, equal bit for bit to
+    generalized_lt_check(op, 0, 1) of the sea's operator (unit weights on
+    its plane waves), the lattice-sum oracle's ratio and their relative
+    gap, and the ratio of the weak bound:
     the rank-dependent bound rank^(2/d) tr (-Laplacian) gamma that
     interpolation and the triangle inequality give, over the same integral.
     Its ratio degrades with rank, which is the point of comparing.

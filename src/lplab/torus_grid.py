@@ -46,16 +46,14 @@ ZERO_MODE_RTOL = 1e-10
 FIELD_CHUNK_BYTES = 1 << 20
 
 
-def abs_squared(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|z|^2 computed as re^2 + im^2, avoiding the sqrt round trip of abs()**2;
-    into ``out`` when given, a float array of the values' shape.  With ``out``
-    the im^2 term is still one temporary array of the values' shape."""
+def abs_squared(values: np.ndarray) -> np.ndarray:
+    """|z|^2 computed as re^2 + im^2, avoiding the sqrt round trip of abs()**2."""
     v = np.asarray(values)
     if np.iscomplexobj(v):
-        out = np.square(v.real, out=out)
+        out = np.square(v.real)
         out += v.imag**2
         return out
-    return np.multiply(v, v, out=out)
+    return np.multiply(v, v)
 
 
 @dataclass(frozen=True)
@@ -182,12 +180,9 @@ def _transform_stack(function, grid: TorusGrid, values, out: np.ndarray | None) 
     return function(values, axes=_grid_axes(grid), out=out)
 
 
-def forward_transform_stack(
-    grid: TorusGrid, values: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """coeffs_k = h^d * FFT(values_k) for every field of a stack [r, ...] at once,
-    into ``out`` if given."""
-    spectra = _transform_stack(np.fft.fftn, grid, values, out)
+def forward_transform_stack(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """coeffs_k = h^d * FFT(values_k) for every field of a stack [r, ...] at once."""
+    spectra = _transform_stack(np.fft.fftn, grid, values, None)
     spectra *= grid.cell_volume
     return spectra
 

@@ -7,7 +7,8 @@ tables as outer products of one-axis rows.  plane_waves materializes the
 waves from fock_operator's module binding of _axis_waves, the one-axis
 waves the ladder transforms, so a test that patches them patches this sea
 too.  gram_excess is the dense Gram residual that sea_ladder's
-spectral certificate must bound.
+spectral certificate must bound.  bit_exact names the seas whose ladder
+tables equal the transform of the materialized waves bit for bit.
 """
 
 import numpy as np
@@ -33,6 +34,19 @@ def plane_waves(grid, modes) -> np.ndarray:
         # Append one axis: [r, N, ..] times [r, 1, .., 1, N].
         functions = functions[..., None] * table[0][row].reshape((len(row),) + (1,) * axis + (-1,))
     return functions
+
+
+def factor_counts(grid, modes) -> np.ndarray:
+    """The number of non-constant one-axis factors of each wave of ``modes``."""
+    return np.count_nonzero(np.stack(np.unravel_index(modes, grid.shape)), axis=0)
+
+
+def bit_exact(grid, chemical_potential) -> bool:
+    """Whether every wave of the sea has at most one non-constant factor, so
+    that the ladder's tables of its waves are the transform's, bit for bit:
+    every sea at d = 1, and the first shell (|xi|^2 <= 1) above it."""
+    modes = lplab.fock_operator._sea_modes(grid, chemical_potential)
+    return bool(np.all(factor_counts(grid, modes) <= 1))
 
 
 def fermi_sea(grid, chemical_potential) -> FiniteRankOperator:

@@ -27,13 +27,13 @@ from lplab import (
     build_blocks,
     fermi_lattice_oracle,
     fermi_sweep,
-    lieb_thirring_check,
+    generalized_lt_check,
     lt_chain_check,
 )
 from lplab.fock_operator import GRAM_TOLERANCE, _sea_modes, nyquist_shell, sea_ladder
 from lplab.inequality_lab import kinetic_chain
 from lplab.torus_grid import abs_squared, forward_transform_stack
-from sea_reference import fermi_sea, gram_excess, plane_waves
+from sea_reference import bit_exact, factor_counts, fermi_sea, gram_excess, plane_waves
 
 TAU = 2.0 * np.pi
 GRIDS = {1: (1, 256), 2: (2, 64), 3: (3, 16)}
@@ -66,21 +66,10 @@ def _chunk(grid, chunk_fields, monkeypatch):
         )
 
 
-def _factor_counts(grid, modes):
-    """The number of non-constant one-axis factors of each wave of ``modes``."""
-    return np.count_nonzero(np.stack(np.unravel_index(modes, grid.shape)), axis=0)
-
-
-def _bit_exact(grid, mu):
-    """Whether every wave of the sea has at most one non-constant factor, so
-    that the ladder's tables of its waves are the transform's, bit for bit."""
-    return bool(np.all(_factor_counts(grid, _sea_modes(grid, mu)) <= 1))
-
-
 def test_the_bit_exact_rungs_are_d1_and_the_first_shell():
-    assert [_bit_exact(_grid(1), mu) for mu in LADDERS[1][0]] == [True] * 4
+    assert [bit_exact(_grid(1), mu) for mu in LADDERS[1][0]] == [True] * 4
     for d in (2, 3):
-        assert [_bit_exact(_grid(d), mu) for mu in LADDERS[d][0]] == [True, False, False, False]
+        assert [bit_exact(_grid(d), mu) for mu in LADDERS[d][0]] == [True, False, False, False]
         assert fermi_lattice_oracle(_grid(d), 1.5).rank == 2 * d + 1
 
 
@@ -101,7 +90,7 @@ def test_ladder_densities_equal_the_materialized_seas(d, chunk_fields, monkeypat
         ball[_sea_modes(grid, mu)] = grid.volume
         assert np.max(np.abs(w.reshape(-1) - ball)) <= BALL_RTOL * grid.volume
         assert np.max(np.abs(rho - rank / grid.volume)) <= BALL_RTOL * rank / grid.volume
-        if _bit_exact(grid, mu):
+        if bit_exact(grid, mu):
             np.testing.assert_array_equal(rho, sea.density_values)
             np.testing.assert_array_equal(w, sea.spectral_density)
 
@@ -122,13 +111,13 @@ def test_rows_and_chains_equal_the_materialized_seas(d, order, chunk_fields, mon
     assert len(rows) == len(densities) == len(ladder)
     for mu, row, w in zip(ladder, rows, densities):
         sea = fermi_sea(grid, mu)
-        expected = lieb_thirring_check(sea)
+        expected = generalized_lt_check(sea, 0.0, 1.0)
         weak_bound = float(sea.rank) ** (2.0 / d) * expected.kinetic
         ratios = [expected.ratio, weak_bound / expected.density_power_integral]
         chain, reference = kinetic_chain(grid, w, blocks), lt_chain_check(sea, blocks)
         assert row["rank"] == sea.rank
         assert row["oracle_ratio"] == fermi_lattice_oracle(grid, mu).ratio
-        if _bit_exact(grid, mu):
+        if bit_exact(grid, mu):
             assert [row["ratio"], row["weak_ratio"]] == ratios
             np.testing.assert_array_equal(w, sea.spectral_density)
             assert chain == reference
@@ -328,7 +317,7 @@ def test_ladder_holds_only_the_transform_pass_buffers(traced_peak):
 def _axis_plane_waves(grid):
     """Flat indices of every mode with at most one non-constant factor."""
     modes = np.arange(grid.size)
-    return modes[_factor_counts(grid, modes) <= 1]
+    return modes[factor_counts(grid, modes) <= 1]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

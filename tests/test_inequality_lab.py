@@ -28,7 +28,6 @@ from lplab import (
     fermi_sweep,
     generalized_lt_check,
     khinchine_reports,
-    lieb_thirring_check,
     lt_chain_check,
     philox_generator,
     plane_wave,
@@ -401,7 +400,7 @@ class TestLiebThirring:
         # Modes {0, 1, -1}: kinetic trace 2, flat density 3 / L, and the
         # cubed-density integral is 27 / L^2.
         sea = fermi_sea(grid1, 1.1)
-        result = lieb_thirring_check(sea)
+        result = generalized_lt_check(sea, 0.0, 1.0)
         assert result.rank == 3
         np.testing.assert_allclose(result.kinetic, 2.0, rtol=1e-12)
         np.testing.assert_allclose(result.density_power_integral, 27.0 / TAU**2, rtol=1e-12)
@@ -421,8 +420,8 @@ class TestLiebThirring:
         # is linear, the density side degree 1 + 2/d.
         op = random_orthonormal_frame(grid1, rank=4, decay=0.8, seed=740, weights="ones")
         halved = FiniteRankOperator(grid1, 0.5 * op.eigenvalues, op.eigenfunctions)
-        full = lieb_thirring_check(op)
-        half = lieb_thirring_check(halved)
+        full = generalized_lt_check(op, 0.0, 1.0)
+        half = generalized_lt_check(halved, 0.0, 1.0)
         np.testing.assert_allclose(half.ratio, full.ratio * 2.0**2.0, rtol=1e-12)
 
     @pytest.mark.parametrize("dim_fixture,mode", [("grid1", [4]), ("grid2", [3, 1])])
@@ -431,7 +430,7 @@ class TestLiebThirring:
         u = normalized_wave(grid, mode)
         op = rank_one(grid, u)
         p = 2.0 + 4.0 / grid.dimension
-        lt_ratio = lieb_thirring_check(op).ratio
+        lt_ratio = generalized_lt_check(op, 0.0, 1.0).ratio
         gns_ratio = gns_sample(grid, u).ratio
         np.testing.assert_allclose(lt_ratio, gns_ratio ** (-p), rtol=1e-9)
 
@@ -439,17 +438,16 @@ class TestLiebThirring:
         functions = np.stack([normalized_wave(grid1, [1])])
         op = FiniteRankOperator(grid1, np.array([1.5]), functions)
         with pytest.raises(ContractViolationError, match="unit_ball"):
-            lieb_thirring_check(op)
+            generalized_lt_check(op, 0.0, 1.0)
 
     def test_zero_mode_sea_degenerates(self, grid1):
         with pytest.raises(DegenerateInputError):
-            lieb_thirring_check(fermi_sea(grid1, 0.5))
+            generalized_lt_check(fermi_sea(grid1, 0.5), 0.0, 1.0)
 
-    def test_zero_density_is_refused_by_both_checks(self, grid1):
+    def test_zero_density_is_refused(self, grid1):
         op = rank_one(grid1, normalized_wave(grid1, [2]), weight=0.0)
-        for check in (lieb_thirring_check, lambda op: generalized_lt_check(op, 0.0, 1.0)):
-            with pytest.raises(DegenerateInputError, match="zero density"):
-                check(op)
+        with pytest.raises(DegenerateInputError, match="zero density"):
+            generalized_lt_check(op, 0.0, 1.0)
 
     @pytest.mark.parametrize("mu", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_potential_is_refused(self, grid1, mu):
@@ -460,7 +458,7 @@ class TestLiebThirring:
     def test_oracle_agrees_with_pipeline(self, grid1, grid2):
         for grid, mu in ((grid1, 9.5), (grid1, 33.0), (grid2, 8.5)):
             oracle = fermi_lattice_oracle(grid, mu)
-            result = lieb_thirring_check(fermi_sea(grid, mu))
+            result = generalized_lt_check(fermi_sea(grid, mu), 0.0, 1.0)
             assert type(oracle) is type(result)
             assert (oracle.rank, oracle.power_a, oracle.power_b, oracle.exponent) == (
                 result.rank, 0.0, 1.0, 1.0 + 2.0 / grid.dimension
@@ -491,7 +489,7 @@ class TestOneSiteSums:
         grid = ONE_SITE_GRIDS[d]
         op = random_orthonormal_frame(grid, rank=3, decay=0.7, seed=770 + d)
         chain = lt_chain_check(op, build_blocks(grid))
-        assert chain.kinetic == lieb_thirring_check(op).kinetic
+        assert chain.kinetic == generalized_lt_check(op, 0.0, 1.0).kinetic
         w = op.spectral_density
         assert chain.kinetic == float(np.sum(grid.frequency_norms_squared * w) / grid.volume)
 
@@ -501,7 +499,7 @@ class TestOneSiteSums:
         op = random_orthonormal_frame(grid, rank=3, decay=0.7, seed=780 + d)
         rho = op.density_values ** (1.0 + 2.0 / d)
         expected = float(grid.cell_volume * rho.sum())
-        assert lieb_thirring_check(op).density_power_integral == expected
+        assert generalized_lt_check(op, 0.0, 1.0).density_power_integral == expected
 
 
 class TestChain:
@@ -576,15 +574,6 @@ class TestSequenceLemma:
 
 
 class TestGeneralizedLT:
-    def test_reduces_bitwise_to_plain_check(self, grid1):
-        op = random_orthonormal_frame(grid1, rank=3, decay=0.8, seed=760, power_bound=0.0)
-        general = generalized_lt_check(op, 0.0, 1.0)
-        plain = lieb_thirring_check(op)
-        assert general.kinetic == plain.kinetic
-        assert general.density_power_integral == plain.density_power_integral
-        assert general.ratio == plain.ratio
-        assert general.exponent == 1.0 + 2.0 / grid1.dimension
-
     def test_trivial_powers_give_unit_ratio(self, grid1):
         op = random_orthonormal_frame(grid1, rank=3, decay=0.8, seed=761, power_bound=0.0)
         result = generalized_lt_check(op, 0.0, 0.0)

@@ -32,7 +32,6 @@ from lplab import (
     canonical_json,
     format_float,
     generalized_lt_check,
-    lieb_thirring_check,
     lt_chain_check,
     philox_generator,
     power_bounded,
@@ -258,26 +257,20 @@ class TestOperatorCache:
         monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted)
         op = random_orthonormal_frame(blocks1.grid, 4, 1.0, 47)
         fresh = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
-        glt_order = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
+        chain_first = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
         grams.clear()
         fft_calls.update(fftn=0, ifftn=0)
         # The unit-ball checks stream one density (one chunk of 4 fields)
         # and keep no forward stack.
-        base = lieb_thirring_check(fresh)
+        base = generalized_lt_check(fresh, 0.0, 1.0)
         lt_chain_check(fresh, blocks1)
         assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
         assert "_forward_stack" not in fresh.__dict__
-        # The check at (0, 1) is the base check: it reads the same Gram
-        # matrix and density, and transforms nothing more.
-        general = generalized_lt_check(fresh, 0.0, 1.0)
-        assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
-        assert "_forward_stack" not in fresh.__dict__
-        assert general == base
-        # glt's order, the power bound first: one transform serves both checks.
+        # The chain first: one transform still serves both checks.
         grams.clear()
         fft_calls.update(fftn=0, ifftn=0)
-        general = generalized_lt_check(glt_order, 0.0, 1.0)
-        assert lieb_thirring_check(glt_order) == general == base
+        lt_chain_check(chain_first, blocks1)
+        assert generalized_lt_check(chain_first, 0.0, 1.0) == base
         assert grams == [4] and fft_calls == {"fftn": 1, "ifftn": 0}
 
 
