@@ -18,9 +18,14 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 from .fock_operator import (
-    GRAM_TOLERANCE, FiniteRankOperator, OperatorContract, power_bounded, validate_contract
+    GRAM_TOLERANCE,
+    FiniteRankOperator,
+    OperatorContract,
+    gram_matrix,
+    power_bounded,
+    validate_contract,
 )
-from .torus_grid import TorusGrid, field_chunks, inverse_transform_stack
+from .torus_grid import TorusGrid, byte_chunks, inverse_transform_stack
 
 GRAM_RETRY_LIMIT = 5
 LAMBDA_STREAM_INDEX = 2**48
@@ -117,40 +122,77 @@ def random_band_limited(
     return inverse_transform_stack(grid, coeffs, out=coeffs)
 
 
-def _orthonormalize(grid: TorusGrid, vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt, two passes, in the quadrature inner product.
+def _orthonormalize(
+    grid: TorusGrid, vectors: np.ndarray, name=lambda frame: f"frame {frame}"
+) -> np.ndarray:
+    """Shifted Cholesky QR, three passes, in the quadrature inner product.
 
     ``vectors`` is one frame [rank, ...] or a stack of frames
     [frames, rank, ...], a C-contiguous complex array; each frame is
     orthonormalized on its own, in place: the input is overwritten and
     returned.
-    Right-looking: each pass normalizes pivot i of every frame, then takes
-    its inner products with the later rows and subtracts them in place, one
-    field_chunk of the row axis (across every frame) at a time, so the pass
-    holds one chunk beside the frames.  Every row still meets its
-    projections in ascending pivot order and is then normalized, the same
-    operations in the same order as the left-looking per-pair loop on one
-    frame.
+    Each pass forms every frame's Gram matrix G = h^d V V^H (gram_matrix),
+    factors G = L L^H and overwrites V with L^{-1} V, one column chunk at a
+    time.  The first pass factors G + s I, s = 11 (N^d r + r (r + 1)) u tr G
+    with u the unit roundoff, so that frames too ill-conditioned for a plain
+    Cholesky factor still factor; the next two bring the Gram residual down
+    to rounding ("shifted CholeskyQR3": Fukaya, Kannan, Nakatsukasa,
+    Yamamoto and Yanagisawa, 2020).  Column chunks are byte_chunks of one
+    frame, so a frame's bits do not depend on the stack it comes in, and a
+    pass holds one chunk beside the frames.
+
+    V = R Q with R = L1 L2 L3, so the diagonal of R, the product of the
+    factors' diagonals, gives each field's distance from the span of the
+    fields before it.  A frame is linearly dependent to rounding, and
+    refused (DegenerateInputError, naming it as ``name`` of its place in
+    the stack), when some pass has no Cholesky factor or some distance is
+    at most N^d eps times its longest field.  A frame so refused is rank
+    deficient by numpy.linalg.matrix_rank's default tolerance too: its
+    least singular value is at most that distance, and its largest at
+    least that field's norm.
     """
     shape = np.shape(vectors)
     rank = shape[-grid.dimension - 1]
     frames = np.asarray(vectors).reshape(-1, rank, grid.size)
-    cell_volume = grid.cell_volume
-    for _pass in range(2):
-        for i in range(rank):
-            pivot = frames[:, i]
-            norm = np.sqrt((cell_volume * (pivot.conj() * pivot).sum(axis=1)).real)
-            if (norm <= 0).any():
-                raise DegenerateInputError("frame vector collapsed to zero")
-            # Dividing by the norms cast to complex runs the same complex
-            # division as by a real scalar, without a buffered cast.
-            pivot /= norm[:, None].astype(complex)
-            conjugate = pivot.conj()[:, None]
-            for rows in field_chunks(grid, rank - i - 1, len(frames)):
-                rest = frames[:, i + 1 :][:, rows]
-                overlaps = cell_volume * (conjugate * rest).sum(axis=2)
-                rest -= overlaps[:, :, None] * pivot[:, None]
+    columns = byte_chunks(grid.size, rank * np.dtype(complex).itemsize)
+    eps = np.finfo(float).eps
+    shift = 11.0 * (grid.size * rank + rank * (rank + 1)) * eps / 2.0
+    distances = np.ones(frames.shape[:2])
+    for step in range(3):
+        gram = gram_matrix(grid, frames.reshape(frames.shape[:2] + grid.shape))
+        diagonal = gram.reshape(len(frames), -1)[:, :: rank + 1]
+        if step == 0:
+            longest = np.sqrt(diagonal.real.max(axis=1))
+            diagonal += shift * diagonal.sum(axis=1).real[:, None]
+        try:
+            factors = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            frame = next(f for f, matrix in enumerate(gram) if not _has_cholesky(matrix))
+            raise DegenerateInputError(
+                f"{name(frame)} is linearly dependent to rounding: its Gram matrix has "
+                f"no Cholesky factor on pass {step + 1} of 3"
+            ) from None
+        distances *= np.diagonal(factors, axis1=1, axis2=2).real
+        inverses = np.linalg.inv(factors)
+        for cols in columns:
+            frames[..., cols] = inverses @ frames[..., cols]
+    near = distances <= grid.size * eps * longest[:, None]
+    if near.any():
+        frame, field = np.argwhere(near)[0]
+        raise DegenerateInputError(
+            f"{name(frame)} is linearly dependent to rounding: its field {field} lies "
+            f"within {grid.size} eps of the span of the fields before it, relative to "
+            "its longest field"
+        )
     return frames.reshape(shape)
+
+
+def _has_cholesky(matrix: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def random_orthonormal_frame(
@@ -170,7 +212,9 @@ def random_orthonormal_frame(
     the operator satisfies the power-bounded contract at that exponent (mean
     zero is forced for a != 0, where the bounding operator is singular or
     degenerate on constants).  Attempt t draws the frame's rank members in
-    one call, on substream t; a frame whose Gram check fails is redrawn.
+    one call, on substream t; a frame whose Gram check fails is redrawn, and
+    one whose members are linearly dependent to rounding is refused
+    (random_orthonormal_frames).
     """
     return random_orthonormal_frames(
         grid, rank, decay, seed, index, 1, weights, zero_mean, power_bound
@@ -193,9 +237,14 @@ def random_orthonormal_frames(
 
     The first attempts of all frames are one pass: one random_band_limited
     call draws the count * rank members (frame f owns members f * rank, ...,
-    f * rank + rank - 1), one Gram-Schmidt runs over the [count, rank, ...]
-    stack, and then each frame takes its own Gram check.  A frame that fails
-    it is redrawn alone, on the next substream.
+    f * rank + rank - 1), one _orthonormalize (shifted Cholesky QR) runs
+    over the [count, rank, ...] stack, and then each frame takes its own
+    Gram check.  A frame that fails it is redrawn alone, on the next
+    substream.  A frame whose members are linearly dependent to rounding is
+    refused (DegenerateInputError naming the seed and member) rather than
+    returned with rounding noise among its eigenfunctions.  The refusal is
+    not a complete guard: its two tests (_orthonormalize) read rounded
+    factors, so a frame at the edge of dependence can pass them.
     """
     rank, count = int(rank), int(count)
     if rank < 1:
@@ -222,7 +271,11 @@ def random_orthonormal_frames(
             stream=stream,
             count=frames * rank,
         )
-        return _orthonormalize(grid, raw.reshape((frames, rank) + grid.shape))
+        return _orthonormalize(
+            grid,
+            raw.reshape((frames, rank) + grid.shape),
+            lambda frame: f"the frame of seed {seed}, member {member + frame}",
+        )
 
     # The members are drawn first: random_band_limited refuses a bad decay.
     first = attempt(index, 0, count)

@@ -24,8 +24,9 @@ one-axis transforms: sea_ladder transforms one table of the top sea's
 one-axis waves, _axis_waves, once per sweep and builds every wave's
 |c_k|^2 and |u_k|^2 tables as real outer products of its rows.  It streams a ladder of seas
 without holding one, and certifies each rung's orthonormality from those
-spectra, with no Gram matrix.  Stacks have one Gram kernel, _gram_matrix,
-and an operator builds its Gram matrix once; validate_contract and
+spectra, with no Gram matrix.  Stacks have one Gram kernel, gram_matrix,
+which corpus's orthonormalizer also runs on stacks of frames, and an
+operator builds its Gram matrix once; validate_contract and
 sea_ladder share one report builder, _contract_report, and one violation
 message.
 
@@ -182,7 +183,7 @@ class FiniteRankOperator:
         eigenfunctions; validate_contract adds the _power_overlap of each
         other power it checks.
         """
-        return {0.0: _read_only(_gram_matrix(self.grid, self.eigenfunctions))}
+        return {0.0: _read_only(gram_matrix(self.grid, self.eigenfunctions))}
 
     def reweighted(self, eigenvalues) -> "FiniteRankOperator":
         """The operator on the same eigenfunctions with other eigenvalues.
@@ -385,17 +386,20 @@ class ValidationReport:
     checks: dict[str, float] = field(default_factory=dict)
 
 
-def _gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
-    """<u_k, u_l> of a stack [r, ...] of grid fields, in the quadrature inner product.
+def gram_matrix(grid: TorusGrid, functions: np.ndarray) -> np.ndarray:
+    """<u_k, u_l> of a stack [r, ...] of grid fields, in the quadrature inner
+    product; of a stack of frames [f, r, ...], one [f, r, r] matrix per frame.
 
-    The columns of its (r, N^d) view are read in byte_chunks, and each block
-    c adds c c^H.
+    The columns of a frame's (r, N^d) view are read in byte_chunks sized for
+    one frame, so its matrix does not depend on the stack it comes in, and
+    each block c adds c c^H, for every frame in one product.
     """
-    flat = functions.reshape(len(functions), -1)
+    rank = functions.shape[-grid.dimension - 1]
+    flat = functions.reshape(functions.shape[: -grid.dimension] + (grid.size,))
     gram = 0.0
-    for cols in byte_chunks(flat.shape[1], len(flat) * np.dtype(complex).itemsize):
-        block = flat[:, cols]
-        gram += block @ block.conj().T
+    for cols in byte_chunks(grid.size, rank * np.dtype(complex).itemsize):
+        block = flat[..., cols]
+        gram += block @ block.conj().swapaxes(-1, -2)
     return grid.cell_volume * gram
 
 

@@ -76,7 +76,7 @@ from .torus_grid import (
 )
 
 EXACT_ENUMERATION_CAP = 20
-_ENUMERATION_CHUNK = 1 << 16
+_KEPT_ENSEMBLE_ROWS = 1 << 16
 DEGENERACY_RTOL = 1e-12
 CHAIN_RTOL = 1e-10
 
@@ -224,7 +224,7 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
 
     A single chunk streams the sign blocks, each built once.  Over several
     chunks the blocks are built once per call and kept for every chunk when
-    the ensemble holds no more entries than _ENUMERATION_CHUNK rows of
+    the ensemble holds no more entries than _KEPT_ENSEMBLE_ROWS rows of
     EXACT_ENUMERATION_CAP terms; a larger ensemble is rebuilt block by block
     for each chunk.  At 16 exact terms a chunk holds 2 of 500 arrays, so
     rebuilding there would build the blocks 250 times.
@@ -233,7 +233,7 @@ def _sign_moments(coefficients: np.ndarray, ensemble: SignEnsemble, exponents) -
     total = _ensemble_rows(sign_count, ensemble)
     chunks = byte_chunks(len(coefficients), total * np.dtype(float).itemsize)
     kept = None
-    if len(chunks) > 1 and total * sign_count <= _ENUMERATION_CHUNK * EXACT_ENUMERATION_CAP:
+    if len(chunks) > 1 and total * sign_count <= _KEPT_ENSEMBLE_ROWS * EXACT_ENUMERATION_CAP:
         kept = list(_sign_blocks(sign_count, ensemble))
 
     def sums(rows, a):

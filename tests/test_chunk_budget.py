@@ -2,8 +2,9 @@
 
 Patching that one binding must resize the Fermi sweep's rank chunks, the
 column blocks of a stack's Gram matrix, the array chunks and the sign
-blocks of the sign-sum pass, the row chunks of Gram-Schmidt and the rank
-chunks of a unit-ball operator's spectral density, and no other module of
+blocks of the sign-sum pass, the column chunks of a frame's
+orthonormalization and the rank chunks of a unit-ball operator's spectral
+density, and no other module of
 the package may name the budget or define a byte budget of its own.
 """
 
@@ -18,7 +19,7 @@ import lplab.inequality_lab
 import lplab.torus_grid
 from lplab import FiniteRankOperator, SignEnsemble, TorusGrid, fermi_sweep, khinchine_reports
 from lplab.corpus import _orthonormalize
-from lplab.fock_operator import _gram_matrix
+from lplab.fock_operator import gram_matrix
 from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
@@ -28,13 +29,13 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lplab"
 def test_one_budget_sizes_every_pass(monkeypatch):
     grid = TorusGrid(3, TAU, 16)
     stack = fermi_sea(grid, 4.5).eigenfunctions  # 33 waves
-    seen = {"ranks": [], "columns": [], "chunks": [], "signs": [], "rows": [], "transforms": []}
+    seen = {"ranks": [], "columns": [], "chunks": [], "signs": [], "frame": [], "transforms": []}
     wave_squares = lplab.fock_operator._wave_squares
     gram_blocks = lplab.fock_operator.byte_chunks
     sign_blocks = lplab.inequality_lab._sign_blocks
     mean = np.mean
     fftn = np.fft.fftn
-    field_chunks = lplab.corpus.field_chunks
+    frame_blocks = lplab.corpus.byte_chunks
 
     def squares(axis_squares, factors, out):
         # The sweep builds the tables of each chunk of the rank axis once.
@@ -47,7 +48,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         return mean(table, axis=axis)
 
     def columns(count, item_bytes):
-        # _gram_matrix reads the columns of the stack in these blocks.
+        # gram_matrix reads the columns of the stack in these blocks.
         blocks = gram_blocks(count, item_bytes)
         seen["columns"].extend(blocks)
         return blocks
@@ -58,10 +59,10 @@ def test_one_budget_sizes_every_pass(monkeypatch):
             seen["signs"].append(len(block))
             yield block
 
-    def rows(grid, count, fields_per_item):
-        # Gram-Schmidt takes the later rows of each pivot in these chunks.
-        chunks = field_chunks(grid, count, fields_per_item)
-        seen["rows"].extend(chunks)
+    def frame_columns(count, item_bytes):
+        # Each pass of _orthonormalize overwrites the frame in these chunks.
+        chunks = frame_blocks(count, item_bytes)
+        seen["frame"].extend(chunks)
         return chunks
 
     def transform(values, **kwargs):
@@ -70,7 +71,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         return fftn(values, **kwargs)
 
     monkeypatch.setattr(lplab.fock_operator, "_wave_squares", squares)
-    monkeypatch.setattr(lplab.corpus, "field_chunks", rows)
+    monkeypatch.setattr(lplab.corpus, "byte_chunks", frame_columns)
 
     def counts():
         for calls in seen.values():
@@ -78,7 +79,7 @@ def test_one_budget_sizes_every_pass(monkeypatch):
         fermi_sweep(grid, [4.5])
         with monkeypatch.context() as patch:
             patch.setattr(lplab.fock_operator, "byte_chunks", columns)
-            _gram_matrix(grid, stack)
+            gram_matrix(grid, stack)
         with monkeypatch.context() as patch:
             patch.setattr(np, "mean", moments)
             khinchine_reports((8,), [1.0], 40, 5)
@@ -94,19 +95,19 @@ def test_one_budget_sizes_every_pass(monkeypatch):
             len(seen["columns"]),
             len(seen["chunks"]),
             len(seen["signs"]),
-            len(seen["rows"]) // 2,  # one set per Gram-Schmidt pass
+            len(seen["frame"]),
             len(seen["transforms"]),
         )
 
     # 1 MiB: rank chunks of 16 of 33 waves, blocks of 1985 of 4096 columns,
-    # all 40 arrays, sign blocks of 8192 of 20,000 rows, rows of 16 of the
-    # 32 - i after pivot i, 16 of 33 ranks.
-    assert counts() == (3, 3, 1, 3, 48, 3)
+    # all 40 arrays, sign blocks of 8192 of 20,000 rows, frame chunks of
+    # 1985 columns, 16 of 33 ranks.
+    assert counts() == (3, 3, 1, 3, 3, 3)
     monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", grid.size * 16)
     # One field: rank chunks of 1 wave, blocks of 124 columns, 32 arrays of
-    # 256 rows, sign blocks of 512 rows, one row per pivot and later row,
-    # ranks of 1.
-    assert counts() == (33, 34, 2, 40, 528, 33)
+    # 256 rows, sign blocks of 512 rows, frame chunks of 124 columns, ranks
+    # of 1.
+    assert counts() == (33, 34, 2, 40, 34, 33)
 
 
 def budget_names(path: Path) -> set[str]:

@@ -361,6 +361,21 @@ class TestExitCodes:
         assert payload["unjudged"] == 0
 
 
+    def test_a_frame_of_rounding_noise_fails_the_run(self, tmp_path, capsys):
+        """At decay 20 the later fields of a rank-32 frame lie within rounding
+        of the span of the first ones: the frame is refused, and the run
+        exits 1 with the error naming the seed and member."""
+        out = tmp_path / "lp_density.json"
+        argv = ["lp-density", "--dim", "1", "--n", "256", "--rank", "32", "--samples", "5",
+                "--decay", "20", "--out", str(out)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().out.startswith("FAIL lp-density")
+        payload = json.loads(out.read_text())
+        assert payload["pass"] is False
+        assert payload["results"]["error"].startswith(
+            "the frame of seed 2025, member 0 is linearly dependent to rounding: "
+        )
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p", ["250", "300"])
     def test_sign_sums_beyond_binary64_fail_the_run(self, tmp_path, capsys, p):

@@ -22,6 +22,7 @@ from lplab import (
     spike_sequences,
     validate_contract,
 )
+from lplab.corpus import random_orthonormal_frames
 from lplab.torus_grid import forward_transform_stack
 
 
@@ -275,6 +276,35 @@ class TestCorpusSpec:
 class TestDegenerateFrames:
     def test_collapse_is_reported(self, small1):
         # Requesting more orthonormal vectors than honestly supported spectral
-        # degrees of freedom triggers the collapse error rather than silence.
-        with pytest.raises((DegenerateInputError, ValueError)):
-            random_orthonormal_frame(small1, rank=17, decay=50.0, seed=46)
+        # degrees of freedom triggers the collapse error rather than silence:
+        # at decay 50 every mode but the zero mode weighs at most 2^-50 = 4 eps.
+        with pytest.raises(DegenerateInputError, match="linearly dependent to rounding"):
+            random_orthonormal_frame(small1, rank=16, decay=50.0, seed=46)
+
+    def test_rounding_noise_is_refused_naming_seed_and_member(self, grid1):
+        """At decay 35 a rank-8 frame's fourth field needs the modes |xi| = 2,
+        whose weight 3^-35 is below eps: it lies within rounding of the
+        span of the first three, and the frame is refused rather than
+        returned with noise for that eigenfunction."""
+        with pytest.raises(
+            DegenerateInputError,
+            match=r"^the frame of seed 46, member 3 is linearly dependent to rounding: "
+            r"its field 3 lies within 256 eps",
+        ):
+            random_orthonormal_frames(grid1, 8, 35.0, 46, index=3, count=2)
+
+    def test_a_repeated_field_is_refused_naming_its_member(self, grid1, monkeypatch):
+        """The last frame of a stack of three repeats a field: the error names
+        that frame's member, not the first of the stack."""
+        original = lplab.corpus.random_band_limited
+
+        def repeated(*args, **kwargs):
+            values = original(*args, **kwargs)
+            values[-1] = values[-2]
+            return values
+
+        monkeypatch.setattr(lplab.corpus, "random_band_limited", repeated)
+        with pytest.raises(
+            DegenerateInputError, match="^the frame of seed 46, member 5 is linearly dependent"
+        ):
+            random_orthonormal_frames(grid1, 4, 1.0, 46, index=3, count=3)

@@ -3,8 +3,9 @@
 Each chunk is drawn in one call and checked in one pass: one forward and
 one inverse transform for all its members and blocks, and one |.|^p
 reduction per exponent and side.  The per-member path it replaced is kept
-here as the reference: one draw, one Gram-Schmidt, one block kernel and one
-L^p norm per member.  Every comparison is exact.
+here as the reference: one draw, one per-frame shifted Cholesky QR
+(frame_reference), one block kernel and one L^p norm per member.  Every
+comparison is exact.
 """
 
 import contextlib
@@ -35,6 +36,7 @@ from lplab import (
 )
 from lplab.corpus import LAMBDA_STREAM_INDEX, random_orthonormal_frames
 from lplab.errors import ConfigurationError, DegenerateInputError
+from frame_reference import cholesky_qr
 
 TAU = 2.0 * np.pi
 GRIDS = {1: (1, 256), 2: (2, 32), 3: (3, 16)}
@@ -68,25 +70,12 @@ def _reference_member(grid, decay, seed, index, zero_mean=False, stream=0):
     return np.fft.ifftn(coeffs) / grid.cell_volume
 
 
-def _reference_gram_schmidt(grid, vectors):
-    """Two passes of modified Gram-Schmidt on one frame, one pivot at a time."""
-    rows = np.array(vectors, dtype=complex).reshape(len(vectors), -1)
-    for _pass in range(2):
-        for i, pivot in enumerate(rows):
-            norm = np.sqrt((grid.cell_volume * np.sum(np.conj(pivot) * pivot)).real)
-            pivot /= norm
-            rest = rows[i + 1 :]
-            overlaps = grid.cell_volume * np.sum(np.conj(pivot) * rest, axis=1)
-            rest -= overlaps[:, None] * pivot
-    return rows.reshape(np.shape(vectors))
-
-
 def _reference_frame(grid, rank, decay, seed, index, stream=0):
     raw = np.stack(
         [_reference_member(grid, decay, seed, index * rank + k, stream=stream) for k in range(rank)]
     )
     weights = philox_generator(seed, LAMBDA_STREAM_INDEX + index).uniform(0.0, 1.0, size=rank)
-    return weights, _reference_gram_schmidt(grid, raw)
+    return weights, cholesky_qr(grid, raw)
 
 
 def _reference_block_energy(grid, functions, weights, symbols):

@@ -1,7 +1,8 @@
 """The operator corpus without per-pair loops or whole-stack copies.
 
-The right-looking Gram-Schmidt is checked bit for bit against the
-left-looking per-pair loop it replaced, kept here as the reference; the
+The shifted Cholesky QR of the frames is checked against the per-pair
+Gram-Schmidt loop it replaced, kept here as the reference, to rounding, and
+against the per-frame reference of frame_reference bit for bit; the
 column-chunked Gram matrix against the plain product and for its memory
 peak; and the names the benchmark tracer wraps against the modules that
 must keep them bound.
@@ -31,7 +32,9 @@ from lplab import (
     validate_contract,
 )
 from lplab.corpus import _orthonormalize
-from lplab.fock_operator import _gram_matrix
+from lplab.fock_operator import gram_matrix, gram_residual
+from lplab.torus_grid import byte_chunks
+from frame_reference import cholesky_qr
 from sea_reference import fermi_sea
 
 TAU = 2.0 * np.pi
@@ -68,7 +71,22 @@ FRAME_CASES = [
 ] + [(1, 32)]
 
 
+def _gap(frame, reference):
+    """||frame - reference|| / ||reference||, in the Frobenius norm."""
+    return np.linalg.norm(frame - reference) / np.linalg.norm(reference)
+
+
 class TestRightLookingGramSchmidt:
+    """Shifted Cholesky QR against the Gram-Schmidt loop it replaced.
+
+    In exact arithmetic both give the one frame Q = R^{-1} V with R lower
+    triangular and its diagonal real and positive, so on decay-1 frames they
+    agree to rounding.  Where a frame's columns fit one chunk, the batched
+    kernel equals the per-frame reference (frame_reference) bit for bit;
+    across chunk budgets the Gram sums are chunked, so frames agree to
+    rounding, and a frame of a stack equals that frame alone bit for bit.
+    """
+
     @pytest.mark.parametrize("zero_mean", [False, True])
     @pytest.mark.parametrize("d,rank", FRAME_CASES)
     def test_equals_per_pair_loop(self, d, rank, zero_mean):
@@ -77,22 +95,32 @@ class TestRightLookingGramSchmidt:
         raw = _raw_stack(grid, rank, zero_mean)
         frame = _orthonormalize(grid, raw.copy())
         assert frame.shape == raw.shape
-        np.testing.assert_array_equal(frame, _per_pair_orthonormalize(grid, raw))
+        assert _gap(frame, _per_pair_orthonormalize(grid, raw)) <= 1e-13
+        if len(byte_chunks(grid.size, rank * np.dtype(complex).itemsize)) == 1:
+            np.testing.assert_array_equal(frame, cholesky_qr(grid, raw))
+        else:
+            assert _gap(frame, cholesky_qr(grid, raw)) <= 1e-13
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_row_chunks_equal_per_pair_loop(self, d, rows, monkeypatch):
-        """Gram-Schmidt in chunks of 1 or 3 later rows, on one frame and on
-        a stack of two, still equals the per-pair loop on every frame."""
+        """A stack of two rank-8 frames in column chunks of about rows / 8
+        of a frame, the last one partial: each frame equals that frame
+        orthonormalized alone bit for bit, and the per-pair loop and the
+        unchunked reference to rounding."""
         dim, n = GRIDS[d]
         grid = TorusGrid(dim, TAU, n)
         raw = np.stack([_raw_stack(grid, 8, False, seed) for seed in (41, 43)])
-        for frames in (raw[:1], raw):
-            row_bytes = len(frames) * grid.size * np.dtype(complex).itemsize
-            monkeypatch.setattr(lplab.torus_grid, "FIELD_CHUNK_BYTES", rows * row_bytes)
-            result = _orthonormalize(grid, frames.copy())
-            for frame, reference in zip(result, frames):
-                np.testing.assert_array_equal(frame, _per_pair_orthonormalize(grid, reference))
+        width = rows * grid.size // 8 + 1
+        monkeypatch.setattr(
+            lplab.torus_grid, "FIELD_CHUNK_BYTES", width * 8 * np.dtype(complex).itemsize
+        )
+        assert len(byte_chunks(grid.size, 8 * np.dtype(complex).itemsize)) > 2
+        result = _orthonormalize(grid, raw.copy())
+        for frame, reference in zip(result, raw):
+            np.testing.assert_array_equal(frame, _orthonormalize(grid, reference.copy()))
+            assert _gap(frame, _per_pair_orthonormalize(grid, reference)) <= 1e-13
+            assert _gap(frame, cholesky_qr(grid, reference)) <= 1e-13
 
     def _outcome(self, fn, grid, raw):
         try:
@@ -102,6 +130,9 @@ class TestRightLookingGramSchmidt:
 
     @pytest.mark.parametrize("kind", ["repeated_field", "repeated_constant", "zero"])
     def test_degenerate_stack_matches_per_pair_loop(self, kind):
+        """A frame with a repeated or a zero field is refused, and the error
+        names its place in the stack.  The per-pair loop refused only the
+        zero field: a repeated one came back as rounding noise."""
         grid = TorusGrid(1, TAU, 16)
         raw = _raw_stack(grid, 4, zero_mean=False)
         if kind == "repeated_field":
@@ -110,14 +141,24 @@ class TestRightLookingGramSchmidt:
             raw[0] = raw[3] = 1.0
         else:
             raw[1] = 0.0
-        new = self._outcome(_orthonormalize, grid, raw.copy())
         old = self._outcome(_per_pair_orthonormalize, grid, raw)
-        if kind == "zero":
-            assert isinstance(old, str)
-        if isinstance(old, str):
-            assert new == old == "frame vector collapsed to zero"
-        else:
-            np.testing.assert_array_equal(new, old)
+        assert isinstance(old, str) == (kind == "zero")
+        stack = np.stack([_raw_stack(grid, 4, False, seed=43), raw])
+        new = self._outcome(_orthonormalize, grid, stack)
+        assert isinstance(new, str) and new.startswith(
+            "frame 1 is linearly dependent to rounding: "
+        ), new
+
+    def test_ill_conditioned_frame_needs_the_shift(self):
+        """A decay-8 rank-32 frame (condition number about 3e10) has no
+        unshifted Cholesky factor; the shifted first pass factors it and
+        the frame comes out orthonormal to rounding."""
+        grid = TorusGrid(1, TAU, 256)
+        raw = random_band_limited(grid, 8.0, 2024, count=32)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gram_matrix(grid, raw))
+        frame = _orthonormalize(grid, raw)
+        assert gram_residual(gram_matrix(grid, frame)) <= 1e-14
 
 
 class TestZeroMeanRank:
@@ -167,7 +208,7 @@ class TestChunkedGram:
         flat = stack.reshape(rank, -1)
         assert flat.shape[1] % width != 0
         expected = grid.cell_volume * (flat @ flat.conj().T)
-        np.testing.assert_allclose(_gram_matrix(grid, stack), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(gram_matrix(grid, stack), expected, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("rank", [3, 7])
     def test_equals_full_product_at_the_field_budget(self, rank):
@@ -178,7 +219,7 @@ class TestChunkedGram:
         assert width < flat.shape[1] and flat.shape[1] % width != 0
         expected = grid.cell_volume * (flat @ flat.conj().T)
         np.testing.assert_allclose(
-            _gram_matrix(grid, op.eigenfunctions), expected, rtol=0, atol=1e-14
+            gram_matrix(grid, op.eigenfunctions), expected, rtol=0, atol=1e-14
         )
 
     def test_contract_check_copies_no_stack(self, traced_peak):

@@ -5,8 +5,8 @@ passes one, or the input itself), complex_normals copies each member's draw
 straight into its result, and random_band_limited weights and transforms
 its coefficients in place.  Each must equal the expression it replaced bit
 for bit at d = 1, 2, 3, on complex stacks and on float views of them.  A
-band-limited draw then holds about one result, Gram-Schmidt overwrites the
-draw it is given and holds one chunk beside it, a unit-ball chain check
+band-limited draw then holds about one result, the orthonormalization of
+a frame overwrites the draw it is given and holds one chunk beside it, a unit-ball chain check
 keeps its spectral density and no forward stack, the power-bounded check
 holds one weighted copy of the forward stack, and glt releases each frame
 before it draws the next.
@@ -140,7 +140,7 @@ def test_orthonormalize_overwrites_its_input(traced_peak):
     frame, peak = traced_peak(_orthonormalize, grid, raw)
     assert np.shares_memory(frame, raw)
     _same_bits(frame, expected)
-    # The pivot's conjugate and one chunk of products with the later rows.
+    # One column chunk: its conjugate in the Gram pass, L^{-1} times it after.
     assert peak <= 1.25 * raw.nbytes, peak / raw.nbytes
 
 
@@ -149,8 +149,8 @@ def test_orthonormalize_holds_one_chunk_beside_a_large_frame(traced_peak):
     raw = random_band_limited(grid, 1.0, 7, count=32)
     assert raw.nbytes == 16 * 2**20
     _, peak = traced_peak(_orthonormalize, grid, raw)
-    # One budget of products with the later rows and the pivot's conjugate,
-    # whatever the rank: no second frame.
+    # One budget of columns beside the frame, whatever the rank: no second
+    # frame.
     assert peak <= 2 * 2**20, peak / 2**20
 
 

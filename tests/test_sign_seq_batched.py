@@ -196,7 +196,7 @@ class TestSignTable:
             passes.append(count)
             return original(count, ensemble)
 
-        monkeypatch.setattr(lplab.inequality_lab, "_ENUMERATION_CHUNK", 4)
+        monkeypatch.setattr(lplab.inequality_lab, "_KEPT_ENSEMBLE_ROWS", 4)
         monkeypatch.setattr(lplab.inequality_lab, "_sign_blocks", counted)
         monkeypatch.setattr(
             lplab.torus_grid, "FIELD_CHUNK_BYTES", 3 * ensemble_rows(7, ensemble) * 8

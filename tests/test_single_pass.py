@@ -248,13 +248,13 @@ class TestOperatorCache:
         self, blocks1, monkeypatch, fft_calls
     ):
         grams = []
-        original = lplab.fock_operator._gram_matrix
+        original = lplab.fock_operator.gram_matrix
 
         def counted(grid, functions):
             grams.append(len(functions))
             return original(grid, functions)
 
-        monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted)
+        monkeypatch.setattr(lplab.fock_operator, "gram_matrix", counted)
         op = random_orthonormal_frame(blocks1.grid, 4, 1.0, 47)
         fresh = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
         chain_first = FiniteRankOperator(op.grid, op.eigenvalues, op.eigenfunctions)
@@ -301,13 +301,13 @@ class TestSectionsBuildOnce:
         monkeypatch.setattr(lplab.fock_operator, "_axis_waves", table)
         monkeypatch.setattr(lplab.fock_operator, "_wave_squares", recorded)
         grams = []
-        gram = lplab.fock_operator._gram_matrix
+        gram = lplab.fock_operator.gram_matrix
 
         def counted_gram(grid, functions):
             grams.append(len(functions))
             return gram(grid, functions)
 
-        monkeypatch.setattr(lplab.fock_operator, "_gram_matrix", counted_gram)
+        monkeypatch.setattr(lplab.fock_operator, "gram_matrix", counted_gram)
         code, text = _run("lieb-thirring --dim 3 --n 16 --mu 2.5 --mu 4.5 --mu 8.5".split())
         assert code == 0
         results = json.loads(text)["results"]
